@@ -6,7 +6,7 @@ TELEMETRY_COVER_FLOOR ?= 80
 # suite's determinism claims, so nearly every branch must be exercised.
 FAULTINJECT_COVER_FLOOR ?= 90
 
-.PHONY: build vet test race bench bench-gate bench-smoke alloc-gate check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
+.PHONY: build vet test race bench bench-gate bench-smoke bench-check alloc-gate check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
 
 build:
 	$(GO) build ./...
@@ -44,7 +44,7 @@ bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkDegradedPipeline$$' -benchtime 50x ./internal/pipeline | tee -a bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkShardedReloc$$' ./internal/slam | tee -a bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkExtractFeatures$$' ./internal/slam | tee -a bench.out
-	$(GO) test -run '^$$' -bench '^(BenchmarkConv2D|BenchmarkConv2DIm2Col|BenchmarkFullyConnected(Int8)?|BenchmarkConv2DInt8|BenchmarkNetworkForwardScratch(Int8)?)$$' -benchmem -count 3 ./internal/tensor ./internal/dnn | tee -a bench.out
+	$(GO) test -run '^$$' -bench '^(BenchmarkConv2D|BenchmarkConv2DIm2Col|BenchmarkFullyConnected|BenchmarkNetworkForwardScratch)$$' -benchmem -count 3 ./internal/tensor ./internal/dnn | tee -a bench.out
 	@prev="$(BENCH_PREV)"; \
 	$(GO) run ./cmd/adbenchjson -o BENCH_$(BENCH_N).json $${prev:+-prev "$$prev"} \
 		-baseline-name '$(BENCH_BASELINE_NAME)' -baseline-ns $(BENCH_BASELINE_NS) \
@@ -72,6 +72,13 @@ bench-gate:
 # without the cost of real measurement.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# The repository benchmark (BENCHMARK.json, `bash bench/run.sh`) is its own
+# module importing adsim/internal/..., so the root module's build and tests
+# never compile it: vet it and run its -quick smoke (~8 s) here.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Zero-allocation gates on the warm inference hot path (testing.AllocsPerRun
 # is unreliable under -race, so these run without it; `make race` still
@@ -139,10 +146,11 @@ scenario-smoke:
 
 # The tier the concurrency work is held to: compile everything, vet, run
 # the full test suite under the race detector (which includes the chaos
-# suite), fuzz the map decoder, drive the chaos and fleet scenarios end to
-# end through the CLIs, then hold the committed benchmark trajectory to the
+# suite), compile and smoke the bench/ module against the APIs it imports,
+# fuzz the map decoder, drive the chaos and fleet scenarios end to end
+# through the CLIs, then hold the committed benchmark trajectory to the
 # regression gate.
-check: build vet race alloc-gate fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke bench-gate
+check: build vet race bench-check alloc-gate fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke bench-gate
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \

@@ -205,7 +205,7 @@ type AdmissionEvent = pipeline.AdmissionEvent
 type DNNExecutor = dnn.Executor
 
 // NewDNNExecutor returns an unbatched executor whose kernels shard across
-// workers goroutines (0 = runtime.NumCPU). Results are bitwise-identical
+// workers goroutines (0 = GOMAXPROCS). Results are bitwise-identical
 // for any worker count.
 func NewDNNExecutor(workers int) *DNNExecutor { return dnn.NewExecutor(workers) }
 
@@ -213,21 +213,6 @@ func NewDNNExecutor(workers int) *DNNExecutor { return dnn.NewExecutor(workers) 
 // overlapping same-shape forward calls (e.g. from a fleet's DET engines)
 // execute as one batched GEMM, bitwise-identical to unbatched runs.
 func NewBatchDNNExecutor(workers int) *DNNExecutor { return dnn.NewBatchExecutor(workers) }
-
-// SetDNNWorkers overrides how many goroutines the process-default
-// executor's conv/FC kernels shard across. 0 restores the default
-// (runtime.NumCPU). The kernels are bitwise-deterministic for any worker
-// count.
-//
-// Deprecated: worker state is executor-scoped now — construct a
-// DNNExecutor and wire it through DetectConfig/TrackConfig (or
-// FleetConfig.Executor) instead of mutating the process default.
-func SetDNNWorkers(n int) { dnn.SetWorkers(n) }
-
-// DNNWorkers reports the process-default executor's kernel worker count.
-//
-// Deprecated: ask the DNNExecutor you constructed instead.
-func DNNWorkers() int { return dnn.Workers() }
 
 // Distribution accumulates latency samples and answers quantile queries.
 type Distribution = stats.Distribution

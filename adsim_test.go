@@ -58,7 +58,7 @@ func TestFacadeConstraints(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 25 {
+	if len(ids) != 24 {
 		t.Fatalf("experiments = %v", ids)
 	}
 	opts := DefaultExperimentOptions()

@@ -40,9 +40,8 @@ func main() {
 		height   = flag.Int("height", 256, "frame height")
 		survey   = flag.Int("survey", 60, "prior-map survey frames")
 		dnn      = flag.Bool("dnn", true, "execute the native DNNs (slower, exercises the batching seam)")
-		quant    = flag.Bool("quantized", false, "run the native DNNs through the int8 quantized inference path")
 		inflight = flag.Int("inflight", 3, "frames in flight per vehicle Runner")
-		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel in the shared executor (0 = number of CPUs)")
+		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel in the shared executor (0 = GOMAXPROCS)")
 		batch    = flag.Bool("batch", true, "gather overlapping same-shape DNN calls across vehicles into one batched GEMM")
 		shared   = flag.Bool("shared-map", true, "serve all vehicles from one shared prior-map store (per-vehicle private overlays)")
 		seed     = flag.Int64("seed", 1, "base scenario seed; vehicle i drives seed+i")
@@ -90,8 +89,6 @@ func main() {
 	cfg.SurveyFrames = *survey
 	cfg.Detect.RunDNN = *dnn
 	cfg.Track.RunDNN = *dnn
-	cfg.Detect.Quantized = *quant
-	cfg.Track.Quantized = *quant
 	if *deadline > 0 {
 		cfg.Deadline = adsim.DeadlinePolicy{Enforce: true, FrameBudget: *deadline}
 	}

@@ -39,9 +39,8 @@ func main() {
 		height   = flag.Int("height", 256, "frame height")
 		survey   = flag.Int("survey", 60, "prior-map survey frames")
 		dnn      = flag.Bool("dnn", true, "execute the native DNNs (slower, full instrumentation)")
-		quant    = flag.Bool("quantized", false, "run the native DNNs through the int8 quantized inference path")
 		inflight = flag.Int("inflight", 1, "frames in flight: 1 runs sequentially, >1 pipelines frames through a concurrent Runner")
-		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel (0 = number of CPUs)")
+		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel (0 = GOMAXPROCS)")
 		verbose  = flag.Bool("v", false, "print per-frame results")
 		hist     = flag.Bool("hist", false, "print an end-to-end latency histogram")
 		trace    = flag.String("trace", "", "write a JSON-lines trace of every frame to this file")
@@ -94,8 +93,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// An instance-scoped executor (not the mutable process default) owns the
-	// DNN kernel workers for both inference stages.
+	// One executor owns the DNN kernel workers for both inference stages.
 	exec := adsim.NewDNNExecutor(*workers)
 
 	cfg := adsim.DefaultPipelineConfig(kind)
@@ -103,8 +101,6 @@ func main() {
 	cfg.SurveyFrames = *survey
 	cfg.Detect.RunDNN = *dnn
 	cfg.Track.RunDNN = *dnn
-	cfg.Detect.Quantized = *quant
-	cfg.Track.Quantized = *quant
 	cfg.Detect.Executor = exec
 	cfg.Track.Executor = exec
 	if prog != nil {

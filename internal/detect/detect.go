@@ -62,12 +62,8 @@ type Config struct {
 	// RunDNN controls whether the native network is executed. Experiments
 	// that only need functional boxes (e.g. planner tests) can disable it.
 	RunDNN bool
-	// Quantized runs the network through the int8 inference path instead
-	// of float32. Detection results are unaffected (boxes come from the
-	// functional path); only the computational profile changes. See the
-	// tolerance contract in internal/tensor/int8.go.
-	Quantized bool
-	// Executor runs the network's forward passes. nil uses dnn.Default().
+	// Executor runs the network's forward passes. nil builds a private
+	// dnn.NewExecutor(0).
 	// A fleet shares one batching executor across many detectors so
 	// concurrent same-shape calls gather into one batched GEMM.
 	Executor *dnn.Executor
@@ -131,7 +127,7 @@ func New(cfg Config) (*Detector, error) {
 	}
 	d := &Detector{cfg: cfg, exec: cfg.Executor}
 	if d.exec == nil {
-		d.exec = dnn.Default()
+		d.exec = dnn.NewExecutor(0)
 	}
 	if cfg.RunDNN {
 		d.net = cfg.Nets.Get("tiny-yolo", cfg.InputSize, dnn.TinyYOLO)
@@ -248,7 +244,6 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 		if sc == nil || sc.input.H != size {
 			sc = &detScratch{input: tensor.New(1, size, size)}
 		}
-		sc.s.Quantized = d.cfg.Quantized
 		frame.ResizeInto(&sc.small, size, size)
 		for i, p := range sc.small.Pix {
 			sc.input.Data[i] = float32(p) / 255

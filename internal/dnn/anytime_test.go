@@ -6,17 +6,18 @@ import (
 )
 
 // A checkpoint that never fires must leave the anytime pass bitwise equal
-// to the plain scratch forward, for both the Network and Executor paths.
+// to the plain forward, whether keep is nil or always true, at any worker
+// count.
 func TestForwardAnytimeFullRunBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	net := TinyYOLO(32)
 	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
 
 	var want Scratch
-	ref := net.ForwardScratch(in.Clone(), &want).Clone()
+	ref := NewExecutor(1).Forward(net, in.Clone(), &want).Clone()
 
 	var s1 Scratch
-	out, ran := net.ForwardAnytimeScratch(in.Clone(), &s1, func(int) bool { return true })
+	out, ran := NewExecutor(1).ForwardAnytime(net, in.Clone(), &s1, func(int) bool { return true })
 	if ran != len(net.Layers) {
 		t.Fatalf("network pass ran %d layers, want %d", ran, len(net.Layers))
 	}
@@ -56,7 +57,7 @@ func TestForwardAnytimeEarlyExit(t *testing.T) {
 		ref.begin()
 		want := in
 		for i := 0; i < cut; i++ {
-			want = net.Layers[i].ForwardScratch(want, &ref)
+			want = net.Layers[i].Forward(want, &ref, 1)
 		}
 
 		var asked []int

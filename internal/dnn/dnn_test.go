@@ -158,8 +158,8 @@ func TestForwardDeterministic(t *testing.T) {
 func TestDifferentSeedsDifferentWeights(t *testing.T) {
 	in := tensor.New(1, 8, 8)
 	in.Fill(1)
-	a := NewConv(4, 3, 1, 1, Linear, 1).Forward(in)
-	b := NewConv(4, 3, 1, 1, Linear, 2).Forward(in)
+	a := NewConv(4, 3, 1, 1, Linear, 1).Forward(in, &Scratch{}, 1)
+	b := NewConv(4, 3, 1, 1, Linear, 2).Forward(in, &Scratch{}, 1)
 	same := true
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
@@ -334,7 +334,7 @@ func TestForwardConcurrentAndWorkerInvariant(t *testing.T) {
 		in.Data[i] = float32(i%7) / 7
 	}
 
-	ref := NewExecutor(1).Forward(build(), in, nil)
+	ref := NewExecutor(1).Forward(build(), in, &Scratch{})
 
 	exec := NewExecutor(4)
 	net := build() // fresh net: weights lazily initialized under contention
@@ -345,7 +345,7 @@ func TestForwardConcurrentAndWorkerInvariant(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
-			outs[g] = exec.Forward(net, in, nil)
+			outs[g] = exec.Forward(net, in, &Scratch{})
 		}(g)
 	}
 	wg.Wait()
@@ -362,22 +362,24 @@ func TestForwardConcurrentAndWorkerInvariant(t *testing.T) {
 	}
 }
 
-// Executor worker counts are private to each instance: configuring one
-// executor never perturbs another (the property the old package-global
-// SetWorkers could not give).
+// Executor worker counts are private to each instance, and the default
+// follows GOMAXPROCS (not NumCPU): under GOMAXPROCS=1 on a multi-core host
+// a default executor must not fan conv layers out over goroutines that
+// cannot run in parallel.
 func TestExecutorWorkersInstanceScoped(t *testing.T) {
-	a, b := NewExecutor(3), NewExecutor(0)
+	a, b, c := NewExecutor(3), NewExecutor(0), NewExecutor(-5)
 	if a.Workers() != 3 {
 		t.Errorf("a.Workers = %d, want 3", a.Workers())
 	}
-	if b.Workers() != runtime.NumCPU() {
-		t.Errorf("b.Workers = %d, want NumCPU default", b.Workers())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if b.Workers() != 1 || c.Workers() != 1 {
+		t.Errorf("default Workers = %d, %d under GOMAXPROCS=1, want 1", b.Workers(), c.Workers())
 	}
-	a.SetWorkers(-5)
-	if a.Workers() != runtime.NumCPU() {
-		t.Errorf("a.Workers = %d, want NumCPU after reset", a.Workers())
+	runtime.GOMAXPROCS(4)
+	if b.Workers() != 4 {
+		t.Errorf("default Workers = %d under GOMAXPROCS=4, want 4", b.Workers())
 	}
-	if Default().Workers() != runtime.NumCPU() {
-		t.Errorf("Default().Workers = %d perturbed by instance executors", Default().Workers())
+	if a.Workers() != 3 {
+		t.Errorf("a.Workers = %d perturbed by GOMAXPROCS", a.Workers())
 	}
 }

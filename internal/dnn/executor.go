@@ -12,29 +12,28 @@ import (
 )
 
 // Executor is an instance-scoped inference executor: it owns the kernel
-// worker count, a pool of per-worker Scratch arenas, and (optionally) the
-// cross-stream batching seam that gathers concurrent same-shape forward
-// calls — from many vehicles' DET/TRA engines — into one batched GEMM.
+// worker count and (optionally) the cross-stream batching seam that gathers
+// concurrent same-shape forward calls — from many vehicles' DET/TRA engines
+// — into one batched GEMM.
 //
-// Worker state used to be a package global (SetWorkers); it is per-Executor
-// now, so independent pipelines sharing a process cannot perturb each
-// other's kernel configuration. Results are bitwise-identical for any
+// There is no process-wide executor: every engine holds its own or one it
+// was handed, so independent pipelines sharing a process cannot perturb
+// each other's kernel configuration. Results are bitwise-identical for any
 // worker count and whether or not batching groups a call with others (see
 // internal/tensor/batch.go for the kernel-level contract).
 //
 // All methods are safe for concurrent use.
 type Executor struct {
-	// workers is the kernel fan-out; 0 means runtime.NumCPU().
-	workers atomic.Int32
+	// workers is the kernel fan-out; 0 means runtime.GOMAXPROCS(0).
+	workers int
 	// batch enables the gather seam below.
 	batch bool
 
 	// Gather state: concurrent Forward calls enqueue requests; the first
 	// arrival becomes the leader and drains the queue batch by batch
-	// (grouping same network/shape/quantization runs), while followers
-	// block on their request's done channel. No timers are involved —
-	// batches form exactly when calls overlap, so an idle stream never
-	// waits on a window.
+	// (grouping same network/shape runs), while followers block on their
+	// request's done channel. No timers are involved — batches form exactly
+	// when calls overlap, so an idle stream never waits on a window.
 	mu      sync.Mutex
 	queue   []*fwdReq
 	leading bool
@@ -60,9 +59,8 @@ type Executor struct {
 	gatherCalls   atomic.Int64
 	metrics       atomic.Pointer[gatherMetrics]
 
-	reqPool     sync.Pool // *fwdReq, done channel pre-allocated
-	bufsPool    sync.Pool // *batchBufs
-	scratchPool sync.Pool // *Scratch per-worker arenas
+	reqPool  sync.Pool // *fwdReq, done channel pre-allocated
+	bufsPool sync.Pool // *batchBufs
 }
 
 // gatherMetrics holds the retained registry handles for batch telemetry.
@@ -91,18 +89,16 @@ type batchBufs struct {
 }
 
 // NewExecutor builds an executor whose kernels fan out across workers
-// goroutines (<= 0 means runtime.NumCPU()). Calls run inline, unbatched —
-// the right mode for a single stream.
+// goroutines (<= 0 means runtime.GOMAXPROCS(0), read at each call). Calls
+// run inline, unbatched — the right mode for a single stream.
 func NewExecutor(workers int) *Executor {
-	e := &Executor{holdSig: make(chan struct{}, 1)}
-	e.SetWorkers(workers)
-	return e
+	return &Executor{workers: workers, holdSig: make(chan struct{}, 1)}
 }
 
 // NewBatchExecutor is NewExecutor with the cross-stream batching seam
-// enabled: concurrent Forward calls on the same network, input shape and
-// quantization mode are executed as one batched GEMM. Outputs stay
-// bitwise-identical to unbatched runs.
+// enabled: concurrent Forward calls on the same network and input shape are
+// executed as one batched GEMM. Outputs stay bitwise-identical to unbatched
+// runs.
 func NewBatchExecutor(workers int) *Executor {
 	e := NewExecutor(workers)
 	e.batch = true
@@ -112,21 +108,14 @@ func NewBatchExecutor(workers int) *Executor {
 // Batching reports whether the cross-stream gather seam is enabled.
 func (e *Executor) Batching() bool { return e.batch }
 
-// Workers reports the kernel worker count.
+// Workers reports the kernel worker count. The default follows GOMAXPROCS,
+// not NumCPU: fanning out more goroutines than the scheduler will run at
+// once only adds switches. Sharding never changes results.
 func (e *Executor) Workers() int {
-	if n := e.workers.Load(); n > 0 {
-		return int(n)
+	if e.workers > 0 {
+		return e.workers
 	}
-	return runtime.NumCPU()
-}
-
-// SetWorkers changes the kernel worker count for subsequent calls; n <= 0
-// restores the runtime.NumCPU() default. Sharding never changes results.
-func (e *Executor) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.workers.Store(int32(n))
+	return runtime.GOMAXPROCS(0)
 }
 
 // SetGatherHold arms (or, with cohort <= 1, disarms) the leader hold on the
@@ -178,50 +167,41 @@ func (e *Executor) noteBatch(depth int) {
 	}
 }
 
-// AcquireScratch returns a pooled per-worker inference arena; pair with
-// ReleaseScratch. The scratch comes back with Quantized cleared.
-func (e *Executor) AcquireScratch() *Scratch {
-	if s, _ := e.scratchPool.Get().(*Scratch); s != nil {
-		s.Quantized = false
-		return s
-	}
-	return &Scratch{}
-}
-
-// ReleaseScratch returns a scratch to the executor's pool.
-func (e *Executor) ReleaseScratch(s *Scratch) { e.scratchPool.Put(s) }
-
-// Forward runs one inference through n. With a non-nil scratch the output
-// aliases scratch memory exactly as Network.ForwardScratch; with s == nil a
-// pooled arena is used and a caller-owned copy is returned. On a batching
+// Forward runs one inference through n, drawing every buffer from s; the
+// output aliases scratch memory (see Scratch ownership rules). On a batching
 // executor the call may be grouped with concurrent same-shape calls; the
 // result is bitwise-identical either way.
 func (e *Executor) Forward(n *Network, in *tensor.T, s *Scratch) *tensor.T {
-	if s == nil {
-		sc := e.AcquireScratch()
-		out := e.forwardOne(n, in, sc).Clone()
-		e.ReleaseScratch(sc)
-		return out
+	if e.batch {
+		return e.forwardGather(n, in, s)
 	}
-	if !e.batch {
-		return e.forwardOne(n, in, s)
-	}
-	return e.forwardGather(n, in, s)
+	out, _ := n.run(in, s, e.Workers(), nil)
+	return out
+}
+
+// ForwardAnytime is Forward with a checkpoint consulted at every layer
+// boundary (see Network.run): it returns the output of the last executed
+// layer and the number of layers executed. It always runs inline and
+// unbatched, even on a batching executor — an anytime call is
+// latency-critical by definition, so it never waits on the gather seam. A
+// pass whose checkpoint never fires is bitwise-identical to Forward.
+func (e *Executor) ForwardAnytime(n *Network, in *tensor.T, s *Scratch, keep Checkpoint) (*tensor.T, int) {
+	return n.run(in, s, e.Workers(), keep)
 }
 
 // ForwardBatch synchronously runs one batched inference: ins[i] forwards
 // through n drawing from scs[i], and the outputs (aliasing each scratch's
-// ping-pong slot, as in ForwardScratch) are appended to outs and returned.
-// Pass a reused outs buffer to keep a warm call allocation-free. All inputs
-// must share one shape and all scratches one Quantized mode.
+// ping-pong slot, as in Forward) are appended to outs and returned. Pass a
+// reused outs buffer to keep a warm call allocation-free. All inputs must
+// share one shape.
 func (e *Executor) ForwardBatch(n *Network, ins []*tensor.T, scs []*Scratch, outs []*tensor.T) []*tensor.T {
 	if len(ins) == 0 || len(scs) != len(ins) {
 		panic(fmt.Sprintf("dnn: batch of %d inputs, %d scratches", len(ins), len(scs)))
 	}
 	for i := 1; i < len(ins); i++ {
-		if !sameBatchKey(ins[i], scs[i], ins[0], scs[0]) {
-			panic(fmt.Sprintf("dnn: batch sample %d (shape %dx%dx%d quant=%v) does not match sample 0",
-				i, ins[i].C, ins[i].H, ins[i].W, scs[i].Quantized))
+		if !sameShape(ins[i], ins[0]) {
+			panic(fmt.Sprintf("dnn: batch sample %d (shape %dx%dx%d) does not match sample 0",
+				i, ins[i].C, ins[i].H, ins[i].W))
 		}
 	}
 	outs = append(outs[:0], ins...)
@@ -231,9 +211,9 @@ func (e *Executor) ForwardBatch(n *Network, ins []*tensor.T, scs []*Scratch, out
 	return outs
 }
 
-// sameBatchKey reports whether two forward calls can share one batch.
-func sameBatchKey(in *tensor.T, s *Scratch, in0 *tensor.T, s0 *Scratch) bool {
-	return in.C == in0.C && in.H == in0.H && in.W == in0.W && s.Quantized == s0.Quantized
+// sameShape reports whether two inputs to one network can share a batch.
+func sameShape(in, in0 *tensor.T) bool {
+	return in.C == in0.C && in.H == in0.H && in.W == in0.W
 }
 
 func (e *Executor) acquireBufs(n int) *batchBufs {
@@ -247,46 +227,20 @@ func (e *Executor) acquireBufs(n int) *batchBufs {
 	return bb
 }
 
-// forwardOne is the unbatched layer loop, conv/FC kernels sharded across
-// this executor's workers. Bitwise-identical to Network.ForwardScratch.
-func (e *Executor) forwardOne(n *Network, in *tensor.T, s *Scratch) *tensor.T {
-	w := e.Workers()
-	s.begin()
-	out := in
-	for _, l := range n.Layers {
-		switch l := l.(type) {
-		case *Conv:
-			out = l.forward(out, s, w)
-		case *FC:
-			out = l.forward(out, s, w)
-		default:
-			out = l.ForwardScratch(out, s)
-		}
-	}
-	return out
-}
-
-// runBatch advances every sample through n one layer at a time: conv and FC
-// float layers run the batched kernels; everything else (pooling, batch
-// norm, reorg, int8 layers) runs per sample through the exact solo path.
-// cur is mutated in place to the per-sample outputs. Each scratch sees the
-// same begin/next sequence as a solo ForwardScratch, so outputs land in the
-// same ping-pong slots.
+// runBatch is the batched layer loop: it advances every sample through n
+// one layer at a time. Conv and FC layers run the batched kernels;
+// everything else (pooling, batch norm, reorg) runs per sample through
+// Layer.Forward. cur is mutated in place to the per-sample outputs. Each
+// scratch sees the same begin/next sequence as a solo pass, so outputs land
+// in the same ping-pong slots.
 func (e *Executor) runBatch(n *Network, cur []*tensor.T, scs []*Scratch, nxt []*tensor.T, arena *tensor.Scratch) {
 	w := e.Workers()
-	quant := scs[0].Quantized
 	for i := range scs {
 		scs[i].begin()
 	}
 	for _, l := range n.Layers {
 		switch l := l.(type) {
 		case *Conv:
-			if quant {
-				for i := range cur {
-					cur[i] = l.forward(cur[i], scs[i], w)
-				}
-				continue
-			}
 			p := l.params(cur[0].C)
 			sh := l.OutShape(Shape{C: cur[0].C, H: cur[0].H, W: cur[0].W})
 			for i := range cur {
@@ -297,12 +251,6 @@ func (e *Executor) runBatch(n *Network, cur []*tensor.T, scs []*Scratch, nxt []*
 				cur[i] = l.Act.apply(nxt[i])
 			}
 		case *FC:
-			if quant {
-				for i := range cur {
-					cur[i] = l.forward(cur[i], scs[i], w)
-				}
-				continue
-			}
 			p := l.params(cur[0].Len())
 			for i := range cur {
 				nxt[i] = scs[i].next(Shape{C: l.OutN, H: 1, W: 1})
@@ -313,7 +261,7 @@ func (e *Executor) runBatch(n *Network, cur []*tensor.T, scs []*Scratch, nxt []*
 			}
 		default:
 			for i := range cur {
-				cur[i] = l.ForwardScratch(cur[i], scs[i])
+				cur[i] = l.Forward(cur[i], scs[i], w)
 			}
 		}
 	}
@@ -367,7 +315,7 @@ func (e *Executor) forwardGather(n *Network, in *tensor.T, s *Scratch) *tensor.T
 		take := e.take[:0]
 		rest := e.queue[:0]
 		for _, r := range e.queue {
-			if r.net == head.net && sameBatchKey(r.in, r.s, head.in, head.s) {
+			if r.net == head.net && sameShape(r.in, head.in) {
 				take = append(take, r)
 			} else {
 				rest = append(rest, r)
@@ -426,7 +374,7 @@ func (e *Executor) gatherHold() {
 func (e *Executor) runReqs(reqs []*fwdReq) {
 	e.noteBatch(len(reqs))
 	if len(reqs) == 1 {
-		reqs[0].out = e.forwardOne(reqs[0].net, reqs[0].in, reqs[0].s)
+		reqs[0].out, _ = reqs[0].net.run(reqs[0].in, reqs[0].s, e.Workers(), nil)
 		return
 	}
 	bb := e.acquireBufs(len(reqs))
@@ -442,25 +390,3 @@ func (e *Executor) runReqs(reqs []*fwdReq) {
 	}
 	e.bufsPool.Put(bb)
 }
-
-// defaultExecutor backs the deprecated package-level shims and every code
-// path that predates instance-scoped executors (Layer.Forward,
-// Network.ForwardScratch with no executor in sight).
-var defaultExecutor = NewExecutor(0)
-
-// Default returns the process-wide default executor, used when no explicit
-// Executor is configured.
-func Default() *Executor { return defaultExecutor }
-
-// Workers reports the default executor's kernel worker count.
-//
-// Deprecated: worker state is instance-scoped — construct an Executor and
-// ask it. This shim remains for flags and the facade.
-func Workers() int { return defaultExecutor.Workers() }
-
-// SetWorkers sets the default executor's kernel worker count; n <= 0
-// restores the runtime.NumCPU() default.
-//
-// Deprecated: worker state is instance-scoped — construct an Executor via
-// NewExecutor(n) instead of mutating the process default.
-func SetWorkers(n int) { defaultExecutor.SetWorkers(n) }

@@ -8,10 +8,11 @@ import (
 
 	"adsim/internal/telemetry"
 	"adsim/internal/tensor"
+	"adsim/internal/testutil"
 )
 
 // ForwardBatch is the fleet's cross-stream seam; every sample must come out
-// bitwise-identical to a solo ForwardScratch of the same input, in the same
+// bitwise-identical to a solo Forward of the same input, in the same
 // ping-pong slot, for any batch size and worker count.
 func TestForwardBatchBitwiseEqualSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -32,7 +33,7 @@ func TestForwardBatchBitwiseEqualSolo(t *testing.T) {
 					ins[i] = randInput(rng, netCase.net.Input.C, netCase.net.Input.H, netCase.net.Input.W)
 					scs[i] = &Scratch{}
 					var solo Scratch
-					wants[i] = netCase.net.ForwardScratch(ins[i].Clone(), &solo).Clone()
+					wants[i] = NewExecutor(1).Forward(netCase.net, ins[i].Clone(), &solo).Clone()
 				}
 				outs := exec.ForwardBatch(netCase.net, ins, scs, nil)
 				for i := range outs {
@@ -52,32 +53,6 @@ func TestForwardBatchBitwiseEqualSolo(t *testing.T) {
 	}
 }
 
-// The quantized path falls back to per-sample kernels inside the batch and
-// must equal its solo int8 run exactly.
-func TestForwardBatchQuantizedEqualSolo(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	net := TinyTrackerTower(32)
-	exec := NewExecutor(1)
-	const batch = 3
-	ins := make([]*tensor.T, batch)
-	scs := make([]*Scratch, batch)
-	wants := make([]*tensor.T, batch)
-	for i := range ins {
-		ins[i] = randInput(rng, net.Input.C, net.Input.H, net.Input.W)
-		scs[i] = &Scratch{Quantized: true}
-		solo := Scratch{Quantized: true}
-		wants[i] = net.ForwardScratch(ins[i].Clone(), &solo).Clone()
-	}
-	outs := exec.ForwardBatch(net, ins, scs, nil)
-	for i := range outs {
-		for j := range wants[i].Data {
-			if outs[i].Data[j] != wants[i].Data[j] {
-				t.Fatalf("sample %d: out[%d] = %v, want solo int8 %v", i, j, outs[i].Data[j], wants[i].Data[j])
-			}
-		}
-	}
-}
-
 // Hammer the gather seam: many goroutine "vehicles" drive concurrent
 // Forward calls through one batching executor; every result must equal the
 // unbatched single-stream reference bitwise, no matter how the leader
@@ -89,8 +64,8 @@ func TestBatchExecutorGatherBitwise(t *testing.T) {
 	towerIn := randInput(rng, tower.Input.C, tower.Input.H, tower.Input.W)
 	yoloIn := randInput(rng, yolo.Input.C, yolo.Input.H, yolo.Input.W)
 	var refS Scratch
-	towerWant := tower.ForwardScratch(towerIn.Clone(), &refS).Clone()
-	yoloWant := yolo.ForwardScratch(yoloIn.Clone(), &refS).Clone()
+	towerWant := NewExecutor(1).Forward(tower, towerIn.Clone(), &refS).Clone()
+	yoloWant := NewExecutor(1).Forward(yolo, yoloIn.Clone(), &refS).Clone()
 
 	exec := NewBatchExecutor(2)
 	const vehicles = 8
@@ -133,7 +108,7 @@ func TestGatherHoldDeepensBatches(t *testing.T) {
 	net := TinyYOLO(32)
 	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
 	var refS Scratch
-	want := net.ForwardScratch(in.Clone(), &refS).Clone()
+	want := NewExecutor(1).Forward(net, in.Clone(), &refS).Clone()
 
 	exec := NewBatchExecutor(1)
 	reg := telemetry.NewRegistry(0)
@@ -206,7 +181,7 @@ func TestAllocForwardBatch(t *testing.T) {
 		scs[i] = &Scratch{}
 	}
 	outs := exec.ForwardBatch(net, ins, scs, nil) // warm arenas + lazy weights
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
 	}
 	allocs := testing.AllocsPerRun(10, func() {

@@ -147,7 +147,10 @@ func (g *Graph) Forward(in *tensor.T) *tensor.T {
 	}
 	for id, n := range g.nodes {
 		if n.layer != nil {
-			outs[id] = n.layer.Forward(get(n.inputs[0]))
+			// A throwaway scratch per node: skip connections read node
+			// outputs long after the next layer ran, so they cannot share
+			// one arena's ping-pong slots.
+			outs[id] = n.layer.Forward(get(n.inputs[0]), &Scratch{}, 1)
 			continue
 		}
 		// Concatenate along channels.

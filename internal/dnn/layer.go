@@ -97,21 +97,18 @@ type Layer interface {
 	OutShape(in Shape) Shape
 	// CostAt computes the layer cost for a given input shape.
 	CostAt(in Shape) Cost
-	// Forward runs inference. The input tensor is not modified.
-	Forward(in *tensor.T) *tensor.T
-	// ForwardScratch runs inference drawing the output (and any
-	// intermediates) from s; a warm call allocates nothing. The input
-	// tensor is not modified; the result may alias scratch memory. The
-	// float path is bitwise-identical to Forward.
-	ForwardScratch(in *tensor.T, s *Scratch) *tensor.T
+	// Forward runs inference, drawing the output (and any intermediates)
+	// from s and sharding the conv/FC kernels over up to workers
+	// goroutines; a warm call allocates nothing. The input tensor is not
+	// modified; the result aliases scratch memory. Results are bitwise
+	// identical for any scratch state and any worker count.
+	Forward(in *tensor.T, s *Scratch, workers int) *tensor.T
 }
 
-// convParams holds one input-channel-count instantiation of a conv layer's
-// parameters. The quantized form is derived lazily from the float weights.
+// convParams holds one input-size instantiation of a conv or FC layer's
+// weights and biases.
 type convParams struct {
-	w, b   []float32
-	qw     []int8    // per-channel symmetric int8 weights (lazy)
-	wScale []float32 // per-output-channel quantization scales
+	w, b []float32
 }
 
 // Conv is a 2D convolution layer with optional activation.
@@ -192,41 +189,12 @@ func (c *Conv) params(inC int) *convParams {
 	return p
 }
 
-// qparams returns the int8 quantization of p's weights, deriving it on
-// first use.
-func (c *Conv) qparams(p *convParams) (qw []int8, wScale []float32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p.qw == nil {
-		p.qw, p.wScale = tensor.QuantizePerChannel(p.w, c.OutC)
-	}
-	return p.qw, p.wScale
-}
-
-func (c *Conv) Forward(in *tensor.T) *tensor.T {
-	p := c.params(in.C)
-	// The im2col lowering is ~4x faster than the direct loop at these
-	// shapes (property-tested equivalent in internal/tensor).
-	out := tensor.Conv2DIm2ColPar(in, p.w, p.b, c.OutC, c.K, c.Stride, c.Pad, Workers())
-	return c.Act.apply(out)
-}
-
-func (c *Conv) ForwardScratch(in *tensor.T, s *Scratch) *tensor.T {
-	return c.forward(in, s, Workers())
-}
-
-// forward is ForwardScratch with an explicit kernel worker count — the
-// executor-scoped entry point (results are worker-count invariant).
-func (c *Conv) forward(in *tensor.T, s *Scratch, workers int) *tensor.T {
+func (c *Conv) Forward(in *tensor.T, s *Scratch, workers int) *tensor.T {
 	p := c.params(in.C)
 	dst := s.next(c.OutShape(Shape{C: in.C, H: in.H, W: in.W}))
-	var out *tensor.T
-	if s.Quantized {
-		qw, wScale := c.qparams(p)
-		out = tensor.Conv2DInt8(dst, in, qw, wScale, p.b, c.OutC, c.K, c.Stride, c.Pad, workers, s.Arena())
-	} else {
-		out = tensor.Conv2DIm2ColParInto(dst, in, p.w, p.b, c.OutC, c.K, c.Stride, c.Pad, workers, s.Arena())
-	}
+	// The im2col lowering is ~4x faster than the direct loop at these
+	// shapes (property-tested equivalent in internal/tensor).
+	out := tensor.Conv2DIm2ColParInto(dst, in, p.w, p.b, c.OutC, c.K, c.Stride, c.Pad, workers, &s.arena)
 	return c.Act.apply(out)
 }
 
@@ -262,11 +230,7 @@ func (p *MaxPool) CostAt(in Shape) Cost {
 	}
 }
 
-func (p *MaxPool) Forward(in *tensor.T) *tensor.T {
-	return tensor.MaxPool2D(in, p.K, p.Stride)
-}
-
-func (p *MaxPool) ForwardScratch(in *tensor.T, s *Scratch) *tensor.T {
+func (p *MaxPool) Forward(in *tensor.T, s *Scratch, _ int) *tensor.T {
 	dst := s.next(p.OutShape(Shape{C: in.C, H: in.H, W: in.W}))
 	return tensor.MaxPool2DInto(dst, in, p.K, p.Stride)
 }
@@ -313,15 +277,8 @@ func (bn *BatchNorm) params(c int) (a, b []float32) {
 	return bn.a, bn.b
 }
 
-func (bn *BatchNorm) Forward(in *tensor.T) *tensor.T {
-	return bn.forwardInto(in.Clone(), in)
-}
-
-func (bn *BatchNorm) ForwardScratch(in *tensor.T, s *Scratch) *tensor.T {
-	return bn.forwardInto(s.next(Shape{C: in.C, H: in.H, W: in.W}), in)
-}
-
-func (bn *BatchNorm) forwardInto(out, in *tensor.T) *tensor.T {
+func (bn *BatchNorm) Forward(in *tensor.T, s *Scratch, _ int) *tensor.T {
+	out := s.next(Shape{C: in.C, H: in.H, W: in.W})
 	as, bs := bn.params(in.C)
 	hw := in.H * in.W
 	for c := 0; c < in.C; c++ {
@@ -364,19 +321,11 @@ func (r *Reorg) CostAt(in Shape) Cost {
 	return Cost{ActBytes: 4 * int64(in.Elems())} // pure data movement
 }
 
-func (r *Reorg) Forward(in *tensor.T) *tensor.T {
-	outShape := r.OutShape(Shape{C: in.C, H: in.H, W: in.W})
-	return r.forwardInto(tensor.New(outShape.C, outShape.H, outShape.W), in)
-}
-
-func (r *Reorg) ForwardScratch(in *tensor.T, sc *Scratch) *tensor.T {
-	return r.forwardInto(sc.next(r.OutShape(Shape{C: in.C, H: in.H, W: in.W})), in)
-}
-
-// forwardInto writes the space-to-depth permutation into out. Every input
-// element maps to exactly one output element (a bijection), so out is fully
+// Forward writes the space-to-depth permutation. Every input element maps
+// to exactly one output element (a bijection), so the output slot is fully
 // written and needs no pre-clearing.
-func (r *Reorg) forwardInto(out, in *tensor.T) *tensor.T {
+func (r *Reorg) Forward(in *tensor.T, sc *Scratch, _ int) *tensor.T {
+	out := sc.next(r.OutShape(Shape{C: in.C, H: in.H, W: in.W}))
 	s := r.Stride
 	for c := 0; c < in.C; c++ {
 		for y := 0; y < in.H; y++ {
@@ -450,38 +399,9 @@ func (f *FC) params(inN int) *convParams {
 	return p
 }
 
-// qparams returns the int8 quantization of p's weights, deriving it on
-// first use.
-func (f *FC) qparams(p *convParams) (qw []int8, wScale []float32) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if p.qw == nil {
-		p.qw, p.wScale = tensor.QuantizePerChannel(p.w, f.OutN)
-	}
-	return p.qw, p.wScale
-}
-
-func (f *FC) Forward(in *tensor.T) *tensor.T {
-	p := f.params(in.Len())
-	out := tensor.FullyConnectedPar(in, p.w, p.b, f.OutN, Workers())
-	return f.Act.apply(out)
-}
-
-func (f *FC) ForwardScratch(in *tensor.T, s *Scratch) *tensor.T {
-	return f.forward(in, s, Workers())
-}
-
-// forward is ForwardScratch with an explicit kernel worker count — the
-// executor-scoped entry point (results are worker-count invariant).
-func (f *FC) forward(in *tensor.T, s *Scratch, workers int) *tensor.T {
+func (f *FC) Forward(in *tensor.T, s *Scratch, workers int) *tensor.T {
 	p := f.params(in.Len())
 	dst := s.next(Shape{C: f.OutN, H: 1, W: 1})
-	var out *tensor.T
-	if s.Quantized {
-		qw, wScale := f.qparams(p)
-		out = tensor.FullyConnectedInt8(dst, in, qw, wScale, p.b, f.OutN, workers, s.Arena())
-	} else {
-		out = tensor.FullyConnectedParInto(dst, in, p.w, p.b, f.OutN, workers)
-	}
+	out := tensor.FullyConnectedParInto(dst, in, p.w, p.b, f.OutN, workers)
 	return f.Act.apply(out)
 }

@@ -18,8 +18,8 @@ import "sync"
 // is phase-aligned.
 //
 // Networks are safe to share: inference only reads weights (lazy weight
-// and quantization initialization is mutex-guarded in the layers), and all
-// per-call state lives in the caller's Scratch.
+// initialization is mutex-guarded in the layers), and all per-call state
+// lives in the caller's Scratch.
 //
 // A nil *NetCache is valid and simply builds uncached — engines call Get
 // unconditionally.

@@ -76,23 +76,40 @@ func (n *Network) LayerCosts() []Cost {
 	return costs
 }
 
-// LayerCostsAt is LayerCosts for an arbitrary input shape.
-func (n *Network) LayerCostsAt(input Shape) []Cost {
-	costs := make([]Cost, len(n.Layers))
-	shape := input
+// Checkpoint is the anytime-execution probe. Before executing layer i
+// (0-based), the forward pass asks keep(i) whether the remaining budget
+// still covers more work; a false answer stops the pass at that boundary.
+// keep is called once per layer in ascending order, from the calling
+// goroutine only.
+type Checkpoint func(next int) bool
+
+// run is the one solo layer loop: it feeds in through the layers, drawing
+// every intermediate and output buffer from s (a warm network/scratch pair
+// allocates nothing) with the conv/FC kernels sharded over workers
+// goroutines. The pass stops before the first layer whose checkpoint
+// reports false and returns the output of the last executed layer (in
+// itself when no layer ran) with the number of layers executed; a nil keep
+// runs every layer. This is the anytime-inference seam: a budget-pressed
+// DET frame commits the deepest features computed so far instead of
+// blowing its deadline (internal/pipeline/deadline.go, DESIGN.md §12). The
+// returned tensor aliases scratch memory — see Scratch ownership rules.
+func (n *Network) run(in *tensor.T, s *Scratch, workers int, keep Checkpoint) (*tensor.T, int) {
+	s.begin()
+	out := in
 	for i, l := range n.Layers {
-		costs[i] = l.CostAt(shape)
-		shape = l.OutShape(shape)
+		if keep != nil && !keep(i) {
+			return out, i
+		}
+		out = l.Forward(out, s, workers)
 	}
-	return costs
+	return out, len(n.Layers)
 }
 
-// Forward runs inference through all layers.
+// Forward runs one single-threaded inference on a throwaway scratch and
+// returns a caller-owned output. It is a convenience for cost studies and
+// tests; the engines go through an Executor, which reuses arenas.
 func (n *Network) Forward(in *tensor.T) *tensor.T {
-	out := in
-	for _, l := range n.Layers {
-		out = l.Forward(out)
-	}
+	out, _ := n.run(in, &Scratch{}, 1, nil)
 	return out
 }
 

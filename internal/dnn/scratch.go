@@ -4,30 +4,22 @@ import (
 	"adsim/internal/tensor"
 )
 
-// Scratch is a per-worker inference arena. Passing one to
-// Network.ForwardScratch makes the whole feed-forward pass allocation-free
-// once warm: layer outputs ping-pong between two arena slots and the conv
-// kernels draw their im2col/quantization buffers from the same arena.
+// Scratch is a per-worker inference arena. Passing one to Executor.Forward
+// makes the whole feed-forward pass allocation-free once warm: layer
+// outputs ping-pong between two arena slots and the conv kernels draw their
+// im2col buffer from the same arena.
 //
 // Ownership rules (see DESIGN.md "Buffer ownership and reuse"):
 //
-//   - A Scratch is NOT safe for concurrent use; pool one per worker.
-//   - The tensor returned by ForwardScratch aliases arena memory and is
+//   - A Scratch is NOT safe for concurrent use; keep one per worker.
+//   - The tensor returned by a forward pass aliases arena memory and is
 //     valid only until the scratch is used again — copy out (or consume)
 //     what must survive, e.g. via Hold.
 //   - Hold slots are never touched by the layers, so held tensors survive
 //     any number of forward passes on the same scratch.
 //
-// Quantized selects the int8 inference path: convolutions and fully
-// connected layers run tensor.Conv2DInt8 / tensor.FullyConnectedInt8
-// against lazily cached per-channel quantized weights. Everything else
-// (pooling, batch norm, reorg, activations) runs in float32 on the
-// dequantized activations. The zero value is a ready-to-use float scratch.
+// The zero value is ready to use.
 type Scratch struct {
-	// Quantized switches conv/FC layers to int8 kernels. Flip it only
-	// between forward passes, never mid-pass.
-	Quantized bool
-
 	arena tensor.Scratch
 	ping  int
 }
@@ -53,22 +45,4 @@ func (s *Scratch) Hold(i, c, h, w int) *tensor.T {
 		panic("dnn: negative scratch hold slot")
 	}
 	return s.arena.Buf(2+i, c, h, w)
-}
-
-// Arena exposes the underlying tensor arena for callers that invoke tensor
-// kernels directly against the same backing store.
-func (s *Scratch) Arena() *tensor.Scratch { return &s.arena }
-
-// ForwardScratch runs inference drawing every intermediate and output
-// buffer from s; a warm (network, scratch) pair allocates nothing. The
-// float path is bitwise-identical to Forward. With s.Quantized set, conv/FC
-// layers run int8 (see the tolerance contract in internal/tensor/int8.go).
-// The returned tensor aliases scratch memory — see Scratch ownership rules.
-func (n *Network) ForwardScratch(in *tensor.T, s *Scratch) *tensor.T {
-	s.begin()
-	out := in
-	for _, l := range n.Layers {
-		out = l.ForwardScratch(out, s)
-	}
-	return out
 }

@@ -1,8 +1,8 @@
 package dnn
 
 import (
-	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -17,8 +17,11 @@ func randInput(rng *rand.Rand, c, h, w int) *tensor.T {
 	return in
 }
 
-// ForwardScratch is the same arithmetic as Forward routed through the arena;
-// any divergence means a buffer was reused while still live.
+// The one solo loop must give the same bits whatever state its scratch is
+// in and however many workers shard the kernels: a fresh throwaway arena
+// (Network.Forward) against a reused, warm one at workers 1, 2 and 4. Any
+// divergence means a buffer was reused while still live, or that sharding
+// changed arithmetic.
 func TestForwardScratchBitwiseEqualForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	nets := map[string]*Network{
@@ -28,50 +31,21 @@ func TestForwardScratchBitwiseEqualForward(t *testing.T) {
 	for name, net := range nets {
 		in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
 		want := net.Forward(in.Clone())
-		var s Scratch
-		for pass := 0; pass < 3; pass++ { // reused arena must stay stable
-			got := net.ForwardScratch(in.Clone(), &s)
-			if got.C != want.C || got.H != want.H || got.W != want.W {
-				t.Fatalf("%s: shape %v, want %v", name, got, want)
-			}
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%s pass %d: out[%d] = %v, want %v (bitwise)",
-						name, pass, i, got.Data[i], want.Data[i])
+		for _, workers := range []int{1, 2, 4} {
+			exec := NewExecutor(workers)
+			var s Scratch
+			for pass := 0; pass < 3; pass++ { // reused arena must stay stable
+				got := exec.Forward(net, in.Clone(), &s)
+				if got.C != want.C || got.H != want.H || got.W != want.W {
+					t.Fatalf("%s: shape %v, want %v", name, got, want)
+				}
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("%s workers %d pass %d: out[%d] = %v, want %v (bitwise)",
+							name, workers, pass, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
-		}
-	}
-}
-
-func TestForwardScratchQuantizedWithinTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := TinyTrackerTower(32)
-	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
-	want := net.Forward(in.Clone())
-
-	var s Scratch
-	s.Quantized = true
-	got := net.ForwardScratch(in.Clone(), &s)
-
-	// Per-layer error compounds, so the end-to-end bound is loose; the
-	// per-kernel budget is property-tested in tensor/int8_test.go. Here we
-	// check the quantized network tracks the float one: same shape, outputs
-	// within a small fraction of the float activation range.
-	if got.Len() != want.Len() {
-		t.Fatalf("quantized output len %d, want %d", got.Len(), want.Len())
-	}
-	var rangeMax float64
-	for _, v := range want.Data {
-		if a := math.Abs(float64(v)); a > rangeMax {
-			rangeMax = a
-		}
-	}
-	tol := 0.05*rangeMax + 1e-3
-	for i := range want.Data {
-		if diff := math.Abs(float64(got.Data[i] - want.Data[i])); diff > tol {
-			t.Fatalf("out[%d]: quantized %v vs float %v, |diff| %v > %v (5%% of range)",
-				i, got.Data[i], want.Data[i], diff, tol)
 		}
 	}
 }
@@ -107,7 +81,8 @@ func TestParamsStableAcrossInterleavedShapes(t *testing.T) {
 }
 
 // The forward pass itself must be stable when one network alternates
-// between two input sizes (the re-seeding bug made outputs change).
+// between two input sizes on one warm scratch (the re-seeding bug made
+// outputs change; a stale arena slot would too).
 func TestForwardStableAcrossInterleavedInputSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := MustNetwork("probe", Shape{C: 1, H: 16, W: 16},
@@ -117,8 +92,11 @@ func TestForwardStableAcrossInterleavedInputSizes(t *testing.T) {
 	small := randInput(rng, 1, 16, 16)
 	big := randInput(rng, 1, 24, 24)
 	want := net.Forward(small.Clone())
-	net.Forward(big.Clone()) // different FC input length in between
-	got := net.Forward(small.Clone())
+	exec := NewExecutor(2)
+	var s Scratch
+	exec.Forward(net, small.Clone(), &s)
+	exec.Forward(net, big.Clone(), &s) // different FC input length in between
+	got := exec.Forward(net, small.Clone(), &s)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("out[%d] changed after an interleaved input size: %v vs %v",
@@ -135,6 +113,7 @@ func TestForwardScratchConcurrent(t *testing.T) {
 	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
 	want := net.Forward(in.Clone())
 
+	exec := NewExecutor(1)
 	var wg sync.WaitGroup
 	fail := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -143,10 +122,10 @@ func TestForwardScratchConcurrent(t *testing.T) {
 			defer wg.Done()
 			var s Scratch
 			for iter := 0; iter < 10; iter++ {
-				got := net.ForwardScratch(in.Clone(), &s)
+				got := exec.Forward(net, in.Clone(), &s)
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
-						fail <- "concurrent ForwardScratch diverged"
+						fail <- "concurrent Forward diverged"
 						return
 					}
 				}
@@ -167,12 +146,13 @@ func TestHoldSurvivesForwardPass(t *testing.T) {
 	net := TinyTrackerTower(32)
 	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
 
+	exec := NewExecutor(1)
 	var s Scratch
-	a := net.ForwardScratch(in.Clone(), &s)
+	a := exec.Forward(net, in.Clone(), &s)
 	held := s.Hold(0, a.Len(), 1, 1)
 	copy(held.Data, a.Data)
 	snapshot := append([]float32(nil), held.Data...)
-	net.ForwardScratch(in.Clone(), &s) // ping-pong slots get overwritten
+	exec.Forward(net, in.Clone(), &s) // ping-pong slots get overwritten
 	for i, v := range snapshot {
 		if held.Data[i] != v {
 			t.Fatalf("hold slot clobbered by a later forward pass at [%d]", i)
@@ -180,25 +160,24 @@ func TestHoldSurvivesForwardPass(t *testing.T) {
 	}
 }
 
-// Alloc gate (run by `make alloc-gate`): a warm float or int8 forward pass
-// allocates nothing per frame.
+// Alloc gate (run by `make alloc-gate`): a warm forward pass allocates
+// nothing per frame — at the host's default worker count, so on a
+// multi-core host this also gates the kernel fan-out (ROADMAP item 0). The
+// count is resolved here because testing.AllocsPerRun measures under
+// GOMAXPROCS=1, where a default executor would read one worker and the
+// gate would pass without exercising the fan-out.
 func TestAllocForwardScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := TinyYOLO(32)
 	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
-	for _, mode := range []struct {
-		name      string
-		quantized bool
-	}{{"float", false}, {"int8", true}} {
-		var s Scratch
-		s.Quantized = mode.quantized
-		net.ForwardScratch(in, &s) // warm: arena growth + lazy weight init
-		allocs := testing.AllocsPerRun(10, func() {
-			net.ForwardScratch(in, &s)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: warm ForwardScratch allocates %.1f/op, want 0", mode.name, allocs)
-		}
+	exec := NewExecutor(runtime.GOMAXPROCS(0))
+	var s Scratch
+	exec.Forward(net, in, &s) // warm: arena growth + lazy weight init
+	allocs := testing.AllocsPerRun(10, func() {
+		exec.Forward(net, in, &s)
+	})
+	if allocs != 0 {
+		t.Errorf("warm Forward allocates %.1f/op at %d workers, want 0", allocs, exec.Workers())
 	}
 }
 
@@ -208,25 +187,11 @@ func BenchmarkNetworkForwardScratch(b *testing.B) {
 	for i := range in.Data {
 		in.Data[i] = float32(i%255)/255 - 0.5
 	}
+	exec := NewExecutor(0)
 	var s Scratch
-	net.ForwardScratch(in, &s)
+	exec.Forward(net, in, &s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ForwardScratch(in, &s)
-	}
-}
-
-func BenchmarkNetworkForwardScratchInt8(b *testing.B) {
-	net := TinyYOLO(64)
-	in := tensor.New(net.Input.C, net.Input.H, net.Input.W)
-	for i := range in.Data {
-		in.Data[i] = float32(i%255)/255 - 0.5
-	}
-	var s Scratch
-	s.Quantized = true
-	net.ForwardScratch(in, &s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ForwardScratch(in, &s)
+		exec.Forward(net, in, &s)
 	}
 }

@@ -20,6 +20,11 @@ type Fig7Row struct {
 	// PaperShare is the paper's Fig 7 fraction.
 	PaperShare float64
 	HotLabel   string
+	// HotSpans counts the frames on which the hot kernel reported its
+	// sub-span; Spans counts the frames behind the share's denominator.
+	// They are equal when every executed frame was attributed — the
+	// timing-free half of the figure's structure.
+	HotSpans, Spans int64
 }
 
 // Fig7Result reproduces Figure 7: the cycle breakdown showing the DNN
@@ -80,12 +85,15 @@ func runFig7(opts Options) (Result, error) {
 	// those frames.
 	traDNN, traOther := col.ExecSumMs("TRA/dnn"), col.ExecSumMs("TRA/other")
 	rows := []Fig7Row{
-		{Engine: "DET", HotLabel: "DNN",
-			HotShare: share(col.ExecSumMs("DET/dnn"), col.ExecSumMs("DET")), PaperShare: 0.994},
-		{Engine: "TRA", HotLabel: "DNN",
-			HotShare: share(traDNN, traDNN+traOther), PaperShare: 0.990},
-		{Engine: "LOC", HotLabel: "FE",
-			HotShare: share(col.ExecSumMs("LOC/fe"), col.ExecSumMs("LOC")), PaperShare: 0.859},
+		{Engine: "DET", HotLabel: "DNN", PaperShare: 0.994,
+			HotShare: share(col.ExecSumMs("DET/dnn"), col.ExecSumMs("DET")),
+			HotSpans: col.SpanCount("DET/dnn"), Spans: col.SpanCount("DET")},
+		{Engine: "TRA", HotLabel: "DNN", PaperShare: 0.990,
+			HotShare: share(traDNN, traDNN+traOther),
+			HotSpans: col.SpanCount("TRA/dnn"), Spans: col.SpanCount("TRA/other")},
+		{Engine: "LOC", HotLabel: "FE", PaperShare: 0.859,
+			HotShare: share(col.ExecSumMs("LOC/fe"), col.ExecSumMs("LOC")),
+			HotSpans: col.SpanCount("LOC/fe"), Spans: col.SpanCount("LOC")},
 	}
 	return Fig7Result{Rows: rows, Frames: opts.NativeFrames}, nil
 }

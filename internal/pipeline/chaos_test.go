@@ -558,7 +558,7 @@ func TestDegradedFrameMeetsFrameDeadline(t *testing.T) {
 	if elapsed >= 250*time.Millisecond {
 		t.Errorf("degraded frame took %v: the 300ms stall rode the frame", elapsed)
 	}
-	if !raceEnabled && elapsed >= DefaultFrameBudget {
+	if !testutil.RaceEnabled && elapsed >= DefaultFrameBudget {
 		t.Errorf("degraded frame took %v, want < %v", elapsed, DefaultFrameBudget)
 	}
 

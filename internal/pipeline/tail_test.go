@@ -544,7 +544,7 @@ func TestWallAnytimeCommitsCoarseFrame(t *testing.T) {
 			}
 			continue
 		}
-		if raceEnabled {
+		if testutil.RaceEnabled {
 			// Slowed build: accept either outcome, but the frame must be
 			// flagged one way or the other.
 			if !res.Degraded.Any() {

@@ -41,7 +41,7 @@ func TestConvBatchBitwiseEqualSolo(t *testing.T) {
 			}
 			Conv2DIm2ColBatchInto(dsts, ins, w, bias, outC, k, 1, 1, workers, s)
 			for i := range ins {
-				want := Conv2DIm2ColPar(ins[i], w, bias, outC, k, 1, 1, 1)
+				want := Conv2DIm2ColParInto(nil, ins[i], w, bias, outC, k, 1, 1, 1, nil)
 				for j := range want.Data {
 					if dsts[i].Data[j] != want.Data[j] {
 						t.Fatalf("n=%d workers=%d sample %d: out[%d] = %v, want %v",
@@ -72,7 +72,7 @@ func TestFCBatchBitwiseEqualSolo(t *testing.T) {
 		}
 		FullyConnectedBatchInto(dsts, ins, fcW, bias, outN, workers)
 		for i := range ins {
-			want := FullyConnectedPar(ins[i], fcW, bias, outN, 1)
+			want := FullyConnectedParInto(nil, ins[i], fcW, bias, outN, 1)
 			for j := range want.Data {
 				if dsts[i].Data[j] != want.Data[j] {
 					t.Fatalf("workers=%d sample %d: out[%d] = %v, want %v",

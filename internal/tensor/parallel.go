@@ -76,6 +76,7 @@ func intoShape(dst *T, c, h, w int) *T {
 // (ic, ky, kx) weight positions, columns are output pixels. Every element is
 // written — out-of-bounds (padding) taps get explicit zeros — so the buffer
 // needs no pre-clearing and reuse across frames is safe.
+//
 // The kernels below split each loop body into a top-level ...Range function
 // plus a thin dispatcher: when workers <= 1 the range function is called
 // directly, so no closure is materialized and a warm serial call performs
@@ -126,27 +127,27 @@ func lowerPatchesRange(patches []float32, in *T, k, stride, pad, oh, ow, lo, hi 
 	}
 }
 
-// Conv2DIm2ColPar is Conv2DIm2Col with the patch lowering sharded across
-// weight-position rows and the GEMM sharded across output channels, spread
-// over up to workers goroutines. Every output element is produced by exactly
-// one goroutine with the same inner-loop order as the serial kernel, so the
-// result is bitwise-identical to Conv2DIm2Col for any worker count.
-func Conv2DIm2ColPar(in *T, w []float32, bias []float32, outC, k, stride, pad, workers int) *T {
-	return Conv2DIm2ColParInto(nil, in, w, bias, outC, k, stride, pad, workers, nil)
-}
-
-// Conv2DIm2ColParInto is Conv2DIm2ColPar writing into dst with every
-// intermediate buffer drawn from s, so a warm call allocates nothing. dst
-// nil allocates the output; s nil uses a throwaway arena. dst must not
-// alias in. Results are bitwise-identical to Conv2DIm2ColPar for any
-// (dst, s) combination: buffer reuse never changes arithmetic.
+// Conv2DIm2ColParInto computes the same convolution as Conv2D by lowering
+// to an explicit im2col matrix multiplication — the strategy Caffe/cuDNN-era
+// frameworks (the paper's software stack) use to turn convolutions into
+// GEMM: it materializes a (inC·k²) × (outH·outW) patch matrix and performs a
+// dense multiply with better locality than the direct loop. The lowering is
+// sharded across weight-position rows and the GEMM across output channels,
+// over up to workers goroutines; every output element is produced by
+// exactly one goroutine in the serial inner-loop order, so the result is
+// bitwise-identical for any worker count.
+//
+// The output is written into dst and every intermediate buffer is drawn
+// from s, so a warm call allocates nothing. dst nil allocates the output; s
+// nil uses a throwaway arena. dst must not alias in. Buffer reuse never
+// changes arithmetic: results are bitwise-identical for any (dst, s).
 //
 // The GEMM accumulates four patch rows per pass (register blocking). That
 // reassociates the floating-point sum relative to the direct Conv2D loop,
 // so equivalence with Conv2D is to rounding tolerance, not bitwise; the
-// blocking itself is fixed, so results never vary run to run or with the
-// worker count. Zero weights still multiply into the sum (no sparsity
-// skip), so non-finite inputs propagate exactly as in Conv2D: 0·NaN = NaN.
+// blocking itself is fixed, so results never vary run to run. Zero weights
+// still multiply into the sum (no sparsity skip), so non-finite inputs
+// propagate exactly as in Conv2D: 0·NaN = NaN.
 func Conv2DIm2ColParInto(dst *T, in *T, w []float32, bias []float32, outC, k, stride, pad, workers int, s *Scratch) *T {
 	oh, ow := convShape(in, len(w), outC, k, stride, pad)
 	patchRows := in.C * k * k
@@ -206,18 +207,12 @@ func convGemmRange(out, patches, w, bias []float32, patchRows, cols, lo, hi int)
 	}
 }
 
-// FullyConnectedPar is FullyConnected with the output neurons sharded over
-// up to workers goroutines. Each neuron's dot product runs in a fixed
-// four-accumulator order, so the result is bitwise-identical for any worker
-// count.
-func FullyConnectedPar(in *T, w []float32, bias []float32, outN, workers int) *T {
-	return FullyConnectedParInto(nil, in, w, bias, outN, workers)
-}
-
-// FullyConnectedParInto is FullyConnectedPar writing into dst (nil
-// allocates). Each dot product runs four interleaved accumulator chains
-// (fixed reassociation, identical for every worker count and destination),
-// which roughly doubles single-core throughput on the FC heads.
+// FullyConnectedParInto computes out = W·flatten(in) + bias into dst (nil
+// allocates), where w is row-major [outN][inN] and bias may be nil. Output
+// neurons are sharded over up to workers goroutines. Each dot product runs
+// four interleaved accumulator chains (a fixed reassociation, identical for
+// every worker count and destination, so results are bitwise-stable), which
+// roughly doubles single-core throughput on the FC heads.
 func FullyConnectedParInto(dst *T, in *T, w []float32, bias []float32, outN, workers int) *T {
 	inN := in.Len()
 	if len(w) != outN*inN {

@@ -2,9 +2,9 @@ package tensor
 
 // Scratch is a reusable memory arena for the inference hot path. A warm
 // Scratch makes the conv/FC kernels and a dnn feed-forward pass
-// allocation-free: the im2col patch matrix, the int8 quantization buffers
-// and the activation tensors all come from grow-only backing stores that
-// are retained across frames instead of being reallocated per layer.
+// allocation-free: the im2col patch matrix and the activation tensors come
+// from grow-only backing stores that are retained across frames instead of
+// being reallocated per layer.
 //
 // Ownership rules (see DESIGN.md "Buffer ownership and reuse"):
 //
@@ -12,20 +12,17 @@ package tensor
 //     (the detect and track engines keep theirs in a sync.Pool).
 //   - Buf slots 0 and 1 are the network ping-pong slots: a feed-forward
 //     pass alternates layer outputs between them, so a tensor returned by
-//     a ForwardScratch-style call aliases scratch memory and is only valid
-//     until the scratch is used again. Copy out what must survive.
+//     a forward pass aliases scratch memory and is only valid until the
+//     scratch is used again. Copy out what must survive.
 //   - Callers that need values to survive across forward passes (e.g. the
 //     tracker's two-branch concat) use Buf slots >= 2, which no kernel
 //     touches.
-//   - Patches/QPatches/QIn are private to the conv/FC kernels within one
-//     kernel call.
+//   - Patches is private to the conv kernels within one kernel call.
 //
 // The zero value is ready to use.
 type Scratch struct {
-	patches  []float32 // im2col patch matrix (float path)
-	qpatches []int8    // im2col patch matrix (int8 path)
-	qin      []int8    // quantized input vector / weights row staging
-	slots    []*slot   // indexed tensor slots (0,1 = ping-pong)
+	patches []float32 // im2col patch matrix
+	slots   []*slot   // indexed tensor slots (0,1 = ping-pong)
 }
 
 // slot instances are heap-allocated individually (slots is a slice of
@@ -47,24 +44,6 @@ func (s *Scratch) Patches(n int) []float32 {
 	return s.patches[:n]
 }
 
-// QPatches returns the int8 patch-matrix buffer resized to n elements.
-// Contents are unspecified (fully written by the quantized lowering).
-func (s *Scratch) QPatches(n int) []int8 {
-	if cap(s.qpatches) < n {
-		s.qpatches = make([]int8, n)
-	}
-	return s.qpatches[:n]
-}
-
-// QIn returns the int8 input-staging buffer resized to n elements.
-// Contents are unspecified (fully written by the quantizer).
-func (s *Scratch) QIn(n int) []int8 {
-	if cap(s.qin) < n {
-		s.qin = make([]int8, n)
-	}
-	return s.qin[:n]
-}
-
 // Buf returns the i'th scratch tensor reshaped to c×h×w, growing its
 // backing store as needed. Contents are unspecified — callers must fully
 // write the tensor before reading it. The returned pointer stays stable
@@ -81,16 +60,4 @@ func (s *Scratch) Buf(i, c, h, w int) *T {
 	}
 	sl.t = T{C: c, H: h, W: w, Data: sl.buf[:n]}
 	return &sl.t
-}
-
-// Warm pre-sizes the arena so the first frame through a pooled scratch
-// does not allocate either: nPatch float32 patch elements, nQ int8
-// elements for each quantization buffer, and ping-pong slots of nAct
-// elements each.
-func (s *Scratch) Warm(nPatch, nQ, nAct int) {
-	s.Patches(nPatch)
-	s.QPatches(nQ)
-	s.QIn(nQ)
-	s.Buf(0, 1, 1, nAct)
-	s.Buf(1, 1, 1, nAct)
 }

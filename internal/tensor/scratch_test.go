@@ -25,12 +25,13 @@ func randConvCase(seed int64) (in *T, w, bias []float32, outC, k int) {
 	return
 }
 
-// The Into variants are the allocation-free spine of the steady-state hot
-// path; they must be bitwise-identical to their allocating counterparts.
+// The Into kernels are the allocation-free spine of the steady-state hot
+// path; writing into a caller's destination with a reused arena must be
+// bitwise-identical to letting them allocate (nil dst, nil scratch).
 func TestIntoVariantsBitwiseEqualAllocating(t *testing.T) {
 	in, w, bias, outC, k := randConvCase(3)
 
-	want := Conv2DIm2ColPar(in, w, bias, outC, k, 1, 1, 2)
+	want := Conv2DIm2ColParInto(nil, in, w, bias, outC, k, 1, 1, 2, nil)
 	s := &Scratch{}
 	dst := New(outC, in.H, in.W)
 	got := Conv2DIm2ColParInto(dst, in, w, bias, outC, k, 1, 1, 2, s)
@@ -43,7 +44,7 @@ func TestIntoVariantsBitwiseEqualAllocating(t *testing.T) {
 		}
 	}
 
-	pw := MaxPool2D(want, 2, 2)
+	pw := MaxPool2DInto(nil, want, 2, 2)
 	pdst := New(pw.C, pw.H, pw.W)
 	pgot := MaxPool2DInto(pdst, want, 2, 2)
 	for i := range pw.Data {
@@ -57,7 +58,7 @@ func TestIntoVariantsBitwiseEqualAllocating(t *testing.T) {
 	for i := range fcW {
 		fcW[i] = float32(rng.NormFloat64())
 	}
-	fw := FullyConnectedPar(want, fcW, nil, 16, 2)
+	fw := FullyConnectedParInto(nil, want, fcW, nil, 16, 2)
 	fdst := New(16, 1, 1)
 	fgot := FullyConnectedParInto(fdst, want, fcW, nil, 16, 2)
 	for i := range fw.Data {
@@ -85,7 +86,7 @@ func TestConvNonFinitePropagation(t *testing.T) {
 	outC, k := 2, 3
 
 	want := Conv2D(in, w, nil, outC, k, 1, 1)
-	got := Conv2DIm2ColPar(in, w, nil, outC, k, 1, 1, 2)
+	got := Conv2DIm2ColParInto(nil, in, w, nil, outC, k, 1, 1, 2, nil)
 	s := &Scratch{}
 	into := Conv2DIm2ColParInto(New(outC, 6, 6), in, w, nil, outC, k, 1, 1, 2, s)
 
@@ -126,8 +127,8 @@ func TestFCNonFinitePropagation(t *testing.T) {
 	}
 	w[8+3] = 0
 
-	want := FullyConnected(in, w, nil, 2)
-	got := FullyConnectedPar(in, w, nil, 2, 2)
+	want := FullyConnectedParInto(nil, in, w, nil, 2, 1)
+	got := FullyConnectedParInto(nil, in, w, nil, 2, 2)
 	for i := range want.Data {
 		wNaN := math.IsNaN(float64(want.Data[i]))
 		gNaN := math.IsNaN(float64(got.Data[i]))
@@ -165,9 +166,7 @@ func TestScratchBuffersStableAndDistinct(t *testing.T) {
 // gate for the whole arena design.
 func TestScratchConcurrentDistinctArenas(t *testing.T) {
 	in, w, bias, outC, k := randConvCase(5)
-	want := Conv2DIm2ColPar(in, w, bias, outC, k, 1, 1, 1)
-	qw, ws := QuantizePerChannel(w, outC)
-	qwant := Conv2DInt8(nil, in, qw, ws, bias, outC, k, 1, 1, 1, nil)
+	want := Conv2DIm2ColParInto(nil, in, w, bias, outC, k, 1, 1, 1, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -177,17 +176,11 @@ func TestScratchConcurrentDistinctArenas(t *testing.T) {
 			defer wg.Done()
 			s := &Scratch{}
 			dst := New(outC, in.H, in.W)
-			qdst := New(outC, in.H, in.W)
 			for iter := 0; iter < 20; iter++ {
 				got := Conv2DIm2ColParInto(dst, in, w, bias, outC, k, 1, 1, 1, s)
-				qgot := Conv2DInt8(qdst, in, qw, ws, bias, outC, k, 1, 1, 1, s)
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
-						errs <- "float conv diverged across goroutines"
-						return
-					}
-					if qgot.Data[i] != qwant.Data[i] {
-						errs <- "int8 conv diverged across goroutines"
+						errs <- "conv diverged across goroutines"
 						return
 					}
 				}
@@ -213,20 +206,6 @@ func TestAllocConvInto(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm Conv2DIm2ColParInto allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestAllocConvInt8Into(t *testing.T) {
-	in, w, bias, outC, k := randConvCase(7)
-	qw, ws := QuantizePerChannel(w, outC)
-	s := &Scratch{}
-	dst := New(outC, in.H, in.W)
-	Conv2DInt8(dst, in, qw, ws, bias, outC, k, 1, 1, 1, s)
-	allocs := testing.AllocsPerRun(10, func() {
-		Conv2DInt8(dst, in, qw, ws, bias, outC, k, 1, 1, 1, s)
-	})
-	if allocs != 0 {
-		t.Errorf("warm Conv2DInt8 allocates %.1f/op, want 0", allocs)
 	}
 }
 

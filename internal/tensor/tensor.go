@@ -61,22 +61,14 @@ func (t *T) SameShape(o *T) bool { return t.C == o.C && t.H == o.H && t.W == o.W
 
 func (t *T) String() string { return fmt.Sprintf("tensor(%dx%dx%d)", t.C, t.H, t.W) }
 
-// Conv2D computes a 2D convolution of in with weights w, writing into a new
-// tensor. Weights are laid out [outC][inC][k][k]; bias has length outC and
-// may be nil. stride and pad follow the usual conventions. The output has
-// dims outC × ((H+2p−k)/s+1) × ((W+2p−k)/s+1).
+// Conv2D computes a 2D convolution of in with weights w by the direct
+// nested loop, writing into a new tensor. Weights are laid out
+// [outC][inC][k][k]; bias has length outC and may be nil. The output has
+// dims outC × ((H+2p−k)/s+1) × ((W+2p−k)/s+1). Inference runs
+// Conv2DIm2ColParInto; this loop is the reference the differential tests
+// hold that kernel to.
 func Conv2D(in *T, w []float32, bias []float32, outC, k, stride, pad int) *T {
-	if stride <= 0 || k <= 0 {
-		panic(fmt.Sprintf("tensor: invalid conv k=%d stride=%d", k, stride))
-	}
-	if len(w) != outC*in.C*k*k {
-		panic(fmt.Sprintf("tensor: conv weights len %d, want %d", len(w), outC*in.C*k*k))
-	}
-	oh := (in.H+2*pad-k)/stride + 1
-	ow := (in.W+2*pad-k)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: conv output %dx%d non-positive", oh, ow))
-	}
+	oh, ow := convShape(in, len(w), outC, k, stride, pad)
 	out := New(outC, oh, ow)
 	for oc := 0; oc < outC; oc++ {
 		var b float32
@@ -115,13 +107,10 @@ func Conv2D(in *T, w []float32, bias []float32, outC, k, stride, pad int) *T {
 	return out
 }
 
-// MaxPool2D computes max pooling with a k×k window and the given stride.
-func MaxPool2D(in *T, k, stride int) *T {
-	return MaxPool2DInto(nil, in, k, stride)
-}
-
-// MaxPool2DInto is MaxPool2D writing into dst (nil allocates). dst must not
-// alias in. Results are bitwise-identical to MaxPool2D.
+// MaxPool2DInto computes max pooling with a k×k window and the given
+// stride, writing into dst (nil allocates). dst must not alias in. A NaN
+// anywhere in a window makes that window's output NaN, matching the GEMM
+// kernels' propagation of non-finite inputs.
 func MaxPool2DInto(dst *T, in *T, k, stride int) *T {
 	if k <= 0 || stride <= 0 {
 		panic(fmt.Sprintf("tensor: invalid pool k=%d stride=%d", k, stride))
@@ -135,13 +124,13 @@ func MaxPool2DInto(dst *T, in *T, k, stride int) *T {
 	for c := 0; c < in.C; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				best := float32(-3.4e38)
+				best := in.Data[(c*in.H+oy*stride)*in.W+ox*stride]
 				for ky := 0; ky < k; ky++ {
 					iy := oy*stride + ky
 					rowOff := (c*in.H + iy) * in.W
 					for kx := 0; kx < k; kx++ {
 						v := in.Data[rowOff+ox*stride+kx]
-						if v > best {
+						if v > best || v != v {
 							best = v
 						}
 					}
@@ -151,14 +140,6 @@ func MaxPool2DInto(dst *T, in *T, k, stride int) *T {
 		}
 	}
 	return out
-}
-
-// FullyConnected computes out = W·flatten(in) + bias, where w is row-major
-// [outN][inN] and bias may be nil. The result is an outN-vector. This is the
-// single-threaded entry point; FullyConnectedPar shards the same kernel
-// across goroutines with bitwise-identical results.
-func FullyConnected(in *T, w []float32, bias []float32, outN int) *T {
-	return FullyConnectedPar(in, w, bias, outN, 1)
 }
 
 // ReLU applies max(0,x) in place and returns the tensor.

@@ -151,7 +151,7 @@ func TestMaxPool(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i)
 	}
-	out := MaxPool2D(in, 2, 2)
+	out := MaxPool2DInto(nil, in, 2, 2)
 	if out.H != 2 || out.W != 2 {
 		t.Fatalf("pool shape %v", out)
 	}
@@ -166,9 +166,40 @@ func TestMaxPool(t *testing.T) {
 func TestMaxPoolNegativeValues(t *testing.T) {
 	in := New(1, 2, 2)
 	in.Data = []float32{-5, -3, -9, -7}
-	out := MaxPool2D(in, 2, 2)
+	out := MaxPool2DInto(nil, in, 2, 2)
 	if out.Data[0] != -3 {
 		t.Errorf("pool of negatives = %v, want -3", out.Data[0])
+	}
+}
+
+// Pooling must treat non-finite values the way the GEMM kernels do: an
+// all -Inf window is -Inf (not a finite sentinel), a NaN anywhere in the
+// window poisons its output, and ordinary windows are unchanged bitwise.
+func TestMaxPoolNonFinite(t *testing.T) {
+	nan := float32(math.NaN())
+	ninf := float32(math.Inf(-1))
+	for _, tc := range []struct {
+		name   string
+		window [4]float32
+		want   float32
+	}{
+		{"all -Inf", [4]float32{ninf, ninf, ninf, ninf}, ninf},
+		{"NaN first", [4]float32{nan, 1, 2, 3}, nan},
+		{"NaN middle", [4]float32{1, 9, nan, 3}, nan},
+		{"NaN last", [4]float32{1, 2, 3, nan}, nan},
+		{"NaN among -Inf", [4]float32{ninf, nan, ninf, ninf}, nan},
+		{"-Inf then finite", [4]float32{ninf, -7, ninf, -9}, -7},
+		{"+Inf wins", [4]float32{1, float32(math.Inf(1)), 3, 4}, float32(math.Inf(1))},
+		{"ordinary", [4]float32{0.5, -2, 3.25, 1}, 3.25},
+		{"very negative", [4]float32{-3.4e38, -3.402e38, -3.4e38, -3.401e38}, -3.4e38},
+		{"signed zeros keep first", [4]float32{float32(math.Copysign(0, -1)), 0, 0, 0}, float32(math.Copysign(0, -1))},
+	} {
+		in := New(1, 2, 2)
+		copy(in.Data, tc.window[:])
+		got := MaxPool2DInto(nil, in, 2, 2).Data[0]
+		if math.Float32bits(got) != math.Float32bits(tc.want) && !(got != got && tc.want != tc.want) {
+			t.Errorf("%s: pool(%v) = %v, want %v", tc.name, tc.window, got, tc.want)
+		}
 	}
 }
 
@@ -179,7 +210,7 @@ func TestFullyConnected(t *testing.T) {
 		1, 0, 0,
 		0, 1, 1,
 	}
-	out := FullyConnected(in, w, []float32{10, 20}, 2)
+	out := FullyConnectedParInto(nil, in, w, []float32{10, 20}, 2, 1)
 	if out.Data[0] != 11 || out.Data[1] != 25 {
 		t.Errorf("fc = %v, want [11 25]", out.Data)
 	}
@@ -189,7 +220,7 @@ func TestFullyConnectedFlattens(t *testing.T) {
 	in := New(2, 2, 1) // 4 elements
 	in.Data = []float32{1, 2, 3, 4}
 	w := []float32{1, 1, 1, 1}
-	out := FullyConnected(in, w, nil, 1)
+	out := FullyConnectedParInto(nil, in, w, nil, 1, 1)
 	if out.Data[0] != 10 {
 		t.Errorf("fc over CHW = %v, want 10", out.Data[0])
 	}
@@ -292,7 +323,7 @@ func TestSoftmaxProperty(t *testing.T) {
 
 // Property: conv with a delta kernel (center 1, pad same) reproduces input.
 func TestConvDeltaProperty(t *testing.T) {
-	f := func(vals [9]int8) bool {
+	f := func(vals [9]int16) bool {
 		in := New(1, 3, 3)
 		for i, v := range vals {
 			in.Data[i] = float32(v)
@@ -327,7 +358,7 @@ func BenchmarkFullyConnected(b *testing.B) {
 	w := make([]float32, 1000*4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FullyConnected(in, w, nil, 1000)
+		FullyConnectedParInto(nil, in, w, nil, 1000, 1)
 	}
 }
 
@@ -359,7 +390,7 @@ func TestIm2ColMatchesDirectProperty(t *testing.T) {
 			bias[i] = next()
 		}
 		a := Conv2D(in, w, bias, outC, k, stride, pad)
-		b := Conv2DIm2Col(in, w, bias, outC, k, stride, pad)
+		b := Conv2DIm2ColParInto(nil, in, w, bias, outC, k, stride, pad, 1, nil)
 		if !a.SameShape(b) {
 			return false
 		}
@@ -382,7 +413,7 @@ func TestIm2ColPanicsOnBadWeights(t *testing.T) {
 			t.Error("short weights should panic")
 		}
 	}()
-	Conv2DIm2Col(New(1, 4, 4), []float32{1}, nil, 1, 3, 1, 0)
+	Conv2DIm2ColParInto(nil, New(1, 4, 4), []float32{1}, nil, 1, 3, 1, 0, 1, nil)
 }
 
 func BenchmarkConv2DIm2Col(b *testing.B) {
@@ -394,7 +425,7 @@ func BenchmarkConv2DIm2Col(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DIm2Col(in, w, nil, 32, 3, 1, 1)
+		Conv2DIm2ColParInto(nil, in, w, nil, 32, 3, 1, 1, 1, nil)
 	}
 }
 
@@ -421,9 +452,9 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 	for i := range bias {
 		bias[i] = next()
 	}
-	ref := Conv2DIm2Col(in, w, bias, outC, k, 1, 1)
+	ref := Conv2DIm2ColParInto(nil, in, w, bias, outC, k, 1, 1, 1, nil)
 	for _, workers := range []int{2, 3, 7, 64} {
-		got := Conv2DIm2ColPar(in, w, bias, outC, k, 1, 1, workers)
+		got := Conv2DIm2ColParInto(nil, in, w, bias, outC, k, 1, 1, workers, nil)
 		if !got.SameShape(ref) {
 			t.Fatalf("workers=%d: shape %v != %v", workers, got, ref)
 		}
@@ -443,9 +474,9 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 	for i := range fw {
 		fw[i] = next()
 	}
-	fref := FullyConnected(vec, fw, nil, outN)
+	fref := FullyConnectedParInto(nil, vec, fw, nil, outN, 1)
 	for _, workers := range []int{2, 5, 33} {
-		got := FullyConnectedPar(vec, fw, nil, outN, workers)
+		got := FullyConnectedParInto(nil, vec, fw, nil, outN, workers)
 		for i := range got.Data {
 			if got.Data[i] != fref.Data[i] {
 				t.Fatalf("workers=%d: fc elem %d = %v, serial %v", workers, i, got.Data[i], fref.Data[i])

@@ -70,11 +70,8 @@ type Config struct {
 	// RunDNN controls whether the native network executes per tracked
 	// object.
 	RunDNN bool
-	// Quantized runs the network through the int8 inference path instead
-	// of float32. Track results are unaffected (boxes come from template
-	// matching); only the computational profile changes.
-	Quantized bool
-	// Executor runs the network's forward passes. nil uses dnn.Default().
+	// Executor runs the network's forward passes. nil builds a private
+	// dnn.NewExecutor(0).
 	// A fleet shares one batching executor across many engines so
 	// concurrent same-shape calls gather into one batched GEMM.
 	Executor *dnn.Executor
@@ -141,7 +138,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, exec: cfg.Executor}
 	if e.exec == nil {
-		e.exec = dnn.Default()
+		e.exec = dnn.NewExecutor(0)
 	}
 	if cfg.RunDNN {
 		e.tower = cfg.Nets.Get("tiny-tracker-tower", 32, dnn.TinyTrackerTower)
@@ -308,7 +305,6 @@ func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Du
 		sc = &trackScratch{input: tensor.New(1, 32, 32)}
 	}
 	defer e.scratch.Put(sc)
-	sc.s.Quantized = e.cfg.Quantized
 
 	// Crop previous target and current search region (GOTURN geometry).
 	target := e.prevFrame.CropInto(&sc.target, tr.Box)

@@ -2,9 +2,11 @@ package track
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"adsim/internal/dnn"
 	"adsim/internal/img"
 	"adsim/internal/scene"
 )
@@ -268,6 +270,36 @@ func TestMatchTemplateOversizedTemplate(t *testing.T) {
 	dx, dy, _ := matchTemplate(search, tmpl, 0, 0)
 	if dx != 0 || dy != 0 {
 		t.Error("oversized template should return origin")
+	}
+}
+
+// Alloc gate (run by `make alloc-gate`): the warm single-track DNN step
+// must stay within a small budget over the no-DNN floor (pool round-trip
+// plus bookkeeping), not the per-layer tensor churn the arena replaced. The
+// executor is pinned to the host's default worker count up front:
+// testing.AllocsPerRun measures under GOMAXPROCS=1, where a default
+// executor would read one worker and skip the kernel fan-out this gate
+// covers (ROADMAP item 0).
+func TestAllocTrackSteadyState(t *testing.T) {
+	step := func(e *Engine) {
+		e.Step(movingSquareFrame(44, 40), nil)
+	}
+	mk := func(runDNN bool) *Engine {
+		cfg := DefaultConfig()
+		cfg.RunDNN = runDNN
+		cfg.Executor = dnn.NewExecutor(runtime.GOMAXPROCS(0))
+		e, _ := New(cfg)
+		e.Step(movingSquareFrame(40, 40), []Detection{{Box: img.RectWH(40, 40, 24, 24)}})
+		step(e) // warm pool + template buffers
+		return e
+	}
+	eBase := mk(false)
+	eDNN := mk(true)
+	noDNN := testing.AllocsPerRun(10, func() { step(eBase) })
+	withDNN := testing.AllocsPerRun(10, func() { step(eDNN) })
+	if delta := withDNN - noDNN; delta > 6 {
+		t.Errorf("DNN adds %.1f allocs/step over the no-DNN floor (%.1f vs %.1f), want <= 6",
+			delta, withDNN, noDNN)
 	}
 }
 
