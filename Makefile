@@ -6,7 +6,7 @@ TELEMETRY_COVER_FLOOR ?= 80
 # suite's determinism claims, so nearly every branch must be exercised.
 FAULTINJECT_COVER_FLOOR ?= 90
 
-.PHONY: build vet test race bench bench-gate bench-smoke bench-check alloc-gate check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
+.PHONY: build vet test race bench-smoke bench-check alloc-gate check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
 
 build:
 	$(GO) build ./...
@@ -20,56 +20,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmark tier (ROADMAP item 5): the headline pipeline benchmarks plus
-# the kernel benches, parsed into the schema'd trajectory file
-# BENCH_$(BENCH_N).json with the measurement it is compared against
-# embedded alongside (see internal/benchjson). Takes a few minutes.
-BENCH_N ?= 4
-BENCH_BASELINE_NAME ?= BenchmarkRunner
-BENCH_BASELINE_NS ?= 15657601
-BENCH_BASELINE_FPS ?= 63.87
-BENCH_BASELINE_P9999 ?= 143.2
-BENCH_BASELINE_REF ?= PR6 main@70f6efa, BENCH_1.json BenchmarkRunner mean
-
-# The newest committed trajectory file other than the one being (re)written:
-# bench prints deltas against it, bench-gate fails on its regressions.
-BENCH_PREV = $$(ls BENCH_*.json 2>/dev/null | grep -v "^BENCH_$(BENCH_N)\.json$$" | sort -t_ -k2 -n | tail -1)
-
-bench:
-	@rm -f bench.out
-	$(GO) test -run '^$$' -bench '^BenchmarkRunner$$' -benchtime 100x -count 3 . | tee -a bench.out
-	$(GO) test -run '^$$' -bench '^BenchmarkFleet$$' -benchtime 50x . | tee -a bench.out
-	$(GO) test -run '^$$' -bench '^BenchmarkFleetCapacity$$' -benchtime 250x . | tee -a bench.out
-	$(GO) test -run '^$$' -bench '^BenchmarkRunnerTail$$' -benchtime 100x -count 3 . | tee -a bench.out
-	$(GO) test -run '^$$' -bench '^BenchmarkDegradedPipeline$$' -benchtime 50x ./internal/pipeline | tee -a bench.out
-	$(GO) test -run '^$$' -bench '^BenchmarkShardedReloc$$' ./internal/slam | tee -a bench.out
-	$(GO) test -run '^$$' -bench '^BenchmarkExtractFeatures$$' ./internal/slam | tee -a bench.out
-	$(GO) test -run '^$$' -bench '^(BenchmarkConv2D|BenchmarkConv2DIm2Col|BenchmarkFullyConnected|BenchmarkNetworkForwardScratch)$$' -benchmem -count 3 ./internal/tensor ./internal/dnn | tee -a bench.out
-	@prev="$(BENCH_PREV)"; \
-	$(GO) run ./cmd/adbenchjson -o BENCH_$(BENCH_N).json $${prev:+-prev "$$prev"} \
-		-baseline-name '$(BENCH_BASELINE_NAME)' -baseline-ns $(BENCH_BASELINE_NS) \
-		-baseline-metric 'frames/s=$(BENCH_BASELINE_FPS)' \
-		-baseline-metric 'p99.99-ms=$(BENCH_BASELINE_P9999)' \
-		-baseline-ref '$(BENCH_BASELINE_REF)' < bench.out
-
-# Regression gate (ROADMAP item 5): compare the newest committed trajectory
-# file against its predecessor and fail on large unexplained ns/op
-# regressions. Accepted slowdowns are waived with a recorded reason:
-#   make bench-gate BENCH_EXPLAIN="-explain 'BenchmarkX=now validates checksums'"
-BENCH_GATE_THRESHOLD ?= 1.5
-BENCH_EXPLAIN ?=
-bench-gate:
-	@files="$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n)"; \
-	new="$$(echo "$$files" | tail -1)"; \
-	prev="$$(echo "$$files" | tail -2 | head -1)"; \
-	if [ -z "$$new" ] || [ "$$new" = "$$prev" ]; then \
-		echo "bench-gate: fewer than two BENCH_*.json files, nothing to compare"; exit 0; \
-	fi; \
-	$(GO) run ./cmd/adbenchjson -in "$$new" -prev "$$prev" -gate \
-		-gate-threshold $(BENCH_GATE_THRESHOLD) $(BENCH_EXPLAIN)
-
-# One-iteration sweep over every benchmark: catches bit-rotted benchmarks
-# without the cost of real measurement.
+# One-iteration sweep over every `go test -bench` micro/regression
+# benchmark: catches bit-rotted benchmarks without the cost of real
+# measurement. Performance numbers come from `bash bench/run.sh` only.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
 
@@ -147,10 +100,9 @@ scenario-smoke:
 # The tier the concurrency work is held to: compile everything, vet, run
 # the full test suite under the race detector (which includes the chaos
 # suite), compile and smoke the bench/ module against the APIs it imports,
-# fuzz the map decoder, drive the chaos and fleet scenarios end to end
-# through the CLIs, then hold the committed benchmark trajectory to the
-# regression gate.
-check: build vet race bench-check alloc-gate fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke bench-gate
+# fuzz the map decoder, then drive the chaos, fleet, tail, scenario and
+# soak scenarios end to end through the CLIs.
+check: build vet race bench-check alloc-gate fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \

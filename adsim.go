@@ -159,8 +159,9 @@ func NewRunner(p *Pipeline, opts RunnerOptions) (*Runner, error) {
 // pipelined executor's admission window and steps DET's input resolution
 // down a committed ladder when the rolling delivered-latency tail
 // approaches its target, recovering both once the tail subsides. Wire one
-// into RunnerOptions.Tail (pipelined) or Pipeline.AttachTail (sequential;
-// ladder only) — one scheduler serves exactly one executor.
+// into RunnerOptions.Tail — the only seat; InFlight 1 is the sequential
+// schedule (window pinned at 1, ladder only). One scheduler serves exactly
+// one Runner.
 type TailScheduler = pipeline.TailScheduler
 
 // TailConfig parameterizes a TailScheduler.
@@ -192,8 +193,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return pipeline.NewFleet(cfg) }
 // AdmissionConfig parameterizes the fleet's frame-budget admission
 // controller (FleetConfig.Admission): when the fleet-wide delivered tail
 // overruns the per-frame budget, whole vehicle streams are shed
-// deterministically (lowest priority first) and readmitted with hysteresis
-// once pressure subsides.
+// (unhealthiest first, ties toward the highest vehicle ID) and readmitted
+// with hysteresis once pressure subsides.
 type AdmissionConfig = pipeline.AdmissionConfig
 
 // AdmissionEvent is one shed or readmit decision in FleetReport.Admission.

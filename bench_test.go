@@ -206,6 +206,9 @@ func BenchmarkFleet(b *testing.B) {
 
 	for _, cores := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
+			if cores > runtime.NumCPU() {
+				b.Skipf("host has %d CPUs: cores=%d would repeat the cores=%d line", runtime.NumCPU(), cores, runtime.NumCPU())
+			}
 			prev := runtime.GOMAXPROCS(cores)
 			defer runtime.GOMAXPROCS(prev)
 			f, err := NewFleet(FleetConfig{

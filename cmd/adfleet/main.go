@@ -46,7 +46,7 @@ func main() {
 		shared   = flag.Bool("shared-map", true, "serve all vehicles from one shared prior-map store (per-vehicle private overlays)")
 		seed     = flag.Int64("seed", 1, "base scenario seed; vehicle i drives seed+i")
 		deadline = flag.Duration("deadline", 0, "enforce per-stage deadline budgets split from this frame deadline (0 disables)")
-		admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (lowest priority first) when the fleet P99.99 nears the budget, readmit with hysteresis when it subsides")
+		admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (unhealthiest first, ties toward the highest vehicle ID) when the fleet P99.99 nears the budget, readmit with hysteresis when it subsides")
 		admitTgt = flag.Duration("admission-target", 0, "admission frame budget the controller steers the fleet tail under (0 = the paper's 100ms; implies -admission)")
 		maxVeh   = flag.Int("max-vehicles", 0, "cap on concurrently admitted vehicle streams, enforced at registration and respected by readmits (0 = uncapped; implies -admission)")
 		phase    = flag.Bool("phase", false, "phase-lock co-resident vehicles' frame admission so the shared executor gathers deeper same-shape DNN batches")

@@ -39,7 +39,7 @@ func main() {
 		height   = flag.Int("height", 256, "frame height")
 		survey   = flag.Int("survey", 60, "prior-map survey frames")
 		dnn      = flag.Bool("dnn", true, "execute the native DNNs (slower, full instrumentation)")
-		inflight = flag.Int("inflight", 1, "frames in flight: 1 runs sequentially, >1 pipelines frames through a concurrent Runner")
+		inflight = flag.Int("inflight", 1, "frames in flight: 1 is the sequential schedule, >1 pipelines frames across the stage graph")
 		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel (0 = GOMAXPROCS)")
 		verbose  = flag.Bool("v", false, "print per-frame results")
 		hist     = flag.Bool("hist", false, "print an end-to-end latency histogram")
@@ -180,9 +180,6 @@ func main() {
 				Metrics: reg,
 			})
 		}
-		if err == nil && *inflight == 1 {
-			err = p.AttachTail(ts)
-		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adpipe: %v\n", err)
 			os.Exit(2)
@@ -272,30 +269,18 @@ func main() {
 	fmt.Printf("running %d %s frames at %dx%d (dnn=%v, survey=%d, inflight=%d, workers=%d)\n",
 		*frames, scene.Kind(kind), *width, *height, *dnn, *survey, *inflight, exec.Workers())
 	start := time.Now()
-	if *inflight > 1 {
-		r, err := adsim.NewRunner(p, adsim.RunnerOptions{InFlight: *inflight, Tail: ts})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adpipe: %v\n", err)
-			os.Exit(1)
+	r, err := adsim.NewRunner(p, adsim.RunnerOptions{InFlight: *inflight, Tail: ts})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "adpipe: %v\n", err)
+		os.Exit(1)
+	}
+	for res := range r.Run(*frames) {
+		if res.Err != nil {
+			frameErr(res.Frame.Index, res.Err)
+			continue
 		}
-		for res := range r.Run(*frames) {
-			if res.Err != nil {
-				frameErr(res.Frame.Index, res.Err)
-				continue
-			}
-			wall.Add(ms(res.Wall))
-			record(res.Frame.Index, res.FrameResult)
-		}
-	} else {
-		for i := 0; i < *frames; i++ {
-			res, err := p.Step()
-			if err != nil {
-				frameErr(i, err)
-				continue
-			}
-			record(i, res)
-		}
-		p.Drain() // wait out any late attempts abandoned by deadline misses
+		wall.Add(ms(res.Wall))
+		record(res.Frame.Index, res.FrameResult)
 	}
 	elapsed := time.Since(start)
 
@@ -304,9 +289,7 @@ func main() {
 	fmt.Printf("  TRA  %s\n", tra.Summary())
 	fmt.Printf("  LOC  %s\n", loc.Summary())
 	fmt.Printf("  E2E  %s\n", e2e.Summary())
-	if wall.N() > 0 {
-		fmt.Printf("  WALL %s (admission to delivery under pipelining)\n", wall.Summary())
-	}
+	fmt.Printf("  WALL %s (admission to delivery)\n", wall.Summary())
 	fmt.Printf("throughput %.1f frames/s (%d frames in %v)\n",
 		float64(*frames)/elapsed.Seconds(), *frames, elapsed.Round(time.Millisecond))
 	fmt.Printf("localized %d/%d frames; relocalizations=%d, loop closures=%d, map=%v\n",

@@ -47,19 +47,10 @@ type AdmissionConfig struct {
 	// mode pressure is the epoch's deadline-miss fraction and the defaults
 	// are 0.25/0.05.
 	High, Low float64
-	// Hysteresis is how many consecutive calm epochs must pass before one
-	// shed vehicle is readmitted; 0 selects DefaultAdmissionHysteresis.
-	Hysteresis int
 	// MaxAdmitted caps concurrently admitted vehicles (0 = uncapped). The
 	// cap is enforced immediately at registration time — the static
 	// -max-vehicles form of admission control — and respected by readmits.
 	MaxAdmitted int
-	// Priority ranks vehicles: HIGHER keeps its stream longer. Among
-	// equally unhealthy vehicles the lowest priority is shed first and the
-	// highest readmitted first; missing entries rank 0, and ties break
-	// toward shedding the highest vehicle ID (so vehicle 0 is the most
-	// senior by default).
-	Priority map[int]int
 	// Virtual selects the deterministic pressure signal (epoch
 	// deadline-miss fractions from the DegradedMask stream, which under
 	// DeadlinePolicy.Virtual is a pure function of scenario and seed)
@@ -70,8 +61,10 @@ type AdmissionConfig struct {
 
 // Default admission parameters.
 const (
-	DefaultAdmissionEpoch      = 16
-	DefaultAdmissionHysteresis = 2
+	DefaultAdmissionEpoch = 16
+	// admissionHysteresis is how many consecutive calm epochs must pass
+	// before one shed vehicle is readmitted.
+	admissionHysteresis = 2
 	// Wall-mode watermark defaults (fraction of Target).
 	DefaultAdmissionHigh = 0.7
 	DefaultAdmissionLow  = 0.45
@@ -103,18 +96,16 @@ func (e AdmissionEvent) String() string {
 
 // FleetAdmission is the fleet's stream admission controller and phase
 // barrier. Vehicles register once, their runners consult it before every
-// frame (via the StreamGate seam), and every delivered frame is folded in
+// frame (through their vehicleGate), and every delivered frame is folded in
 // through Observe. All methods are safe for concurrent use.
 type FleetAdmission struct {
-	target     float64 // ms
-	epoch      int
-	high, low  float64
-	hysteresis int
-	maxAdm     int
-	virtual    bool
-	shedding   bool // false: pure phase-locker, no decisions
-	phase      bool
-	priority   map[int]int
+	target    float64 // ms
+	epoch     int
+	high, low float64
+	maxAdm    int
+	virtual   bool
+	shedding  bool // false: pure phase-locker, no decisions
+	phase     bool
 
 	// tailSource supplies wall-mode pressure (the fleet monitor); nil in
 	// Virtual mode or when detached.
@@ -141,10 +132,11 @@ type FleetAdmission struct {
 // for frames (SRC exhausted, Stop) — a wall-clock moment that governs only
 // the phase barrier, never a decision; observing clears when the stream's
 // final delivered frame has been folded in (Leave) — a stream-position
-// moment, so decision-barrier membership stays schedule-independent.
+// moment. Even then the stream stays in the decision barrier until its
+// queued buckets are consumed (live), so which streams a decision averages
+// over never depends on who finished first.
 type admVehicle struct {
 	id        int
-	priority  int
 	admitting bool // stream still admits frames (Register .. gate leave)
 	observing bool // deliveries still pending (Register .. Leave)
 	shed      bool
@@ -164,13 +156,6 @@ type admVehicle struct {
 type admBucket struct {
 	n, bad  int
 	wallMax float64
-}
-
-// NewFleetAdmission builds a standalone admission controller (no phase
-// barrier) — the form the determinism property tests drive directly. Fleets
-// construct theirs through FleetConfig.Admission.
-func NewFleetAdmission(cfg AdmissionConfig) (*FleetAdmission, error) {
-	return newFleetAdmission(cfg, true, false)
 }
 
 func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmission, error) {
@@ -204,28 +189,19 @@ func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmissi
 	if high <= low {
 		return nil, fmt.Errorf("pipeline: admission watermarks high %v <= low %v", high, low)
 	}
-	hyst := cfg.Hysteresis
-	if hyst == 0 {
-		hyst = DefaultAdmissionHysteresis
-	}
-	if hyst < 1 {
-		return nil, fmt.Errorf("pipeline: admission hysteresis %d must be positive", cfg.Hysteresis)
-	}
 	if cfg.MaxAdmitted < 0 {
 		return nil, fmt.Errorf("pipeline: MaxAdmitted %d must be >= 0", cfg.MaxAdmitted)
 	}
 	a := &FleetAdmission{
-		target:     float64(target) / 1e6,
-		epoch:      epoch,
-		high:       high,
-		low:        low,
-		hysteresis: hyst,
-		maxAdm:     cfg.MaxAdmitted,
-		virtual:    cfg.Virtual,
-		shedding:   shedding,
-		phase:      phase,
-		priority:   cfg.Priority,
-		veh:        make(map[int]*admVehicle),
+		target:   float64(target) / 1e6,
+		epoch:    epoch,
+		high:     high,
+		low:      low,
+		maxAdm:   cfg.MaxAdmitted,
+		virtual:  cfg.Virtual,
+		shedding: shedding,
+		phase:    phase,
+		veh:      make(map[int]*admVehicle),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a, nil
@@ -235,7 +211,7 @@ func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmissi
 func (a *FleetAdmission) setTailSource(m *constraint.Monitor) { a.tailSource = m }
 
 // Register adds a vehicle stream to the controller, admitted unless the
-// MaxAdmitted cap forces an immediate shed of the lowest-priority stream.
+// MaxAdmitted cap forces an immediate shed of the highest-ID stream.
 // Registering an existing ID resets that vehicle (fleet IDs never recycle).
 func (a *FleetAdmission) Register(vehicle int) {
 	a.mu.Lock()
@@ -244,26 +220,24 @@ func (a *FleetAdmission) Register(vehicle int) {
 		a.order = append(a.order, vehicle)
 		sort.Ints(a.order)
 	}
-	a.veh[vehicle] = &admVehicle{id: vehicle, priority: a.priority[vehicle], admitting: true, observing: true}
+	a.veh[vehicle] = &admVehicle{id: vehicle, admitting: true, observing: true}
 	if a.maxAdm > 0 {
-		for a.admittedCountLocked() > a.maxAdm {
-			if !a.shedLocked(a.capVictimLocked(), 0) {
-				break
-			}
+		// Registration-time cap: no load signal exists yet, so the
+		// highest ID goes.
+		for ps := a.participantsLocked(); len(ps) > a.maxAdm; ps = ps[:len(ps)-1] {
+			a.shedLocked(ps[len(ps)-1], 0)
 		}
 	}
 	a.membershipChangedLocked()
 }
 
-// Leave retires a vehicle's stream from the controller entirely. Call it
-// only once the stream's LAST delivered frame has been observed (the fleet
-// calls it from the consumer after the result channel closes): leaving is
-// then a position in the vehicle's own stream, not a wall-clock moment, so
-// the decision sequence stays schedule-independent even though admission
-// stopped an in-flight window earlier. When the last admitted stream
-// leaves, any still-shed streams are ended too — with nobody delivering
-// frames there are no more decision epochs, so a parked stream could
-// otherwise never resume.
+// Leave retires a vehicle's stream from the controller. Call it only once
+// the stream's LAST delivered frame has been observed (the fleet calls it
+// from the consumer after the result channel closes): leaving is then a
+// position in the vehicle's own stream, not a wall-clock moment. The
+// stream's completed, unconsumed buckets keep their seat in the decision
+// barrier until decisions consume them, so a stream that finished early
+// feeds exactly the decisions it would have fed finishing late.
 func (a *FleetAdmission) Leave(vehicle int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -273,13 +247,6 @@ func (a *FleetAdmission) Leave(vehicle int) {
 	}
 	st.observing = false
 	st.admitting = false
-	if a.admittedCountLocked() == 0 {
-		for _, id := range a.order {
-			if o := a.veh[id]; o.observing && o.shed {
-				o.ended = true
-			}
-		}
-	}
 	// The departure may unblock decisions the barrier was holding for this
 	// stream's next bucket.
 	a.decideLocked()
@@ -355,7 +322,7 @@ func (a *FleetAdmission) Observe(vehicle int, wallMs float64, missed bool) {
 	}
 }
 
-// admit is the StreamGate entry: block while shed (and, with the phase
+// admit is the vehicleGate entry: block while shed (and, with the phase
 // barrier on, until the fleet's admission beat), false to end the stream.
 func (a *FleetAdmission) admit(vehicle int) bool {
 	a.mu.Lock()
@@ -403,15 +370,22 @@ func (a *FleetAdmission) activeLocked() int {
 	return n
 }
 
-// admittedCountLocked counts admitted live streams (deliveries pending).
-func (a *FleetAdmission) admittedCountLocked() int {
-	n := 0
+// live reports whether the stream still has a say in decisions: deliveries
+// pending, or completed buckets no decision has consumed yet.
+func (st *admVehicle) live() bool {
+	return !st.ended && (st.observing || len(st.buckets) > 0)
+}
+
+// participantsLocked lists the decision barrier's members, in ID order:
+// every live stream that is not shed.
+func (a *FleetAdmission) participantsLocked() []*admVehicle {
+	var ps []*admVehicle
 	for _, id := range a.order {
-		if st := a.veh[id]; st.observing && !st.shed && !st.ended {
-			n++
+		if st := a.veh[id]; st.live() && !st.shed {
+			ps = append(ps, st)
 		}
 	}
-	return n
+	return ps
 }
 
 // maybeReleaseLocked fires the phase barrier when every active stream is
@@ -437,21 +411,25 @@ func (a *FleetAdmission) membershipChangedLocked() {
 	a.cond.Broadcast()
 }
 
-// decideLocked runs decision epochs while every admitted live stream has
-// an unconsumed bucket (a stream that raced ahead may have several queued;
+// decideLocked runs decision epochs while every participant has an
+// unconsumed bucket (a stream that raced ahead may have several queued;
 // each decision consumes exactly one per stream, FIFO, so decision inputs
-// are schedule-independent). Membership is keyed on observing, not
-// admitting: a stream whose SRC already exhausted stays in the barrier
-// until its trailing in-flight deliveries are folded in and Leave fires.
+// are schedule-independent). Membership is keyed on live, not admitting: a
+// stream whose SRC already exhausted stays in the barrier until its
+// trailing in-flight deliveries are folded in, Leave fires AND its queued
+// buckets are consumed. Only when the pass leaves nobody to deliver another
+// bucket are the still-shed streams ended — there are no more decision
+// epochs, so a parked stream could otherwise never resume.
 func (a *FleetAdmission) decideLocked() {
 	for {
-		var admitted []*admVehicle
-		for _, id := range a.order {
-			if st := a.veh[id]; st.observing && !st.shed && !st.ended {
-				admitted = append(admitted, st)
-			}
-		}
+		admitted := a.participantsLocked()
 		if len(admitted) == 0 {
+			for _, id := range a.order {
+				if st := a.veh[id]; st.live() && st.shed {
+					st.ended = true
+				}
+			}
+			a.cond.Broadcast()
 			return
 		}
 		for _, st := range admitted {
@@ -485,7 +463,7 @@ func (a *FleetAdmission) decideLocked() {
 			}
 		case pressure <= a.low:
 			a.calm++
-			if a.calm >= a.hysteresis && a.readmitLocked(pressure) {
+			if a.calm >= admissionHysteresis && a.readmitLocked(len(admitted), pressure) {
 				a.calm = 0
 			}
 		default:
@@ -496,7 +474,7 @@ func (a *FleetAdmission) decideLocked() {
 
 // shedVictimLocked picks the stream to shed: worst epoch badness first
 // (miss fraction in Virtual mode, worst wall latency otherwise), then
-// lowest priority, then highest ID.
+// highest ID (so vehicle 0 is the most senior).
 func (a *FleetAdmission) shedVictimLocked(admitted []*admVehicle, consumed []admBucket) *admVehicle {
 	badness := func(i int) float64 {
 		b := consumed[i]
@@ -510,73 +488,41 @@ func (a *FleetAdmission) shedVictimLocked(admitted []*admVehicle, consumed []adm
 	}
 	best := 0
 	for i := 1; i < len(admitted); i++ {
-		bi, bb := badness(i), badness(best)
-		vi, vb := admitted[i], admitted[best]
-		if bi > bb ||
-			(bi == bb && vi.priority < vb.priority) ||
-			(bi == bb && vi.priority == vb.priority && vi.id > vb.id) {
+		if badness(i) >= badness(best) { // ID order: ties go to the highest ID
 			best = i
 		}
 	}
 	return admitted[best]
 }
 
-// capVictimLocked picks the registration-time MaxAdmitted victim: lowest
-// priority first, then highest ID (no load signal exists yet).
-func (a *FleetAdmission) capVictimLocked() *admVehicle {
-	var victim *admVehicle
-	for _, id := range a.order {
-		st := a.veh[id]
-		if !st.observing || st.shed || st.ended {
-			continue
-		}
-		if victim == nil || st.priority < victim.priority ||
-			(st.priority == victim.priority && st.id > victim.id) {
-			victim = st
-		}
-	}
-	return victim
-}
-
 // shedLocked parks one stream and records the event.
-func (a *FleetAdmission) shedLocked(st *admVehicle, pressure float64) bool {
-	if st == nil || st.shed {
-		return false
-	}
+func (a *FleetAdmission) shedLocked(st *admVehicle, pressure float64) {
 	st.shed = true
 	st.sheds++
 	a.history = append(a.history, AdmissionEvent{Decision: a.decisions, Vehicle: st.id, Shed: true, Pressure: pressure})
 	a.membershipChangedLocked()
-	return true
 }
 
-// readmitLocked resumes the best shed stream (highest priority, then lowest
-// ID), respecting the MaxAdmitted cap. Reports whether one was readmitted.
-func (a *FleetAdmission) readmitLocked(pressure float64) bool {
-	if a.maxAdm > 0 && a.admittedCountLocked() >= a.maxAdm {
+// readmitLocked resumes the lowest-ID shed stream unless the admitted
+// streams already fill the MaxAdmitted cap. Reports whether one was
+// readmitted.
+func (a *FleetAdmission) readmitLocked(admitted int, pressure float64) bool {
+	if a.maxAdm > 0 && admitted >= a.maxAdm {
 		return false
 	}
-	var pick *admVehicle
 	for _, id := range a.order {
-		st := a.veh[id]
-		if !st.observing || !st.shed || st.ended {
-			continue
-		}
-		if pick == nil || st.priority > pick.priority {
-			pick = st
+		if st := a.veh[id]; st.live() && st.shed {
+			st.shed = false
+			a.history = append(a.history, AdmissionEvent{Decision: a.decisions, Vehicle: id, Shed: false, Pressure: pressure})
+			a.membershipChangedLocked()
+			return true
 		}
 	}
-	if pick == nil {
-		return false
-	}
-	pick.shed = false
-	a.history = append(a.history, AdmissionEvent{Decision: a.decisions, Vehicle: pick.id, Shed: false, Pressure: pressure})
-	a.membershipChangedLocked()
-	return true
+	return false
 }
 
-// vehicleGate adapts one vehicle's view of the controller to the runner's
-// StreamGate seam.
+// vehicleGate is one vehicle's view of the controller, handed to its runner
+// (RunnerOptions.gate).
 type vehicleGate struct {
 	a  *FleetAdmission
 	id int

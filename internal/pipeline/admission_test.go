@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,25 +21,26 @@ func feedEpoch(a *FleetAdmission, vehicle, epoch, misses int) {
 	}
 }
 
+// newAdm builds a standalone shedding controller (no phase barrier) — the
+// form the controller-law and determinism tests drive directly.
+func newAdm(t *testing.T, cfg AdmissionConfig) *FleetAdmission {
+	t.Helper()
+	a, err := newFleetAdmission(cfg, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // TestAdmissionControllerLaw drives the controller directly through its
 // decision law: pressure over the high watermark sheds the unhealthiest
 // stream, hysteresis gates readmission, the last stream is never shed, and
-// priorities order both directions.
+// the registration-time cap sheds the highest IDs.
 func TestAdmissionControllerLaw(t *testing.T) {
 	const epoch = 4
-	newAdm := func(t *testing.T, cfg AdmissionConfig) *FleetAdmission {
-		t.Helper()
-		a, err := NewFleetAdmission(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
 
 	t.Run("shed-readmit-cycle", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{
-			Virtual: true, Epoch: epoch, High: 0.15, Low: 0.05, Hysteresis: 2,
-		})
+		a := newAdm(t, AdmissionConfig{Virtual: true, Epoch: epoch, High: 0.15, Low: 0.05})
 		for v := 0; v < 3; v++ {
 			a.Register(v)
 		}
@@ -55,11 +58,11 @@ func TestAdmissionControllerLaw(t *testing.T) {
 		// A shed stream's residual frames accumulate but neither join the
 		// decision barrier nor fire decisions.
 		feedEpoch(a, 2, epoch, 4)
-		// Epoch 2: calm, but hysteresis=2 holds readmission back.
+		// Epoch 2: calm, but the two-epoch hysteresis holds readmission back.
 		feedEpoch(a, 0, epoch, 0)
 		feedEpoch(a, 1, epoch, 0)
 		if a.Admitted(2) {
-			t.Fatal("readmitted after a single calm epoch despite hysteresis 2")
+			t.Fatal("readmitted after a single calm epoch despite the two-epoch hysteresis")
 		}
 		// Epoch 3: second calm epoch readmits.
 		feedEpoch(a, 0, epoch, 0)
@@ -93,46 +96,17 @@ func TestAdmissionControllerLaw(t *testing.T) {
 		}
 	})
 
-	t.Run("priority-orders-shed-and-readmit", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{
-			Virtual: true, Epoch: epoch, High: 0.1, Low: 0.05, Hysteresis: 1,
-			Priority: map[int]int{0: 0, 1: 1, 2: 2},
-		})
-		for v := 0; v < 3; v++ {
-			a.Register(v)
-		}
-		// Equal badness everywhere: the LOWEST priority (vehicle 0) goes.
-		for v := 0; v < 3; v++ {
-			feedEpoch(a, v, epoch, 1)
-		}
-		if a.Admitted(0) || !a.Admitted(1) || !a.Admitted(2) {
-			t.Fatalf("equal-badness shed order wrong: admitted = %v %v %v",
-				a.Admitted(0), a.Admitted(1), a.Admitted(2))
-		}
-		// Shed vehicle 1 too, then go calm: the HIGHEST priority of the two
-		// shed streams (vehicle 1) comes back first.
-		feedEpoch(a, 1, epoch, 1)
-		feedEpoch(a, 2, epoch, 1)
-		if a.Admitted(1) {
-			t.Fatal("vehicle 1 survived an over-pressure epoch as the lowest-priority admitted stream")
-		}
-		feedEpoch(a, 2, epoch, 0)
-		if !a.Admitted(1) || a.Admitted(0) {
-			t.Fatalf("readmit order wrong: admitted = %v %v", a.Admitted(0), a.Admitted(1))
-		}
-	})
-
 	t.Run("max-admitted-cap", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{Virtual: true, MaxAdmitted: 2, Priority: map[int]int{2: 1}})
+		a := newAdm(t, AdmissionConfig{Virtual: true, MaxAdmitted: 2})
 		for v := 0; v < 4; v++ {
 			a.Register(v)
 		}
-		// Cap 2: registrations 3 and 4 each shed the lowest-priority,
-		// highest-ID admitted stream. Vehicle 2 outranks 0 and 1.
+		// Cap 2: registrations 3 and 4 each shed the highest-ID admitted
+		// stream — vehicle 0 is the most senior.
 		admitted := []bool{a.Admitted(0), a.Admitted(1), a.Admitted(2), a.Admitted(3)}
-		want := []bool{true, false, true, false}
+		want := []bool{true, true, false, false}
 		if !reflect.DeepEqual(admitted, want) {
-			t.Fatalf("admitted = %v, want %v (cap 2, vehicle 2 prioritized)", admitted, want)
+			t.Fatalf("admitted = %v, want %v (cap 2)", admitted, want)
 		}
 		for _, e := range a.History() {
 			if e.Decision != 0 || !e.Shed {
@@ -145,12 +119,11 @@ func TestAdmissionControllerLaw(t *testing.T) {
 		bad := []AdmissionConfig{
 			{High: 0.3, Low: 0.5},
 			{Epoch: -1},
-			{Hysteresis: -2},
 			{MaxAdmitted: -1},
 			{Target: -time.Second},
 		}
 		for i, cfg := range bad {
-			if _, err := NewFleetAdmission(cfg); err == nil {
+			if _, err := newFleetAdmission(cfg, true, false); err == nil {
 				t.Errorf("config %d (%+v) accepted", i, cfg)
 			}
 		}
@@ -177,46 +150,131 @@ func admissionFleetConfig(t *testing.T) FleetConfig {
 			1: inj.Stage,
 		},
 		Admission: &AdmissionConfig{
-			Virtual: true, Epoch: 8, High: 0.15, Low: 0.05, Hysteresis: 2,
+			Virtual: true, Epoch: 8, High: 0.15, Low: 0.05,
 		},
+	}
+}
+
+// emulateAdmission is the lock-step reference schedule: a fresh controller
+// fed each vehicle's per-frame miss sequence one frame at a time,
+// round-robin, skipping shed streams and leaving at end of stream — no
+// goroutines, no runners.
+func emulateAdmission(t *testing.T, cfg AdmissionConfig, miss [][]bool) []AdmissionEvent {
+	t.Helper()
+	emu := newAdm(t, cfg)
+	for v := range miss {
+		emu.Register(v)
+	}
+	pos := make([]int, len(miss))
+	left := make([]bool, len(miss))
+	for progress := true; progress; {
+		progress = false
+		for v := range miss {
+			if left[v] {
+				continue
+			}
+			if pos[v] >= len(miss[v]) {
+				left[v] = true
+				emu.Leave(v)
+				continue
+			}
+			if !emu.Admitted(v) {
+				continue
+			}
+			emu.Observe(v, 0, miss[v][pos[v]])
+			pos[v]++
+			progress = true
+		}
+	}
+	return emu.History()
+}
+
+// TestAdmissionLeaveKeepsQueuedBuckets pins the decision barrier's
+// membership rule without a single goroutine: two healthy streams run to
+// completion and Leave BEFORE the stalled stream's first bucket arrives.
+// Their queued buckets must keep their seats, so every decision averages
+// over the same streams — and produces the same history — as lock-step
+// feeding. Without the seats decision 1 would see one stream (pressure
+// 2/4, last stream never shed) instead of three (2/12, shed).
+func TestAdmissionLeaveKeepsQueuedBuckets(t *testing.T) {
+	const epoch, frames = 4, 24
+	cfg := AdmissionConfig{Virtual: true, Epoch: epoch, High: 0.15, Low: 0.05}
+	miss := make([][]bool, 3)
+	for v := range miss {
+		miss[v] = make([]bool, frames)
+	}
+	for i := range miss[1] {
+		miss[1][i] = i%epoch < 2 // the stalled stream: half of every epoch
+	}
+	want := []AdmissionEvent{
+		{Decision: 1, Vehicle: 1, Shed: true, Pressure: 2.0 / 12.0},
+		{Decision: 3, Vehicle: 1, Shed: false, Pressure: 0},
+		{Decision: 4, Vehicle: 1, Shed: true, Pressure: 2.0 / 12.0},
+		{Decision: 6, Vehicle: 1, Shed: false, Pressure: 0},
+	}
+	if got := emulateAdmission(t, cfg, miss); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lock-step history = %+v, want %+v", got, want)
+	}
+
+	a := newAdm(t, cfg)
+	for v := range miss {
+		a.Register(v)
+	}
+	for _, v := range []int{0, 2} {
+		feedEpoch(a, v, frames, 0)
+		a.Leave(v)
+	}
+	for i := 0; i < frames; i++ {
+		if !a.Admitted(1) {
+			t.Fatalf("stalled stream parked at frame %d with the healthy streams' buckets still queued", i)
+		}
+		a.Observe(1, 0, miss[1][i])
+	}
+	a.Leave(1)
+	if got := a.History(); !reflect.DeepEqual(got, want) {
+		t.Errorf("early-leave history = %+v, want the lock-step %+v", got, want)
 	}
 }
 
 // TestAdmissionDeterministicAcrossExecutors is the admission determinism
 // property: with virtual deadlines and the virtual pressure signal, the
 // shed/readmit event history is a pure function of (configs, seeds) —
-// identical across reruns of the concurrent fleet, and identical to a
-// sequential emulation that feeds the controller each vehicle's Step-
-// executor degrade sequence round-robin with pause-on-shed semantics. The
-// DET-stalled vehicle must go first, before any healthy neighbor (the
-// chaos-shed contract).
+// identical across reruns of the concurrent fleet at every GOMAXPROCS, and
+// identical to a sequential emulation that feeds the controller each
+// vehicle's Step-executor degrade sequence round-robin with pause-on-shed
+// semantics. The DET-stalled vehicle must go first, before any healthy
+// neighbor (the chaos-shed contract).
 func TestAdmissionDeterministicAcrossExecutors(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const frames = 96
 
-	runFleet := func(t *testing.T) ([]chaosRun, FleetReport) {
-		t.Helper()
-		f, err := NewFleet(admissionFleetConfig(t))
-		if err != nil {
-			t.Fatal(err)
+	// Solo Step-executor reference per vehicle: the deterministic per-frame
+	// miss sequence, and the bitwise baseline for delivered results.
+	tmpl := admissionFleetConfig(t)
+	solo := make([]chaosRun, tmpl.Vehicles)
+	miss := make([][]bool, tmpl.Vehicles)
+	for v := range solo {
+		cfg := admissionFleetConfig(t) // fresh injector per run
+		vcfg := cfg.Config
+		vcfg.Scene.Seed = cfg.Config.Scene.Seed + int64(v)
+		if inj, ok := cfg.Injects[v]; ok {
+			vcfg.Inject = inj
 		}
-		return collectFleet(t, f, frames)
+		solo[v] = runChaosStep(t, vcfg, frames)
+		for _, m := range solo[v].masks {
+			miss[v] = append(miss[v], m.AnyMiss())
+		}
 	}
-	runs1, rep1 := runFleet(t)
-	runs2, rep2 := runFleet(t)
-
-	if len(rep1.Admission) == 0 {
+	// Same law fed in lock-step, so same history.
+	want := emulateAdmission(t, *tmpl.Admission, miss)
+	if len(want) == 0 {
 		t.Fatal("scenario produced no admission events; the property test is vacuous")
 	}
-	if !reflect.DeepEqual(rep1.Admission, rep2.Admission) {
-		t.Fatalf("event history diverged across runs:\n run 1: %+v\n run 2: %+v",
-			rep1.Admission, rep2.Admission)
-	}
-	if first := rep1.Admission[0]; !first.Shed || first.Vehicle != 1 {
+	if first := want[0]; !first.Shed || first.Vehicle != 1 {
 		t.Fatalf("first event %+v, want the DET-stalled vehicle 1 shed before healthy neighbors", first)
 	}
 	sawReadmit := false
-	for _, e := range rep1.Admission {
+	for _, e := range want {
 		if !e.Shed {
 			sawReadmit = true
 		}
@@ -225,88 +283,47 @@ func TestAdmissionDeterministicAcrossExecutors(t *testing.T) {
 		t.Error("scenario never readmitted; hysteresis path unexercised")
 	}
 
-	// Solo Step-executor reference per vehicle: the deterministic per-frame
-	// miss sequence, and the bitwise baseline for delivered results.
-	tmpl := admissionFleetConfig(t)
-	solo := make([]chaosRun, tmpl.Vehicles)
-	for v := 0; v < tmpl.Vehicles; v++ {
-		cfg := admissionFleetConfig(t) // fresh injector per run
-		vcfg := cfg.Config
-		vcfg.Scene.Seed = cfg.Config.Scene.Seed + int64(v)
-		if inj, ok := cfg.Injects[v]; ok {
-			vcfg.Inject = inj
-		}
-		solo[v] = runChaosStep(t, vcfg, frames)
-	}
-
-	// Each vehicle's fleet-delivered sequence must be a bitwise prefix of
-	// its solo sequence (shedding pauses a stream, it never reorders or
-	// drops within it), full-length for never-shed vehicles.
-	for v := 0; v < tmpl.Vehicles; v++ {
-		for _, runs := range [][]chaosRun{runs1, runs2} {
-			got := runs[v]
-			if len(got.results) > frames {
-				t.Fatalf("vehicle %d delivered %d frames, over the %d asked", v, len(got.results), frames)
+	for _, procs := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for run := 1; run <= 2; run++ {
+				f, err := NewFleet(admissionFleetConfig(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs, rep := collectFleet(t, f, frames)
+				if !reflect.DeepEqual(rep.Admission, want) {
+					t.Fatalf("run %d: fleet history diverges from the Step-driven emulation:\n fleet: %+v\n emu:   %+v",
+						run, rep.Admission, want)
+				}
+				// Each vehicle's fleet-delivered sequence must be a bitwise
+				// prefix of its solo sequence (shedding pauses a stream, it
+				// never reorders or drops within it), full-length for
+				// never-shed vehicles.
+				for v, got := range runs {
+					if len(got.results) > frames {
+						t.Fatalf("vehicle %d delivered %d frames, over the %d asked", v, len(got.results), frames)
+					}
+					requireIdenticalRuns(t, chaosRun{
+						results: solo[v].results[:len(got.results)],
+						masks:   solo[v].masks[:len(got.masks)],
+						errs:    solo[v].errs[:len(got.errs)],
+					}, got)
+					if v != 1 && len(got.results) != frames {
+						t.Errorf("healthy vehicle %d delivered %d frames, want all %d", v, len(got.results), frames)
+					}
+				}
+				// The report surfaces the controller's view per vehicle.
+				for _, vs := range rep.PerVehicle {
+					if vs.Vehicle == 1 && vs.Sheds == 0 {
+						t.Error("stalled vehicle's scorecard shows no sheds")
+					}
+					if vs.Vehicle != 1 && (vs.Sheds != 0 || vs.Shed) {
+						t.Errorf("healthy vehicle %d scorecard marked shed (%d sheds)", vs.Vehicle, vs.Sheds)
+					}
+				}
 			}
-			prefix := chaosRun{
-				results: solo[v].results[:len(got.results)],
-				masks:   solo[v].masks[:len(got.masks)],
-				errs:    solo[v].errs[:len(got.errs)],
-			}
-			requireIdenticalRuns(t, prefix, got)
-		}
-		if v != 1 && len(runs1[v].results) != frames {
-			t.Errorf("healthy vehicle %d delivered %d frames, want all %d", v, len(runs1[v].results), frames)
-		}
-	}
-
-	// Sequential emulation: a fresh controller fed each vehicle's solo miss
-	// sequence one frame at a time, round-robin, skipping shed streams —
-	// no goroutines, no runners. Same law, so same history.
-	emu, err := NewFleetAdmission(*tmpl.Admission)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < tmpl.Vehicles; v++ {
-		emu.Register(v)
-	}
-	pos := make([]int, tmpl.Vehicles)
-	left := make([]bool, tmpl.Vehicles)
-	for {
-		progress := false
-		for v := 0; v < tmpl.Vehicles; v++ {
-			if left[v] {
-				continue
-			}
-			if pos[v] >= frames {
-				left[v] = true
-				emu.Leave(v)
-				continue
-			}
-			if !emu.Admitted(v) {
-				continue
-			}
-			emu.Observe(v, 0, solo[v].masks[pos[v]].AnyMiss())
-			pos[v]++
-			progress = true
-		}
-		if !progress {
-			break
-		}
-	}
-	if got := emu.History(); !reflect.DeepEqual(got, rep1.Admission) {
-		t.Errorf("Step-driven emulation history diverges from the concurrent fleet:\n emu:   %+v\n fleet: %+v",
-			got, rep1.Admission)
-	}
-
-	// The report surfaces the controller's view per vehicle.
-	for _, vs := range rep1.PerVehicle {
-		if vs.Vehicle == 1 && vs.Sheds == 0 {
-			t.Error("stalled vehicle's scorecard shows no sheds")
-		}
-		if vs.Vehicle != 1 && (vs.Sheds != 0 || vs.Shed) {
-			t.Errorf("healthy vehicle %d scorecard marked shed (%d sheds)", vs.Vehicle, vs.Sheds)
-		}
+		})
 	}
 }
 

@@ -19,22 +19,19 @@ import (
 type FleetConfig struct {
 	// Vehicles is the number of independent streams (≥ 1).
 	Vehicles int
-	// Config is the per-vehicle pipeline template; Seeds, Executor,
-	// SharedMap and the override maps below specialize it per vehicle.
+	// Config is the per-vehicle pipeline template; Executor, SharedMap and
+	// the override maps below specialize it per vehicle. Vehicle i's
+	// scenario is seeded Config.Scene.Seed + i.
 	Config Config
-	// Seeds[i] seeds vehicle i's scenario. Empty derives seeds from the
-	// template (Config.Scene.Seed + i); otherwise len must equal Vehicles.
-	// Vehicles added later (AddVehicle) always use the derivation.
-	Seeds []int64
 	// Scenes overrides the template scene configuration for specific
 	// vehicles (key = vehicle ID) — per-vehicle scenario assignment, so
 	// different vehicles in one fleet drive different scenario programs
 	// (scenario.Program.Configure builds the per-vehicle scene.Config).
-	// The seed rules still apply on top: Seeds[i] wins, then a nonzero
-	// Seed in the assigned scene, then the template derivation — so one
-	// scenario can be assigned to several vehicles without colliding
-	// streams. Keys past the initial Vehicles pre-provision churn: a
-	// vehicle later created by AddVehicle picks up its entry.
+	// The seed rules still apply on top: a nonzero Seed in the assigned
+	// scene wins, then the template derivation — so one scenario can be
+	// assigned to several vehicles without colliding streams. Keys past
+	// the initial Vehicles pre-provision churn: a vehicle later created by
+	// AddVehicle picks up its entry.
 	Scenes map[int]scene.Config
 	// InFlight is each vehicle Runner's pipelining window; 0 selects
 	// DefaultInFlight.
@@ -49,9 +46,6 @@ type FleetConfig struct {
 	// runtime map updates never cross streams. nil gives each vehicle its
 	// own store per the template (Config.MapStore or a fresh PriorMap).
 	SharedMap slam.MapStore
-	// Deadlines overrides the template deadline policy for specific
-	// vehicles (key = vehicle ID).
-	Deadlines map[int]DeadlinePolicy
 	// Injects overrides the template fault injector for specific vehicles
 	// (key = vehicle ID). A faulted vehicle must not perturb the others.
 	Injects map[int]func(stage string, frame int) (time.Duration, error)
@@ -66,8 +60,8 @@ type FleetConfig struct {
 	// Admission, when non-nil, puts the fleet under the frame-budget
 	// admission controller (admission.go): when the fleet cannot hold the
 	// frame deadline for everyone, whole vehicle streams are shed —
-	// lowest-priority, unhealthiest first — and readmitted with hysteresis
-	// once pressure clears. FleetReport marks shed vehicles.
+	// unhealthiest first — and readmitted with hysteresis once pressure
+	// clears. FleetReport marks shed vehicles.
 	Admission *AdmissionConfig
 	// PhaseLock aligns co-resident vehicles' frame admission on a fleet
 	// beat and arms the shared executor's gather hold with the live cohort
@@ -134,9 +128,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Vehicles < 1 {
 		return nil, fmt.Errorf("pipeline: fleet of %d vehicles", cfg.Vehicles)
 	}
-	if len(cfg.Seeds) != 0 && len(cfg.Seeds) != cfg.Vehicles {
-		return nil, fmt.Errorf("pipeline: %d seeds for %d vehicles", len(cfg.Seeds), cfg.Vehicles)
-	}
 	exec := cfg.Executor
 	if exec == nil {
 		exec = dnn.NewBatchExecutor(0)
@@ -189,9 +180,6 @@ func (f *Fleet) addVehicleLocked() (*fleetVehicle, error) {
 			seed = sc.Seed
 		}
 	}
-	if id < len(cfg.Seeds) {
-		seed = cfg.Seeds[id]
-	}
 	vcfg.Scene.Seed = seed
 	if vcfg.Detect.Executor == nil {
 		vcfg.Detect.Executor = f.exec
@@ -214,9 +202,6 @@ func (f *Fleet) addVehicleLocked() (*fleetVehicle, error) {
 		store = slam.NewVehicleStore(id, cfg.SharedMap)
 		vcfg.MapStore = store
 	}
-	if dl, ok := cfg.Deadlines[id]; ok {
-		vcfg.Deadline = dl
-	}
 	if inj, ok := cfg.Injects[id]; ok {
 		vcfg.Inject = inj
 	}
@@ -231,11 +216,11 @@ func (f *Fleet) addVehicleLocked() (*fleetVehicle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: fleet vehicle %d: %w", id, err)
 	}
-	var gate StreamGate
+	var gate *vehicleGate
 	if f.adm != nil {
-		gate = vehicleGate{a: f.adm, id: id}
+		gate = &vehicleGate{a: f.adm, id: id}
 	}
-	r, err := NewRunner(p, RunnerOptions{InFlight: cfg.InFlight, Gate: gate})
+	r, err := NewRunner(p, RunnerOptions{InFlight: cfg.InFlight, gate: gate})
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: fleet vehicle %d: %w", id, err)
 	}
@@ -411,7 +396,7 @@ func (f *Fleet) RemoveVehicle(id int) error {
 	}
 	f.mu.Unlock()
 
-	v.r.Stop() // also releases the admission gate (StreamGate.Leave)
+	v.r.Stop() // also releases the admission gate (vehicleGate.Leave)
 	if started {
 		<-v.done // admitted frames delivered, engines drained
 	}

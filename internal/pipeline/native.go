@@ -157,13 +157,6 @@ type Pipeline struct {
 	// quiescent Drain) touches its slot, so no locking.
 	pending [NumStages]chan struct{}
 
-	// tail is the sequential executor's tail controller (AttachTail): Step
-	// stamps each frame's DET resolution rung from it and feeds delivered
-	// wall latencies back. The pipelined Runner takes its scheduler
-	// through RunnerOptions.Tail instead — admission control lives with
-	// the window.
-	tail *TailScheduler
-
 	// held is each stage's last good output, replayed by the degraded
 	// fallbacks. Each field is written only from its own stage's
 	// execution context.
@@ -403,25 +396,6 @@ func (p *Pipeline) Graph() *Graph { return &p.g }
 // speed limit then caps the motion planner's target speed.
 func (p *Pipeline) AttachMission(m *mission.Planner) { p.mis = m }
 
-// AttachTail wires a tail-latency controller into the SEQUENTIAL executor:
-// every Step is stamped with the controller's current DET resolution rung
-// and its delivered wall latency feeds the rolling tail signal. With one
-// frame in flight the admission-window knob is pinned at 1, so only the
-// resolution ladder (and, via DeadlinePolicy.Anytime, the anytime exit)
-// acts. Pipelined runs pass the scheduler to RunnerOptions.Tail instead —
-// never to both: a scheduler serves exactly one executor.
-func (p *Pipeline) AttachTail(t *TailScheduler) error {
-	if t == nil {
-		return fmt.Errorf("pipeline: nil tail scheduler")
-	}
-	if err := t.attach(1); err != nil {
-		return err
-	}
-	p.det.Warm(t.ladder...)
-	p.tail = t
-	return nil
-}
-
 // Localizer exposes the LOC engine (for map/statistics inspection).
 func (p *Pipeline) Localizer() *slam.Engine { return p.loc }
 
@@ -434,21 +408,10 @@ func (p *Pipeline) Tracker() *track.Engine { return p.tra }
 // the same graph across multiple in-flight frames.
 func (p *Pipeline) Step() (FrameResult, error) {
 	fs := &frameState{admitted: time.Now()}
-	if p.tail != nil {
-		// Sequential admission never blocks (the window is pinned at 1 and
-		// nothing else is in flight); this claims the slot and commits the
-		// frame's resolution rung.
-		if size, ok := p.tail.admit(); ok {
-			fs.detSize = size
-		}
-	}
 	p.runFrame(fs)
 	p.sealFrame(fs)
 	err := fs.err()
 	wall := time.Since(fs.admitted)
-	if p.tail != nil {
-		p.tail.frameDone(float64(wall) / 1e6)
-	}
 	p.sink.FrameDone(telemetry.FrameEnd{
 		Frame:    fs.res.Frame.Index,
 		Wall:     wall,

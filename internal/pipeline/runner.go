@@ -26,26 +26,14 @@ type RunnerOptions struct {
 	// controller's current DET resolution rung. A scheduler serves exactly
 	// one executor; NewRunner claims it.
 	Tail *TailScheduler
-	// Gate, when non-nil, is consulted before every frame admission —
-	// BEFORE the in-flight window (and before the tail scheduler): the
-	// fleet-level seam through which an admission controller pauses a shed
-	// stream and a phase-locker aligns co-resident streams' admission
-	// beats. Admit blocking only delays this stream; a false return ends
-	// it (the runner drains and closes as if Stop had been called).
-	Gate StreamGate
-}
-
-// StreamGate is the fleet-level stream admission seam (see RunnerOptions.
-// Gate). Implementations must be safe for concurrent use: Admit is called
-// from the runner's SRC goroutine, Leave additionally from Stop.
-type StreamGate interface {
-	// Admit blocks until the stream may admit its next frame; returning
-	// false ends the stream instead.
-	Admit() bool
-	// Leave marks the stream as done admitting — called when the frame
-	// supply is exhausted, and from Stop to unblock a pending Admit. Must
-	// be idempotent.
-	Leave()
+	// gate, when non-nil, is the fleet's view of this stream in its
+	// admission controller, consulted before every frame admission — BEFORE
+	// the in-flight window (and before the tail scheduler): Admit blocks
+	// while the stream is shed or waiting for the phase beat, and a false
+	// return ends the stream (the runner drains and closes as if Stop had
+	// been called). Leave is called when the frame supply is exhausted and
+	// from Stop, to unblock a pending Admit.
+	gate *vehicleGate
 }
 
 // DefaultInFlight is the default pipelining window. Three frames cover the
@@ -167,7 +155,7 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 	// so scale changes reach DET strictly in admission order.
 	srcSpec := g.stages[StageSrc]
 	srcOut := outputs[StageSrc]
-	gate := r.opts.Gate
+	gate := r.opts.gate
 	go func() {
 		defer closeAll(srcOut)
 		if gate != nil {
@@ -185,6 +173,13 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 				}
 				detSize = size
 			} else {
+				// quit first: when a slot and quit are both ready, select
+				// picks at random, and Stop must never admit another frame.
+				select {
+				case <-r.quit:
+					return
+				default:
+				}
 				select {
 				case window <- struct{}{}:
 				case <-r.quit:
@@ -289,8 +284,8 @@ func (r *Runner) Stop() {
 		if r.opts.Tail != nil {
 			r.opts.Tail.interrupt() // unblock a SRC goroutine waiting on admission
 		}
-		if r.opts.Gate != nil {
-			r.opts.Gate.Leave() // unblock a SRC goroutine waiting at the gate
+		if r.opts.gate != nil {
+			r.opts.gate.Leave() // unblock a SRC goroutine waiting at the gate
 		}
 	})
 }

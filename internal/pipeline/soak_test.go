@@ -223,14 +223,18 @@ func TestFleetChurnBitwiseParity(t *testing.T) {
 	// The churn window: when vehicle 0 delivers its 6th frame the churn
 	// goroutine adds vehicle 3 and removes vehicle 1; vehicle 0's consumer
 	// then BLOCKS until both complete, guaranteeing the churn lands while
-	// every stream is strictly mid-run.
-	churnStart, churnDone := make(chan struct{}), make(chan struct{})
+	// every stream is strictly mid-run. Vehicle 1's consumer is held at ITS
+	// 6th frame until AddVehicle returns: the joiner's build can outlast a
+	// 20-frame stream on a loaded host, and a stream that already finished
+	// cannot be removed mid-run.
+	churnStart, added, churnDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	var startOnce sync.Once
 	var addErr, removeErr error
 	go func() {
 		defer close(churnDone)
 		<-churnStart
 		_, addErr = f.AddVehicle()
+		close(added)
 		removeErr = f.RemoveVehicle(1)
 	}()
 
@@ -251,6 +255,9 @@ func TestFleetChurnBitwiseParity(t *testing.T) {
 		if v == 0 && n == 6 {
 			startOnce.Do(func() { close(churnStart) })
 			<-churnDone
+		}
+		if v == 1 && n == 6 {
+			<-added
 		}
 	})
 	<-churnDone

@@ -38,15 +38,13 @@ const (
 	// controller decisions — the hysteresis that keeps one decision's
 	// effect observable before the next.
 	DefaultTailPeriod = 16
-	// DefaultTailHighFrac and DefaultTailLowFrac are the congestion
-	// watermarks as fractions of the target: above high·target the
-	// controller backs off, below low·target for Recover consecutive
-	// periods it steps back up, and between them it holds.
-	DefaultTailHighFrac = 0.75
-	DefaultTailLowFrac  = 0.45
-	// DefaultTailRecover is how many consecutive calm periods precede a
-	// step back up.
-	DefaultTailRecover = 2
+	// tailHighFrac and tailLowFrac are the congestion watermarks as
+	// fractions of the target: above high·target the controller backs off,
+	// below low·target for tailRecover consecutive periods it steps back
+	// up, and between them it holds.
+	tailHighFrac = 0.75
+	tailLowFrac  = 0.45
+	tailRecover  = 2
 )
 
 // TailConfig parameterizes a TailScheduler.
@@ -60,12 +58,6 @@ type TailConfig struct {
 	// Period is the decision interval in delivered frames; 0 selects
 	// DefaultTailPeriod.
 	Period int
-	// HighFrac / LowFrac are the congestion watermarks as fractions of
-	// Target; 0 selects the defaults. Requires 0 < low < high.
-	HighFrac, LowFrac float64
-	// Recover is how many consecutive calm periods precede a step back up;
-	// 0 selects DefaultTailRecover.
-	Recover int
 	// InitialWindow is the admission window at attach, clamped to the
 	// executor's ceiling; 0 selects the ceiling itself. Hard-deadline
 	// deployments start at 1 — a reactive controller cannot undo the
@@ -91,9 +83,9 @@ type tailMetrics struct {
 }
 
 // TailScheduler is the closed-loop tail-latency controller. One scheduler
-// serves one executor: hand it to a Runner through RunnerOptions.Tail
-// (adaptive admission window + ladder) or to a sequential pipeline through
-// Pipeline.AttachTail (ladder only; the window is pinned at 1). The
+// serves one executor, and there is one place to hand it over:
+// RunnerOptions.Tail (adaptive admission window + ladder; InFlight 1 pins
+// the window at 1, the sequential schedule, leaving only the ladder). The
 // rolling P99.99 signal is a constraint.Monitor fed every delivered
 // frame's wall latency, so the controller and the live constraint verdict
 // read the exact same tail.
@@ -102,9 +94,6 @@ type tailMetrics struct {
 type TailScheduler struct {
 	targetMs float64
 	period   int
-	high     float64
-	low      float64
-	recover  int
 	initial  int
 	ladder   []int
 
@@ -148,23 +137,6 @@ func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
 	if period < 1 {
 		return nil, fmt.Errorf("pipeline: tail period %d must be positive", period)
 	}
-	high, low := cfg.HighFrac, cfg.LowFrac
-	if high == 0 {
-		high = DefaultTailHighFrac
-	}
-	if low == 0 {
-		low = DefaultTailLowFrac
-	}
-	if low <= 0 || low >= high {
-		return nil, fmt.Errorf("pipeline: tail watermarks low=%v high=%v need 0 < low < high", low, high)
-	}
-	recover := cfg.Recover
-	if recover == 0 {
-		recover = DefaultTailRecover
-	}
-	if recover < 1 {
-		return nil, fmt.Errorf("pipeline: tail recover %d must be positive", recover)
-	}
 	if cfg.InitialWindow < 0 {
 		return nil, fmt.Errorf("pipeline: tail initial window %d must be non-negative", cfg.InitialWindow)
 	}
@@ -184,9 +156,6 @@ func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
 	t := &TailScheduler{
 		targetMs: float64(target) / 1e6,
 		period:   period,
-		high:     high,
-		low:      low,
-		recover:  recover,
 		initial:  cfg.InitialWindow,
 		ladder:   append([]int(nil), cfg.Ladder...),
 		mon:      constraint.NewMonitor(constraint.MonitorConfig{Window: window}),
@@ -321,7 +290,7 @@ func (t *TailScheduler) interrupt() {
 func (t *TailScheduler) decideLocked() {
 	tail := t.mon.Snapshot().TailMs
 	switch {
-	case tail > t.high*t.targetMs:
+	case tail > tailHighFrac*t.targetMs:
 		t.calm = 0
 		switch {
 		case t.limit > 1:
@@ -337,9 +306,9 @@ func (t *TailScheduler) decideLocked() {
 			}
 			t.met.scaleDown.Inc()
 		}
-	case tail < t.low*t.targetMs:
+	case tail < tailLowFrac*t.targetMs:
 		t.calm++
-		if t.calm >= t.recover {
+		if t.calm >= tailRecover {
 			t.calm = 0
 			switch {
 			case t.rung > 0:

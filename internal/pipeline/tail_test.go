@@ -21,13 +21,10 @@ func TestTailSchedulerValidation(t *testing.T) {
 		{Target: -time.Millisecond},
 		{Window: -1},
 		{Period: -1},
-		{Recover: -1},
-		{HighFrac: 0.3, LowFrac: 0.5}, // low >= high
-		{LowFrac: -0.1},               // low <= 0
-		{Ladder: []int{100}},          // not a multiple of 16
-		{Ladder: []int{64, 64}},       // not strictly descending
-		{Ladder: []int{48, 64}},       // ascending
-		{Ladder: []int{64, 48, 0}},    // non-positive rung
+		{Ladder: []int{100}},       // not a multiple of 16
+		{Ladder: []int{64, 64}},    // not strictly descending
+		{Ladder: []int{48, 64}},    // ascending
+		{Ladder: []int{64, 48, 0}}, // non-positive rung
 	}
 	for i, cfg := range bad {
 		if _, err := NewTailScheduler(cfg); err == nil {
@@ -50,9 +47,6 @@ func TestTailSchedulerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AttachTail(nil); err == nil {
-		t.Error("nil scheduler accepted")
-	}
 	if _, err := NewRunner(p, RunnerOptions{InFlight: 2, Tail: ts}); err == nil {
 		t.Error("runner accepted an already-attached scheduler")
 	}
@@ -67,11 +61,10 @@ func TestTailSchedulerValidation(t *testing.T) {
 // recovery climbs the ladder back to base BEFORE the window regrows.
 func TestTailControllerLaw(t *testing.T) {
 	ts, err := NewTailScheduler(TailConfig{
-		Target:  100 * time.Millisecond, // watermarks: high 75ms, low 45ms
-		Window:  8,
-		Period:  4,
-		Recover: 2,
-		Ladder:  []int{64, 48, 32},
+		Target: 100 * time.Millisecond, // watermarks: high 75ms, low 45ms
+		Window: 8,
+		Period: 4,
+		Ladder: []int{64, 48, 32},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +116,7 @@ func TestTailControllerLaw(t *testing.T) {
 	}
 
 	// Recovery: 10ms frames. The rolling window (8) must first flush the
-	// 90ms samples, then every Recover (2) calm periods steps one knob:
+	// 90ms samples, then every two calm periods step one knob:
 	// ladder back to base first, window regrowth last.
 	feed(20, 10)
 	if got := ts.InputSize(); got != 64 {
@@ -315,9 +308,10 @@ func TestTailRunnerShrinkKeepsOrder(t *testing.T) {
 }
 
 // TestTailSequentialAttach drives the ladder through the SEQUENTIAL
-// executor (AttachTail): the window is pinned at 1 by construction, the
-// rung descends under the unreachable target, and results stay identical
-// to an unscheduled Step loop.
+// schedule — a Runner at InFlight 1, the one seat a scheduler has: the
+// window is pinned at 1 by construction, the rung descends under the
+// unreachable target, and results stay identical to an unscheduled Step
+// loop.
 func TestTailSequentialAttach(t *testing.T) {
 	const frames = 20
 	cfg := fastNativeConfig(scene.Urban)
@@ -348,17 +342,22 @@ func TestTailSequentialAttach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.AttachTail(ts); err != nil {
+	r, err := NewRunner(sched, RunnerOptions{InFlight: 1, Tail: ts})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < frames; i++ {
-		res, err := sched.Step()
-		if err != nil {
-			t.Fatal(err)
+	i := 0
+	for res := range r.Run(frames) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		if !reflect.DeepEqual(stripSchedule(res), want[i]) {
+		if !reflect.DeepEqual(stripSchedule(res.FrameResult), want[i]) {
 			t.Errorf("frame %d: scheduled sequential run differs from plain Step", i)
 		}
+		i++
+	}
+	if i != frames {
+		t.Fatalf("delivered %d frames, want %d", i, frames)
 	}
 	if ts.WindowLimit() != 1 {
 		t.Errorf("sequential window = %d, want pinned 1", ts.WindowLimit())

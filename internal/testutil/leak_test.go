@@ -38,7 +38,12 @@ func TestCheckGoroutinesReportsLeak(t *testing.T) {
 	var rec recorder
 	// Snapshot AFTER deciding to leak would mask it; snapshot first.
 	check := CheckGoroutinesWithGrace(&rec, 50*time.Millisecond)
-	go func() { <-quit }() // outlives the grace period
+	// Two leaks, both outliving the grace period: the previous test's runner
+	// goroutine may still be exiting when the snapshot is taken, and one
+	// leak would then only bring the count back up to the snapshot.
+	for i := 0; i < 2; i++ {
+		go func() { <-quit }()
+	}
 	check()
 	if len(rec.msgs) != 1 || !strings.Contains(rec.msgs[0], "goroutine leak") {
 		t.Fatalf("leak not reported: %q", rec.msgs)
