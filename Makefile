@@ -49,12 +49,14 @@ fuzz-smoke:
 # Chaos smoke: the deterministic fault-injection suite under the race
 # detector (Step/Runner equivalence, golden trace, degraded-deadline and
 # Stop-drain guarantees), then a short seeded end-to-end chaos run through
-# the CLI with deadline enforcement on.
+# the CLI with deadline enforcement on, and the negative: an IO rule, which
+# no CLI can inject, must be refused (exit 2), not silently ignored.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos|TestGoldenChaosTrace|TestDegradedFrameMeetsFrameDeadline|TestRunnerStopDrainsDegradedInFlight' ./internal/pipeline
 	$(GO) test -race ./internal/faultinject
 	$(GO) run ./cmd/adpipe -frames 30 -dnn=false -width 384 -height 192 -survey 20 \
 		-deadline 100ms -fault 'DET:delay=60ms:every=5,LOC:delay=120ms:frames=10-12,SRC:drop:every=17'
+	! $(GO) run ./cmd/adpipe -frames 1 -dnn=false -survey 0 -fault 'IO:err:p=0.2'
 
 # Fleet smoke: the fleet/solo bitwise-parity and cross-stream isolation
 # suites under the race detector (small N), then a short end-to-end fleet

@@ -9,7 +9,6 @@
 //	adfleet -vehicles 4 -frames 50
 //	adfleet -vehicles 8 -frames 100 -scenario highway -inflight 4
 //	adfleet -vehicles 4 -frames 200 -deadline 100ms -fault 'DET:delay=30ms:every=5' -fault-vehicle 1
-//	adfleet -vehicles 2 -frames 50 -batch=false -shared-map=false   # fully private resources
 //	adfleet -vehicles 4 -frames 100 -assign '1=cut-in,3=blackout'   # per-vehicle scenario programs
 //	adfleet -vehicles 8 -frames 200 -phase -admission               # capacity mode: phase-locked batching + budget shedding
 //	adfleet -vehicles 4 -frames 100 -add-at 50 -remove-at 100 -remove-vehicle 1   # runtime churn
@@ -42,8 +41,6 @@ func main() {
 		dnn      = flag.Bool("dnn", true, "execute the native DNNs (slower, exercises the batching seam)")
 		inflight = flag.Int("inflight", 3, "frames in flight per vehicle Runner")
 		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel in the shared executor (0 = GOMAXPROCS)")
-		batch    = flag.Bool("batch", true, "gather overlapping same-shape DNN calls across vehicles into one batched GEMM")
-		shared   = flag.Bool("shared-map", true, "serve all vehicles from one shared prior-map store (per-vehicle private overlays)")
 		seed     = flag.Int64("seed", 1, "base scenario seed; vehicle i drives seed+i")
 		deadline = flag.Duration("deadline", 0, "enforce per-stage deadline budgets split from this frame deadline (0 disables)")
 		admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (unhealthiest first, ties toward the highest vehicle ID) when the fleet P99.99 nears the budget, readmit with hysteresis when it subsides")
@@ -93,12 +90,9 @@ func main() {
 		cfg.Deadline = adsim.DeadlinePolicy{Enforce: true, FrameBudget: *deadline}
 	}
 
-	var exec *adsim.DNNExecutor
-	if *batch {
-		exec = adsim.NewBatchDNNExecutor(*workers)
-	} else {
-		exec = adsim.NewDNNExecutor(*workers)
-	}
+	// One batching executor gathers overlapping same-shape DNN calls across
+	// vehicles into one batched GEMM.
+	exec := adsim.NewBatchDNNExecutor(*workers)
 
 	fc := adsim.FleetConfig{
 		Vehicles:  *vehicles,
@@ -113,7 +107,7 @@ func main() {
 			MaxAdmitted: *maxVeh,
 		}
 	}
-	if *shared && *survey > 0 {
+	if *survey > 0 {
 		// Survey the shared store once; every vehicle localizes through a
 		// private overlay view of it instead of surveying its own copy.
 		base := slam.NewPriorMap()
@@ -132,17 +126,29 @@ func main() {
 		fc.SharedMap = base
 		fc.Config.SurveyFrames = 0
 	}
+	// injector builds a vehicle's stage injector. The fleet's shard store has
+	// no injected I/O seam, so an IO rule could never fire: refuse it rather
+	// than run a scenario that silently injects less than it says.
+	injector := func(sc adsim.FaultScenario) func(string, int) (time.Duration, error) {
+		for i, r := range sc.Rules {
+			if r.Stage == adsim.FaultIOTarget {
+				fail(2, "fault rule %d targets %s (map-shard loads), which adfleet cannot inject; the rule would never fire", i, r.Stage)
+			}
+		}
+		inj, err := adsim.NewFaultInjector(sc)
+		if err != nil {
+			fail(2, "%v", err)
+		}
+		return inj.Stage
+	}
+	fc.Injects = map[int]func(string, int) (time.Duration, error){}
 	faulting := *fault != ""
 	if faulting {
 		sc, err := adsim.ParseFaultScenario(*fault, *faultSd)
 		if err != nil {
 			fail(2, "%v", err)
 		}
-		inj, err := adsim.NewFaultInjector(sc)
-		if err != nil {
-			fail(2, "%v", err)
-		}
-		fc.Injects = map[int]func(string, int) (time.Duration, error){*faultVeh: inj.Stage}
+		fc.Injects[*faultVeh] = injector(sc)
 	}
 	if *assign != "" {
 		fc.Scenes = map[int]adsim.SceneConfig{}
@@ -169,14 +175,7 @@ func main() {
 				if _, dup := fc.Injects[idx]; dup {
 					fail(2, "vehicle %d has both -fault and program %q fault rules", idx, prog.Name)
 				}
-				inj, err := adsim.NewFaultInjector(adsim.FaultScenarioFromProgram(prog, *faultSd))
-				if err != nil {
-					fail(2, "%v", err)
-				}
-				if fc.Injects == nil {
-					fc.Injects = map[int]func(string, int) (time.Duration, error){}
-				}
-				fc.Injects[idx] = inj.Stage
+				fc.Injects[idx] = injector(adsim.FaultScenarioFromProgram(prog, *faultSd))
 				faulting = true
 			}
 		}
@@ -187,10 +186,9 @@ func main() {
 		fail(1, "%v", err)
 	}
 
-	fmt.Printf("running %d vehicles x %d %s frames at %dx%d (dnn=%v, batch=%v, shared-map=%v, inflight=%d, workers=%d, phase=%v, admission=%v)\n",
+	fmt.Printf("running %d vehicles x %d %s frames at %dx%d (dnn=%v, inflight=%d, workers=%d, phase=%v, admission=%v)\n",
 		*vehicles, *frames, *scenario, *width, *height, *dnn,
-		exec.Batching(), fc.SharedMap != nil, *inflight, exec.Workers(),
-		*phase, fc.Admission != nil)
+		*inflight, exec.Workers(), *phase, fc.Admission != nil)
 
 	// Churn triggers are keyed to total delivered frames so they land
 	// mid-run at any fleet size; the churn goroutine also unblocks on run

@@ -49,7 +49,7 @@ func main() {
 		tailTgt  = flag.Duration("tail", 0, "steer the rolling P99.99 toward this target with the closed-loop tail scheduler: adapts the -inflight admission window and steps DET resolution down -ladder under pressure (0 disables)")
 		anytime  = flag.Bool("anytime", false, "let a budget-blown DET commit a coarser on-time detection set (anytime early exit) instead of shedding it; requires -deadline")
 		ladder   = flag.String("ladder", "", "comma-separated strictly-descending DET input sizes for -tail's resolution ladder (default: derived from the detector's input size)")
-		fault    = flag.String("fault", "", "seeded fault scenario, e.g. 'DET:delay=30ms:every=5,IO:err:p=0.2,SRC:drop:every=50'")
+		fault    = flag.String("fault", "", "seeded fault scenario, e.g. 'DET:delay=30ms:every=5,SRC:drop:every=50'")
 		faultSd  = flag.Int64("fault-seed", 1, "seed for the fault scenario's probabilistic rules")
 	)
 	flag.Parse()
@@ -123,8 +123,8 @@ func main() {
 		cfg.Deadline = adsim.DeadlinePolicy{Enforce: true, FrameBudget: *deadline, Anytime: *anytime}
 		cfg.Metrics = reg
 	}
-	faulting := *fault != ""
-	if faulting {
+	var faults adsim.FaultScenario
+	if *fault != "" {
 		if prog != nil && len(prog.Faults) > 0 {
 			fmt.Fprintf(os.Stderr, "adpipe: program %q carries its own fault rules; drop -fault\n", prog.Name)
 			os.Exit(2)
@@ -134,15 +134,22 @@ func main() {
 			fmt.Fprintf(os.Stderr, "adpipe: %v\n", err)
 			os.Exit(2)
 		}
-		inj, err := adsim.NewFaultInjector(sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adpipe: %v\n", err)
-			os.Exit(2)
+		faults = sc
+	} else if prog != nil {
+		faults = adsim.FaultScenarioFromProgram(prog, *faultSd)
+	}
+	faulting := len(faults.Rules) > 0
+	if faulting {
+		for i, r := range faults.Rules {
+			if r.Stage == adsim.FaultIOTarget {
+				// adpipe opens no shard store, so nothing would ever consult
+				// the rule: refuse it rather than run a scenario that
+				// silently injects less than it says.
+				fmt.Fprintf(os.Stderr, "adpipe: fault rule %d targets %s (map-shard loads), but adpipe reads no map shards; the rule would never fire\n", i, r.Stage)
+				os.Exit(2)
+			}
 		}
-		cfg.Inject = inj.Stage
-	} else if prog != nil && len(prog.Faults) > 0 {
-		faulting = true
-		inj, err := adsim.NewFaultInjector(adsim.FaultScenarioFromProgram(prog, *faultSd))
+		inj, err := adsim.NewFaultInjector(faults)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adpipe: %v\n", err)
 			os.Exit(2)

@@ -24,7 +24,6 @@ type Scorecard struct {
 
 	wall     *stats.Distribution
 	stages   map[string]*stats.Distribution
-	order    []string // stage fold order of first appearance, for stable reports
 	frames   int
 	errs     int
 	degraded int
@@ -60,7 +59,6 @@ func (s *Scorecard) Observe(wallMs float64, stageMs map[string]float64, degraded
 		if !ok {
 			d = stats.NewDistribution(1024)
 			s.stages[name] = d
-			s.order = append(s.order, name)
 		}
 		d.Add(ms)
 	}
@@ -97,7 +95,7 @@ type ScorecardReport struct {
 	HardMisses int
 	Degraded   int
 
-	// Stages summarizes each stage's latency, in fold order; Dominant is
+	// Stages summarizes each stage's latency, in name order; Dominant is
 	// the stage with the largest tail — the scenario's bottleneck.
 	Stages   []StageTail
 	Dominant string
@@ -129,7 +127,12 @@ func (r *Scorecard) Report() ScorecardReport {
 	}
 	rep.Performance = performanceVerdict(rep.TailMs, rep.FPS, r.frames)
 	rep.Predictability = predictabilityVerdict(rep.TailMs, rep.MeanMs, r.frames)
-	for _, name := range r.order {
+	names := make([]string, 0, len(r.stages))
+	for name := range r.stages {
+		names = append(names, name)
+	}
+	sort.Strings(names) // map order is random; replayed reports must be identical
+	for _, name := range names {
 		d := r.stages[name]
 		rep.Stages = append(rep.Stages, StageTail{
 			Stage:  name,

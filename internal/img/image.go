@@ -43,11 +43,6 @@ func (g *Gray) Set(x, y int, v uint8) {
 	g.Pix[y*g.W+x] = v
 }
 
-// InBounds reports whether (x,y) is a valid pixel coordinate.
-func (g *Gray) InBounds(x, y int) bool {
-	return x >= 0 && y >= 0 && x < g.W && y < g.H
-}
-
 // Clone returns a deep copy.
 func (g *Gray) Clone() *Gray {
 	out := NewGray(g.W, g.H)

@@ -573,6 +573,60 @@ func TestDegradedFrameMeetsFrameDeadline(t *testing.T) {
 	p.Drain() // idempotent once quiescent
 }
 
+// TestMissedStageReportsBudget pins the Timing-on-miss rule in virtual
+// mode on both executors: a stage that blew its budget reports the budget
+// — the time the frame waited on it — as its StageTiming entry, so the
+// degraded frame's E2E never reads below the stall it absorbed.
+func TestMissedStageReportsBudget(t *testing.T) {
+	const frames = 12
+	cfg := chaosConfig(t, scene.Urban, "DET:delay=60ms:every=5", 1)
+	budget := cfg.Deadline.resolve()[StageDet]
+	runs := map[string][]FrameResult{}
+	seq, err := NewNative(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		res, err := seq.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs["step"] = append(runs["step"], res)
+	}
+	pipe, err := NewNative(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(pipe, RunnerOptions{InFlight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for res := range r.Run(frames) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		runs["runner"] = append(runs["runner"], res.FrameResult)
+	}
+	for name, results := range runs {
+		missed := 0
+		for i, res := range results {
+			if !res.Degraded.Has(StageDet) {
+				continue
+			}
+			missed++
+			if res.Timing.Det != budget {
+				t.Errorf("%s frame %d: missed DET reports %v, want its %v budget", name, i, res.Timing.Det, budget)
+			}
+			if res.Timing.E2E < budget {
+				t.Errorf("%s frame %d: E2E %v below the %v budget DET blew", name, i, res.Timing.E2E, budget)
+			}
+		}
+		if missed != 3 {
+			t.Errorf("%s: %d DET misses, want 3 (frames 0, 5, 10)", name, missed)
+		}
+	}
+}
+
 // TestRunnerStopDrainsDegradedInFlight is the Stop-ordering satellite:
 // stopping the runner while a degraded frame (with a live late attempt)
 // is in flight must still drain every admitted frame in order, and by the

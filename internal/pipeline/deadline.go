@@ -27,12 +27,13 @@ import (
 // deadline/miss/<stage>, and a deadline/stage_ms/<stage> distribution of
 // charged stage times.
 //
-// The abandoned attempt keeps running in the background on a private copy
-// of the frame's inputs, so every engine still observes every frame in
-// admission order (the determinism invariant survives enforcement); the
-// stage's next frame first drains that late attempt before touching the
-// engine again. See StageSpec.Reads/Writes in graph.go for the copy
-// discipline that makes the late attempt race-free.
+// The abandoned attempt keeps running in the background, so every engine
+// still observes every frame in admission order (the determinism invariant
+// survives enforcement); the stage's next frame first drains that late
+// attempt before touching the engine again. It is race-free by shape: a
+// body writes only its own output slot — a private one under enforcement,
+// committed with one assignment if it beats the timer — and the dependency
+// slots it reads are final (see StageSpec.Run in graph.go).
 
 // DefaultFrameBudget is the paper's end-to-end latency constraint: frames
 // must complete within 100 ms.
@@ -135,6 +136,10 @@ func (d DeadlinePolicy) resolve() [NumStages]time.Duration {
 // coarser result on time. Anytime is deliberately distinct from DET's miss
 // bit: a miss delivered the fallback (no detections at all), an anytime
 // frame delivered a reduced detection set inside the budget.
+//
+// A stage whose miss bit is set reports its budget as its StageTiming
+// entry — the time the frame waited on it before falling back — so a
+// degraded frame's Timing.E2E is never below the budget it blew.
 type DegradedMask uint16
 
 // anytimeBit is the mask bit position of the Anytime flag, just past the

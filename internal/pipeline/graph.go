@@ -2,10 +2,17 @@ package pipeline
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
+	"adsim/internal/control"
+	"adsim/internal/detect"
+	"adsim/internal/fusion"
+	"adsim/internal/mission"
+	"adsim/internal/plan"
+	"adsim/internal/scene"
+	"adsim/internal/slam"
 	"adsim/internal/telemetry"
+	"adsim/internal/track"
 )
 
 // This file is the single source of truth for the pipeline's topology: the
@@ -24,6 +31,11 @@ import (
 // Determinism: every stateful engine is pinned to exactly one stage, and
 // both executors run each stage over frames in admission order, so results
 // are bitwise-identical across executors and in-flight window sizes.
+//
+// Stage outputs are values: a frame carries one output slot per stage, a
+// body writes only its own slot, and a dependency's slot is final once that
+// stage completed. The public FrameResult is assembled from the slots in
+// exactly one place, deliver.
 
 // StageID identifies one stage of the graph. The declaration order is a
 // valid topological order (validated at construction), which the executors
@@ -58,44 +70,41 @@ func (id StageID) String() string {
 
 // StageSpec declares one stage: the engine behind it (its telemetry.Stage
 // adapter supplies the canonical name), the stages it depends on, the
-// per-frame body, and the deadline-layer adapters.
-//
-// The Reads/Writes pair is the copy discipline that lets a budget-blown
-// attempt keep running after the frame has moved on: Reads copies the
-// stage's dependency-produced inputs from the frame into a private attempt
-// state, Writes commits only this stage's own output fields back. Both
-// touch exclusively fields this stage reads or owns, so a late attempt
-// never races the concurrent same-frame stages (DET ∥ LOC ∥ MISPLAN under
-// the Runner) or the delivered frame.
+// per-frame body, and its degraded mode.
 type StageSpec struct {
 	ID     StageID
 	Engine telemetry.Stage
 	Deps   []StageID
-	Run    func(*frameState) error
-
-	// Reads copies the stage's inputs (fields produced by its transitive
-	// dependencies, which are all complete when the stage starts) from src
-	// into dst. Required for every stage but SRC.
-	Reads func(dst, src *frameState)
-	// Writes commits the stage's own output fields from src (a completed
-	// attempt) into dst (the live frame). Required for every stage but SRC.
-	Writes func(dst, src *frameState)
-	// Fallback writes the stage's degraded-mode outputs into fs when its
-	// budget is blown: held previous outputs, a motion-model pose, or
-	// nothing (DET, whose degraded mode is the absence of detections).
-	// Required for every stage but SRC.
-	Fallback func(fs *frameState)
-	// Held, when set, records the stage's outputs after a successful
-	// execution as the hold state a later Fallback replays. Called from
-	// the stage's own execution context only, so it needs no locking.
-	Held func(fs *frameState)
+	// Run is the stage body: a function from its dependencies' output slots
+	// (fs.out of every transitive dependency — final once that stage
+	// completed, so even a budget-blown late attempt may read them in place)
+	// to its own slot. out is the only memory a body writes, which is what
+	// keeps a late attempt from racing the concurrent same-frame stages
+	// (DET ∥ LOC ∥ MISPLAN under the Runner) or the delivered frame.
+	Run func(fs *frameState, out *stageOut) error
+	// Fallback returns the stage's degraded-mode output when its budget is
+	// blown: a motion-model pose (LOC), nothing (DET, whose degraded mode is
+	// the absence of detections), or — the default buildGraph fills in —
+	// the stage's previous output, held. Called from the stage's own
+	// execution context with the engine quiescent. Required for every stage
+	// but SRC.
+	Fallback func() stageOut
 	// Anytime marks a stage whose body supports an anytime early exit
 	// under DeadlinePolicy.Anytime (DET): when its budget is nearly spent
 	// the body stops the network at a layer boundary and commits a coarser
 	// on-time result instead of missing. The body reads the exit signal
 	// from the frame state (detDeadline under wall-clock enforcement,
-	// anytimeFrac under virtual) and reports the exit via frameState.anytime.
+	// anytimeFrac under virtual) and reports the exit in its slot.
 	Anytime bool
+}
+
+// run executes the stage body into out and stamps the body's duration on
+// the slot — the one place a stage is timed.
+func (s StageSpec) run(fs *frameState, out *stageOut) error {
+	start := time.Now()
+	err := s.Run(fs, out)
+	out.dur = time.Since(start)
+	return err
 }
 
 // Graph is a validated declarative stage graph.
@@ -144,8 +153,8 @@ func (g *Graph) finalize() error {
 		if s.Engine == nil {
 			return fmt.Errorf("pipeline: stage %v has no engine", id)
 		}
-		if id != StageSrc && (s.Reads == nil || s.Writes == nil || s.Fallback == nil) {
-			return fmt.Errorf("pipeline: stage %v is missing deadline adapters (Reads/Writes/Fallback)", id)
+		if id != StageSrc && s.Fallback == nil {
+			return fmt.Errorf("pipeline: stage %v has no degraded-mode fallback", id)
 		}
 		if got, want := s.Engine.StageName(), id.String(); got != want {
 			return fmt.Errorf("pipeline: stage %v engine names itself %q", id, got)
@@ -209,13 +218,39 @@ func (g *Graph) finalize() error {
 	return nil
 }
 
-// frameState carries one frame through the stage graph. Stages write
-// disjoint FrameResult fields; cross-stage visibility is ordered by the
-// executors (done-channel close in Step, channel send in Runner), so
-// concurrent stages of the same frame never touch the same memory.
+// stageOut is one stage's output slot: the values the stage produces for
+// its consumers and for the delivered FrameResult (each stage fills only
+// its own few fields), plus its timing.
+type stageOut struct {
+	frame    scene.Frame          // SRC
+	dets     []detect.Detection   // DET
+	anytime  bool                 // DET: the body exited early, a coarser set
+	pose     slam.Estimate        // LOC
+	tracks   []*track.Track       // TRA: a deep-copied snapshot
+	fused    fusion.Frame         // FUSION
+	guidance mission.Guidance     // MISPLAN
+	speed    float64              // MISPLAN: guidance-shaped target speed for MOTPLAN
+	plan     plan.ConformalResult // MOTPLAN
+	command  control.Command      // CONTROL
+
+	// missed marks a slot holding the stage's fallback: the budget was
+	// blown. deliver folds missed and anytime into the DegradedMask.
+	missed bool
+	// dur is the stage's StageTiming entry, stamped by StageSpec.run around
+	// the body (or the budget, when the stage blew it); kernel and other
+	// are the body's breakdown instrumentation (DetDNN, LocFE,
+	// TraDNN/TraOther).
+	dur, kernel, other time.Duration
+}
+
+// frameState carries one frame through the stage graph. Each stage commits
+// exactly one slot of out; cross-stage visibility is ordered by the
+// executors (done-channel close in Step, channel send in Runner), and a
+// slot is final once its stage completed, so concurrent stages of the same
+// frame never touch the same memory.
 type frameState struct {
 	admitted time.Time
-	res      FrameResult
+	out      [NumStages]stageOut
 	// doneAt stamps each stage's completion; a consumer stage derives its
 	// queue wait as (execution start − latest dependency completion).
 	doneAt [NumStages]time.Time
@@ -223,10 +258,6 @@ type frameState struct {
 	// stage failed; errs holds each stage's own error.
 	failed [NumStages]bool
 	errs   [NumStages]error
-	// targetSpeed is MISPLAN's per-frame guidance-shaped speed for MOTPLAN
-	// (the leg speed limit cap and stop-line ramp); <= 0 keeps the
-	// planner's configured target speed.
-	targetSpeed float64
 	// detSize is the DET input resolution the tail scheduler's ladder
 	// committed for this frame at admission (0 = the detector's configured
 	// size). Stamped before SRC runs and read only by DET, so the
@@ -236,41 +267,16 @@ type frameState struct {
 	// bitwise equivalence.
 	detSize int
 	// detDeadline and anytimeFrac are DET's anytime-exit signals, set by
-	// runStage when the policy arms them: detDeadline is the guarded
-	// wall-clock finish line (wall enforcement), anytimeFrac the
-	// deterministic completed-budget fraction (virtual enforcement).
-	// anytime reports back that the body actually exited early; DET's
-	// Writes adapter carries it from a raced attempt to the live frame.
+	// runStage before the body starts when the policy arms them:
+	// detDeadline is the guarded wall-clock finish line (wall enforcement),
+	// anytimeFrac the deterministic completed-budget fraction (virtual
+	// enforcement).
 	detDeadline time.Time
 	anytimeFrac float64
-	anytime     bool
-	// degraded accumulates the frame's DegradedMask bits. Atomic because
-	// concurrent same-frame stages (DET ∥ LOC) may both miss their budget;
-	// the executors seal it into res.Degraded at delivery.
-	degraded atomic.Uint32
 }
 
-// markDegraded sets the stage's bit in the frame's degraded mask.
-// A CAS loop rather than atomic.Or: the module targets go 1.22, which
-// predates Uint32.Or.
-func (fs *frameState) markDegraded(id StageID) {
-	fs.orDegraded(uint32(1) << uint(id))
-}
-
-// markAnytime sets the mask's anytime bit (DET committed an early-exited
-// coarser result on time).
-func (fs *frameState) markAnytime() {
-	fs.orDegraded(uint32(1) << anytimeBit)
-}
-
-func (fs *frameState) orDegraded(bit uint32) {
-	for {
-		old := fs.degraded.Load()
-		if old&bit != 0 || fs.degraded.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
-}
+// frame is the frame's scenario index (valid once SRC has run).
+func (fs *frameState) frame() int { return fs.out[StageSrc].frame.Index }
 
 // err returns the frame's first error in stage order, if any.
 func (fs *frameState) err() error {
@@ -310,16 +316,19 @@ func (p *Pipeline) execStage(spec StageSpec, fs *frameState) {
 // policies and reports whether the stage failed. Four paths:
 //
 //   - injected hard error: the stage fails (the frame delivers with Err);
-//   - enforcement off (or the stage unbudgeted): run the body, sleeping
-//     any injected delay first;
+//   - enforcement off (or the stage unbudgeted): run the body, any injected
+//     delay riding the frame first;
 //   - virtual enforcement: charge only the injected delay against the
-//     budget, decide miss without timers, and still run the body
-//     synchronously (output discarded on miss) so engine state evolves
-//     exactly as under wall-clock enforcement;
-//   - wall-clock enforcement: write the fallback, race the attempt (on a
-//     private copy of the inputs) against the budget timer, and on a miss
+//     budget, decide miss without timers, and on a miss still run the body
+//     synchronously into a scratch slot so engine state evolves exactly as
+//     under wall-clock enforcement;
+//   - wall-clock enforcement: race the attempt, writing a private slot,
+//     against the budget timer; commit the slot if it wins, and on a miss
 //     abandon the attempt to the stage's pending slot — the stage's next
 //     frame drains it before touching the engine again.
+//
+// A missed stage's slot holds its fallback and the budget as its duration:
+// the time the frame actually waited on it.
 func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) bool {
 	// A previous frame of this stage may have abandoned a late attempt;
 	// it must finish before the engine is touched again. Pending slots are
@@ -327,7 +336,7 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 	p.drainStage(spec.ID)
 
 	start := time.Now()
-	frame := fs.res.Frame.Index
+	out := &fs.out[spec.ID]
 	var err error
 	missed := false
 	charged := time.Duration(0) // extra virtual time charged to the stage
@@ -337,23 +346,16 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 		// frame index (the generator assigns it inside the body). SRC has
 		// no budget: an injected error is a dropped frame, an injected
 		// delay models a stalled camera.
-		err = spec.Run(fs)
-		frame = fs.res.Frame.Index
+		err = spec.run(fs, out)
 		if err == nil && p.inject != nil {
-			delay, ierr := p.inject(spec.ID.String(), frame)
-			if delay > 0 {
-				if p.deadline.Virtual {
-					charged = delay
-				} else {
-					time.Sleep(delay)
-				}
-			}
-			err = ierr
+			var delay time.Duration
+			delay, err = p.inject(spec.ID.String(), fs.frame())
+			charged = p.stall(delay)
 		}
 	} else {
 		var delay time.Duration
 		if p.inject != nil {
-			delay, err = p.inject(spec.ID.String(), frame)
+			delay, err = p.inject(spec.ID.String(), fs.frame())
 		}
 		budget := p.budgets[spec.ID]
 		switch {
@@ -361,22 +363,15 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 			// Injected hard fault: fail the stage outright.
 		case budget <= 0:
 			// Unbudgeted (or enforcement off): delays ride the frame.
-			if delay > 0 {
-				if p.deadline.Virtual {
-					charged = delay
-				} else {
-					time.Sleep(delay)
-				}
-			}
-			err = spec.Run(fs)
+			charged = p.stall(delay)
+			err = spec.run(fs, out)
 		case p.deadline.Virtual:
 			charged = delay
 			if delay > budget {
 				missed = true
-				spec.Fallback(fs)
-				att := &frameState{admitted: fs.admitted}
-				spec.Reads(att, fs)
-				spec.Run(att) // engine state advances as under wall mode; output discarded
+				*out = spec.Fallback()
+				var late stageOut
+				spec.run(fs, &late) // engine state advances as under wall mode; output discarded
 			} else {
 				if spec.Anytime && p.deadline.Anytime && 2*delay > budget {
 					// Deterministic anytime rule: more than half the budget
@@ -386,7 +381,7 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 					// bitwise-reproducible.
 					fs.anytimeFrac = 1 - float64(delay)/float64(budget)
 				}
-				err = spec.Run(fs)
+				err = spec.run(fs, out)
 			}
 		default:
 			if spec.Anytime && p.deadline.Anytime {
@@ -396,46 +391,40 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 				// exit still commits before the miss timer below.
 				fs.detDeadline = time.Now().Add(budget - time.Duration(AnytimeGuardFrac*float64(budget)))
 			}
-			spec.Fallback(fs)
-			att := &frameState{admitted: fs.admitted}
-			spec.Reads(att, fs)
+			// Taken before the attempt starts, while the engine is still
+			// quiescent (LOC's fallback reads it).
+			fallback := spec.Fallback()
+			att := new(stageOut)
 			attDone := make(chan struct{})
 			var attErr error
 			go func() {
 				defer close(attDone)
-				if delay > 0 {
-					time.Sleep(delay)
-				}
-				attErr = spec.Run(att)
+				time.Sleep(delay)
+				attErr = spec.run(fs, att)
 			}()
 			timer := time.NewTimer(budget)
 			select {
 			case <-attDone:
 				timer.Stop()
-				if attErr != nil {
-					err = attErr
-				} else {
-					spec.Writes(fs, att)
-				}
+				*out, err = *att, attErr
 			case <-timer.C:
 				missed = true
+				*out = fallback
 				p.pending[spec.ID] = attDone
 			}
 		}
-		if err == nil && !missed && spec.Held != nil {
-			spec.Held(fs)
+		if missed {
+			out.missed, out.dur, out.kernel, out.other = true, budget, 0, 0
+			p.met.miss.Inc()
+			p.met.stageMiss[spec.ID].Inc()
+		} else if err == nil && budget > 0 {
+			p.held[spec.ID] = *out // what an unbudgeted stage never replays needn't be kept
 		}
 	}
 
-	if missed {
-		fs.markDegraded(spec.ID)
-		p.met.miss.Inc()
-		p.met.stageMiss[spec.ID].Inc()
-	}
-	if spec.Anytime && fs.anytime && !missed {
+	if out.anytime {
 		// The body exited early and its (possibly raced) attempt committed
 		// in time: a coarser on-time frame, not a miss.
-		fs.markAnytime()
 		p.met.anytime.Inc()
 	}
 	if err != nil {
@@ -446,11 +435,21 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 	}
 	p.sink.Span(telemetry.Span{
 		Stage: spec.Engine.StageName(),
-		Frame: frame,
+		Frame: fs.frame(),
 		Queue: start.Sub(ready),
 		Exec:  time.Since(start) + charged,
 	})
 	return err != nil
+}
+
+// stall lets an unbudgeted injected delay ride the frame: slept on the
+// wall clock, or returned as virtual time to charge under Virtual.
+func (p *Pipeline) stall(delay time.Duration) time.Duration {
+	if p.deadline.Virtual {
+		return delay
+	}
+	time.Sleep(delay)
+	return 0
 }
 
 // drainStage blocks until the stage's abandoned late attempt, if any, has
@@ -463,15 +462,55 @@ func (p *Pipeline) drainStage(id StageID) {
 	}
 }
 
-// sealFrame freezes the frame's degraded mask into the result at delivery
-// time and counts degraded frames. Called exactly once per frame, by the
-// delivering executor.
-func (p *Pipeline) sealFrame(fs *frameState) {
-	mask := DegradedMask(fs.degraded.Load())
-	fs.res.Degraded = mask
-	if mask.Any() {
+// deliver assembles the frame's public result from the stage slots and
+// reports it to the sink. It is the one place FrameResult and StageTiming
+// are written, called exactly once per frame by the delivering executor
+// (Step or the Runner) after CONTROL completed.
+func (p *Pipeline) deliver(fs *frameState) RunnerResult {
+	o := &fs.out
+	res := FrameResult{
+		Frame:      o[StageSrc].frame,
+		Detections: o[StageDet].dets,
+		Tracks:     o[StageTra].tracks,
+		Pose:       o[StageLoc].pose,
+		Fused:      o[StageFusion].fused,
+		Plan:       o[StageMotplan].plan,
+		Guidance:   o[StageMisplan].guidance,
+		Command:    o[StageControl].command,
+		Timing: StageTiming{
+			Det: o[StageDet].dur, Tra: o[StageTra].dur, Loc: o[StageLoc].dur,
+			Fusion: o[StageFusion].dur, MisPlan: o[StageMisplan].dur,
+			MotPlan: o[StageMotplan].dur, Control: o[StageControl].dur,
+			DetDNN: o[StageDet].kernel, LocFE: o[StageLoc].kernel,
+			TraDNN: o[StageTra].kernel, TraOther: o[StageTra].other,
+		},
+	}
+	for id := range o {
+		if o[id].missed {
+			res.Degraded |= 1 << uint(id)
+		}
+		if o[id].anytime {
+			res.Degraded |= 1 << anytimeBit
+		}
+	}
+	if !fs.failed[StageControl] {
+		// The dependency law: max(LOC, DET+TRA) + FUSION + MOTPLAN +
+		// CONTROL. A frame that errored short of CONTROL has no E2E.
+		tm := &res.Timing
+		tm.E2E = max(tm.Loc, tm.Det+tm.Tra) + tm.Fusion + tm.MotPlan + tm.Control
+	}
+	if res.Degraded.Any() {
 		p.met.degraded.Inc()
 	}
+	err := fs.err()
+	wall := time.Since(fs.admitted)
+	p.sink.FrameDone(telemetry.FrameEnd{
+		Frame:    res.Frame.Index,
+		Wall:     wall,
+		Err:      err != nil,
+		Degraded: res.Degraded.Any(),
+	})
+	return RunnerResult{FrameResult: res, Err: err, Wall: wall}
 }
 
 // runFrame executes the whole graph for one frame: one goroutine per

@@ -82,8 +82,6 @@ func TestGraphValidationRejectsBadTopologies(t *testing.T) {
 		"missing body":     func(g *Graph) { g.stages[StageTra].Run = nil },
 		"missing engine":   func(g *Graph) { g.stages[StageDet].Engine = nil },
 		"missing fallback": func(g *Graph) { g.stages[StageTra].Fallback = nil },
-		"missing reads":    func(g *Graph) { g.stages[StageLoc].Reads = nil },
-		"missing writes":   func(g *Graph) { g.stages[StageControl].Writes = nil },
 		"self loop":        func(g *Graph) { g.stages[StageTra].Deps = []StageID{StageTra} },
 		"unknown dep":      func(g *Graph) { g.stages[StageTra].Deps = []StageID{NumStages + 3} },
 		"duplicate dep":    func(g *Graph) { g.stages[StageFusion].Deps = []StageID{StageTra, StageTra} },

@@ -157,20 +157,10 @@ type Pipeline struct {
 	// quiescent Drain) touches its slot, so no locking.
 	pending [NumStages]chan struct{}
 
-	// held is each stage's last good output, replayed by the degraded
-	// fallbacks. Each field is written only from its own stage's
+	// held is each stage's last good output slot, replayed by the default
+	// hold-previous fallback. Each slot is written only from its own stage's
 	// execution context.
-	held heldState
-}
-
-// heldState is the previous-output hold the degraded fallbacks replay.
-type heldState struct {
-	tracks      []*track.Track
-	fused       fusion.Frame
-	guidance    mission.Guidance
-	targetSpeed float64
-	plan        plan.ConformalResult
-	command     control.Command
+	held [NumStages]stageOut
 }
 
 // NewNative constructs the native pipeline, surveying the prior map first
@@ -221,7 +211,7 @@ func NewNative(cfg Config) (*Pipeline, error) {
 		budgets:  cfg.Deadline.resolve(),
 		met:      newDeadlineMetrics(reg),
 	}
-	p.held.targetSpeed = cfg.Plan.TargetSpeed
+	p.held[StageMisplan].speed = cfg.Plan.TargetSpeed
 	p.g = p.buildGraph()
 	if err := p.g.finalize(); err != nil {
 		return nil, err
@@ -241,9 +231,9 @@ func NewNative(cfg Config) (*Pipeline, error) {
 }
 
 // buildGraph declares the Figure 1 stage graph over this pipeline's
-// engines. This is the only place the topology — and each stage's
-// input/output field ownership (the Reads/Writes copy discipline the
-// deadline layer depends on) — is written down.
+// engines. This is the only place the topology is written down. A stage
+// that declares no fallback of its own holds its previous output when its
+// budget is blown (the track table, fused frame, guidance, plan, command).
 func (p *Pipeline) buildGraph() Graph {
 	var g Graph
 	g.stages[StageSrc] = StageSpec{
@@ -252,139 +242,38 @@ func (p *Pipeline) buildGraph() Graph {
 	g.stages[StageDet] = StageSpec{
 		ID: StageDet, Engine: p.det, Deps: []StageID{StageSrc}, Run: p.runDet,
 		Anytime: true,
-		Reads: func(dst, src *frameState) {
-			dst.res.Frame = src.res.Frame
-			dst.detSize = src.detSize
-			dst.detDeadline = src.detDeadline
-			dst.anytimeFrac = src.anytimeFrac
-		},
-		Writes: func(dst, src *frameState) {
-			dst.res.Detections = src.res.Detections
-			dst.res.Timing.Det = src.res.Timing.Det
-			dst.res.Timing.DetDNN = src.res.Timing.DetDNN
-			dst.anytime = src.anytime
-		},
 		// DET miss ⇒ TRA-only frame: no fresh detections; the tracker
-		// coasts its table on motion alone. The zero-value fields already
-		// say exactly that.
-		Fallback: func(fs *frameState) {},
+		// coasts its table on motion alone. The empty slot says exactly that.
+		Fallback: func() stageOut { return stageOut{} },
 	}
 	g.stages[StageLoc] = StageSpec{
 		ID: StageLoc, Engine: p.loc, Deps: []StageID{StageSrc}, Run: p.runLoc,
-		Reads: func(dst, src *frameState) {
-			dst.res.Frame = src.res.Frame
-		},
-		Writes: func(dst, src *frameState) {
-			dst.res.Pose = src.res.Pose
-			dst.res.Timing.Loc = src.res.Timing.Loc
-			dst.res.Timing.LocFE = src.res.Timing.LocFE
-		},
 		// LOC miss ⇒ motion-model-only pose, flagged stale. PredictPose
-		// only reads engine state, which is quiescent here: the previous
-		// LOC frame is complete and any late attempt was drained.
-		Fallback: func(fs *frameState) {
-			fs.res.Pose = slam.Estimate{Pose: p.loc.PredictPose(), Stale: true}
+		// only reads engine state, which is quiescent when runStage asks:
+		// the previous LOC frame is complete and any late attempt drained.
+		Fallback: func() stageOut {
+			return stageOut{pose: slam.Estimate{Pose: p.loc.PredictPose(), Stale: true}}
 		},
 	}
 	g.stages[StageTra] = StageSpec{
 		ID: StageTra, Engine: p.tra, Deps: []StageID{StageDet}, Run: p.runTra,
-		Reads: func(dst, src *frameState) {
-			dst.res.Frame = src.res.Frame
-			dst.res.Detections = src.res.Detections
-		},
-		Writes: func(dst, src *frameState) {
-			dst.res.Tracks = src.res.Tracks
-			dst.res.Timing.Tra = src.res.Timing.Tra
-			dst.res.Timing.TraDNN = src.res.Timing.TraDNN
-			dst.res.Timing.TraOther = src.res.Timing.TraOther
-		},
-		// TRA miss ⇒ previous frame's track table (a deep-copied snapshot,
-		// immune to the tracker's later mutation).
-		Fallback: func(fs *frameState) {
-			fs.res.Tracks = p.held.tracks
-		},
-		Held: func(fs *frameState) {
-			p.held.tracks = fs.res.Tracks
-		},
 	}
 	g.stages[StageFusion] = StageSpec{
 		ID: StageFusion, Engine: p.fuse, Deps: []StageID{StageTra, StageLoc}, Run: p.runFusion,
-		Reads: func(dst, src *frameState) {
-			dst.res.Tracks = src.res.Tracks
-			dst.res.Pose = src.res.Pose
-		},
-		Writes: func(dst, src *frameState) {
-			dst.res.Fused = src.res.Fused
-			dst.res.Timing.Fusion = src.res.Timing.Fusion
-		},
-		Fallback: func(fs *frameState) {
-			fs.res.Fused = p.held.fused
-		},
-		Held: func(fs *frameState) {
-			p.held.fused = fs.res.Fused
-		},
 	}
 	g.stages[StageMisplan] = StageSpec{
 		ID: StageMisplan, Engine: p.mis, Deps: []StageID{StageLoc}, Run: p.runMisplan,
-		Reads: func(dst, src *frameState) {
-			dst.res.Pose = src.res.Pose
-			dst.res.Frame = src.res.Frame
-		},
-		Writes: func(dst, src *frameState) {
-			dst.res.Guidance = src.res.Guidance
-			dst.res.Timing.MisPlan = src.res.Timing.MisPlan
-			dst.targetSpeed = src.targetSpeed
-		},
-		Fallback: func(fs *frameState) {
-			fs.res.Guidance = p.held.guidance
-			fs.targetSpeed = p.held.targetSpeed
-		},
-		Held: func(fs *frameState) {
-			p.held.guidance = fs.res.Guidance
-			p.held.targetSpeed = fs.targetSpeed
-		},
 	}
 	g.stages[StageMotplan] = StageSpec{
 		ID: StageMotplan, Engine: p.mot, Deps: []StageID{StageFusion, StageMisplan}, Run: p.runMotplan,
-		Reads: func(dst, src *frameState) {
-			dst.res.Fused = src.res.Fused
-			dst.res.Pose = src.res.Pose
-			dst.targetSpeed = src.targetSpeed
-		},
-		Writes: func(dst, src *frameState) {
-			dst.res.Plan = src.res.Plan
-			dst.res.Timing.MotPlan = src.res.Timing.MotPlan
-		},
-		// MOTPLAN miss ⇒ previous-plan hold: the vehicle keeps following
-		// the last committed trajectory for one frame.
-		Fallback: func(fs *frameState) {
-			fs.res.Plan = p.held.plan
-		},
-		Held: func(fs *frameState) {
-			p.held.plan = fs.res.Plan
-		},
 	}
 	g.stages[StageControl] = StageSpec{
 		ID: StageControl, Engine: p.ctl, Deps: []StageID{StageMotplan}, Run: p.runControl,
-		Reads: func(dst, src *frameState) {
-			dst.res.Pose = src.res.Pose
-			dst.res.Plan = src.res.Plan
-			dst.res.Timing = src.res.Timing
-		},
-		Writes: func(dst, src *frameState) {
-			dst.res.Command = src.res.Command
-			dst.res.Timing.Control = src.res.Timing.Control
-			dst.res.Timing.E2E = src.res.Timing.E2E
-		},
-		// CONTROL miss ⇒ previous-command hold. The fallback still seals
-		// the frame's E2E timing — CONTROL is the terminal stage.
-		Fallback: func(fs *frameState) {
-			fs.res.Command = p.held.command
-			sealE2E(&fs.res.Timing)
-		},
-		Held: func(fs *frameState) {
-			p.held.command = fs.res.Command
-		},
+	}
+	for id := StageDet; id < NumStages; id++ {
+		if g.stages[id].Fallback == nil {
+			g.stages[id].Fallback = func() stageOut { return p.held[id] }
+		}
 	}
 	return g
 }
@@ -409,16 +298,8 @@ func (p *Pipeline) Tracker() *track.Engine { return p.tra }
 func (p *Pipeline) Step() (FrameResult, error) {
 	fs := &frameState{admitted: time.Now()}
 	p.runFrame(fs)
-	p.sealFrame(fs)
-	err := fs.err()
-	wall := time.Since(fs.admitted)
-	p.sink.FrameDone(telemetry.FrameEnd{
-		Frame:    fs.res.Frame.Index,
-		Wall:     wall,
-		Err:      err != nil,
-		Degraded: fs.res.Degraded.Any(),
-	})
-	return fs.res, err
+	res := p.deliver(fs)
+	return res.FrameResult, res.Err
 }
 
 // Drain blocks until every abandoned late stage attempt has finished. Call
@@ -433,83 +314,72 @@ func (p *Pipeline) Drain() {
 }
 
 // runSrc renders the next scenario frame (the SRC stage).
-func (p *Pipeline) runSrc(fs *frameState) error {
-	fs.res.Frame = p.gen.Step()
+func (p *Pipeline) runSrc(_ *frameState, out *stageOut) error {
+	out.frame = p.gen.Step()
 	return nil
 }
 
-// runDet executes the DET stage for one frame, filling Detections and the
-// DET timings. Timing comes back from the engine by return value, so
+// runDet executes the DET stage for one frame, filling the detections and
+// the DNN time. Timing comes back from the engine by return value, so
 // overlapping frames in the pipelined runner cannot alias each other's
 // instrumentation. The frame state carries the tail scheduler's per-frame
 // resolution rung and the deadline layer's anytime-exit signals into the
-// engine, and the engine's early-exit flag back out.
-func (p *Pipeline) runDet(fs *frameState) error {
-	start := time.Now()
-	dets, tm, info := p.det.DetectBudgeted(fs.res.Frame.Image, detect.BudgetOpts{
+// engine; the engine's early-exit flag goes back out through the slot.
+func (p *Pipeline) runDet(fs *frameState, out *stageOut) error {
+	dets, tm, info := p.det.DetectBudgeted(fs.out[StageSrc].frame.Image, detect.BudgetOpts{
 		InputSize:   fs.detSize,
 		Deadline:    fs.detDeadline,
 		VirtualFrac: fs.anytimeFrac,
 	})
-	fs.anytime = info.EarlyExit
-	fs.res.Detections = dets
-	fs.res.Timing.Det = time.Since(start)
-	fs.res.Timing.DetDNN = tm.DNN
+	out.dets, out.anytime, out.kernel = dets, info.EarlyExit, tm.DNN
 	if tm.DNN > 0 {
-		p.sink.Span(telemetry.Span{Stage: "DET/dnn", Frame: fs.res.Frame.Index, Exec: tm.DNN})
+		p.sink.Span(telemetry.Span{Stage: "DET/dnn", Frame: fs.frame(), Exec: tm.DNN})
 	}
 	return nil
 }
 
-// runLoc executes the LOC stage for one frame, filling Pose and the LOC
-// timings.
-func (p *Pipeline) runLoc(fs *frameState) error {
-	start := time.Now()
-	est, tm := p.loc.LocalizeTimed(fs.res.Frame.Image)
-	fs.res.Pose = est
-	fs.res.Timing.Loc = time.Since(start)
-	fs.res.Timing.LocFE = tm.FE
+// runLoc executes the LOC stage for one frame, filling the pose and the
+// feature-extraction time.
+func (p *Pipeline) runLoc(fs *frameState, out *stageOut) error {
+	est, tm := p.loc.LocalizeTimed(fs.out[StageSrc].frame.Image)
+	out.pose, out.kernel = est, tm.FE
 	if tm.FE > 0 {
-		p.sink.Span(telemetry.Span{Stage: "LOC/fe", Frame: fs.res.Frame.Index, Exec: tm.FE})
+		p.sink.Span(telemetry.Span{Stage: "LOC/fe", Frame: fs.frame(), Exec: tm.FE})
 	}
 	return nil
 }
 
 // runTra executes the TRA stage for one frame (step 1c): the tracker table
-// advances and res receives a deep-copied snapshot immune to later frames.
-// The kernel sub-spans are emitted only on frames where the tracker pool's
-// DNN actually ran, mirroring the Fig 7 accounting (per-tracker work sums,
-// not wall time).
-func (p *Pipeline) runTra(fs *frameState) error {
-	start := time.Now()
-	dets := make([]track.Detection, len(fs.res.Detections))
-	for i, d := range fs.res.Detections {
+// advances and the slot receives a deep-copied snapshot immune to later
+// frames. The kernel sub-spans are emitted only on frames where the tracker
+// pool's DNN actually ran, mirroring the Fig 7 accounting (per-tracker work
+// sums, not wall time).
+func (p *Pipeline) runTra(fs *frameState, out *stageOut) error {
+	in := fs.out[StageDet].dets
+	dets := make([]track.Detection, len(in))
+	for i, d := range in {
 		dets[i] = track.Detection{Box: d.Box, Class: d.Class}
 	}
-	tracks, tm := p.tra.Step(fs.res.Frame.Image, dets)
-	fs.res.Tracks = tracks
-	fs.res.Timing.Tra = time.Since(start)
-	fs.res.Timing.TraDNN = tm.DNN
-	fs.res.Timing.TraOther = tm.Other
+	tracks, tm := p.tra.Step(fs.out[StageSrc].frame.Image, dets)
+	out.tracks, out.kernel, out.other = tracks, tm.DNN, tm.Other
 	if tm.DNN > 0 {
-		p.sink.Span(telemetry.Span{Stage: "TRA/dnn", Frame: fs.res.Frame.Index, Exec: tm.DNN})
-		p.sink.Span(telemetry.Span{Stage: "TRA/other", Frame: fs.res.Frame.Index, Exec: tm.Other})
+		p.sink.Span(telemetry.Span{Stage: "TRA/dnn", Frame: fs.frame(), Exec: tm.DNN})
+		p.sink.Span(telemetry.Span{Stage: "TRA/other", Frame: fs.frame(), Exec: tm.Other})
 	}
 	return nil
 }
 
 // runFusion executes the FUSION stage (step 2): tracked objects and the
 // vehicle pose merge into one world frame.
-func (p *Pipeline) runFusion(fs *frameState) error {
-	start := time.Now()
-	tracked := make([]fusion.TrackedObject, len(fs.res.Tracks))
-	for i, tr := range fs.res.Tracks {
+func (p *Pipeline) runFusion(fs *frameState, out *stageOut) error {
+	tracks := fs.out[StageTra].tracks
+	tracked := make([]fusion.TrackedObject, len(tracks))
+	for i, tr := range tracks {
 		tracked[i] = fusion.TrackedObject{
 			ID: tr.ID, Class: tr.Class, Box: tr.Box, VX: tr.VX, VY: tr.VY,
 		}
 	}
-	fs.res.Fused = p.fuse.Fuse(fs.res.Pose.Pose, tracked)
-	fs.res.Timing.Fusion = time.Since(start)
+	out.fused = p.fuse.Fuse(fs.out[StageLoc].pose.Pose, tracked)
 	return nil
 }
 
@@ -517,20 +387,20 @@ func (p *Pipeline) runFusion(fs *frameState) error {
 // deviation). The rule engine's outputs shape the motion plan: the leg's
 // speed limit caps the target speed, and an upcoming stop line ramps it
 // down linearly over the approach zone so the vehicle arrives stopped. The
-// shaped speed travels to MOTPLAN through the frame state, never by
-// mutating shared configuration.
-func (p *Pipeline) runMisplan(fs *frameState) error {
-	fs.targetSpeed = p.cfg.Plan.TargetSpeed
+// shaped speed travels to MOTPLAN through the slot, never by mutating
+// shared configuration.
+func (p *Pipeline) runMisplan(fs *frameState, out *stageOut) error {
+	out.speed = p.cfg.Plan.TargetSpeed
 	if p.mis == nil {
 		return nil
 	}
-	start := time.Now()
-	guid, err := p.mis.UpdateAt(fs.res.Pose.Pose.X, fs.res.Pose.Pose.Z, fs.res.Frame.Time)
+	pose := fs.out[StageLoc].pose.Pose
+	guid, err := p.mis.UpdateAt(pose.X, pose.Z, fs.out[StageSrc].frame.Time)
 	if err != nil {
 		return fmt.Errorf("pipeline: mission update: %w", err)
 	}
-	fs.res.Guidance = guid
-	ts := fs.targetSpeed
+	out.guidance = guid
+	ts := out.speed
 	if guid.SpeedLimit > 0 && guid.SpeedLimit < ts {
 		ts = guid.SpeedLimit
 	}
@@ -544,54 +414,37 @@ func (p *Pipeline) runMisplan(fs *frameState) error {
 			ts = v
 		}
 	}
-	fs.targetSpeed = ts
-	fs.res.Timing.MisPlan = time.Since(start)
+	out.speed = ts
 	return nil
 }
 
 // runMotplan executes the MOTPLAN stage (step 3): plan in the ego lane
 // frame against fused objects, under MISPLAN's guidance-shaped target
 // speed.
-func (p *Pipeline) runMotplan(fs *frameState) error {
-	start := time.Now()
-	obstacles := make([]plan.Obstacle, 0, len(fs.res.Fused.Objects))
-	for _, o := range fs.res.Fused.Objects {
+func (p *Pipeline) runMotplan(fs *frameState, out *stageOut) error {
+	objects := fs.out[StageFusion].fused.Objects
+	obstacles := make([]plan.Obstacle, 0, len(objects))
+	for _, o := range objects {
 		obstacles = append(obstacles, plan.Obstacle{
 			X: o.X, Z: o.Z, Radius: o.Width/2 + 0.5, VX: o.VX, VZ: o.VZ,
 		})
 	}
-	pr, err := p.mot.Plan(fs.res.Pose.Pose.X, fs.res.Pose.Pose.Z, obstacles, fs.targetSpeed)
+	pose := fs.out[StageLoc].pose.Pose
+	pr, err := p.mot.Plan(pose.X, pose.Z, obstacles, fs.out[StageMisplan].speed)
 	if err != nil {
 		return fmt.Errorf("pipeline: motion planning: %w", err)
 	}
-	fs.res.Plan = pr
-	fs.res.Timing.MotPlan = time.Since(start)
+	out.plan = pr
 	return nil
 }
 
 // runControl executes the CONTROL stage (step 5): actuation commands that
-// follow the plan. As the graph's terminal stage it also seals the frame's
-// E2E timing under the dependency law.
-func (p *Pipeline) runControl(fs *frameState) error {
-	start := time.Now()
-	speed := p.cfg.Scene.EgoSpeed // the scenario ego's current speed
-	fs.res.Command = p.ctl.Track(control.State{
-		X: fs.res.Pose.Pose.X, Z: fs.res.Pose.Pose.Z,
-		Theta: fs.res.Pose.Pose.Theta, Speed: speed,
-	}, fs.res.Plan.Path)
-	fs.res.Timing.Control = time.Since(start)
-	sealE2E(&fs.res.Timing)
+// follow the plan.
+func (p *Pipeline) runControl(fs *frameState, out *stageOut) error {
+	pose := fs.out[StageLoc].pose.Pose
+	out.command = p.ctl.Track(control.State{
+		X: pose.X, Z: pose.Z, Theta: pose.Theta,
+		Speed: p.cfg.Scene.EgoSpeed, // the scenario ego's current speed
+	}, fs.out[StageMotplan].plan.Path)
 	return nil
-}
-
-// sealE2E computes the frame's end-to-end latency under the dependency
-// law: max(LOC, DET+TRA) + FUSION + MOTPLAN + CONTROL. Factored out so
-// CONTROL's degraded fallback seals timing the same way the real body
-// does.
-func sealE2E(tm *StageTiming) {
-	critical := tm.Det + tm.Tra
-	if tm.Loc > critical {
-		critical = tm.Loc
-	}
-	tm.E2E = critical + tm.Fusion + tm.MotPlan + tm.Control
 }

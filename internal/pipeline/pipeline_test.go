@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -103,13 +104,10 @@ func TestNativeE2ETimingLaw(t *testing.T) {
 	}
 }
 
-func TestNativeWithMission(t *testing.T) {
-	cfg := fastNativeConfig(scene.Urban)
-	p, err := NewNative(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A straight route along the scenario's road (nodes every 100 m in Z).
+// straightMission plans a straight route along the scenario's road (nodes
+// every 100 m in Z, local-class legs).
+func straightMission(t *testing.T) *mission.Planner {
+	t.Helper()
 	g := mission.NewGraph()
 	for i := 0; i < 5; i++ {
 		g.AddNode(mission.Node{ID: mission.NodeID(i), X: 0, Z: float64(i) * 100})
@@ -128,7 +126,16 @@ func TestNativeWithMission(t *testing.T) {
 	if err := mp.Start(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	p.AttachMission(mp)
+	return mp
+}
+
+func TestNativeWithMission(t *testing.T) {
+	cfg := fastNativeConfig(scene.Urban)
+	p, err := NewNative(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.AttachMission(straightMission(t))
 
 	res, err := p.Step()
 	if err != nil {
@@ -140,6 +147,56 @@ func TestNativeWithMission(t *testing.T) {
 	// The local speed limit (8.3) must cap the plan's speed (ego 13 m/s).
 	if res.Plan.Speed > mission.Local.SpeedLimit()+1e-9 {
 		t.Errorf("plan speed %v exceeds guidance limit", res.Plan.Speed)
+	}
+}
+
+// TestDeliveredFrameIsComplete guards the single result assembler
+// (Pipeline.deliver): a clean, mission-attached, DNN-on frame must come out
+// of BOTH executors with every output field and every StageTiming field
+// filled. The parity tests cannot see a forgotten field — Step and Runner
+// share the assembler and would forget it together.
+func TestDeliveredFrameIsComplete(t *testing.T) {
+	const frames = 4 // TraDNN needs a populated track table
+	cfg := fastNativeConfig(scene.Urban)
+	cfg.Detect.RunDNN = true
+	cfg.Track.RunDNN = true
+	last := map[string]FrameResult{}
+	seq, err := NewNative(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.AttachMission(straightMission(t))
+	for i := 0; i < frames; i++ {
+		if last["step"], err = seq.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipe, err := NewNative(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.AttachMission(straightMission(t))
+	r, err := NewRunner(pipe, RunnerOptions{InFlight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for res := range r.Run(frames) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		last["runner"] = res.FrameResult
+	}
+	for name, res := range last {
+		if res.Degraded.Any() {
+			t.Errorf("%s: clean frame delivered degraded: %v", name, res.Degraded)
+		}
+		for _, v := range []reflect.Value{reflect.ValueOf(res), reflect.ValueOf(res.Timing)} {
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Type().Field(i); f.Name != "Degraded" && v.Field(i).IsZero() {
+					t.Errorf("%s: %s.%s delivered zero", name, v.Type().Name(), f.Name)
+				}
+			}
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"adsim/internal/telemetry"
 )
 
 // RunnerOptions parameterizes the pipelined executor.
@@ -75,10 +73,72 @@ type RunnerResult struct {
 type Runner struct {
 	p       *Pipeline
 	opts    RunnerOptions
+	win     *window
 	results chan RunnerResult
-	quit    chan struct{}
 	started atomic.Bool
-	stop    sync.Once
+}
+
+// window is the Runner's admission window: at most limit frames admitted
+// but not yet delivered. A TailScheduler embeds one and adapts it — moving
+// limit, choosing the size admitted frames are stamped with, folding each
+// delivered frame's latency — all under mu.
+type window struct {
+	mu       sync.Mutex
+	cond     *sync.Cond // on mu: a slot freed, or the window closed
+	limit    int        // >= 1
+	inflight int        // admitted but undelivered frames
+	closed   bool
+	// size is the DET input size stamped on admitted frames (0 = the
+	// detector's configured size); delivered, when set, is called under mu
+	// with each delivered frame's wall latency.
+	size      int
+	delivered func(wallMs float64)
+}
+
+func newWindow(limit int) *window {
+	w := &window{limit: limit}
+	w.cond = sync.NewCond(&w.mu)
+	return w
+}
+
+// admit blocks until a slot is free and claims it, returning the DET input
+// size committed for the admitted frame — read under the same lock that
+// decides rung transitions, by the single admitting goroutine, so frames
+// observe resolution changes strictly in admission order. ok=false after
+// interrupt.
+func (w *window) admit() (size int, ok bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for !w.closed && w.inflight >= w.limit {
+		w.cond.Wait()
+	}
+	if w.closed {
+		return 0, false
+	}
+	w.inflight++
+	return w.size, true
+}
+
+// frameDone frees the delivered frame's slot.
+func (w *window) frameDone(wallMs float64) {
+	w.mu.Lock()
+	if w.inflight > 0 {
+		w.inflight--
+	}
+	if w.delivered != nil {
+		w.delivered(wallMs)
+	}
+	w.mu.Unlock()
+	w.cond.Signal()
+}
+
+// interrupt permanently unblocks admission: no frame is admitted after it
+// returns.
+func (w *window) interrupt() {
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
+	w.cond.Broadcast()
 }
 
 // NewRunner wraps a native pipeline in a pipelined executor.
@@ -92,18 +152,17 @@ func NewRunner(p *Pipeline, opts RunnerOptions) (*Runner, error) {
 	if opts.InFlight < 1 {
 		return nil, fmt.Errorf("pipeline: InFlight %d must be positive", opts.InFlight)
 	}
+	var win *window
 	if opts.Tail != nil {
 		if err := opts.Tail.attach(opts.InFlight); err != nil {
 			return nil, err
 		}
 		p.det.Warm(opts.Tail.ladder...)
+		win = &opts.Tail.window
+	} else {
+		win = newWindow(opts.InFlight)
 	}
-	return &Runner{
-		p:       p,
-		opts:    opts,
-		results: make(chan RunnerResult),
-		quit:    make(chan struct{}),
-	}, nil
+	return &Runner{p: p, opts: opts, win: win, results: make(chan RunnerResult)}, nil
 }
 
 // InFlight reports the configured pipelining window.
@@ -135,9 +194,7 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 	deliver := make(chan *frameState, n)
 	outputs[StageControl] = append(outputs[StageControl], deliver)
 
-	window := make(chan struct{}, n) // admission tokens: bounds frames in flight
-	tail := r.opts.Tail              // non-nil: the scheduler IS the window
-	var stages sync.WaitGroup        // every engine-stage goroutine, for shutdown
+	var stages sync.WaitGroup // every engine-stage goroutine, for shutdown
 
 	closeAll := func(chs []chan *frameState) {
 		for _, ch := range chs {
@@ -146,13 +203,13 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 	}
 
 	// SRC: render frames in scenario order and admit them into the window.
-	// Under a tail scheduler, admission blocks on the ADAPTIVE window (the
-	// live limit, <= n) while the stage edges above stay buffered to the
-	// ceiling n — so a mid-flight shrink only slows admission, it can never
-	// make an in-flight frame's fan-out send block and deadlock a join.
-	// The admitted frame is stamped with the controller's current
-	// resolution rung under the same lock that decides rung transitions,
-	// so scale changes reach DET strictly in admission order.
+	// Under a tail scheduler the window is ADAPTIVE (the live limit, <= n)
+	// while the stage edges above stay buffered to the ceiling n — so a
+	// mid-flight shrink only slows admission, it can never make an
+	// in-flight frame's fan-out send block and deadlock a join. The
+	// admitted frame is stamped with the controller's current resolution
+	// rung under the same lock that decides rung transitions, so scale
+	// changes reach DET strictly in admission order.
 	srcSpec := g.stages[StageSrc]
 	srcOut := outputs[StageSrc]
 	gate := r.opts.gate
@@ -165,26 +222,9 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 			if gate != nil && !gate.Admit() {
 				return // shed stream ended, or Stop
 			}
-			var detSize int
-			if tail != nil {
-				size, ok := tail.admit()
-				if !ok {
-					return // Stop interrupted admission
-				}
-				detSize = size
-			} else {
-				// quit first: when a slot and quit are both ready, select
-				// picks at random, and Stop must never admit another frame.
-				select {
-				case <-r.quit:
-					return
-				default:
-				}
-				select {
-				case window <- struct{}{}:
-				case <-r.quit:
-					return
-				}
+			detSize, ok := r.win.admit()
+			if !ok {
+				return // Stop interrupted admission
 			}
 			fs := &frameState{admitted: time.Now(), detSize: detSize}
 			r.p.execStage(srcSpec, fs)
@@ -242,26 +282,10 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 	go func() {
 		defer close(r.results)
 		for fs := range deliver {
-			r.p.sealFrame(fs)
-			wall := time.Since(fs.admitted)
-			err := fs.err()
-			r.p.sink.FrameDone(telemetry.FrameEnd{
-				Frame:    fs.res.Frame.Index,
-				Wall:     wall,
-				Err:      err != nil,
-				Degraded: fs.res.Degraded.Any(),
-			})
-			r.results <- RunnerResult{
-				FrameResult: fs.res,
-				Err:         err,
-				Wall:        wall,
-			}
-			if tail != nil {
-				// Frees the slot AND feeds the controller its tail signal.
-				tail.frameDone(float64(wall) / 1e6)
-			} else {
-				<-window // frame delivered: free its in-flight slot
-			}
+			res := r.p.deliver(fs)
+			r.results <- res
+			// Frees the slot (and feeds a tail scheduler its signal).
+			r.win.frameDone(float64(res.Wall) / 1e6)
 		}
 		// All frames are delivered, but stages off the terminal
 		// close-propagation chain may still be draining abandoned late
@@ -279,13 +303,8 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 // before the stage goroutines exit. Safe to call multiple times and from
 // any goroutine, including while ranging over Run's channel.
 func (r *Runner) Stop() {
-	r.stop.Do(func() {
-		close(r.quit)
-		if r.opts.Tail != nil {
-			r.opts.Tail.interrupt() // unblock a SRC goroutine waiting on admission
-		}
-		if r.opts.gate != nil {
-			r.opts.gate.Leave() // unblock a SRC goroutine waiting at the gate
-		}
-	})
+	r.win.interrupt() // unblock a SRC goroutine waiting on admission
+	if r.opts.gate != nil {
+		r.opts.gate.Leave() // unblock a SRC goroutine waiting at the gate
+	}
 }

@@ -54,7 +54,7 @@ func TestFleetSoak(t *testing.T) {
 
 	// Every vehicle (including the one churned in later, id 4) runs the
 	// program's fault rules with a per-vehicle seed: deterministic injected
-	// LOC/IO/TRA stalls supply the deadline misses the virtual admission
+	// LOC/TRA stalls supply the deadline misses the virtual admission
 	// signal feeds on.
 	injects := make(map[int]func(string, int) (time.Duration, error))
 	for v := 0; v <= vehicles; v++ {

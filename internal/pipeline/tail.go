@@ -100,14 +100,11 @@ type TailScheduler struct {
 	mon *constraint.Monitor
 	met tailMetrics
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	attached bool
-	closed   bool
-	ceiling  int // admission-window ceiling (RunnerOptions.InFlight)
-	limit    int // current admission window, in [1, ceiling]
+	// window is the admission window the controller adapts: its limit moves
+	// in [1, ceiling], and its mutex guards every field below.
+	window
+	ceiling  int // admission-window ceiling (RunnerOptions.InFlight); 0 until attached
 	minLimit int // smallest window the controller reached (observability)
-	inflight int // admitted but undelivered frames
 	rung     int // current ladder index; maxRung tracks the deepest visited
 	maxRung  int
 	since    int // delivered frames since the last decision
@@ -169,6 +166,8 @@ func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
 		},
 	}
 	t.cond = sync.NewCond(&t.mu)
+	t.delivered = t.observeLocked
+	t.publishLocked() // InputSize reads the base rung before attach, too
 	return t, nil
 }
 
@@ -197,7 +196,7 @@ func (t *TailScheduler) MinWindowLimit() int {
 func (t *TailScheduler) InputSize() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.sizeLocked()
+	return t.size
 }
 
 // MaxRungDepth reports the deepest ladder rung the controller visited
@@ -208,11 +207,14 @@ func (t *TailScheduler) MaxRungDepth() int {
 	return t.maxRung
 }
 
-func (t *TailScheduler) sizeLocked() int {
-	if len(t.ladder) == 0 {
-		return 0
+// publishLocked commits the knob state: the current rung's size for the
+// next admission, and both gauges.
+func (t *TailScheduler) publishLocked() {
+	if len(t.ladder) > 0 {
+		t.size = t.ladder[t.rung]
 	}
-	return t.ladder[t.rung]
+	t.met.window.Set(float64(t.limit))
+	t.met.inputSize.Set(float64(t.size))
 }
 
 // attach binds the scheduler to an executor with the given admission
@@ -224,62 +226,28 @@ func (t *TailScheduler) attach(ceiling int) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.attached {
+	if t.ceiling != 0 {
 		return fmt.Errorf("pipeline: tail scheduler already attached to an executor")
 	}
-	t.attached = true
 	t.ceiling = ceiling
 	t.limit = ceiling
 	if t.initial > 0 && t.initial < ceiling {
 		t.limit = t.initial
 	}
 	t.minLimit = t.limit
-	t.met.window.Set(float64(t.limit))
-	t.met.inputSize.Set(float64(t.sizeLocked()))
+	t.publishLocked()
 	return nil
 }
 
-// admit blocks until an admission slot is free (in-flight < current
-// window) and claims it, returning the DET input size committed for the
-// admitted frame — rung transitions are decided here, under the same lock,
-// by the single admitting goroutine, so frames observe resolution changes
-// strictly in admission order. Returns ok=false after interrupt.
-func (t *TailScheduler) admit() (size int, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for !t.closed && t.inflight >= t.limit {
-		t.cond.Wait()
-	}
-	if t.closed {
-		return 0, false
-	}
-	t.inflight++
-	return t.sizeLocked(), true
-}
-
-// frameDone folds one delivered frame's wall latency into the tail signal,
-// frees its admission slot, and every period frames runs the controller.
-func (t *TailScheduler) frameDone(wallMs float64) {
+// observeLocked is the window's per-delivery hook: fold the frame's wall
+// latency into the tail signal, and every period frames run the controller.
+func (t *TailScheduler) observeLocked(wallMs float64) {
 	t.mon.Observe(wallMs, time.Now())
-	t.mu.Lock()
-	if t.inflight > 0 {
-		t.inflight--
-	}
 	t.since++
 	if t.since >= t.period {
 		t.since = 0
 		t.decideLocked()
 	}
-	t.mu.Unlock()
-	t.cond.Signal()
-}
-
-// interrupt permanently unblocks admission (the owning executor stopped).
-func (t *TailScheduler) interrupt() {
-	t.mu.Lock()
-	t.closed = true
-	t.mu.Unlock()
-	t.cond.Broadcast()
 }
 
 // decideLocked is the controller law, run every period under t.mu. The
@@ -323,6 +291,5 @@ func (t *TailScheduler) decideLocked() {
 		// Between the watermarks: hold, and restart the calm streak.
 		t.calm = 0
 	}
-	t.met.window.Set(float64(t.limit))
-	t.met.inputSize.Set(float64(t.sizeLocked()))
+	t.publishLocked()
 }

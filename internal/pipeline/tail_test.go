@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"adsim/internal/detect"
 	"adsim/internal/faultinject"
 	"adsim/internal/scene"
 	"adsim/internal/testutil"
@@ -367,63 +368,131 @@ func TestTailSequentialAttach(t *testing.T) {
 	}
 }
 
-// TestAnytimeLateAttemptDrain is the pending-drain regression for the
-// anytime path (wall-clock enforcement): an injected stall far past DET's
-// budget means the miss timer fires while the attempt is still sleeping —
-// the attempt, once it wakes, sees its anytime deadline long expired and
-// exits at layer zero, and its abandoned result must be drained exactly
-// like a non-anytime late attempt: no leak, no deadlock, no race, and the
-// miss (not the anytime bit) on the frame's mask.
+// TestAnytimeLateAttemptDrain is the pending-drain regression for wall-clock
+// enforcement: an injected stall far past DET's budget means the miss timer
+// fires while the attempt is still sleeping, and the abandoned attempt must
+// be drained: no leak, no deadlock, no race, and the miss (not the anytime
+// bit) on the frame's mask. Two inputs:
+//
+//   - anytime/step: the attempt, once it wakes, sees its anytime deadline
+//     long expired and exits at layer zero;
+//   - full/runner: anytime off, so the late body runs the whole detector —
+//     reading its dependency's slot in place — while the same frame's TRA
+//     and FUSION, and the next frame's DET, proceed around it.
+//
+// Either way the delivered slot holds the degraded output, and the late
+// attempt's detections never surface on any delivered frame.
 func TestAnytimeLateAttemptDrain(t *testing.T) {
-	cfg := fastNativeConfig(scene.Urban)
-	cfg.Detect.RunDNN = true
-	// A small DET input keeps a CLEAN forward a few milliseconds even
-	// under the race detector on a slow machine — the test asserts
-	// uninjected frames stay clean, so the clean path must never graze
-	// the budget on its own.
-	cfg.Detect.InputSize = 32
-	cfg.Deadline = DeadlinePolicy{Enforce: true, Anytime: true}
-	for i := range cfg.Deadline.Budgets {
-		cfg.Deadline.Budgets[i] = -1
-	}
-	// Generous against clean-path jitter, still overshot nearly 3x by the
-	// injected 150ms stall so the miss timer always fires during the
-	// attempt's sleep.
-	cfg.Deadline.Budgets[StageDet] = 60 * time.Millisecond
-	inj, err := faultinject.New(faultinject.MustParse("DET:delay=150ms:every=2", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Inject = inj.Stage
-	p, err := NewNative(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		res, err := p.Step()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if i%2 == 0 {
-			if !res.Degraded.Has(StageDet) {
-				t.Errorf("frame %d mask = %v, want DET miss", i, res.Degraded)
+	const frames, delay = 5, 150 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		anytime  bool
+		inflight int // 0 drives Step
+	}{
+		{"anytime/step", true, 0},
+		{"full/runner", false, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastNativeConfig(scene.Urban)
+			cfg.Detect.RunDNN = true
+			// A small DET input keeps a CLEAN forward a few milliseconds even
+			// under the race detector on a slow machine — the test asserts
+			// uninjected frames stay clean, so the clean path must never graze
+			// the budget on its own.
+			cfg.Detect.InputSize = 32
+			// The unfaulted detections of every frame: what a late attempt
+			// computes, and what must never reach a frame it does not belong to.
+			clean, err := NewNative(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if res.Degraded.Anytime() {
-				t.Errorf("frame %d: abandoned late attempt leaked its anytime flag", i)
+			want := make([][]detect.Detection, frames+1)
+			for i := range want {
+				res, err := clean.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = res.Detections
 			}
-			if res.Detections != nil {
-				t.Errorf("frame %d: missed DET frame carries detections", i)
+
+			cfg.Deadline = DeadlinePolicy{Enforce: true, Anytime: tc.anytime}
+			for i := range cfg.Deadline.Budgets {
+				cfg.Deadline.Budgets[i] = -1
 			}
-		} else if res.Degraded.AnyMiss() {
-			t.Errorf("clean frame %d mask = %v", i, res.Degraded)
-		}
+			// Generous against clean-path jitter, still overshot nearly 3x by the
+			// injected 150ms stall so the miss timer always fires during the
+			// attempt's sleep.
+			cfg.Deadline.Budgets[StageDet] = 60 * time.Millisecond
+			inj, err := faultinject.New(faultinject.MustParse("DET:delay=150ms:every=2", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Inject = inj.Stage
+			p, err := NewNative(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(i int, res FrameResult) {
+				if i%2 == 0 {
+					if !res.Degraded.Has(StageDet) {
+						t.Errorf("frame %d mask = %v, want DET miss", i, res.Degraded)
+					}
+					if res.Degraded.Anytime() {
+						t.Errorf("frame %d: abandoned late attempt leaked its anytime flag", i)
+					}
+					if res.Detections != nil {
+						t.Errorf("frame %d: missed DET frame carries detections", i)
+					}
+					return
+				}
+				if res.Degraded.AnyMiss() {
+					t.Errorf("clean frame %d mask = %v", i, res.Degraded)
+				}
+				if !reflect.DeepEqual(res.Detections, want[i]) {
+					t.Errorf("clean frame %d: detections differ from the unfaulted run", i)
+				}
+			}
+			start := time.Now()
+			if tc.inflight == 0 {
+				for i := 0; i < frames; i++ {
+					res, err := p.Step()
+					if err != nil {
+						t.Fatalf("frame %d: %v", i, err)
+					}
+					check(i, res)
+				}
+				if p.pending[StageDet] == nil {
+					t.Error("frame 4's late attempt is not pending after Step")
+				}
+			} else {
+				r, err := NewRunner(p, RunnerOptions{InFlight: tc.inflight})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for res := range r.Run(frames) {
+					if res.Err != nil {
+						t.Fatalf("frame %d: %v", res.Frame.Index, res.Err)
+					}
+					check(res.Frame.Index, res.FrameResult)
+				}
+			}
+			p.Drain() // idempotent once the last late attempt is waited for
+			// Each of the three stalled attempts starts only after the one
+			// before it was drained, so a Drain that waited returns no sooner
+			// than three stalls after the start.
+			if el := time.Since(start); p.pending[StageDet] != nil || el < 3*delay {
+				t.Errorf("Drain returned after %v with pending=%v: did not wait the late attempt out",
+					el, p.pending[StageDet] != nil)
+			}
+			// Frame 5 is off the injection cadence: it must run clean.
+			res, err := p.Step()
+			if err != nil {
+				t.Fatalf("post-drain frame: %v", err)
+			}
+			check(frames, res)
+			p.Drain()
+		})
 	}
-	p.Drain() // idempotent once the last late attempt is waited for
-	// Frame 5 is off the injection cadence: it must run clean.
-	if res, err := p.Step(); err != nil || res.Degraded.AnyMiss() {
-		t.Fatalf("post-drain frame: err=%v mask=%v", err, res.Degraded)
-	}
-	p.Drain()
 }
 
 // TestTailRunnerAnytimeStopDrain combines every moving part of this PR

@@ -65,14 +65,6 @@ func (c *Costmap) CostAt(x, z float64) float64 {
 	return c.cells[iz*c.W+ix]
 }
 
-// SetCost writes a cell cost by cell coordinates (ignored out of bounds).
-func (c *Costmap) SetCost(ix, iz int, v float64) {
-	if ix < 0 || iz < 0 || ix >= c.W || iz >= c.H {
-		return
-	}
-	c.cells[iz*c.W+ix] = v
-}
-
 // AddObstacle marks cells within the obstacle's radius lethal and applies a
 // linearly decaying soft cost out to 2× radius, the usual inflation layer.
 func (c *Costmap) AddObstacle(o Obstacle) {

@@ -69,9 +69,3 @@ func (r *RNG) Exponential(mean float64) float64 {
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.src.Float64() < p }
-
-// Perm returns a random permutation of [0,n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle permutes a slice of indices using swap, mirroring rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }

@@ -77,14 +77,6 @@ func (c *Collector) FrameErrs() int64 {
 	return c.errs
 }
 
-// FrameDegraded reports how many delivered frames carried a non-empty
-// deadline DegradedMask.
-func (c *Collector) FrameDegraded() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.degraded
-}
-
 // ExecSumMs returns the lifetime sum (ms) of a stage's execution time over
 // every span recorded for it — the aggregate the Figure 7 cycle breakdowns
 // divide. Returns 0 for a stage that never ran.
