@@ -33,11 +33,12 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# Zero-allocation gates on the warm inference hot path (testing.AllocsPerRun
-# is unreliable under -race, so these run without it; `make race` still
-# executes the same tests for correctness).
+# Zero-allocation gates on the warm inference hot path, each at 1, 2 and 4
+# kernel workers (testing.AllocsPerRun is unreliable under -race, so these
+# run without it; `make race` still executes the same tests for
+# correctness). No output filter: the target's status must be go test's.
 alloc-gate:
-	$(GO) test -run 'TestAlloc' -v ./internal/tensor ./internal/dnn ./internal/detect ./internal/track | grep -E '^(=== RUN|--- (FAIL|PASS)|FAIL|ok)'
+	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/track
 
 # Short fuzz smoke over the ADM1 prior-map decoder and the unified scenario
 # program parser (go test -fuzz works on one package at a time; -run '^$'

@@ -111,7 +111,7 @@ type Detector struct {
 type detScratch struct {
 	s     dnn.Scratch
 	small img.Gray
-	input *tensor.T
+	input tensor.T
 }
 
 // New constructs a detector.
@@ -236,14 +236,19 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 	startOther := time.Now()
 
 	// Pre-processing: resize to network input and normalize, reusing a
-	// pooled scratch so the steady-state call allocates nothing. A rung
-	// change reshapes the pooled input tensor once, then that size is warm.
+	// pooled scratch so the steady-state call allocates nothing. Every
+	// buffer in it is grow-only, so a rung change reshapes the input and
+	// keeps the layer arena: once the largest rung has run, all are warm.
 	var sc *detScratch
 	if d.cfg.RunDNN {
 		sc, _ = d.scratch.Get().(*detScratch)
-		if sc == nil || sc.input.H != size {
-			sc = &detScratch{input: tensor.New(1, size, size)}
+		if sc == nil {
+			sc = &detScratch{}
 		}
+		if cap(sc.input.Data) < size*size {
+			sc.input.Data = make([]float32, size*size)
+		}
+		sc.input = tensor.T{C: 1, H: size, W: size, Data: sc.input.Data[:size*size]}
 		frame.ResizeInto(&sc.small, size, size)
 		for i, p := range sc.small.Pix {
 			sc.input.Data[i] = float32(p) / 255
@@ -261,18 +266,18 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 		startDNN := time.Now()
 		switch {
 		case !opt.Deadline.IsZero():
-			_, ran := d.exec.ForwardAnytime(net, sc.input, &sc.s, func(int) bool {
+			_, ran := d.exec.ForwardAnytime(net, &sc.input, &sc.s, func(int) bool {
 				return time.Now().Before(opt.Deadline)
 			})
 			info.LayersRun = ran
 		case opt.VirtualFrac > 0 && opt.VirtualFrac < 1:
 			target := int(math.Ceil(opt.VirtualFrac * float64(info.LayersTotal)))
-			_, ran := d.exec.ForwardAnytime(net, sc.input, &sc.s, func(next int) bool {
+			_, ran := d.exec.ForwardAnytime(net, &sc.input, &sc.s, func(next int) bool {
 				return next < target
 			})
 			info.LayersRun = ran
 		default:
-			_ = d.exec.Forward(net, sc.input, &sc.s)
+			_ = d.exec.Forward(net, &sc.input, &sc.s)
 		}
 		dnnDur = time.Since(startDNN)
 		d.scratch.Put(sc)

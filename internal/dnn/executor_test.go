@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -168,11 +169,10 @@ func TestGatherHoldTimesOut(t *testing.T) {
 
 // Alloc gate (run by `make alloc-gate`): the batched steady state must stay
 // zero-alloc per frame per vehicle — a warm ForwardBatch with a reused
-// output buffer allocates nothing for the whole batch.
+// output buffer allocates nothing for the whole batch, at any worker count.
 func TestAllocForwardBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	net := TinyYOLO(32)
-	exec := NewExecutor(1)
 	const batch = 3
 	ins := make([]*tensor.T, batch)
 	scs := make([]*Scratch, batch)
@@ -180,15 +180,20 @@ func TestAllocForwardBatch(t *testing.T) {
 		ins[i] = randInput(rng, net.Input.C, net.Input.H, net.Input.W)
 		scs[i] = &Scratch{}
 	}
-	outs := exec.ForwardBatch(net, ins, scs, nil) // warm arenas + lazy weights
-	if testutil.RaceEnabled {
-		t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		outs = exec.ForwardBatch(net, ins, scs, outs)
-	})
-	if allocs != 0 {
-		t.Errorf("warm ForwardBatch allocates %.1f/op for %d vehicles, want 0", allocs, batch)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			exec := NewExecutor(workers)
+			outs := exec.ForwardBatch(net, ins, scs, nil) // warm arenas + lazy weights
+			if testutil.RaceEnabled {
+				t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				outs = exec.ForwardBatch(net, ins, scs, outs)
+			})
+			if allocs != 0 {
+				t.Errorf("warm ForwardBatch allocates %.1f/op for %d vehicles, want 0", allocs, batch)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,13 @@
 package dnn
 
 import (
+	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
 	"adsim/internal/tensor"
+	"adsim/internal/testutil"
 )
 
 func randInput(rng *rand.Rand, c, h, w int) *tensor.T {
@@ -161,23 +162,29 @@ func TestHoldSurvivesForwardPass(t *testing.T) {
 }
 
 // Alloc gate (run by `make alloc-gate`): a warm forward pass allocates
-// nothing per frame — at the host's default worker count, so on a
-// multi-core host this also gates the kernel fan-out (ROADMAP item 0). The
-// count is resolved here because testing.AllocsPerRun measures under
-// GOMAXPROCS=1, where a default executor would read one worker and the
-// gate would pass without exercising the fan-out.
+// nothing per frame, whether its kernels run one range or fan out. The
+// worker count is pinned per subtest, not read from the host, so the gate
+// covers the fan-out on a 1-CPU host too (testing.AllocsPerRun itself
+// measures under GOMAXPROCS=1).
 func TestAllocForwardScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := TinyYOLO(32)
 	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
-	exec := NewExecutor(runtime.GOMAXPROCS(0))
-	var s Scratch
-	exec.Forward(net, in, &s) // warm: arena growth + lazy weight init
-	allocs := testing.AllocsPerRun(10, func() {
-		exec.Forward(net, in, &s)
-	})
-	if allocs != 0 {
-		t.Errorf("warm Forward allocates %.1f/op at %d workers, want 0", allocs, exec.Workers())
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			exec := NewExecutor(workers)
+			var s Scratch
+			exec.Forward(net, in, &s) // warm: arena growth + lazy weight init
+			if testutil.RaceEnabled {
+				t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				exec.Forward(net, in, &s)
+			})
+			if allocs != 0 {
+				t.Errorf("warm Forward allocates %.1f/op, want 0", allocs)
+			}
+		})
 	}
 }
 

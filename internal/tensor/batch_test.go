@@ -8,7 +8,7 @@ import (
 // randBatch builds n same-shape random inputs plus shared conv weights.
 func randBatch(seed int64, n int) (ins []*T, w, bias []float32, outC, k int) {
 	rng := rand.New(rand.NewSource(seed))
-	outC, k = 8, 3
+	outC, k = 32, 3
 	for b := 0; b < n; b++ {
 		in := New(3, 20, 20)
 		for i := range in.Data {
@@ -97,8 +97,8 @@ func TestConvBatchRejectsMixedShapes(t *testing.T) {
 	Conv2DIm2ColBatchInto(dsts, ins, w, bias, outC, k, 1, 1, 1, nil)
 }
 
-// Warm serial batched calls are on the fleet's per-frame hot path and must
-// not allocate (see `make alloc-gate`).
+// Warm batched calls are on the fleet's per-frame hot path and must not
+// allocate at any worker count (see `make alloc-gate`).
 func TestAllocConvBatchInto(t *testing.T) {
 	ins, w, bias, outC, k := randBatch(15, 3)
 	s := &Scratch{}
@@ -106,11 +106,7 @@ func TestAllocConvBatchInto(t *testing.T) {
 	for i := range dsts {
 		dsts[i] = New(outC, ins[i].H, ins[i].W)
 	}
-	Conv2DIm2ColBatchInto(dsts, ins, w, bias, outC, k, 1, 1, 1, s) // warm
-	allocs := testing.AllocsPerRun(10, func() {
-		Conv2DIm2ColBatchInto(dsts, ins, w, bias, outC, k, 1, 1, 1, s)
+	allocGate(t, len(ins)*outC*ins[0].C*k*k*ins[0].H*ins[0].W, func(workers int) {
+		Conv2DIm2ColBatchInto(dsts, ins, w, bias, outC, k, 1, 1, workers, s)
 	})
-	if allocs != 0 {
-		t.Errorf("warm Conv2DIm2ColBatchInto allocates %.1f/op, want 0", allocs)
-	}
 }

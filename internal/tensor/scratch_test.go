@@ -1,10 +1,13 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"adsim/internal/testutil"
 )
 
 func randConvCase(seed int64) (in *T, w, bias []float32, outC, k int) {
@@ -13,7 +16,7 @@ func randConvCase(seed int64) (in *T, w, bias []float32, outC, k int) {
 	for i := range in.Data {
 		in.Data[i] = float32(rng.NormFloat64())
 	}
-	outC, k = 8, 3
+	outC, k = 32, 3 // 32·27·400 MACs: above parMinMACs, so workers > 1 fan out
 	w = make([]float32, outC*in.C*k*k)
 	for i := range w {
 		w[i] = float32(rng.NormFloat64())
@@ -194,34 +197,53 @@ func TestScratchConcurrentDistinctArenas(t *testing.T) {
 	}
 }
 
+// allocGate asserts that warm calls of kernel allocate nothing, as a table
+// over 1, 2 and 4 workers: the serial range, the fan-out on a 2-CPU host
+// and more ranges than testing.AllocsPerRun's single P can run at once.
+// macs is the call's multiply count and must clear parMinMACs, or the
+// kernel would run one range at every worker count and gate nothing. Under
+// -race the calls still run for coverage but the count is skipped: the
+// detector makes sync.Pool drop descriptors on purpose.
+func allocGate(t *testing.T, macs int, kernel func(workers int)) {
+	t.Helper()
+	if macs < parMinMACs {
+		t.Fatalf("case has %d MACs, below the %d fan-out floor", macs, parMinMACs)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			kernel(workers) // warm the arena and the descriptor pool
+			if testutil.RaceEnabled {
+				t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
+			}
+			if allocs := testing.AllocsPerRun(10, func() { kernel(workers) }); allocs != 0 {
+				t.Errorf("warm call allocates %.1f/op, want 0", allocs)
+			}
+		})
+	}
+}
+
 // Alloc gates (run by `make alloc-gate`, without -race): the warm hot path
-// must not allocate at all.
+// must not allocate at all, whether a kernel runs one range or fans out.
 func TestAllocConvInto(t *testing.T) {
 	in, w, bias, outC, k := randConvCase(6)
 	s := &Scratch{}
 	dst := New(outC, in.H, in.W)
-	Conv2DIm2ColParInto(dst, in, w, bias, outC, k, 1, 1, 1, s) // warm the arena
-	allocs := testing.AllocsPerRun(10, func() {
-		Conv2DIm2ColParInto(dst, in, w, bias, outC, k, 1, 1, 1, s)
+	allocGate(t, outC*in.C*k*k*in.H*in.W, func(workers int) {
+		Conv2DIm2ColParInto(dst, in, w, bias, outC, k, 1, 1, workers, s)
 	})
-	if allocs != 0 {
-		t.Errorf("warm Conv2DIm2ColParInto allocates %.1f/op, want 0", allocs)
-	}
 }
 
 func TestAllocFCAndPoolInto(t *testing.T) {
-	in, w, _, _, _ := randConvCase(8)
-	fcW := make([]float32, 4*in.Len())
-	copy(fcW, w)
-	fdst := New(4, 1, 1)
+	in, _, _, _, _ := randConvCase(8)
+	const outN = 256
+	fcW := make([]float32, outN*in.Len())
+	for i := range fcW {
+		fcW[i] = float32(i%7) - 3
+	}
+	fdst := New(outN, 1, 1)
 	pdst := New(in.C, in.H/2, in.W/2)
-	FullyConnectedParInto(fdst, in, fcW, nil, 4, 1)
-	MaxPool2DInto(pdst, in, 2, 2)
-	allocs := testing.AllocsPerRun(10, func() {
-		FullyConnectedParInto(fdst, in, fcW, nil, 4, 1)
+	allocGate(t, outN*in.Len(), func(workers int) {
+		FullyConnectedParInto(fdst, in, fcW, nil, outN, workers)
 		MaxPool2DInto(pdst, in, 2, 2)
 	})
-	if allocs != 0 {
-		t.Errorf("warm FC+pool Into allocate %.1f/op, want 0", allocs)
-	}
 }

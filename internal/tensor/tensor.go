@@ -61,52 +61,6 @@ func (t *T) SameShape(o *T) bool { return t.C == o.C && t.H == o.H && t.W == o.W
 
 func (t *T) String() string { return fmt.Sprintf("tensor(%dx%dx%d)", t.C, t.H, t.W) }
 
-// Conv2D computes a 2D convolution of in with weights w by the direct
-// nested loop, writing into a new tensor. Weights are laid out
-// [outC][inC][k][k]; bias has length outC and may be nil. The output has
-// dims outC × ((H+2p−k)/s+1) × ((W+2p−k)/s+1). Inference runs
-// Conv2DIm2ColParInto; this loop is the reference the differential tests
-// hold that kernel to.
-func Conv2D(in *T, w []float32, bias []float32, outC, k, stride, pad int) *T {
-	oh, ow := convShape(in, len(w), outC, k, stride, pad)
-	out := New(outC, oh, ow)
-	for oc := 0; oc < outC; oc++ {
-		var b float32
-		if bias != nil {
-			b = bias[oc]
-		}
-		wBase := oc * in.C * k * k
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*stride - pad
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*stride - pad
-				sum := b
-				for ic := 0; ic < in.C; ic++ {
-					wOff := wBase + ic*k*k
-					inOff := ic * in.H * in.W
-					for ky := 0; ky < k; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						rowOff := inOff + iy*in.W
-						wRow := wOff + ky*k
-						for kx := 0; kx < k; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							sum += w[wRow+kx] * in.Data[rowOff+ix]
-						}
-					}
-				}
-				out.Data[(oc*oh+oy)*ow+ox] = sum
-			}
-		}
-	}
-	return out
-}
-
 // MaxPool2DInto computes max pooling with a k×k window and the given
 // stride, writing into dst (nil allocates). dst must not alias in. A NaN
 // anywhere in a window makes that window's output NaN, matching the GEMM

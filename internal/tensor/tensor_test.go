@@ -2,7 +2,8 @@ package tensor
 
 import (
 	"math"
-	"sync/atomic"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +45,52 @@ func TestCloneFillSameShape(t *testing.T) {
 	if x.String() != "tensor(1x2x2)" {
 		t.Errorf("String = %q", x.String())
 	}
+}
+
+// Conv2D computes a 2D convolution of in with weights w by the direct
+// nested loop, writing into a new tensor. Weights are laid out
+// [outC][inC][k][k]; bias has length outC and may be nil. The output has
+// dims outC × ((H+2p−k)/s+1) × ((W+2p−k)/s+1). It is the differential
+// reference the im2col kernels are held to (to rounding tolerance, and
+// exactly for NaN/Inf propagation); no inference path runs it.
+func Conv2D(in *T, w []float32, bias []float32, outC, k, stride, pad int) *T {
+	oh, ow := convShape(in, len(w), outC, k, stride, pad)
+	out := New(outC, oh, ow)
+	for oc := 0; oc < outC; oc++ {
+		var b float32
+		if bias != nil {
+			b = bias[oc]
+		}
+		wBase := oc * in.C * k * k
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*stride - pad
+			for ox := 0; ox < ow; ox++ {
+				ix0 := ox*stride - pad
+				sum := b
+				for ic := 0; ic < in.C; ic++ {
+					wOff := wBase + ic*k*k
+					inOff := ic * in.H * in.W
+					for ky := 0; ky < k; ky++ {
+						iy := iy0 + ky
+						if iy < 0 || iy >= in.H {
+							continue
+						}
+						rowOff := inOff + iy*in.W
+						wRow := wOff + ky*k
+						for kx := 0; kx < k; kx++ {
+							ix := ix0 + kx
+							if ix < 0 || ix >= in.W {
+								continue
+							}
+							sum += w[wRow+kx] * in.Data[rowOff+ix]
+						}
+					}
+				}
+				out.Data[(oc*oh+oy)*ow+ox] = sum
+			}
+		}
+	}
+	return out
 }
 
 func TestConv2DIdentity(t *testing.T) {
@@ -485,20 +532,92 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 	}
 }
 
-func TestShardCoversRangeOnce(t *testing.T) {
+// fanOut must hand every unit to exactly one range: n = 0 is a no-op and
+// workers > n clamps to one unit per range. The FC range function counts
+// visits when bias aliases the output: with x = [1] and unit weights,
+// neuron o computes out[o] = 1 + out[o], touching no other element.
+func TestFanOutCoversRangeOnce(t *testing.T) {
+	one := NewVec(1)
+	one.Data[0] = 1
 	for _, tc := range []struct{ n, workers int }{
 		{0, 4}, {1, 1}, {1, 8}, {5, 2}, {7, 7}, {100, 3}, {8, 64},
 	} {
-		hits := make([]int32, tc.n)
-		shard(tc.n, tc.workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
+		hits := NewVec(tc.n + 1) // one guard element past the range
+		ones := make([]float32, tc.n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		j := jobs.Get().(*job)
+		j.dsts, j.ins, j.w, j.bias, j.inN = []*T{hits}, []*T{one}, ones, hits.Data, 1
+		j.fanOut(opFC, tc.n, tc.workers)
+		j.release()
+		for i, h := range hits.Data[:tc.n] {
 			if h != 1 {
-				t.Fatalf("n=%d workers=%d: index %d covered %d times", tc.n, tc.workers, i, h)
+				t.Fatalf("n=%d workers=%d: index %d covered %v times", tc.n, tc.workers, i, h)
 			}
 		}
+		if hits.Data[tc.n] != 0 {
+			t.Fatalf("n=%d workers=%d: a range ran past n", tc.n, tc.workers)
+		}
 	}
+}
+
+// Descriptor reuse across concurrent kernel calls is the fan-out's one
+// shared-state hazard (the tracker pool and the gather leader both call
+// kernels concurrently): 8 goroutines run solo conv, batched conv and FC
+// at workers 1/2/4 through the pooled descriptors, and every result must be
+// bitwise-equal to its serial run. Shapes sit above parMinMACs so the
+// calls really fan out; run under -race this is the descriptor-sharing gate.
+func TestFanOutConcurrentCallers(t *testing.T) {
+	ins, cw, cb, outC, k := randBatch(21, 3)
+	convWant := make([]*T, len(ins))
+	for i, in := range ins {
+		convWant[i] = Conv2DIm2ColParInto(nil, in, cw, cb, outC, k, 1, 1, 1, nil)
+	}
+	const outN = 256
+	rng := rand.New(rand.NewSource(22))
+	fw := make([]float32, outN*ins[0].Len())
+	for i := range fw {
+		fw[i] = float32(rng.NormFloat64())
+	}
+	fcWant := FullyConnectedParInto(nil, ins[0], fw, nil, outN, 1)
+
+	equal := func(got, want *T) bool {
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := &Scratch{}
+			dsts := make([]*T, len(ins))
+			for i := range dsts {
+				dsts[i] = New(outC, ins[i].H, ins[i].W)
+			}
+			fdst := NewVec(outN)
+			for r := 0; r < 3; r++ {
+				workers := []int{1, 2, 4}[(g+r)%3] // goroutines start out of phase
+				i := (g + r) % len(ins)
+				if !equal(Conv2DIm2ColParInto(dsts[i], ins[i], cw, cb, outC, k, 1, 1, workers, s), convWant[i]) {
+					t.Errorf("goroutine %d workers %d: solo conv diverged from serial", g, workers)
+				}
+				Conv2DIm2ColBatchInto(dsts, ins, cw, cb, outC, k, 1, 1, workers, s)
+				for i := range dsts {
+					if !equal(dsts[i], convWant[i]) {
+						t.Errorf("goroutine %d workers %d: batch conv sample %d diverged from serial", g, workers, i)
+					}
+				}
+				if !equal(FullyConnectedParInto(fdst, ins[0], fw, nil, outN, workers), fcWant) {
+					t.Errorf("goroutine %d workers %d: fc diverged from serial", g, workers)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
