@@ -6,7 +6,7 @@ TELEMETRY_COVER_FLOOR ?= 80
 # suite's determinism claims, so nearly every branch must be exercised.
 FAULTINJECT_COVER_FLOOR ?= 90
 
-.PHONY: build vet test race bench-smoke bench-check alloc-gate check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
+.PHONY: build vet test race flake-gate bench-smoke bench-check alloc-gate check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,20 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
+
+# Flake gate: the two packages whose tests drive executors, five times over,
+# with one busy-loop process per CPU competing for the host beside them — the
+# load under which a test that compares a measured wall duration goes red,
+# and one that asserts masks, pending slots and budget equalities does not.
+# The recipe starts the loops and reaps them on any exit; its status is go
+# test's. Run it at GOMAXPROCS 1, 2 and 4 (CI's matrix does).
+flake-gate:
+	@pids=""; trap 'kill $$pids 2>/dev/null; wait' EXIT; \
+	for i in $$(seq $$(getconf _NPROCESSORS_ONLN)); do \
+		sh -c 'while :; do :; done' & pids="$$pids $$!"; \
+	done; \
+	$(GO) test -count=5 -timeout 30m ./internal/pipeline ./internal/experiment
 
 # One-iteration sweep over every `go test -bench` micro/regression
 # benchmark: catches bit-rotted benchmarks without the cost of real
@@ -48,12 +61,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseScenarioProgram -fuzztime=10s -run='^$$' ./internal/scenario
 
 # Chaos smoke: the deterministic fault-injection suite under the race
-# detector (Step/Runner equivalence, golden trace, degraded-deadline and
-# Stop-drain guarantees), then a short seeded end-to-end chaos run through
+# detector (Step/Runner equivalence, golden trace, degraded-deadline,
+# pending-attempt and Stop-drain guarantees, the real-clock smoke per
+# executor), then a short seeded end-to-end chaos run through
 # the CLI with deadline enforcement on, and the negative: an IO rule, which
 # no CLI can inject, must be refused (exit 2), not silently ignored.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaos|TestGoldenChaosTrace|TestDegradedFrameMeetsFrameDeadline|TestRunnerStopDrainsDegradedInFlight' ./internal/pipeline
+	$(GO) test -race -run 'TestChaos|TestGoldenChaosTrace|TestDegradedFrameMeetsFrameDeadline|TestVirtualMissLeavesPendingAttempt|TestWallDeadlineSmoke|TestRunnerStopDrainsDegradedInFlight' ./internal/pipeline
 	$(GO) test -race ./internal/faultinject
 	$(GO) run ./cmd/adpipe -frames 30 -dnn=false -width 384 -height 192 -survey 20 \
 		-deadline 100ms -fault 'DET:delay=60ms:every=5,LOC:delay=120ms:frames=10-12,SRC:drop:every=17'
@@ -73,7 +87,7 @@ fleet-smoke:
 # drain and golden trace), then a short stall-injected end-to-end run
 # through the CLI with the scheduler and anytime DET on.
 tail-smoke:
-	$(GO) test -race -run 'TestTail|TestAnytime|TestWallAnytimeCommitsCoarseFrame|TestChaosAnytimeEquivalence|TestGoldenAnytimeTrace' ./internal/pipeline
+	$(GO) test -race -run 'TestTail|TestAnytime|TestChaosAnytimeEquivalence|TestGoldenAnytimeTrace' ./internal/pipeline
 	$(GO) run ./cmd/adpipe -frames 40 -dnn=false -width 384 -height 192 -survey 20 \
 		-inflight 4 -deadline 100ms -anytime -tail 40ms -fault 'DET:delay=32ms:every=7:burst=3'
 

@@ -78,20 +78,6 @@ func Run(id string, opts Options) (Result, error) {
 	return r(opts)
 }
 
-// RunAll executes every experiment in ID order.
-func RunAll(opts Options) ([]Result, error) {
-	opts.normalize()
-	var out []Result
-	for _, id := range IDs() {
-		res, err := registry[id](opts)
-		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", id, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // figureConfigs is the platform-assignment set plotted in Figures 11–13:
 // DET and TRA share a platform (they are the paper's paired DNN engines)
 // crossed with every LOC platform, plus the best mixed configuration the

@@ -9,12 +9,27 @@ import (
 	"adsim/internal/accel"
 	"adsim/internal/constraint"
 	"adsim/internal/pipeline"
-	"adsim/internal/testutil"
 )
 
 // fastOpts keeps unit-test runtime modest while still resolving tails.
 func fastOpts() Options {
 	return Options{Frames: 40000, Seed: 1, NativeFrames: 8}
+}
+
+// produced holds the latest result each experiment's own test produced in
+// this process, so TestAllRendersNonEmpty renders every registered id without
+// running any experiment a second time. Tests here run sequentially.
+var produced = map[string]Result{}
+
+// run executes experiment id at the unit-test sizing and records the result.
+func run(t *testing.T, id string) Result {
+	t.Helper()
+	res, err := Run(id, fastOpts())
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	produced[id] = res
+	return res
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -39,38 +54,24 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestTables(t *testing.T) {
-	for _, id := range []string{"table1", "table2", "table3"} {
-		res, err := Run(id, fastOpts())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+	// Spot-check table contents.
+	for id, want := range map[string]string{
+		"table1": "Waymo",
+		"table2": "Titan X",
+		"table3": "21.97 mW", // the FE ASIC power
+	} {
+		res := run(t, id)
 		if res.ID() != id {
 			t.Errorf("%s: wrong ID %q", id, res.ID())
 		}
-		if res.Render() == "" {
-			t.Errorf("%s: empty render", id)
+		if !strings.Contains(res.Render(), want) {
+			t.Errorf("%s missing %q", id, want)
 		}
-	}
-	// Spot-check table contents.
-	r1, _ := Run("table1", fastOpts())
-	if !strings.Contains(r1.Render(), "Waymo") {
-		t.Error("table1 missing Waymo")
-	}
-	r2, _ := Run("table2", fastOpts())
-	if !strings.Contains(r2.Render(), "Titan X") {
-		t.Error("table2 missing the GPU")
-	}
-	r3, _ := Run("table3", fastOpts())
-	if !strings.Contains(r3.Render(), "21.97 mW") {
-		t.Error("table3 missing the FE ASIC power")
 	}
 }
 
 func TestFig2Shape(t *testing.T) {
-	res, err := Run("fig2", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig2")
 	f := res.(Fig2Result)
 	if len(f.Rows) != 3 {
 		t.Fatalf("fig2 rows = %d", len(f.Rows))
@@ -97,10 +98,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := Run("fig6", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig6")
 	f := res.(Fig6Result)
 	if len(f.Rows) != 5 {
 		t.Fatalf("fig6 rows = %d", len(f.Rows))
@@ -141,10 +139,7 @@ func TestFig7Shape(t *testing.T) {
 	const runs = 5
 	shares := map[string][]float64{}
 	for r := 0; r < runs; r++ {
-		res, err := Run("fig7", fastOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, "fig7")
 		f := res.(Fig7Result)
 		if len(f.Rows) != 3 {
 			t.Fatalf("fig7 rows = %d", len(f.Rows))
@@ -175,10 +170,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	res, err := Run("fig10", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig10")
 	f := res.(Fig10Result)
 	if len(f.Cells) != 12 {
 		t.Fatalf("fig10 cells = %d", len(f.Cells))
@@ -202,10 +194,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	res, err := Run("fig11", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig11")
 	f := res.(Fig11Result)
 	if len(f.Rows) != 17 {
 		t.Fatalf("fig11 rows = %d, want 17", len(f.Rows))
@@ -237,10 +226,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	res, err := Run("fig12", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig12")
 	f := res.(Fig12Result)
 	allGPU := f.Row(pipeline.Uniform(accel.GPU))
 	allASIC := f.Row(pipeline.Uniform(accel.ASIC))
@@ -262,12 +248,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	opts := fastOpts()
-	opts.Frames = 40000
-	res, err := Run("fig13", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig13")
 	f := res.(Fig13Result)
 	if len(f.Resolutions) != 5 {
 		t.Fatalf("fig13 resolutions = %d", len(f.Resolutions))
@@ -291,10 +272,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestHeadlineShape(t *testing.T) {
-	res, err := Run("headline", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "headline")
 	h := res.(HeadlineResult)
 	for _, row := range h.Rows {
 		tol := 0.12 * row.Paper
@@ -307,26 +285,8 @@ func TestHeadlineShape(t *testing.T) {
 	}
 }
 
-func TestAllRendersNonEmpty(t *testing.T) {
-	results, err := RunAll(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(IDs()) {
-		t.Fatalf("RunAll returned %d results for %d experiments", len(results), len(IDs()))
-	}
-	for _, r := range results {
-		if r.Render() == "" {
-			t.Errorf("%s: empty render", r.ID())
-		}
-	}
-}
-
 func TestAblateNoiseShape(t *testing.T) {
-	res, err := Run("ablate-noise", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "ablate-noise")
 	a := res.(AblateNoiseResult)
 	// Shared noise must land near the component-tail sum; independent
 	// noise must under-shoot it.
@@ -341,10 +301,7 @@ func TestAblateNoiseShape(t *testing.T) {
 }
 
 func TestAblateRelocShape(t *testing.T) {
-	res, err := Run("ablate-reloc", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "ablate-reloc")
 	a := res.(AblateRelocResult)
 	if len(a.Rows) != 4 {
 		t.Fatalf("rows = %d", len(a.Rows))
@@ -365,10 +322,7 @@ func TestAblateRelocShape(t *testing.T) {
 }
 
 func TestAblateCoolingShape(t *testing.T) {
-	res, err := Run("ablate-cooling", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "ablate-cooling")
 	a := res.(AblateCoolingResult)
 	for _, row := range a.Rows {
 		if row.Magnification < 1.5 || row.Magnification > 2.0 {
@@ -379,10 +333,7 @@ func TestAblateCoolingShape(t *testing.T) {
 }
 
 func TestStorageShape(t *testing.T) {
-	res, err := Run("storage", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "storage")
 	st := res.(StorageResult)
 	if st.Keyframes == 0 || st.MapBytes == 0 {
 		t.Fatal("empty survey")
@@ -396,10 +347,7 @@ func TestStorageShape(t *testing.T) {
 }
 
 func TestPlatformAnalysisShape(t *testing.T) {
-	res, err := Run("platform-analysis", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "platform-analysis")
 	pa := res.(PlatformAnalysisResult)
 	if len(pa.Rows) != 12 {
 		t.Fatalf("rows = %d", len(pa.Rows))
@@ -432,10 +380,7 @@ func TestPlatformAnalysisShape(t *testing.T) {
 }
 
 func TestRooflineShape(t *testing.T) {
-	res, err := Run("roofline", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "roofline")
 	r := res.(RooflineResult)
 	if len(r.Summaries) != 12 {
 		t.Fatalf("summaries = %d, want 3 networks x 4 platforms", len(r.Summaries))
@@ -467,10 +412,7 @@ func TestRooflineShape(t *testing.T) {
 }
 
 func TestAblateCamerasShape(t *testing.T) {
-	res, err := Run("ablate-cameras", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "ablate-cameras")
 	a := res.(AblateCamerasResult)
 	if len(a.Rows) != 16 {
 		t.Fatalf("rows = %d, want 4 configs x 4 camera counts", len(a.Rows))
@@ -500,10 +442,7 @@ func TestAblateCamerasShape(t *testing.T) {
 }
 
 func TestEnergyShape(t *testing.T) {
-	res, err := Run("energy", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "energy")
 	en := res.(EnergyResult)
 	if len(en.Rows) != 12 {
 		t.Fatalf("rows = %d", len(en.Rows))
@@ -529,10 +468,7 @@ func TestEnergyShape(t *testing.T) {
 }
 
 func TestAblateObjectsShape(t *testing.T) {
-	res, err := Run("ablate-objects", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "ablate-objects")
 	a := res.(AblateObjectsResult)
 	if len(a.Rows) != 15 {
 		t.Fatalf("rows = %d, want 3 configs x 5 counts", len(a.Rows))
@@ -565,10 +501,7 @@ func TestAblateObjectsShape(t *testing.T) {
 }
 
 func TestAccuracyShape(t *testing.T) {
-	res, err := Run("accuracy", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "accuracy")
 	acc := res.(AccuracyResult)
 	if len(acc.Rows) != 5 {
 		t.Fatalf("rows = %d", len(acc.Rows))
@@ -598,10 +531,7 @@ func TestAccuracyShape(t *testing.T) {
 }
 
 func TestSeedsShape(t *testing.T) {
-	res, err := Run("seeds", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "seeds")
 	sd := res.(SeedsResult)
 	if len(sd.Rows) != 4 || len(sd.Seeds) != 5 {
 		t.Fatalf("rows=%d seeds=%d", len(sd.Rows), len(sd.Seeds))
@@ -629,17 +559,14 @@ func TestSeedsShape(t *testing.T) {
 }
 
 func TestTailStudy(t *testing.T) {
-	// DNN-free sizing: the injected stalls alone create the queueing the
-	// scheduler must defeat. Detection stays functional, so a frame sheds
-	// detections only when the wall-mode deadline race declares it missed —
-	// rare at this sizing's 3ms margin, but not impossible, so detection
-	// rates are checked for sanity rather than equality.
-	res, err := runTailStudy(tailParams{Frames: 160, DNN: false, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ID() != "tail" {
-		t.Fatalf("ID = %q", res.ID())
+	// The unit-test sizing is DNN-free: the injected stalls alone create the
+	// queueing the scheduler must defeat. The study runs on the wall clock,
+	// so only what the configuration fixes is asserted here — whether the
+	// tail fell and nothing crossed the constraint is a host measurement,
+	// which bench/'s stall_deadline takes with host and spread recorded.
+	res := run(t, "tail").(TailResult)
+	if res.DNN {
+		t.Fatal("unit-test sizing ran the native DNNs")
 	}
 	base, sched := res.Baseline, res.Scheduled
 	if base.MinWindow != tailCeiling || base.MaxRung != 0 || base.Anytime != 0 {
@@ -655,26 +582,6 @@ func TestTailStudy(t *testing.T) {
 		t.Errorf("degenerate detection rates: %.3f vs %.3f dets/frame",
 			base.MeanDets, sched.MeanDets)
 	}
-	// Wall-clock verdicts widen under the race detector's slowdown; the
-	// structural assertions above hold regardless.
-	// At this sizing the accuracy proxy has no systematic edge — both runs
-	// differ only by deadline-race noise — so the strict Pass() ordering is
-	// left to the full study; here the tail must improve, nothing may cross
-	// the constraint, and accuracy must stay within noise.
-	if !testutil.RaceEnabled {
-		if sched.HardMisses != 0 {
-			t.Errorf("scheduled run delivered %d frames past the constraint", sched.HardMisses)
-		}
-		if sched.TailMs >= base.TailMs {
-			t.Errorf("tail not reduced:\n%s", res.Render())
-		}
-		// One-sided: CPU contention from parallel tests makes the STATIC
-		// baseline shed more (deeper window, more deadline races), never
-		// the scheduled run — so only a scheduled-run deficit is a defect.
-		if sched.MeanDets < 0.95*base.MeanDets {
-			t.Errorf("accuracy proxy regressed: %.3f vs %.3f", sched.MeanDets, base.MeanDets)
-		}
-	}
 	out := res.Render()
 	for _, want := range []string{"static", "adaptive", "tail-study", "p99.99-ms", "hard-miss"} {
 		if !strings.Contains(out, want) {
@@ -687,13 +594,13 @@ func TestScenariosStudy(t *testing.T) {
 	// Small per-program sizing: the sweep's value here is structural — every
 	// library program compiles, runs, scores and replays — not the latency
 	// numbers, which need full-size runs to mean anything.
+	// (The registry's own sizing is 120 frames or more per program, five
+	// times the cost; TestAllRendersNonEmpty renders this run instead.)
 	res, err := runScenariosStudy(scenariosParams{Frames: 25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID() != "scenarios" {
-		t.Fatalf("ID = %q", res.ID())
-	}
+	produced[res.ID()] = res
 	if len(res.Runs) < 6 {
 		t.Fatalf("swept %d programs, want the whole library (>= 6)", len(res.Runs))
 	}
@@ -717,6 +624,24 @@ func TestScenariosStudy(t *testing.T) {
 	for _, want := range []string{"rush-hour", "cut-in", "blackout", "loop-closure", "mixed-stress", "replay IDENTICAL", "scenario-sweep"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
+		}
+	}
+}
+
+// TestAllRendersNonEmpty renders every registered experiment. It is last in
+// the file so the results are the ones the tests above produced; an id with
+// no test of its own, or any id when this test is selected alone, runs here.
+func TestAllRendersNonEmpty(t *testing.T) {
+	for _, id := range IDs() {
+		res, ok := produced[id]
+		if !ok {
+			res = run(t, id)
+		}
+		if res.ID() != id {
+			t.Errorf("%s: result names itself %q", id, res.ID())
+		}
+		if res.Render() == "" {
+			t.Errorf("%s: empty render", id)
 		}
 	}
 }

@@ -40,23 +40,20 @@ type AdmissionConfig struct {
 	Epoch int
 	// High and Low are the shed/readmit watermarks on the pressure signal
 	// (see Pressure in AdmissionEvent): shed at pressure >= High, count a
-	// calm epoch at pressure <= Low. In wall mode pressure is the fleet
-	// rolling P99.99 divided by Target, and zero watermarks default to
-	// 0.7/0.45 — shedding begins BEFORE the tail crosses the deadline, so
-	// the controller has authority while frames still meet it. In Virtual
-	// mode pressure is the epoch's deadline-miss fraction and the defaults
-	// are 0.25/0.05.
+	// calm epoch at pressure <= Low. The signal follows the fleet's deadline
+	// clock, so the two can never be mismatched. On the wall clock pressure
+	// is the fleet rolling P99.99 divided by Target, and zero watermarks
+	// default to 0.7/0.45 — shedding begins BEFORE the tail crosses the
+	// deadline, so the controller has authority while frames still meet it.
+	// Under DeadlinePolicy.Virtual pressure is the epoch's deadline-miss
+	// fraction from the DegradedMask stream — a pure function of scenario
+	// and seed, so the shed/readmit sequence is seed-deterministic — and the
+	// defaults are 0.25/0.05.
 	High, Low float64
 	// MaxAdmitted caps concurrently admitted vehicles (0 = uncapped). The
 	// cap is enforced immediately at registration time — the static
 	// -max-vehicles form of admission control — and respected by readmits.
 	MaxAdmitted int
-	// Virtual selects the deterministic pressure signal (epoch
-	// deadline-miss fractions from the DegradedMask stream, which under
-	// DeadlinePolicy.Virtual is a pure function of scenario and seed)
-	// instead of the wall-clock fleet tail. Use with Virtual deadline
-	// enforcement; the shed/readmit sequence becomes seed-deterministic.
-	Virtual bool
 }
 
 // Default admission parameters.
@@ -158,7 +155,9 @@ type admBucket struct {
 	wallMax float64
 }
 
-func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmission, error) {
+// newFleetAdmission builds a controller; virtual is the fleet's deadline
+// clock (DeadlinePolicy.Virtual), which selects the pressure signal.
+func newFleetAdmission(cfg AdmissionConfig, virtual, shedding, phase bool) (*FleetAdmission, error) {
 	target := cfg.Target
 	if target == 0 {
 		target = DefaultFrameBudget
@@ -176,13 +175,13 @@ func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmissi
 	high, low := cfg.High, cfg.Low
 	if high == 0 {
 		high = DefaultAdmissionHigh
-		if cfg.Virtual {
+		if virtual {
 			high = DefaultVirtualAdmissionHigh
 		}
 	}
 	if low == 0 {
 		low = DefaultAdmissionLow
-		if cfg.Virtual {
+		if virtual {
 			low = DefaultVirtualAdmissionLow
 		}
 	}
@@ -198,7 +197,7 @@ func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmissi
 		high:     high,
 		low:      low,
 		maxAdm:   cfg.MaxAdmitted,
-		virtual:  cfg.Virtual,
+		virtual:  virtual,
 		shedding: shedding,
 		phase:    phase,
 		veh:      make(map[int]*admVehicle),
@@ -206,9 +205,6 @@ func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmissi
 	a.cond = sync.NewCond(&a.mu)
 	return a, nil
 }
-
-// setTailSource points wall-mode pressure at the fleet's rolling monitor.
-func (a *FleetAdmission) setTailSource(m *constraint.Monitor) { a.tailSource = m }
 
 // Register adds a vehicle stream to the controller, admitted unless the
 // MaxAdmitted cap forces an immediate shed of the highest-ID stream.

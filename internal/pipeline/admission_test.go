@@ -21,11 +21,12 @@ func feedEpoch(a *FleetAdmission, vehicle, epoch, misses int) {
 	}
 }
 
-// newAdm builds a standalone shedding controller (no phase barrier) — the
-// form the controller-law and determinism tests drive directly.
+// newAdm builds a standalone shedding controller (no phase barrier) on the
+// virtual clock's miss-fraction signal — the form the controller-law and
+// determinism tests drive directly.
 func newAdm(t *testing.T, cfg AdmissionConfig) *FleetAdmission {
 	t.Helper()
-	a, err := newFleetAdmission(cfg, true, false)
+	a, err := newFleetAdmission(cfg, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestAdmissionControllerLaw(t *testing.T) {
 	const epoch = 4
 
 	t.Run("shed-readmit-cycle", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{Virtual: true, Epoch: epoch, High: 0.15, Low: 0.05})
+		a := newAdm(t, AdmissionConfig{Epoch: epoch, High: 0.15, Low: 0.05})
 		for v := 0; v < 3; v++ {
 			a.Register(v)
 		}
@@ -83,7 +84,7 @@ func TestAdmissionControllerLaw(t *testing.T) {
 	})
 
 	t.Run("never-shed-last", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{Virtual: true, Epoch: epoch, High: 0.15, Low: 0.05})
+		a := newAdm(t, AdmissionConfig{Epoch: epoch, High: 0.15, Low: 0.05})
 		a.Register(0)
 		for i := 0; i < 5; i++ {
 			feedEpoch(a, 0, epoch, epoch) // 100% misses
@@ -97,7 +98,7 @@ func TestAdmissionControllerLaw(t *testing.T) {
 	})
 
 	t.Run("max-admitted-cap", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{Virtual: true, MaxAdmitted: 2})
+		a := newAdm(t, AdmissionConfig{MaxAdmitted: 2})
 		for v := 0; v < 4; v++ {
 			a.Register(v)
 		}
@@ -123,7 +124,7 @@ func TestAdmissionControllerLaw(t *testing.T) {
 			{Target: -time.Second},
 		}
 		for i, cfg := range bad {
-			if _, err := newFleetAdmission(cfg, true, false); err == nil {
+			if _, err := newFleetAdmission(cfg, false, true, false); err == nil {
 				t.Errorf("config %d (%+v) accepted", i, cfg)
 			}
 		}
@@ -150,7 +151,7 @@ func admissionFleetConfig(t *testing.T) FleetConfig {
 			1: inj.Stage,
 		},
 		Admission: &AdmissionConfig{
-			Virtual: true, Epoch: 8, High: 0.15, Low: 0.05,
+			Epoch: 8, High: 0.15, Low: 0.05,
 		},
 	}
 }
@@ -198,7 +199,7 @@ func emulateAdmission(t *testing.T, cfg AdmissionConfig, miss [][]bool) []Admiss
 // 2/4, last stream never shed) instead of three (2/12, shed).
 func TestAdmissionLeaveKeepsQueuedBuckets(t *testing.T) {
 	const epoch, frames = 4, 24
-	cfg := AdmissionConfig{Virtual: true, Epoch: epoch, High: 0.15, Low: 0.05}
+	cfg := AdmissionConfig{Epoch: epoch, High: 0.15, Low: 0.05}
 	miss := make([][]bool, 3)
 	for v := range miss {
 		miss[v] = make([]bool, frames)

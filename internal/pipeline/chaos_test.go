@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,14 +20,16 @@ import (
 
 // This file is the chaos harness: seeded fault scenarios driven through
 // BOTH executors, asserting they deliver bitwise-identical results and
-// DegradedMask sequences, plus the wall-clock acceptance tests (a frame
-// whose DET stage stalls past budget still delivers inside the frame
-// deadline, in TRA-only mode) and the golden-trace regression diff.
+// DegradedMask sequences, plus the deadline acceptance tests (a frame whose
+// DET stage stalls past budget waits exactly the budget on it and delivers
+// in TRA-only mode, its late attempt pending until drained), the golden-trace
+// regression diff, and the one real-clock smoke per executor.
 //
-// Determinism scenarios run under DeadlinePolicy.Virtual: only injected
-// delays are charged against budgets and no timers race, so the
-// miss/degrade sequence is a pure function of (scenario, seed) — identical
-// across executors, schedulers and machines.
+// Everything but that smoke runs under DeadlinePolicy.Virtual: only injected
+// delays are charged against budgets and no timers race, so the miss/degrade
+// sequence is a pure function of (scenario, seed) — identical across
+// executors, schedulers and machines — while a missed stage still abandons a
+// real attempt that the shipped pending/drain path must wait out.
 
 // chaosRun is one executor's delivered sequence under a scenario.
 type chaosRun struct {
@@ -496,26 +499,16 @@ func TestGoldenAnytimeTrace(t *testing.T) {
 	}
 }
 
-// TestDegradedFrameMeetsFrameDeadline is the wall-clock acceptance test: a
-// frame whose DET stage is delayed far past its budget must still deliver
-// within the 100 ms frame deadline, in degraded TRA-only mode, with the
-// tracker coasting its table — and the next frame must recover cleanly
-// after draining the late attempt.
+// TestDegradedFrameMeetsFrameDeadline is the deadline acceptance test: a
+// frame whose DET stage is delayed far past its budget must deliver having
+// waited exactly the budget on DET — the stall never rides the frame — in
+// degraded TRA-only mode, with the tracker coasting its table and the late
+// attempt left pending; the next frame must recover cleanly after draining
+// it.
 func TestDegradedFrameMeetsFrameDeadline(t *testing.T) {
-	cfg := fastNativeConfig(scene.Urban)
-	cfg.Deadline = DeadlinePolicy{Enforce: true}
-	// Budget only the stage under test: the default budgets are sized for
-	// real hardware, and race-detector slowdown would blow them on healthy
-	// stages, muddying the assertion.
-	for i := range cfg.Deadline.Budgets {
-		cfg.Deadline.Budgets[i] = -1
-	}
-	cfg.Deadline.Budgets[StageDet] = 20 * time.Millisecond
-	inj, err := faultinject.New(faultinject.MustParse("DET:delay=300ms:frames=5", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Inject = inj.Stage
+	const budget = 20 * time.Millisecond
+	cfg := chaosConfig(t, scene.Urban, "DET:delay=300ms:frames=5", 1)
+	cfg.Deadline.Budgets[StageDet] = budget
 	p, err := NewNative(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -533,9 +526,7 @@ func TestDegradedFrameMeetsFrameDeadline(t *testing.T) {
 		tracksBefore = len(res.Tracks)
 	}
 
-	start := time.Now()
 	res, err := p.Step()
-	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("degraded frame: %v", err)
 	}
@@ -551,15 +542,13 @@ func TestDegradedFrameMeetsFrameDeadline(t *testing.T) {
 	if res.Pose.Stale || !res.Pose.Tracked {
 		t.Errorf("LOC must be unaffected by a DET miss: pose %+v", res.Pose)
 	}
-	// The injected 300ms stall must never ride the frame — delivery happens
-	// as soon as the 20ms budget expires. The tight frame-deadline bound
-	// only holds without the race detector's ~10x slowdown inflating the
-	// healthy stages.
-	if elapsed >= 250*time.Millisecond {
-		t.Errorf("degraded frame took %v: the 300ms stall rode the frame", elapsed)
+	// The injected 300ms stall must never ride the frame: the frame waited
+	// the budget on DET, not a nanosecond more, and left the attempt behind.
+	if res.Timing.Det != budget {
+		t.Errorf("degraded frame waited %v on DET, want its %v budget", res.Timing.Det, budget)
 	}
-	if !testutil.RaceEnabled && elapsed >= DefaultFrameBudget {
-		t.Errorf("degraded frame took %v, want < %v", elapsed, DefaultFrameBudget)
+	if p.pending[StageDet] == nil {
+		t.Error("the missed DET attempt is not pending after Step")
 	}
 
 	// The next frame first drains the late attempt, then runs clean.
@@ -570,7 +559,142 @@ func TestDegradedFrameMeetsFrameDeadline(t *testing.T) {
 	if res.Degraded.Any() {
 		t.Errorf("recovery frame mask = %v, want clean", res.Degraded)
 	}
+	if p.pending[StageDet] != nil {
+		t.Error("the recovery frame ran DET without draining the late attempt")
+	}
 	p.Drain() // idempotent once quiescent
+}
+
+// TestVirtualMissLeavesPendingAttempt pins what a miss on the virtual clock
+// leaves behind, on both executors: a real attempt, still running when the
+// frame that abandoned it is delivered, that stays in the stage's pending
+// slot until the stage's next frame, the Runner's shutdown or Drain waits it
+// out. Frame 1's DET body is held at a gate, so its attempt provably
+// outlives the frame's delivery.
+func TestVirtualMissLeavesPendingAttempt(t *testing.T) {
+	const frames, stalled = 4, 1
+	for _, inflight := range []int{0, 3} { // 0 drives Step
+		t.Run(fmt.Sprintf("inflight=%d", inflight), func(t *testing.T) {
+			defer testutil.CheckGoroutines(t)()
+			p, err := NewNative(chaosConfig(t, scene.Urban, "DET:delay=50ms:frames=1", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate := make(chan struct{})
+			release := sync.OnceFunc(func() { close(gate) })
+			defer release()
+			// A regression that runs the late body on the frame's own path
+			// would wait at the gate forever; fail on the assertions instead.
+			defer time.AfterFunc(30*time.Second, release).Stop()
+			body := p.g.stages[StageDet].Run
+			p.g.stages[StageDet].Run = func(fs *frameState, out *stageOut) error {
+				if fs.frame() == stalled {
+					<-gate
+				}
+				return body(fs, out)
+			}
+
+			// deliveredFrame checks frame i as it is delivered. On the stalled
+			// frame the pending slot is read race-free from here: DET wrote it
+			// before handing the frame on, and cannot clear it until the gate
+			// opens below.
+			deliveredFrame := func(i int, res FrameResult, err error) {
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if res.Frame.Index != i {
+					t.Fatalf("frame %d delivered at position %d", res.Frame.Index, i)
+				}
+				if res.Degraded.Has(StageDet) != (i == stalled) {
+					t.Errorf("frame %d mask = %v", i, res.Degraded)
+				}
+				if i == stalled {
+					if p.pending[StageDet] == nil {
+						t.Error("the missed DET attempt is not pending at delivery")
+					}
+					release()
+				}
+			}
+			if inflight == 0 {
+				for i := 0; i < frames; i++ {
+					res, err := p.Step()
+					deliveredFrame(i, res, err)
+				}
+				p.Drain()
+			} else {
+				r, err := NewRunner(p, RunnerOptions{InFlight: inflight})
+				if err != nil {
+					t.Fatal(err)
+				}
+				i := 0
+				for res := range r.Run(frames) {
+					deliveredFrame(i, res.FrameResult, res.Err)
+					i++
+				}
+				if i != frames {
+					t.Fatalf("delivered %d frames, want %d", i, frames)
+				}
+			}
+			if p.pending[StageDet] != nil {
+				t.Error("late attempt still pending after the executor drained")
+			}
+		})
+	}
+}
+
+// TestWallDeadlineSmoke is the one real-clock test per executor: the wall
+// clock's two substitutions in the deadline race — the slept delay and the
+// budget timer — driven once each through Step, a Runner and a Fleet. The
+// stall is ten times the budget, so no plausible scheduling delay reorders
+// the race, and only masks and order are asserted: wall-time verdicts live
+// in bench/'s stall_deadline, which records host and spread.
+func TestWallDeadlineSmoke(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const frames, stalled = 4, 2
+	mkCfg := func() Config {
+		cfg := chaosConfig(t, scene.Urban, "DET:delay=300ms:frames=2", 1)
+		cfg.Detect.RunDNN = true // the stalled attempt wakes past its anytime finish line
+		cfg.Detect.InputSize = 32
+		cfg.Deadline = DeadlinePolicy{Enforce: true, Anytime: true} // the wall clock
+		for i := range cfg.Deadline.Budgets {
+			cfg.Deadline.Budgets[i] = -1
+		}
+		cfg.Deadline.Budgets[StageDet] = 30 * time.Millisecond
+		return cfg
+	}
+	check := func(t *testing.T, run chaosRun) {
+		t.Helper()
+		if len(run.results) != frames {
+			t.Fatalf("delivered %d frames, want %d", len(run.results), frames)
+		}
+		for i, res := range run.results {
+			if res.Frame.Index != i || run.errs[i] != "" {
+				t.Errorf("position %d: frame %d, err %q", i, res.Frame.Index, run.errs[i])
+			}
+		}
+		if m := run.masks[stalled]; !m.Has(StageDet) || m.Anytime() || run.results[stalled].Detections != nil {
+			t.Errorf("stalled frame mask = %v with %d detections, want a plain DET miss",
+				m, len(run.results[stalled].Detections))
+		}
+	}
+	t.Run("step", func(t *testing.T) { check(t, runChaosStep(t, mkCfg(), frames)) })
+	t.Run("runner", func(t *testing.T) { check(t, runChaosRunner(t, mkCfg(), frames, 3)) })
+	t.Run("fleet", func(t *testing.T) {
+		cfg := mkCfg()
+		stall := cfg.Inject
+		cfg.Inject = nil // only vehicle 1 stalls
+		f, err := NewFleet(FleetConfig{
+			Vehicles: 2,
+			Config:   cfg,
+			InFlight: 3,
+			Injects:  map[int]func(string, int) (time.Duration, error){1: stall},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, _ := collectFleet(t, f, frames)
+		check(t, runs[1])
+	})
 }
 
 // TestMissedStageReportsBudget pins the Timing-on-miss rule in virtual
@@ -632,17 +756,12 @@ func TestMissedStageReportsBudget(t *testing.T) {
 // is in flight must still drain every admitted frame in order, and by the
 // time the result channel closes no abandoned attempt may still be
 // touching an engine — verified under -race by stepping the pipeline
-// immediately after close.
+// immediately after close. On the virtual clock every other frame abandons
+// a real DET attempt, deterministically.
 func TestRunnerStopDrainsDegradedInFlight(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	cfg := fastNativeConfig(scene.Urban)
-	cfg.Deadline = DeadlinePolicy{Enforce: true}
+	cfg := chaosConfig(t, scene.Urban, "DET:delay=150ms:every=2", 1)
 	cfg.Deadline.Budgets[StageDet] = 10 * time.Millisecond
-	inj, err := faultinject.New(faultinject.MustParse("DET:delay=150ms:every=2", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Inject = inj.Stage
 	p, err := NewNative(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -653,7 +772,6 @@ func TestRunnerStopDrainsDegradedInFlight(t *testing.T) {
 	}
 
 	delivered := 0
-	sawDegraded := false
 	for res := range r.Run(0) {
 		if res.Err != nil {
 			t.Fatalf("frame %d: %v", res.Frame.Index, res.Err)
@@ -661,22 +779,22 @@ func TestRunnerStopDrainsDegradedInFlight(t *testing.T) {
 		if res.Frame.Index != delivered {
 			t.Fatalf("frame %d delivered at position %d: out of order", res.Frame.Index, delivered)
 		}
-		if res.Degraded.Has(StageDet) {
-			sawDegraded = true
+		if res.Degraded.Has(StageDet) != (delivered%2 == 0) {
+			t.Errorf("frame %d mask = %v", delivered, res.Degraded)
 		}
 		delivered++
 		if delivered == 3 {
 			r.Stop() // frames 3..6 are in flight, several mid-degradation
 		}
 	}
-	if !sawDegraded {
-		t.Fatal("scenario produced no degraded frames before Stop")
-	}
 	if delivered < 3 {
 		t.Fatalf("only %d frames delivered", delivered)
 	}
 	// The channel is closed: every stage goroutine has exited and drained
 	// its late attempt. Re-entering the engines must be race-free.
+	if p.pending[StageDet] != nil {
+		t.Error("result channel closed with a late DET attempt still pending")
+	}
 	if _, err := p.Step(); err != nil {
 		t.Fatalf("post-close step: %v", err)
 	}

@@ -27,13 +27,23 @@ import (
 // deadline/miss/<stage>, and a deadline/stage_ms/<stage> distribution of
 // charged stage times.
 //
-// The abandoned attempt keeps running in the background, so every engine
-// still observes every frame in admission order (the determinism invariant
-// survives enforcement); the stage's next frame first drains that late
-// attempt before touching the engine again. It is race-free by shape: a
-// body writes only its own output slot — a private one under enforcement,
-// committed with one assignment if it beats the timer — and the dependency
-// slots it reads are final (see StageSpec.Run in graph.go).
+// Enforcement is one race on either clock (runStage in graph.go): take the
+// stage's fallback while its engine is quiescent, run the attempt — injected
+// delay, then the body — on its own goroutine into a private slot, and wait.
+// An attempt that finishes inside the budget is committed with one
+// assignment; otherwise the frame takes the fallback and the attempt is
+// abandoned to the stage's pending slot. It keeps running in the background,
+// so every engine still observes every frame in admission order (the
+// determinism invariant survives enforcement), and the stage's next frame
+// drains it before touching the engine again. It is race-free by shape: a
+// body writes only its own slot and the dependency slots it reads are final.
+//
+// The clock (deadlineClock) substitutes only the two steps that touch time.
+// On the wall clock the delay is slept and the wait is a select between the
+// attempt and a budget timer; under DeadlinePolicy.Virtual the delay is
+// charged, not slept, and the wait is arithmetic, so the miss sequence is a
+// pure function of (scenario, seed) while the abandon, pending and drain
+// machinery that runs is the one that ships.
 
 // DefaultFrameBudget is the paper's end-to-end latency constraint: frames
 // must complete within 100 ms.
@@ -82,13 +92,12 @@ type DeadlinePolicy struct {
 	// from DefaultStageBudgets(FrameBudget); a negative entry disables
 	// enforcement for that stage. SRC is never budgeted.
 	Budgets [NumStages]time.Duration
-	// Virtual switches enforcement to the deterministic chaos-testing
-	// clock: only injected delays (Config.Inject) are charged against
-	// budgets, the decision is computed without timers or sleeps, and a
-	// missed stage's attempt still runs to completion synchronously (its
-	// output discarded) so engine state evolves exactly as under
-	// wall-clock enforcement. Virtual runs are bitwise-reproducible
-	// across executors and machines.
+	// Virtual selects the deterministic clock for the deadline race: only
+	// injected delays (Config.Inject) are charged against budgets, nothing
+	// sleeps and no timer runs, so which stages miss is bitwise-reproducible
+	// across executors and machines. Everything else is the wall-clock path:
+	// a virtual miss leaves the stage's attempt running in the background
+	// as a pending late attempt, so call Drain before inspecting engines.
 	Virtual bool
 	// Anytime lets anytime-capable stages (DET) exit early at a layer
 	// boundary when their budget is nearly spent, committing a coarser
@@ -108,6 +117,43 @@ type DeadlinePolicy struct {
 // early-exited attempt still commits inside the real budget. This is the
 // anytime-exit error budget of DESIGN.md §12.
 const AnytimeGuardFrac = 0.2
+
+// deadlineClock is the clock the deadline race runs on: it decides how an
+// injected delay is spent and how the wait for a budgeted attempt ends,
+// nothing else.
+type deadlineClock struct{ virtual bool }
+
+// spend lets an injected delay pass: slept on the wall clock, returned as
+// virtual time to charge on the virtual one.
+func (c deadlineClock) spend(delay time.Duration) (charged time.Duration) {
+	if c.virtual {
+		return delay
+	}
+	time.Sleep(delay)
+	return 0
+}
+
+// wait ends the race between a budgeted attempt (attDone closes when it
+// finishes, its injected delay included) and the stage's budget. It reports
+// whether the budget ran out first — the attempt is then still running —
+// and the virtual time the wait took.
+func (c deadlineClock) wait(attDone <-chan struct{}, delay, budget time.Duration) (charged time.Duration, missed bool) {
+	if c.virtual {
+		if delay > budget {
+			return budget, true
+		}
+		<-attDone
+		return delay, false
+	}
+	timer := time.NewTimer(budget)
+	defer timer.Stop()
+	select {
+	case <-attDone:
+		return 0, false
+	case <-timer.C:
+		return 0, true
+	}
+}
 
 // resolve fills in the effective per-stage budgets.
 func (d DeadlinePolicy) resolve() [NumStages]time.Duration {

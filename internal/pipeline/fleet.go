@@ -144,12 +144,13 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if shedding {
 			acfg = *cfg.Admission
 		}
-		adm, err := newFleetAdmission(acfg, shedding, cfg.PhaseLock)
+		virtual := cfg.Config.Deadline.Virtual
+		adm, err := newFleetAdmission(acfg, virtual, shedding, cfg.PhaseLock)
 		if err != nil {
 			return nil, err
 		}
-		if shedding && !acfg.Virtual {
-			adm.setTailSource(f.fleetMon)
+		if shedding && !virtual {
+			adm.tailSource = f.fleetMon
 		}
 		if cfg.PhaseLock {
 			adm.onActive = func(active int) { exec.SetGatherHold(active, PhaseGatherHold) }
@@ -498,8 +499,8 @@ type FleetReport struct {
 	// TailMs is the fleet-level P99.99 frame latency.
 	Fleet constraint.LiveReport
 	// Admission is the controller's shed/readmit event history (nil
-	// without admission control). Under DeadlinePolicy.Virtual plus
-	// AdmissionConfig.Virtual it is identical across reruns of a seed.
+	// without admission control). Under DeadlinePolicy.Virtual it is
+	// identical across reruns of a seed.
 	Admission  []AdmissionEvent
 	PerVehicle []VehicleScore
 }

@@ -17,12 +17,12 @@ import (
 
 // This file is the single source of truth for the pipeline's topology: the
 // declarative stage graph encoding the paper's Figure 1 dependency law.
-// Both executors are constructed from it — the sequential Step loop runs
-// the graph one frame at a time (stages still overlap within the frame
-// wherever the graph allows), and the pipelined Runner turns each stage
-// into a long-lived goroutine with one channel per graph edge. Neither
-// executor hard-codes an ordering of its own, so the topology, the
-// ordering guarantees, and the determinism test live in exactly one place.
+// Both executors are constructed from it — the sequential Step loop walks
+// the graph's topological order one stage at a time on the caller's
+// goroutine, and the pipelined Runner turns each stage into a long-lived
+// goroutine with one channel per graph edge. Neither executor hard-codes an
+// ordering of its own, so the topology, the ordering guarantees, and the
+// determinism test live in exactly one place.
 //
 //	SRC ─┬─► DET ──► TRA ──┐
 //	     └─► LOC ──┬───────┴─► FUSION ──┐
@@ -93,8 +93,8 @@ type StageSpec struct {
 	// under DeadlinePolicy.Anytime (DET): when its budget is nearly spent
 	// the body stops the network at a layer boundary and commits a coarser
 	// on-time result instead of missing. The body reads the exit signal
-	// from the frame state (detDeadline under wall-clock enforcement,
-	// anytimeFrac under virtual) and reports the exit in its slot.
+	// from the frame state (detDeadline on the wall clock, anytimeFrac on
+	// the virtual one) and reports the exit in its slot.
 	Anytime bool
 }
 
@@ -245,9 +245,9 @@ type stageOut struct {
 
 // frameState carries one frame through the stage graph. Each stage commits
 // exactly one slot of out; cross-stage visibility is ordered by the
-// executors (done-channel close in Step, channel send in Runner), and a
-// slot is final once its stage completed, so concurrent stages of the same
-// frame never touch the same memory.
+// executors (program order in Step, channel send in Runner), and a slot is
+// final once its stage completed, so concurrent stages of the same frame
+// never touch the same memory.
 type frameState struct {
 	admitted time.Time
 	out      [NumStages]stageOut
@@ -267,10 +267,9 @@ type frameState struct {
 	// bitwise equivalence.
 	detSize int
 	// detDeadline and anytimeFrac are DET's anytime-exit signals, set by
-	// runStage before the body starts when the policy arms them:
-	// detDeadline is the guarded wall-clock finish line (wall enforcement),
-	// anytimeFrac the deterministic completed-budget fraction (virtual
-	// enforcement).
+	// armAnytime before the attempt starts when the policy arms them:
+	// detDeadline is the guarded finish line on the wall clock, anytimeFrac
+	// the deterministic remaining-budget fraction on the virtual one.
 	detDeadline time.Time
 	anytimeFrac float64
 }
@@ -313,19 +312,14 @@ func (p *Pipeline) execStage(spec StageSpec, fs *frameState) {
 }
 
 // runStage executes one stage body under the fault-injection and deadline
-// policies and reports whether the stage failed. Four paths:
+// policies and reports whether the stage failed. Three paths:
 //
 //   - injected hard error: the stage fails (the frame delivers with Err);
 //   - enforcement off (or the stage unbudgeted): run the body, any injected
 //     delay riding the frame first;
-//   - virtual enforcement: charge only the injected delay against the
-//     budget, decide miss without timers, and on a miss still run the body
-//     synchronously into a scratch slot so engine state evolves exactly as
-//     under wall-clock enforcement;
-//   - wall-clock enforcement: race the attempt, writing a private slot,
-//     against the budget timer; commit the slot if it wins, and on a miss
-//     abandon the attempt to the stage's pending slot — the stage's next
-//     frame drains it before touching the engine again.
+//   - budgeted: the deadline race of deadline.go — fallback, attempt into a
+//     private slot, wait, then commit or abandon to the stage's pending
+//     slot. The clock decides only how the wait ends.
 //
 // A missed stage's slot holds its fallback and the budget as its duration:
 // the time the frame actually waited on it.
@@ -338,7 +332,6 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 	start := time.Now()
 	out := &fs.out[spec.ID]
 	var err error
-	missed := false
 	charged := time.Duration(0) // extra virtual time charged to the stage
 
 	if spec.ID == StageSrc {
@@ -350,7 +343,7 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 		if err == nil && p.inject != nil {
 			var delay time.Duration
 			delay, err = p.inject(spec.ID.String(), fs.frame())
-			charged = p.stall(delay)
+			charged = p.clock.spend(delay)
 		}
 	} else {
 		var delay time.Duration
@@ -363,33 +356,11 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 			// Injected hard fault: fail the stage outright.
 		case budget <= 0:
 			// Unbudgeted (or enforcement off): delays ride the frame.
-			charged = p.stall(delay)
+			charged = p.clock.spend(delay)
 			err = spec.run(fs, out)
-		case p.deadline.Virtual:
-			charged = delay
-			if delay > budget {
-				missed = true
-				*out = spec.Fallback()
-				var late stageOut
-				spec.run(fs, &late) // engine state advances as under wall mode; output discarded
-			} else {
-				if spec.Anytime && p.deadline.Anytime && 2*delay > budget {
-					// Deterministic anytime rule: more than half the budget
-					// consumed by the injected stall ⇒ the body exits early
-					// at the remaining-budget fraction. A pure function of
-					// (scenario, stage, frame), so virtual runs stay
-					// bitwise-reproducible.
-					fs.anytimeFrac = 1 - float64(delay)/float64(budget)
-				}
-				err = spec.run(fs, out)
-			}
 		default:
 			if spec.Anytime && p.deadline.Anytime {
-				// Arm the body's anytime exit: the guarded slice of the
-				// budget is the finish line for network work, the rest is
-				// reserved for the body's pre/post-processing so an early
-				// exit still commits before the miss timer below.
-				fs.detDeadline = time.Now().Add(budget - time.Duration(AnytimeGuardFrac*float64(budget)))
+				p.armAnytime(fs, delay, budget)
 			}
 			// Taken before the attempt starts, while the engine is still
 			// quiescent (LOC's fallback reads it).
@@ -399,32 +370,29 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 			var attErr error
 			go func() {
 				defer close(attDone)
-				time.Sleep(delay)
+				p.clock.spend(delay) // the wait below accounts for it
 				attErr = spec.run(fs, att)
 			}()
-			timer := time.NewTimer(budget)
-			select {
-			case <-attDone:
-				timer.Stop()
-				*out, err = *att, attErr
-			case <-timer.C:
-				missed = true
+			var missed bool
+			charged, missed = p.clock.wait(attDone, delay, budget)
+			if missed {
 				*out = fallback
+				out.missed, out.dur, out.kernel, out.other = true, budget, 0, 0
 				p.pending[spec.ID] = attDone
+				p.met.miss.Inc()
+				p.met.stageMiss[spec.ID].Inc()
+			} else {
+				*out, err = *att, attErr
+				if err == nil {
+					p.held[spec.ID] = *out // what an unbudgeted stage never replays needn't be kept
+				}
 			}
-		}
-		if missed {
-			out.missed, out.dur, out.kernel, out.other = true, budget, 0, 0
-			p.met.miss.Inc()
-			p.met.stageMiss[spec.ID].Inc()
-		} else if err == nil && budget > 0 {
-			p.held[spec.ID] = *out // what an unbudgeted stage never replays needn't be kept
 		}
 	}
 
 	if out.anytime {
-		// The body exited early and its (possibly raced) attempt committed
-		// in time: a coarser on-time frame, not a miss.
+		// The body exited early and its raced attempt committed in time: a
+		// coarser on-time frame, not a miss.
 		p.met.anytime.Inc()
 	}
 	if err != nil {
@@ -442,14 +410,16 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 	return err != nil
 }
 
-// stall lets an unbudgeted injected delay ride the frame: slept on the
-// wall clock, or returned as virtual time to charge under Virtual.
-func (p *Pipeline) stall(delay time.Duration) time.Duration {
-	if p.deadline.Virtual {
-		return delay
+// armAnytime hands an anytime stage's body its exit signal before the
+// attempt starts (the rules are DeadlinePolicy.Anytime's): a guarded finish
+// line on the wall clock, the remaining-budget fraction on the virtual one —
+// unless the stall ate the whole budget: a miss, whose late body runs in full.
+func (p *Pipeline) armAnytime(fs *frameState, delay, budget time.Duration) {
+	if !p.deadline.Virtual {
+		fs.detDeadline = time.Now().Add(budget - time.Duration(AnytimeGuardFrac*float64(budget)))
+	} else if 2*delay > budget && delay <= budget {
+		fs.anytimeFrac = 1 - float64(delay)/float64(budget)
 	}
-	time.Sleep(delay)
-	return 0
 }
 
 // drainStage blocks until the stage's abandoned late attempt, if any, has
@@ -511,28 +481,4 @@ func (p *Pipeline) deliver(fs *frameState) RunnerResult {
 		Degraded: res.Degraded.Any(),
 	})
 	return RunnerResult{FrameResult: res, Err: err, Wall: wall}
-}
-
-// runFrame executes the whole graph for one frame: one goroutine per
-// stage, each starting the moment its dependencies finish. This is the
-// sequential executor's body — DET and LOC overlap within the frame
-// exactly as Figure 1 allows, but only one frame is in flight.
-func (p *Pipeline) runFrame(fs *frameState) {
-	var done [NumStages]chan struct{}
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	for _, id := range p.g.topo {
-		spec := p.g.stages[id]
-		go func() {
-			for _, dep := range spec.Deps {
-				<-done[dep]
-			}
-			p.execStage(spec, fs)
-			close(done[spec.ID])
-		}()
-	}
-	// CONTROL is the graph's only sink (validated), so its completion
-	// transitively orders every stage's.
-	<-done[StageControl]
 }

@@ -146,9 +146,11 @@ type Pipeline struct {
 	// frame index.
 	inject func(stage string, frame int) (time.Duration, error)
 
-	// deadline is the enforcement policy, budgets its resolved per-stage
-	// budgets (0 = unenforced), and met the pre-resolved metric handles.
+	// deadline is the enforcement policy, clock the clock its race runs on,
+	// budgets its resolved per-stage budgets (0 = unenforced), and met the
+	// pre-resolved metric handles.
 	deadline DeadlinePolicy
+	clock    deadlineClock
 	budgets  [NumStages]time.Duration
 	met      deadlineMetrics
 
@@ -208,6 +210,7 @@ func NewNative(cfg Config) (*Pipeline, error) {
 		mot: plan.NewPlanner(cfg.Plan), ctl: ctl,
 		inject:   cfg.Inject,
 		deadline: cfg.Deadline,
+		clock:    deadlineClock{virtual: cfg.Deadline.Virtual},
 		budgets:  cfg.Deadline.resolve(),
 		met:      newDeadlineMetrics(reg),
 	}
@@ -291,13 +294,16 @@ func (p *Pipeline) Localizer() *slam.Engine { return p.loc }
 // Tracker exposes the TRA engine.
 func (p *Pipeline) Tracker() *track.Engine { return p.tra }
 
-// Step renders the next frame and runs it through the full stage graph
-// with one frame in flight (stages still overlap within the frame wherever
-// the graph allows — DET and LOC in parallel, per Fig 1). Runner pipelines
-// the same graph across multiple in-flight frames.
+// Step renders the next frame and walks it through the stage graph in
+// topological order on the caller's goroutine: the reference executor, with
+// no scheduler of its own. Timing.E2E is still the dependency law (DET ∥
+// LOC), but Step's own wall time is the sum of the stages; a Runner overlaps
+// the same graph within a frame (InFlight 1) and across frames.
 func (p *Pipeline) Step() (FrameResult, error) {
 	fs := &frameState{admitted: time.Now()}
-	p.runFrame(fs)
+	for _, id := range p.g.topo {
+		p.execStage(p.g.stages[id], fs)
+	}
 	res := p.deliver(fs)
 	return res.FrameResult, res.Err
 }
@@ -305,8 +311,8 @@ func (p *Pipeline) Step() (FrameResult, error) {
 // Drain blocks until every abandoned late stage attempt has finished. Call
 // it when the pipeline is quiescent (after Step returns, or after a
 // Runner's result channel closes) and before inspecting engines directly —
-// under wall-clock deadline enforcement a budget-blown stage's attempt may
-// still be running in the background.
+// under deadline enforcement, on either clock, a budget-blown stage's
+// attempt may still be running in the background.
 func (p *Pipeline) Drain() {
 	for id := StageID(0); id < NumStages; id++ {
 		p.drainStage(id)

@@ -66,14 +66,11 @@ func TestFleetSoak(t *testing.T) {
 	}
 
 	f, err := NewFleet(FleetConfig{
-		Vehicles: vehicles,
-		Config:   cfg,
-		InFlight: 3,
-		Injects:  injects,
-		Admission: &AdmissionConfig{
-			Virtual: true,
-			Epoch:   16,
-		},
+		Vehicles:  vehicles,
+		Config:    cfg,
+		InFlight:  3,
+		Injects:   injects,
+		Admission: &AdmissionConfig{Epoch: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
