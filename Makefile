@@ -6,7 +6,7 @@ TELEMETRY_COVER_FLOOR ?= 80
 # suite's determinism claims, so nearly every branch must be exercised.
 FAULTINJECT_COVER_FLOOR ?= 90
 
-.PHONY: build vet test race flake-gate bench-smoke bench-check alloc-gate check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
+.PHONY: build vet test race flake-gate bench-smoke bench-check alloc-gate noasm-check check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,13 @@ bench-check:
 # correctness). No output filter: the target's status must be go test's.
 alloc-gate:
 	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/track
+
+# The pure-Go GEMM step every non-amd64 host runs (axpy4_other.go): the
+# kernel packages' tests as 386 binaries, which run on an amd64 host and do
+# float32 math in SSE2 too, so the bitwise tests hold; plus arm64 vet.
+noasm-check:
+	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 # Short fuzz smoke over the ADM1 prior-map decoder and the unified scenario
 # program parser (go test -fuzz works on one package at a time; -run '^$'
@@ -117,9 +124,9 @@ scenario-smoke:
 # The tier the concurrency work is held to: compile everything, vet, run
 # the full test suite under the race detector (which includes the chaos
 # suite), compile and smoke the bench/ module against the APIs it imports,
-# fuzz the map decoder, then drive the chaos, fleet, tail, scenario and
-# soak scenarios end to end through the CLIs.
-check: build vet race bench-check alloc-gate fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke
+# test the non-amd64 kernel, fuzz the map decoder, then drive the chaos,
+# fleet, tail, scenario and soak scenarios end to end through the CLIs.
+check: build vet race bench-check alloc-gate noasm-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \

@@ -20,7 +20,7 @@ import (
 // was handed, so independent pipelines sharing a process cannot perturb
 // each other's kernel configuration. Results are bitwise-identical for any
 // worker count and whether or not batching groups a call with others (see
-// internal/tensor/batch.go for the kernel-level contract).
+// the header of internal/tensor/parallel.go for the kernel-level contract).
 //
 // All methods are safe for concurrent use.
 type Executor struct {

@@ -178,12 +178,14 @@ func batchShape(dsts, ins []*T) {
 // arena), so a warm call allocates nothing. Each sample's result obeys the
 // determinism contract above.
 //
-// The GEMM accumulates four patch rows per pass (register blocking). That
-// reassociates the floating-point sum relative to a direct convolution
-// loop, so equivalence with one is to rounding tolerance, not bitwise; the
-// blocking itself is fixed, so results never vary run to run. Zero weights
-// still multiply into the sum (no sparsity skip), so non-finite inputs
-// propagate exactly as in the direct loop: 0·NaN = NaN.
+// The GEMM folds four patch rows into the output per pass (axpy4): four
+// output columns at a time in SSE on amd64, the plain Go loop elsewhere,
+// bitwise equal either way. That reassociates the floating-point sum
+// relative to a direct convolution loop, so equivalence with one is to
+// rounding tolerance, not bitwise; the blocking itself is fixed, so
+// results never vary run to run. Zero weights still multiply into the sum
+// (no sparsity skip), so non-finite inputs propagate exactly as in the
+// direct loop: 0·NaN = NaN.
 func Conv2DIm2ColBatchInto(dsts, ins []*T, w []float32, bias []float32, outC, k, stride, pad, workers int, s *Scratch) {
 	j := jobs.Get().(*job)
 	j.conv(dsts, ins, w, bias, outC, k, stride, pad, workers, s)
@@ -234,7 +236,8 @@ func (j *job) conv(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, work
 // row u is weight position (ic, ky, kx) = u%patchRows of sample u/patchRows
 // and columns are output pixels. Every element is written — out-of-bounds
 // (padding) taps get explicit zeros — so the buffer needs no pre-clearing
-// and reuse across frames is safe.
+// and reuse across frames is safe. The in-bounds output interval is worked
+// out once per row and axis, so no per-element bounds branch remains.
 func lowerRange(patches []float32, ins []*T, k, stride, pad, oh, ow, lo, hi int) {
 	patchRows := ins[0].C * k * k
 	cols := oh * ow
@@ -242,31 +245,45 @@ func lowerRange(patches []float32, ins []*T, k, stride, pad, oh, ow, lo, hi int)
 		in, row := ins[u/patchRows], u%patchRows
 		ic := row / (k * k)
 		rem := row % (k * k)
-		ky, kx := rem/k, rem%k
-		chanOff := ic * in.H * in.W
+		offY, offX := rem/k-pad, rem%k-pad // input index = output index·stride + off
+		oyLo, oyHi := tapSpan(offY, stride, in.H, oh)
+		oxLo, oxHi := tapSpan(offX, stride, in.W, ow)
+		plane := in.Data[ic*in.H*in.W : (ic+1)*in.H*in.W]
 		dst := patches[u*cols : (u+1)*cols]
-		col := 0
-		for oy := 0; oy < oh; oy++ {
-			iy := oy*stride - pad + ky
-			if iy < 0 || iy >= in.H {
-				for ox := 0; ox < ow; ox++ {
-					dst[col] = 0
-					col++
-				}
+		if oxLo == oxHi {
+			clear(dst) // every column of this tap is padding
+			continue
+		}
+		clear(dst[:oyLo*ow])
+		clear(dst[oyHi*ow:])
+		for oy := oyLo; oy < oyHi; oy++ {
+			out := dst[oy*ow : (oy+1)*ow]
+			src := plane[(oy*stride+offY)*in.W : (oy*stride+offY+1)*in.W]
+			clear(out[:oxLo])
+			clear(out[oxHi:])
+			if stride == 1 {
+				copy(out[oxLo:oxHi], src[oxLo+offX:])
 				continue
 			}
-			rowOff := chanOff + iy*in.W
-			for ox := 0; ox < ow; ox++ {
-				ix := ox*stride - pad + kx
-				if ix >= 0 && ix < in.W {
-					dst[col] = in.Data[rowOff+ix]
-				} else {
-					dst[col] = 0
-				}
-				col++
+			for ox, ix := oxLo, oxLo*stride+offX; ox < oxHi; ox, ix = ox+1, ix+stride {
+				out[ox] = src[ix]
 			}
 		}
 	}
+}
+
+// tapSpan returns the output interval [lo,hi) ⊆ [0,outN) whose input index
+// o·stride + off lands inside [0,inN); it is empty (lo == hi) when no
+// output does.
+func tapSpan(off, stride, inN, outN int) (lo, hi int) {
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	if inN > off {
+		hi = (inN - off + stride - 1) / stride
+	}
+	lo = min(lo, outN)
+	return lo, max(lo, min(hi, outN))
 }
 
 // gemmRange computes GEMM units [lo,hi), where unit u is output channel
@@ -290,14 +307,9 @@ func gemmRange(dsts []*T, patches, w, bias []float32, patchRows, cols, lo, hi in
 		wRow := w[oc*patchRows : (oc+1)*patchRows]
 		r := 0
 		for ; r+4 <= patchRows; r += 4 {
-			w0, w1, w2, w3 := wRow[r], wRow[r+1], wRow[r+2], wRow[r+3]
-			s0 := p[r*cols : (r+1)*cols]
-			s1 := p[(r+1)*cols : (r+2)*cols]
-			s2 := p[(r+2)*cols : (r+3)*cols]
-			s3 := p[(r+3)*cols : (r+4)*cols]
-			for c, v0 := range s0 {
-				acc[c] += w0*v0 + w1*s1[c] + w2*s2[c] + w3*s3[c]
-			}
+			s := p[r*cols : (r+4)*cols]
+			axpy4(acc, s[:cols], s[cols:2*cols], s[2*cols:3*cols], s[3*cols:],
+				wRow[r], wRow[r+1], wRow[r+2], wRow[r+3])
 		}
 		for ; r < patchRows; r++ {
 			wv := wRow[r]
@@ -306,6 +318,18 @@ func gemmRange(dsts []*T, patches, w, bias []float32, patchRows, cols, lo, hi in
 				acc[c] += wv * pv
 			}
 		}
+	}
+}
+
+// axpy4Go is the GEMM's four-row step in plain Go:
+// acc[c] += w0·s0[c] + w1·s1[c] + w2·s2[c] + w3·s3[c], summed left to
+// right, for every c in acc. It is axpy4 on every GOARCH but amd64, and on
+// amd64 the reference the SSE routine is held to bit for bit. Each s must
+// hold len(acc) elements.
+func axpy4Go(acc, s0, s1, s2, s3 []float32, w0, w1, w2, w3 float32) {
+	s0, s1, s2, s3 = s0[:len(acc)], s1[:len(acc)], s2[:len(acc)], s3[:len(acc)]
+	for c, v0 := range s0 {
+		acc[c] += w0*v0 + w1*s1[c] + w2*s2[c] + w3*s3[c]
 	}
 }
 

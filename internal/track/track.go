@@ -384,24 +384,18 @@ func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Du
 func matchTemplate(search, tmpl *img.Gray, nx, ny int) (dx, dy int, best int64) {
 	bestSAD := int64(1) << 62
 	bestDist := int64(1) << 62
-	maxY := search.H - tmpl.H
-	maxX := search.W - tmpl.W
+	sp, sw := search.Pix, search.W
+	tp, tw, th := tmpl.Pix, tmpl.W, tmpl.H
+	maxY := search.H - th
+	maxX := sw - tw
 	if maxY < 0 || maxX < 0 {
 		return 0, 0, bestSAD
 	}
 	for oy := 0; oy <= maxY; oy++ {
 		for ox := 0; ox <= maxX; ox++ {
 			var sad int64
-			for ty := 0; ty < tmpl.H; ty++ {
-				srow := (oy+ty)*search.W + ox
-				trow := ty * tmpl.W
-				for tx := 0; tx < tmpl.W; tx++ {
-					d := int64(search.Pix[srow+tx]) - int64(tmpl.Pix[trow+tx])
-					if d < 0 {
-						d = -d
-					}
-					sad += d
-				}
+			for ty := 0; ty < th; ty++ {
+				sad += int64(rowSAD(sp[(oy+ty)*sw+ox:], tp[ty*tw:(ty+1)*tw]))
 				if sad > bestSAD {
 					break // early exit: already worse than best
 				}
@@ -415,6 +409,25 @@ func matchTemplate(search, tmpl *img.Gray, nx, ny int) (dx, dy int, best int64) 
 		}
 	}
 	return dx, dy, bestSAD
+}
+
+// rowSAD returns Σ|s[i] − t[i]| over t's length (≤ 255·len(t), so an int
+// holds it on every GOARCH). It stays out of line on purpose: inlined into
+// matchTemplate's scan, the loop shares registers with the scan's live
+// values and reloads spilled slice headers on every pixel.
+//
+//go:noinline
+func rowSAD(s, t []uint8) int {
+	s = s[:len(t)] // one bounds check here, none in the loop
+	sum := 0
+	for i, v := range t {
+		d := int(s[i]) - int(v)
+		if d < 0 {
+			d = -d // compiles to CMOV: no data-dependent branch
+		}
+		sum += d
+	}
+	return sum
 }
 
 // toTensorInto normalizes g's pixels into t, which must already have

@@ -3,6 +3,7 @@ package track
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -262,6 +263,89 @@ func TestMatchTemplateExact(t *testing.T) {
 	}
 	if sad != 0 {
 		t.Errorf("exact match SAD = %d, want 0", sad)
+	}
+}
+
+// matchTemplateRef is the per-element SAD scan matchTemplate replaced: the
+// differential reference its (dx, dy, sad) is held to exactly.
+func matchTemplateRef(search, tmpl *img.Gray, nx, ny int) (dx, dy int, best int64) {
+	bestSAD := int64(1) << 62
+	bestDist := int64(1) << 62
+	maxY := search.H - tmpl.H
+	maxX := search.W - tmpl.W
+	if maxY < 0 || maxX < 0 {
+		return 0, 0, bestSAD
+	}
+	for oy := 0; oy <= maxY; oy++ {
+		for ox := 0; ox <= maxX; ox++ {
+			var sad int64
+			for ty := 0; ty < tmpl.H; ty++ {
+				srow := (oy+ty)*search.W + ox
+				trow := ty * tmpl.W
+				for tx := 0; tx < tmpl.W; tx++ {
+					d := int64(search.Pix[srow+tx]) - int64(tmpl.Pix[trow+tx])
+					if d < 0 {
+						d = -d
+					}
+					sad += d
+				}
+				if sad > bestSAD {
+					break
+				}
+			}
+			ddx, ddy := int64(ox-nx), int64(oy-ny)
+			dist := ddx*ddx + ddy*ddy
+			if sad < bestSAD || (sad == bestSAD && dist < bestDist) {
+				bestSAD, bestDist = sad, dist
+				dx, dy = ox, oy
+			}
+		}
+	}
+	return dx, dy, bestSAD
+}
+
+// matchTemplate must return exactly the reference scan's (dx, dy, sad) at
+// the tracker's three template scales: on random pixels, on constant and
+// two-level images where every offset ties and only the zero-motion
+// tie-break decides, and on a template cut from the search image.
+func TestMatchTemplateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fills := []struct {
+		name string
+		fill func(g *img.Gray)
+	}{
+		{"random", func(g *img.Gray) { rng.Read(g.Pix) }},
+		{"constant", func(g *img.Gray) { g.Fill(uint8(rng.Intn(256))) }},
+		{"two-level", func(g *img.Gray) {
+			for i := range g.Pix {
+				g.Pix[i] = uint8(rng.Intn(2)) * 255
+			}
+		}},
+		{"stripes", func(g *img.Gray) {
+			for i := range g.Pix {
+				g.Pix[i] = uint8(i%g.W%3) * 60
+			}
+		}},
+	}
+	const ss = 32
+	for _, f := range fills {
+		for _, ts := range []int{16, 17, 15} { // DefaultConfig's TemplateSize at scales 1, 1.08, 1/1.08
+			for trial := 0; trial < 20; trial++ {
+				search, tmpl := img.NewGray(ss, ss), img.NewGray(ts, ts)
+				f.fill(search)
+				f.fill(tmpl)
+				if trial%4 == 3 {
+					tmpl = search.Crop(img.RectWH(float64(rng.Intn(ss-ts+1)), float64(rng.Intn(ss-ts+1)), float64(ts), float64(ts)))
+				}
+				nx, ny := rng.Intn(ss-ts+1), rng.Intn(ss-ts+1)
+				dx, dy, sad := matchTemplate(search, tmpl, nx, ny)
+				wdx, wdy, wsad := matchTemplateRef(search, tmpl, nx, ny)
+				if dx != wdx || dy != wdy || sad != wsad {
+					t.Fatalf("%s ts=%d trial %d: got (%d,%d,%d), reference (%d,%d,%d)",
+						f.name, ts, trial, dx, dy, sad, wdx, wdy, wsad)
+				}
+			}
+		}
 	}
 }
 
