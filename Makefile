@@ -82,7 +82,7 @@ chaos-smoke:
 
 # Fleet smoke: the fleet/solo bitwise-parity and cross-stream isolation
 # suites under the race detector (small N), then a short end-to-end fleet
-# run through the CLI — shared batching executor, shared map store, one
+# run through the CLI — shared executor and networks, shared map store, one
 # faulted vehicle.
 fleet-smoke:
 	$(GO) test -race -run 'TestFleet|TestAdviseVehicle' ./internal/pipeline ./internal/slam

@@ -172,10 +172,10 @@ func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
 	return pipeline.NewTailScheduler(cfg)
 }
 
-// Fleet drives N vehicle pipelines concurrently with DET/TRA inference
-// multiplexed through one shared batching executor and, optionally, one
-// shared prior-map store. Per-vehicle results are bitwise-identical to solo
-// runs of the same seeds.
+// Fleet drives N vehicle pipelines concurrently, their DET/TRA engines
+// sharing one executor and one copy of the network weights and,
+// optionally, one prior-map store. Per-vehicle results are
+// bitwise-identical to solo runs of the same seeds.
 type Fleet = pipeline.Fleet
 
 // FleetConfig parameterizes a Fleet.
@@ -201,19 +201,13 @@ type AdmissionConfig = pipeline.AdmissionConfig
 type AdmissionEvent = pipeline.AdmissionEvent
 
 // DNNExecutor is an instance-scoped inference executor: it owns its kernel
-// worker count and (optionally) the cross-stream batching seam that gathers
-// concurrent same-shape forward calls into one batched GEMM.
+// worker count, and every forward pass runs on its caller's goroutine.
 type DNNExecutor = dnn.Executor
 
-// NewDNNExecutor returns an unbatched executor whose kernels shard across
-// workers goroutines (0 = GOMAXPROCS). Results are bitwise-identical
-// for any worker count.
+// NewDNNExecutor returns an executor whose kernels shard across workers
+// goroutines (0 = GOMAXPROCS). Results are bitwise-identical for any
+// worker count.
 func NewDNNExecutor(workers int) *DNNExecutor { return dnn.NewExecutor(workers) }
-
-// NewBatchDNNExecutor is NewDNNExecutor with cross-stream batching enabled:
-// overlapping same-shape forward calls (e.g. from a fleet's DET engines)
-// execute as one batched GEMM, bitwise-identical to unbatched runs.
-func NewBatchDNNExecutor(workers int) *DNNExecutor { return dnn.NewBatchExecutor(workers) }
 
 // Distribution accumulates latency samples and answers quantile queries.
 type Distribution = stats.Distribution

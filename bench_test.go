@@ -178,7 +178,7 @@ func BenchmarkRunnerTail(b *testing.B) {
 }
 
 // BenchmarkFleet measures vehicle-stream consolidation: four full native
-// pipelines (DNNs on) multiplexed onto one shared batching executor and one
+// pipelines (DNNs on) sharing one executor, one network cache and one
 // shared prior-map store, swept over core counts via GOMAXPROCS. The
 // vehicles/s metric is the consolidation headroom — how many real-time
 // vehicle streams (at the scenario frame rate) one machine of that width
@@ -240,15 +240,14 @@ func BenchmarkFleet(b *testing.B) {
 
 // BenchmarkFleetCapacity is the capacity curve at the consolidation limit:
 // eight full native pipelines (DNNs on) on one machine, swept across the
-// three fleet operating modes. "plain" is the shared batching executor
-// alone; "phase" adds executor-aware phase-locking so co-resident DET
-// admissions align into deeper same-shape batches; "admit" adds the
-// frame-budget admission controller (100ms wall budget), which sheds whole
-// streams until the delivered tail fits the budget. Compare p99.99-ms
-// across modes for the budget story (admit must hold the windowed tail at
-// or under budget where plain blows through it), batch-depth for the
-// phase-lock win, and admitted for how many of the eight streams the
-// controller sustains at run end. b.N is frames PER VEHICLE.
+// three fleet operating modes. "plain" is the shared executor alone;
+// "phase" adds the phase barrier, which paces co-resident vehicles' frame
+// admission on one fleet beat; "admit" adds the frame-budget admission
+// controller (100ms wall budget), which sheds whole streams until the
+// delivered tail fits the budget. Compare p99.99-ms across modes for the
+// budget story (admit must hold the windowed tail at or under budget where
+// plain blows through it), and admitted for how many of the eight streams
+// the controller sustains at run end. b.N is frames PER VEHICLE.
 func BenchmarkFleetCapacity(b *testing.B) {
 	const vehicles = 8
 	cfg := DefaultPipelineConfig(Highway)
@@ -291,8 +290,6 @@ func BenchmarkFleetCapacity(b *testing.B) {
 			b.Fatal(err)
 		}
 		f.Warm()
-		// Exclude the warm-up forwards from the batch-depth accounting.
-		warmBatches, warmCalls := f.Executor().GatherStats()
 		// The reported tail is sampled from the live fleet monitor the
 		// moment the first stream completes: at that instant the rolling
 		// window holds exactly the steady-state population's deliveries.
@@ -314,13 +311,6 @@ func BenchmarkFleetCapacity(b *testing.B) {
 			}
 			mu.Unlock()
 		})
-		batches, calls := f.Executor().GatherStats()
-		batches -= warmBatches
-		calls -= warmCalls
-		depth := 0.0
-		if batches > 0 {
-			depth = float64(calls) / float64(batches)
-		}
 		admitted := 0
 		for _, vs := range rep.PerVehicle {
 			if !vs.Shed {
@@ -333,7 +323,6 @@ func BenchmarkFleetCapacity(b *testing.B) {
 		}
 		b.ReportMetric(rep.VehiclesPerSec, "vehicles/s")
 		b.ReportMetric(tail, "p99.99-ms")
-		b.ReportMetric(depth, "batch-depth")
 		b.ReportMetric(float64(admitted), "admitted")
 	}
 

@@ -1,8 +1,9 @@
 // Command adfleet multiplexes N vehicle streams onto shared engines: every
 // vehicle runs the full native pipeline on its own seeded scenario, with
-// DET/TRA inference gathered through one shared batching executor and the
-// prior map served from one shared store. It prints the fleet verdict —
-// fleet-level P99.99, sustained vehicles/s, and a per-vehicle scorecard.
+// DET/TRA engines sharing one executor and one copy of the network
+// weights, and the prior map served from one shared store. It prints the
+// fleet verdict — fleet-level P99.99, sustained vehicles/s, and a
+// per-vehicle scorecard.
 //
 // Usage:
 //
@@ -10,7 +11,7 @@
 //	adfleet -vehicles 8 -frames 100 -scenario highway -inflight 4
 //	adfleet -vehicles 4 -frames 200 -deadline 100ms -fault 'DET:delay=30ms:every=5' -fault-vehicle 1
 //	adfleet -vehicles 4 -frames 100 -assign '1=cut-in,3=blackout'   # per-vehicle scenario programs
-//	adfleet -vehicles 8 -frames 200 -phase -admission               # capacity mode: phase-locked batching + budget shedding
+//	adfleet -vehicles 8 -frames 200 -phase -admission               # capacity mode: phase-locked pacing + budget shedding
 //	adfleet -vehicles 4 -frames 100 -add-at 50 -remove-at 100 -remove-vehicle 1   # runtime churn
 package main
 
@@ -38,7 +39,7 @@ func main() {
 		width    = flag.Int("width", 512, "frame width")
 		height   = flag.Int("height", 256, "frame height")
 		survey   = flag.Int("survey", 60, "prior-map survey frames")
-		dnn      = flag.Bool("dnn", true, "execute the native DNNs (slower, exercises the batching seam)")
+		dnn      = flag.Bool("dnn", true, "execute the native DNNs (slower, exercises the shared executor and networks)")
 		inflight = flag.Int("inflight", 3, "frames in flight per vehicle Runner")
 		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel in the shared executor (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", 1, "base scenario seed; vehicle i drives seed+i")
@@ -46,7 +47,7 @@ func main() {
 		admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (unhealthiest first, ties toward the highest vehicle ID) when the fleet P99.99 nears the budget, readmit with hysteresis when it subsides")
 		admitTgt = flag.Duration("admission-target", 0, "admission frame budget the controller steers the fleet tail under (0 = the paper's 100ms; implies -admission)")
 		maxVeh   = flag.Int("max-vehicles", 0, "cap on concurrently admitted vehicle streams, enforced at registration and respected by readmits (0 = uncapped; implies -admission)")
-		phase    = flag.Bool("phase", false, "phase-lock co-resident vehicles' frame admission so the shared executor gathers deeper same-shape DNN batches")
+		phase    = flag.Bool("phase", false, "phase-lock co-resident vehicles' frame admission: pace every stream on one fleet beat so none runs ahead of the others")
 		addAt    = flag.Int("add-at", 0, "add one vehicle at runtime once this many total frames are delivered (0 disables)")
 		removeAt = flag.Int("remove-at", 0, "remove vehicle -remove-vehicle at runtime once this many total frames are delivered (0 disables)")
 		removeV  = flag.Int("remove-vehicle", 0, "vehicle index removed by -remove-at")
@@ -90,9 +91,8 @@ func main() {
 		cfg.Deadline = adsim.DeadlinePolicy{Enforce: true, FrameBudget: *deadline}
 	}
 
-	// One batching executor gathers overlapping same-shape DNN calls across
-	// vehicles into one batched GEMM.
-	exec := adsim.NewBatchDNNExecutor(*workers)
+	// One executor sets every vehicle's DNN kernel worker count.
+	exec := adsim.NewDNNExecutor(*workers)
 
 	fc := adsim.FleetConfig{
 		Vehicles:  *vehicles,
@@ -259,10 +259,6 @@ func main() {
 	fmt.Printf("\n%s", rep)
 	if addedID >= 0 {
 		fmt.Printf("churn: vehicle %d added at runtime\n", addedID)
-	}
-	if batches, calls := f.Executor().GatherStats(); batches > 0 {
-		fmt.Printf("gather: %d DNN forwards in %d batches (mean depth %.2f)\n",
-			calls, batches, float64(calls)/float64(batches))
 	}
 	if *verbose {
 		for _, e := range rep.Admission {

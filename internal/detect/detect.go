@@ -62,17 +62,14 @@ type Config struct {
 	// RunDNN controls whether the native network is executed. Experiments
 	// that only need functional boxes (e.g. planner tests) can disable it.
 	RunDNN bool
-	// Executor runs the network's forward passes. nil builds a private
-	// dnn.NewExecutor(0).
-	// A fleet shares one batching executor across many detectors so
-	// concurrent same-shape calls gather into one batched GEMM.
+	// Executor runs the network's forward passes on the calling goroutine
+	// and sets their kernel worker count. nil builds a private
+	// dnn.NewExecutor(0); a fleet hands every detector the same one.
 	Executor *dnn.Executor
 	// Nets, when non-nil, is a shared network cache: detectors drawing from
 	// one cache hold the SAME network per input size instead of private
-	// identical copies. The executor's gather seam batches calls on the
-	// same network pointer, so sharing is what makes cross-stream DET
-	// batching possible at all; it also collapses per-vehicle weight memory
-	// to one copy per size. nil keeps networks private.
+	// identical copies, so co-resident streams keep one copy of the weights
+	// per size. nil keeps networks private.
 	Nets *dnn.NetCache
 }
 

@@ -315,11 +315,12 @@ func TestShapeString(t *testing.T) {
 }
 
 // TestForwardConcurrentAndWorkerInvariant checks the two guarantees the
-// parallel tracker pool and pipelined runner rely on: concurrent Forward
-// calls through one shared network are safe (lazy weight init is guarded),
-// and the result is bitwise-identical for any kernel worker count. Worker
-// counts are instance-scoped executors now — no global mutation, no
-// test-order sensitivity.
+// parallel tracker pool, the pipelined runner and a fleet's vehicles sharing
+// one network rely on: concurrent Forward calls through one shared network
+// are safe (lazy weight init is guarded), and the result is
+// bitwise-identical for any kernel worker count. Worker counts are
+// instance-scoped executors — no global mutation, no test-order
+// sensitivity.
 func TestForwardConcurrentAndWorkerInvariant(t *testing.T) {
 	build := func() *Network {
 		return MustNetwork("t", Shape{C: 1, H: 16, W: 16},

@@ -5,14 +5,12 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
-	"adsim/internal/telemetry"
 	"adsim/internal/tensor"
 	"adsim/internal/testutil"
 )
 
-// ForwardBatch is the fleet's cross-stream seam; every sample must come out
+// ForwardBatch is the explicit synchronous batch; every sample must come out
 // bitwise-identical to a solo Forward of the same input, in the same
 // ping-pong slot, for any batch size and worker count.
 func TestForwardBatchBitwiseEqualSolo(t *testing.T) {
@@ -54,11 +52,11 @@ func TestForwardBatchBitwiseEqualSolo(t *testing.T) {
 	}
 }
 
-// Hammer the gather seam: many goroutine "vehicles" drive concurrent
-// Forward calls through one batching executor; every result must equal the
-// unbatched single-stream reference bitwise, no matter how the leader
-// groups them. Run under -race by `make race`.
-func TestBatchExecutorGatherBitwise(t *testing.T) {
+// The fleet's concurrency pattern: many goroutine "vehicles" drive
+// concurrent Forward calls on two networks through one shared executor;
+// every result must equal the single-stream reference bitwise. Run under
+// -race by `make race`.
+func TestSharedExecutorConcurrentBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tower := TinyTrackerTower(32)
 	yolo := TinyYOLO(32)
@@ -68,7 +66,7 @@ func TestBatchExecutorGatherBitwise(t *testing.T) {
 	towerWant := NewExecutor(1).Forward(tower, towerIn.Clone(), &refS).Clone()
 	yoloWant := NewExecutor(1).Forward(yolo, yoloIn.Clone(), &refS).Clone()
 
-	exec := NewBatchExecutor(2)
+	exec := NewExecutor(2)
 	const vehicles = 8
 	var wg sync.WaitGroup
 	fail := make(chan string, vehicles)
@@ -78,7 +76,7 @@ func TestBatchExecutorGatherBitwise(t *testing.T) {
 			defer wg.Done()
 			var s Scratch
 			for iter := 0; iter < 25; iter++ {
-				// Interleave two networks so the queue carries mixed keys.
+				// Interleave two networks, as DET and TRA engines do.
 				net, in, want := tower, towerIn, towerWant
 				if (v+iter)%3 == 0 {
 					net, in, want = yolo, yoloIn, yoloWant
@@ -86,7 +84,7 @@ func TestBatchExecutorGatherBitwise(t *testing.T) {
 				out := exec.Forward(net, in, &s)
 				for i := range want.Data {
 					if out.Data[i] != want.Data[i] {
-						fail <- "gathered forward diverged from solo reference"
+						fail <- "concurrent forward diverged from solo reference"
 						return
 					}
 				}
@@ -97,73 +95,6 @@ func TestBatchExecutorGatherBitwise(t *testing.T) {
 	close(fail)
 	if msg, ok := <-fail; ok {
 		t.Fatal(msg)
-	}
-}
-
-// The gather hold is the fleet phase-locker's executor half: with a cohort
-// of N armed, N staggered concurrent calls must land in ONE depth-N batch
-// (the leader waits for the cohort instead of draining a 1-deep head), with
-// the depth recorded by GatherStats and the attached telemetry registry.
-func TestGatherHoldDeepensBatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	net := TinyYOLO(32)
-	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
-	var refS Scratch
-	want := NewExecutor(1).Forward(net, in.Clone(), &refS).Clone()
-
-	exec := NewBatchExecutor(1)
-	reg := telemetry.NewRegistry(0)
-	exec.SetMetrics(reg)
-	const cohort = 4
-	exec.SetGatherHold(cohort, time.Second)
-
-	var wg sync.WaitGroup
-	for v := 0; v < cohort; v++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			time.Sleep(time.Duration(v) * 2 * time.Millisecond) // staggered arrivals
-			var s Scratch
-			out := exec.Forward(net, in, &s)
-			for i := range want.Data {
-				if out.Data[i] != want.Data[i] {
-					t.Error("held gathered forward diverged from solo reference")
-					return
-				}
-			}
-		}(v)
-	}
-	wg.Wait()
-	batches, calls := exec.GatherStats()
-	if batches != 1 || calls != cohort {
-		t.Errorf("gather stats = %d batches / %d calls, want 1 / %d", batches, calls, cohort)
-	}
-	if got := reg.Counter("dnn/gather_calls").Value(); got != cohort {
-		t.Errorf("telemetry gather_calls = %d, want %d", got, cohort)
-	}
-	if d := reg.Dist("dnn/batch_depth").Snapshot(); d.Max != cohort {
-		t.Errorf("telemetry batch_depth max = %v, want %d", d.Max, cohort)
-	}
-}
-
-// A mis-sized cohort (more vehicles armed than calls arriving) must time out
-// and drain, never deadlock — the hold is bounded by construction.
-func TestGatherHoldTimesOut(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	net := TinyYOLO(32)
-	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
-	exec := NewBatchExecutor(1)
-	exec.SetGatherHold(8, 10*time.Millisecond)
-	var s Scratch
-	if out := exec.Forward(net, in, &s); out == nil {
-		t.Fatal("held forward returned nil")
-	}
-	if batches, calls := exec.GatherStats(); batches != 1 || calls != 1 {
-		t.Errorf("gather stats = %d/%d, want 1/1", batches, calls)
-	}
-	exec.SetGatherHold(0, 0) // disarm: back to the timerless path
-	if out := exec.Forward(net, in, &s); out == nil {
-		t.Fatal("disarmed forward returned nil")
 	}
 }
 

@@ -9,13 +9,9 @@ import "sync"
 // two builds of one architecture at one size are indistinguishable; the
 // cache makes that equality a pointer equality.
 //
-// Sharing matters twice. It collapses per-vehicle weight memory to one
-// copy per architecture+size, and — the reason the fleet wires it — it is
-// what lets a batching executor's gather seam group cross-stream forward
-// calls: the seam batches requests on the same network pointer (grouping
-// by weights-equality would cost more than the GEMM it saves), so private
-// per-vehicle networks can never batch no matter how well their admission
-// is phase-aligned.
+// The fleet wires one cache so that its vehicles hold one copy of each
+// architecture+size's weights instead of one copy per vehicle; it has no
+// other role.
 //
 // Networks are safe to share: inference only reads weights (lazy weight
 // initialization is mutex-guarded in the layers), and all per-call state

@@ -13,8 +13,9 @@ import (
 // admission controller that sheds and readmits WHOLE vehicle streams when
 // the machine saturates (the paper's 100 ms frame constraint is per frame —
 // once every co-resident stream misses it, nobody is driving autonomously),
-// plus the phase barrier that aligns co-resident streams' frame admission so
-// the executor's gather seam forms deep same-shape batches.
+// plus the phase barrier that paces co-resident streams' frame admission on
+// one fleet beat, so no stream runs ahead and crowds the others off the
+// cores.
 //
 // Determinism contract: under DeadlinePolicy.Virtual the controller's entire
 // shed/readmit sequence is a pure function of (configs, seeds). The trick is
@@ -107,10 +108,6 @@ type FleetAdmission struct {
 	// tailSource supplies wall-mode pressure (the fleet monitor); nil in
 	// Virtual mode or when detached.
 	tailSource *constraint.Monitor
-	// onActive, when set, is told the actively admitted stream count after
-	// every membership change — the fleet points it at the shared
-	// executor's gather-hold cohort.
-	onActive func(active int)
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -251,9 +248,9 @@ func (a *FleetAdmission) Leave(vehicle int) {
 
 // leaveAdmitting marks a stream as done ASKING for frames (SRC exhausted or
 // stopped) while its in-flight deliveries may still be pending: it exits
-// the phase barrier and the gather cohort, but stays in the decision
-// barrier until Leave. This half is wall-timed and deliberately has no
-// influence on shed/readmit decisions.
+// the phase barrier, but stays in the decision barrier until Leave. This
+// half is wall-timed and deliberately has no influence on shed/readmit
+// decisions.
 func (a *FleetAdmission) leaveAdmitting(vehicle int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -341,7 +338,7 @@ func (a *FleetAdmission) admit(vehicle int) bool {
 		// Phase barrier: park until every actively admitted stream is
 		// parked, then release the round together. Alignment is best
 		// effort — a stream shed mid-wait re-parks without the round —
-		// and never load-bearing for results, only for batch depth.
+		// and never load-bearing for results, only for pacing.
 		gen := a.gen
 		a.waiting++
 		a.maybeReleaseLocked()
@@ -398,12 +395,9 @@ func (a *FleetAdmission) maybeReleaseLocked() {
 }
 
 // membershipChangedLocked re-evaluates everything that watches the active
-// set: the phase barrier, the executor cohort callback, and blocked gates.
+// set: the phase barrier and blocked gates.
 func (a *FleetAdmission) membershipChangedLocked() {
 	a.maybeReleaseLocked()
-	if a.onActive != nil {
-		a.onActive(a.activeLocked())
-	}
 	a.cond.Broadcast()
 }
 

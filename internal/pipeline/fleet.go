@@ -37,9 +37,10 @@ type FleetConfig struct {
 	// DefaultInFlight.
 	InFlight int
 	// Executor is the inference executor shared by every vehicle's DET and
-	// TRA engines — the cross-stream batching seam. nil constructs a
-	// batching executor sized to the machine (dnn.NewBatchExecutor(0)).
-	// Vehicles whose template already names an engine executor keep it.
+	// TRA engines: it sets their kernel worker count, and each forward pass
+	// runs on the engine's own goroutine. nil constructs one sized to the
+	// machine (dnn.NewExecutor(0)). Vehicles whose template already names an
+	// engine executor keep it.
 	Executor *dnn.Executor
 	// SharedMap, when non-nil, is the prior-map store all vehicles share;
 	// each vehicle localizes through a private slam.VehicleStore view, so
@@ -53,9 +54,7 @@ type FleetConfig struct {
 	// monitors; 0 selects constraint.DefaultMonitorWindow.
 	MonitorWindow int
 	// Metrics, when non-nil, receives the fleet gauges
-	// (fleet/vehicles_per_sec, fleet/frames_per_sec) after a run and
-	// attaches the shared executor's batch-depth instrumentation
-	// (dnn/batch_depth, dnn/gather_batches, dnn/gather_calls).
+	// (fleet/vehicles_per_sec, fleet/frames_per_sec) after a run.
 	Metrics *telemetry.Registry
 	// Admission, when non-nil, puts the fleet under the frame-budget
 	// admission controller (admission.go): when the fleet cannot hold the
@@ -63,27 +62,21 @@ type FleetConfig struct {
 	// unhealthiest first — and readmitted with hysteresis once pressure
 	// clears. FleetReport marks shed vehicles.
 	Admission *AdmissionConfig
-	// PhaseLock aligns co-resident vehicles' frame admission on a fleet
-	// beat and arms the shared executor's gather hold with the live cohort
-	// size, so concurrently admitted DET forwards meet in the batching
-	// executor's leader drain instead of trickling through one by one.
-	// Results are unchanged (batching is bitwise-transparent); mean batch
-	// depth is what moves — see BenchmarkFleetCapacity.
+	// PhaseLock paces co-resident vehicles on a fleet beat: a vehicle
+	// admits its next frame only once every actively admitted vehicle has
+	// asked for one, so no stream runs ahead and crowds the others off the
+	// cores. Results are unchanged; the delivered tail is what moves
+	// (DESIGN.md §14 has the measurement).
 	PhaseLock bool
 }
 
-// PhaseGatherHold is how long a phase-locked fleet lets the shared
-// executor's drain leader wait for its cohort. Frame periods are tens of
-// milliseconds; a couple of milliseconds gathers the beat's co-released
-// forwards without denting the budget when a peer is late.
-const PhaseGatherHold = 5 * time.Millisecond
-
 // Fleet drives N vehicle pipelines concurrently, one pipelined Runner per
-// vehicle, with DET/TRA inference multiplexed through one shared (typically
-// batching) dnn.Executor and, optionally, one shared prior-map store. Each
-// vehicle's delivered results are bitwise-identical to the same seed run
-// solo (see TestFleetMatchesSoloRunners) — sharing changes the schedule and
-// the cost, never the outputs.
+// vehicle. The vehicles share one dnn.Executor (one kernel worker setting;
+// every forward pass runs on its own engine's goroutine), one network
+// cache (one copy of the weights) and, optionally, one prior-map store.
+// Each vehicle's delivered results are bitwise-identical to the same seed
+// run solo (see TestFleetMatchesSoloRunners) — sharing changes the schedule
+// and the cost, never the outputs.
 //
 // The membership is dynamic: AddVehicle and RemoveVehicle churn streams
 // mid-run without perturbing the survivors, and an admission controller
@@ -130,7 +123,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	exec := cfg.Executor
 	if exec == nil {
-		exec = dnn.NewBatchExecutor(0)
+		exec = dnn.NewExecutor(0)
 	}
 	f := &Fleet{
 		cfg:      cfg,
@@ -152,13 +145,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if shedding && !virtual {
 			adm.tailSource = f.fleetMon
 		}
-		if cfg.PhaseLock {
-			adm.onActive = func(active int) { exec.SetGatherHold(active, PhaseGatherHold) }
-		}
 		f.adm = adm
-	}
-	if cfg.Metrics != nil {
-		exec.SetMetrics(cfg.Metrics)
 	}
 	for i := 0; i < cfg.Vehicles; i++ {
 		if _, err := f.addVehicleLocked(); err != nil {
@@ -189,9 +176,8 @@ func (f *Fleet) addVehicleLocked() (*fleetVehicle, error) {
 		vcfg.Track.Executor = f.exec
 	}
 	// One shared network per architecture+size across the fleet: weights are
-	// deterministic, so sharing never changes results, but pointer-identical
-	// networks are the precondition for the executor's gather seam to batch
-	// DET/TRA forwards across vehicles (and they cost one copy of memory).
+	// deterministic, so sharing never changes results, and the fleet keeps
+	// one copy of them instead of one per vehicle.
 	if vcfg.Detect.Nets == nil {
 		vcfg.Detect.Nets = f.nets
 	}
@@ -237,10 +223,6 @@ func (f *Fleet) addVehicleLocked() (*fleetVehicle, error) {
 	return v, nil
 }
 
-// Executor returns the shared inference executor the fleet multiplexes
-// DET/TRA forward passes through.
-func (f *Fleet) Executor() *dnn.Executor { return f.exec }
-
 // Admission returns the fleet's admission controller, nil without one.
 func (f *Fleet) Admission() *FleetAdmission { return f.adm }
 
@@ -266,9 +248,8 @@ func (f *Fleet) Vehicle(id int) *Pipeline {
 
 // Warm pre-pays every vehicle's one-time cold-start costs so a measured run
 // starts from steady state: one DET forward per vehicle primes each
-// detector's pooled scratch and the shared executor's batch buffers for the
-// fleet's input shape, and a shared-map advise pages each vehicle's initial
-// tile window into the shard cache.
+// detector's pooled scratch for the fleet's input shape, and a shared-map
+// advise pages each vehicle's initial tile window into the shard cache.
 // Warm never touches a scenario stream or a stateful engine, so a warmed
 // run's results are bitwise-identical to a cold one.
 func (f *Fleet) Warm() {

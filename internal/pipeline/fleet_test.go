@@ -63,11 +63,12 @@ func collectFleet(t *testing.T, f *Fleet, frames int) ([]chaosRun, FleetReport) 
 	return runs, rep
 }
 
-// The fleet acceptance bar: N vehicles multiplexed onto one batching
-// executor and one shared prior-map store must deliver, per vehicle,
+// The fleet acceptance bar: N vehicles sharing one executor, one network
+// cache and one prior-map store must deliver, per vehicle,
 // detections/tracks/poses bitwise-identical to the same seed run solo
 // through an ordinary Runner with private engines and a private map. The
-// native DNNs are ON so the cross-stream batching seam actually gathers.
+// native DNNs are ON so the vehicles' forward passes really run
+// concurrently through the shared networks.
 func TestFleetMatchesSoloRunners(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const vehicles, frames = 3, 8
@@ -88,9 +89,6 @@ func TestFleetMatchesSoloRunners(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !f.Executor().Batching() {
-		t.Fatal("fleet default executor is not batching")
 	}
 	fleetRuns, rep := collectFleet(t, f, frames)
 
@@ -149,7 +147,7 @@ func TestFleetChaosIsolation(t *testing.T) {
 		Vehicles:  vehicles,
 		Config:    cfg,
 		InFlight:  4,
-		Executor:  dnn.NewBatchExecutor(2),
+		Executor:  dnn.NewExecutor(2),
 		SharedMap: decodeBase(t, raw),
 		Injects: map[int]func(string, int) (time.Duration, error){
 			faulted: newInject(t),

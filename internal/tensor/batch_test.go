@@ -27,7 +27,7 @@ func randBatch(seed int64, n int) (ins []*T, w, bias []float32, outC, k int) {
 	return
 }
 
-// The batched kernels are the fleet's cross-stream seam: each sample must
+// The batched kernels back dnn.ForwardBatch: each sample must
 // come out bitwise-identical to its solo kernel, for any batch size and
 // worker count.
 func TestConvBatchBitwiseEqualSolo(t *testing.T) {

@@ -563,7 +563,7 @@ func TestFanOutCoversRangeOnce(t *testing.T) {
 }
 
 // Descriptor reuse across concurrent kernel calls is the fan-out's one
-// shared-state hazard (the tracker pool and the gather leader both call
+// shared-state hazard (the tracker pool and a fleet's vehicles both call
 // kernels concurrently): 8 goroutines run solo conv, batched conv and FC
 // at workers 1/2/4 through the pooled descriptors, and every result must be
 // bitwise-equal to its serial run. Shapes sit above parMinMACs so the

@@ -70,16 +70,14 @@ type Config struct {
 	// RunDNN controls whether the native network executes per tracked
 	// object.
 	RunDNN bool
-	// Executor runs the network's forward passes. nil builds a private
-	// dnn.NewExecutor(0).
-	// A fleet shares one batching executor across many engines so
-	// concurrent same-shape calls gather into one batched GEMM.
+	// Executor runs the network's forward passes on the calling goroutine
+	// and sets their kernel worker count. nil builds a private
+	// dnn.NewExecutor(0); a fleet hands every engine the same one.
 	Executor *dnn.Executor
 	// Nets, when non-nil, is a shared network cache: engines drawing from
 	// one cache hold the SAME tower/head networks instead of private
-	// identical copies, which is what lets the executor's gather seam batch
-	// forward calls across co-resident streams (the seam groups on the
-	// network pointer). nil keeps networks private.
+	// identical copies, so co-resident streams keep one copy of the
+	// weights. nil keeps networks private.
 	Nets *dnn.NetCache
 }
 
