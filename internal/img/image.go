@@ -71,9 +71,11 @@ func (g *Gray) Resize(w, h int) *Gray {
 	return g.ResizeInto(nil, w, h)
 }
 
-// BoxBlur returns the image smoothed with a (2r+1)² box filter, computed via
-// an integral image so cost is independent of r. The FAST detector in the
-// SLAM engine runs on a lightly smoothed image, as ORB does.
+// BoxBlur returns the image smoothed with a (2r+1)² box filter; border
+// pixels average the in-bounds part of their window. Radius 1 is a
+// separable 3×3 sum; larger radii go through an integral image so cost is
+// independent of r. The FAST detector in the SLAM engine runs on a lightly
+// smoothed image, as ORB does.
 func (g *Gray) BoxBlur(r int) *Gray {
 	return g.BoxBlurInto(nil, nil, r)
 }
@@ -83,6 +85,8 @@ func (g *Gray) BoxBlur(r int) *Gray {
 type Integral struct {
 	W, H int
 	Cum  []int64 // (W+1)*(H+1)
+
+	cols []uint16 // BoxBlurInto's radius-1 column-sum row
 }
 
 // NewIntegral computes the integral image of g.

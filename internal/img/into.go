@@ -122,8 +122,10 @@ func (ii *Integral) Reset(g *Gray) {
 	}
 }
 
-// BoxBlurInto is BoxBlur writing into dst (nil allocates), reusing ii as the
-// integral-image workspace when non-nil.
+// BoxBlurInto is BoxBlur writing into dst (nil allocates), drawing its
+// workspace from ii when non-nil. Radius 1 — the only one LOC uses — takes
+// the separable path (boxBlur3) and never touches ii's integral table;
+// other radii rebuild the integral image in ii.
 func (g *Gray) BoxBlurInto(dst *Gray, ii *Integral, r int) *Gray {
 	out := grayInto(dst, g.W, g.H)
 	if r <= 0 {
@@ -132,6 +134,10 @@ func (g *Gray) BoxBlurInto(dst *Gray, ii *Integral, r int) *Gray {
 	}
 	if ii == nil {
 		ii = &Integral{}
+	}
+	if r == 1 {
+		g.boxBlur3(out, ii)
+		return out
 	}
 	ii.Reset(g)
 	for y := 0; y < g.H; y++ {
@@ -156,4 +162,70 @@ func (g *Gray) BoxBlurInto(dst *Gray, ii *Integral, r int) *Gray {
 		}
 	}
 	return out
+}
+
+// boxBlur3 is the r = 1 box blur, computed separably in exact integers.
+// Each output row first sums its 1–3 in-bounds source rows into a
+// column-sum row (at most 3·255, so uint16 is exact), then slides a
+// 3-wide window along it. Every pixel gets the same clipped sum and area
+// as the integral path and the same rounding (sum + area/2) / area, so
+// the result is bitwise-identical; interior pixels divide by the constant
+// 9, which compiles to a multiply.
+func (g *Gray) boxBlur3(out *Gray, ii *Integral) {
+	w, h := g.W, g.H
+	if cap(ii.cols) < w {
+		ii.cols = make([]uint16, w)
+	}
+	cs := ii.cols[:w]
+	for y := 0; y < h; y++ {
+		y0, y1 := max(y-1, 0), min(y+1, h-1)
+		rows := y1 - y0 + 1
+		src := g.Pix[y0*w : (y1+1)*w]
+		if rows == 3 {
+			a, b, c := src[:len(cs)], src[w:w+len(cs)], src[2*w:2*w+len(cs)]
+			for x := range cs {
+				cs[x] = uint16(a[x]) + uint16(b[x]) + uint16(c[x])
+			}
+		} else {
+			for x := range cs {
+				cs[x] = uint16(src[x])
+			}
+			for r := 1; r < rows; r++ {
+				next := src[r*w : r*w+len(cs)]
+				for x := range cs {
+					cs[x] += uint16(next[x])
+				}
+			}
+		}
+		blurRow3(out.Pix[y*w:(y+1)*w], cs, uint32(rows))
+	}
+}
+
+// blurRow3 writes one output row of the r = 1 blur from its column sums cs
+// over rows source rows: each pixel averages the 1–3 in-bounds columns
+// around it, rounding half up.
+func blurRow3(dst []uint8, cs []uint16, rows uint32) {
+	w := len(cs)
+	dst = dst[:w]
+	if w == 1 {
+		dst[0] = uint8((uint32(cs[0]) + rows/2) / rows)
+		return
+	}
+	edge := 2 * rows
+	dst[0] = uint8((uint32(cs[0]) + uint32(cs[1]) + edge/2) / edge)
+	dst[w-1] = uint8((uint32(cs[w-2]) + uint32(cs[w-1]) + edge/2) / edge)
+	l, m := uint32(cs[0]), uint32(cs[1])
+	inner := dst[1 : w-1]
+	if rows == 3 {
+		for x, r := range cs[2:] {
+			inner[x] = uint8((l + m + uint32(r) + 4) / 9)
+			l, m = m, uint32(r)
+		}
+		return
+	}
+	area := 3 * rows
+	for x, r := range cs[2:] {
+		inner[x] = uint8((l + m + uint32(r) + area/2) / area)
+		l, m = m, uint32(r)
+	}
 }

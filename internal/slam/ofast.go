@@ -60,13 +60,27 @@ func DefaultFASTConfig() FASTConfig {
 // 3×3 non-maximum suppression, each keypoint assigned an intensity-centroid
 // orientation. Keypoints are returned strongest first.
 func DetectFAST(im *img.Gray, cfg FASTConfig) []Keypoint {
-	return detectFAST(im, cfg, nil)
+	return detectFAST(im, cfg, &FEScratch{}) // a fresh scratch: nothing else holds its kps
 }
 
-// detectFAST is DetectFAST with an optional reusable score buffer (the
-// returned keypoints are always freshly allocated — callers retain them
-// across frames, so they must not alias scratch memory).
-func detectFAST(im *img.Gray, cfg FASTConfig, scratch []int) []Keypoint {
+// cloneKeypoints returns an exact-size copy of kps (nil when empty), for
+// callers that retain keypoints built in scratch memory.
+func cloneKeypoints(kps []Keypoint) []Keypoint {
+	if len(kps) == 0 {
+		return nil
+	}
+	return append(make([]Keypoint, 0, len(kps)), kps...)
+}
+
+// detectFAST is DetectFAST building everything in s: the score map, the
+// candidate list and the returned keypoints, which alias s.kps and are
+// only valid until the next call — callers that retain them copy first.
+//
+// The score map is all zero between calls: a call writes only the entries
+// it lists in s.cands and zeroes exactly those before returning, so no
+// frame pays to clear the whole map, and non-maximum suppression visits
+// only the scored pixels, in row-major order as a full scan would.
+func detectFAST(im *img.Gray, cfg FASTConfig, s *FEScratch) []Keypoint {
 	if cfg.ContigMin <= 0 || cfg.ContigMin > 16 {
 		cfg.ContigMin = 9
 	}
@@ -74,18 +88,20 @@ func detectFAST(im *img.Gray, cfg FASTConfig, scratch []int) []Keypoint {
 		cfg.Border = 4
 	}
 	w, h := im.W, im.H
-	scores := scratch
-	if cap(scores) < w*h {
-		scores = make([]int, w*h)
-	} else {
-		scores = scores[:w*h]
-		for i := range scores {
-			scores[i] = 0
-		}
+	if cap(s.scores) < w*h {
+		s.scores = make([]int32, w*h)
 	}
+	scores := s.scores[:w*h]
+	cands := s.cands[:0]
+	pix := im.Pix
+	circle := circleFlat(w)
+	t := cfg.Threshold
 
 	for y := cfg.Border; y < h-cfg.Border; y++ {
 		row := y * w
+		up := pix[row-3*w : row-2*w]
+		cur := pix[row : row+w]
+		down := pix[row+3*w : row+4*w]
 		for x := cfg.Border; x < w-cfg.Border; x++ {
 			// Compass pre-test: any contiguous run of >= 9 among the 16
 			// circle positions must include one of {0,8} (top/bottom) AND
@@ -95,51 +111,41 @@ func detectFAST(im *img.Gray, cfg FASTConfig, scratch []int) []Keypoint {
 			// with 4 loads instead of 16; it is a pure necessary condition,
 			// so surviving candidates produce bitwise-identical scores.
 			if cfg.ContigMin >= 9 {
-				c := int(im.Pix[row+x])
-				t := cfg.Threshold
-				d0 := int(im.Pix[row-3*w+x]) - c
-				d8 := int(im.Pix[row+3*w+x]) - c
-				d4 := int(im.Pix[row+x+3]) - c
-				d12 := int(im.Pix[row+x-3]) - c
+				c := int(cur[x])
+				d0 := int(up[x]) - c
+				d8 := int(down[x]) - c
+				d4 := int(cur[x+3]) - c
+				d12 := int(cur[x-3]) - c
 				bright := (d0 > t || d8 > t) && (d4 > t || d12 > t)
 				dark := (d0 < -t || d8 < -t) && (d4 < -t || d12 < -t)
 				if !bright && !dark {
 					continue
 				}
 			}
-			s := fastScore(im, x, y, cfg.Threshold, cfg.ContigMin)
-			if s > 0 {
-				scores[row+x] = s
+			if sc := fastScore(pix, row+x, &circle, t, cfg.ContigMin); sc > 0 {
+				scores[row+x] = int32(sc)
+				cands = append(cands, int32(row+x))
 			}
 		}
 	}
 
-	// 3×3 non-maximum suppression.
-	var kps []Keypoint
-	for y := cfg.Border; y < h-cfg.Border; y++ {
-		for x := cfg.Border; x < w-cfg.Border; x++ {
-			s := scores[y*w+x]
-			if s == 0 {
-				continue
-			}
-			isMax := true
-			for dy := -1; dy <= 1 && isMax; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					if dx == 0 && dy == 0 {
-						continue
-					}
-					n := scores[(y+dy)*w+(x+dx)]
-					if n > s || (n == s && (dy < 0 || (dy == 0 && dx < 0))) {
-						isMax = false
-						break
-					}
-				}
-			}
-			if isMax {
-				kps = append(kps, Keypoint{X: x, Y: y, Score: s})
-			}
+	// 3×3 non-maximum suppression: a candidate survives when it beats its
+	// four raster-earlier neighbours strictly and is not beaten by its
+	// four later ones, so of two equal neighbours the earlier one wins.
+	kps := s.kps[:0]
+	for _, ci := range cands {
+		i := int(ci)
+		v := scores[i]
+		if scores[i-w-1] >= v || scores[i-w] >= v || scores[i-w+1] >= v || scores[i-1] >= v ||
+			scores[i+1] > v || scores[i+w-1] > v || scores[i+w] > v || scores[i+w+1] > v {
+			continue
 		}
+		kps = append(kps, Keypoint{X: i % w, Y: i / w, Score: int(v)})
 	}
+	for _, ci := range cands {
+		scores[ci] = 0
+	}
+	s.cands, s.kps = cands, kps
 
 	// Strongest first; deterministic order for equal scores.
 	sortKeypoints(kps)
@@ -155,33 +161,38 @@ func detectFAST(im *img.Gray, cfg FASTConfig, scratch []int) []Keypoint {
 	return kps
 }
 
-// fastScore runs the FAST segment test at (x,y) and returns a corner score
-// (sum of absolute differences of the qualifying arc) or 0 if not a corner.
-func fastScore(im *img.Gray, x, y, threshold, contigMin int) int {
-	c := int(im.Pix[y*im.W+x])
-	var bright, dark uint32 // bitmasks over the 16 circle positions
-	var diffs [16]int
+// circleFlat returns circleOffsets16 as flat pixel offsets for row stride w.
+func circleFlat(w int) [16]int {
+	var flat [16]int
 	for i, off := range circleOffsets16 {
-		p := int(im.Pix[(y+off[1])*im.W+(x+off[0])])
-		d := p - c
-		diffs[i] = d
+		flat[i] = off[1]*w + off[0]
+	}
+	return flat
+}
+
+// fastScore runs the FAST segment test at flat pixel index p, whose circle
+// taps lie at p+circle[i], and returns a corner score (sum of absolute
+// differences of the qualifying arc) or 0 if not a corner.
+func fastScore(pix []uint8, p int, circle *[16]int, threshold, contigMin int) int {
+	c := int(pix[p])
+	var bright, dark uint32 // bitmasks over the 16 circle positions
+	score := 0
+	for i, off := range circle {
+		d := int(pix[p+off]) - c
 		if d > threshold {
 			bright |= 1 << uint(i)
 		} else if d < -threshold {
 			dark |= 1 << uint(i)
 		}
-	}
-	if !hasContigRun(bright, contigMin) && !hasContigRun(dark, contigMin) {
-		return 0
-	}
-	score := 0
-	for _, d := range diffs {
 		if d < 0 {
 			d = -d
 		}
 		if d > threshold {
 			score += d - threshold
 		}
+	}
+	if !hasContigRun(bright, contigMin) && !hasContigRun(dark, contigMin) {
+		return 0
 	}
 	return score
 }
@@ -213,7 +224,34 @@ func hasContigRun(mask uint32, n int) bool {
 
 // orientation computes the intensity-centroid angle atan2(m01, m10) over a
 // disc of the given radius, as ORB does (rotation-invariant descriptors).
+// A disc inside the image is summed straight from Pix, one row span at a
+// time; one that crosses the border reads outside pixels as 0 (Gray.At).
+// Both sums are exact integers, so the two paths agree bit for bit.
 func orientation(im *img.Gray, x, y, radius int) float64 {
+	if x < radius || y < radius || x+radius >= im.W || y+radius >= im.H {
+		return orientationClipped(im, x, y, radius)
+	}
+	var m01, m10 int64
+	for dy := -radius; dy <= radius; dy++ {
+		half := radius // the disc's half-width on this row
+		for half*half+dy*dy > radius*radius {
+			half--
+		}
+		start := (y+dy)*im.W + x - half
+		var sum, moment int64
+		for j, v := range im.Pix[start : start+2*half+1] {
+			sum += int64(v)
+			moment += int64(j) * int64(v)
+		}
+		m10 += moment - int64(half)*sum
+		m01 += int64(dy) * sum
+	}
+	return math.Atan2(float64(m01), float64(m10))
+}
+
+// orientationClipped is orientation for a disc that crosses the image
+// border.
+func orientationClipped(im *img.Gray, x, y, radius int) float64 {
 	var m01, m10 int64
 	for dy := -radius; dy <= radius; dy++ {
 		for dx := -radius; dx <= radius; dx++ {
@@ -229,10 +267,10 @@ func orientation(im *img.Gray, x, y, radius int) float64 {
 }
 
 // sortKeypoints orders keypoints by descending score, breaking ties by
-// (y,x) for determinism. Insertion-based since lists are short post-NMS;
-// switched to a simple quicksort via sort-like shell for larger sets.
+// (y,x) for determinism. It is a shell sort: in place, allocation-free and
+// adequate for a few thousand keypoints; kpLess is a total order on
+// distinct positions, so the result does not depend on the input order.
 func sortKeypoints(kps []Keypoint) {
-	// Shell sort: in-place, deterministic, adequate for a few thousand kps.
 	n := len(kps)
 	for gap := n / 2; gap > 0; gap /= 2 {
 		for i := gap; i < n; i++ {

@@ -43,13 +43,20 @@ func (c PyramidConfig) LevelScale(l int) float64 {
 // tagged with their level. The per-level feature budget shrinks with level
 // area, as ORB distributes it.
 func ExtractFeaturesPyramid(frame *img.Gray, fastCfg FASTConfig, pyrCfg PyramidConfig) ([]Keypoint, []Descriptor) {
+	return extractPyramid(frame, fastCfg, pyrCfg, &FEScratch{})
+}
+
+// extractPyramid is ExtractFeaturesPyramid with every level's intermediates
+// in s, one scratch reused across levels; only the returned keypoints and
+// descriptors are freshly allocated, each at its exact size.
+func extractPyramid(frame *img.Gray, fastCfg FASTConfig, pyrCfg PyramidConfig, s *FEScratch) ([]Keypoint, []Descriptor) {
 	pyrCfg = pyrCfg.normalized()
 	if pyrCfg.Levels == 1 {
-		return ExtractFeatures(frame, fastCfg)
+		return ExtractFeaturesScratch(frame, fastCfg, s)
 	}
 
-	var kps []Keypoint
-	var descs []Descriptor
+	// detectFAST reuses s.kps, so the levels accumulate in s.pyrKps.
+	kps, descs := s.pyrKps[:0], s.pyrDescs[:0]
 	level := frame
 	for l := 0; l < pyrCfg.Levels; l++ {
 		scale := pyrCfg.LevelScale(l)
@@ -59,7 +66,7 @@ func ExtractFeaturesPyramid(frame *img.Gray, fastCfg FASTConfig, pyrCfg PyramidC
 			if w < 4*fastCfg.Border || h < 4*fastCfg.Border {
 				break // level too small to host features
 			}
-			level = frame.Resize(w, h)
+			level = frame.ResizeInto(&s.level, w, h)
 		}
 		cfg := fastCfg
 		if fastCfg.MaxFeatures > 0 {
@@ -69,17 +76,18 @@ func ExtractFeaturesPyramid(frame *img.Gray, fastCfg FASTConfig, pyrCfg PyramidC
 				cfg.MaxFeatures = 8
 			}
 		}
-		smoothed := level.BoxBlur(1)
-		levelKps := DetectFAST(smoothed, cfg)
-		levelDescs := ComputeAll(smoothed, levelKps)
-		for i := range levelKps {
-			kp := levelKps[i]
+		smoothed := level.BoxBlurInto(&s.smoothed, &s.integral, 1)
+		for _, kp := range detectFAST(smoothed, cfg, s) {
+			descs = append(descs, Compute(smoothed, kp))
 			kp.Level = l
 			kp.X = int(float64(kp.X) * scale)
 			kp.Y = int(float64(kp.Y) * scale)
 			kps = append(kps, kp)
-			descs = append(descs, levelDescs[i])
 		}
 	}
-	return kps, descs
+	s.pyrKps, s.pyrDescs = kps, descs
+	if len(kps) == 0 {
+		return nil, nil
+	}
+	return cloneKeypoints(kps), append(make([]Descriptor, 0, len(descs)), descs...)
 }

@@ -3,6 +3,7 @@ package slam
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"adsim/internal/img"
 	"adsim/internal/stats"
@@ -66,17 +67,56 @@ func init() {
 			}
 		}
 	}
+	for s := range rotationLUT {
+		for _, p := range rotationLUT[s] {
+			for _, c := range p {
+				briefMargin = max(briefMargin, int(c), -int(c))
+			}
+		}
+	}
 }
+
+// briefMargin is the largest coordinate magnitude of any rotated pattern
+// point, measured from rotationLUT at init: a keypoint at least this far
+// from every image edge has all 512 of its taps in bounds, whatever its
+// angle.
+var briefMargin int
 
 // Compute returns the rBRIEF descriptor for one oriented keypoint: the
 // sampling pattern is rotated to the keypoint's angle (via the discretized
 // rotation LUT) and each bit is the binary intensity test I(p1) < I(p2).
+// A keypoint at least briefMargin from every edge reads its taps straight
+// from Pix; one nearer the border reads outside pixels as 0 (Gray.At).
 func Compute(im *img.Gray, kp Keypoint) Descriptor {
 	step := int(math.Round(kp.Angle/(2*math.Pi/rotationSteps))) % rotationSteps
 	if step < 0 {
 		step += rotationSteps
 	}
 	pattern := &rotationLUT[step]
+	m := briefMargin
+	if kp.X < m || kp.Y < m || kp.X+m >= im.W || kp.Y+m >= im.H {
+		return computeClipped(im, kp, pattern)
+	}
+	w := im.W
+	center := kp.Y*w + kp.X
+	patch := im.Pix[center-m*w-m : center+m*w+m+1]
+	center = m*w + m
+	var d Descriptor
+	for k := range d {
+		var word uint64
+		for b, p := range pattern[64*k : 64*k+64] {
+			a := int(patch[center+int(p[1])*w+int(p[0])])
+			c := int(patch[center+int(p[3])*w+int(p[2])])
+			word |= uint64(a-c) >> 63 << uint(b) // the sign bit of a-c is a < c
+		}
+		d[k] = word
+	}
+	return d
+}
+
+// computeClipped is Compute for a keypoint whose pattern may reach past the
+// image border.
+func computeClipped(im *img.Gray, kp Keypoint, pattern *[DescriptorBits][4]int8) Descriptor {
 	var d Descriptor
 	for i := 0; i < DescriptorBits; i++ {
 		p := pattern[i]
@@ -112,11 +152,40 @@ type Match struct {
 // place yields a tight displacement cluster. (ORB-SLAM uses RANSAC-verified
 // pose estimation for the same purpose.)
 func GeometricInliers(qkps, tkps []Keypoint, ms []Match, tol int) int {
+	var s matchScratch
+	return s.geometricInliers(qkps, tkps, ms, tol)
+}
+
+// matchScratch holds the matcher's reusable buffers: the match list and
+// GeometricInliers' displacement columns. Not safe for concurrent use.
+type matchScratch struct {
+	ms       []Match
+	dxs, dys []int
+}
+
+// inliers matches descs against a keyframe's tdescs and returns the
+// geometrically verified count, building everything in s. Verified matches
+// are a subset of the matches, so once the matcher shows fewer than need
+// matches are still possible the keyframe cannot reach need inliers: the
+// scan stops and 0 is returned (need ≥ 1 whenever that happens). need ≤ 0
+// always gets the exact count.
+func (s *matchScratch) inliers(kps []Keypoint, descs []Descriptor, tkps []Keypoint, tdescs []Descriptor, cfg *Config, need int) int {
+	ms, ok := matchInto(s.ms, descs, tdescs, cfg.MatchMaxDist, cfg.MatchRatio, need)
+	s.ms = ms
+	if !ok {
+		return 0
+	}
+	return s.geometricInliers(kps, tkps, ms, cfg.InlierTol)
+}
+
+// geometricInliers is GeometricInliers with its displacement columns in s.
+func (s *matchScratch) geometricInliers(qkps, tkps []Keypoint, ms []Match, tol int) int {
 	if len(ms) == 0 {
 		return 0
 	}
-	dxs := make([]int, len(ms))
-	dys := make([]int, len(ms))
+	s.dxs = slices.Grow(s.dxs[:0], len(ms))[:len(ms)]
+	s.dys = slices.Grow(s.dys[:0], len(ms))[:len(ms)]
+	dxs, dys := s.dxs, s.dys
 	for i, m := range ms {
 		dxs[i] = qkps[m.QueryIdx].X - tkps[m.TrainIdx].X
 		dys[i] = qkps[m.QueryIdx].Y - tkps[m.TrainIdx].Y
@@ -140,17 +209,9 @@ func GeometricInliers(qkps, tkps []Keypoint, ms []Match, tol int) int {
 }
 
 // medianInt returns the median of vs (lower middle for even lengths).
-// vs is modified (partially sorted).
+// vs is modified (sorted).
 func medianInt(vs []int) int {
-	// Simple insertion sort: match sets are small (hundreds).
-	for i := 1; i < len(vs); i++ {
-		v := vs[i]
-		j := i - 1
-		for ; j >= 0 && vs[j] > v; j-- {
-			vs[j+1] = vs[j]
-		}
-		vs[j+1] = v
-	}
+	slices.Sort(vs)
 	return vs[len(vs)/2]
 }
 
@@ -158,26 +219,100 @@ func medianInt(vs []int) int {
 // descriptors with Lowe-style acceptance: a match is kept when the best
 // distance is below maxDist and strictly better than ratio × second-best.
 func MatchDescriptors(query, train []Descriptor, maxDist int, ratio float64) []Match {
+	ms, _ := matchInto(nil, query, train, maxDist, ratio, 0)
+	return ms
+}
+
+// matchInto is MatchDescriptors appending to dst[:0]. Queries are taken two
+// at a time against each train descriptor, read in place: every train load
+// then serves eight popcounts instead of four, and the loop's bookkeeping
+// (which the popcount fallback calls force through the stack) is paid once
+// per two distances. Each query keeps its own nearest pair, updated in the
+// plain loop's train order, so the first-wins tie on bestIdx is unchanged;
+// an odd last query is paired with itself and its twin discarded.
+//
+// best and second start at matchCap(maxDist, ratio) instead of
+// DescriptorBits+1: a distance at or above the cap can neither be accepted
+// as best nor make an accepted best fail the ratio test, so clamping every
+// such distance to the cap leaves the output unchanged, and the d < second
+// test that gates each update becomes almost never true.
+//
+// A caller that only needs to know whether the result holds at least need
+// matches gets ok = false, and a partial dst, as soon as the matches so far
+// plus the queries not yet scanned fall below need; every complete result
+// has ok = true, whatever its length.
+func matchInto(dst []Match, query, train []Descriptor, maxDist int, ratio float64, need int) (ms []Match, ok bool) {
+	dst = dst[:0]
 	if len(train) == 0 {
-		return nil
+		return dst, true
 	}
-	var out []Match
-	for qi, q := range query {
-		best, second := DescriptorBits+1, DescriptorBits+1
-		bestIdx := -1
-		for ti, t := range train {
-			d := q.Hamming(t)
-			if d < best {
-				second = best
-				best = d
-				bestIdx = ti
-			} else if d < second {
-				second = d
-			}
+	limit := matchCap(maxDist, ratio)
+	for qi := 0; qi < len(query); qi += 2 {
+		if len(dst)+len(query)-qi < need {
+			return dst, false
 		}
-		if best <= maxDist && float64(best) < ratio*float64(second) {
-			out = append(out, Match{QueryIdx: qi, TrainIdx: bestIdx, Distance: best})
+		qa, qb := &query[qi], &query[qi]
+		if qi+1 < len(query) {
+			qb = &query[qi+1]
+		}
+		a := nearestPair{best: limit, second: limit, idx: -1}
+		b := a
+		for ti := range train {
+			t := &train[ti]
+			a.add(hamming(qa, t), ti)
+			b.add(hamming(qb, t), ti)
+		}
+		if a.accepted(maxDist, ratio) {
+			dst = append(dst, Match{QueryIdx: qi, TrainIdx: a.idx, Distance: a.best})
+		}
+		if qi+1 < len(query) && b.accepted(maxDist, ratio) {
+			dst = append(dst, Match{QueryIdx: qi + 1, TrainIdx: b.idx, Distance: b.best})
 		}
 	}
-	return out
+	return dst, true
+}
+
+// hamming is Descriptor.Hamming on pointers, so the matcher's inner loop
+// copies no 32-byte values.
+func hamming(q, t *Descriptor) int {
+	return bits.OnesCount64(q[0]^t[0]) + bits.OnesCount64(q[1]^t[1]) +
+		bits.OnesCount64(q[2]^t[2]) + bits.OnesCount64(q[3]^t[3])
+}
+
+// nearestPair tracks one query's best and second-best train distance and
+// the first train index at the best.
+type nearestPair struct{ best, second, idx int }
+
+// add offers train descriptor ti at distance d. best ≤ second always holds,
+// so testing d < second first lets the common far candidate cost one
+// compare.
+func (n *nearestPair) add(d, ti int) {
+	if d < n.second {
+		if d < n.best {
+			n.second, n.best, n.idx = n.best, d, ti
+		} else {
+			n.second = d
+		}
+	}
+}
+
+// accepted is the Lowe-style test: best within maxDist and strictly better
+// than ratio × second.
+func (n *nearestPair) accepted(maxDist int, ratio float64) bool {
+	return n.best <= maxDist && float64(n.best) < ratio*float64(n.second)
+}
+
+// matchCap is the smallest distance c with c > maxDist and
+// ratio·c > maxDist, or DescriptorBits+1 when no distance qualifies. A best
+// distance ≥ c fails maxDist; a second-best ≥ c passes the ratio test for
+// any best ≤ maxDist, since ratio·second ≥ ratio·c when ratio ≥ 0 (with a
+// negative ratio a c qualifies only when maxDist < 0, and then nothing is
+// accepted). So both can be clamped to c.
+func matchCap(maxDist int, ratio float64) int {
+	for c := 0; c <= DescriptorBits; c++ {
+		if c > maxDist && ratio*float64(c) > float64(maxDist) {
+			return c
+		}
+	}
+	return DescriptorBits + 1
 }

@@ -107,7 +107,9 @@ type Engine struct {
 	loopClosures    int
 	mapUpdates      int
 
-	fe FEScratch // reusable FE-stage buffers (engine is single-goroutine)
+	// Reusable buffers (the engine is single-goroutine).
+	fe    FEScratch
+	match matchScratch
 }
 
 // NewEngine builds a localization engine over a monolithic in-memory prior
@@ -169,15 +171,23 @@ func (e *Engine) LoopClosures() int { return e.loopClosures }
 // MapUpdates reports keyframes added by local mapping at runtime.
 func (e *Engine) MapUpdates() int { return e.mapUpdates }
 
-// FEScratch holds the FE stage's reusable working buffers: the smoothed
-// image, its integral-image workspace and the FAST score map. The returned
+// FEScratch holds the FE stage's reusable working buffers: the resized
+// pyramid level, the smoothed image and its blur workspace, the FAST score
+// map and candidate list, and the keypoints (and, across pyramid levels,
+// descriptors) a frame builds before its exact-size copy. The returned
 // keypoints/descriptors never alias scratch memory (callers retain them
 // across frames); only transient intermediates are reused. Not safe for
 // concurrent use.
 type FEScratch struct {
+	level    img.Gray
 	smoothed img.Gray
 	integral img.Integral
-	scores   []int
+	scores   []int32    // FAST scores by pixel; all zero between calls
+	cands    []int32    // flat indices of this call's non-zero scores
+	kps      []Keypoint // detectFAST's result for the current image
+
+	pyrKps   []Keypoint // every pyramid level's features so far
+	pyrDescs []Descriptor
 }
 
 // ExtractFeatures runs the FE stage (oFAST + rBRIEF) on a frame. Exposed so
@@ -194,18 +204,14 @@ func ExtractFeaturesScratch(frame *img.Gray, cfg FASTConfig, s *FEScratch) ([]Ke
 		s = &FEScratch{}
 	}
 	smoothed := frame.BoxBlurInto(&s.smoothed, &s.integral, 1)
-	if cap(s.scores) < smoothed.W*smoothed.H {
-		s.scores = make([]int, smoothed.W*smoothed.H)
-	}
-	kps := detectFAST(smoothed, cfg, s.scores)
-	descs := ComputeAll(smoothed, kps)
-	return kps, descs
+	kps := cloneKeypoints(detectFAST(smoothed, cfg, s))
+	return kps, ComputeAll(smoothed, kps)
 }
 
 // extract runs the engine's configured FE stage (single- or multi-scale).
 func (e *Engine) extract(frame *img.Gray) ([]Keypoint, []Descriptor) {
 	if e.cfg.Pyramid.Levels > 1 {
-		return ExtractFeaturesPyramid(frame, e.cfg.FAST, e.cfg.Pyramid)
+		return extractPyramid(frame, e.cfg.FAST, e.cfg.Pyramid, &e.fe)
 	}
 	return ExtractFeaturesScratch(frame, e.cfg.FAST, &e.fe)
 }
@@ -308,8 +314,7 @@ func (e *Engine) localizeFrom(kps []Keypoint, descs []Descriptor) Estimate {
 		kf, kfInliers, kfOK := e.bestKeyframe(kps, descs, cands)
 		voInliers := 0
 		if len(e.prevDescs) > 0 {
-			ms := MatchDescriptors(descs, e.prevDescs, e.cfg.MatchMaxDist, e.cfg.MatchRatio)
-			voInliers = GeometricInliers(kps, e.prevKps, ms, e.cfg.InlierTol)
+			voInliers = e.match.inliers(kps, descs, e.prevKps, e.prevDescs, &e.cfg, 0)
 		}
 		// Prefer the map anchor when its support is comparable (it is
 		// drift-free), but fall back to odometry when the frame clearly
@@ -365,11 +370,12 @@ type scorer struct {
 	best      Keyframe
 }
 
+// consider scores kf after every one considered so far. Only a keyframe
+// that can take the lead needs an exact count, so the matcher may give up on
+// one that cannot get there.
 func (s *scorer) consider(kf Keyframe) {
-	ms := MatchDescriptors(s.descs, kf.Descriptors, s.e.cfg.MatchMaxDist, s.e.cfg.MatchRatio)
-	if inl := GeometricInliers(s.kps, kf.Keypoints, ms, s.e.cfg.InlierTol); inl > s.bestScore {
-		s.bestScore = inl
-		s.best = kf
+	if inl := s.e.match.inliers(s.kps, s.descs, kf.Keypoints, kf.Descriptors, &s.e.cfg, s.bestScore+1); inl > s.bestScore {
+		s.bestScore, s.best = inl, kf
 	}
 }
 
@@ -381,7 +387,8 @@ func (s *scorer) result(minMatches int) (Keyframe, int, bool) {
 }
 
 // bestKeyframe scores candidate keyframes by geometrically-verified match
-// count and returns the best one if it clears MinMatches.
+// count and returns the best one (the first in cands on a tie) if it clears
+// MinMatches.
 func (e *Engine) bestKeyframe(kps []Keypoint, descs []Descriptor, cands []Keyframe) (Keyframe, int, bool) {
 	sc := scorer{e: e, kps: kps, descs: descs}
 	for _, kf := range cands {
@@ -442,8 +449,7 @@ func (e *Engine) detectLoop(kps []Keypoint, descs []Descriptor, pose scene.Pose,
 		if abs(kf.Pose.Z-pose.Z) < e.cfg.LoopCloseMinGap {
 			return true
 		}
-		ms := MatchDescriptors(descs, kf.Descriptors, e.cfg.MatchMaxDist, e.cfg.MatchRatio)
-		if inl := GeometricInliers(kps, kf.Keypoints, ms, e.cfg.InlierTol); inl > bestScore {
+		if inl := e.match.inliers(kps, descs, kf.Keypoints, kf.Descriptors, &e.cfg, bestScore+1); inl > bestScore {
 			bestScore = inl
 			best = kf
 			found = true
