@@ -48,27 +48,30 @@ bench-check:
 
 # Zero-allocation gates on the warm inference hot path, each at 1, 2 and 4
 # kernel workers, plus LOC's gate (a steady-state frame allocates only the
-# slices it retains) and the radius-1 blur's (testing.AllocsPerRun is
-# unreliable under -race, so these run without it; `make race` still
-# executes the same tests for correctness). No output filter: the target's
-# status must be go test's.
+# slices it retains), DET's proposal pass and the radius-1 blur's
+# (testing.AllocsPerRun is unreliable under -race, so these run without it;
+# `make race` still executes the same tests for correctness). No output
+# filter: the target's status must be go test's.
 alloc-gate:
 	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/track ./internal/slam ./internal/img
 
-# The pure-Go GEMM step every non-amd64 host runs (axpy4_other.go): the
-# kernel packages' tests as 386 binaries, which run on an amd64 host and do
-# float32 math in SSE2 too, so the bitwise tests hold; plus arm64 vet.
+# The pure-Go kernels every non-amd64 host runs (axpy4_other.go, the GEMM
+# step; sad_other.go, the template-match window): the kernel packages' tests
+# as 386 binaries, which run on an amd64 host and do float32 math in SSE2
+# too, so the bitwise tests hold; plus arm64 vet.
 noasm-check:
 	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOARCH=arm64 $(GO) vet ./internal/track
 
 # Short fuzz smoke over the ADM1 prior-map decoder, the descriptor matcher
-# (against its plain reference loop) and the unified scenario program
-# parser (go test -fuzz takes one target in one package at a time; -run
-# '^$' skips the unit tests it already ran).
+# and the tracker's template match (each against its plain reference loop)
+# and the unified scenario program parser (go test -fuzz takes one target in
+# one package at a time; -run '^$' skips the unit tests it already ran).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadPriorMap -fuzztime=10s -run='^$$' ./internal/slam
 	$(GO) test -fuzz=FuzzMatchDescriptors -fuzztime=10s -run='^$$' ./internal/slam
+	$(GO) test -fuzz=FuzzMatchTemplate -fuzztime=10s -run='^$$' ./internal/track
 	$(GO) test -fuzz=FuzzParseScenarioProgram -fuzztime=10s -run='^$$' ./internal/scenario
 
 # Chaos smoke: the deterministic fault-injection suite under the race

@@ -102,13 +102,15 @@ type Detector struct {
 	nets map[int]*dnn.Network
 }
 
-// detScratch is the per-call buffer set for the DNN sub-path: the resized
-// network input image, the normalized input tensor and the layer arena.
-// Pooling them makes the steady-state Detect call allocation-free.
+// detScratch is the per-call buffer set: for the DNN sub-path the resized
+// network input image, the normalized input tensor and the layer arena, and
+// the proposal pass's working set. Pooling them keeps the steady-state
+// Detect call's allocations to its result slices.
 type detScratch struct {
 	s     dnn.Scratch
 	small img.Gray
 	input tensor.T
+	props proposalScratch
 }
 
 // New constructs a detector.
@@ -231,17 +233,17 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 		size = opt.InputSize
 	}
 	startOther := time.Now()
+	sc, _ := d.scratch.Get().(*detScratch)
+	if sc == nil {
+		sc = &detScratch{}
+	}
+	defer d.scratch.Put(sc)
 
-	// Pre-processing: resize to network input and normalize, reusing a
-	// pooled scratch so the steady-state call allocates nothing. Every
-	// buffer in it is grow-only, so a rung change reshapes the input and
-	// keeps the layer arena: once the largest rung has run, all are warm.
-	var sc *detScratch
+	// Pre-processing: resize to network input and normalize into the pooled
+	// scratch. Every buffer in it is grow-only, so a rung change reshapes
+	// the input and keeps the layer arena: once the largest rung has run,
+	// all are warm.
 	if d.cfg.RunDNN {
-		sc, _ = d.scratch.Get().(*detScratch)
-		if sc == nil {
-			sc = &detScratch{}
-		}
 		if cap(sc.input.Data) < size*size {
 			sc.input.Data = make([]float32, size*size)
 		}
@@ -277,7 +279,6 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 			_ = d.exec.Forward(net, &sc.input, &sc.s)
 		}
 		dnnDur = time.Since(startDNN)
-		d.scratch.Put(sc)
 		if info.LayersRun < info.LayersTotal {
 			info.EarlyExit = true
 			progress = float64(info.LayersRun) / float64(info.LayersTotal)
@@ -291,7 +292,7 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 
 	// Post-processing: proposal decode + confidence filter + NMS.
 	startPost := time.Now()
-	props := proposeOutlineBoxes(frame, d.cfg.MinBoxPixels)
+	props := proposeOutlineBoxes(frame, d.cfg.MinBoxPixels, &sc.props)
 	dets := make([]Detection, 0, len(props))
 	for _, p := range props {
 		if p.Confidence >= d.cfg.ConfThreshold {

@@ -4,6 +4,19 @@ import (
 	"adsim/internal/img"
 )
 
+// proposalScratch is proposeOutlineBoxes' working set: the visited map (one
+// bit per pixel, 16 KB at 512×256), the flood-fill stack and the proposal
+// list. Every slice is grow-only: a call clears the visited words it uses
+// and truncates the other two, so a warm call allocates nothing. The map is
+// a bitset, not a []bool, because a retained buffer is live heap, which the
+// GC target doubles: at 512×256 a []bool is 128 KB, and with it the solo
+// workloads' peak RSS read about 0.6 MB higher than with the bitset.
+type proposalScratch struct {
+	visited []uint64
+	queue   []int
+	out     []Detection
+}
+
 // proposeOutlineBoxes is the reference proposal generator: it extracts
 // connected components of saturated outline pixels (the synthetic renderer
 // strokes every object at intensity 255, far above any background texture)
@@ -13,16 +26,23 @@ import (
 // is covered by outline pixels: a clean unoccluded object scores near 1,
 // partially occluded or clipped objects score lower — giving the confidence
 // threshold and NMS real work to do.
-func proposeOutlineBoxes(frame *img.Gray, minArea float64) []Detection {
+//
+// The result aliases sc.out and is valid until sc's next use.
+func proposeOutlineBoxes(frame *img.Gray, minArea float64, sc *proposalScratch) []Detection {
 	const outlineMin = 250
 	w, h := frame.W, frame.H
-	visited := make([]bool, w*h)
-	var out []Detection
+	words := (w*h + 63) / 64
+	if cap(sc.visited) < words {
+		sc.visited = make([]uint64, words)
+	}
+	visited := sc.visited[:words]
+	clear(visited)
+	out := sc.out[:0]
 
 	// BFS flood fill over 8-connected bright pixels.
-	queue := make([]int, 0, 256)
+	queue := sc.queue[:0]
 	for start := 0; start < w*h; start++ {
-		if visited[start] || frame.Pix[start] < outlineMin {
+		if frame.Pix[start] < outlineMin || visited[uint(start)/64]&(1<<(uint(start)%64)) != 0 {
 			continue
 		}
 		minX, minY := w, h
@@ -30,7 +50,7 @@ func proposeOutlineBoxes(frame *img.Gray, minArea float64) []Detection {
 		count := 0
 		queue = queue[:0]
 		queue = append(queue, start)
-		visited[start] = true
+		visited[uint(start)/64] |= 1 << (uint(start) % 64)
 		for len(queue) > 0 {
 			idx := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
@@ -55,8 +75,8 @@ func proposeOutlineBoxes(frame *img.Gray, minArea float64) []Detection {
 						continue
 					}
 					nidx := ny*w + nx
-					if !visited[nidx] && frame.Pix[nidx] >= outlineMin {
-						visited[nidx] = true
+					if frame.Pix[nidx] >= outlineMin && visited[uint(nidx)/64]&(1<<(uint(nidx)%64)) == 0 {
+						visited[uint(nidx)/64] |= 1 << (uint(nidx) % 64)
 						queue = append(queue, nidx)
 					}
 				}
@@ -79,5 +99,6 @@ func proposeOutlineBoxes(frame *img.Gray, minArea float64) []Detection {
 			Confidence: conf,
 		})
 	}
+	sc.queue, sc.out = queue, out
 	return out
 }

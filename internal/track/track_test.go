@@ -327,6 +327,15 @@ func TestMatchTemplateMatchesReference(t *testing.T) {
 			}
 		}},
 	}
+	check := func(name string, search, tmpl *img.Gray, nx, ny int) {
+		t.Helper()
+		dx, dy, sad := matchTemplate(search, tmpl, nx, ny)
+		wdx, wdy, wsad := matchTemplateRef(search, tmpl, nx, ny)
+		if dx != wdx || dy != wdy || sad != wsad {
+			t.Fatalf("%s: search %dx%d tmpl %dx%d nominal (%d,%d): got (%d,%d,%d), reference (%d,%d,%d)",
+				name, search.W, search.H, tmpl.W, tmpl.H, nx, ny, dx, dy, sad, wdx, wdy, wsad)
+		}
+	}
 	const ss = 32
 	for _, f := range fills {
 		for _, ts := range []int{16, 17, 15} { // DefaultConfig's TemplateSize at scales 1, 1.08, 1/1.08
@@ -337,17 +346,163 @@ func TestMatchTemplateMatchesReference(t *testing.T) {
 				if trial%4 == 3 {
 					tmpl = search.Crop(img.RectWH(float64(rng.Intn(ss-ts+1)), float64(rng.Intn(ss-ts+1)), float64(ts), float64(ts)))
 				}
-				nx, ny := rng.Intn(ss-ts+1), rng.Intn(ss-ts+1)
-				dx, dy, sad := matchTemplate(search, tmpl, nx, ny)
-				wdx, wdy, wsad := matchTemplateRef(search, tmpl, nx, ny)
-				if dx != wdx || dy != wdy || sad != wsad {
-					t.Fatalf("%s ts=%d trial %d: got (%d,%d,%d), reference (%d,%d,%d)",
-						f.name, ts, trial, dx, dy, sad, wdx, wdy, wsad)
+				check(fmt.Sprintf("%s trial %d", f.name, trial), search, tmpl, rng.Intn(ss-ts+1), rng.Intn(ss-ts+1))
+			}
+		}
+	}
+
+	// Every template width and height 1..33 (every whole-chunk count and
+	// every w%16 tail) in search regions of 31, 32, 33 and 40 pixels. The
+	// pixel slices have cap == len, or sit in a longer buffer of 255s, so a
+	// read past len would show.
+	for _, ss := range []int{31, 32, 33, 40} {
+		for tw := 1; tw <= 33 && tw <= ss; tw++ {
+			for th := 1; th <= 33 && th <= ss; th++ {
+				search, tmpl := img.NewGray(ss, ss), img.NewGray(tw, th)
+				rng.Read(search.Pix)
+				rng.Read(tmpl.Pix)
+				if (tw+th)%2 == 0 {
+					search.Pix = search.Pix[:len(search.Pix):len(search.Pix)]
+					tmpl.Pix = tmpl.Pix[:len(tmpl.Pix):len(tmpl.Pix)]
+				} else {
+					search.Pix = padded(search.Pix, 255)
+					tmpl.Pix = padded(tmpl.Pix, 255)
+				}
+				check("sizes", search, tmpl, rng.Intn(ss-tw+1), rng.Intn(ss-th+1))
+			}
+		}
+	}
+
+	// All-0 against all-255: every byte differs by the maximum, every
+	// offset ties at 255·w·h, and only the zero-motion tie-break decides.
+	for tw := 1; tw <= 33; tw++ {
+		for _, levels := range [][2]uint8{{0, 255}, {255, 0}} {
+			search, tmpl := img.NewGray(40, 33), img.NewGray(tw, 34-tw)
+			search.Fill(levels[0])
+			tmpl.Fill(levels[1])
+			check("extremes", search, tmpl, rng.Intn(40-tw+1), rng.Intn(tw))
+		}
+	}
+}
+
+// padded returns pix's bytes at the start of a buffer with spare capacity
+// filled with junk; len stays len(pix).
+func padded(pix []uint8, junk uint8) []uint8 {
+	buf := make([]uint8, len(pix)+64)
+	for i := range buf {
+		buf[i] = junk
+	}
+	return buf[:copy(buf, pix)]
+}
+
+// windowSAD must equal windowSADGo's full sum for every width 1..33 and
+// honour the bound contract: above bound exactly when the full SAD is. The
+// slices are exactly (h−1)·stride + w and w·h bytes and sit at every offset
+// of a larger buffer, so each of the routine's tail loads — backward,
+// forward and byte by byte (slices under 32 bytes) — is exercised at the
+// edges of its slice.
+func TestWindowSADMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const full = int64(1) << 62
+	for w := 1; w <= 33; w++ {
+		for _, h := range []int{1, 2, 3, 5, 17} {
+			for _, stride := range []int{w, w + 1, w + 15, 40} {
+				sbuf, tbuf := make([]uint8, (h-1)*stride+w+40), make([]uint8, w*h+40)
+				rng.Read(sbuf)
+				rng.Read(tbuf)
+				for off := 0; off <= 20; off += 5 {
+					s := sbuf[off : off+(h-1)*stride+w]
+					tp := tbuf[40-off : 40-off+w*h]
+					want := windowSADGo(s, tp, stride, w, h, full)
+					if got := windowSAD(s, tp, stride, w, h, full); got != want {
+						t.Fatalf("w=%d h=%d stride=%d off=%d: windowSAD %d, Go loop %d", w, h, stride, off, got, want)
+					}
+					bound := rng.Int63n(want + 2)
+					got := windowSAD(s, tp, stride, w, h, bound)
+					if (got > bound) != (want > bound) || (want <= bound && got != want) {
+						t.Fatalf("w=%d h=%d stride=%d off=%d bound=%d: windowSAD %d, full SAD %d",
+							w, h, stride, off, bound, got, want)
+					}
 				}
 			}
 		}
 	}
 }
+
+// FuzzMatchTemplate holds matchTemplate to the per-element reference scan
+// on random sizes (search up to 48×48, template up to 34×34) and bytes.
+func FuzzMatchTemplate(f *testing.F) {
+	f.Add([]byte{0, 255, 7, 9}, uint8(31), uint8(31), uint8(16), uint8(16), uint8(8), uint8(8))
+	f.Add([]byte{1, 2, 3}, uint8(32), uint8(32), uint8(16), uint8(14), uint8(1), uint8(2))
+	f.Add([]byte{200}, uint8(39), uint8(40), uint8(32), uint8(33), uint8(0), uint8(3))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, pix []byte, sw, sh, tw, th, nx, ny uint8) {
+		search := img.NewGray(1+int(sw)%48, 1+int(sh)%48)
+		tmpl := img.NewGray(1+int(tw)%34, 1+int(th)%34)
+		if len(pix) > 0 {
+			for i := range search.Pix {
+				search.Pix[i] = pix[i%len(pix)]
+			}
+			for i := range tmpl.Pix {
+				tmpl.Pix[i] = pix[(i*7+3)%len(pix)]
+			}
+		}
+		mx, my := max(search.W-tmpl.W, 0), max(search.H-tmpl.H, 0)
+		x, y := int(nx)%(mx+1), int(ny)%(my+1)
+		dx, dy, sad := matchTemplate(search, tmpl, x, y)
+		wdx, wdy, wsad := matchTemplateRef(search, tmpl, x, y)
+		if dx != wdx || dy != wdy || sad != wsad {
+			t.Fatalf("search %dx%d tmpl %dx%d nominal (%d,%d): got (%d,%d,%d), reference (%d,%d,%d)",
+				search.W, search.H, tmpl.W, tmpl.H, x, y, dx, dy, sad, wdx, wdy, wsad)
+		}
+	})
+}
+
+// BenchmarkMatchTemplate times one tracked object's functional path per
+// frame: the three scale candidates (16, 17 and 15 pixels) scanned over the
+// 32×32 search region, on crops of a rendered highway scene cut and resized
+// the way propagate cuts them.
+func BenchmarkMatchTemplate(b *testing.B) {
+	gen, err := scene.New(func() scene.Config {
+		c := scene.DefaultConfig(scene.Highway)
+		c.Width, c.Height = 640, 360
+		return c
+	}())
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev, cur := gen.Step(), gen.Step()
+	var box img.Rect
+	for _, tr := range prev.Truth {
+		if tr.Box.Area() > box.Area() {
+			box = tr.Box
+		}
+	}
+	if box.Area() < 100 {
+		b.Fatal("no sizable object in the scene's first frame")
+	}
+	cfg := DefaultConfig()
+	ts := cfg.TemplateSize
+	ss := int(float64(ts) * cfg.SearchScale)
+	target := prev.Image.Crop(box)
+	search := cur.Image.Crop(box.Scale(cfg.SearchScale)).Resize(ss, ss)
+	var tmpls []*img.Gray
+	for _, scale := range [...]float64{1.0, 1.08, 1.0 / 1.08} {
+		sts := int(math.Round(float64(ts) * scale))
+		tmpls = append(tmpls, target.Resize(sts, sts))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tm := range tmpls {
+			nominal := (ss - tm.W) / 2
+			_, _, sad := matchTemplate(search, tm, nominal, nominal)
+			sinkSAD += sad
+		}
+	}
+}
+
+// sinkSAD keeps BenchmarkMatchTemplate's calls from being optimized away.
+var sinkSAD int64
 
 func TestMatchTemplateOversizedTemplate(t *testing.T) {
 	search := img.NewGray(5, 5)
