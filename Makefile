@@ -55,8 +55,8 @@ bench-check:
 alloc-gate:
 	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/track ./internal/slam ./internal/img
 
-# The pure-Go kernels every non-amd64 host runs (axpy4_other.go, the GEMM
-# step; sad_other.go, the template-match window): the kernel packages' tests
+# The pure-Go kernels every non-amd64 host runs (gemm_other.go, the GEMM
+# tile; sad_other.go, the template-match window): the kernel packages' tests
 # as 386 binaries, which run on an amd64 host and do float32 math in SSE2
 # too, so the bitwise tests hold; plus arm64 vet.
 noasm-check:
@@ -64,14 +64,16 @@ noasm-check:
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 	GOARCH=arm64 $(GO) vet ./internal/track
 
-# Short fuzz smoke over the ADM1 prior-map decoder, the descriptor matcher
-# and the tracker's template match (each against its plain reference loop)
-# and the unified scenario program parser (go test -fuzz takes one target in
-# one package at a time; -run '^$' skips the unit tests it already ran).
+# Short fuzz smoke over the ADM1 prior-map decoder, the descriptor matcher,
+# the tracker's template match and the GEMM's register tile (each against
+# its plain reference loop) and the unified scenario program parser (go test
+# -fuzz takes one target in one package at a time; -run '^$' skips the unit
+# tests it already ran).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadPriorMap -fuzztime=10s -run='^$$' ./internal/slam
 	$(GO) test -fuzz=FuzzMatchDescriptors -fuzztime=10s -run='^$$' ./internal/slam
 	$(GO) test -fuzz=FuzzMatchTemplate -fuzztime=10s -run='^$$' ./internal/track
+	$(GO) test -fuzz=FuzzGemmRange -fuzztime=10s -run='^$$' ./internal/tensor
 	$(GO) test -fuzz=FuzzParseScenarioProgram -fuzztime=10s -run='^$$' ./internal/scenario
 
 # Chaos smoke: the deterministic fault-injection suite under the race

@@ -59,7 +59,7 @@ func TestForwardBatchBitwiseEqualSolo(t *testing.T) {
 func TestSharedExecutorConcurrentBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tower := TinyTrackerTower(32)
-	yolo := TinyYOLO(32)
+	yolo := TinyYOLO(64) // large enough for its kernels to fan out
 	towerIn := randInput(rng, tower.Input.C, tower.Input.H, tower.Input.W)
 	yoloIn := randInput(rng, yolo.Input.C, yolo.Input.H, yolo.Input.W)
 	var refS Scratch
@@ -103,7 +103,7 @@ func TestSharedExecutorConcurrentBitwise(t *testing.T) {
 // output buffer allocates nothing for the whole batch, at any worker count.
 func TestAllocForwardBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	net := TinyYOLO(32)
+	net := TinyYOLO(64) // its two middle convs clear the kernels' fan-out floor
 	const batch = 3
 	ins := make([]*tensor.T, batch)
 	scs := make([]*Scratch, batch)

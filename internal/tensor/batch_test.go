@@ -10,7 +10,7 @@ func randBatch(seed int64, n int) (ins []*T, w, bias []float32, outC, k int) {
 	rng := rand.New(rand.NewSource(seed))
 	outC, k = 32, 3
 	for b := 0; b < n; b++ {
-		in := New(3, 20, 20)
+		in := New(3, 40, 40)
 		for i := range in.Data {
 			in.Data[i] = float32(rng.NormFloat64())
 		}
@@ -88,7 +88,7 @@ func TestFCBatchBitwiseEqualSolo(t *testing.T) {
 func TestConvBatchRejectsMixedShapes(t *testing.T) {
 	ins, w, bias, outC, k := randBatch(14, 2)
 	ins[1] = New(3, 10, 10)
-	dsts := []*T{New(outC, 20, 20), New(outC, 10, 10)}
+	dsts := []*T{New(outC, 40, 40), New(outC, 10, 10)}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mixed-shape batch did not panic")

@@ -23,7 +23,9 @@ import (
 // parMinMACs is the work floor below which a kernel call is one range on
 // the caller's goroutine: tiny convolutions and FC heads lose more to
 // goroutine fan-out and cache ping-pong than they gain from extra cores.
-const parMinMACs = 1 << 18
+// With the register-tiled GEMM a second range loses up to ~6·10⁵ MACs
+// (DESIGN.md §9 has the measurement).
+const parMinMACs = 1 << 20
 
 // op selects the range function a job fans out.
 type op uint8
@@ -45,7 +47,8 @@ type job struct {
 	patches, w, bias []float32
 	k, stride, pad   int // conv geometry (opLower)
 	oh, ow           int
-	patchRows, cols  int // GEMM dims (opGemm)
+	outC, patchRows  int // GEMM dims (opGemm)
+	cols             int
 	inN              int // input length (opFC)
 
 	n, chunk int
@@ -108,7 +111,7 @@ func (j *job) run(lo, hi int) {
 	case opLower:
 		lowerRange(j.patches, j.ins, j.k, j.stride, j.pad, j.oh, j.ow, lo, hi)
 	case opGemm:
-		gemmRange(j.dsts, j.patches, j.w, j.bias, j.patchRows, j.cols, lo, hi)
+		gemmRange(j.dsts, j.patches, j.w, j.bias, j.outC, j.patchRows, j.cols, lo, hi)
 	case opFC:
 		fcRange(j.dsts, j.ins, j.w, j.bias, j.inN, lo, hi)
 	}
@@ -178,14 +181,15 @@ func batchShape(dsts, ins []*T) {
 // arena), so a warm call allocates nothing. Each sample's result obeys the
 // determinism contract above.
 //
-// The GEMM folds four patch rows into the output per pass (axpy4): four
-// output columns at a time in SSE on amd64, the plain Go loop elsewhere,
-// bitwise equal either way. That reassociates the floating-point sum
-// relative to a direct convolution loop, so equivalence with one is to
-// rounding tolerance, not bitwise; the blocking itself is fixed, so
-// results never vary run to run. Zero weights still multiply into the sum
-// (no sparsity skip), so non-finite inputs propagate exactly as in the
-// direct loop: 0·NaN = NaN.
+// The GEMM sums four patch rows at a time and adds each group to the
+// output: four output channels × eight columns per register tile
+// (gemm4x8) in SSE on amd64, the plain Go loop elsewhere and for the
+// leftover channels and columns, bitwise equal either way. That
+// reassociates the floating-point sum relative to a direct convolution
+// loop, so equivalence with one is to rounding tolerance, not bitwise; the
+// grouping itself is fixed, so results never vary run to run. Zero weights
+// still multiply into the sum (no sparsity skip), so non-finite inputs
+// propagate exactly as in the direct loop: 0·NaN = NaN.
 func Conv2DIm2ColBatchInto(dsts, ins []*T, w []float32, bias []float32, outC, k, stride, pad, workers int, s *Scratch) {
 	j := jobs.Get().(*job)
 	j.conv(dsts, ins, w, bias, outC, k, stride, pad, workers, s)
@@ -227,9 +231,9 @@ func (j *job) conv(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, work
 	// live at patches[i·patchRows·cols : (i+1)·patchRows·cols].
 	j.patches = s.Patches(b * patchRows * cols)
 	j.k, j.stride, j.pad, j.oh, j.ow = k, stride, pad, oh, ow
-	j.patchRows, j.cols = patchRows, cols
+	j.outC, j.patchRows, j.cols = outC, patchRows, cols
 	j.fanOut(opLower, b*patchRows, workers)
-	j.fanOut(opGemm, b*outC, workers)
+	j.fanOut(opGemm, gemmUnits(b, outC), workers)
 }
 
 // lowerRange writes im2col rows [lo,hi) of the batch patch matrix, where
@@ -286,47 +290,92 @@ func tapSpan(off, stride, inN, outN int) (lo, hi int) {
 	return lo, max(lo, min(hi, outN))
 }
 
-// gemmRange computes GEMM units [lo,hi), where unit u is output channel
-// u/len(dsts) of sample u%len(dsts) — channel-major, so consecutive units
-// reuse one hot weight row across the whole batch:
+// gemmRange computes GEMM units [lo,hi), where unit u is channel block
+// u/len(dsts) — output channels 4·blk … 4·blk+3, fewer in the last block —
+// of sample u%len(dsts): channel-major, so consecutive units reuse hot
+// weight rows across the whole batch:
 // out[oc][col] = Σ_r w[oc][r] · patches[r][col] (+ bias).
-func gemmRange(dsts []*T, patches, w, bias []float32, patchRows, cols, lo, hi int) {
+// A full block runs its columns through the gemm4x8 register tile eight at
+// a time; the last cols%8 columns, and every column of a partial block, go
+// through gemmRow. Both compute every element with the same operations in
+// the same order, so which one covers a column changes no bit.
+func gemmRange(dsts []*T, patches, w, bias []float32, outC, patchRows, cols, lo, hi int) {
 	b := len(dsts)
 	block := patchRows * cols
+	n8 := cols / 8
 	for u := lo; u < hi; u++ {
-		oc, i := u/b, u%b
-		acc := dsts[i].Data[oc*cols : (oc+1)*cols]
+		oc0, i := u/b*4, u%b
+		oc1 := min(oc0+4, outC)
+		out := dsts[i].Data[oc0*cols : oc1*cols]
 		p := patches[i*block : (i+1)*block]
-		var bv float32
-		if bias != nil {
-			bv = bias[oc]
-		}
-		for c := range acc {
-			acc[c] = bv
-		}
-		wRow := w[oc*patchRows : (oc+1)*patchRows]
-		r := 0
-		for ; r+4 <= patchRows; r += 4 {
-			s := p[r*cols : (r+4)*cols]
-			axpy4(acc, s[:cols], s[cols:2*cols], s[2*cols:3*cols], s[3*cols:],
-				wRow[r], wRow[r+1], wRow[r+2], wRow[r+3])
-		}
-		for ; r < patchRows; r++ {
-			wv := wRow[r]
-			src := p[r*cols : (r+1)*cols]
-			for c, pv := range src {
-				acc[c] += wv * pv
+		c0 := 0
+		if oc1-oc0 == 4 && n8 > 0 {
+			bias4 := &zeroBias
+			if bias != nil {
+				bias4 = (*[4]float32)(bias[oc0:oc1])
 			}
+			gemm4x8(out, p, w[oc0*patchRows:oc1*patchRows], bias4, patchRows, cols, n8)
+			c0 = 8 * n8
+		}
+		if c0 == cols {
+			continue
+		}
+		for oc := oc0; oc < oc1; oc++ {
+			var bv float32
+			if bias != nil {
+				bv = bias[oc]
+			}
+			row := out[(oc-oc0)*cols : (oc-oc0+1)*cols]
+			gemmRow(row[c0:], p[c0:], w[oc*patchRows:(oc+1)*patchRows], cols, bv)
 		}
 	}
 }
 
-// axpy4Go is the GEMM's four-row step in plain Go:
+// zeroBias is the register tile's bias when a layer has none.
+var zeroBias [4]float32
+
+// gemmUnits is the GEMM's fan-out unit count: one per channel block of
+// four (the last may be partial) per sample.
+func gemmUnits(samples, outC int) int { return samples * ((outC + 3) / 4) }
+
+// gemmRow computes one output row over len(acc) columns:
+// acc[c] = bv + Σ_r wRow[r] · p[r·cols + c], four patch rows per axpy4
+// and the leftover rows one at a time.
+func gemmRow(acc, p, wRow []float32, cols int, bv float32) {
+	n := len(acc)
+	for c := range acc {
+		acc[c] = bv
+	}
+	r := 0
+	for ; r+4 <= len(wRow); r += 4 {
+		s := p[r*cols:]
+		axpy4(acc, s[:n], s[cols:cols+n], s[2*cols:2*cols+n], s[3*cols:3*cols+n],
+			wRow[r], wRow[r+1], wRow[r+2], wRow[r+3])
+	}
+	for ; r < len(wRow); r++ {
+		wv := wRow[r]
+		for c, pv := range p[r*cols : r*cols+n] {
+			acc[c] += wv * pv
+		}
+	}
+}
+
+// gemm4x8Go is the register tile in plain Go: out's four rows (stride
+// cols) over their first 8·n columns, channel ch starting from bias[ch] and
+// reading weights w[ch·depth : (ch+1)·depth]. It is gemm4x8 on every
+// GOARCH but amd64, and on amd64 the reference the SSE routine is held to.
+func gemm4x8Go(out, p, w []float32, bias *[4]float32, depth, cols, n int) {
+	for ch := range 4 {
+		gemmRow(out[ch*cols:ch*cols+8*n], p, w[ch*depth:(ch+1)*depth], cols, bias[ch])
+	}
+}
+
+// axpy4 is the GEMM's four-row step:
 // acc[c] += w0·s0[c] + w1·s1[c] + w2·s2[c] + w3·s3[c], summed left to
-// right, for every c in acc. It is axpy4 on every GOARCH but amd64, and on
-// amd64 the reference the SSE routine is held to bit for bit. Each s must
-// hold len(acc) elements.
-func axpy4Go(acc, s0, s1, s2, s3 []float32, w0, w1, w2, w3 float32) {
+// right, for every c in acc. Each s must hold len(acc) elements. The SSE
+// tile does this arithmetic per lane; the loop covers the columns and
+// channels a tile leaves, and is the Go tile's step.
+func axpy4(acc, s0, s1, s2, s3 []float32, w0, w1, w2, w3 float32) {
 	s0, s1, s2, s3 = s0[:len(acc)], s1[:len(acc)], s2[:len(acc)], s3[:len(acc)]
 	for c, v0 := range s0 {
 		acc[c] += w0*v0 + w1*s1[c] + w2*s2[c] + w3*s3[c]

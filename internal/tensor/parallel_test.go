@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,43 +41,182 @@ func specialFloat(rng *rand.Rand) float32 {
 	}
 }
 
-// axpy4 (SSE on amd64) must equal the Go loop bit for bit at every length
-// across the 4-wide body and the scalar tail, at every slice alignment, on
-// ordinary and non-finite values alike.
-func TestAxpy4MatchesGoLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for n := 0; n <= 70; n++ {
-		for trial := 0; trial < 40; trial++ {
-			special := trial%2 == 1
-			draw := func() float32 {
-				if special {
-					return specialFloat(rng)
-				}
-				return float32(rng.NormFloat64())
+// gemmRangeRef is the GEMM loop the register tile replaced, one output
+// channel per unit over axpy4 steps: the reference gemmRange is held to
+// bit for bit (any NaN matching any NaN).
+func gemmRangeRef(dsts []*T, patches, w, bias []float32, patchRows, cols, lo, hi int) {
+	b := len(dsts)
+	block := patchRows * cols
+	for u := lo; u < hi; u++ {
+		oc, i := u/b, u%b
+		acc := dsts[i].Data[oc*cols : (oc+1)*cols]
+		p := patches[i*block : (i+1)*block]
+		var bv float32
+		if bias != nil {
+			bv = bias[oc]
+		}
+		for c := range acc {
+			acc[c] = bv
+		}
+		wRow := w[oc*patchRows : (oc+1)*patchRows]
+		r := 0
+		for ; r+4 <= patchRows; r += 4 {
+			s := p[r*cols : (r+4)*cols]
+			axpy4(acc, s[:cols], s[cols:2*cols], s[2*cols:3*cols], s[3*cols:],
+				wRow[r], wRow[r+1], wRow[r+2], wRow[r+3])
+		}
+		for ; r < patchRows; r++ {
+			wv := wRow[r]
+			src := p[r*cols : (r+1)*cols]
+			for c, pv := range src {
+				acc[c] += wv * pv
 			}
-			// Each operand starts 0–3 elements into its backing array, so
-			// the 16-byte loads see every alignment.
-			slice := func() []float32 {
-				off := rng.Intn(4)
-				s := make([]float32, off+n)
-				for i := range s {
-					s[i] = draw()
+		}
+	}
+}
+
+// gemm4x8 (SSE on amd64) must equal its Go loop bit for bit at every depth
+// across the four-row step and the leftover rows, over one to three tiles,
+// with output and patch rows wider than the tiles, at every slice
+// alignment, and on ordinary and non-finite values alike. The routine must
+// write nothing but the tiles.
+func TestGemm4x8MatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for depth := 0; depth <= 13; depth++ {
+		for n := 1; n <= 3; n++ {
+			for trial := 0; trial < 24; trial++ {
+				special := trial%2 == 1
+				draw := func() float32 {
+					if special {
+						return specialFloat(rng)
+					}
+					return float32(rng.NormFloat64())
 				}
-				return s[off:]
-			}
-			acc, s0, s1, s2, s3 := slice(), slice(), slice(), slice(), slice()
-			w0, w1, w2, w3 := draw(), draw(), draw(), draw()
-			want := append([]float32(nil), acc...)
-			axpy4Go(want, s0, s1, s2, s3, w0, w1, w2, w3)
-			axpy4(acc, s0, s1, s2, s3, w0, w1, w2, w3)
-			for c := range want {
-				if !sameBits(acc[c], want[c]) {
-					t.Fatalf("n=%d trial %d: acc[%d] = %v (%#x), Go loop %v (%#x)",
-						n, trial, c, acc[c], math.Float32bits(acc[c]), want[c], math.Float32bits(want[c]))
+				cols := 8*n + rng.Intn(9)
+				// Each slice starts 0–3 elements into its backing array, so
+				// the 16-byte loads see every alignment.
+				slice := func(size int) []float32 {
+					off := rng.Intn(4)
+					s := make([]float32, off+size)
+					for i := range s {
+						s[i] = draw()
+					}
+					return s[off:]
+				}
+				p := slice(max(depth, 1) * cols)
+				w := slice(4 * depth)
+				var bias [4]float32
+				for i := range bias {
+					bias[i] = draw()
+				}
+				got := slice(4 * cols)
+				want := append([]float32(nil), got...)
+				gemm4x8Go(want, p, w, &bias, depth, cols, n)
+				gemm4x8(got, p, w, &bias, depth, cols, n)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("depth=%d n=%d cols=%d trial %d: out[%d] = %v (%#x), Go loop %v (%#x)",
+							depth, n, cols, trial, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
 				}
 			}
 		}
 	}
+}
+
+// gemmRange must write exactly the replaced loop's outputs over output
+// channel counts that fill and leave partial blocks, patch depths across
+// the four-row step, column counts below, at and past the tile width,
+// batches of one to three, with and without bias, and a unit range split
+// as a fan-out would split it.
+func TestGemmRangeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 600; trial++ {
+		b, outC := 1+rng.Intn(3), 1+rng.Intn(10)
+		patchRows, cols := 1+rng.Intn(14), 1+rng.Intn(27)
+		special := trial%3 == 2
+		draw := func() float32 {
+			if special {
+				return specialFloat(rng)
+			}
+			return float32(rng.NormFloat64())
+		}
+		fill := func(n int) []float32 {
+			s := make([]float32, n)
+			for i := range s {
+				s[i] = draw()
+			}
+			return s
+		}
+		patches, w := fill(b*patchRows*cols), fill(outC*patchRows)
+		var bias []float32
+		if trial%2 == 0 {
+			bias = fill(outC)
+		}
+		got, want := make([]*T, b), make([]*T, b)
+		for i := range got {
+			got[i], want[i] = New(outC, 1, cols), New(outC, 1, cols)
+		}
+		gemmRangeRef(want, patches, w, bias, patchRows, cols, 0, b*outC)
+		units := gemmUnits(b, outC)
+		mid := rng.Intn(units + 1)
+		gemmRange(got, patches, w, bias, outC, patchRows, cols, 0, mid)
+		gemmRange(got, patches, w, bias, outC, patchRows, cols, mid, units)
+		for i := range want {
+			for e := range want[i].Data {
+				if !sameBits(got[i].Data[e], want[i].Data[e]) {
+					t.Fatalf("trial %d (b=%d outC=%d rows=%d cols=%d): sample %d out[%d] = %v, reference %v",
+						trial, b, outC, patchRows, cols, i, e, got[i].Data[e], want[i].Data[e])
+				}
+			}
+		}
+	}
+}
+
+// FuzzGemmRange holds gemmRange to gemmRangeRef on fuzzer-chosen shapes and
+// bit patterns: every operand element is four input bytes read as a
+// float32, so NaNs, infinities, signed zeros and subnormals all occur.
+func FuzzGemmRange(f *testing.F) {
+	f.Add(uint8(0), uint8(7), uint8(8), uint8(16), []byte{0, 0, 128, 63, 0, 0, 192, 127, 1, 0, 0, 128})
+	f.Add(uint8(2), uint8(13), uint8(26), uint8(35), []byte("register tile"))
+	f.Fuzz(func(t *testing.T, bSel, outCSel, rowsSel, colsSel uint8, data []byte) {
+		b, outC := 1+int(bSel)%3, 1+int(outCSel)%12
+		patchRows, cols := 1+int(rowsSel)%30, 1+int(colsSel)%40
+		next := 0
+		word := func() float32 {
+			next++
+			if len(data) < 4 {
+				return float32(next%7) - 3
+			}
+			o := 4 * next % (len(data) - 3)
+			return math.Float32frombits(binary.LittleEndian.Uint32(data[o:]))
+		}
+		fill := func(n int) []float32 {
+			s := make([]float32, n)
+			for i := range s {
+				s[i] = word()
+			}
+			return s
+		}
+		patches, w, bias := fill(b*patchRows*cols), fill(outC*patchRows), fill(outC)
+		if bSel&0x80 != 0 {
+			bias = nil
+		}
+		got, want := make([]*T, b), make([]*T, b)
+		for i := range got {
+			got[i], want[i] = New(outC, 1, cols), New(outC, 1, cols)
+		}
+		gemmRangeRef(want, patches, w, bias, patchRows, cols, 0, b*outC)
+		gemmRange(got, patches, w, bias, outC, patchRows, cols, 0, gemmUnits(b, outC))
+		for i := range want {
+			for e := range want[i].Data {
+				if !sameBits(got[i].Data[e], want[i].Data[e]) {
+					t.Fatalf("b=%d outC=%d rows=%d cols=%d: sample %d out[%d] = %#x, reference %#x", b, outC, patchRows, cols,
+						i, e, math.Float32bits(got[i].Data[e]), math.Float32bits(want[i].Data[e]))
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkConvShapes sizes parMinMACs: the seven distinct conv shapes of
@@ -118,10 +258,10 @@ func BenchmarkConvShapes(b *testing.B) {
 				j.dsts, j.ins, j.w = j.dst1[:], j.in1[:], w
 				j.patches = s.Patches(patchRows * cols)
 				j.k, j.stride, j.pad, j.oh, j.ow = sh.k, sh.stride, sh.pad, oh, ow
-				j.patchRows, j.cols = patchRows, cols
+				j.outC, j.patchRows, j.cols = sh.outC, patchRows, cols
 				for i := 0; i < b.N; i++ {
 					j.fanOut(opLower, patchRows, workers)
-					j.fanOut(opGemm, sh.outC, workers)
+					j.fanOut(opGemm, gemmUnits(1, sh.outC), workers)
 				}
 			})
 		}

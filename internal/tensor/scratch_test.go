@@ -12,11 +12,11 @@ import (
 
 func randConvCase(seed int64) (in *T, w, bias []float32, outC, k int) {
 	rng := rand.New(rand.NewSource(seed))
-	in = New(3, 20, 20)
+	in = New(3, 40, 40)
 	for i := range in.Data {
 		in.Data[i] = float32(rng.NormFloat64())
 	}
-	outC, k = 32, 3 // 32·27·400 MACs: above parMinMACs, so workers > 1 fan out
+	outC, k = 32, 3 // 32·27·1600 MACs: above parMinMACs, so workers > 1 fan out
 	w = make([]float32, outC*in.C*k*k)
 	for i := range w {
 		w[i] = float32(rng.NormFloat64())

@@ -75,6 +75,19 @@ func MaxPool2DInto(dst *T, in *T, k, stride int) *T {
 		panic(fmt.Sprintf("tensor: pool output %dx%d non-positive", oh, ow))
 	}
 	out := intoShape(dst, in.C, oh, ow)
+	if k == 2 && stride == 2 {
+		maxPool2x2(out, in)
+	} else {
+		maxPool(out, in, k, stride)
+	}
+	return out
+}
+
+// maxPool is the general k×k pooling loop: a window's first value, then
+// every value in row order replacing it when greater or NaN. It is the
+// reference maxPool2x2 is held to.
+func maxPool(out, in *T, k, stride int) {
+	oh, ow := out.H, out.W
 	for c := 0; c < in.C; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -93,7 +106,36 @@ func MaxPool2DInto(dst *T, in *T, k, stride int) *T {
 			}
 		}
 	}
-	return out
+}
+
+// maxPool2x2 is the 2×2 stride-2 pool every native network runs, on flat
+// rows: an output row reads its two input rows as two slices, and each
+// window takes its four values in maxPool's order under its comparison,
+// so every output is bitwise maxPool's.
+func maxPool2x2(out, in *T) {
+	ow := out.W
+	for c := 0; c < in.C; c++ {
+		plane := in.Data[c*in.H*in.W : (c+1)*in.H*in.W]
+		for oy := 0; oy < out.H; oy++ {
+			top := plane[2*oy*in.W:][: 2*ow : 2*ow]
+			bot := plane[(2*oy+1)*in.W:][: 2*ow : 2*ow]
+			o := out.Data[(c*out.H+oy)*ow:][:ow]
+			for ox := range o {
+				a, b := top[2*ox:2*ox+2], bot[2*ox:2*ox+2]
+				best := a[0]
+				if v := a[1]; v > best || v != v {
+					best = v
+				}
+				if v := b[0]; v > best || v != v {
+					best = v
+				}
+				if v := b[1]; v > best || v != v {
+					best = v
+				}
+				o[ox] = best
+			}
+		}
+	}
 }
 
 // ReLU applies max(0,x) in place and returns the tensor.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -247,6 +248,68 @@ func TestMaxPoolNonFinite(t *testing.T) {
 		if math.Float32bits(got) != math.Float32bits(tc.want) && !(got != got && tc.want != tc.want) {
 			t.Errorf("%s: pool(%v) = %v, want %v", tc.name, tc.window, got, tc.want)
 		}
+	}
+}
+
+// The flat 2×2 pool must return the general loop's bits — NaN payloads and
+// the first of two signed zeros included — on even and odd extents (an odd
+// last row or column is dropped), into a reused destination holding stale
+// values.
+func TestMaxPool2x2MatchesGeneral(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	nanA, nanB := math.Float32frombits(0x7fc0beef), math.Float32frombits(0xffc00001)
+	draw := func() float32 {
+		switch rng.Intn(8) {
+		case 0:
+			return nanA
+		case 1:
+			return nanB
+		case 2:
+			return specialFloat(rng)
+		case 3:
+			return float32(rng.Intn(3) - 1) // exact ties
+		case 4:
+			return float32(math.Copysign(0, -1))
+		default:
+			return float32(rng.NormFloat64())
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		c, h, w := 1+rng.Intn(4), 2+rng.Intn(9), 2+rng.Intn(9)
+		in := New(c, h, w)
+		for i := range in.Data {
+			in.Data[i] = draw()
+		}
+		want := New(c, h/2, w/2)
+		maxPool(want, in, 2, 2)
+		got := New(c, h/2, w/2)
+		got.Fill(nanA)
+		MaxPool2DInto(got, in, 2, 2)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("trial %d %dx%dx%d: out[%d] = %#x, general loop %#x",
+					trial, c, h, w, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+			}
+		}
+	}
+}
+
+// BenchmarkMaxPool times the 2×2 stride-2 pool on the output shapes of the
+// first two TinyYOLO(64) convolutions and the first TinyTrackerTower(32)
+// one.
+func BenchmarkMaxPool(b *testing.B) {
+	for _, sh := range [][3]int{{8, 64, 64}, {16, 32, 32}, {16, 16, 16}} {
+		in := New(sh[0], sh[1], sh[2])
+		rng := rand.New(rand.NewSource(3))
+		for i := range in.Data {
+			in.Data[i] = float32(max(0, rng.NormFloat64())) // ReLU-like: half zeros
+		}
+		dst := New(sh[0], sh[1]/2, sh[2]/2)
+		b.Run(fmt.Sprintf("%dx%dx%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MaxPool2DInto(dst, in, 2, 2)
+			}
+		})
 	}
 }
 
@@ -512,7 +575,7 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 		}
 	}
 
-	const outN = 512
+	const outN = 1024
 	vec := NewVec(1024)
 	for i := range vec.Data {
 		vec.Data[i] = next()
