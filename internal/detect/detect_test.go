@@ -254,7 +254,8 @@ func TestAllocDetectSteadyState(t *testing.T) {
 // A ladder-rung change must reshape only the pooled input and keep the
 // grow-only layer arena: alternating two warm rungs costs no more per call
 // than staying on one. Replacing the whole scratch on a size mismatch
-// re-grew the patch matrix and both ping-pong slots on every alternation.
+// re-grew the conv's padded input and both ping-pong slots on every
+// alternation.
 func TestAllocDetectRungAlternation(t *testing.T) {
 	f := frameWithBox(160, 120, img.RectWH(40, 30, 40, 33))
 	allocDetectGate(t, 8, func(d *Detector) {

@@ -7,7 +7,7 @@ import (
 // Scratch is a per-worker inference arena. Passing one to Executor.Forward
 // makes the whole feed-forward pass allocation-free once warm: layer
 // outputs ping-pong between two arena slots and the conv kernels draw their
-// im2col buffer from the same arena.
+// padded input and offset table from the same arena.
 //
 // Ownership rules (see DESIGN.md "Buffer ownership and reuse"):
 //

@@ -84,7 +84,7 @@ func TestFCBatchBitwiseEqualSolo(t *testing.T) {
 }
 
 // A batch must reject shape-mismatched samples loudly: silently batching
-// different shapes would corrupt the shared patch matrix.
+// different shapes would corrupt the shared padded input.
 func TestConvBatchRejectsMixedShapes(t *testing.T) {
 	ins, w, bias, outC, k := randBatch(14, 2)
 	ins[1] = New(3, 10, 10)

@@ -6,8 +6,8 @@ package tensor
 // loop's multiplies and adds in the Go loop's order, so every non-NaN
 // output is bitwise equal to gemm4x8Go's and NaNs stay NaN. SSE is in the
 // amd64 baseline, so there is no CPU dispatch. The routine does not check
-// shapes: out must hold 3·cols + 8·n elements, p (depth−1)·cols + 8·n and
-// w 4·depth, with cols ≥ 8·n.
+// shapes: out must hold 3·cols + 8·n elements, off depth entries, each in
+// [0, len(in) − 8·n], and w 4·depth, with cols ≥ 8·n.
 //
 //go:noescape
-func gemm4x8(out, p, w []float32, bias *[4]float32, depth, cols, n int)
+func gemm4x8(out, in []float32, off []int32, w []float32, bias *[4]float32, depth, cols, n int)

@@ -2,13 +2,14 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
 
 // The conv and FC kernels are written once, in batch form: N same-shape
-// inputs go through one im2col lowering, one GEMM and one FC loop, and a
-// solo call is the batch of one. A kernel call splits its work units into
+// inputs go through one padded copy, one GEMM and one FC loop, and a solo
+// call is the batch of one. A kernel call splits its work units into
 // contiguous ranges: a single range runs on the caller, several run on one
 // transient goroutine each while the caller waits, so no goroutine outlives
 // the call.
@@ -23,16 +24,15 @@ import (
 // parMinMACs is the work floor below which a kernel call is one range on
 // the caller's goroutine: tiny convolutions and FC heads lose more to
 // goroutine fan-out and cache ping-pong than they gain from extra cores.
-// With the register-tiled GEMM a second range loses up to ~6·10⁵ MACs
-// (DESIGN.md §9 has the measurement).
+// With the register tile reading its input in place, a second range loses
+// or ties up to ~6·10⁵ MACs (DESIGN.md §9 has the measurement).
 const parMinMACs = 1 << 20
 
 // op selects the range function a job fans out.
 type op uint8
 
 const (
-	opLower op = iota
-	opGemm
+	opGemm op = iota
 	opFC
 )
 
@@ -42,14 +42,12 @@ const (
 // worker is the method value j.work, built once per descriptor. Descriptors
 // are pooled: a warm kernel call allocates nothing at any worker count.
 type job struct {
-	op               op
-	dsts, ins        []*T
-	patches, w, bias []float32
-	k, stride, pad   int // conv geometry (opLower)
-	oh, ow           int
-	outC, patchRows  int // GEMM dims (opGemm)
-	cols             int
-	inN              int // input length (opFC)
+	op                               op
+	dsts, ins                        []*T
+	padded, w, bias                  []float32
+	off                              []int32 // patch-row offset table (opGemm)
+	outC, rows, width, pitch, sample int     // GEMM dims (opGemm)
+	inN                              int     // input length (opFC)
 
 	n, chunk int
 	next     atomic.Int64 // ranges claimed so far
@@ -67,7 +65,7 @@ var jobs = sync.Pool{New: func() any {
 
 // release drops the call's references and returns j to the pool.
 func (j *job) release() {
-	j.dsts, j.ins, j.patches, j.w, j.bias = nil, nil, nil, nil, nil
+	j.dsts, j.ins, j.padded, j.w, j.bias, j.off = nil, nil, nil, nil, nil, nil
 	j.dst1[0], j.in1[0] = nil, nil
 	jobs.Put(j)
 }
@@ -108,10 +106,8 @@ func (j *job) work() {
 // run computes units [lo,hi) with the job's range function.
 func (j *job) run(lo, hi int) {
 	switch j.op {
-	case opLower:
-		lowerRange(j.patches, j.ins, j.k, j.stride, j.pad, j.oh, j.ow, lo, hi)
 	case opGemm:
-		gemmRange(j.dsts, j.patches, j.w, j.bias, j.outC, j.patchRows, j.cols, lo, hi)
+		gemmRange(j.dsts, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, j.sample, lo, hi)
 	case opFC:
 		fcRange(j.dsts, j.ins, j.w, j.bias, j.inN, lo, hi)
 	}
@@ -119,8 +115,8 @@ func (j *job) run(lo, hi int) {
 
 // convShape validates conv arguments and returns the output spatial dims.
 func convShape(in *T, wLen, outC, k, stride, pad int) (oh, ow int) {
-	if stride <= 0 || k <= 0 {
-		panic(fmt.Sprintf("tensor: invalid conv k=%d stride=%d", k, stride))
+	if stride <= 0 || k <= 0 || pad < 0 {
+		panic(fmt.Sprintf("tensor: invalid conv k=%d stride=%d pad=%d", k, stride, pad))
 	}
 	if wLen != outC*in.C*k*k {
 		panic(fmt.Sprintf("tensor: conv weights len %d, want %d", wLen, outC*in.C*k*k))
@@ -165,26 +161,27 @@ func batchShape(dsts, ins []*T) {
 	}
 }
 
-// Conv2DIm2ColBatchInto convolves each ins[i] into dsts[i] by lowering to
-// an explicit im2col matrix multiplication — the strategy Caffe/cuDNN-era
-// frameworks (the paper's software stack) use to turn convolutions into
-// GEMM: it materializes a (inC·k²) × (outH·outW) patch matrix per sample
-// and performs a dense multiply with better locality than a direct loop.
-// Weights are laid out [outC][inC][k][k]; bias has length outC and may be
-// nil. One call amortizes a single fan-out over the whole batch, and the
-// GEMM walks output channels outer, samples inner, so each weight row is
-// hot in cache while it multiplies every stream's patches.
+// Conv2DIm2ColBatchInto convolves each ins[i] into dsts[i] as a matrix
+// multiplication — the strategy Caffe/cuDNN-era frameworks (the paper's
+// software stack) use to turn convolutions into GEMM — without
+// materializing the im2col patch matrix: each sample is copied once,
+// zero-padded, and the GEMM reads every patch row in place from that copy
+// through a per-layer offset table. Weights are laid out [outC][inC][k][k];
+// bias has length outC and may be nil. One call amortizes a single fan-out
+// over the whole batch, and the GEMM walks output channels outer, samples
+// inner, so each weight row is hot in cache while it multiplies every
+// stream's input.
 //
 // All inputs must share one shape; every dsts[i] must be non-nil with
 // outC·oh·ow elements (scratch Buf slots qualify) and must not alias ins.
-// Patch staging for the whole batch comes from s (nil uses a throwaway
+// The padded copies and the offset table come from s (nil uses a throwaway
 // arena), so a warm call allocates nothing. Each sample's result obeys the
 // determinism contract above.
 //
 // The GEMM sums four patch rows at a time and adds each group to the
-// output: four output channels × eight columns per register tile
-// (gemm4x8) in SSE on amd64, the plain Go loop elsewhere and for the
-// leftover channels and columns, bitwise equal either way. That
+// output: four output channels × eight columns of one output row per
+// register tile (gemm4x8) in SSE on amd64, the plain Go loop elsewhere and
+// for a partial block of channels, bitwise equal either way. That
 // reassociates the floating-point sum relative to a direct convolution
 // loop, so equivalence with one is to rounding tolerance, not bitwise; the
 // grouping itself is fixed, so results never vary run to run. Zero weights
@@ -210,126 +207,158 @@ func Conv2DIm2ColParInto(dst *T, in *T, w []float32, bias []float32, outC, k, st
 	return dst
 }
 
-// conv validates a batched convolution, then fans out its lowering and GEMM.
+// conv validates a batched convolution, lowers it on the caller and fans
+// out its GEMM.
 func (j *job) conv(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, workers int, s *Scratch) {
 	batchShape(dsts, ins)
 	oh, ow := convShape(ins[0], len(w), outC, k, stride, pad)
 	for _, dst := range dsts {
 		intoShape(dst, outC, oh, ow)
 	}
-	b := len(ins)
-	patchRows := ins[0].C * k * k
-	cols := oh * ow
-	if int64(b)*int64(outC)*int64(patchRows)*int64(cols) < parMinMACs {
+	if int64(len(ins))*int64(len(w))*int64(oh*ow) < parMinMACs {
 		workers = 1
 	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	j.dsts, j.ins, j.w, j.bias = dsts, ins, w, bias
-	// One contiguous patch matrix for the whole batch: sample i's rows
-	// live at patches[i·patchRows·cols : (i+1)·patchRows·cols].
-	j.patches = s.Patches(b * patchRows * cols)
-	j.k, j.stride, j.pad, j.oh, j.ow = k, stride, pad, oh, ow
-	j.outC, j.patchRows, j.cols = outC, patchRows, cols
-	j.fanOut(opLower, b*patchRows, workers)
-	j.fanOut(opGemm, gemmUnits(b, outC), workers)
+	j.lower(dsts, ins, w, bias, outC, k, stride, pad, oh, ow, s)
+	j.fanOut(opGemm, gemmUnits(len(ins), outC), workers)
 }
 
-// lowerRange writes im2col rows [lo,hi) of the batch patch matrix, where
-// row u is weight position (ic, ky, kx) = u%patchRows of sample u/patchRows
-// and columns are output pixels. Every element is written — out-of-bounds
-// (padding) taps get explicit zeros — so the buffer needs no pre-clearing
-// and reuse across frames is safe. The in-bounds output interval is worked
-// out once per row and axis, so no per-element bounds branch remains.
-func lowerRange(patches []float32, ins []*T, k, stride, pad, oh, ow, lo, hi int) {
-	patchRows := ins[0].C * k * k
-	cols := oh * ow
-	for u := lo; u < hi; u++ {
-		in, row := ins[u/patchRows], u%patchRows
-		ic := row / (k * k)
-		rem := row % (k * k)
-		offY, offX := rem/k-pad, rem%k-pad // input index = output index·stride + off
-		oyLo, oyHi := tapSpan(offY, stride, in.H, oh)
-		oxLo, oxHi := tapSpan(offX, stride, in.W, ow)
-		plane := in.Data[ic*in.H*in.W : (ic+1)*in.H*in.W]
-		dst := patches[u*cols : (u+1)*cols]
-		if oxLo == oxHi {
-			clear(dst) // every column of this tap is padding
-			continue
-		}
-		clear(dst[:oyLo*ow])
-		clear(dst[oyHi*ow:])
-		for oy := oyLo; oy < oyHi; oy++ {
-			out := dst[oy*ow : (oy+1)*ow]
-			src := plane[(oy*stride+offY)*in.W : (oy*stride+offY+1)*in.W]
-			clear(out[:oxLo])
-			clear(out[oxHi:])
+// lower stages a convolution's GEMM in s and in j's GEMM fields. Each
+// sample becomes stride² phase planes per input channel, each ph × pw
+// with ph = oh + (k−1)/stride and pw = ow + (k−1)/stride: phase (a, b)
+// holds padded[qy·stride+a][qx·stride+b], where padded is the channel
+// zero-padded by pad. Then tap (ic, ky, kx) of output (oy, ox) is
+// padded[oy·stride+ky][ox·stride+kx], which is row oy + ky/stride, column
+// ox + kx/stride of phase (ky%stride, kx%stride): for a fixed tap the
+// columns of an output row are one contiguous run. off[r] is that run's
+// start for output (0, 0), r = (ic·k + ky)·k + kx, and output row oy
+// reads it from oy·pw further on. Stride 1 is the one-phase case. The copy
+// holds each input value about once, where an im2col matrix holds it k²
+// times.
+func (j *job) lower(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, oh, ow int, s *Scratch) {
+	inC := ins[0].C
+	halo := (k - 1) / stride
+	ph, pw := oh+halo, ow+halo
+	sample := inC * stride * stride * ph * pw
+	if sample > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: conv padded input of %d elements overflows the int32 offset table", sample))
+	}
+	padded := s.Patches(len(ins)*sample + tileSlack)
+	for i, in := range ins {
+		padPhases(padded[i*sample:(i+1)*sample], in, stride, pad, ph, pw)
+	}
+	clear(padded[len(ins)*sample:])
+	// Channel ic's taps sit ic·stride² planes after channel 0's.
+	off, taps, plane := s.offsets(inC*k*k), k*k, ph*pw
+	for t := range taps {
+		ky, kx := t/k, t%k
+		off[t] = int32((ky%stride*stride+kx%stride)*plane + ky/stride*pw + kx/stride)
+	}
+	for r := taps; r < len(off); r++ {
+		off[r] = off[r-taps] + int32(stride*stride*plane)
+	}
+	j.dsts, j.w, j.bias, j.padded, j.off = dsts, w, bias, padded, off
+	j.outC, j.rows, j.width, j.pitch, j.sample = outC, oh, ow, pw, sample
+	if pw == ow {
+		// No halo (k ≤ stride): output rows lie end to end in the planes
+		// as in the output, so the GEMM sees one row of oh·ow columns.
+		j.rows, j.width = 1, oh*ow
+	}
+}
+
+// padPhases writes one sample's phase planes (see lower) into dst, which
+// holds in.C·stride² planes of ph × pw, phases of one channel adjacent.
+// dst is cleared first, then every input value that lands in a plane is
+// copied once, so padding and positions past the padded edge read zero.
+func padPhases(dst []float32, in *T, stride, pad, ph, pw int) {
+	clear(dst)
+	plane := ph * pw
+	for c := 0; c < in.C; c++ {
+		for iy := 0; iy < in.H; iy++ {
+			y := iy + pad
+			if y/stride >= ph {
+				break
+			}
+			src := in.Data[(c*in.H+iy)*in.W:][:in.W]
+			phases := dst[(c*stride+y%stride)*stride*plane+y/stride*pw:]
 			if stride == 1 {
-				copy(out[oxLo:oxHi], src[oxLo+offX:])
+				copy(phases[pad:pw], src)
 				continue
 			}
-			for ox, ix := oxLo, oxLo*stride+offX; ox < oxHi; ox, ix = ox+1, ix+stride {
-				out[ox] = src[ix]
+			for b := range stride {
+				row := phases[b*plane:][:pw]
+				ix := ((b-pad)%stride + stride) % stride // first column of phase b
+				for qx := (ix + pad) / stride; ix < in.W && qx < pw; ix, qx = ix+stride, qx+1 {
+					row[qx] = src[ix]
+				}
 			}
 		}
 	}
-}
-
-// tapSpan returns the output interval [lo,hi) ⊆ [0,outN) whose input index
-// o·stride + off lands inside [0,inN); it is empty (lo == hi) when no
-// output does.
-func tapSpan(off, stride, inN, outN int) (lo, hi int) {
-	if off < 0 {
-		lo = (-off + stride - 1) / stride
-	}
-	if inN > off {
-		hi = (inN - off + stride - 1) / stride
-	}
-	lo = min(lo, outN)
-	return lo, max(lo, min(hi, outN))
 }
 
 // gemmRange computes GEMM units [lo,hi), where unit u is channel block
 // u/len(dsts) — output channels 4·blk … 4·blk+3, fewer in the last block —
 // of sample u%len(dsts): channel-major, so consecutive units reuse hot
-// weight rows across the whole batch:
-// out[oc][col] = Σ_r w[oc][r] · patches[r][col] (+ bias).
-// A full block runs its columns through the gemm4x8 register tile eight at
-// a time; the last cols%8 columns, and every column of a partial block, go
+// weight rows across the whole batch. padded holds len(dsts) samples of
+// sample elements each, then tileSlack more. Each sample's output is rows
+// rows of width columns; with x = padded[i·sample:], sample i's share, and
+// depth = len(off),
+// out[oc][y·width+c] = bias[oc] + Σ_r w[oc][r] · x[off[r] + y·pitch + c].
+// A full block runs each row through the gemm4x8 register tile eight
+// columns at a time, and the last width%8 columns through one edge tile
+// into a buffer, of which only the lanes inside the row are copied out
+// (the others may read the next sample or the slack). A partial block runs
 // through gemmRow. Both compute every element with the same operations in
-// the same order, so which one covers a column changes no bit.
-func gemmRange(dsts []*T, patches, w, bias []float32, outC, patchRows, cols, lo, hi int) {
+// the same order, so which one covers an element changes no bit.
+func gemmRange(dsts []*T, padded []float32, off []int32, w, bias []float32, outC, rows, width, pitch, sample, lo, hi int) {
 	b := len(dsts)
-	block := patchRows * cols
-	n8 := cols / 8
+	depth, cols := len(off), rows*width
+	n8, c8 := width/8, width/8*8
 	for u := lo; u < hi; u++ {
 		oc0, i := u/b*4, u%b
 		oc1 := min(oc0+4, outC)
 		out := dsts[i].Data[oc0*cols : oc1*cols]
-		p := patches[i*block : (i+1)*block]
-		c0 := 0
-		if oc1-oc0 == 4 && n8 > 0 {
-			bias4 := &zeroBias
-			if bias != nil {
-				bias4 = (*[4]float32)(bias[oc0:oc1])
+		x := padded[i*sample : (i+1)*sample+tileSlack]
+		if oc1-oc0 < 4 {
+			for oc := oc0; oc < oc1; oc++ {
+				var bv float32
+				if bias != nil {
+					bv = bias[oc]
+				}
+				row, wRow := out[(oc-oc0)*cols:][:cols], w[oc*depth:(oc+1)*depth]
+				for y := range rows {
+					gemmRow(row[y*width:][:width], x[y*pitch:], off, wRow, bv)
+				}
 			}
-			gemm4x8(out, p, w[oc0*patchRows:oc1*patchRows], bias4, patchRows, cols, n8)
-			c0 = 8 * n8
-		}
-		if c0 == cols {
 			continue
 		}
-		for oc := oc0; oc < oc1; oc++ {
-			var bv float32
-			if bias != nil {
-				bv = bias[oc]
+		bias4 := &zeroBias
+		if bias != nil {
+			bias4 = (*[4]float32)(bias[oc0:oc1])
+		}
+		wb := w[oc0*depth : oc1*depth]
+		for y := range rows {
+			o, base := y*width, y*pitch
+			gemm4x8(out[o:], x[base:], off, wb, bias4, depth, cols, n8)
+			if c8 == width {
+				continue
 			}
-			row := out[(oc-oc0)*cols : (oc-oc0+1)*cols]
-			gemmRow(row[c0:], p[c0:], w[oc*patchRows:(oc+1)*patchRows], cols, bv)
+			var edge [4 * 8]float32
+			gemm4x8(edge[:], x[base+c8:], off, wb, bias4, depth, 8, 1)
+			for ch := range 4 {
+				copy(out[ch*cols+o+c8:][:width-c8], edge[8*ch:])
+			}
 		}
 	}
 }
+
+// tileSlack is how many floats the padded input holds past its last
+// sample. An edge tile reads eight columns where fewer are left in the
+// row; its other lanes run on into the halo, the next row or plane, or,
+// at the very end, up to seven floats into this slack, and are dropped.
+const tileSlack = 7
 
 // zeroBias is the register tile's bias when a layer has none.
 var zeroBias [4]float32
@@ -339,42 +368,43 @@ var zeroBias [4]float32
 func gemmUnits(samples, outC int) int { return samples * ((outC + 3) / 4) }
 
 // gemmRow computes one output row over len(acc) columns:
-// acc[c] = bv + Σ_r wRow[r] · p[r·cols + c], four patch rows per axpy4
+// acc[c] = bv + Σ_r wRow[r] · x[off[r] + c], four patch rows per axpy4
 // and the leftover rows one at a time.
-func gemmRow(acc, p, wRow []float32, cols int, bv float32) {
+func gemmRow(acc, x []float32, off []int32, wRow []float32, bv float32) {
 	n := len(acc)
 	for c := range acc {
 		acc[c] = bv
 	}
+	off = off[:len(wRow)]
 	r := 0
 	for ; r+4 <= len(wRow); r += 4 {
-		s := p[r*cols:]
-		axpy4(acc, s[:n], s[cols:cols+n], s[2*cols:2*cols+n], s[3*cols:3*cols+n],
+		axpy4(acc, x[off[r]:], x[off[r+1]:], x[off[r+2]:], x[off[r+3]:],
 			wRow[r], wRow[r+1], wRow[r+2], wRow[r+3])
 	}
 	for ; r < len(wRow); r++ {
 		wv := wRow[r]
-		for c, pv := range p[r*cols : r*cols+n] {
+		for c, pv := range x[off[r]:][:n] {
 			acc[c] += wv * pv
 		}
 	}
 }
 
 // gemm4x8Go is the register tile in plain Go: out's four rows (stride
-// cols) over their first 8·n columns, channel ch starting from bias[ch] and
-// reading weights w[ch·depth : (ch+1)·depth]. It is gemm4x8 on every
-// GOARCH but amd64, and on amd64 the reference the SSE routine is held to.
-func gemm4x8Go(out, p, w []float32, bias *[4]float32, depth, cols, n int) {
+// cols) over their first 8·n columns, channel ch starting from bias[ch],
+// reading weights w[ch·depth : (ch+1)·depth] and patch row r at
+// in[off[r]:]. It is gemm4x8 on every GOARCH but amd64, and on amd64 the
+// reference the SSE routine is held to.
+func gemm4x8Go(out, in []float32, off []int32, w []float32, bias *[4]float32, depth, cols, n int) {
 	for ch := range 4 {
-		gemmRow(out[ch*cols:ch*cols+8*n], p, w[ch*depth:(ch+1)*depth], cols, bias[ch])
+		gemmRow(out[ch*cols:ch*cols+8*n], in, off[:depth], w[ch*depth:(ch+1)*depth], bias[ch])
 	}
 }
 
 // axpy4 is the GEMM's four-row step:
 // acc[c] += w0·s0[c] + w1·s1[c] + w2·s2[c] + w3·s3[c], summed left to
 // right, for every c in acc. Each s must hold len(acc) elements. The SSE
-// tile does this arithmetic per lane; the loop covers the columns and
-// channels a tile leaves, and is the Go tile's step.
+// tile does this arithmetic per lane; the loop covers a partial block of
+// channels, and is the Go tile's step.
 func axpy4(acc, s0, s1, s2, s3 []float32, w0, w1, w2, w3 float32) {
 	s0, s1, s2, s3 = s0[:len(acc)], s1[:len(acc)], s2[:len(acc)], s3[:len(acc)]
 	for c, v0 := range s0 {

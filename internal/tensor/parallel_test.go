@@ -75,9 +75,25 @@ func gemmRangeRef(dsts []*T, patches, w, bias []float32, patchRows, cols, lo, hi
 	}
 }
 
+// convIm2ColRef is the convolution as the im2col kernels computed it: the
+// batch lowered into one (inC·k²) × (oh·ow) patch matrix per sample by
+// lowerRange, then multiplied by gemmRangeRef. Conv2DIm2ColBatchInto is
+// held to it bit for bit (any NaN matching any NaN).
+func convIm2ColRef(dsts, ins []*T, w, bias []float32, outC, k, stride, pad int) {
+	oh, ow := convShape(ins[0], len(w), outC, k, stride, pad)
+	for _, dst := range dsts {
+		intoShape(dst, outC, oh, ow)
+	}
+	patchRows, cols := ins[0].C*k*k, oh*ow
+	patches := make([]float32, len(ins)*patchRows*cols)
+	lowerRange(patches, ins, k, stride, pad, oh, ow, 0, len(ins)*patchRows)
+	gemmRangeRef(dsts, patches, w, bias, patchRows, cols, 0, len(ins)*outC)
+}
+
 // gemm4x8 (SSE on amd64) must equal its Go loop bit for bit at every depth
 // across the four-row step and the leftover rows, over one to three tiles,
-// with output and patch rows wider than the tiles, at every slice
+// with output rows wider than the tiles, patch rows at arbitrary (so
+// unaligned, overlapping and repeated) offsets into the input, every slice
 // alignment, and on ordinary and non-finite values alike. The routine must
 // write nothing but the tiles.
 func TestGemm4x8MatchesGo(t *testing.T) {
@@ -92,7 +108,6 @@ func TestGemm4x8MatchesGo(t *testing.T) {
 					}
 					return float32(rng.NormFloat64())
 				}
-				cols := 8*n + rng.Intn(9)
 				// Each slice starts 0–3 elements into its backing array, so
 				// the 16-byte loads see every alignment.
 				slice := func(size int) []float32 {
@@ -103,7 +118,12 @@ func TestGemm4x8MatchesGo(t *testing.T) {
 					}
 					return s[off:]
 				}
-				p := slice(max(depth, 1) * cols)
+				cols := 8*n + rng.Intn(9)
+				in := slice(8*n + rng.Intn(40))
+				off := make([]int32, depth)
+				for r := range off {
+					off[r] = int32(rng.Intn(len(in) - 8*n + 1))
+				}
 				w := slice(4 * depth)
 				var bias [4]float32
 				for i := range bias {
@@ -111,8 +131,8 @@ func TestGemm4x8MatchesGo(t *testing.T) {
 				}
 				got := slice(4 * cols)
 				want := append([]float32(nil), got...)
-				gemm4x8Go(want, p, w, &bias, depth, cols, n)
-				gemm4x8(got, p, w, &bias, depth, cols, n)
+				gemm4x8Go(want, in, off, w, &bias, depth, cols, n)
+				gemm4x8(got, in, off, w, &bias, depth, cols, n)
 				for i := range want {
 					if !sameBits(got[i], want[i]) {
 						t.Fatalf("depth=%d n=%d cols=%d trial %d: out[%d] = %v (%#x), Go loop %v (%#x)",
@@ -124,11 +144,24 @@ func TestGemm4x8MatchesGo(t *testing.T) {
 	}
 }
 
-// gemmRange must write exactly the replaced loop's outputs over output
-// channel counts that fill and leave partial blocks, patch depths across
-// the four-row step, column counts below, at and past the tile width,
-// batches of one to three, with and without bias, and a unit range split
-// as a fan-out would split it.
+// patchTable is the offset table that makes gemmRange read a plain patch
+// matrix with cols columns: row r starts at r·cols. It is the table of a
+// 1×1 conv over patchRows channels of a 1 × cols map.
+func patchTable(patchRows, cols int) []int32 {
+	off := make([]int32, patchRows)
+	for r := range off {
+		off[r] = int32(r * cols)
+	}
+	return off
+}
+
+// gemmRange, given a patch matrix as its input (a 1×1 conv's table), must
+// write exactly the replaced loop's outputs over output channel counts
+// that fill and leave partial blocks, patch depths across the four-row
+// step, column counts below, at and past the tile width, batches of one to
+// three, with and without bias, and a unit range split as a fan-out would
+// split it. The slack past the matrix is NaN, which an edge tile's dropped
+// lanes may read and no output may show.
 func TestGemmRangeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 600; trial++ {
@@ -158,10 +191,14 @@ func TestGemmRangeMatchesReference(t *testing.T) {
 			got[i], want[i] = New(outC, 1, cols), New(outC, 1, cols)
 		}
 		gemmRangeRef(want, patches, w, bias, patchRows, cols, 0, b*outC)
+		for range tileSlack {
+			patches = append(patches, float32(math.NaN()))
+		}
+		off := patchTable(patchRows, cols)
 		units := gemmUnits(b, outC)
 		mid := rng.Intn(units + 1)
-		gemmRange(got, patches, w, bias, outC, patchRows, cols, 0, mid)
-		gemmRange(got, patches, w, bias, outC, patchRows, cols, mid, units)
+		gemmRange(got, patches, off, w, bias, outC, 1, cols, cols, patchRows*cols, 0, mid)
+		gemmRange(got, patches, off, w, bias, outC, 1, cols, cols, patchRows*cols, mid, units)
 		for i := range want {
 			for e := range want[i].Data {
 				if !sameBits(got[i].Data[e], want[i].Data[e]) {
@@ -173,15 +210,142 @@ func TestGemmRangeMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzGemmRange holds gemmRange to gemmRangeRef on fuzzer-chosen shapes and
-// bit patterns: every operand element is four input bytes read as a
-// float32, so NaNs, infinities, signed zeros and subnormals all occur.
+// convCase is one convolution of the differential tests: a batch of
+// inputs, weights and an optional bias drawn from draw.
+type convCase struct {
+	ins                  []*T
+	w, bias              []float32
+	outC, k, stride, pad int
+}
+
+func newConvCase(b, inC, h, w, outC, k, stride, pad int, withBias bool, draw func() float32) convCase {
+	fill := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = draw()
+		}
+		return s
+	}
+	c := convCase{outC: outC, k: k, stride: stride, pad: pad}
+	for range b {
+		in := New(inC, h, w)
+		copy(in.Data, fill(len(in.Data)))
+		c.ins = append(c.ins, in)
+	}
+	c.w = fill(outC * inC * k * k)
+	if withBias {
+		c.bias = fill(outC)
+	}
+	return c
+}
+
+// check runs c through Conv2DIm2ColBatchInto at the given worker count and
+// through the lowering plus two gemmRange calls over a unit range split at
+// split (clamped), each into NaN-poisoned outputs and on the shared arena
+// s, and fails unless both match convIm2ColRef bit for bit.
+func (c convCase) check(t *testing.T, name string, workers, split int, s *Scratch) {
+	t.Helper()
+	oh, ow := convShape(c.ins[0], len(c.w), c.outC, c.k, c.stride, c.pad)
+	outs := func() []*T {
+		ds := make([]*T, len(c.ins))
+		for i := range ds {
+			ds[i] = New(c.outC, oh, ow)
+			ds[i].Fill(math.Float32frombits(0x7fc0dead))
+		}
+		return ds
+	}
+	want, got, split2 := outs(), outs(), outs()
+	convIm2ColRef(want, c.ins, c.w, c.bias, c.outC, c.k, c.stride, c.pad)
+	Conv2DIm2ColBatchInto(got, c.ins, c.w, c.bias, c.outC, c.k, c.stride, c.pad, workers, s)
+
+	j := jobs.Get().(*job)
+	j.lower(split2, c.ins, c.w, c.bias, c.outC, c.k, c.stride, c.pad, oh, ow, s)
+	units := gemmUnits(len(c.ins), c.outC)
+	mid := min(split, units)
+	gemmRange(j.dsts, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, j.sample, 0, mid)
+	gemmRange(j.dsts, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, j.sample, mid, units)
+	j.release()
+
+	for i := range want {
+		for e := range want[i].Data {
+			for kind, out := range map[string]*T{"batch": got[i], "split": split2[i]} {
+				if !sameBits(out.Data[e], want[i].Data[e]) {
+					t.Fatalf("%s %s: sample %d out[%d] = %v (%#x), im2col %v (%#x)", name, kind, i, e,
+						out.Data[e], math.Float32bits(out.Data[e]), want[i].Data[e], math.Float32bits(want[i].Data[e]))
+				}
+			}
+		}
+	}
+}
+
+// The padded, phase-split input read through the offset table must give
+// exactly the im2col kernels' outputs for kernel sizes 1, 3 and 5, strides
+// 1–3 and pads 0–2, output widths with every remainder mod 8 (so tiles,
+// edge columns and rows merged end to end all occur), partial channel
+// blocks, batches of one to three, bias or none, a unit range split in two,
+// at one to three workers, through one arena reused across shapes, and on
+// ordinary values and on ±0, ±Inf, NaN and subnormals.
+func TestConvMatchesIm2Col(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	s := &Scratch{}
+	var rems [8]int
+	cases := 0
+	for _, k := range []int{1, 3, 5} {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= 2; pad++ {
+				for rem := 0; rem < 8; rem++ {
+					special := cases%2 == 1
+					draw := func() float32 {
+						if special {
+							return specialFloat(rng)
+						}
+						return float32(rng.NormFloat64())
+					}
+					// Input extents for an output of oh × (8m + rem), plus
+					// up to stride−1 columns and rows no output reads.
+					oh, ow := 1+rng.Intn(4), 8*rng.Intn(3)+rem
+					h := max(1, (oh-1)*stride+k-2*pad+rng.Intn(stride))
+					w := max(1, (ow-1)*stride+k-2*pad+rng.Intn(stride))
+					if h+2*pad < k || w+2*pad < k {
+						continue
+					}
+					c := newConvCase(1+cases%3, 1+rng.Intn(4), h, w, 1+rng.Intn(9), k, stride, pad, cases%4 < 2, draw)
+					_, ow = convShape(c.ins[0], len(c.w), c.outC, k, stride, pad)
+					rems[ow%8]++
+					name := fmt.Sprintf("k=%d/stride=%d/pad=%d/%dx%d/outC=%d/b=%d", k, stride, pad, h, w, c.outC, len(c.ins))
+					c.check(t, name, 1+cases%3, rng.Intn(gemmUnits(len(c.ins), c.outC)+1), s)
+					cases++
+				}
+			}
+		}
+	}
+	for rem, n := range rems {
+		if n == 0 {
+			t.Fatalf("no case had an output width ≡ %d mod 8", rem)
+		}
+	}
+	if cases < 150 {
+		t.Fatalf("only %d shapes exercised", cases)
+	}
+}
+
+// FuzzGemmRange holds the conv's GEMM, fed by the padded phase-split input
+// and its offset table, to the im2col reference on fuzzer-chosen batch,
+// channel counts, kernel size, stride, pad and extents, and bit patterns:
+// every operand element is four input bytes read as a float32, so NaNs,
+// infinities, signed zeros and subnormals all occur. The unit range is
+// split where the fuzzer says.
 func FuzzGemmRange(f *testing.F) {
 	f.Add(uint8(0), uint8(7), uint8(8), uint8(16), []byte{0, 0, 128, 63, 0, 0, 192, 127, 1, 0, 0, 128})
 	f.Add(uint8(2), uint8(13), uint8(26), uint8(35), []byte("register tile"))
-	f.Fuzz(func(t *testing.T, bSel, outCSel, rowsSel, colsSel uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, bSel, outCSel, geomSel, sizeSel uint8, data []byte) {
 		b, outC := 1+int(bSel)%3, 1+int(outCSel)%12
-		patchRows, cols := 1+int(rowsSel)%30, 1+int(colsSel)%40
+		k, stride, pad := []int{1, 3, 5}[geomSel%3], 1+int(geomSel/3)%3, int(geomSel/9)%3
+		inC := 1 + int(geomSel/27)%4
+		h, w := 1+int(sizeSel)%11, 1+int(sizeSel/11)%24
+		if h+2*pad < k || w+2*pad < k {
+			return
+		}
 		next := 0
 		word := func() float32 {
 			next++
@@ -191,38 +355,17 @@ func FuzzGemmRange(f *testing.F) {
 			o := 4 * next % (len(data) - 3)
 			return math.Float32frombits(binary.LittleEndian.Uint32(data[o:]))
 		}
-		fill := func(n int) []float32 {
-			s := make([]float32, n)
-			for i := range s {
-				s[i] = word()
-			}
-			return s
-		}
-		patches, w, bias := fill(b*patchRows*cols), fill(outC*patchRows), fill(outC)
-		if bSel&0x80 != 0 {
-			bias = nil
-		}
-		got, want := make([]*T, b), make([]*T, b)
-		for i := range got {
-			got[i], want[i] = New(outC, 1, cols), New(outC, 1, cols)
-		}
-		gemmRangeRef(want, patches, w, bias, patchRows, cols, 0, b*outC)
-		gemmRange(got, patches, w, bias, outC, patchRows, cols, 0, gemmUnits(b, outC))
-		for i := range want {
-			for e := range want[i].Data {
-				if !sameBits(got[i].Data[e], want[i].Data[e]) {
-					t.Fatalf("b=%d outC=%d rows=%d cols=%d: sample %d out[%d] = %#x, reference %#x", b, outC, patchRows, cols,
-						i, e, math.Float32bits(got[i].Data[e]), math.Float32bits(want[i].Data[e]))
-				}
-			}
-		}
+		c := newConvCase(b, inC, h, w, outC, k, stride, pad, bSel&0x80 == 0, word)
+		name := fmt.Sprintf("b=%d inC=%d %dx%d outC=%d k=%d stride=%d pad=%d", b, inC, h, w, outC, k, stride, pad)
+		c.check(t, name, 1, int(outCSel/12), &Scratch{})
 	})
 }
 
 // BenchmarkConvShapes sizes parMinMACs: the seven distinct conv shapes of
 // TinyYOLO(64) and TinyTrackerTower(32) at one range and at two ranges
-// forced past the floor (run with -cpu 2). Below the break-even MAC count
-// the second range loses to its fan-out cost. DESIGN.md §9 records a run.
+// forced past the floor (run with -cpu 2); the padded copy runs on the
+// caller either way, as in a real call. Below the break-even MAC count the
+// second range loses to its fan-out cost. DESIGN.md §9 records a run.
 func BenchmarkConvShapes(b *testing.B) {
 	for _, sh := range []struct {
 		name                          string
@@ -247,25 +390,76 @@ func BenchmarkConvShapes(b *testing.B) {
 		}
 		oh, ow := convShape(in, len(w), sh.outC, sh.k, sh.stride, sh.pad)
 		dst, s := New(sh.outC, oh, ow), &Scratch{}
-		patchRows, cols := sh.inC*sh.k*sh.k, oh*ow
-		macs := sh.outC * patchRows * cols
+		macs := len(w) * oh * ow
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/macs=%d/w=%d", sh.name, macs, workers), func(b *testing.B) {
 				// job.conv minus the floor, so both widths really run.
 				j := jobs.Get().(*job)
 				defer j.release()
 				j.dst1[0], j.in1[0] = dst, in
-				j.dsts, j.ins, j.w = j.dst1[:], j.in1[:], w
-				j.patches = s.Patches(patchRows * cols)
-				j.k, j.stride, j.pad, j.oh, j.ow = sh.k, sh.stride, sh.pad, oh, ow
-				j.outC, j.patchRows, j.cols = sh.outC, patchRows, cols
 				for i := 0; i < b.N; i++ {
-					j.fanOut(opLower, patchRows, workers)
+					j.lower(j.dst1[:], j.in1[:], w, nil, sh.outC, sh.k, sh.stride, sh.pad, oh, ow, s)
 					j.fanOut(opGemm, gemmUnits(1, sh.outC), workers)
 				}
 			})
 		}
 	}
+}
+
+// lowerRange is the im2col lowering the conv kernels ran before the padded
+// phase-split input replaced it, kept as convIm2ColRef's first half. It
+// writes im2col rows [lo,hi) of the batch patch matrix, where
+// row u is weight position (ic, ky, kx) = u%patchRows of sample u/patchRows
+// and columns are output pixels. Every element is written — out-of-bounds
+// (padding) taps get explicit zeros — so the buffer needs no pre-clearing
+// and reuse across frames is safe. The in-bounds output interval is worked
+// out once per row and axis, so no per-element bounds branch remains.
+func lowerRange(patches []float32, ins []*T, k, stride, pad, oh, ow, lo, hi int) {
+	patchRows := ins[0].C * k * k
+	cols := oh * ow
+	for u := lo; u < hi; u++ {
+		in, row := ins[u/patchRows], u%patchRows
+		ic := row / (k * k)
+		rem := row % (k * k)
+		offY, offX := rem/k-pad, rem%k-pad // input index = output index·stride + off
+		oyLo, oyHi := tapSpan(offY, stride, in.H, oh)
+		oxLo, oxHi := tapSpan(offX, stride, in.W, ow)
+		plane := in.Data[ic*in.H*in.W : (ic+1)*in.H*in.W]
+		dst := patches[u*cols : (u+1)*cols]
+		if oxLo == oxHi {
+			clear(dst) // every column of this tap is padding
+			continue
+		}
+		clear(dst[:oyLo*ow])
+		clear(dst[oyHi*ow:])
+		for oy := oyLo; oy < oyHi; oy++ {
+			out := dst[oy*ow : (oy+1)*ow]
+			src := plane[(oy*stride+offY)*in.W : (oy*stride+offY+1)*in.W]
+			clear(out[:oxLo])
+			clear(out[oxHi:])
+			if stride == 1 {
+				copy(out[oxLo:oxHi], src[oxLo+offX:])
+				continue
+			}
+			for ox, ix := oxLo, oxLo*stride+offX; ox < oxHi; ox, ix = ox+1, ix+stride {
+				out[ox] = src[ix]
+			}
+		}
+	}
+}
+
+// tapSpan returns the output interval [lo,hi) ⊆ [0,outN) whose input index
+// o·stride + off lands inside [0,inN); it is empty (lo == hi) when no
+// output does.
+func tapSpan(off, stride, inN, outN int) (lo, hi int) {
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	if inN > off {
+		hi = (inN - off + stride - 1) / stride
+	}
+	lo = min(lo, outN)
+	return lo, max(lo, min(hi, outN))
 }
 
 // lowerRangeRef is the per-element im2col loop lowerRange replaced: the

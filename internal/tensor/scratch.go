@@ -2,9 +2,9 @@ package tensor
 
 // Scratch is a reusable memory arena for the inference hot path. A warm
 // Scratch makes the conv/FC kernels and a dnn feed-forward pass
-// allocation-free: the im2col patch matrix and the activation tensors come
-// from grow-only backing stores that are retained across frames instead of
-// being reallocated per layer.
+// allocation-free: the conv's padded input, its offset table and the
+// activation tensors come from grow-only backing stores that are retained
+// across frames instead of being reallocated per layer.
 //
 // Ownership rules (see DESIGN.md "Buffer ownership and reuse"):
 //
@@ -17,12 +17,14 @@ package tensor
 //   - Callers that need values to survive across forward passes (e.g. the
 //     tracker's two-branch concat) use Buf slots >= 2, which no kernel
 //     touches.
-//   - Patches is private to the conv kernels within one kernel call.
+//   - Patches (the padded input) and the offset table are private to the
+//     conv kernels within one kernel call.
 //
 // The zero value is ready to use.
 type Scratch struct {
-	patches []float32 // im2col patch matrix
-	slots   []*slot   // indexed tensor slots (0,1 = ping-pong)
+	padded []float32 // conv input, zero-padded and split into phase planes
+	off    []int32   // conv patch-row offset table
+	slots  []*slot   // indexed tensor slots (0,1 = ping-pong)
 }
 
 // slot instances are heap-allocated individually (slots is a slice of
@@ -33,15 +35,24 @@ type slot struct {
 	buf []float32
 }
 
-// Patches returns the float32 patch-matrix buffer resized to n elements.
-// Contents are unspecified: the im2col lowering writes every element,
-// including explicit zeros for padded positions, so no clearing happens
-// here.
+// Patches returns the conv kernels' staging buffer, where a convolution
+// writes its batch's padded, phase-split input, resized to n elements.
+// Contents are unspecified: the padded copy writes every element,
+// including the zeros of padded positions, so no clearing happens here.
 func (s *Scratch) Patches(n int) []float32 {
-	if cap(s.patches) < n {
-		s.patches = make([]float32, n)
+	if cap(s.padded) < n {
+		s.padded = make([]float32, n)
 	}
-	return s.patches[:n]
+	return s.padded[:n]
+}
+
+// offsets returns the conv's patch-row offset table resized to n entries,
+// with unspecified contents.
+func (s *Scratch) offsets(n int) []int32 {
+	if cap(s.off) < n {
+		s.off = make([]int32, n)
+	}
+	return s.off[:n]
 }
 
 // Buf returns the i'th scratch tensor reshaped to c×h×w, growing its

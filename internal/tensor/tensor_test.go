@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -472,7 +473,7 @@ func BenchmarkFullyConnected(b *testing.B) {
 	}
 }
 
-// Property: the im2col lowering computes exactly what the direct
+// Property: the conv kernels compute exactly what the direct
 // convolution computes, across random shapes, strides and padding.
 func TestIm2ColMatchesDirectProperty(t *testing.T) {
 	f := func(seed uint32, kSel, sSel, pSel, cSel uint8) bool {
@@ -524,6 +525,26 @@ func TestIm2ColPanicsOnBadWeights(t *testing.T) {
 		}
 	}()
 	Conv2DIm2ColParInto(nil, New(1, 4, 4), []float32{1}, nil, 1, 3, 1, 0, 1, nil)
+}
+
+// A negative pad has no padded copy to read from: the conv must reject it
+// as it rejects a bad k or stride, on the solo and the batched entry.
+func TestConvRejectsNegativePad(t *testing.T) {
+	in := New(1, 6, 6)
+	w := make([]float32, 9)
+	for name, conv := range map[string]func(){
+		"solo":  func() { Conv2DIm2ColParInto(nil, in, w, nil, 1, 3, 1, -1, 1, nil) },
+		"batch": func() { Conv2DIm2ColBatchInto([]*T{New(1, 2, 2)}, []*T{in}, w, nil, 1, 3, 1, -1, 1, nil) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "pad=-1") {
+					t.Errorf("%s: pad -1 recovered %v, want an invalid-conv panic", name, r)
+				}
+			}()
+			conv()
+		}()
+	}
 }
 
 func BenchmarkConv2DIm2Col(b *testing.B) {
