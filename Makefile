@@ -130,12 +130,13 @@ scenario-smoke:
 	$(GO) run ./cmd/adpipe -scenario mixed-stress -frames 40 -dnn=false -width 384 -height 192 -survey 20 -deadline 100ms
 	$(GO) run ./cmd/adfleet -vehicles 2 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -assign '1=cut-in'
 
-# The tier the concurrency work is held to: compile everything, vet, run
-# the full test suite under the race detector (which includes the chaos
-# suite), compile and smoke the bench/ module against the APIs it imports,
-# test the non-amd64 kernel, fuzz the map decoder, then drive the chaos,
-# fleet, tail, scenario and soak scenarios end to end through the CLIs.
-check: build vet race bench-check alloc-gate noasm-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke
+# The tier the concurrency work is held to: check formatting, compile
+# everything, vet, run the full test suite under the race detector (which
+# includes the chaos suite), run every go test benchmark once, compile and
+# smoke the bench/ module against the APIs it imports, test the non-amd64
+# kernel, fuzz the map decoder, then drive the chaos, fleet, tail, scenario
+# and soak scenarios end to end through the CLIs.
+check: fmt-check build vet race bench-smoke bench-check alloc-gate noasm-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \

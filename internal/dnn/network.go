@@ -83,7 +83,7 @@ func (n *Network) LayerCosts() []Cost {
 // goroutine only.
 type Checkpoint func(next int) bool
 
-// run is the one solo layer loop: it feeds in through the layers, drawing
+// run is the one layer loop: it feeds in through the layers, drawing
 // every intermediate and output buffer from s (a warm network/scratch pair
 // allocates nothing) with the conv/FC kernels sharded over workers
 // goroutines. The pass stops before the first layer whose checkpoint

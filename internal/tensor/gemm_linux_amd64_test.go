@@ -117,9 +117,9 @@ func TestGemm4x8StaysInsideGuardPages(t *testing.T) {
 							if h < 1 || w < 1 {
 								continue
 							}
-							c := newConvCase(1, inC, h, w, 4, k, stride, pad, true, draw)
+							c := newConvCase(inC, h, w, 4, k, stride, pad, true, draw)
 							j := jobs.Get().(*job)
-							j.lower([]*T{New(4, oh, ow)}, c.ins, c.w, c.bias, 4, k, stride, pad, oh, ow, &Scratch{})
+							j.lower(New(4, oh, ow), c.in, c.w, c.bias, 4, k, stride, pad, oh, ow, &Scratch{})
 							// gemmRange's tile calls: a row's full tiles (out
 							// stride rows·width), then its edge tile (out
 							// stride 8).

@@ -7,19 +7,18 @@ import (
 	"sync/atomic"
 )
 
-// The conv and FC kernels are written once, in batch form: N same-shape
-// inputs go through one padded copy, one GEMM and one FC loop, and a solo
-// call is the batch of one. A kernel call splits its work units into
-// contiguous ranges: a single range runs on the caller, several run on one
-// transient goroutine each while the caller waits, so no goroutine outlives
-// the call.
+// The conv and FC kernels take one input per call: a conv is one padded
+// copy of the input and one GEMM over blocks of four output channels, an
+// FC layer one loop over output neurons. A kernel call splits its work
+// units into contiguous ranges: a single range runs on the caller, several
+// run on one transient goroutine each while the caller waits, so no
+// goroutine outlives the call.
 //
-// Determinism contract: every output element of sample i is written by
-// exactly one goroutine, running the same fixed-order loop body over sample
-// i's data alone. Ranges are disjoint and only decide which goroutine
-// writes an element, never how it is computed, so each result is
-// bitwise-identical for any worker count, any batch composition and any
-// (dst, scratch) reuse.
+// Determinism contract: every output element is written by exactly one
+// goroutine, running the same fixed-order loop body. Ranges are disjoint
+// and only decide which goroutine writes an element, never how it is
+// computed, so each result is bitwise-identical for any worker count and
+// any (dst, scratch) reuse.
 
 // parMinMACs is the work floor below which a kernel call is one range on
 // the caller's goroutine: tiny convolutions and FC heads lose more to
@@ -42,19 +41,16 @@ const (
 // worker is the method value j.work, built once per descriptor. Descriptors
 // are pooled: a warm kernel call allocates nothing at any worker count.
 type job struct {
-	op                               op
-	dsts, ins                        []*T
-	padded, w, bias                  []float32
-	off                              []int32 // patch-row offset table (opGemm)
-	outC, rows, width, pitch, sample int     // GEMM dims (opGemm)
-	inN                              int     // input length (opFC)
+	op                       op
+	dst, in                  *T
+	padded, w, bias          []float32
+	off                      []int32 // patch-row offset table (opGemm)
+	outC, rows, width, pitch int     // GEMM dims (opGemm)
 
 	n, chunk int
 	next     atomic.Int64 // ranges claimed so far
 	wg       sync.WaitGroup
 	worker   func()
-
-	dst1, in1 [1]*T // backing for the solo entry points' batch of one
 }
 
 var jobs = sync.Pool{New: func() any {
@@ -65,8 +61,7 @@ var jobs = sync.Pool{New: func() any {
 
 // release drops the call's references and returns j to the pool.
 func (j *job) release() {
-	j.dsts, j.ins, j.padded, j.w, j.bias, j.off = nil, nil, nil, nil, nil, nil
-	j.dst1[0], j.in1[0] = nil, nil
+	j.dst, j.in, j.padded, j.w, j.bias, j.off = nil, nil, nil, nil, nil, nil
 	jobs.Put(j)
 }
 
@@ -107,9 +102,9 @@ func (j *job) work() {
 func (j *job) run(lo, hi int) {
 	switch j.op {
 	case opGemm:
-		gemmRange(j.dsts, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, j.sample, lo, hi)
+		gemmRange(j.dst.Data, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, lo, hi)
 	case opFC:
-		fcRange(j.dsts, j.ins, j.w, j.bias, j.inN, lo, hi)
+		fcRange(j.dst, j.in, j.w, j.bias, j.in.Len(), lo, hi)
 	}
 }
 
@@ -143,39 +138,16 @@ func intoShape(dst *T, c, h, w int) *T {
 	return dst
 }
 
-// batchShape validates that every input shares ins[0]'s shape and that dsts
-// is a parallel slice of non-nil destinations.
-func batchShape(dsts, ins []*T) {
-	if len(ins) == 0 || len(dsts) != len(ins) {
-		panic(fmt.Sprintf("tensor: batch of %d inputs, %d outputs", len(ins), len(dsts)))
-	}
-	c, h, w := ins[0].C, ins[0].H, ins[0].W
-	for i, in := range ins {
-		if in.C != c || in.H != h || in.W != w {
-			panic(fmt.Sprintf("tensor: batch input %d is %dx%dx%d, want %dx%dx%d",
-				i, in.C, in.H, in.W, c, h, w))
-		}
-		if dsts[i] == nil {
-			panic(fmt.Sprintf("tensor: batch output %d is nil", i))
-		}
-	}
-}
-
-// Conv2DIm2ColBatchInto convolves each ins[i] into dsts[i] as a matrix
-// multiplication — the strategy Caffe/cuDNN-era frameworks (the paper's
-// software stack) use to turn convolutions into GEMM — without
-// materializing the im2col patch matrix: each sample is copied once,
-// zero-padded, and the GEMM reads every patch row in place from that copy
-// through a per-layer offset table. Weights are laid out [outC][inC][k][k];
-// bias has length outC and may be nil. One call amortizes a single fan-out
-// over the whole batch, and the GEMM walks output channels outer, samples
-// inner, so each weight row is hot in cache while it multiplies every
-// stream's input.
-//
-// All inputs must share one shape; every dsts[i] must be non-nil with
-// outC·oh·ow elements (scratch Buf slots qualify) and must not alias ins.
-// The padded copies and the offset table come from s (nil uses a throwaway
-// arena), so a warm call allocates nothing. Each sample's result obeys the
+// Conv2DIm2ColParInto convolves in into dst as a matrix multiplication —
+// the strategy Caffe/cuDNN-era frameworks (the paper's software stack) use
+// to turn convolutions into GEMM — without materializing the im2col patch
+// matrix: the input is copied once, zero-padded, and the GEMM reads every
+// patch row in place from that copy through a per-layer offset table.
+// Weights are laid out [outC][inC][k][k]; bias has length outC and may be
+// nil. dst is nil (the output is allocated) or holds outC·oh·ow elements
+// (scratch Buf slots qualify) and does not alias in; it is returned. The
+// padded copy and the offset table come from s (nil uses a throwaway
+// arena), so a warm call allocates nothing. The result obeys the
 // determinism contract above.
 //
 // The GEMM sums four patch rows at a time and adds each group to the
@@ -187,48 +159,35 @@ func batchShape(dsts, ins []*T) {
 // grouping itself is fixed, so results never vary run to run. Zero weights
 // still multiply into the sum (no sparsity skip), so non-finite inputs
 // propagate exactly as in the direct loop: 0·NaN = NaN.
-func Conv2DIm2ColBatchInto(dsts, ins []*T, w []float32, bias []float32, outC, k, stride, pad, workers int, s *Scratch) {
-	j := jobs.Get().(*job)
-	j.conv(dsts, ins, w, bias, outC, k, stride, pad, workers, s)
-	j.release()
-}
-
-// Conv2DIm2ColParInto is Conv2DIm2ColBatchInto for the batch of one: it
-// convolves in into dst (nil allocates the output) and returns it.
 func Conv2DIm2ColParInto(dst *T, in *T, w []float32, bias []float32, outC, k, stride, pad, workers int, s *Scratch) *T {
-	if dst == nil {
-		oh, ow := convShape(in, len(w), outC, k, stride, pad)
-		dst = New(outC, oh, ow)
-	}
-	j := jobs.Get().(*job)
-	j.dst1[0], j.in1[0] = dst, in
-	j.conv(j.dst1[:], j.in1[:], w, bias, outC, k, stride, pad, workers, s)
-	j.release()
-	return dst
-}
-
-// conv validates a batched convolution, lowers it on the caller and fans
-// out its GEMM.
-func (j *job) conv(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, workers int, s *Scratch) {
-	batchShape(dsts, ins)
-	oh, ow := convShape(ins[0], len(w), outC, k, stride, pad)
-	for _, dst := range dsts {
-		intoShape(dst, outC, oh, ow)
-	}
-	if int64(len(ins))*int64(len(w))*int64(oh*ow) < parMinMACs {
+	oh, ow := convShape(in, len(w), outC, k, stride, pad)
+	dst = intoShape(dst, outC, oh, ow)
+	if int64(len(w))*int64(oh*ow) < parMinMACs {
 		workers = 1
 	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	j.lower(dsts, ins, w, bias, outC, k, stride, pad, oh, ow, s)
-	j.fanOut(opGemm, gemmUnits(len(ins), outC), workers)
+	j := jobs.Get().(*job)
+	j.lower(dst, in, w, bias, outC, k, stride, pad, oh, ow, s)
+	j.fanOut(opGemm, (outC+3)/4, workers)
+	j.release()
+	return dst
 }
 
-// lower stages a convolution's GEMM in s and in j's GEMM fields. Each
-// sample becomes stride² phase planes per input channel, each ph × pw
-// with ph = oh + (k−1)/stride and pw = ow + (k−1)/stride: phase (a, b)
-// holds padded[qy·stride+a][qx·stride+b], where padded is the channel
+// Conv2DIm2ColBatchInto runs Conv2DIm2ColParInto(dsts[i], ins[i], …) for
+// each i. It is a loop kept for the benchmark harness in bench/ only, and
+// goes once bench/ stops calling it.
+func Conv2DIm2ColBatchInto(dsts, ins []*T, w []float32, bias []float32, outC, k, stride, pad, workers int, s *Scratch) {
+	for i, in := range ins {
+		Conv2DIm2ColParInto(dsts[i], in, w, bias, outC, k, stride, pad, workers, s)
+	}
+}
+
+// lower stages a convolution's GEMM in s and in j's GEMM fields. The input
+// becomes stride² phase planes per channel, each ph × pw with
+// ph = oh + (k−1)/stride and pw = ow + (k−1)/stride: phase (a, b) holds
+// padded[qy·stride+a][qx·stride+b], where padded is the channel
 // zero-padded by pad. Then tap (ic, ky, kx) of output (oy, ox) is
 // padded[oy·stride+ky][ox·stride+kx], which is row oy + ky/stride, column
 // ox + kx/stride of phase (ky%stride, kx%stride): for a fixed tap the
@@ -237,21 +196,18 @@ func (j *job) conv(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, work
 // reads it from oy·pw further on. Stride 1 is the one-phase case. The copy
 // holds each input value about once, where an im2col matrix holds it k²
 // times.
-func (j *job) lower(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, oh, ow int, s *Scratch) {
-	inC := ins[0].C
+func (j *job) lower(dst, in *T, w, bias []float32, outC, k, stride, pad, oh, ow int, s *Scratch) {
 	halo := (k - 1) / stride
 	ph, pw := oh+halo, ow+halo
-	sample := inC * stride * stride * ph * pw
-	if sample > math.MaxInt32 {
-		panic(fmt.Sprintf("tensor: conv padded input of %d elements overflows the int32 offset table", sample))
+	n := in.C * stride * stride * ph * pw
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: conv padded input of %d elements overflows the int32 offset table", n))
 	}
-	padded := s.Patches(len(ins)*sample + tileSlack)
-	for i, in := range ins {
-		padPhases(padded[i*sample:(i+1)*sample], in, stride, pad, ph, pw)
-	}
-	clear(padded[len(ins)*sample:])
+	padded := s.padded(n + tileSlack)
+	padPhases(padded[:n], in, stride, pad, ph, pw)
+	clear(padded[n:])
 	// Channel ic's taps sit ic·stride² planes after channel 0's.
-	off, taps, plane := s.offsets(inC*k*k), k*k, ph*pw
+	off, taps, plane := s.offsets(in.C*k*k), k*k, ph*pw
 	for t := range taps {
 		ky, kx := t/k, t%k
 		off[t] = int32((ky%stride*stride+kx%stride)*plane + ky/stride*pw + kx/stride)
@@ -259,8 +215,8 @@ func (j *job) lower(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, oh,
 	for r := taps; r < len(off); r++ {
 		off[r] = off[r-taps] + int32(stride*stride*plane)
 	}
-	j.dsts, j.w, j.bias, j.padded, j.off = dsts, w, bias, padded, off
-	j.outC, j.rows, j.width, j.pitch, j.sample = outC, oh, ow, pw, sample
+	j.dst, j.w, j.bias, j.padded, j.off = dst, w, bias, padded, off
+	j.outC, j.rows, j.width, j.pitch = outC, oh, ow, pw
 	if pw == ow {
 		// No halo (k ≤ stride): output rows lie end to end in the planes
 		// as in the output, so the GEMM sees one row of oh·ow columns.
@@ -268,7 +224,7 @@ func (j *job) lower(dsts, ins []*T, w, bias []float32, outC, k, stride, pad, oh,
 	}
 }
 
-// padPhases writes one sample's phase planes (see lower) into dst, which
+// padPhases writes the input's phase planes (see lower) into dst, which
 // holds in.C·stride² planes of ph × pw, phases of one channel adjacent.
 // dst is cleared first, then every input value that lands in a plane is
 // copied once, so padding and positions past the padded edge read zero.
@@ -298,29 +254,25 @@ func padPhases(dst []float32, in *T, stride, pad, ph, pw int) {
 	}
 }
 
-// gemmRange computes GEMM units [lo,hi), where unit u is channel block
-// u/len(dsts) — output channels 4·blk … 4·blk+3, fewer in the last block —
-// of sample u%len(dsts): channel-major, so consecutive units reuse hot
-// weight rows across the whole batch. padded holds len(dsts) samples of
-// sample elements each, then tileSlack more. Each sample's output is rows
-// rows of width columns; with x = padded[i·sample:], sample i's share, and
-// depth = len(off),
-// out[oc][y·width+c] = bias[oc] + Σ_r w[oc][r] · x[off[r] + y·pitch + c].
+// gemmRange computes channel blocks [lo,hi) of the GEMM into dst, where
+// block blk is output channels 4·blk … 4·blk+3, fewer in the last block.
+// x is the padded input, tileSlack floats longer than its planes. Each
+// output channel is rows rows of width columns; with depth = len(off),
+// dst[oc][y·width+c] = bias[oc] + Σ_r w[oc][r] · x[off[r] + y·pitch + c].
 // A full block runs each row through the gemm4x8 register tile eight
 // columns at a time, and the last width%8 columns through one edge tile
 // into a buffer, of which only the lanes inside the row are copied out
-// (the others may read the next sample or the slack). A partial block runs
-// through gemmRow. Both compute every element with the same operations in
-// the same order, so which one covers an element changes no bit.
-func gemmRange(dsts []*T, padded []float32, off []int32, w, bias []float32, outC, rows, width, pitch, sample, lo, hi int) {
-	b := len(dsts)
+// (the others may read the next row or plane, or the slack). A partial
+// block runs through gemmRow. Both compute every element with the same
+// operations in the same order, so which one covers an element changes no
+// bit.
+func gemmRange(dst, x []float32, off []int32, w, bias []float32, outC, rows, width, pitch, lo, hi int) {
 	depth, cols := len(off), rows*width
 	n8, c8 := width/8, width/8*8
-	for u := lo; u < hi; u++ {
-		oc0, i := u/b*4, u%b
+	for blk := lo; blk < hi; blk++ {
+		oc0 := blk * 4
 		oc1 := min(oc0+4, outC)
-		out := dsts[i].Data[oc0*cols : oc1*cols]
-		x := padded[i*sample : (i+1)*sample+tileSlack]
+		out := dst[oc0*cols : oc1*cols]
 		if oc1-oc0 < 4 {
 			for oc := oc0; oc < oc1; oc++ {
 				var bv float32
@@ -355,17 +307,13 @@ func gemmRange(dsts []*T, padded []float32, off []int32, w, bias []float32, outC
 }
 
 // tileSlack is how many floats the padded input holds past its last
-// sample. An edge tile reads eight columns where fewer are left in the
+// plane. An edge tile reads eight columns where fewer are left in the
 // row; its other lanes run on into the halo, the next row or plane, or,
 // at the very end, up to seven floats into this slack, and are dropped.
 const tileSlack = 7
 
 // zeroBias is the register tile's bias when a layer has none.
 var zeroBias [4]float32
-
-// gemmUnits is the GEMM's fan-out unit count: one per channel block of
-// four (the last may be partial) per sample.
-func gemmUnits(samples, outC int) int { return samples * ((outC + 3) / 4) }
 
 // gemmRow computes one output row over len(acc) columns:
 // acc[c] = bv + Σ_r wRow[r] · x[off[r] + c], four patch rows per axpy4
@@ -412,73 +360,48 @@ func axpy4(acc, s0, s1, s2, s3 []float32, w0, w1, w2, w3 float32) {
 	}
 }
 
-// FullyConnectedBatchInto computes dsts[i] = W·flatten(ins[i]) + bias for
-// every sample in one call, where w is row-major [outN][inN] and bias may
-// be nil. All inputs must share one shape; every dsts[i] must be non-nil
-// with outN elements. A warm call allocates nothing, and each sample's
-// result obeys the determinism contract above.
-func FullyConnectedBatchInto(dsts, ins []*T, w []float32, bias []float32, outN, workers int) {
-	j := jobs.Get().(*job)
-	j.fc(dsts, ins, w, bias, outN, workers)
-	j.release()
-}
-
-// FullyConnectedParInto is FullyConnectedBatchInto for the batch of one:
-// it computes in's layer into dst (nil allocates) and returns it.
+// FullyConnectedParInto computes dst = W·flatten(in) + bias, where w is
+// row-major [outN][inN] and bias may be nil. dst is nil (the output is
+// allocated) or holds outN elements; it is returned. A warm call
+// allocates nothing, and the result obeys the determinism contract above.
 func FullyConnectedParInto(dst *T, in *T, w []float32, bias []float32, outN, workers int) *T {
-	if dst == nil {
-		dst = New(outN, 1, 1)
+	inN := in.Len()
+	if len(w) != outN*inN {
+		panic(fmt.Sprintf("tensor: fc weights len %d, want %d", len(w), outN*inN))
+	}
+	dst = intoShape(dst, outN, 1, 1)
+	if int64(outN)*int64(inN) < parMinMACs {
+		workers = 1
 	}
 	j := jobs.Get().(*job)
-	j.dst1[0], j.in1[0] = dst, in
-	j.fc(j.dst1[:], j.in1[:], w, bias, outN, workers)
+	j.dst, j.in, j.w, j.bias = dst, in, w, bias
+	j.fanOut(opFC, outN, workers)
 	j.release()
 	return dst
 }
 
-// fc validates a batched fully connected layer, then fans out its neurons.
-func (j *job) fc(dsts, ins []*T, w, bias []float32, outN, workers int) {
-	batchShape(dsts, ins)
-	inN := ins[0].Len()
-	if len(w) != outN*inN {
-		panic(fmt.Sprintf("tensor: fc weights len %d, want %d", len(w), outN*inN))
-	}
-	for _, dst := range dsts {
-		intoShape(dst, outN, 1, 1)
-	}
-	if int64(len(ins))*int64(outN)*int64(inN) < parMinMACs {
-		workers = 1
-	}
-	j.dsts, j.ins, j.w, j.bias, j.inN = dsts, ins, w, bias, inN
-	j.fanOut(opFC, outN, workers)
-}
-
-// fcRange computes output neurons [lo,hi) for every sample, neurons outer
-// and samples inner so each weight row is read once while hot. Each dot
-// product runs four interleaved accumulator chains — a fixed
-// reassociation, which roughly doubles single-core throughput on the FC
-// heads.
-func fcRange(dsts, ins []*T, w, bias []float32, inN, lo, hi int) {
+// fcRange computes output neurons [lo,hi). Each dot product runs four
+// interleaved accumulator chains — a fixed reassociation, which roughly
+// doubles single-core throughput on the FC heads.
+func fcRange(dst, in *T, w, bias []float32, inN, lo, hi int) {
 	for o := lo; o < hi; o++ {
 		row := w[o*inN : (o+1)*inN]
-		for s, in := range ins {
-			x := in.Data[:len(row)] // one bounds check here, none in the loop
-			var s0, s1, s2, s3 float32
-			i := 0
-			for ; i+4 <= inN; i += 4 {
-				s0 += row[i] * x[i]
-				s1 += row[i+1] * x[i+1]
-				s2 += row[i+2] * x[i+2]
-				s3 += row[i+3] * x[i+3]
-			}
-			sum := s0 + s1 + s2 + s3
-			for ; i < inN; i++ {
-				sum += row[i] * x[i]
-			}
-			if bias != nil {
-				sum += bias[o]
-			}
-			dsts[s].Data[o] = sum
+		x := in.Data[:len(row)] // one bounds check here, none in the loop
+		var s0, s1, s2, s3 float32
+		i := 0
+		for ; i+4 <= inN; i += 4 {
+			s0 += row[i] * x[i]
+			s1 += row[i+1] * x[i+1]
+			s2 += row[i+2] * x[i+2]
+			s3 += row[i+3] * x[i+3]
 		}
+		sum := s0 + s1 + s2 + s3
+		for ; i < inN; i++ {
+			sum += row[i] * x[i]
+		}
+		if bias != nil {
+			sum += bias[o]
+		}
+		dst.Data[o] = sum
 	}
 }

@@ -17,14 +17,14 @@ package tensor
 //   - Callers that need values to survive across forward passes (e.g. the
 //     tracker's two-branch concat) use Buf slots >= 2, which no kernel
 //     touches.
-//   - Patches (the padded input) and the offset table are private to the
-//     conv kernels within one kernel call.
+//   - The conv's padded input and its offset table are private to the
+//     conv kernel within one kernel call.
 //
 // The zero value is ready to use.
 type Scratch struct {
-	padded []float32 // conv input, zero-padded and split into phase planes
-	off    []int32   // conv patch-row offset table
-	slots  []*slot   // indexed tensor slots (0,1 = ping-pong)
+	pad   []float32 // conv input, zero-padded and split into phase planes
+	off   []int32   // conv patch-row offset table
+	slots []*slot   // indexed tensor slots (0,1 = ping-pong)
 }
 
 // slot instances are heap-allocated individually (slots is a slice of
@@ -35,15 +35,15 @@ type slot struct {
 	buf []float32
 }
 
-// Patches returns the conv kernels' staging buffer, where a convolution
-// writes its batch's padded, phase-split input, resized to n elements.
-// Contents are unspecified: the padded copy writes every element,
-// including the zeros of padded positions, so no clearing happens here.
-func (s *Scratch) Patches(n int) []float32 {
-	if cap(s.padded) < n {
-		s.padded = make([]float32, n)
+// padded returns the conv's staging buffer, where a convolution writes its
+// input zero-padded and split into phase planes, resized to n elements.
+// Contents are unspecified: the conv writes every element, including the
+// zeros of padded positions and the slack, so no clearing happens here.
+func (s *Scratch) padded(n int) []float32 {
+	if cap(s.pad) < n {
+		s.pad = make([]float32, n)
 	}
-	return s.padded[:n]
+	return s.pad[:n]
 }
 
 // offsets returns the conv's patch-row offset table resized to n entries,

@@ -528,23 +528,14 @@ func TestIm2ColPanicsOnBadWeights(t *testing.T) {
 }
 
 // A negative pad has no padded copy to read from: the conv must reject it
-// as it rejects a bad k or stride, on the solo and the batched entry.
+// as it rejects a bad k or stride.
 func TestConvRejectsNegativePad(t *testing.T) {
-	in := New(1, 6, 6)
-	w := make([]float32, 9)
-	for name, conv := range map[string]func(){
-		"solo":  func() { Conv2DIm2ColParInto(nil, in, w, nil, 1, 3, 1, -1, 1, nil) },
-		"batch": func() { Conv2DIm2ColBatchInto([]*T{New(1, 2, 2)}, []*T{in}, w, nil, 1, 3, 1, -1, 1, nil) },
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "pad=-1") {
-					t.Errorf("%s: pad -1 recovered %v, want an invalid-conv panic", name, r)
-				}
-			}()
-			conv()
-		}()
-	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "pad=-1") {
+			t.Errorf("pad -1 recovered %v, want an invalid-conv panic", r)
+		}
+	}()
+	Conv2DIm2ColParInto(nil, New(1, 6, 6), make([]float32, 9), nil, 1, 3, 1, -1, 1, nil)
 }
 
 func BenchmarkConv2DIm2Col(b *testing.B) {
@@ -632,7 +623,7 @@ func TestFanOutCoversRangeOnce(t *testing.T) {
 			ones[i] = 1
 		}
 		j := jobs.Get().(*job)
-		j.dsts, j.ins, j.w, j.bias, j.inN = []*T{hits}, []*T{one}, ones, hits.Data, 1
+		j.dst, j.in, j.w, j.bias = hits, one, ones, hits.Data
 		j.fanOut(opFC, tc.n, tc.workers)
 		j.release()
 		for i, h := range hits.Data[:tc.n] {
@@ -648,12 +639,16 @@ func TestFanOutCoversRangeOnce(t *testing.T) {
 
 // Descriptor reuse across concurrent kernel calls is the fan-out's one
 // shared-state hazard (the tracker pool and a fleet's vehicles both call
-// kernels concurrently): 8 goroutines run solo conv, batched conv and FC
-// at workers 1/2/4 through the pooled descriptors, and every result must be
-// bitwise-equal to its serial run. Shapes sit above parMinMACs so the
-// calls really fan out; run under -race this is the descriptor-sharing gate.
+// kernels concurrently): 8 goroutines run conv and FC at workers 1/2/4 on
+// three distinct inputs through the pooled descriptors, and every result
+// must be bitwise-equal to its serial run. Shapes sit above parMinMACs so
+// the calls really fan out; run under -race this is the descriptor-sharing
+// gate.
 func TestFanOutConcurrentCallers(t *testing.T) {
-	ins, cw, cb, outC, k := randBatch(21, 3)
+	in0, cw, cb, outC, k := randConvCase(21)
+	in1, _, _, _, _ := randConvCase(22)
+	in2, _, _, _, _ := randConvCase(23)
+	ins := []*T{in0, in1, in2}
 	convWant := make([]*T, len(ins))
 	for i, in := range ins {
 		convWant[i] = Conv2DIm2ColParInto(nil, in, cw, cb, outC, k, 1, 1, 1, nil)
@@ -685,17 +680,11 @@ func TestFanOutConcurrentCallers(t *testing.T) {
 				dsts[i] = New(outC, ins[i].H, ins[i].W)
 			}
 			fdst := NewVec(outN)
-			for r := 0; r < 3; r++ {
+			for r := 0; r < 6; r++ {
 				workers := []int{1, 2, 4}[(g+r)%3] // goroutines start out of phase
 				i := (g + r) % len(ins)
 				if !equal(Conv2DIm2ColParInto(dsts[i], ins[i], cw, cb, outC, k, 1, 1, workers, s), convWant[i]) {
-					t.Errorf("goroutine %d workers %d: solo conv diverged from serial", g, workers)
-				}
-				Conv2DIm2ColBatchInto(dsts, ins, cw, cb, outC, k, 1, 1, workers, s)
-				for i := range dsts {
-					if !equal(dsts[i], convWant[i]) {
-						t.Errorf("goroutine %d workers %d: batch conv sample %d diverged from serial", g, workers, i)
-					}
+					t.Errorf("goroutine %d workers %d: conv of input %d diverged from serial", g, workers, i)
 				}
 				if !equal(FullyConnectedParInto(fdst, ins[0], fw, nil, outN, workers), fcWant) {
 					t.Errorf("goroutine %d workers %d: fc diverged from serial", g, workers)
