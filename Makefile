@@ -56,24 +56,32 @@ alloc-gate:
 	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/track ./internal/slam ./internal/img
 
 # The pure-Go kernels every non-amd64 host runs (gemm_other.go, the GEMM
-# tile; sad_other.go, the template-match window): the kernel packages' tests
-# as 386 binaries, which run on an amd64 host and do float32 math in SSE2
-# too, so the bitwise tests hold; plus arm64 vet.
+# tile; leaf_other.go, the pool, FC and activation leaves; sad_other.go, the
+# template-match window): the kernel packages' tests as 386 binaries, which
+# run on an amd64 host and do float32 math in SSE2 too, so the bitwise tests
+# hold; plus arm64 vet, and a scan of internal/tensor's arm64 code for fused
+# multiply-adds, which the Go spec lets the compiler form from x*y + z and
+# which round once where amd64 rounds twice (wrap the product in float32()).
 noasm-check:
 	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 	GOARCH=arm64 $(GO) vet ./internal/track
+	@asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1)" || { echo "$$asm"; exit 1; }; \
+	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)S'; then \
+		echo "internal/tensor: fused multiply-add in the arm64 code"; exit 1; \
+	fi
 
 # Short fuzz smoke over the ADM1 prior-map decoder, the descriptor matcher,
-# the tracker's template match and the GEMM's register tile (each against
-# its plain reference loop) and the unified scenario program parser (go test
-# -fuzz takes one target in one package at a time; -run '^$' skips the unit
-# tests it already ran).
+# the tracker's template match, the GEMM's register tile and the DNN leaves
+# (each against its plain reference loop) and the unified scenario program
+# parser (go test -fuzz takes one target in one package at a time; -run
+# '^$' skips the unit tests it already ran).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadPriorMap -fuzztime=10s -run='^$$' ./internal/slam
 	$(GO) test -fuzz=FuzzMatchDescriptors -fuzztime=10s -run='^$$' ./internal/slam
 	$(GO) test -fuzz=FuzzMatchTemplate -fuzztime=10s -run='^$$' ./internal/track
 	$(GO) test -fuzz=FuzzGemmRange -fuzztime=10s -run='^$$' ./internal/tensor
+	$(GO) test -fuzz=FuzzDNNLeaves -fuzztime=10s -run='^$$' ./internal/tensor
 	$(GO) test -fuzz=FuzzParseScenarioProgram -fuzztime=10s -run='^$$' ./internal/scenario
 
 # Chaos smoke: the deterministic fault-injection suite under the race

@@ -211,6 +211,10 @@ type AnytimeInfo struct {
 	// an early exit. The coarsening keeps the top ceil(Quality·n) of the n
 	// candidate detections by confidence.
 	Quality float64
+	// DNNDigest is tensor.Digest of the last executed layer's output, from
+	// tensor.DigestSeed: the forward's numerics as one word (0 when RunDNN
+	// is off).
+	DNNDigest uint64
 }
 
 // AnytimeQualityFloor is the modeled relative quality of the earliest
@@ -263,22 +267,22 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 		info.LayersTotal = len(net.Layers)
 		info.LayersRun = info.LayersTotal
 		startDNN := time.Now()
+		var out *tensor.T
 		switch {
 		case !opt.Deadline.IsZero():
-			_, ran := d.exec.ForwardAnytime(net, &sc.input, &sc.s, func(int) bool {
+			out, info.LayersRun = d.exec.ForwardAnytime(net, &sc.input, &sc.s, func(int) bool {
 				return time.Now().Before(opt.Deadline)
 			})
-			info.LayersRun = ran
 		case opt.VirtualFrac > 0 && opt.VirtualFrac < 1:
 			target := int(math.Ceil(opt.VirtualFrac * float64(info.LayersTotal)))
-			_, ran := d.exec.ForwardAnytime(net, &sc.input, &sc.s, func(next int) bool {
+			out, info.LayersRun = d.exec.ForwardAnytime(net, &sc.input, &sc.s, func(next int) bool {
 				return next < target
 			})
-			info.LayersRun = ran
 		default:
-			_ = d.exec.Forward(net, &sc.input, &sc.s)
+			out = d.exec.Forward(net, &sc.input, &sc.s)
 		}
 		dnnDur = time.Since(startDNN)
+		info.DNNDigest = tensor.Digest(tensor.DigestSeed, out.Data)
 		if info.LayersRun < info.LayersTotal {
 			info.EarlyExit = true
 			progress = float64(info.LayersRun) / float64(info.LayersTotal)

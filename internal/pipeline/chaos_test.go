@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -399,46 +398,7 @@ func TestGoldenChaosTrace(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "frame=%02d degraded=%s err=%s\n", i, run.masks[i], e)
 	}
-	got := b.String()
-
-	golden := filepath.Join("testdata", "chaos_golden.trace")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden trace rewritten (%d frames)", frames)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden trace (run with UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	// Diff line by line so the failure names the drifting frames.
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	sc := bufio.NewScanner(strings.NewReader(got))
-	_ = sc
-	n := len(gotLines)
-	if len(wantLines) > n {
-		n = len(wantLines)
-	}
-	for i := 0; i < n; i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("golden trace drift at line %d:\n  got  %q\n  want %q", i+1, g, w)
-		}
-	}
+	checkGolden(t, "chaos_golden.trace", b.String())
 }
 
 // TestGoldenAnytimeTrace pins the Virtual+Anytime degraded-mode sequencing
@@ -463,9 +423,43 @@ func TestGoldenAnytimeTrace(t *testing.T) {
 		fmt.Fprintf(&b, "frame=%02d degraded=%s dets=%d err=%s\n",
 			i, run.masks[i], len(run.results[i].Detections), e)
 	}
-	got := b.String()
+	checkGolden(t, "anytime_golden.trace", b.String())
+}
 
-	golden := filepath.Join("testdata", "anytime_golden.trace")
+// TestGoldenDNNDigest pins the DNN numerics end to end: with both native
+// networks on, every frame's FrameResult.DNNDigest (DET's output, then each
+// track's head output) must reproduce a committed trace. No other
+// end-to-end check sees a DNN value, so a kernel change that moves one bit
+// of a conv, pool, FC or activation output fails here. The trace holds
+// digests of float32 bit patterns, so it is exact for amd64 and 386, whose
+// float32 arithmetic is SSE; regenerate with UPDATE_GOLDEN=1 only after an
+// intended numerics change.
+func TestGoldenDNNDigest(t *testing.T) {
+	const frames = 16
+	cfg := fastNativeConfig(scene.Highway)
+	cfg.Scene.Seed = 42
+	cfg.Detect.RunDNN = true
+	cfg.Track.RunDNN = true
+	p, err := NewNative(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for i := range frames {
+		res, err := p.Step()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		fmt.Fprintf(&b, "frame=%02d dnn=%016x\n", i, res.DNNDigest)
+	}
+	checkGolden(t, "dnn_golden.trace", b.String())
+}
+
+// checkGolden compares got with testdata/name line by line, naming every
+// drifting line, or rewrites the file when UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -473,7 +467,7 @@ func TestGoldenAnytimeTrace(t *testing.T) {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden anytime trace rewritten (%d frames)", frames)
+		t.Logf("golden %s rewritten", name)
 		return
 	}
 	want, err := os.ReadFile(golden)
@@ -481,11 +475,7 @@ func TestGoldenAnytimeTrace(t *testing.T) {
 		t.Fatalf("missing golden trace (run with UPDATE_GOLDEN=1 to create): %v", err)
 	}
 	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	n := len(gotLines)
-	if len(wantLines) > n {
-		n = len(wantLines)
-	}
-	for i := 0; i < n; i++ {
+	for i := range max(len(gotLines), len(wantLines)) {
 		var g, w string
 		if i < len(gotLines) {
 			g = gotLines[i]
@@ -494,7 +484,7 @@ func TestGoldenAnytimeTrace(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Errorf("anytime trace drift at line %d:\n  got  %q\n  want %q", i+1, g, w)
+			t.Errorf("%s drift at line %d:\n  got  %q\n  want %q", name, i+1, g, w)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"adsim/internal/scene"
 	"adsim/internal/slam"
 	"adsim/internal/telemetry"
+	"adsim/internal/tensor"
 	"adsim/internal/track"
 )
 
@@ -232,6 +233,10 @@ type stageOut struct {
 	speed    float64              // MISPLAN: guidance-shaped target speed for MOTPLAN
 	plan     plan.ConformalResult // MOTPLAN
 	command  control.Command      // CONTROL
+	// dnn is the stage's DNN digest (DET: detect.AnytimeInfo.DNNDigest,
+	// TRA: track.Timing.DNNDigest; 0 elsewhere, and in an empty fallback),
+	// so held and fallback slots replay the numerics they stand for.
+	dnn uint64
 
 	// missed marks a slot holding the stage's fallback: the budget was
 	// blown. deliver folds missed and anytime into the DegradedMask.
@@ -454,6 +459,9 @@ func (p *Pipeline) deliver(fs *frameState) RunnerResult {
 			DetDNN: o[StageDet].kernel, LocFE: o[StageLoc].kernel,
 			TraDNN: o[StageTra].kernel, TraOther: o[StageTra].other,
 		},
+	}
+	if det, tra := o[StageDet].dnn, o[StageTra].dnn; det|tra != 0 {
+		res.DNNDigest = tensor.Fold(tensor.Fold(tensor.DigestSeed, det), tra)
 	}
 	for id := range o {
 		if o[id].missed {

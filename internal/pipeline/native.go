@@ -120,6 +120,13 @@ type FrameResult struct {
 	// frame and delivered their degraded-mode output instead (zero when
 	// enforcement is off or the frame was clean).
 	Degraded DegradedMask
+	// DNNDigest pins the frame's DNN numerics: tensor.Fold from
+	// tensor.DigestSeed over DET's digest of its last computed layer's
+	// output, then TRA's fold of each track's head-output digest (see
+	// detect.AnytimeInfo and track.Timing). No DNN value reaches any other
+	// field, so this is what end-to-end checks compare; 0 when both
+	// stages' digests are 0 (DNNs off).
+	DNNDigest uint64
 }
 
 // Pipeline is the native end-to-end system. Step is not safe for concurrent
@@ -337,7 +344,7 @@ func (p *Pipeline) runDet(fs *frameState, out *stageOut) error {
 		Deadline:    fs.detDeadline,
 		VirtualFrac: fs.anytimeFrac,
 	})
-	out.dets, out.anytime, out.kernel = dets, info.EarlyExit, tm.DNN
+	out.dets, out.anytime, out.kernel, out.dnn = dets, info.EarlyExit, tm.DNN, info.DNNDigest
 	if tm.DNN > 0 {
 		p.sink.Span(telemetry.Span{Stage: "DET/dnn", Frame: fs.frame(), Exec: tm.DNN})
 	}
@@ -367,7 +374,7 @@ func (p *Pipeline) runTra(fs *frameState, out *stageOut) error {
 		dets[i] = track.Detection{Box: d.Box, Class: d.Class}
 	}
 	tracks, tm := p.tra.Step(fs.out[StageSrc].frame.Image, dets)
-	out.tracks, out.kernel, out.other = tracks, tm.DNN, tm.Other
+	out.tracks, out.kernel, out.other, out.dnn = tracks, tm.DNN, tm.Other, tm.DNNDigest
 	if tm.DNN > 0 {
 		p.sink.Span(telemetry.Span{Stage: "TRA/dnn", Frame: fs.frame(), Exec: tm.DNN})
 		p.sink.Span(telemetry.Span{Stage: "TRA/other", Frame: fs.frame(), Exec: tm.Other})

@@ -164,3 +164,49 @@ func TestGemm4x8StaysInsideGuardPages(t *testing.T) {
 		}
 	}
 }
+
+// The DNN leaf routines must touch nothing outside their documented
+// extents either: for every length 0–13 (each step count and tail), pool4
+// gets its output row and exactly 2·(len &^ 3) floats of each input row,
+// relu4 and leaky4 their slice, and fc4 its chains, x and exactly
+// 3·len(x) + len(x) &^ 3 weights, each flush against a guard page at its
+// start or its end. An out-of-bounds access faults the test; the covered
+// outputs must equal the Go form's and the rest stay as they were.
+func TestDNNLeavesStayInsideGuardPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	draw := leafDraw(rng, true)
+	mems := [3][]byte{guardedBytes(t), guardedBytes(t), guardedBytes(t)}
+	for n := 0; n <= 13; n++ {
+		n4 := n &^ 3
+		top, bot := leafSlice(draw, 0, 2*n4), leafSlice(draw, 0, 2*n4)
+		want := make([]float32, n4)
+		poolRowGo(want, top, bot)
+		v := leafSlice(draw, 0, n)
+		reluWant := append([]float32(nil), v[:n4]...)
+		reluGo(reluWant)
+		leakyWant := append([]float32(nil), v[:n4]...)
+		leakyGo(leakyWant, 0.1)
+		x, w := leafSlice(leafDraw(rng, false), 0, n), leafSlice(leafDraw(rng, false), 0, 3*n+n4)
+		var fcWant [4][4]float32
+		fcDot4Go(&fcWant, append(w, make([]float32, n-n4)...), x)
+		for edges := 0; edges < 8; edges++ {
+			name := fmt.Sprintf("n=%d edges=%d", n, edges)
+			o := guarded(t, mems[0], v, edges&1 != 0)
+			pool4(o, guarded(t, mems[1], top, edges&2 != 0), guarded(t, mems[2], bot, edges&4 != 0))
+			requireBits(t, "pool4 "+name, o, append(want, v[n4:]...))
+
+			g := guarded(t, mems[0], v, edges&1 != 0)
+			relu4(g)
+			requireBits(t, "relu4 "+name, g, append(reluWant, v[n4:]...))
+			g = guarded(t, mems[1], v, edges&2 != 0)
+			leaky4(g, 0.1)
+			requireBits(t, "leaky4 "+name, g, append(leakyWant, v[n4:]...))
+
+			s := (*[4][4]float32)(unsafe.Pointer(&guarded(t, mems[0], make([]float32, 16), edges&1 != 0)[0]))
+			fc4(s, guarded(t, mems[1], w, edges&2 != 0), guarded(t, mems[2], x, edges&4 != 0))
+			if *s != fcWant {
+				t.Fatalf("fc4 %s: chains %v, Go form %v", name, *s, fcWant)
+			}
+		}
+	}
+}

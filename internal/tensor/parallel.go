@@ -332,7 +332,7 @@ func gemmRow(acc, x []float32, off []int32, wRow []float32, bv float32) {
 	for ; r < len(wRow); r++ {
 		wv := wRow[r]
 		for c, pv := range x[off[r]:][:n] {
-			acc[c] += wv * pv
+			acc[c] += float32(wv * pv)
 		}
 	}
 }
@@ -356,7 +356,7 @@ func gemm4x8Go(out, in []float32, off []int32, w []float32, bias *[4]float32, de
 func axpy4(acc, s0, s1, s2, s3 []float32, w0, w1, w2, w3 float32) {
 	s0, s1, s2, s3 = s0[:len(acc)], s1[:len(acc)], s2[:len(acc)], s3[:len(acc)]
 	for c, v0 := range s0 {
-		acc[c] += w0*v0 + w1*s1[c] + w2*s2[c] + w3*s3[c]
+		acc[c] += float32(w0*v0) + float32(w1*s1[c]) + float32(w2*s2[c]) + float32(w3*s3[c])
 	}
 }
 
@@ -382,26 +382,56 @@ func FullyConnectedParInto(dst *T, in *T, w []float32, bias []float32, outN, wor
 
 // fcRange computes output neurons [lo,hi). Each dot product runs four
 // interleaved accumulator chains — a fixed reassociation, which roughly
-// doubles single-core throughput on the FC heads.
+// doubles single-core throughput on the FC heads — then sums them
+// ((s0 + s1) + s2) + s3, adds the last inN%4 products one at a time and the
+// bias. The chains come from fcDot4 four neurons at a time (the SSE
+// routine on amd64), and from fcChains for a range's last (hi−lo)%4.
 func fcRange(dst, in *T, w, bias []float32, inN, lo, hi int) {
-	for o := lo; o < hi; o++ {
-		row := w[o*inN : (o+1)*inN]
-		x := in.Data[:len(row)] // one bounds check here, none in the loop
-		var s0, s1, s2, s3 float32
-		i := 0
-		for ; i+4 <= inN; i += 4 {
-			s0 += row[i] * x[i]
-			s1 += row[i+1] * x[i+1]
-			s2 += row[i+2] * x[i+2]
-			s3 += row[i+3] * x[i+3]
+	x := in.Data[:inN]
+	var s [4][4]float32
+	for o := lo; o < hi; {
+		n := 4
+		if o+4 <= hi {
+			fcDot4(&s, w[o*inN:(o+4)*inN], x)
+		} else {
+			n = 1
+			s[0] = fcChains(w[o*inN:(o+1)*inN], x)
 		}
-		sum := s0 + s1 + s2 + s3
-		for ; i < inN; i++ {
-			sum += row[i] * x[i]
+		for k, c := range s[:n] {
+			row := w[(o+k)*inN:][:inN]
+			sum := c[0] + c[1] + c[2] + c[3]
+			for i := inN &^ 3; i < inN; i++ {
+				sum += float32(row[i] * x[i])
+			}
+			if bias != nil {
+				sum += bias[o+k]
+			}
+			dst.Data[o+k] = sum
 		}
-		if bias != nil {
-			sum += bias[o]
-		}
-		dst.Data[o] = sum
+		o += n
+	}
+}
+
+// fcChains returns row's four accumulator chains against x:
+// s[j] = Σ row[4i+j]·x[4i+j] over i < len(row)/4, added in i order.
+func fcChains(row, x []float32) [4]float32 {
+	x = x[:len(row)] // one bounds check here, none in the loop
+	var s0, s1, s2, s3 float32
+	for i := 0; i+4 <= len(row); i += 4 {
+		s0 += float32(row[i] * x[i])
+		s1 += float32(row[i+1] * x[i+1])
+		s2 += float32(row[i+2] * x[i+2])
+		s3 += float32(row[i+3] * x[i+3])
+	}
+	return [4]float32{s0, s1, s2, s3}
+}
+
+// fcDot4Go fills s[k] with fcChains of row k, w[k·len(x):(k+1)·len(x)],
+// for k < 4. It is fcDot4 on every GOARCH but amd64, and on amd64 the
+// reference the SSE routine is held to.
+func fcDot4Go(s *[4][4]float32, w, x []float32) {
+	n := len(x)
+	for k := range s {
+		s[k] = fcChains(w[k*n:(k+1)*n], x)
 	}
 }

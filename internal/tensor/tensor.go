@@ -61,6 +61,22 @@ func (t *T) SameShape(o *T) bool { return t.C == o.C && t.H == o.H && t.W == o.W
 
 func (t *T) String() string { return fmt.Sprintf("tensor(%dx%dx%d)", t.C, t.H, t.W) }
 
+// DigestSeed is the FNV-1a offset basis, the state a digest starts from.
+const DigestSeed uint64 = 14695981039346656037
+
+// Fold is one 64-bit FNV-1a step over the word w.
+func Fold(h, w uint64) uint64 { return (h ^ w) * 1099511628211 }
+
+// Digest folds the float32 bit pattern of every element of data into h,
+// one Fold per element, in order, so a changed bit anywhere (a NaN payload
+// included) changes the digest, short of a hash collision.
+func Digest(h uint64, data []float32) uint64 {
+	for _, v := range data {
+		h = Fold(h, uint64(math.Float32bits(v)))
+	}
+	return h
+}
+
 // MaxPool2DInto computes max pooling with a k×k window and the given
 // stride, writing into dst (nil allocates). dst must not alias in. A NaN
 // anywhere in a window makes that window's output NaN, matching the GEMM
@@ -109,9 +125,8 @@ func maxPool(out, in *T, k, stride int) {
 }
 
 // maxPool2x2 is the 2×2 stride-2 pool every native network runs, on flat
-// rows: an output row reads its two input rows as two slices, and each
-// window takes its four values in maxPool's order under its comparison,
-// so every output is bitwise maxPool's.
+// rows: an output row reads its two input rows as two slices and runs
+// through poolRow, whose every output is bitwise maxPool's.
 func maxPool2x2(out, in *T) {
 	ow := out.W
 	for c := 0; c < in.C; c++ {
@@ -119,43 +134,63 @@ func maxPool2x2(out, in *T) {
 		for oy := 0; oy < out.H; oy++ {
 			top := plane[2*oy*in.W:][: 2*ow : 2*ow]
 			bot := plane[(2*oy+1)*in.W:][: 2*ow : 2*ow]
-			o := out.Data[(c*out.H+oy)*ow:][:ow]
-			for ox := range o {
-				a, b := top[2*ox:2*ox+2], bot[2*ox:2*ox+2]
-				best := a[0]
-				if v := a[1]; v > best || v != v {
-					best = v
-				}
-				if v := b[0]; v > best || v != v {
-					best = v
-				}
-				if v := b[1]; v > best || v != v {
-					best = v
-				}
-				o[ox] = best
-			}
+			poolRow(out.Data[(c*out.H+oy)*ow:][:ow], top, bot)
 		}
+	}
+}
+
+// poolRowGo is the pool's row loop in plain Go: o[ox] is the window
+// top[2ox], top[2ox+1], bot[2ox], bot[2ox+1] taken in that order under
+// maxPool's comparison. It is poolRow on every GOARCH but amd64, and on
+// amd64 the reference the SSE routine is held to.
+func poolRowGo(o, top, bot []float32) {
+	top, bot = top[:2*len(o)], bot[:2*len(o)]
+	for ox := range o {
+		a, b := top[2*ox:2*ox+2], bot[2*ox:2*ox+2]
+		best := a[0]
+		if v := a[1]; v > best || v != v {
+			best = v
+		}
+		if v := b[0]; v > best || v != v {
+			best = v
+		}
+		if v := b[1]; v > best || v != v {
+			best = v
+		}
+		o[ox] = best
 	}
 }
 
 // ReLU applies max(0,x) in place and returns the tensor.
 func ReLU(t *T) *T {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
+	relu(t.Data)
+	return t
+}
+
+// reluGo zeroes v's negative elements (−0 and NaN stay as they are). It is
+// relu off amd64 and the reference the SSE routine is held to.
+func reluGo(v []float32) {
+	for i, x := range v {
+		if x < 0 {
+			v[i] = 0
 		}
 	}
-	return t
 }
 
 // LeakyReLU applies x<0 ? alpha*x : x in place (YOLO uses alpha=0.1).
 func LeakyReLU(t *T, alpha float32) *T {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = alpha * v
+	leaky(t.Data, alpha)
+	return t
+}
+
+// leakyGo scales v's negative elements by alpha. It is leaky off amd64 and
+// the reference the SSE routine is held to.
+func leakyGo(v []float32, alpha float32) {
+	for i, x := range v {
+		if x < 0 {
+			v[i] = alpha * x
 		}
 	}
-	return t
 }
 
 // Sigmoid applies the logistic function in place.

@@ -46,9 +46,14 @@ type Track struct {
 }
 
 // Timing is the DNN-vs-other time breakdown of one engine invocation.
+// It also carries DNNDigest: tensor.Fold from tensor.DigestSeed over each
+// propagated track's head-output digest (tensor.Digest from DigestSeed, 0
+// for a track whose DNN did not run), in track order — the step's DNN
+// numerics as one word, 0 when no track propagated or RunDNN is off.
 type Timing struct {
-	DNN   time.Duration
-	Other time.Duration
+	DNN       time.Duration
+	Other     time.Duration
+	DNNDigest uint64
 }
 
 // Total returns DNN + Other.
@@ -198,6 +203,7 @@ type Detection struct {
 // (total tracker-pool work, not wall time, when trackers run in parallel).
 func (e *Engine) Step(frame *img.Gray, detections []Detection) ([]*Track, Timing) {
 	var dnnDur, otherDur time.Duration
+	var digest uint64
 
 	// 1. Propagate existing tracks on the new frame (GOTURN step), one
 	// goroutine per tracked object — the paper's tracker-pool design. Each
@@ -206,24 +212,34 @@ func (e *Engine) Step(frame *img.Gray, detections []Detection) ([]*Track, Timing
 	// depend on each other, so the outcome is order-independent.
 	if e.prevFrame != nil && len(e.tracks) > 0 {
 		if len(e.tracks) == 1 {
-			dnnDur, otherDur = e.propagate(e.tracks[0], frame)
+			var head uint64
+			dnnDur, otherDur, head = e.propagate(e.tracks[0], frame)
+			digest = tensor.Fold(tensor.DigestSeed, head)
 		} else {
-			type span struct{ dnn, other time.Duration }
+			type span struct {
+				dnn, other time.Duration
+				head       uint64
+			}
 			spans := make([]span, len(e.tracks))
 			var wg sync.WaitGroup
 			wg.Add(len(e.tracks))
 			for i, tr := range e.tracks {
 				go func(i int, tr *Track) {
 					defer wg.Done()
-					d, o := e.propagate(tr, frame)
-					spans[i] = span{dnn: d, other: o}
+					d, o, h := e.propagate(tr, frame)
+					spans[i] = span{dnn: d, other: o, head: h}
 				}(i, tr)
 			}
 			wg.Wait()
+			digest = tensor.DigestSeed
 			for _, s := range spans {
 				dnnDur += s.dnn
 				otherDur += s.other
+				digest = tensor.Fold(digest, s.head)
 			}
+		}
+		if !e.cfg.RunDNN {
+			digest = 0
 		}
 	}
 
@@ -285,17 +301,18 @@ func (e *Engine) Step(frame *img.Gray, detections []Detection) ([]*Track, Timing
 	otherDur += time.Since(assocStart)
 
 	e.prevFrame = frame
-	return e.snapshot(), Timing{DNN: dnnDur, Other: otherDur}
+	return e.snapshot(), Timing{DNN: dnnDur, Other: otherDur, DNNDigest: digest}
 }
 
 // propagate runs one GOTURN-style tracking step for tr on the new frame,
-// returning the DNN and non-DNN durations.
-func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Duration) {
+// returning the DNN and non-DNN durations and the digest of the head's
+// output (0 when the DNN did not run).
+func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Duration, head uint64) {
 	// Degenerate boxes (shrunk by repeated scale-down steps or clipped at
 	// the frame edge) cannot be matched; hold them in place and let the
 	// miss counter retire the track.
 	if tr.Box.W() < 4 || tr.Box.H() < 4 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	startOther := time.Now()
 	sc, _ := e.scratch.Get().(*trackScratch)
@@ -325,8 +342,9 @@ func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Du
 		copy(concat.Data[:n], a.Data)
 		b := e.exec.Forward(e.tower, toTensorInto(sc.input, searchSmall.ResizeInto(&sc.net, 32, 32)), &sc.s)
 		copy(concat.Data[n:], b.Data)
-		_ = e.exec.Forward(e.head, concat, &sc.s)
+		out := e.exec.Forward(e.head, concat, &sc.s)
 		dnnDur = time.Since(startDNN)
+		head = tensor.Digest(tensor.DigestSeed, out.Data)
 	}
 
 	// Functional path: SAD template matching inside the search region,
@@ -372,7 +390,7 @@ func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Du
 		tr.Box = img.RectWH(newX0, newY0, newW, newH)
 	}
 	otherDur += time.Since(startMatch)
-	return dnnDur, otherDur
+	return dnnDur, otherDur, head
 }
 
 // matchTemplate slides tmpl over search (both grayscale) and returns the
