@@ -32,7 +32,6 @@ import (
 
 	"adsim/internal/accel"
 	"adsim/internal/constraint"
-	"adsim/internal/dnn"
 	"adsim/internal/experiment"
 	"adsim/internal/faultinject"
 	"adsim/internal/pipeline"
@@ -199,15 +198,6 @@ type AdmissionConfig = pipeline.AdmissionConfig
 
 // AdmissionEvent is one shed or readmit decision in FleetReport.Admission.
 type AdmissionEvent = pipeline.AdmissionEvent
-
-// DNNExecutor is an instance-scoped inference executor: it owns its kernel
-// worker count, and every forward pass runs on its caller's goroutine.
-type DNNExecutor = dnn.Executor
-
-// NewDNNExecutor returns an executor whose kernels shard across workers
-// goroutines (0 = GOMAXPROCS). Results are bitwise-identical for any
-// worker count.
-func NewDNNExecutor(workers int) *DNNExecutor { return dnn.NewExecutor(workers) }
 
 // Distribution accumulates latency samples and answers quantile queries.
 type Distribution = stats.Distribution

@@ -41,7 +41,6 @@ func main() {
 		survey   = flag.Int("survey", 60, "prior-map survey frames")
 		dnn      = flag.Bool("dnn", true, "execute the native DNNs (slower, exercises the shared executor and networks)")
 		inflight = flag.Int("inflight", 3, "frames in flight per vehicle Runner")
-		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel in the shared executor (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", 1, "base scenario seed; vehicle i drives seed+i")
 		deadline = flag.Duration("deadline", 0, "enforce per-stage deadline budgets split from this frame deadline (0 disables)")
 		admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (unhealthiest first, ties toward the highest vehicle ID) when the fleet P99.99 nears the budget, readmit with hysteresis when it subsides")
@@ -91,14 +90,10 @@ func main() {
 		cfg.Deadline = adsim.DeadlinePolicy{Enforce: true, FrameBudget: *deadline}
 	}
 
-	// One executor sets every vehicle's DNN kernel worker count.
-	exec := adsim.NewDNNExecutor(*workers)
-
 	fc := adsim.FleetConfig{
 		Vehicles:  *vehicles,
 		Config:    cfg,
 		InFlight:  *inflight,
-		Executor:  exec,
 		PhaseLock: *phase,
 	}
 	if *admit || *admitTgt > 0 || *maxVeh > 0 {
@@ -186,9 +181,9 @@ func main() {
 		fail(1, "%v", err)
 	}
 
-	fmt.Printf("running %d vehicles x %d %s frames at %dx%d (dnn=%v, inflight=%d, workers=%d, phase=%v, admission=%v)\n",
+	fmt.Printf("running %d vehicles x %d %s frames at %dx%d (dnn=%v, inflight=%d, phase=%v, admission=%v)\n",
 		*vehicles, *frames, *scenario, *width, *height, *dnn,
-		*inflight, exec.Workers(), *phase, fc.Admission != nil)
+		*inflight, *phase, fc.Admission != nil)
 
 	// Churn triggers are keyed to total delivered frames so they land
 	// mid-run at any fleet size; the churn goroutine also unblocks on run

@@ -5,7 +5,7 @@
 //
 //	adpipe -scenario urban -frames 50
 //	adpipe -scenario highway -frames 100 -dnn=false -v
-//	adpipe -scenario highway -frames 200 -inflight 4 -workers 8
+//	GOMAXPROCS=8 adpipe -scenario highway -frames 200 -inflight 4
 //	adpipe -scenario urban -frames 100 -inflight 3 -telemetry json
 //	adpipe -scenario urban -frames 200 -deadline 100ms
 //	adpipe -frames 200 -deadline 100ms -fault 'DET:delay=30ms:every=5,SRC:drop:every=50'
@@ -40,7 +40,6 @@ func main() {
 		survey   = flag.Int("survey", 60, "prior-map survey frames")
 		dnn      = flag.Bool("dnn", true, "execute the native DNNs (slower, full instrumentation)")
 		inflight = flag.Int("inflight", 1, "frames in flight: 1 is the sequential schedule, >1 pipelines frames across the stage graph")
-		workers  = flag.Int("workers", 0, "goroutines per DNN conv/FC kernel (0 = GOMAXPROCS)")
 		verbose  = flag.Bool("v", false, "print per-frame results")
 		hist     = flag.Bool("hist", false, "print an end-to-end latency histogram")
 		trace    = flag.String("trace", "", "write a JSON-lines trace of every frame to this file")
@@ -93,16 +92,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One executor owns the DNN kernel workers for both inference stages.
-	exec := adsim.NewDNNExecutor(*workers)
-
 	cfg := adsim.DefaultPipelineConfig(kind)
 	cfg.Scene.Width, cfg.Scene.Height = *width, *height
 	cfg.SurveyFrames = *survey
 	cfg.Detect.RunDNN = *dnn
 	cfg.Track.RunDNN = *dnn
-	cfg.Detect.Executor = exec
-	cfg.Track.Executor = exec
 	if prog != nil {
 		cfg.Scene = prog.Configure(cfg.Scene)
 	}
@@ -273,8 +267,8 @@ func main() {
 		fmt.Printf("scenario program %q (seed %d), base world %s\n",
 			prog.Name, cfg.Scene.Seed, scene.Kind(kind))
 	}
-	fmt.Printf("running %d %s frames at %dx%d (dnn=%v, survey=%d, inflight=%d, workers=%d)\n",
-		*frames, scene.Kind(kind), *width, *height, *dnn, *survey, *inflight, exec.Workers())
+	fmt.Printf("running %d %s frames at %dx%d (dnn=%v, survey=%d, inflight=%d)\n",
+		*frames, scene.Kind(kind), *width, *height, *dnn, *survey, *inflight)
 	start := time.Now()
 	r, err := adsim.NewRunner(p, adsim.RunnerOptions{InFlight: *inflight, Tail: ts})
 	if err != nil {

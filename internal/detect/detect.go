@@ -84,15 +84,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Detector is the DET engine. Per-call mutable state lives in pooled
-// scratch arenas (one per in-flight call), so Detect calls are safe for
-// concurrent use; the pipeline still owns one detector per camera stream,
-// as the paper's system replicates the computing engine per camera.
+// Detector is the DET engine. Like every engine it has one owner, since it
+// owns its scratch: Detect calls must not overlap. The pipeline runs one
+// detector per camera stream from DET's stage only (the paper replicates
+// the engine per camera), draining a late attempt before the next call.
 type Detector struct {
 	cfg     Config
 	net     *dnn.Network
 	exec    *dnn.Executor
-	scratch sync.Pool // of *detScratch
+	scratch detScratch
 
 	// nets caches networks for non-default input sizes — the tail
 	// scheduler's resolution-ladder rungs. Built lazily; a rung is visited
@@ -102,9 +102,9 @@ type Detector struct {
 	nets map[int]*dnn.Network
 }
 
-// detScratch is the per-call buffer set: for the DNN sub-path the resized
+// detScratch is the detector's buffer set: for the DNN sub-path the resized
 // network input image, the normalized input tensor and the layer arena, and
-// the proposal pass's working set. Pooling them keeps the steady-state
+// the proposal pass's working set. Reusing them keeps the steady-state
 // Detect call's allocations to its result slices.
 type detScratch struct {
 	s     dnn.Scratch
@@ -237,13 +237,9 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 		size = opt.InputSize
 	}
 	startOther := time.Now()
-	sc, _ := d.scratch.Get().(*detScratch)
-	if sc == nil {
-		sc = &detScratch{}
-	}
-	defer d.scratch.Put(sc)
+	sc := &d.scratch
 
-	// Pre-processing: resize to network input and normalize into the pooled
+	// Pre-processing: resize to network input and normalize into the
 	// scratch. Every buffer in it is grow-only, so a rung change reshapes
 	// the input and keeps the layer arena: once the largest rung has run,
 	// all are warm.

@@ -55,6 +55,12 @@ func (e *Executor) Forward(n *Network, in *tensor.T, s *Scratch) *tensor.T {
 	return out
 }
 
+// Each is tensor.Each over at most min(slots, Workers()) workers: a caller
+// owning slots scratch sets indexes them by the worker index w.
+func (e *Executor) Each(n, slots int, fn func(w, i int)) {
+	tensor.Each(n, min(slots, e.Workers()), fn)
+}
+
 // ForwardAnytime is Forward with a checkpoint consulted at every layer
 // boundary (see Network.run): it returns the output of the last executed
 // layer and the number of layers executed. A pass whose checkpoint never

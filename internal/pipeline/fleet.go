@@ -248,10 +248,10 @@ func (f *Fleet) Vehicle(id int) *Pipeline {
 
 // Warm pre-pays every vehicle's one-time cold-start costs so a measured run
 // starts from steady state: one DET forward per vehicle primes each
-// detector's pooled scratch for the fleet's input shape, and a shared-map
-// advise pages each vehicle's initial tile window into the shard cache.
-// Warm never touches a scenario stream or a stateful engine, so a warmed
-// run's results are bitwise-identical to a cold one.
+// detector's scratch for the fleet's input shape, and a shared-map advise
+// pages each vehicle's initial tile window into the shard cache. Call it
+// before Start, while no DET stage runs. Warm never touches a scenario
+// stream or a stateful engine, so a warmed run is bitwise a cold one.
 func (f *Fleet) Warm() {
 	f.mu.Lock()
 	vehicles := append([]*fleetVehicle(nil), f.vehicles...)

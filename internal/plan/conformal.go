@@ -115,22 +115,18 @@ func PlanConformal(cfg ConformalConfig, egoX, egoZ float64, obstacles []Obstacle
 	nL := len(cfg.LateralOffsets)
 	nS := cfg.Stations
 
-	// arrival[i] is the time the vehicle reaches station i at TargetSpeed.
-	arrival := make([]float64, nS)
-	for i := range arrival {
-		arrival[i] = float64(i+1) * cfg.StationStep / cfg.TargetSpeed
-	}
-
-	// nodeCost[i][j]: obstacle cost of (station i, offset j); +Inf blocked.
-	nodeCost := make([][]float64, nS)
-	for i := range nodeCost {
-		nodeCost[i] = make([]float64, nL)
+	// nodeCost, dp and from are nS×nL matrices stored row-major in one
+	// array each: (station i, offset j) is element i·nL + j.
+	// nodeCost: obstacle cost of the node; +Inf blocked.
+	nodeCost := make([]float64, nS*nL)
+	for i := range nS {
+		arrival := float64(i+1) * cfg.StationStep / cfg.TargetSpeed // time to reach station i
 		sz := egoZ + float64(i+1)*cfg.StationStep
 		for j, off := range cfg.LateralOffsets {
 			sx := egoX + off
 			var cost float64
 			for _, o := range obstacles {
-				ox, oz := o.At(arrival[i])
+				ox, oz := o.At(arrival)
 				d := math.Hypot(ox-sx, oz-sz)
 				clearance := cfg.SafetyMargin + o.Radius
 				switch {
@@ -143,52 +139,51 @@ func PlanConformal(cfg ConformalConfig, egoX, egoZ float64, obstacles []Obstacle
 					break
 				}
 			}
-			nodeCost[i][j] = cost
+			nodeCost[i*nL+j] = cost
 		}
 	}
 
-	// DP over the station DAG: dp[i][j] = min cost to reach (i,j); lateral
-	// moves are limited to adjacent offsets per station step.
+	// DP over the station DAG: dp is the min cost to reach a node, from the
+	// previous station's offset on that cheapest path; lateral moves are
+	// limited to adjacent offsets per station step.
 	const inf = math.MaxFloat64
-	dp := make([][]float64, nS)
-	from := make([][]int, nS)
-	for i := range dp {
-		dp[i] = make([]float64, nL)
-		from[i] = make([]int, nL)
-		for j := range dp[i] {
-			dp[i][j] = inf
-			from[i][j] = -1
-		}
+	dp := make([]float64, nS*nL)
+	from := make([]int, nS*nL)
+	for k := range dp {
+		dp[k] = inf
+		from[k] = -1
 	}
 	// Ego starts at the offset nearest 0 (its own lane position).
 	startJ := nearestOffset(cfg.LateralOffsets, 0)
-	for j := range dp[0] {
-		if math.IsInf(nodeCost[0][j], 1) {
+	for j := range nL {
+		if math.IsInf(nodeCost[j], 1) {
 			continue
 		}
 		steer := math.Abs(cfg.LateralOffsets[j] - cfg.LateralOffsets[startJ])
 		if steer > 1.5*offsetPitch(cfg.LateralOffsets) {
 			continue // can't jump multiple offsets in one step
 		}
-		dp[0][j] = cfg.WeightLateral*math.Abs(cfg.LateralOffsets[j]) +
-			cfg.WeightSteer*steer + nodeCost[0][j]
-		from[0][j] = startJ
+		dp[j] = cfg.WeightLateral*math.Abs(cfg.LateralOffsets[j]) +
+			cfg.WeightSteer*steer + nodeCost[j]
+		from[j] = startJ
 	}
 	for i := 1; i < nS; i++ {
+		prev := dp[(i-1)*nL : i*nL]
 		for j := 0; j < nL; j++ {
-			if math.IsInf(nodeCost[i][j], 1) {
+			k := i*nL + j
+			if math.IsInf(nodeCost[k], 1) {
 				continue
 			}
-			base := cfg.WeightLateral*math.Abs(cfg.LateralOffsets[j]) + nodeCost[i][j]
+			base := cfg.WeightLateral*math.Abs(cfg.LateralOffsets[j]) + nodeCost[k]
 			for _, pj := range []int{j - 1, j, j + 1} {
-				if pj < 0 || pj >= nL || dp[i-1][pj] == inf {
+				if pj < 0 || pj >= nL || prev[pj] == inf {
 					continue
 				}
 				steer := math.Abs(cfg.LateralOffsets[j] - cfg.LateralOffsets[pj])
-				cand := dp[i-1][pj] + base + cfg.WeightSteer*steer
-				if cand < dp[i][j] {
-					dp[i][j] = cand
-					from[i][j] = pj
+				cand := prev[pj] + base + cfg.WeightSteer*steer
+				if cand < dp[k] {
+					dp[k] = cand
+					from[k] = pj
 				}
 			}
 		}
@@ -200,9 +195,9 @@ func PlanConformal(cfg ConformalConfig, egoX, egoZ float64, obstacles []Obstacle
 	bestJ := -1
 	for lastStation >= 0 {
 		bestCost := inf
-		for j := 0; j < nL; j++ {
-			if dp[lastStation][j] < bestCost {
-				bestCost = dp[lastStation][j]
+		for j, c := range dp[lastStation*nL : (lastStation+1)*nL] {
+			if c < bestCost {
+				bestCost = c
 				bestJ = j
 			}
 		}
@@ -220,7 +215,7 @@ func PlanConformal(cfg ConformalConfig, egoX, egoZ float64, obstacles []Obstacle
 	j := bestJ
 	for i := lastStation; i >= 0; i-- {
 		offs[i] = j
-		j = from[i][j]
+		j = from[i*nL+j]
 	}
 
 	res := ConformalResult{Decision: KeepLane, Speed: cfg.TargetSpeed}
@@ -232,7 +227,7 @@ func PlanConformal(cfg ConformalConfig, egoX, egoZ float64, obstacles []Obstacle
 			Speed: cfg.TargetSpeed,
 		}
 	}
-	res.Path.Cost = dp[lastStation][bestJ]
+	res.Path.Cost = dp[lastStation*nL+bestJ]
 	// Headings from consecutive waypoints.
 	for i := 0; i < len(res.Path.Waypoints); i++ {
 		var a, b Waypoint

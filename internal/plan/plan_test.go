@@ -364,3 +364,23 @@ func BenchmarkPlanLattice(b *testing.B) {
 		}
 	}
 }
+
+// Alloc gate (run by `make alloc-gate`): a conformal plan allocates a
+// fixed number of slices — its matrices are one array each, not one row
+// per station — so a longer horizon costs no more allocations.
+func TestAllocPlanConformal(t *testing.T) {
+	obst := []Obstacle{{X: 0, Z: 18, Radius: 1}, {X: -2, Z: 30, Radius: 1, VZ: 5}}
+	allocs := func(stations int) float64 {
+		cfg := DefaultConformalConfig()
+		cfg.Stations = stations
+		return testing.AllocsPerRun(20, func() {
+			if _, err := PlanConformal(cfg, 0, 0, obst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(30), allocs(60)
+	if short != long || long > 10 {
+		t.Errorf("PlanConformal allocates %.0f at 30 stations and %.0f at 60, want the same count and <= 10", short, long)
+	}
+}

@@ -11,8 +11,8 @@ import (
 // copy of the input and one GEMM over blocks of four output channels, an
 // FC layer one loop over output neurons. A kernel call splits its work
 // units into contiguous ranges: a single range runs on the caller, several
-// run on one transient goroutine each while the caller waits, so no
-// goroutine outlives the call.
+// run on transient goroutines while the caller waits, so no goroutine
+// outlives the call. Each is the same fan-out one unit at a time.
 //
 // Determinism contract: every output element is written by exactly one
 // goroutine, running the same fixed-order loop body. Ranges are disjoint
@@ -33,10 +33,11 @@ type op uint8
 const (
 	opGemm op = iota
 	opFC
+	opEach
 )
 
-// job describes one kernel call's fan-out as data: which range function to
-// run, its arguments, and how [0,n) splits into chunk-sized ranges. Workers
+// job describes one call's fan-out as data: which range function to run,
+// its arguments, and how [0,n) splits into chunk-sized ranges. Workers
 // claim ranges from the cursor, so starting one takes no per-range closure;
 // worker is the method value j.work, built once per descriptor. Descriptors
 // are pooled: a warm kernel call allocates nothing at any worker count.
@@ -44,11 +45,13 @@ type job struct {
 	op                       op
 	dst, in                  *T
 	padded, w, bias          []float32
-	off                      []int32 // patch-row offset table (opGemm)
-	outC, rows, width, pitch int     // GEMM dims (opGemm)
+	off                      []int32        // patch-row offset table (opGemm)
+	outC, rows, width, pitch int            // GEMM dims (opGemm)
+	each                     func(w, i int) // the per-unit callback (opEach)
 
 	n, chunk int
 	next     atomic.Int64 // ranges claimed so far
+	ids      atomic.Int64 // worker indices handed out so far
 	wg       sync.WaitGroup
 	worker   func()
 }
@@ -61,51 +64,80 @@ var jobs = sync.Pool{New: func() any {
 
 // release drops the call's references and returns j to the pool.
 func (j *job) release() {
-	j.dst, j.in, j.padded, j.w, j.bias, j.off = nil, nil, nil, nil, nil, nil
+	j.dst, j.in, j.padded, j.w, j.bias, j.off, j.each = nil, nil, nil, nil, nil, nil, nil
 	jobs.Put(j)
 }
 
-// fanOut runs range function o over [0,n) split into at most workers
-// contiguous ranges, and returns when all are done. One range runs on the
-// caller. Otherwise every range gets a transient goroutine and the caller
-// waits: were the caller to keep a range for itself, a lone helper would
-// sit in its P's runnext slot, which an idle P steals only as a last
-// resort and after a timed back-off — at two workers that delay is a
-// third of a small layer's whole conv.
+// fanOut runs o over [0,n) on at most workers workers and returns when every
+// unit is done. The range ops split [0,n) into at most workers contiguous
+// ranges; opEach hands units out one at a time. One worker runs on the
+// caller. Otherwise every worker is a transient goroutine that claims from
+// the cursor until it runs dry, and the caller waits: were the caller to
+// work too, a lone helper would sit in its P's runnext slot, which an idle
+// P steals only as a last resort and after a timed back-off — at two
+// workers that delay is a third of a small layer's whole conv.
 func (j *job) fanOut(o op, n, workers int) {
 	if n <= 0 {
 		return
 	}
 	workers = max(1, min(workers, n))
 	j.op, j.n, j.chunk = o, n, (n+workers-1)/workers
-	ranges := (n + j.chunk - 1) / j.chunk
-	if ranges == 1 {
-		j.run(0, n)
+	if o == opEach {
+		j.chunk = 1
+	} else {
+		workers = (n + j.chunk - 1) / j.chunk // one per range
+	}
+	if workers == 1 {
+		j.run(0, 0, n)
 		return
 	}
 	j.next.Store(0)
-	j.wg.Add(ranges)
-	for r := 0; r < ranges; r++ {
+	j.ids.Store(0)
+	j.wg.Add(workers)
+	for range workers {
 		go j.worker()
 	}
 	j.wg.Wait()
 }
 
-// work claims the next unclaimed range, computes it and exits.
+// work takes the next worker index, then claims and computes ranges until
+// none is left.
 func (j *job) work() {
-	lo := int(j.next.Add(1)-1) * j.chunk
-	j.run(lo, min(lo+j.chunk, j.n))
+	w := int(j.ids.Add(1) - 1)
+	for {
+		lo := int(j.next.Add(1)-1) * j.chunk
+		if lo >= j.n {
+			break
+		}
+		j.run(w, lo, min(lo+j.chunk, j.n))
+	}
 	j.wg.Done()
 }
 
-// run computes units [lo,hi) with the job's range function.
-func (j *job) run(lo, hi int) {
+// run computes units [lo,hi) on worker w with the job's range function.
+func (j *job) run(w, lo, hi int) {
 	switch j.op {
 	case opGemm:
 		gemmRange(j.dst.Data, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, lo, hi)
 	case opFC:
 		fcRange(j.dst, j.in, j.w, j.bias, j.in.Len(), lo, hi)
+	case opEach:
+		for i := lo; i < hi; i++ {
+			j.each(w, i)
+		}
 	}
+}
+
+// Each calls fn(w, i) once for every i in [0,n), spread over at most
+// workers workers as fanOut spreads ranges, each worker claiming the next
+// unclaimed i. w is the calling worker's index, below min(n, workers), so
+// fn may use scratch it indexes by w without locking. Which worker gets
+// which i varies from call to call.
+func Each(n, workers int, fn func(w, i int)) {
+	j := jobs.Get().(*job)
+	j.each = fn
+	j.fanOut(opEach, n, workers)
+	j.release()
 }
 
 // convShape validates conv arguments and returns the output spatial dims.

@@ -9,7 +9,7 @@ package tensor
 // Ownership rules (see DESIGN.md "Buffer ownership and reuse"):
 //
 //   - A Scratch is NOT safe for concurrent use. Give each worker its own
-//     (the detect and track engines keep theirs in a sync.Pool).
+//     (the detector owns one, the tracker one per executor worker).
 //   - Buf slots 0 and 1 are the network ping-pong slots: a feed-forward
 //     pass alternates layer outputs between them, so a tensor returned by
 //     a forward pass aliases scratch memory and is only valid until the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -610,7 +611,10 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 // fanOut must hand every unit to exactly one range: n = 0 is a no-op and
 // workers > n clamps to one unit per range. The FC range function counts
 // visits when bias aliases the output: with x = [1] and unit weights,
-// neuron o computes out[o] = 1 + out[o], touching no other element.
+// neuron o computes out[o] = 1 + out[o], touching no other element. Each
+// must likewise call fn once per unit, on a worker index below
+// min(n, workers), and never run two calls of one index at once: that is
+// what lets a caller hand each index its own scratch.
 func TestFanOutCoversRangeOnce(t *testing.T) {
 	one := NewVec(1)
 	one.Data[0] = 1
@@ -633,6 +637,26 @@ func TestFanOutCoversRangeOnce(t *testing.T) {
 		}
 		if hits.Data[tc.n] != 0 {
 			t.Fatalf("n=%d workers=%d: a range ran past n", tc.n, tc.workers)
+		}
+
+		calls := make([]int, tc.n)
+		var busy [64]atomic.Bool
+		var bad atomic.Int64
+		Each(tc.n, tc.workers, func(w, i int) {
+			if w < 0 || w >= min(tc.n, tc.workers) || !busy[w].CompareAndSwap(false, true) {
+				bad.Add(1)
+				return
+			}
+			calls[i]++
+			busy[w].Store(false)
+		})
+		if bad.Load() != 0 {
+			t.Fatalf("n=%d workers=%d: %d Each calls on an out-of-range or busy worker index", tc.n, tc.workers, bad.Load())
+		}
+		for i, c := range calls {
+			if c != 1 {
+				t.Fatalf("n=%d workers=%d: Each called unit %d %d times", tc.n, tc.workers, i, c)
+			}
 		}
 	}
 }

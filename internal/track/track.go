@@ -17,7 +17,7 @@ package track
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"time"
 
 	"adsim/internal/dnn"
@@ -97,10 +97,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Engine is the TRA engine: tracker pool plus tracked-object table.
-// Step must be called from one goroutine at a time (the table is stateful),
-// but internally Step fans each live track's propagation out to its own
-// goroutine — the paper's pre-launched tracker-pool design.
+// Engine is the TRA engine: tracker pool plus tracked-object table. Step
+// must be called from one goroutine at a time (the engine is stateful);
+// inside it the executor's workers claim the live tracks one at a time.
 type Engine struct {
 	cfg    Config
 	tower  *dnn.Network
@@ -110,13 +109,13 @@ type Engine struct {
 
 	tracks    []*Track
 	prevFrame *img.Gray
-	scratch   sync.Pool // of *trackScratch, one per concurrent propagate
+	scratch   []*trackScratch // one per executor worker, grown on demand
+	spans     []Timing        // the current Step's per-track propagate results
 }
 
-// trackScratch is the per-propagate buffer set: crop/resize images, the
-// network input tensor and the layer arena. Each concurrent tracker
-// goroutine takes its own from the pool, so the steady-state propagate is
-// allocation-free.
+// trackScratch is one worker's propagate buffer set: crop/resize images,
+// the network input tensor and the layer arena, reused across tracks and
+// frames, so the steady-state propagate is allocation-free.
 type trackScratch struct {
 	s      dnn.Scratch
 	target img.Gray // previous-frame target crop
@@ -199,44 +198,30 @@ type Detection struct {
 //
 // It returns a deep-copied snapshot of the table after the step together
 // with the step's time breakdown, so callers never read engine state that a
-// later frame may overwrite. The returned Timing sums per-tracker durations
-// (total tracker-pool work, not wall time, when trackers run in parallel).
+// later frame may overwrite. The returned Timing sums per-track durations
+// (total tracker-pool work, not wall time, when workers run in parallel).
 func (e *Engine) Step(frame *img.Gray, detections []Detection) ([]*Track, Timing) {
 	var dnnDur, otherDur time.Duration
 	var digest uint64
 
-	// 1. Propagate existing tracks on the new frame (GOTURN step), one
-	// goroutine per tracked object — the paper's tracker-pool design. Each
-	// tracker mutates only its own Track; the shared DNN tower/head are
-	// safe for concurrent Forward calls, and per-track results do not
-	// depend on each other, so the outcome is order-independent.
+	// 1. Propagate existing tracks on the new frame (GOTURN step), each on
+	// the scratch of the worker that claimed it. A propagate writes only its
+	// own Track and span, and the shared tower/head are safe for concurrent
+	// Forward calls, so the outcome is independent of the worker count.
 	if e.prevFrame != nil && len(e.tracks) > 0 {
-		if len(e.tracks) == 1 {
-			var head uint64
-			dnnDur, otherDur, head = e.propagate(e.tracks[0], frame)
-			digest = tensor.Fold(tensor.DigestSeed, head)
-		} else {
-			type span struct {
-				dnn, other time.Duration
-				head       uint64
-			}
-			spans := make([]span, len(e.tracks))
-			var wg sync.WaitGroup
-			wg.Add(len(e.tracks))
-			for i, tr := range e.tracks {
-				go func(i int, tr *Track) {
-					defer wg.Done()
-					d, o, h := e.propagate(tr, frame)
-					spans[i] = span{dnn: d, other: o, head: h}
-				}(i, tr)
-			}
-			wg.Wait()
-			digest = tensor.DigestSeed
-			for _, s := range spans {
-				dnnDur += s.dnn
-				otherDur += s.other
-				digest = tensor.Fold(digest, s.head)
-			}
+		n := len(e.tracks)
+		for len(e.scratch) < min(n, e.exec.Workers()) {
+			e.scratch = append(e.scratch, &trackScratch{input: tensor.New(1, 32, 32)})
+		}
+		e.spans = slices.Grow(e.spans[:0], n)[:n]
+		e.exec.Each(n, len(e.scratch), func(w, i int) {
+			e.spans[i] = e.propagate(e.tracks[i], frame, e.scratch[w])
+		})
+		digest = tensor.DigestSeed
+		for _, s := range e.spans {
+			dnnDur += s.DNN
+			otherDur += s.Other
+			digest = tensor.Fold(digest, s.DNNDigest)
 		}
 		if !e.cfg.RunDNN {
 			digest = 0
@@ -304,23 +289,17 @@ func (e *Engine) Step(frame *img.Gray, detections []Detection) ([]*Track, Timing
 	return e.snapshot(), Timing{DNN: dnnDur, Other: otherDur, DNNDigest: digest}
 }
 
-// propagate runs one GOTURN-style tracking step for tr on the new frame,
-// returning the DNN and non-DNN durations and the digest of the head's
-// output (0 when the DNN did not run).
-func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Duration, head uint64) {
+// propagate runs one GOTURN-style tracking step for tr on the new frame
+// with sc's buffers, returning its DNN and non-DNN durations and, as
+// DNNDigest, the digest of the head's output (0 when the DNN did not run).
+func (e *Engine) propagate(tr *Track, frame *img.Gray, sc *trackScratch) (tm Timing) {
 	// Degenerate boxes (shrunk by repeated scale-down steps or clipped at
 	// the frame edge) cannot be matched; hold them in place and let the
 	// miss counter retire the track.
 	if tr.Box.W() < 4 || tr.Box.H() < 4 {
-		return 0, 0, 0
+		return tm
 	}
 	startOther := time.Now()
-	sc, _ := e.scratch.Get().(*trackScratch)
-	if sc == nil {
-		sc = &trackScratch{input: tensor.New(1, 32, 32)}
-	}
-	defer e.scratch.Put(sc)
-
 	// Crop previous target and current search region (GOTURN geometry).
 	target := e.prevFrame.CropInto(&sc.target, tr.Box)
 	search := frame.CropInto(&sc.search, tr.Box.Scale(e.cfg.SearchScale))
@@ -329,7 +308,7 @@ func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Du
 	ss := int(float64(ts) * e.cfg.SearchScale)
 	targetSmall := target.ResizeInto(&sc.tSmall, ts, ts)
 	searchSmall := search.ResizeInto(&sc.sSmall, ss, ss)
-	otherDur += time.Since(startOther)
+	tm.Other += time.Since(startOther)
 
 	// Computational path: two-branch network + FC head. The two tower
 	// passes share one arena, so branch A's features are copied into a held
@@ -343,8 +322,8 @@ func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Du
 		b := e.exec.Forward(e.tower, toTensorInto(sc.input, searchSmall.ResizeInto(&sc.net, 32, 32)), &sc.s)
 		copy(concat.Data[n:], b.Data)
 		out := e.exec.Forward(e.head, concat, &sc.s)
-		dnnDur = time.Since(startDNN)
-		head = tensor.Digest(tensor.DigestSeed, out.Data)
+		tm.DNN = time.Since(startDNN)
+		tm.DNNDigest = tensor.Digest(tensor.DigestSeed, out.Data)
 	}
 
 	// Functional path: SAD template matching inside the search region,
@@ -389,8 +368,8 @@ func (e *Engine) propagate(tr *Track, frame *img.Gray) (dnnDur, otherDur time.Du
 		newH := tr.Box.H() * float64(bestTs) / float64(ts)
 		tr.Box = img.RectWH(newX0, newY0, newW, newH)
 	}
-	otherDur += time.Since(startMatch)
-	return dnnDur, otherDur, head
+	tm.Other += time.Since(startMatch)
+	return tm
 }
 
 // matchTemplate slides tmpl over search (both grayscale) and returns the
