@@ -89,8 +89,9 @@ fuzz-smoke:
 # detector (Step/Runner equivalence, golden trace, degraded-deadline,
 # pending-attempt and Stop-drain guarantees, the real-clock smoke per
 # executor), then a short seeded end-to-end chaos run through
-# the CLI with deadline enforcement on, and the negative: an IO rule, which
-# no CLI can inject, must be refused (exit 2), not silently ignored.
+# the CLI with deadline enforcement on, and the negative: a rule naming no
+# pipeline stage (here the retired IO kind) must be rejected by the parser
+# (exit 2), not silently ignored.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos|TestGoldenChaosTrace|TestDegradedFrameMeetsFrameDeadline|TestVirtualMissLeavesPendingAttempt|TestWallDeadlineSmoke|TestRunnerStopDrainsDegradedInFlight' ./internal/pipeline
 	$(GO) test -race ./internal/faultinject

@@ -23,13 +23,11 @@
 //
 // The package is a facade over the internal implementation packages; the
 // exported names below are aliases, so values flow freely between the
-// facade and the engines.
+// facade and the engines. It carries only the names the commands,
+// examples and benchmarks use, plus the types its own signatures mention.
 package adsim
 
 import (
-	"io"
-	"time"
-
 	"adsim/internal/accel"
 	"adsim/internal/constraint"
 	"adsim/internal/experiment"
@@ -53,10 +51,7 @@ const (
 	ASIC = accel.ASIC
 )
 
-// Engine identifies one of the three computational bottlenecks.
-type Engine = accel.Engine
-
-// Engine values.
+// The three computational bottleneck engines.
 const (
 	DET = accel.DET
 	TRA = accel.TRA
@@ -78,19 +73,6 @@ type Model = accel.Model
 // NewModel builds the platform model calibrated against the paper's
 // measurements (see internal/accel/calib.go for every constant).
 func NewModel() *Model { return accel.NewModel() }
-
-// Resolution is a camera resolution for the scalability sweep.
-type Resolution = accel.Resolution
-
-// Resolutions of the paper's Figure 13 sweep plus the KITTI base.
-var (
-	ResKITTI = accel.ResKITTI
-	ResHHD   = accel.ResHHD
-	Res720p  = accel.Res720p
-	ResHDP   = accel.ResHDP
-	Res1080p = accel.Res1080p
-	Res1440p = accel.Res1440p
-)
 
 // Assignment maps each bottleneck engine to a platform.
 type Assignment = pipeline.Assignment
@@ -180,12 +162,6 @@ type Fleet = pipeline.Fleet
 // FleetConfig parameterizes a Fleet.
 type FleetConfig = pipeline.FleetConfig
 
-// FleetReport is the fleet-level scorecard of one Fleet.Run.
-type FleetReport = pipeline.FleetReport
-
-// VehicleScore is one vehicle's scorecard within a FleetReport.
-type VehicleScore = pipeline.VehicleScore
-
 // NewFleet builds a fleet of vehicle pipelines; nothing executes until Run.
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return pipeline.NewFleet(cfg) }
 
@@ -196,22 +172,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return pipeline.NewFleet(cfg) }
 // with hysteresis once pressure subsides.
 type AdmissionConfig = pipeline.AdmissionConfig
 
-// AdmissionEvent is one shed or readmit decision in FleetReport.Admission.
-type AdmissionEvent = pipeline.AdmissionEvent
-
 // Distribution accumulates latency samples and answers quantile queries.
 type Distribution = stats.Distribution
 
 // NewDistribution returns an empty distribution with capacity n.
 func NewDistribution(n int) *Distribution { return stats.NewDistribution(n) }
-
-// Window is a bounded streaming latency window with O(1) folds and
-// Distribution-compatible quantile queries.
-type Window = stats.Window
-
-// NewWindow returns an empty streaming window holding the last capacity
-// samples (≤ 0 selects the default capacity).
-func NewWindow(capacity int) *Window { return stats.NewWindow(capacity) }
 
 // TelemetrySink receives per-stage spans and per-frame completions from
 // the pipeline's executors and the simulator.
@@ -243,9 +208,6 @@ type ConstraintMonitor = constraint.Monitor
 // ConstraintMonitorConfig parameterizes the live monitor.
 type ConstraintMonitorConfig = constraint.MonitorConfig
 
-// LiveConstraintReport is the monitor's point-in-time verdict.
-type LiveConstraintReport = constraint.LiveReport
-
 // NewConstraintMonitor returns a live constraint monitor.
 func NewConstraintMonitor(cfg ConstraintMonitorConfig) *ConstraintMonitor {
 	return constraint.NewMonitor(cfg)
@@ -267,22 +229,12 @@ type Pose = scene.Pose
 // pose.
 type Keyframe = slam.Keyframe
 
-// Keypoint is one oFAST feature location.
-type Keypoint = slam.Keypoint
-
-// Descriptor is a 256-bit rBRIEF feature descriptor.
-type Descriptor = slam.Descriptor
-
 // PriorMap is the monolithic in-memory prior map the LOC engine localizes
 // against. It implements MapStore.
 type PriorMap = slam.PriorMap
 
 // NewPriorMap returns an empty prior map.
 func NewPriorMap() *PriorMap { return slam.NewPriorMap() }
-
-// ReadPriorMap deserializes a prior map from the compact ADM1 format
-// written by PriorMap.WriteTo.
-func ReadPriorMap(r io.Reader) (*PriorMap, error) { return slam.ReadPriorMap(r) }
 
 // MapStore is the prior-map database interface the LOC engine reads and
 // extends: monolithic in memory (PriorMap) or tiled on disk behind a
@@ -300,16 +252,9 @@ type ShardStoreOptions = slam.ShardStoreOptions
 // ShardIndex is a shard directory's table of contents.
 type ShardIndex = slam.ShardIndex
 
-// MapCacheStats is a point-in-time snapshot of a ShardStore's cache
-// counters.
-type MapCacheStats = slam.CacheStats
-
-// DefaultTilePitch is the default longitudinal tile length in meters.
-const DefaultTilePitch = slam.DefaultTilePitch
-
 // WriteMapShards splits a prior map into fixed-pitch longitudinal tiles
 // under dir (ADM1 shard files plus a JSON index) for serving through a
-// ShardStore. pitch ≤ 0 selects DefaultTilePitch.
+// ShardStore. pitch ≤ 0 selects the default tile pitch.
 func WriteMapShards(m *PriorMap, dir string, pitch float64) (*ShardIndex, error) {
 	return slam.WriteShards(m, dir, pitch)
 }
@@ -342,57 +287,23 @@ type TelemetryRegistry = telemetry.Registry
 // keep the most recent distCap samples (0 selects the default).
 func NewTelemetryRegistry(distCap int) *TelemetryRegistry { return telemetry.NewRegistry(distCap) }
 
-// TraceRecord is one frame's entry in a machine-readable pipeline trace.
-type TraceRecord = pipeline.TraceRecord
-
-// TraceWriter streams trace records as JSON Lines.
-type TraceWriter = pipeline.TraceWriter
-
-// NewTraceRecord flattens one native FrameResult into a trace record.
-func NewTraceRecord(res FrameResult) TraceRecord { return pipeline.NewTraceRecord(res) }
-
 // DeadlinePolicy configures per-stage deadline budgets and degraded-mode
 // enforcement on the native pipeline (PipelineConfig.Deadline).
 type DeadlinePolicy = pipeline.DeadlinePolicy
-
-// DegradedMask records, bit per stage, which stages of a frame fell back
-// to a degraded mode after blowing their deadline budget.
-type DegradedMask = pipeline.DegradedMask
-
-// DefaultFrameBudget is the end-to-end frame deadline the default stage
-// budgets are split from: the paper's 100 ms latency constraint.
-const DefaultFrameBudget = pipeline.DefaultFrameBudget
-
-// DefaultStageBudgets splits a frame deadline across the pipeline stages
-// in proportion to their share of the paper's latency breakdown.
-func DefaultStageBudgets(frame time.Duration) [pipeline.NumStages]time.Duration {
-	return pipeline.DefaultStageBudgets(frame)
-}
 
 // FaultScenario is a reproducible chaos specification: a seed and a rule
 // list, evaluated by a FaultInjector.
 type FaultScenario = faultinject.Scenario
 
-// FaultRule is one fault source in a scenario: a target stage (or
-// FaultIOTarget), a trigger and an action.
-type FaultRule = faultinject.Rule
-
 // FaultInjector evaluates a fault scenario deterministically; wire
-// Injector.Stage into PipelineConfig.Inject and Injector.OpenFile into
-// ShardStoreOptions.Open.
+// Injector.Stage into PipelineConfig.Inject.
 type FaultInjector = faultinject.Injector
-
-// FaultIOTarget is the FaultRule.Stage value selecting map-shard I/O.
-const FaultIOTarget = faultinject.IOTarget
-
-// ErrFaultInjected is the sentinel wrapped by every injected fault.
-var ErrFaultInjected = faultinject.ErrInjected
 
 // NewFaultInjector validates a scenario and returns its injector.
 func NewFaultInjector(sc FaultScenario) (*FaultInjector, error) { return faultinject.New(sc) }
 
 // ParseFaultScenario builds a scenario from the compact rule syntax the
-// adpipe -fault flag accepts (e.g. "DET:delay=30ms:every=5,IO:err:p=0.2").
+// adpipe -fault flag accepts (e.g. "DET:delay=30ms:every=5,SRC:drop:every=50").
 func ParseFaultScenario(spec string, seed int64) (FaultScenario, error) {
 	return faultinject.Parse(spec, seed)
 }
@@ -404,44 +315,9 @@ func ParseFaultScenario(spec string, seed int64) (FaultScenario, error) {
 // scenarios/ and ships compiled into the binary.
 type ScenarioProgram = scenario.Program
 
-// SceneTimeline is a program's compiled world timeline; Configure installs
-// it onto a scene configuration (SceneConfig.Timeline).
-type SceneTimeline = scene.Timeline
-
-// ScenePhase is one phase of a SceneTimeline: a time range plus the world
-// parameters it overrides while active.
-type ScenePhase = scene.Phase
-
-// SceneTimeWindow is a blackout/occlusion interval within a phase.
-type SceneTimeWindow = scene.TimeWindow
-
 // SceneConfig parameterizes the synthetic world generator
 // (PipelineConfig.Scene and FleetConfig.Scenes use it).
 type SceneConfig = scene.Config
-
-// DefaultSceneConfig returns the standard world configuration for a
-// scenario kind.
-func DefaultSceneConfig(kind ScenarioKind) SceneConfig { return scene.DefaultConfig(kind) }
-
-// DriverProfile selects how scripted traffic behaves (calm or aggressive
-// cut-in/hard-brake maneuvers).
-type DriverProfile = scene.DriverProfile
-
-// Driver profiles.
-const (
-	DriverCalm       = scene.DriverCalm
-	DriverAggressive = scene.DriverAggressive
-)
-
-// ParseScenarioProgram parses and statically validates a scenario program
-// (phase ordering, parameter ranges, loop-topology constraints) before any
-// frame renders.
-func ParseScenarioProgram(name, src string) (*ScenarioProgram, error) {
-	return scenario.Parse(name, src)
-}
-
-// LoadScenarioProgram loads a program from the committed library by name.
-func LoadScenarioProgram(name string) (*ScenarioProgram, error) { return scenario.Load(name) }
 
 // ResolveScenarioProgram loads a program by library name or, failing that,
 // by file path — the lookup behind the -scenario CLI flags.
@@ -460,9 +336,6 @@ func FaultScenarioFromProgram(prog *ScenarioProgram, seed int64) FaultScenario {
 // frame's wall and per-stage latencies — into a per-scenario constraint
 // verdict. Replaying the same program and seed folds identical samples.
 type ConstraintScorecard = constraint.Scorecard
-
-// ScorecardReport is a scorecard's rendered verdict.
-type ScorecardReport = constraint.ScorecardReport
 
 // NewConstraintScorecard starts an empty scorecard for one (scenario,
 // seed) run driven at the configured source frame rate.

@@ -121,15 +121,8 @@ func main() {
 		fc.SharedMap = base
 		fc.Config.SurveyFrames = 0
 	}
-	// injector builds a vehicle's stage injector. The fleet's shard store has
-	// no injected I/O seam, so an IO rule could never fire: refuse it rather
-	// than run a scenario that silently injects less than it says.
+	// injector builds a vehicle's stage injector.
 	injector := func(sc adsim.FaultScenario) func(string, int) (time.Duration, error) {
-		for i, r := range sc.Rules {
-			if r.Stage == adsim.FaultIOTarget {
-				fail(2, "fault rule %d targets %s (map-shard loads), which adfleet cannot inject; the rule would never fire", i, r.Stage)
-			}
-		}
 		inj, err := adsim.NewFaultInjector(sc)
 		if err != nil {
 			fail(2, "%v", err)

@@ -1,35 +1,26 @@
 // Package faultinject is the deterministic chaos-testing substrate of the
 // pipeline: a seeded injector that disturbs stage executions (delays, hard
-// errors, dropped frames) and map-shard I/O according to a declarative
-// scenario, so a chaos run is exactly reproducible — the same scenario and
-// seed produce the same fault sequence no matter which executor (sequential
-// Step or pipelined Runner) consumes it, or how its goroutines interleave.
+// errors, dropped frames) according to a declarative scenario, so a chaos
+// run is exactly reproducible — the same scenario and seed produce the
+// same fault sequence no matter which executor (sequential Step or
+// pipelined Runner) consumes it, or how its goroutines interleave.
 //
 // Reproducibility is the design constraint everything here follows from:
+// decisions are pure functions of (scenario, stage, frame). No shared RNG
+// stream is consumed per call — a stream's output would depend on the
+// order stages happen to ask, which differs between executors.
+// Probabilistic rules instead hash (seed, rule, frame).
 //
-//   - Stage decisions are pure functions of (scenario, stage, frame). No
-//     shared RNG stream is consumed per call — a stream's output would
-//     depend on the order stages happen to ask, which differs between
-//     executors. Probabilistic rules instead hash (seed, rule, frame).
-//
-//   - I/O decisions are keyed by the access ordinal of a mutex-guarded
-//     counter. The pipeline reads the map store from exactly one stage
-//     (LOC), so the access sequence — and therefore the fault sequence —
-//     is identical across executors as long as background prefetching is
-//     left off.
-//
-// The injector plugs into pipeline.Config.Inject (stage faults) and
-// slam.ShardStoreOptions.Open (shard I/O faults) without either package
-// importing this one: the seams are plain function types.
+// The injector plugs into pipeline.Config.Inject without the pipeline
+// importing this package: the seam is a plain function type.
 package faultinject
 
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
 	"time"
+
+	"adsim/internal/scenario"
 )
 
 // ErrInjected is the sentinel wrapped by every injected hard fault, so
@@ -37,39 +28,9 @@ import (
 // errors.Is.
 var ErrInjected = errors.New("injected fault")
 
-// IOTarget is the Rule.Stage value selecting map-shard I/O instead of a
-// pipeline stage. For I/O rules the trigger's "frame" is the shard access
-// ordinal (0-based count of loads through the injector).
-const IOTarget = "IO"
-
-// Rule is one fault source in a scenario: a target (stage name or
-// IOTarget), a trigger (frame range, cadence, probability) and an action
-// (delay and/or hard error).
-type Rule struct {
-	// Stage is the canonical pipeline stage name ("SRC", "DET", "LOC",
-	// "TRA", "FUSION", "MISPLAN", "MOTPLAN", "CONTROL") or IOTarget.
-	Stage string
-
-	// Delay charges this duration against the stage's deadline budget
-	// (and sleeps it under wall-clock enforcement) on frames the rule
-	// fires. For I/O rules the delay is slept inside the shard load.
-	Delay time.Duration
-	// Err injects a hard failure: the stage errors (the frame is
-	// delivered with Err set, downstream stages skipped) or the shard
-	// load fails. An Err fired at SRC is a dropped frame.
-	Err bool
-
-	// From and To bound the frames (or I/O access ordinals) the rule
-	// applies to, inclusive. To == 0 leaves the range open-ended.
-	From, To int
-	// Every fires the rule once per Every frames counted from From
-	// (0 fires on every frame in range). Burst widens each firing to
-	// that many consecutive frames (0 means 1) — a bursty stall.
-	Every, Burst int
-	// P, when in (0,1), additionally gates each firing on a
-	// deterministic seeded coin flip keyed by (seed, rule, frame).
-	P float64
-}
+// Rule is one fault source in a scenario. It is the scenario program's
+// fault rule, so a parsed program's rules run unconverted.
+type Rule = scenario.FaultRule
 
 // Scenario is a reproducible chaos specification: a seed and a rule list.
 type Scenario struct {
@@ -77,41 +38,17 @@ type Scenario struct {
 	Rules []Rule
 }
 
-// Injector evaluates a scenario. Stage decisions are stateless and safe
-// for concurrent use; I/O decisions serialize on an internal access
-// counter. Two injectors built from the same scenario make identical
-// decisions.
+// Injector evaluates a validated scenario. It is stateless and safe for
+// concurrent use; two injectors built from the same scenario make
+// identical decisions.
 type Injector struct {
 	sc Scenario
-
-	mu         sync.Mutex
-	ioAccesses int
 }
 
 // New validates the scenario and returns its injector.
 func New(sc Scenario) (*Injector, error) {
-	for i, r := range sc.Rules {
-		if r.Stage == "" {
-			return nil, fmt.Errorf("faultinject: rule %d has no target stage", i)
-		}
-		if !r.Err && r.Delay <= 0 {
-			return nil, fmt.Errorf("faultinject: rule %d (%s) has no action: set Delay or Err", i, r.Stage)
-		}
-		if r.Delay < 0 {
-			return nil, fmt.Errorf("faultinject: rule %d (%s) has negative delay", i, r.Stage)
-		}
-		if r.From < 0 || r.To < 0 || (r.To > 0 && r.To < r.From) {
-			return nil, fmt.Errorf("faultinject: rule %d (%s) has invalid frame range [%d,%d]", i, r.Stage, r.From, r.To)
-		}
-		if r.Every < 0 || r.Burst < 0 {
-			return nil, fmt.Errorf("faultinject: rule %d (%s) has negative cadence", i, r.Stage)
-		}
-		if r.Burst > 0 && r.Every > 0 && r.Burst > r.Every {
-			return nil, fmt.Errorf("faultinject: rule %d (%s) burst %d exceeds its period %d", i, r.Stage, r.Burst, r.Every)
-		}
-		if r.P < 0 || r.P > 1 {
-			return nil, fmt.Errorf("faultinject: rule %d (%s) probability %v outside [0,1]", i, r.Stage, r.P)
-		}
+	if err := scenario.ValidateFaults(sc.Rules); err != nil {
+		return nil, err
 	}
 	return &Injector{sc: sc}, nil
 }
@@ -143,50 +80,6 @@ func (in *Injector) Stage(stage string, frame int) (time.Duration, error) {
 		}
 	}
 	return delay, nil
-}
-
-// IO reports the fault, if any, for the next shard I/O access, advancing
-// the access counter. Matching delays are slept here (an I/O stall is real
-// time on the load path); a matching Err rule fails the access.
-func (in *Injector) IO() error {
-	in.mu.Lock()
-	n := in.ioAccesses
-	in.ioAccesses++
-	in.mu.Unlock()
-
-	var delay time.Duration
-	for i, r := range in.sc.Rules {
-		if r.Stage != IOTarget || !fires(in.sc.Seed, i, r, n) {
-			continue
-		}
-		if r.Err {
-			return fmt.Errorf("faultinject: io fault at access %d: %w", n, ErrInjected)
-		}
-		if r.Delay > delay {
-			delay = r.Delay
-		}
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return nil
-}
-
-// IOAccesses reports how many shard I/O accesses the injector has seen.
-func (in *Injector) IOAccesses() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ioAccesses
-}
-
-// OpenFile is os.Open behind the injector's I/O rules. Its signature
-// matches slam.ShardStoreOptions.Open, so a shard store opened with it
-// sees the scenario's I/O faults.
-func (in *Injector) OpenFile(path string) (io.ReadCloser, error) {
-	if err := in.IO(); err != nil {
-		return nil, fmt.Errorf("faultinject: opening %s: %w", path, err)
-	}
-	return os.Open(path)
 }
 
 // fires reports whether rule idx triggers on frame: inside the frame

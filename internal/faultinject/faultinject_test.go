@@ -2,10 +2,7 @@ package faultinject
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -18,8 +15,9 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"valid delay", Rule{Stage: "DET", Delay: time.Millisecond}, ""},
 		{"valid err", Rule{Stage: "SRC", Err: true}, ""},
-		{"valid io", Rule{Stage: IOTarget, Err: true, P: 0.5}, ""},
 		{"no stage", Rule{Delay: time.Millisecond}, "no target stage"},
+		{"unknown stage", Rule{Stage: "DTE", Err: true}, `unknown stage "DTE"`},
+		{"io", Rule{Stage: "IO", Err: true, P: 0.5}, `unknown stage "IO"`},
 		{"no action", Rule{Stage: "DET"}, "no action"},
 		{"negative delay", Rule{Stage: "DET", Err: true, Delay: -1}, "negative delay"},
 		{"negative from", Rule{Stage: "DET", Err: true, From: -1}, "invalid frame range"},
@@ -195,75 +193,6 @@ func TestBernoulliProperties(t *testing.T) {
 	}
 }
 
-func TestIOCounterAndFaults(t *testing.T) {
-	in, err := New(Scenario{Rules: []Rule{
-		{Stage: IOTarget, Err: true, Every: 3},
-		{Stage: "DET", Err: true}, // must not affect I/O accesses
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 9; i++ {
-		err := in.IO()
-		wantErr := i%3 == 0
-		if (err != nil) != wantErr {
-			t.Fatalf("access %d: err=%v, want fault=%v", i, err, wantErr)
-		}
-		if wantErr && !errors.Is(err, ErrInjected) {
-			t.Fatalf("access %d: err %v does not wrap sentinel", i, err)
-		}
-	}
-	if n := in.IOAccesses(); n != 9 {
-		t.Fatalf("IOAccesses = %d, want 9", n)
-	}
-}
-
-func TestIOConcurrentAccessCount(t *testing.T) {
-	in, err := New(Scenario{Rules: []Rule{{Stage: IOTarget, Err: true, P: 0.5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = in.IO()
-			}
-		}()
-	}
-	wg.Wait()
-	if n := in.IOAccesses(); n != 400 {
-		t.Fatalf("IOAccesses = %d after 8x50 concurrent calls, want 400", n)
-	}
-}
-
-func TestOpenFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tile.bin")
-	if err := os.WriteFile(path, []byte("shard"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	in, err := New(Scenario{Rules: []Rule{{Stage: IOTarget, Err: true, From: 1, To: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := in.OpenFile(path) // access 0: clean
-	if err != nil {
-		t.Fatalf("clean open failed: %v", err)
-	}
-	rc.Close()
-	if _, err := in.OpenFile(path); !errors.Is(err, ErrInjected) { // access 1: faulted
-		t.Fatalf("faulted open err = %v, want ErrInjected", err)
-	}
-	rc, err = in.OpenFile(path) // access 2: clean again (transient)
-	if err != nil {
-		t.Fatalf("post-fault open failed: %v", err)
-	}
-	rc.Close()
-}
-
 func TestScenarioCopy(t *testing.T) {
 	in, err := New(MustParse("DET:delay=5ms", 1))
 	if err != nil {
@@ -277,7 +206,7 @@ func TestScenarioCopy(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	sc, err := Parse("DET:delay=30ms:every=5, LOC:delay=80ms:frames=10-14, SRC:drop:every=50, IO:err:p=0.2, MOTPLAN:err:frames=9, TRA:delay=1ms:frames=7-", 42)
+	sc, err := Parse("DET:delay=30ms:every=5, LOC:delay=80ms:frames=10-14, SRC:drop:every=50, CONTROL:err:p=0.2, MOTPLAN:err:frames=9, TRA:delay=1ms:frames=7-", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +217,7 @@ func TestParse(t *testing.T) {
 		{Stage: "DET", Delay: 30 * time.Millisecond, Every: 5},
 		{Stage: "LOC", Delay: 80 * time.Millisecond, From: 10, To: 14},
 		{Stage: "SRC", Err: true, Every: 50},
-		{Stage: IOTarget, Err: true, P: 0.2},
+		{Stage: "CONTROL", Err: true, P: 0.2},
 		{Stage: "MOTPLAN", Err: true, From: 9, To: 9},
 		{Stage: "TRA", Delay: time.Millisecond, From: 7, To: 0},
 	}

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"slices"
 
 	"adsim/internal/scenario"
 )
@@ -14,9 +15,10 @@ import (
 //	LOC:delay=60ms:every=7:burst=3  bursty stall: 3 consecutive frames each period
 //	SRC:drop:every=50               drop every 50th frame
 //	MOTPLAN:err:frames=9            hard-fail MOTPLAN on frame 9
-//	IO:err:p=0.2                    fail ~20% of map-shard loads
+//	LOC:err:p=0.2                   hard-fail LOC on ~20% of frames
 //
-// Each rule is STAGE:action[:modifier...]. Actions are delay=<duration>,
+// Each rule is STAGE:action[:modifier...], STAGE one of
+// scenario.StageNames (case-insensitive). Actions are delay=<duration>,
 // err, and drop (an alias for err, conventionally used on SRC). Modifiers
 // are every=N, burst=N, p=0.x, and frames=A-B (inclusive; A alone pins one
 // frame, "A-" leaves the range open-ended).
@@ -34,7 +36,7 @@ func Parse(spec string, seed int64) (Scenario, error) {
 	if prog.Timeline != nil {
 		return Scenario{}, fmt.Errorf("faultinject: spec %q contains world (phase) statements; run it as a scenario program", spec)
 	}
-	return FromRules(prog.Faults, seed), nil
+	return FromProgram(prog, seed), nil
 }
 
 // MustParse is Parse that panics on a malformed spec — for tests and
@@ -47,19 +49,9 @@ func MustParse(spec string, seed int64) Scenario {
 	return sc
 }
 
-// FromRules converts scenario-program fault rules (already validated by
-// the program parser) into a runnable Scenario with the given seed.
-func FromRules(rules []scenario.FaultRule, seed int64) Scenario {
-	sc := Scenario{Seed: seed}
-	for _, r := range rules {
-		sc.Rules = append(sc.Rules, Rule(r))
-	}
-	return sc
-}
-
 // FromProgram extracts a program's fault rules as a runnable Scenario.
 // Programs with no fault rules yield an empty scenario whose injector
 // never fires.
 func FromProgram(prog *scenario.Program, seed int64) Scenario {
-	return FromRules(prog.Faults, seed)
+	return Scenario{Seed: seed, Rules: slices.Clone(prog.Faults)}
 }

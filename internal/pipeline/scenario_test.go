@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"adsim/internal/faultinject"
@@ -12,6 +13,19 @@ import (
 // equivalence contract must hold when the world itself changes mid-run
 // (arrival-process spawns, driver maneuvers, blackout/occlusion windows,
 // loop segments) and the program's fault rules fire on top.
+
+// TestFaultTargetsAreStageNames pins the fault validator's target list
+// to the graph's canonical stage names, in graph order: a renamed stage
+// fails here instead of leaving every rule that names it silently inert.
+func TestFaultTargetsAreStageNames(t *testing.T) {
+	var names []string
+	for id := StageID(0); id < NumStages; id++ {
+		names = append(names, id.String())
+	}
+	if !slices.Equal(scenario.StageNames, names) {
+		t.Fatalf("scenario.StageNames = %v, pipeline stages = %v", scenario.StageNames, names)
+	}
+}
 
 // scenarioChaosProgram is a compound program scaled to the chaos suite's
 // short runs (24 frames at 10 fps = 2.4 s): dense aggressive traffic, then

@@ -14,7 +14,7 @@
 //
 //	phase 0-30s: density=8/km, driver=aggressive
 //	phase 30-60s: illumination=0.4, blackout=2s@45s
-//	DET:delay=30ms:every=5, IO:err:p=0.2
+//	DET:delay=30ms:every=5, LOC:err:p=0.2
 //
 // A phase statement is "phase <start>-<end>s: clause, clause, ...". Times
 // are scenario seconds (the trailing "s" is optional); "<start>-" leaves
@@ -42,12 +42,13 @@
 // phase ordering and overlap, parameter ranges, loop-topology constraints
 // (a loop segment with nonzero moving-actor density is rejected — loop
 // worlds are static), window placement, and fault-rule well-formedness
-// (the same checks faultinject.New applies). A parsed Program therefore
-// always compiles into a running generator and injector.
+// (ValidateFaults, which faultinject.New calls too). A parsed Program
+// therefore always compiles into a running generator and injector.
 package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -55,17 +56,38 @@ import (
 	"adsim/internal/scene"
 )
 
-// FaultRule is one fault source in a program. It mirrors faultinject.Rule
-// field for field (faultinject converts with a plain struct conversion);
-// the duplication exists because faultinject imports this package for its
-// parser, so this package cannot import faultinject back.
+// StageNames are the canonical pipeline stage names, the only targets a
+// fault rule may name. They match pipeline.StageID.String in graph order
+// (a pipeline test pins the two together), so a rule can never name a
+// stage the injector's caller will not ask about.
+var StageNames = []string{"SRC", "DET", "LOC", "TRA", "FUSION", "MISPLAN", "MOTPLAN", "CONTROL"}
+
+// FaultRule is one fault source in a program: a target stage, a trigger
+// (frame range, cadence, probability) and an action (delay and/or hard
+// error). faultinject evaluates it as is (faultinject.Rule is this type).
 type FaultRule struct {
-	Stage        string
-	Delay        time.Duration
-	Err          bool
-	From, To     int
+	// Stage is one of StageNames.
+	Stage string
+
+	// Delay charges this duration against the stage's deadline budget
+	// (and sleeps it under wall-clock enforcement) on frames the rule
+	// fires.
+	Delay time.Duration
+	// Err injects a hard failure: the stage errors (the frame is
+	// delivered with Err set, downstream stages skipped). An Err fired at
+	// SRC is a dropped frame.
+	Err bool
+
+	// From and To bound the frames the rule applies to, inclusive.
+	// To == 0 leaves the range open-ended.
+	From, To int
+	// Every fires the rule once per Every frames counted from From
+	// (0 fires on every frame in range). Burst widens each firing to
+	// that many consecutive frames (0 means 1) — a bursty stall.
 	Every, Burst int
-	P            float64
+	// P, when in (0,1), additionally gates each firing on a
+	// deterministic seeded coin flip keyed by (seed, rule, frame).
+	P float64
 }
 
 // Program is one parsed, validated scenario program.
@@ -117,7 +139,7 @@ func Parse(name, src string) (*Program, error) {
 	if err := p.Timeline.Validate(); err != nil {
 		return nil, p.wrap(err)
 	}
-	if err := validateFaults(p.Faults); err != nil {
+	if err := ValidateFaults(p.Faults); err != nil {
 		return nil, p.wrap(err)
 	}
 	return p, nil
@@ -363,12 +385,16 @@ func parseFrameRange(s string) (from, to int, err error) {
 	return from, to, nil
 }
 
-// validateFaults applies the same well-formedness checks faultinject.New
-// does, so a parsed program always compiles into an injector.
-func validateFaults(rules []FaultRule) error {
+// ValidateFaults checks every rule is well formed: a canonical target
+// stage, an action, and a sane trigger. Parse and faultinject.New both
+// call it, so a parsed program always compiles into an injector.
+func ValidateFaults(rules []FaultRule) error {
 	for i, r := range rules {
 		if r.Stage == "" {
 			return fmt.Errorf("scenario: rule %d has no target stage", i)
+		}
+		if !slices.Contains(StageNames, r.Stage) {
+			return fmt.Errorf("scenario: rule %d targets unknown stage %q (want one of %s)", i, r.Stage, strings.Join(StageNames, " "))
 		}
 		if !r.Err && r.Delay <= 0 {
 			return fmt.Errorf("scenario: rule %d (%s) has no action: set delay or err", i, r.Stage)

@@ -18,7 +18,7 @@ func TestParseProgram(t *testing.T) {
 # compound program: world phases plus fault rules
 phase 0-30s: density=8/km, driver=aggressive
 phase 30-60s: blackout=2s@45s, illumination=0.4
-DET:delay=30ms:every=5, IO:err:p=0.2
+DET:delay=30ms:every=5, LOC:err:p=0.2
 `
 	p, err := scenario.Parse("demo", src)
 	if err != nil {
@@ -46,7 +46,7 @@ DET:delay=30ms:every=5, IO:err:p=0.2
 	}
 	wantFaults := []scenario.FaultRule{
 		{Stage: "DET", Delay: 30 * time.Millisecond, Every: 5},
-		{Stage: "IO", Err: true, P: 0.2},
+		{Stage: "LOC", Err: true, P: 0.2},
 	}
 	if !reflect.DeepEqual(p.Faults, wantFaults) {
 		t.Errorf("faults = %+v, want %+v", p.Faults, wantFaults)
@@ -76,6 +76,8 @@ func TestParseErrors(t *testing.T) {
 		{"loop inherits traffic", "phase 0-10s: density=5/km; phase 10-20s: loop=120m", "loop worlds are static"},
 		{"bad fault rule", "DET", "needs STAGE:action"},
 		{"fault validation", "DET:delay=1ms:every=2:burst=5", "exceeds its period"},
+		{"unknown stage", "DTE:err:every=2", `unknown stage "DTE"`},
+		{"io rule", "IO:err:p=0.2", `unknown stage "IO"`},
 		{"nan density", "phase 0-10s: density=NaN", "outside [0,200]/km"},
 	}
 	for _, tc := range cases {
@@ -178,7 +180,7 @@ func TestStringRoundTrip(t *testing.T) {
 // TestFaultinjectShim: the legacy fault grammar parses identically through
 // the unified parser, and world statements are rejected on the fault path.
 func TestFaultinjectShim(t *testing.T) {
-	sc, err := faultinject.Parse("DET:delay=30ms:every=5, IO:err:p=0.2", 7)
+	sc, err := faultinject.Parse("DET:delay=30ms:every=5, LOC:err:p=0.2", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func FuzzParseScenarioProgram(f *testing.F) {
 		}
 		f.Add(p.Source)
 	}
-	f.Add("DET:delay=30ms:every=5, IO:err:p=0.2")
+	f.Add("DET:delay=30ms:every=5, LOC:err:p=0.2")
 	f.Add("phase 0-30s: density=8/km, driver=aggressive; phase 30-60s: blackout=2s@45s")
 	f.Add("phase 0-10s: loop=120m, density=5/km")
 	f.Add("phase 0-10s: density=NaN")

@@ -3,7 +3,6 @@ package slam
 import (
 	"container/list"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,11 +27,6 @@ type ShardStoreOptions struct {
 	// Prefetch enables the motion-model-directed background prefetcher:
 	// Advise warms the next tile in the travel direction off the read path.
 	Prefetch bool
-	// Open, when non-nil, replaces os.Open for reading shard files — the
-	// seam chaos tests inject I/O faults through
-	// (faultinject.Injector.OpenFile satisfies it). It receives the full
-	// shard path.
-	Open func(path string) (io.ReadCloser, error)
 }
 
 // ShardStore is the tiled on-disk prior-map store: a directory of ADM1
@@ -49,7 +43,6 @@ type ShardStore struct {
 	dir    string
 	idx    ShardIndex
 	budget int64
-	open   func(path string) (io.ReadCloser, error)
 
 	mu            sync.Mutex
 	resident      map[int]*residentTile // index-position → cache entry
@@ -91,15 +84,10 @@ func OpenShardStore(dir string, opts ShardStoreOptions) (*ShardStore, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry(0)
 	}
-	open := opts.Open
-	if open == nil {
-		open = func(path string) (io.ReadCloser, error) { return os.Open(path) }
-	}
 	s := &ShardStore{
 		dir:           dir,
 		idx:           *idx,
 		budget:        opts.CacheBudget,
-		open:          open,
 		resident:      make(map[int]*residentTile),
 		lru:           list.New(),
 		overlay:       &PriorMap{nextID: idx.MaxID},
@@ -230,7 +218,7 @@ func (s *ShardStore) evictionVictimLocked() *residentTile {
 
 func (s *ShardStore) loadTile(pos int) ([]Keyframe, error) {
 	name := s.idx.Tiles[pos].File
-	f, err := s.open(filepath.Join(s.dir, name))
+	f, err := os.Open(filepath.Join(s.dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("slam: opening shard %s: %w", name, err)
 	}
