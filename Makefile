@@ -6,7 +6,7 @@ TELEMETRY_COVER_FLOOR ?= 80
 # suite's determinism claims, so nearly every branch must be exercised.
 FAULTINJECT_COVER_FLOOR ?= 90
 
-.PHONY: build vet test race flake-gate bench-smoke bench-check alloc-gate noasm-check check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke
+.PHONY: build vet test race flake-gate bench-smoke bench-check alloc-gate noasm-check check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke deadcode
 
 build:
 	$(GO) build ./...
@@ -111,11 +111,13 @@ fleet-smoke:
 # Tail smoke: the closed-loop tail-scheduler suite under the race detector
 # (controller law, pinned-window/Step equivalence, in-order shrink, anytime
 # drain and golden trace), then a short stall-injected end-to-end run
-# through the CLI with the scheduler and anytime DET on.
+# through the CLI with the scheduler and anytime DET on, and the negative:
+# a -ladder without -tail must be rejected (exit 2), not silently ignored.
 tail-smoke:
 	$(GO) test -race -run 'TestTail|TestAnytime|TestChaosAnytimeEquivalence|TestGoldenAnytimeTrace' ./internal/pipeline
 	$(GO) run ./cmd/adpipe -frames 40 -dnn=false -width 384 -height 192 -survey 20 \
 		-inflight 4 -deadline 100ms -anytime -tail 40ms -fault 'DET:delay=32ms:every=7:burst=3'
+	! $(GO) run ./cmd/adpipe -frames 1 -dnn=false -survey 0 -ladder 64,48
 
 # Long-haul soak: thousands of virtual-deadline frames through a churning,
 # admission-controlled fleet under the mixed-stress scenario, with the
@@ -133,12 +135,14 @@ soak-smoke:
 # (parser/validator/library, scene timeline determinism, program-driven
 # Step/Runner equivalence and per-vehicle fleet assignment), then one
 # library program replayed end to end through each CLI — adpipe prints its
-# constraint scorecard, adfleet assigns a program to one vehicle.
+# constraint scorecard, adfleet assigns a program to one vehicle — and the
+# negative: -base with a built-in world must be rejected (exit 2).
 scenario-smoke:
 	$(GO) test -race ./internal/scenario ./internal/scene
 	$(GO) test -race -run 'TestScenarioProgram|TestFleetSceneAssignment|TestScenariosStudy' ./internal/pipeline ./internal/experiment
 	$(GO) run ./cmd/adpipe -scenario mixed-stress -frames 40 -dnn=false -width 384 -height 192 -survey 20 -deadline 100ms
 	$(GO) run ./cmd/adfleet -vehicles 2 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -assign '1=cut-in'
+	! $(GO) run ./cmd/adpipe -frames 1 -dnn=false -survey 0 -scenario highway -base urban
 
 # The tier the concurrency work is held to: check formatting, compile
 # everything, vet, run the full test suite under the race detector (which
@@ -171,3 +175,33 @@ cover:
 	echo "internal/faultinject mean statement coverage: $$total% (floor $(FAULTINJECT_COVER_FLOOR)%)"; \
 	awk "BEGIN { exit !($$total >= $(FAULTINJECT_COVER_FLOOR)) }" || \
 		{ echo "coverage below floor"; exit 1; }
+
+# Link-time census: build every main of this module and of bench/ with
+# inlining off (so an inlined call still leaves its callee in the symbol
+# table), read the binaries' symbols with go tool nm, and print each
+# function or method declared in a non-test internal/ file (for this
+# GOARCH) that no binary links, as file:line and name. It reports and
+# never fails on what it finds; test oracles and helpers, the pure-Go
+# kernels another GOARCH links, interface methods and format readers show
+# up too, on purpose.
+deadcode:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
+		$(GO) build -gcflags=all=-l -o "$$tmp/bin.$${p##*/}" "$$p" || exit 1; \
+	done; \
+	$(GO) build -C bench -gcflags=all=-l -o "$$tmp/bin.bench" . || exit 1; \
+	for b in "$$tmp"/bin.*; do $(GO) tool nm "$$b"; done | \
+		awk '{ print $$NF }' | sed -e 's/\.abi0$$//' -e 's/\[[^]]*\]//g' | sort -u > "$$tmp/linked"; \
+	$(GO) list -f '{{$$d := .Dir}}{{$$p := .ImportPath}}{{range .GoFiles}}{{$$p}} {{$$d}}/{{.}}{{"\n"}}{{end}}' ./internal/... | \
+	while read -r pkg file; do \
+		grep -n '^func ' "$$file" | sed -E \
+			-e 's/^([0-9]+):func \(([A-Za-z_][A-Za-z0-9_]* )?\*([A-Za-z0-9_]+)(\[[^]]*\])?\) ([A-Za-z0-9_]+).*/\1 (*\3).\5/' \
+			-e 's/^([0-9]+):func \(([A-Za-z_][A-Za-z0-9_]* )?([A-Za-z0-9_]+)(\[[^]]*\])?\) ([A-Za-z0-9_]+).*/\1 \3.\5/' \
+			-e 's/^([0-9]+):func ([A-Za-z0-9_]+).*/\1 \2/' | \
+		while read -r line name; do echo "$$pkg $$name $${file#$$PWD/}:$$line"; done; \
+	done | awk -v linked="$$tmp/linked" ' \
+		BEGIN { while ((getline s < linked) > 0) have[s] = 1 } \
+		$$2 == "init" || $$2 == "_" { next } \
+		{ ptr = $$2; if (sub(/\./, ").", ptr) && ptr !~ /^\(/) ptr = "(*" ptr; else ptr = "" } \
+		!(($$1 "." $$2) in have) && !(ptr != "" && ($$1 "." ptr) in have) { print $$3 "\t" $$2; n++ } \
+		END { print n + 0 " unlinked functions" }'

@@ -82,6 +82,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	baseSet := false
+	flag.Visit(func(f *flag.Flag) { baseSet = baseSet || f.Name == "base" })
+	if prog == nil && baseSet {
+		fmt.Fprintf(os.Stderr, "adpipe: -base picks a scenario program's world; -scenario %s is a world already\n", *scenario)
+		os.Exit(2)
+	}
 
 	if *inflight < 1 {
 		fmt.Fprintf(os.Stderr, "adpipe: -inflight must be >= 1\n")
@@ -89,6 +95,10 @@ func main() {
 	}
 	if *anytime && *deadline <= 0 {
 		fmt.Fprintf(os.Stderr, "adpipe: -anytime needs -deadline enforcement to exit from\n")
+		os.Exit(2)
+	}
+	if *ladder != "" && *tailTgt <= 0 {
+		fmt.Fprintf(os.Stderr, "adpipe: -ladder is the tail scheduler's resolution ladder; it needs -tail\n")
 		os.Exit(2)
 	}
 

@@ -231,14 +231,3 @@ func TestFusionMotPlanSamples(t *testing.T) {
 		t.Errorf("motplan mean = %v", planSum/float64(n))
 	}
 }
-
-func TestEffectiveRateRenders(t *testing.T) {
-	m := NewModel()
-	for _, p := range Platforms() {
-		for _, e := range Engines() {
-			if m.EffectiveRate(p, e) == "" {
-				t.Fatal("empty rate description")
-			}
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"fmt"
 	"math"
 
 	"adsim/internal/stats"
@@ -176,15 +175,3 @@ func PaperMean(p Platform, e Engine) float64 { return paperMeanMs[p][e] }
 
 // PaperTail returns the Fig 10b calibration point (ms).
 func PaperTail(p Platform, e Engine) float64 { return paperTailMs[p][e] }
-
-// EffectiveRate describes a derived throughput for documentation output.
-func (m *Model) EffectiveRate(p Platform, e Engine) string {
-	switch e {
-	case DET:
-		return fmt.Sprintf("%.1f GMAC/s", m.detRate[p]/1e6)
-	case TRA:
-		return fmt.Sprintf("%.1f GMAC/s", m.traRate[p]/1e6)
-	default:
-		return fmt.Sprintf("%.1f Gop/s", m.feRate[p]/1e6)
-	}
-}

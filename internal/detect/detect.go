@@ -12,8 +12,9 @@
 //   - Functional path: because trained YOLO weights are unavailable (and
 //     untrainable here), detection boxes come from a deterministic reference
 //     proposal generator that finds the high-contrast object outlines the
-//     synthetic scenes render, then runs through the same confidence
-//     filtering and non-maximum suppression the YOLO decode uses. DESIGN.md
+//     synthetic scenes render, then runs through YOLO's confidence filter
+//     and non-maximum suppression. The network's output grid is not
+//     decoded: untrained weights would decode to noise. DESIGN.md
 //     documents this substitution.
 package detect
 

@@ -301,13 +301,6 @@ func TestConvShapeProperty(t *testing.T) {
 	}
 }
 
-func TestSummaryRenders(t *testing.T) {
-	s := TinyYOLO(64).Summary()
-	if s == "" {
-		t.Fatal("empty summary")
-	}
-}
-
 func TestShapeString(t *testing.T) {
 	if (Shape{3, 416, 416}).String() != "3x416x416" {
 		t.Error("shape string wrong")

@@ -1,15 +1,13 @@
 package dnn
 
-import (
-	"fmt"
-
-	"adsim/internal/tensor"
-)
+import "fmt"
 
 // Graph is a directed acyclic network supporting skip connections and
 // channel concatenation — enough to express YOLOv2's passthrough (the
 // 26×26×512 feature map reorganized and concatenated with the 13×13×1024
-// head), which the feed-forward Network type cannot.
+// head), which the feed-forward Network type cannot. It describes shapes
+// and cost only: the platform models read its cost, and nothing executes
+// it (the engines run a Network).
 //
 // Build with NewGraph/AddLayer/AddConcat; the last node added is the
 // output. Node IDs are dense ints; InputID designates the graph input.
@@ -41,7 +39,7 @@ func (g *Graph) AddLayer(l Layer, from int) int {
 
 // AddConcat appends a channel-concatenation node over the given nodes and
 // returns its ID. All inputs must share spatial dimensions (validated by
-// Check/Forward).
+// Check).
 func (g *Graph) AddConcat(from ...int) int {
 	g.nodes = append(g.nodes, gnode{inputs: append([]int(nil), from...)})
 	return len(g.nodes) - 1
@@ -132,44 +130,3 @@ func (g *Graph) Cost() Cost {
 	}
 	return total
 }
-
-// Forward runs inference through the graph and returns the output tensor.
-func (g *Graph) Forward(in *tensor.T) *tensor.T {
-	if _, err := g.Check(); err != nil {
-		panic(err)
-	}
-	outs := make([]*tensor.T, len(g.nodes))
-	get := func(id int) *tensor.T {
-		if id == InputID {
-			return in
-		}
-		return outs[id]
-	}
-	for id, n := range g.nodes {
-		if n.layer != nil {
-			// A throwaway scratch per node: skip connections read node
-			// outputs long after the next layer ran, so they cannot share
-			// one arena's ping-pong slots.
-			outs[id] = n.layer.Forward(get(n.inputs[0]), &Scratch{}, 1)
-			continue
-		}
-		// Concatenate along channels.
-		first := get(n.inputs[0])
-		totalC := 0
-		for _, from := range n.inputs {
-			totalC += get(from).C
-		}
-		cat := tensor.New(totalC, first.H, first.W)
-		off := 0
-		for _, from := range n.inputs {
-			t := get(from)
-			copy(cat.Data[off:], t.Data)
-			off += len(t.Data)
-		}
-		outs[id] = cat
-	}
-	return outs[len(outs)-1]
-}
-
-// NumNodes reports the number of nodes in the graph.
-func (g *Graph) NumNodes() int { return len(g.nodes) }

@@ -113,17 +113,6 @@ func TestGraphLinearEquivalence(t *testing.T) {
 	if g.Cost() != net.Cost() {
 		t.Fatalf("costs differ: %+v vs %+v", g.Cost(), net.Cost())
 	}
-	in := tensor.New(1, 16, 16)
-	for i := range in.Data {
-		in.Data[i] = float32(i%13) / 13
-	}
-	a := net.Forward(in)
-	b := g.Forward(in)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("forward outputs differ")
-		}
-	}
 }
 
 func TestGraphConcat(t *testing.T) {
@@ -137,10 +126,6 @@ func TestGraphConcat(t *testing.T) {
 	}
 	if out != (Shape{8, 4, 4}) {
 		t.Fatalf("concat shape %v, want 8x4x4", out)
-	}
-	res := g.Forward(tensor.New(2, 4, 4))
-	if res.C != 8 {
-		t.Fatalf("forward concat C=%d", res.C)
 	}
 }
 
@@ -178,16 +163,5 @@ func TestYOLOv2GraphProfile(t *testing.T) {
 	}
 	if float64(full.MACs) > 1.3*float64(plain.MACs) {
 		t.Errorf("passthrough overhead implausibly large: %d vs %d", full.MACs, plain.MACs)
-	}
-}
-
-func TestYOLOv2GraphForwardTiny(t *testing.T) {
-	// Executing the full 416 graph natively is too slow for unit tests;
-	// 32px exercises every node type including the concat and reorg.
-	g := YOLOv2Graph(32)
-	out := g.Forward(tensor.New(3, 32, 32))
-	want := g.OutShape()
-	if out.C != want.C || out.H != want.H || out.W != want.W {
-		t.Fatalf("forward %v, want %v", out, want)
 	}
 }

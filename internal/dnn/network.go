@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"strings"
 
 	"adsim/internal/tensor"
 )
@@ -111,24 +110,4 @@ func (n *Network) run(in *tensor.T, s *Scratch, workers int, keep Checkpoint) (*
 func (n *Network) Forward(in *tensor.T) *tensor.T {
 	out, _ := n.run(in, &Scratch{}, 1, nil)
 	return out
-}
-
-// Summary renders a table of layers, shapes and costs, similar to the
-// summaries printed by deep-learning frameworks.
-func (n *Network) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (input %v)\n", n.Name, n.Input)
-	shape := n.Input
-	var total Cost
-	for _, l := range n.Layers {
-		c := l.CostAt(shape)
-		out := l.OutShape(shape)
-		fmt.Fprintf(&b, "  %-16s %-14v %12d MACs %10d wbytes\n",
-			l.Name(), out, c.MACs, c.WeightBytes)
-		total = total.Add(c)
-		shape = out
-	}
-	fmt.Fprintf(&b, "  total: %.2f GMAC, %.1f MB weights\n",
-		float64(total.MACs)/1e9, float64(total.WeightBytes)/1e6)
-	return b.String()
 }

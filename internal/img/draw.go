@@ -75,56 +75,6 @@ func (g *Gray) FillCircle(cx, cy, r int, v uint8) {
 	}
 }
 
-// CheckerPhase fills r with a checkerboard of cell size cell alternating
-// between a and b, with the pattern shifted horizontally by offX pixels.
-// Advancing offX frame-over-frame makes the texture scroll, giving the SLAM
-// front-end coherent feature displacement to track.
-func (g *Gray) CheckerPhase(r Rect, cell, offX int, a, b uint8) {
-	if cell <= 0 {
-		cell = 1
-	}
-	c := r.Clip(0, 0, g.W, g.H)
-	if c.Empty() {
-		return
-	}
-	// Normalize the offset so x+offX stays non-negative for all pixels.
-	offX %= 2 * cell
-	if offX < 0 {
-		offX += 2 * cell
-	}
-	for y := int(c.Y0); y < int(c.Y1); y++ {
-		for x := int(c.X0); x < int(c.X1); x++ {
-			if (((x+offX)/cell)+(y/cell))%2 == 0 {
-				g.Pix[y*g.W+x] = a
-			} else {
-				g.Pix[y*g.W+x] = b
-			}
-		}
-	}
-}
-
-// Checker fills r with a checkerboard of cell size cell alternating between
-// a and b. Checkerboards give dense, repeatable corner responses, which the
-// scene generator uses to texture buildings and road shoulders.
-func (g *Gray) Checker(r Rect, cell int, a, b uint8) {
-	if cell <= 0 {
-		cell = 1
-	}
-	c := r.Clip(0, 0, g.W, g.H)
-	if c.Empty() {
-		return
-	}
-	for y := int(c.Y0); y < int(c.Y1); y++ {
-		for x := int(c.X0); x < int(c.X1); x++ {
-			if ((x/cell)+(y/cell))%2 == 0 {
-				g.Pix[y*g.W+x] = a
-			} else {
-				g.Pix[y*g.W+x] = b
-			}
-		}
-	}
-}
-
 func abs(a int) int {
 	if a < 0 {
 		return -a

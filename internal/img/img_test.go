@@ -338,46 +338,6 @@ func TestFillCircle(t *testing.T) {
 	}
 }
 
-func TestChecker(t *testing.T) {
-	g := NewGray(8, 8)
-	g.Checker(RectWH(0, 0, 8, 8), 2, 10, 200)
-	if g.At(0, 0) != 10 || g.At(2, 0) != 200 || g.At(2, 2) != 10 {
-		t.Error("checker pattern wrong")
-	}
-	g2 := NewGray(4, 4)
-	g2.Checker(RectWH(0, 0, 4, 4), 0, 1, 2) // cell<=0 coerced to 1
-	if g2.At(0, 0) != 1 || g2.At(1, 0) != 2 {
-		t.Error("checker with cell=0 should behave as cell=1")
-	}
-}
-
-func TestCheckerPhaseScrolls(t *testing.T) {
-	a := NewGray(16, 8)
-	b := NewGray(16, 8)
-	a.CheckerPhase(RectWH(0, 0, 16, 8), 4, 0, 10, 200)
-	b.CheckerPhase(RectWH(0, 0, 16, 8), 4, 4, 10, 200)
-	// Shifting by one cell swaps the colors at a fixed pixel.
-	if a.At(0, 0) == b.At(0, 0) {
-		t.Error("phase shift by one cell should change the pattern")
-	}
-	// Full-period shift is the identity.
-	c := NewGray(16, 8)
-	c.CheckerPhase(RectWH(0, 0, 16, 8), 4, 8, 10, 200)
-	for i := range a.Pix {
-		if a.Pix[i] != c.Pix[i] {
-			t.Fatal("full-period phase should reproduce the base pattern")
-		}
-	}
-	// Negative offsets must behave periodically too.
-	d := NewGray(16, 8)
-	d.CheckerPhase(RectWH(0, 0, 16, 8), 4, -8, 10, 200)
-	for i := range a.Pix {
-		if a.Pix[i] != d.Pix[i] {
-			t.Fatal("negative full-period phase should reproduce the base pattern")
-		}
-	}
-}
-
 func TestCropSubPixelExtents(t *testing.T) {
 	g := NewGray(100, 100)
 	c := g.Crop(RectWH(10, 10, 43, 0.5)) // fractional height

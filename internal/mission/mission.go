@@ -70,9 +70,8 @@ type Edge struct {
 
 // Graph is a directed road graph.
 type Graph struct {
-	nodes  map[NodeID]Node
-	adj    map[NodeID][]Edge
-	lights map[NodeID]TrafficLight
+	nodes map[NodeID]Node
+	adj   map[NodeID][]Edge
 }
 
 // NewGraph returns an empty road graph.

@@ -277,3 +277,19 @@ func TestDistToSegment(t *testing.T) {
 		t.Errorf("degenerate segment distance = %v, want 5", d)
 	}
 }
+
+// Property: guidance invariants hold for arbitrary positions — a
+// non-negative speed limit and leg distance.
+func TestGuidanceInvariantsProperty(t *testing.T) {
+	p, _ := NewPlanner(lineGraph(t, 4, Local))
+	if err := p.Start(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	f := func(x int8, z uint16) bool {
+		guid, err := p.Update(float64(x)/30, float64(z%350))
+		return err == nil && guid.SpeedLimit >= 0 && guid.DistanceToLegEnd >= 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

@@ -55,13 +55,8 @@ func (p *Planner) Start(src, dst NodeID) error {
 type Guidance struct {
 	// SpeedLimit for the active leg (m/s); 0 when the route is complete.
 	SpeedLimit float64
-	// StopAhead is true when the active leg currently requires stopping
-	// at its end: a static stop line, or a red light at evaluation time.
+	// StopAhead is true when the active leg has a stop line at its end.
 	StopAhead bool
-	// LightRed is true when StopAhead is caused by a red traffic light;
-	// TimeToGreen then reports how long until it clears (seconds).
-	LightRed    bool
-	TimeToGreen float64
 	// DistanceToLegEnd is the remaining length of the active leg (m).
 	DistanceToLegEnd float64
 	// Arrived is true once the final node is reached.
@@ -70,18 +65,10 @@ type Guidance struct {
 	Replanned bool
 }
 
-// Update advances route progress given the vehicle's localized position,
-// evaluating time-dependent rules (traffic lights) at t=0. Use UpdateAt to
-// supply the pipeline clock.
+// Update advances route progress given the vehicle's localized position.
+// It advances legs as their end nodes are passed, re-plans from the nearest
+// node on deviation, and reports the active leg's rules.
 func (p *Planner) Update(x, z float64) (Guidance, error) {
-	return p.UpdateAt(x, z, 0)
-}
-
-// UpdateAt advances route progress given the vehicle's localized position
-// and the current time (seconds, for traffic-light phases). It advances
-// legs as their end nodes are passed, re-plans from the nearest node on
-// deviation, and reports the active leg's rules.
-func (p *Planner) UpdateAt(x, z, now float64) (Guidance, error) {
 	if p.route.Empty() || p.leg >= len(p.route.Steps) {
 		return Guidance{Arrived: true}, nil
 	}
@@ -117,28 +104,21 @@ func (p *Planner) UpdateAt(x, z, now float64) (Guidance, error) {
 		}
 		step = r.Steps[0]
 		to, _ = p.g.Node(step.Edge.To)
-		guid := p.legGuidance(step, to, x, z, now)
+		guid := legGuidance(step, to, x, z)
 		guid.Replanned = true
 		return guid, nil
 	}
 
-	return p.legGuidance(step, to, x, z, now), nil
+	return legGuidance(step, to, x, z), nil
 }
 
-// legGuidance assembles the rule-engine output for the active leg,
-// composing static stop lines with the end node's traffic-light phase.
-func (p *Planner) legGuidance(step RouteStep, to Node, x, z, now float64) Guidance {
-	guid := Guidance{
+// legGuidance assembles the rule-engine output for the active leg.
+func legGuidance(step RouteStep, to Node, x, z float64) Guidance {
+	return Guidance{
 		SpeedLimit:       step.SpeedLimit,
 		StopAhead:        step.StopAtEnd,
 		DistanceToLegEnd: math.Hypot(to.X-x, to.Z-z),
 	}
-	if light, ok := p.g.LightAt(step.Edge.To); ok && light.PhaseAt(now) == Red {
-		guid.StopAhead = true
-		guid.LightRed = true
-		guid.TimeToGreen = light.TimeToGreen(now)
-	}
-	return guid
 }
 
 // nearestNode returns the graph node closest to (x,z).

@@ -15,8 +15,8 @@ import (
 // rare stage stall must not be allowed to ride the frame's critical path.
 // Enforcement turns a stall into a bounded wait plus a cheaper fallback:
 //
-//	DET  miss ⇒ TRA-only frame: no fresh detections; the tracker coasts
-//	            its tracked-object table on motion alone.
+//	DET  miss ⇒ TRA-only frame: no fresh detections; the tracker moves
+//	            every live track by template matching on the new frame.
 //	LOC  miss ⇒ motion-model-only pose, flagged Stale (Estimate.Stale).
 //	TRA  miss ⇒ previous frame's track table, coasted by reuse.
 //	FUSION / MISPLAN / MOTPLAN / CONTROL miss ⇒ previous output held

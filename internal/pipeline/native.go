@@ -96,7 +96,7 @@ func DefaultConfig(kind scene.Kind) Config {
 type StageTiming struct {
 	Det, Tra, Loc, Fusion, MisPlan, MotPlan, Control time.Duration
 	// E2E follows the dependency structure: max(LOC, DET+TRA) + FUSION +
-	// MOTPLAN (DET and LOC run in parallel).
+	// MOTPLAN + CONTROL (DET and LOC run in parallel).
 	E2E time.Duration
 	// Breakdown instrumentation. TraDNN and TraOther sum per-tracker
 	// durations across the tracker pool — total pool work, not wall time,
@@ -253,7 +253,8 @@ func (p *Pipeline) buildGraph() Graph {
 		ID: StageDet, Engine: p.det, Deps: []StageID{StageSrc}, Run: p.runDet,
 		Anytime: true,
 		// DET miss ⇒ TRA-only frame: no fresh detections; the tracker
-		// coasts its table on motion alone. The empty slot says exactly that.
+		// moves every live track by template matching on the new frame.
+		// The empty slot says exactly that.
 		Fallback: func() stageOut { return stageOut{} },
 	}
 	g.stages[StageLoc] = StageSpec{
@@ -408,7 +409,7 @@ func (p *Pipeline) runMisplan(fs *frameState, out *stageOut) error {
 		return nil
 	}
 	pose := fs.out[StageLoc].pose.Pose
-	guid, err := p.mis.UpdateAt(pose.X, pose.Z, fs.out[StageSrc].frame.Time)
+	guid, err := p.mis.Update(pose.X, pose.Z)
 	if err != nil {
 		return fmt.Errorf("pipeline: mission update: %w", err)
 	}

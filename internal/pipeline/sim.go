@@ -33,19 +33,6 @@ func (a Assignment) ComputePowerW(m *accel.Model) float64 {
 	return m.Power(a.Det, accel.DET) + m.Power(a.Tra, accel.TRA) + m.Power(a.Loc, accel.LOC)
 }
 
-// AllAssignments enumerates every platform assignment (4³ = 64).
-func AllAssignments() []Assignment {
-	var out []Assignment
-	for _, d := range accel.Platforms() {
-		for _, t := range accel.Platforms() {
-			for _, l := range accel.Platforms() {
-				out = append(out, Assignment{Det: d, Tra: t, Loc: l})
-			}
-		}
-	}
-	return out
-}
-
 // SimConfig parameterizes a simulated run.
 type SimConfig struct {
 	Assignment Assignment

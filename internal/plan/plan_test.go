@@ -6,132 +6,11 @@ import (
 	"testing/quick"
 )
 
-func TestCostmapValidation(t *testing.T) {
-	if _, err := NewCostmap(0, 0, 0, 10, 10); err == nil {
-		t.Error("zero resolution accepted")
-	}
-	if _, err := NewCostmap(0, 0, 0.5, 0, 10); err == nil {
-		t.Error("zero width accepted")
-	}
-}
-
-func TestCostmapIndexAndBounds(t *testing.T) {
-	cm, _ := NewCostmap(-5, 0, 0.5, 20, 40) // covers x [-5,5), z [0,20)
-	ix, iz, ok := cm.Index(0, 10)
-	if !ok || ix != 10 || iz != 20 {
-		t.Errorf("Index(0,10) = (%d,%d,%v)", ix, iz, ok)
-	}
-	if _, _, ok := cm.Index(-6, 10); ok {
-		t.Error("out-of-bounds X accepted")
-	}
-	if !math.IsInf(cm.CostAt(100, 100), 1) {
-		t.Error("outside cost should be lethal")
-	}
-}
-
-func TestCostmapObstacleInflation(t *testing.T) {
-	cm, _ := NewCostmap(-10, -10, 0.5, 40, 40)
-	cm.AddObstacle(Obstacle{X: 0, Z: 0, Radius: 1})
-	if !cm.Lethal(0, 0) {
-		t.Error("obstacle center not lethal")
-	}
-	if !cm.Lethal(0.7, 0) {
-		t.Error("inside radius not lethal")
-	}
-	soft := cm.CostAt(0, 1.4) // between radius and 2*radius
-	if soft <= 0 || math.IsInf(soft, 1) {
-		t.Errorf("soft inflation cost = %v", soft)
-	}
-	if cm.CostAt(5, 5) != 0 {
-		t.Error("far cell should be free")
-	}
-}
-
 func TestObstacleExtrapolation(t *testing.T) {
 	o := Obstacle{X: 1, Z: 2, VX: 0.5, VZ: -1}
 	x, z := o.At(2)
 	if x != 2 || z != 0 {
 		t.Errorf("At(2) = (%v,%v), want (2,0)", x, z)
-	}
-}
-
-func TestLatticeStraightPath(t *testing.T) {
-	cm, _ := NewCostmap(-10, -10, 0.5, 40, 80)
-	p, err := PlanLattice(cm, DefaultLatticeConfig(), 0, -5, 0, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Waypoints) < 10 {
-		t.Fatalf("path too short: %d waypoints", len(p.Waypoints))
-	}
-	last := p.Waypoints[len(p.Waypoints)-1]
-	if math.Hypot(last.X, last.Z-20) > 1.5 {
-		t.Errorf("path ends at (%v,%v), want near (0,20)", last.X, last.Z)
-	}
-	// A straight corridor should yield a near-straight path.
-	if p.Length() > 27 {
-		t.Errorf("straight path length %.1f, want ~25", p.Length())
-	}
-}
-
-func TestLatticeAvoidsObstacle(t *testing.T) {
-	cm, _ := NewCostmap(-10, -10, 0.5, 40, 80)
-	obst := Obstacle{X: 0, Z: 5, Radius: 2}
-	cm.AddObstacle(obst)
-	p, err := PlanLattice(cm, DefaultLatticeConfig(), 0, -5, 0, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wp := range p.Waypoints {
-		if math.Hypot(wp.X-obst.X, wp.Z-obst.Z) < obst.Radius {
-			t.Fatalf("waypoint (%v,%v) inside obstacle", wp.X, wp.Z)
-		}
-	}
-	// Detour must be longer than the straight line.
-	if p.Length() <= 25 {
-		t.Errorf("detour length %.1f suspiciously short", p.Length())
-	}
-}
-
-func TestLatticeRejectsBadQueries(t *testing.T) {
-	cm, _ := NewCostmap(-10, -10, 0.5, 40, 40)
-	if _, err := PlanLattice(cm, DefaultLatticeConfig(), -50, 0, 0, 0, 5); err == nil {
-		t.Error("outside start accepted")
-	}
-	if _, err := PlanLattice(cm, DefaultLatticeConfig(), 0, 0, 0, 50, 50); err == nil {
-		t.Error("outside goal accepted")
-	}
-	cm.AddObstacle(Obstacle{X: 5, Z: 5, Radius: 1})
-	if _, err := PlanLattice(cm, DefaultLatticeConfig(), 0, 0, 0, 5, 5); err == nil {
-		t.Error("occupied goal accepted")
-	}
-}
-
-func TestLatticeNoPathThroughWall(t *testing.T) {
-	cm, _ := NewCostmap(-10, -10, 0.5, 40, 80)
-	// Wall across the full width at z=5.
-	for x := -10.0; x < 10; x += 0.4 {
-		cm.AddObstacle(Obstacle{X: x, Z: 5, Radius: 0.6})
-	}
-	if _, err := PlanLattice(cm, DefaultLatticeConfig(), 0, -5, 0, 0, 20); err == nil {
-		t.Error("path found through a solid wall")
-	}
-}
-
-func TestLatticeTurnCostPrefersStraight(t *testing.T) {
-	cm, _ := NewCostmap(-10, -10, 0.5, 40, 80)
-	p, err := PlanLattice(cm, DefaultLatticeConfig(), 0, -5, 0, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	turns := 0
-	for i := 1; i < len(p.Waypoints); i++ {
-		if p.Waypoints[i].Theta != p.Waypoints[i-1].Theta {
-			turns++
-		}
-	}
-	if turns > 2 {
-		t.Errorf("straight corridor path has %d heading changes", turns)
 	}
 }
 
@@ -348,18 +227,6 @@ func BenchmarkPlanConformal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := PlanConformal(cfg, 0, 0, obst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlanLattice(b *testing.B) {
-	cm, _ := NewCostmap(-10, -10, 0.5, 40, 80)
-	cm.AddObstacle(Obstacle{X: 0, Z: 5, Radius: 2})
-	cfg := DefaultLatticeConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PlanLattice(cm, cfg, 0, -5, 0, 0, 20); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -523,56 +523,6 @@ func FuzzMatchDescriptors(f *testing.F) {
 	})
 }
 
-// The pyramid path draws every level from one reused scratch and must
-// equal the allocating per-level pipeline it replaced: Resize, BoxBlur,
-// the reference detector and reference descriptors, level by level.
-func TestPyramidScratchMatchesRef(t *testing.T) {
-	cfgScene := scene.DefaultConfig(scene.Urban)
-	cfgScene.Width, cfgScene.Height = 512, 256
-	gen, err := scene.New(cfgScene)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pyr := DefaultPyramidConfig()
-	fast := DefaultFASTConfig()
-	var fe FEScratch
-	for i := 0; i < 3; i++ {
-		frame := gen.Step().Image
-		var wantK []Keypoint
-		var wantD []Descriptor
-		for l := 0; l < pyr.Levels; l++ {
-			scale := pyr.LevelScale(l)
-			level := frame
-			if l > 0 {
-				w, h := int(float64(frame.W)/scale), int(float64(frame.H)/scale)
-				if w < 4*fast.Border || h < 4*fast.Border {
-					break
-				}
-				level = frame.Resize(w, h)
-			}
-			cfg := fast
-			cfg.MaxFeatures = max(int(float64(fast.MaxFeatures)/(scale*scale)), 8)
-			smoothed := level.BoxBlur(1)
-			for _, kp := range detectFASTRef(smoothed, cfg) {
-				wantD = append(wantD, computeRef(smoothed, kp))
-				kp.Level = l
-				kp.X, kp.Y = int(float64(kp.X)*scale), int(float64(kp.Y)*scale)
-				wantK = append(wantK, kp)
-			}
-		}
-		gotK, gotD := extractPyramid(frame, fast, pyr, &fe)
-		checkKeypoints(t, fmt.Sprintf("pyramid frame %d", i), gotK, wantK)
-		if !reflect.DeepEqual(gotD, wantD) {
-			t.Fatalf("pyramid frame %d: descriptors differ from reference", i)
-		}
-		plainK, plainD := ExtractFeaturesPyramid(frame, fast, pyr)
-		checkKeypoints(t, fmt.Sprintf("pyramid frame %d (no scratch)", i), plainK, wantK)
-		if !reflect.DeepEqual(plainD, wantD) {
-			t.Fatalf("pyramid frame %d: ExtractFeaturesPyramid descriptors differ", i)
-		}
-	}
-}
-
 // locRetainedAllocs is what a steady-state tracked frame may allocate: the
 // keypoint and descriptor slices the engine keeps (prevKps/prevDescs, and
 // the map on a runtime update), and the store's candidate snapshot, which
@@ -580,62 +530,55 @@ func TestPyramidScratchMatchesRef(t *testing.T) {
 const locRetainedAllocs = 3
 
 // TestAllocLocalizeSteadyState bounds LOC's per-frame allocations on a
-// surveyed route to the slices it retains, at a single scale and on the
-// 4-level pyramid.
+// surveyed route to the slices it retains.
 func TestAllocLocalizeSteadyState(t *testing.T) {
-	for _, levels := range []int{1, 4} {
-		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
-			cfg := scene.DefaultConfig(scene.Urban)
-			cfg.Width, cfg.Height = 512, 256
-			gen, err := scene.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ecfg := DefaultConfig()
-			ecfg.Pyramid.Levels = levels
-			eng, err := NewEngine(ecfg, NewPriorMap())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 80; i++ {
-				f := gen.Step()
-				eng.Survey(f.Image, f.EgoPose)
-			}
-			replay, err := scene.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Frames 1..5 warm the engine (cold-start relocalization, then
-			// tracking); the measured frames stay inside the surveyed
-			// route and short of the first loop-closing scan.
-			frames := make([]*img.Gray, 30)
-			for i := range frames {
-				frames[i] = replay.Step().Image
-			}
-			for _, f := range frames[:5] {
-				eng.Localize(f)
-			}
-			next := 5
-			var lost bool
-			allocs := testing.AllocsPerRun(20, func() {
-				est := eng.Localize(frames[next])
-				lost = lost || !est.Tracked || est.Relocalized
-				next++
-			})
-			if lost {
-				t.Fatal("a measured frame lost track; the gate needs steady-state tracking")
-			}
-			if eng.MapUpdates() != 0 {
-				t.Fatalf("%d runtime map updates inside the surveyed route", eng.MapUpdates())
-			}
-			if testutil.RaceEnabled {
-				t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
-			}
-			if allocs > locRetainedAllocs {
-				t.Errorf("Localize: %.1f allocs/frame on a %d-keyframe map, want <= %d (the retained kps, descs and candidate snapshot)",
-					allocs, eng.Store().Len(), locRetainedAllocs)
-			}
-		})
+	cfg := scene.DefaultConfig(scene.Urban)
+	cfg.Width, cfg.Height = 512, 256
+	gen, err := scene.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(DefaultConfig(), NewPriorMap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 80; i++ {
+		f := gen.Step()
+		eng.Survey(f.Image, f.EgoPose)
+	}
+	replay, err := scene.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frames 1..5 warm the engine (cold-start relocalization, then
+	// tracking); the measured frames stay inside the surveyed
+	// route and short of the first loop-closing scan.
+	frames := make([]*img.Gray, 30)
+	for i := range frames {
+		frames[i] = replay.Step().Image
+	}
+	for _, f := range frames[:5] {
+		eng.Localize(f)
+	}
+	next := 5
+	var lost bool
+	allocs := testing.AllocsPerRun(20, func() {
+		est := eng.Localize(frames[next])
+		lost = lost || !est.Tracked || est.Relocalized
+		next++
+	})
+	if lost {
+		t.Fatal("a measured frame lost track; the gate needs steady-state tracking")
+	}
+	if eng.MapUpdates() != 0 {
+		t.Fatalf("%d runtime map updates inside the surveyed route", eng.MapUpdates())
+	}
+	if testutil.RaceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
+	}
+	if allocs > locRetainedAllocs {
+		t.Errorf("Localize: %.1f allocs/frame on a %d-keyframe map, want <= %d (the retained kps, descs and candidate snapshot)",
+			allocs, eng.Store().Len(), locRetainedAllocs)
 	}
 }
 

@@ -31,7 +31,7 @@ type Keypoint struct {
 	X, Y  int
 	Score int     // corner response used for non-maximum suppression
 	Angle float64 // orientation from the intensity centroid, radians
-	Level int     // pyramid level the feature was detected at (0 = full res)
+	Level int     // pyramid level; FE extracts at 0 (full res), ADM1 maps store it
 }
 
 // FASTConfig parameterizes the oFAST detector.

@@ -11,10 +11,6 @@ import (
 // Config parameterizes the localization engine.
 type Config struct {
 	FAST FASTConfig
-	// Pyramid controls multi-scale feature extraction; the zero value (or
-	// Levels ≤ 1) extracts at full resolution only, ORB's canonical
-	// setting is DefaultPyramidConfig (8 levels at 1.2).
-	Pyramid PyramidConfig
 	// KeyframeSpacing is the survey keyframe pitch in meters.
 	KeyframeSpacing float64
 	// TrackWindow is the ± candidate search window (meters) around the
@@ -171,23 +167,18 @@ func (e *Engine) LoopClosures() int { return e.loopClosures }
 // MapUpdates reports keyframes added by local mapping at runtime.
 func (e *Engine) MapUpdates() int { return e.mapUpdates }
 
-// FEScratch holds the FE stage's reusable working buffers: the resized
-// pyramid level, the smoothed image and its blur workspace, the FAST score
-// map and candidate list, and the keypoints (and, across pyramid levels,
-// descriptors) a frame builds before its exact-size copy. The returned
+// FEScratch holds the FE stage's reusable working buffers: the smoothed
+// image and its blur workspace, the FAST score map and candidate list, and
+// the keypoints a frame builds before its exact-size copy. The returned
 // keypoints/descriptors never alias scratch memory (callers retain them
 // across frames); only transient intermediates are reused. Not safe for
 // concurrent use.
 type FEScratch struct {
-	level    img.Gray
 	smoothed img.Gray
 	integral img.Integral
 	scores   []int32    // FAST scores by pixel; all zero between calls
 	cands    []int32    // flat indices of this call's non-zero scores
 	kps      []Keypoint // detectFAST's result for the current image
-
-	pyrKps   []Keypoint // every pyramid level's features so far
-	pyrDescs []Descriptor
 }
 
 // ExtractFeatures runs the FE stage (oFAST + rBRIEF) on a frame. Exposed so
@@ -208,11 +199,8 @@ func ExtractFeaturesScratch(frame *img.Gray, cfg FASTConfig, s *FEScratch) ([]Ke
 	return kps, ComputeAll(smoothed, kps)
 }
 
-// extract runs the engine's configured FE stage (single- or multi-scale).
+// extract runs the FE stage on the engine's scratch.
 func (e *Engine) extract(frame *img.Gray) ([]Keypoint, []Descriptor) {
-	if e.cfg.Pyramid.Levels > 1 {
-		return extractPyramid(frame, e.cfg.FAST, e.cfg.Pyramid, &e.fe)
-	}
 	return ExtractFeaturesScratch(frame, e.cfg.FAST, &e.fe)
 }
 

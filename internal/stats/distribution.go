@@ -98,31 +98,6 @@ func (d *Distribution) P99() float64 { return d.Quantile(0.99) }
 // P9999 is shorthand for Quantile(0.9999), the paper's tail-latency metric.
 func (d *Distribution) P9999() float64 { return d.Quantile(0.9999) }
 
-// StdDev returns the population standard deviation.
-func (d *Distribution) StdDev() float64 {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := d.Mean()
-	var ss float64
-	for _, v := range d.samples {
-		dv := v - mean
-		ss += dv * dv
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Samples returns a copy of the recorded samples. Insertion order is NOT
-// preserved: any quantile query (Quantile, Min, Max, P99, ...) sorts the
-// backing slice in place, destroying the original order. Use the returned
-// values for histograms and re-aggregation only, never as a time series.
-func (d *Distribution) Samples() []float64 {
-	out := make([]float64, len(d.samples))
-	copy(out, d.samples)
-	return out
-}
-
 // Summary formats the distribution like the paper's figures: mean, P99 and
 // P99.99 in the sample unit.
 func (d *Distribution) Summary() string {
@@ -135,26 +110,4 @@ func (d *Distribution) ensureSorted() {
 		sort.Float64s(d.samples)
 		d.sorted = true
 	}
-}
-
-// Merge returns a new distribution containing the samples of all inputs.
-// Nil inputs are skipped, so partial aggregations (e.g. a stage that never
-// ran) merge without special-casing at the call site.
-func Merge(ds ...*Distribution) *Distribution {
-	total := 0
-	for _, d := range ds {
-		if d != nil {
-			total += d.N()
-		}
-	}
-	out := NewDistribution(total)
-	for _, d := range ds {
-		if d == nil {
-			continue
-		}
-		for _, v := range d.samples {
-			out.Add(v)
-		}
-	}
-	return out
 }

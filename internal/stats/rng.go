@@ -7,10 +7,7 @@
 // all experiments are reproducible bit-for-bit.
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic random source with the distribution helpers the
 // simulator needs. It wraps math/rand with an explicit seed; the zero value
@@ -22,19 +19,6 @@ type RNG struct {
 // NewRNG returns a deterministic generator seeded with seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{src: rand.New(rand.NewSource(seed))}
-}
-
-// Fork derives an independent deterministic stream from this one, keyed by
-// label. Two forks with different labels are decorrelated; the parent stream
-// is not advanced.
-func (r *RNG) Fork(label string) *RNG {
-	var h uint64 = 1469598103934665603 // FNV-1a offset basis
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	// Mix with the parent seed state via a draw-free hash of one peeked value.
-	return NewRNG(int64(h ^ uint64(r.src.Int63())))
 }
 
 // Float64 returns a uniform value in [0,1).
@@ -54,17 +38,6 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 // Normal returns a normal sample with the given mean and standard deviation.
 func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.src.NormFloat64()
-}
-
-// LogNormal returns a log-normal sample where the underlying normal has
-// parameters mu and sigma. The returned value has median exp(mu).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.src.NormFloat64())
-}
-
-// Exponential returns an exponential sample with the given mean.
-func (r *RNG) Exponential(mean float64) float64 {
-	return r.src.ExpFloat64() * mean
 }
 
 // Bernoulli returns true with probability p.

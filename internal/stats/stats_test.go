@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -28,30 +27,6 @@ func TestRNGSeedsDiffer(t *testing.T) {
 	}
 	if same > 1 {
 		t.Fatalf("different seeds produced %d/100 identical draws", same)
-	}
-}
-
-func TestRNGForkDecorrelated(t *testing.T) {
-	a := NewRNG(7).Fork("det")
-	b := NewRNG(7).Fork("loc")
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Float64() == b.Float64() {
-			same++
-		}
-	}
-	if same > 1 {
-		t.Fatalf("forked streams correlated: %d/100 identical draws", same)
-	}
-}
-
-func TestRNGForkDeterministic(t *testing.T) {
-	a := NewRNG(7).Fork("det")
-	b := NewRNG(7).Fork("det")
-	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
-			t.Fatal("same-label forks diverged")
-		}
 	}
 }
 
@@ -81,32 +56,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
 		t.Errorf("normal stddev = %v, want ~2", math.Sqrt(variance))
-	}
-}
-
-func TestLogNormalMedian(t *testing.T) {
-	r := NewRNG(5)
-	n := 100001
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = r.LogNormal(math.Log(10), 0.5)
-	}
-	sort.Float64s(vs)
-	median := vs[n/2]
-	if math.Abs(median-10) > 0.5 {
-		t.Errorf("log-normal median = %v, want ~10", median)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(6)
-	n := 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(3)
-	}
-	if mean := sum / float64(n); math.Abs(mean-3) > 0.05 {
-		t.Errorf("exponential mean = %v, want ~3", mean)
 	}
 }
 
@@ -144,7 +93,7 @@ func TestDistributionBasics(t *testing.T) {
 
 func TestDistributionEmpty(t *testing.T) {
 	var d Distribution
-	if d.Mean() != 0 || d.Min() != 0 || d.Max() != 0 || d.Quantile(0.5) != 0 || d.StdDev() != 0 {
+	if d.Mean() != 0 || d.Min() != 0 || d.Max() != 0 || d.Quantile(0.5) != 0 {
 		t.Error("empty distribution should report zeros")
 	}
 }
@@ -190,25 +139,6 @@ func TestDistributionAddAfterQuantile(t *testing.T) {
 	}
 	if d.N() != 4 {
 		t.Errorf("N = %d, want 4", d.N())
-	}
-}
-
-func TestDistributionStdDev(t *testing.T) {
-	d := NewDistribution(2)
-	d.AddAll([]float64{2, 4})
-	if sd := d.StdDev(); math.Abs(sd-1) > 1e-12 {
-		t.Errorf("StdDev = %v, want 1", sd)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := NewDistribution(2)
-	a.AddAll([]float64{1, 2})
-	b := NewDistribution(2)
-	b.AddAll([]float64{3, 4})
-	m := Merge(a, b)
-	if m.N() != 4 || m.Mean() != 2.5 {
-		t.Errorf("merge: N=%d mean=%v, want 4/2.5", m.N(), m.Mean())
 	}
 }
 
@@ -302,15 +232,5 @@ func TestDistributionSummary(t *testing.T) {
 	d.Add(1)
 	if s := d.Summary(); s == "" {
 		t.Error("Summary empty")
-	}
-}
-
-func TestSamplesCopy(t *testing.T) {
-	d := NewDistribution(2)
-	d.AddAll([]float64{1, 2})
-	s := d.Samples()
-	s[0] = 99
-	if d.Min() == 99 {
-		t.Error("Samples() must return a copy")
 	}
 }

@@ -201,32 +201,6 @@ func Sigmoid(t *T) *T {
 	return t
 }
 
-// Softmax normalizes the slice seg in place to a probability distribution
-// using the numerically stable max-shift formulation.
-func Softmax(seg []float32) {
-	if len(seg) == 0 {
-		return
-	}
-	maxV := seg[0]
-	for _, v := range seg[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float32
-	for i, v := range seg {
-		e := exp32(v - maxV)
-		seg[i] = e
-		sum += e
-	}
-	if sum == 0 {
-		return
-	}
-	for i := range seg {
-		seg[i] /= sum
-	}
-}
-
 // exp32 is a float32 exponential clamped to the activation range so that
 // extreme logits saturate instead of overflowing to +Inf.
 func exp32(x float32) float32 {

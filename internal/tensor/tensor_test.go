@@ -365,22 +365,6 @@ func TestSigmoidRange(t *testing.T) {
 	}
 }
 
-func TestSoftmax(t *testing.T) {
-	seg := []float32{1, 2, 3}
-	Softmax(seg)
-	var sum float32
-	for _, v := range seg {
-		sum += v
-	}
-	if math.Abs(float64(sum)-1) > 1e-5 {
-		t.Errorf("softmax sum = %v", sum)
-	}
-	if !(seg[2] > seg[1] && seg[1] > seg[0]) {
-		t.Errorf("softmax ordering broken: %v", seg)
-	}
-	Softmax(nil) // must not panic
-}
-
 func TestExp32Accuracy(t *testing.T) {
 	for _, x := range []float32{-20, -5, -1, -0.1, 0, 0.1, 1, 5, 20} {
 		got := float64(exp32(x))
@@ -395,41 +379,6 @@ func TestExp32Accuracy(t *testing.T) {
 	}
 	if v := exp32(100); math.IsInf(float64(v), 1) {
 		t.Error("exp32 overflow should clamp, not inf")
-	}
-}
-
-// Property: softmax output is a probability distribution for finite input.
-func TestSoftmaxProperty(t *testing.T) {
-	f := func(raw []float32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		seg := make([]float32, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return true
-			}
-			// Clamp into activation range.
-			if v > 50 {
-				v = 50
-			}
-			if v < -50 {
-				v = -50
-			}
-			seg[i] = v
-		}
-		Softmax(seg)
-		var sum float64
-		for _, v := range seg {
-			if v < 0 || v > 1 {
-				return false
-			}
-			sum += float64(v)
-		}
-		return math.Abs(sum-1) < 1e-3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -82,14 +82,3 @@ func (f *boxFilter) observe(cx, cy float64) (px, py, vx, vy float64) {
 	f.y.update(cy)
 	return f.x.pos, f.y.pos, f.x.vel, f.y.vel
 }
-
-// coast advances the filter without a measurement (occlusion/miss) and
-// returns the predicted center and velocity.
-func (f *boxFilter) coast() (px, py, vx, vy float64) {
-	if !f.init {
-		return 0, 0, 0, 0
-	}
-	f.x.predict()
-	f.y.predict()
-	return f.x.pos, f.y.pos, f.x.vel, f.y.vel
-}

@@ -800,25 +800,6 @@ func TestKalmanSmoothsNoise(t *testing.T) {
 	}
 }
 
-func TestKalmanCoast(t *testing.T) {
-	var f boxFilter
-	// Uninitialized coast is inert.
-	if px, py, vx, vy := f.coast(); px != 0 || py != 0 || vx != 0 || vy != 0 {
-		t.Error("uninitialized coast should return zeros")
-	}
-	for i := 0; i < 20; i++ {
-		f.observe(float64(i*2), 50)
-	}
-	p0, _, v0, _ := f.coast()
-	p1, _, v1, _ := f.coast()
-	if math.Abs((p1-p0)-v0) > 1e-9 {
-		t.Errorf("coast did not advance by velocity: dp=%.3f v=%.3f", p1-p0, v0)
-	}
-	if math.Abs(v1-v0) > 1e-9 {
-		t.Error("coast should hold velocity")
-	}
-}
-
 func TestTrackVelocitySmoothed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RunDNN = false
