@@ -530,56 +530,59 @@ func FuzzMatchDescriptors(f *testing.F) {
 const locRetainedAllocs = 3
 
 // TestAllocLocalizeSteadyState bounds LOC's per-frame allocations on a
-// surveyed route to the slices it retains.
+// surveyed route to the slices it retains. The FE runs at one scale, the
+// only one it has, so the case is levels=1.
 func TestAllocLocalizeSteadyState(t *testing.T) {
-	cfg := scene.DefaultConfig(scene.Urban)
-	cfg.Width, cfg.Height = 512, 256
-	gen, err := scene.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(DefaultConfig(), NewPriorMap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 80; i++ {
-		f := gen.Step()
-		eng.Survey(f.Image, f.EgoPose)
-	}
-	replay, err := scene.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Frames 1..5 warm the engine (cold-start relocalization, then
-	// tracking); the measured frames stay inside the surveyed
-	// route and short of the first loop-closing scan.
-	frames := make([]*img.Gray, 30)
-	for i := range frames {
-		frames[i] = replay.Step().Image
-	}
-	for _, f := range frames[:5] {
-		eng.Localize(f)
-	}
-	next := 5
-	var lost bool
-	allocs := testing.AllocsPerRun(20, func() {
-		est := eng.Localize(frames[next])
-		lost = lost || !est.Tracked || est.Relocalized
-		next++
+	t.Run("levels=1", func(t *testing.T) {
+		cfg := scene.DefaultConfig(scene.Urban)
+		cfg.Width, cfg.Height = 512, 256
+		gen, err := scene.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(DefaultConfig(), NewPriorMap())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 80; i++ {
+			f := gen.Step()
+			eng.Survey(f.Image, f.EgoPose)
+		}
+		replay, err := scene.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Frames 1..5 warm the engine (cold-start relocalization, then
+		// tracking); the measured frames stay inside the surveyed
+		// route and short of the first loop-closing scan.
+		frames := make([]*img.Gray, 30)
+		for i := range frames {
+			frames[i] = replay.Step().Image
+		}
+		for _, f := range frames[:5] {
+			eng.Localize(f)
+		}
+		next := 5
+		var lost bool
+		allocs := testing.AllocsPerRun(20, func() {
+			est := eng.Localize(frames[next])
+			lost = lost || !est.Tracked || est.Relocalized
+			next++
+		})
+		if lost {
+			t.Fatal("a measured frame lost track; the gate needs steady-state tracking")
+		}
+		if eng.MapUpdates() != 0 {
+			t.Fatalf("%d runtime map updates inside the surveyed route", eng.MapUpdates())
+		}
+		if testutil.RaceEnabled {
+			t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
+		}
+		if allocs > locRetainedAllocs {
+			t.Errorf("Localize: %.1f allocs/frame on a %d-keyframe map, want <= %d (the retained kps, descs and candidate snapshot)",
+				allocs, eng.Store().Len(), locRetainedAllocs)
+		}
 	})
-	if lost {
-		t.Fatal("a measured frame lost track; the gate needs steady-state tracking")
-	}
-	if eng.MapUpdates() != 0 {
-		t.Fatalf("%d runtime map updates inside the surveyed route", eng.MapUpdates())
-	}
-	if testutil.RaceEnabled {
-		t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
-	}
-	if allocs > locRetainedAllocs {
-		t.Errorf("Localize: %.1f allocs/frame on a %d-keyframe map, want <= %d (the retained kps, descs and candidate snapshot)",
-			allocs, eng.Store().Len(), locRetainedAllocs)
-	}
 }
 
 // BenchmarkLOCLoops times each fast path beside its reference on one
