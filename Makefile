@@ -60,11 +60,14 @@ alloc-gate:
 # tile; leaf_other.go, the pool, FC and activation leaves; sad_other.go, the
 # template-match window): the kernel packages' tests as 386 binaries, which
 # run on an amd64 host and do float32 math in SSE2 too, so the bitwise tests
-# hold; plus arm64 vet, and a scan of internal/tensor's arm64 code for fused
-# multiply-adds, which the Go spec lets the compiler form from x*y + z and
-# which round once where amd64 rounds twice (wrap the product in float32()).
+# hold; the pipeline's golden-trace and parity contract on the same
+# fallbacks; plus arm64 vet, and a scan of internal/tensor's arm64 code for
+# fused multiply-adds, which the Go spec lets the compiler form from x*y + z
+# and which round once where amd64 rounds twice (wrap the product in
+# float32()).
 noasm-check:
 	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track
+	GOARCH=386 $(GO) test -count=1 -run 'Golden|Parity|Identical|TestFleetMatchesSoloRunners' ./internal/pipeline
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 	GOARCH=arm64 $(GO) vet ./internal/track
 	@asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1)" || { echo "$$asm"; exit 1; }; \
@@ -102,11 +105,15 @@ chaos-smoke:
 # Fleet smoke: the fleet/solo bitwise-parity and cross-stream isolation
 # suites under the race detector (small N), then a short end-to-end fleet
 # run through the CLI — shared executor and networks, shared map store, one
-# faulted vehicle.
+# faulted vehicle — and the negatives: -fault-vehicle without -fault and
+# -remove-vehicle without -remove-at must be rejected (exit 2), not
+# silently ignored.
 fleet-smoke:
 	$(GO) test -race -run 'TestFleet|TestAdviseVehicle' ./internal/pipeline ./internal/slam
 	$(GO) run ./cmd/adfleet -vehicles 3 -frames 20 -dnn=false -width 384 -height 192 -survey 20 \
 		-deadline 100ms -fault 'DET:delay=60ms:every=5' -fault-vehicle 1
+	! $(GO) run ./cmd/adfleet -vehicles 2 -frames 1 -dnn=false -survey 0 -fault-vehicle 1
+	! $(GO) run ./cmd/adfleet -vehicles 2 -frames 1 -dnn=false -survey 0 -remove-vehicle 1
 
 # Tail smoke: the closed-loop tail-scheduler suite under the race detector
 # (controller law, pinned-window/Step equivalence, in-order shrink, anytime

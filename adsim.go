@@ -154,9 +154,10 @@ func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
 }
 
 // Fleet drives N vehicle pipelines concurrently, their DET/TRA engines
-// sharing one executor and one copy of the network weights and,
-// optionally, one prior-map store. Per-vehicle results are
-// bitwise-identical to solo runs of the same seeds.
+// sharing one executor (each vehicle's share of FleetConfig.Executor's
+// workers) and one copy of the network weights and, optionally, one
+// prior-map store. Per-vehicle results are bitwise-identical to solo runs
+// of the same seeds.
 type Fleet = pipeline.Fleet
 
 // FleetConfig parameterizes a Fleet.

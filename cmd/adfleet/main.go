@@ -1,9 +1,9 @@
 // Command adfleet multiplexes N vehicle streams onto shared engines: every
 // vehicle runs the full native pipeline on its own seeded scenario, with
-// DET/TRA engines sharing one executor and one copy of the network
-// weights, and the prior map served from one shared store. It prints the
-// fleet verdict — fleet-level P99.99, sustained vehicles/s, and a
-// per-vehicle scorecard.
+// DET/TRA engines sharing one executor (the machine's cores split evenly
+// across the vehicles) and one copy of the network weights, and the prior
+// map served from one shared store. It prints the fleet verdict —
+// fleet-level P99.99, sustained vehicles/s, and a per-vehicle scorecard.
 //
 // Usage:
 //
@@ -72,6 +72,14 @@ func main() {
 	}
 	if *vehicles < 1 {
 		fail(2, "-vehicles must be >= 1")
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["fault-vehicle"] && *fault == "" {
+		fail(2, "-fault-vehicle picks the vehicle -fault is injected into; it needs -fault")
+	}
+	if set["remove-vehicle"] && *removeAt <= 0 {
+		fail(2, "-remove-vehicle picks the vehicle -remove-at removes; it needs -remove-at")
 	}
 	if *fault != "" && (*faultVeh < 0 || *faultVeh >= *vehicles) {
 		fail(2, "-fault-vehicle %d out of range [0,%d)", *faultVeh, *vehicles)

@@ -7,8 +7,9 @@ import (
 )
 
 // Executor is an instance-scoped inference executor: it owns the kernel
-// worker count. Every call runs on its caller's goroutine; a fleet shares one
-// executor across its vehicles only so that they share one worker setting.
+// worker count. Every call runs on its caller's goroutine. A fleet reads the
+// executor it is given as its core budget and hands its vehicles one
+// executor holding each one's share, Workers()/vehicles and at least 1.
 //
 // There is no process-wide executor: every engine holds its own or one it
 // was handed, so independent pipelines sharing a process cannot perturb

@@ -36,11 +36,14 @@ type FleetConfig struct {
 	// InFlight is each vehicle Runner's pipelining window; 0 selects
 	// DefaultInFlight.
 	InFlight int
-	// Executor is the inference executor shared by every vehicle's DET and
-	// TRA engines: it sets their kernel worker count, and each forward pass
-	// runs on the engine's own goroutine. nil constructs one sized to the
-	// machine (dnn.NewExecutor(0)). Vehicles whose template already names an
-	// engine executor keep it.
+	// Executor is the fleet's core budget: its Workers() count is split
+	// evenly across the initial Vehicles, and every vehicle's DET and TRA
+	// engines (vehicles added later included) share one executor of
+	// max(1, Workers()/Vehicles) kernel workers. The same width caps TRA's
+	// per-track fan-out, so a fleet whose vehicles fill the cores runs each
+	// vehicle's kernels and tracks on its own stage goroutines, one worker
+	// each. nil is a budget of the machine (dnn.NewExecutor(0)). The share
+	// replaces any executor the template's engine configs name.
 	Executor *dnn.Executor
 	// SharedMap, when non-nil, is the prior-map store all vehicles share;
 	// each vehicle localizes through a private slam.VehicleStore view, so
@@ -71,12 +74,13 @@ type FleetConfig struct {
 }
 
 // Fleet drives N vehicle pipelines concurrently, one pipelined Runner per
-// vehicle. The vehicles share one dnn.Executor (one kernel worker setting;
-// every forward pass runs on its own engine's goroutine), one network
-// cache (one copy of the weights) and, optionally, one prior-map store.
-// Each vehicle's delivered results are bitwise-identical to the same seed
-// run solo (see TestFleetMatchesSoloRunners) — sharing changes the schedule
-// and the cost, never the outputs.
+// vehicle. The vehicles share one dnn.Executor holding their share of the
+// fleet's core budget (FleetConfig.Executor; every forward pass runs on its
+// own engine's goroutine), one network cache (one copy of the weights) and,
+// optionally, one prior-map store. Each vehicle's delivered results are
+// bitwise-identical to the same seed run solo (see
+// TestFleetMatchesSoloRunners) — sharing changes the schedule and the
+// cost, never the outputs.
 //
 // The membership is dynamic: AddVehicle and RemoveVehicle churn streams
 // mid-run without perturbing the survivors, and an admission controller
@@ -84,7 +88,7 @@ type FleetConfig struct {
 // Start + Wait for callers with static membership.
 type Fleet struct {
 	cfg      FleetConfig
-	exec     *dnn.Executor
+	exec     *dnn.Executor // every vehicle's share of the core budget
 	nets     *dnn.NetCache
 	fleetMon *constraint.Monitor
 	adm      *FleetAdmission
@@ -121,13 +125,13 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Vehicles < 1 {
 		return nil, fmt.Errorf("pipeline: fleet of %d vehicles", cfg.Vehicles)
 	}
-	exec := cfg.Executor
-	if exec == nil {
-		exec = dnn.NewExecutor(0)
+	budget := cfg.Executor
+	if budget == nil {
+		budget = dnn.NewExecutor(0)
 	}
 	f := &Fleet{
 		cfg:      cfg,
-		exec:     exec,
+		exec:     dnn.NewExecutor(max(1, budget.Workers()/cfg.Vehicles)),
 		nets:     dnn.NewNetCache(),
 		fleetMon: constraint.NewMonitor(constraint.MonitorConfig{Window: cfg.MonitorWindow}),
 	}
@@ -169,12 +173,8 @@ func (f *Fleet) addVehicleLocked() (*fleetVehicle, error) {
 		}
 	}
 	vcfg.Scene.Seed = seed
-	if vcfg.Detect.Executor == nil {
-		vcfg.Detect.Executor = f.exec
-	}
-	if vcfg.Track.Executor == nil {
-		vcfg.Track.Executor = f.exec
-	}
+	vcfg.Detect.Executor = f.exec
+	vcfg.Track.Executor = f.exec
 	// One shared network per architecture+size across the fleet: weights are
 	// deterministic, so sharing never changes results, and the fleet keeps
 	// one copy of them instead of one per vehicle.

@@ -121,6 +121,94 @@ func TestFleetMatchesSoloRunners(t *testing.T) {
 	}
 }
 
+// TestFleetSplitsCoreBudget pins the share rule: FleetConfig.Executor is the
+// fleet's core budget, and every vehicle's DET and TRA engines run at
+// max(1, budget/Vehicles) kernel workers — also when the template names the
+// budget executor itself (as the benchmark harness does), and for a vehicle
+// AddVehicle provisions later, which keeps the share NewFleet computed.
+func TestFleetSplitsCoreBudget(t *testing.T) {
+	cfg := fastNativeConfig(scene.Urban)
+	cfg.SurveyFrames = 0
+	cases := []struct {
+		name             string
+		budget, vehicles int
+		inTemplate, add  bool
+		want             int
+	}{
+		{name: "budget 2, 1 vehicle", budget: 2, vehicles: 1, want: 2},
+		{name: "budget 2, 2 vehicles", budget: 2, vehicles: 2, want: 1},
+		{name: "budget 2, 3 vehicles", budget: 2, vehicles: 3, want: 1},
+		{name: "budget 8, 3 vehicles", budget: 8, vehicles: 3, want: 2},
+		{name: "budget named in template", budget: 2, vehicles: 3, inTemplate: true, want: 1},
+		{name: "added vehicle keeps the share", budget: 8, vehicles: 2, add: true, want: 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			budget := dnn.NewExecutor(tc.budget)
+			vcfg := cfg
+			if tc.inTemplate {
+				vcfg.Detect.Executor, vcfg.Track.Executor = budget, budget
+			}
+			f, err := NewFleet(FleetConfig{Vehicles: tc.vehicles, Config: vcfg, Executor: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.add {
+				if _, err := f.AddVehicle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, v := range f.vehicles {
+				if got := v.p.cfg.Detect.Executor.Workers(); got != tc.want {
+					t.Errorf("vehicle %d DET: %d kernel workers, want %d", v.id, got, tc.want)
+				}
+				if got := v.p.cfg.Track.Executor.Workers(); got != tc.want {
+					t.Errorf("vehicle %d TRA: %d kernel workers, want %d", v.id, got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestFleetCoreShareParity crosses worker counts by construction: a DNN-on
+// fleet of three on a 2-worker budget runs every vehicle's engines at one
+// kernel worker, and each vehicle must still deliver results
+// bitwise-identical to the same seed run solo on a 2-worker executor.
+func TestFleetCoreShareParity(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const vehicles, frames = 3, 8
+	cfg := fastNativeConfig(scene.Urban)
+	cfg.Detect.RunDNN = true
+	cfg.Detect.InputSize = 32 // small net keeps the DNN-on test quick
+	cfg.Track.RunDNN = true
+	cfg.SurveyFrames = 0 // the shared base below is the surveyed map
+	raw := surveyedBase(t, cfg, 20)
+
+	f, err := NewFleet(FleetConfig{
+		Vehicles:  vehicles,
+		Config:    cfg,
+		InFlight:  4,
+		Executor:  dnn.NewExecutor(2),
+		SharedMap: decodeBase(t, raw),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Vehicle(0).cfg.Detect.Executor.Workers(); got != 1 {
+		t.Fatalf("fleet vehicles run at %d kernel workers, want 1", got)
+	}
+	fleetRuns, _ := collectFleet(t, f, frames)
+
+	for v := 0; v < vehicles; v++ {
+		solo := cfg
+		solo.Scene.Seed = cfg.Scene.Seed + int64(v)
+		solo.MapStore = decodeBase(t, raw)
+		exec := dnn.NewExecutor(2)
+		solo.Detect.Executor, solo.Track.Executor = exec, exec
+		requireIdenticalRuns(t, runChaosRunner(t, solo, frames, 4), fleetRuns[v])
+	}
+}
+
 // Chaos isolation: one vehicle with an injected DET stall (virtual
 // enforcement, so the degrade sequence is deterministic) must degrade on
 // schedule while every OTHER vehicle's results and masks stay identical to
