@@ -83,6 +83,93 @@ func TestBoxBlur3RoundingSweep(t *testing.T) {
 	}
 }
 
+// blurGo is the radius-1 blur with every three-row row through the Go form
+// (blurRow3x3Go): the reference the SSE2 routine must match bit for bit.
+func blurGo(g *Gray) *Gray {
+	out := NewGray(g.W, g.H)
+	g.boxBlur3(out, &Integral{}, blurRow3x3Go)
+	return out
+}
+
+// The SSE2 routine and the Go form agree on every width 1–70 (the routine
+// takes none of it below 10 and leaves a 0–7 column tail above) at heights
+// 1–5, on random, saturated and all-zero pixels, with one scratch reused
+// across shapes.
+func TestBoxBlur3SSEMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var dst Gray
+	var ii Integral
+	for w := 1; w <= 70; w++ {
+		for h := 1; h <= 5; h++ {
+			full := NewGray(w, h)
+			full.Fill(255)
+			for k, g := range []*Gray{randomGray(rng, w, h), full, NewGray(w, h)} {
+				want := blurGo(g)
+				if got := g.BoxBlurInto(&dst, &ii, 1); !bytes.Equal(got.Pix, want.Pix) {
+					t.Fatalf("%dx%d input %d: BoxBlurInto(1) differs from the Go form", w, h, k)
+				}
+			}
+		}
+	}
+}
+
+// The interior divide: PMULHUW by 7282 = ⌈65536/9⌉ is (s+4)/9 for every
+// sum s up to 2299, past the largest a 3×3 window of bytes can reach
+// (9·255 = 2295). 7282·9 = 65536 + 2, so the product overshoots n/9 by
+// 2n/(9·65536) < 1/9 for n < 32768: never enough to cross an integer.
+func TestBlurDivideBy9Multiply(t *testing.T) {
+	for s := uint32(0); s <= 2299; s++ {
+		if got, want := ((s+4)*7282)>>16, (s+4)/9; got != want {
+			t.Fatalf("sum %d: ((s+4)·7282)>>16 = %d, (s+4)/9 = %d", s, got, want)
+		}
+	}
+}
+
+// Every reachable window sum 0…2295 goes through the blur itself: a 3×10
+// image of q = s/9 with s%9 of the left window's pixels raised by one puts
+// s under output column 1, which the routine computes on amd64.
+func TestBoxBlur3EveryWindowSum(t *testing.T) {
+	g := NewGray(10, 3)
+	var dst Gray
+	var ii Integral
+	for s := 0; s <= 9*255; s++ {
+		g.Fill(uint8(s / 9))
+		for i := 0; i < s%9; i++ {
+			g.Pix[(i/3)*g.W+i%3]++
+		}
+		got := g.BoxBlurInto(&dst, &ii, 1)
+		if want := uint8((s + 4) / 9); got.Pix[g.W+1] != want {
+			t.Fatalf("window sum %d: blurred to %d, want %d", s, got.Pix[g.W+1], want)
+		}
+		if want := blurGo(g); !bytes.Equal(got.Pix, want.Pix) {
+			t.Fatalf("window sum %d: image differs from the Go form", s)
+		}
+	}
+}
+
+// FuzzBoxBlur3 checks the radius-1 blur against the Go form on random
+// shapes and pixels, with a share of saturated pixels so the column sums
+// reach their ceiling. `make fuzz-smoke` runs it for 10s.
+func FuzzBoxBlur3(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(3), uint8(0))
+	f.Add(int64(2), uint8(70), uint8(5), uint8(128))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(255))
+	f.Add(int64(4), uint8(17), uint8(2), uint8(64))
+	f.Fuzz(func(t *testing.T, seed int64, w, h, sat uint8) {
+		W, H := 1+int(w)%130, 1+int(h)%8
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGray(rng, W, H)
+		for i := range g.Pix {
+			if rng.Intn(256) < int(sat) {
+				g.Pix[i] = 255
+			}
+		}
+		if got, want := g.BoxBlur(1), blurGo(g); !bytes.Equal(got.Pix, want.Pix) {
+			t.Fatalf("%dx%d: BoxBlur(1) differs from the Go form", W, H)
+		}
+	})
+}
+
 // The other radii keep the integral path and still agree with it.
 func TestBoxBlurOtherRadiiMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -120,6 +207,7 @@ func BenchmarkBoxBlur3(b *testing.B) {
 		fn   func()
 	}{
 		{"separable", func() { g.BoxBlurInto(&dst, &ii, 1) }},
+		{"separable-go", func() { g.boxBlur3(&dst, &ii, blurRow3x3Go) }},
 		{"integral-ref", func() { boxBlurIntegralRef(g, 1) }},
 	} {
 		b.Run(fmt.Sprintf("%s/512x256", impl.name), func(b *testing.B) {

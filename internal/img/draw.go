@@ -4,17 +4,20 @@ package img
 // deliberately simple rasterizers: the goal is frames with controllable
 // texture, corners and objects, not photorealism.
 
-// FillRect paints every pixel inside r with value v.
+// FillRect paints every pixel inside r with value v: its first row byte by
+// byte, then each further row as a copy of the first.
 func (g *Gray) FillRect(r Rect, v uint8) {
 	c := r.Clip(0, 0, g.W, g.H)
-	if c.Empty() {
-		return
+	x0, x1, y0, y1 := int(c.X0), int(c.X1), int(c.Y0), int(c.Y1)
+	if c.Empty() || y0 == y1 {
+		return // a sub-pixel height truncates to no row
 	}
-	for y := int(c.Y0); y < int(c.Y1); y++ {
-		row := g.Pix[y*g.W+int(c.X0) : y*g.W+int(c.X1)]
-		for i := range row {
-			row[i] = v
-		}
+	first := g.Pix[y0*g.W+x0 : y0*g.W+x1]
+	for i := range first {
+		first[i] = v
+	}
+	for y := y0 + 1; y < y1; y++ {
+		copy(g.Pix[y*g.W+x0:y*g.W+x1], first)
 	}
 }
 

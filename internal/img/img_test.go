@@ -1,7 +1,9 @@
 package img
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -306,6 +308,49 @@ func TestFillRectClips(t *testing.T) {
 	for _, p := range g.Pix {
 		if p != 9 {
 			t.Fatal("full-cover fill incomplete")
+		}
+	}
+}
+
+// fillRectRef is FillRect as the plain per-row byte loop.
+func fillRectRef(g *Gray, r Rect, v uint8) {
+	c := r.Clip(0, 0, g.W, g.H)
+	if c.Empty() {
+		return
+	}
+	for y := int(c.Y0); y < int(c.Y1); y++ {
+		for x := int(c.X0); x < int(c.X1); x++ {
+			g.Pix[y*g.W+x] = v
+		}
+	}
+}
+
+// FillRect equals the byte loop on random backgrounds: rects clipped on
+// every side, fractional and inverted corners, single pixels, single rows
+// and columns, and the full frame.
+func TestFillRectMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const w, h = 37, 23
+	rects := []Rect{
+		RectWH(0, 0, w, h), RectWH(-5, -5, w+10, h+10), RectWH(4, 6, 1, 1),
+		RectWH(0, 0, 1, 1), RectWH(w-1, h-1, 1, 1), RectWH(-3, 10, 8, 4),
+		RectWH(30, -2, 20, 5), RectWH(3, 20, 9, 9), RectWH(0, 5, w, 1),
+		RectWH(7, 0, 1, h), RectWH(2.5, 3.7, 6.2, 4.9), RectWH(40, 30, 5, 5),
+		{X0: 9, Y0: 9, X1: 2, Y1: 2},
+	}
+	for i := 0; i < 100; i++ {
+		x, y := rng.Float64()*(w+20)-10, rng.Float64()*(h+20)-10
+		rects = append(rects, RectWH(x, y, rng.Float64()*w, rng.Float64()*h))
+	}
+	for i, r := range rects {
+		got, want := NewGray(w, h), NewGray(w, h)
+		rng.Read(got.Pix)
+		copy(want.Pix, got.Pix)
+		v := uint8(rng.Intn(256))
+		got.FillRect(r, v)
+		fillRectRef(want, r, v)
+		if !bytes.Equal(got.Pix, want.Pix) {
+			t.Fatalf("rect %d %v: FillRect differs from the byte loop", i, r)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func (g *Gray) ResizeInto(dst *Gray, w, h int) *Gray {
 	xRatio := float64(g.W) / float64(w)
 	yRatio := float64(g.H) / float64(h)
 	for y := 0; y < h; y++ {
-		sy := (float64(y) + 0.5) * yRatio
+		sy := float64((float64(y) + 0.5) * yRatio)
 		y0 := int(sy - 0.5)
 		fy := sy - 0.5 - float64(y0)
 		if y0 < 0 {
@@ -75,7 +75,7 @@ func (g *Gray) ResizeInto(dst *Gray, w, h int) *Gray {
 			y1 = g.H - 1
 		}
 		for x := 0; x < w; x++ {
-			sx := (float64(x) + 0.5) * xRatio
+			sx := float64((float64(x) + 0.5) * xRatio)
 			x0 := int(sx - 0.5)
 			fx := sx - 0.5 - float64(x0)
 			if x0 < 0 {
@@ -89,9 +89,9 @@ func (g *Gray) ResizeInto(dst *Gray, w, h int) *Gray {
 			p01 := float64(g.Pix[y0*g.W+x1])
 			p10 := float64(g.Pix[y1*g.W+x0])
 			p11 := float64(g.Pix[y1*g.W+x1])
-			top := p00*(1-fx) + p01*fx
-			bot := p10*(1-fx) + p11*fx
-			out.Pix[y*w+x] = uint8(top*(1-fy) + bot*fy + 0.5)
+			top := float64(p00*(1-fx)) + float64(p01*fx)
+			bot := float64(p10*(1-fx)) + float64(p11*fx)
+			out.Pix[y*w+x] = uint8(float64(top*(1-fy)) + float64(bot*fy) + 0.5)
 		}
 	}
 	return out
@@ -136,7 +136,7 @@ func (g *Gray) BoxBlurInto(dst *Gray, ii *Integral, r int) *Gray {
 		ii = &Integral{}
 	}
 	if r == 1 {
-		g.boxBlur3(out, ii)
+		g.boxBlur3(out, ii, blurRow3x3)
 		return out
 	}
 	ii.Reset(g)
@@ -170,8 +170,9 @@ func (g *Gray) BoxBlurInto(dst *Gray, ii *Integral, r int) *Gray {
 // 3-wide window along it. Every pixel gets the same clipped sum and area
 // as the integral path and the same rounding (sum + area/2) / area, so
 // the result is bitwise-identical; interior pixels divide by the constant
-// 9, which compiles to a multiply.
-func (g *Gray) boxBlur3(out *Gray, ii *Integral) {
+// 9, which compiles to a multiply. Rows with three source rows go through
+// row3 (blurRow3x3, or blurRow3x3Go as its reference).
+func (g *Gray) boxBlur3(out *Gray, ii *Integral, row3 func(dst, a, b, c []uint8, cs []uint16)) {
 	w, h := g.W, g.H
 	if cap(ii.cols) < w {
 		ii.cols = make([]uint16, w)
@@ -181,30 +182,41 @@ func (g *Gray) boxBlur3(out *Gray, ii *Integral) {
 		y0, y1 := max(y-1, 0), min(y+1, h-1)
 		rows := y1 - y0 + 1
 		src := g.Pix[y0*w : (y1+1)*w]
+		dst := out.Pix[y*w : (y+1)*w]
 		if rows == 3 {
-			a, b, c := src[:len(cs)], src[w:w+len(cs)], src[2*w:2*w+len(cs)]
+			row3(dst, src[:w], src[w:2*w], src[2*w:], cs)
+			continue
+		}
+		for x := range cs {
+			cs[x] = uint16(src[x])
+		}
+		for r := 1; r < rows; r++ {
+			next := src[r*w : r*w+len(cs)]
 			for x := range cs {
-				cs[x] = uint16(a[x]) + uint16(b[x]) + uint16(c[x])
-			}
-		} else {
-			for x := range cs {
-				cs[x] = uint16(src[x])
-			}
-			for r := 1; r < rows; r++ {
-				next := src[r*w : r*w+len(cs)]
-				for x := range cs {
-					cs[x] += uint16(next[x])
-				}
+				cs[x] += uint16(next[x])
 			}
 		}
-		blurRow3(out.Pix[y*w:(y+1)*w], cs, uint32(rows))
+		blurRow3(dst, cs, uint32(rows), 0)
 	}
+}
+
+// blurRow3x3Go writes one output row from its three source rows a, b, c:
+// their column sums into cs, then blurRow3. It is blurRow3x3 off amd64 and
+// the SSE2 routine's reference.
+func blurRow3x3Go(dst, a, b, c []uint8, cs []uint16) {
+	a, b, c = a[:len(cs)], b[:len(cs)], c[:len(cs)]
+	for x := range cs {
+		cs[x] = uint16(a[x]) + uint16(b[x]) + uint16(c[x])
+	}
+	blurRow3(dst, cs, 3, 0)
 }
 
 // blurRow3 writes one output row of the r = 1 blur from its column sums cs
 // over rows source rows: each pixel averages the 1–3 in-bounds columns
-// around it, rounding half up.
-func blurRow3(dst []uint8, cs []uint16, rows uint32) {
+// around it, rounding half up. Interior pixels 1 … from are left as they
+// are (blurRow3x3's SSE2 routine wrote them), so cs need only hold columns
+// 0, 1 and from onward; from ≤ len(cs)−2.
+func blurRow3(dst []uint8, cs []uint16, rows uint32, from int) {
 	w := len(cs)
 	dst = dst[:w]
 	if w == 1 {
@@ -214,17 +226,17 @@ func blurRow3(dst []uint8, cs []uint16, rows uint32) {
 	edge := 2 * rows
 	dst[0] = uint8((uint32(cs[0]) + uint32(cs[1]) + edge/2) / edge)
 	dst[w-1] = uint8((uint32(cs[w-2]) + uint32(cs[w-1]) + edge/2) / edge)
-	l, m := uint32(cs[0]), uint32(cs[1])
-	inner := dst[1 : w-1]
+	l, m := uint32(cs[from]), uint32(cs[from+1])
+	inner := dst[from+1 : w-1]
 	if rows == 3 {
-		for x, r := range cs[2:] {
+		for x, r := range cs[from+2:] {
 			inner[x] = uint8((l + m + uint32(r) + 4) / 9)
 			l, m = m, uint32(r)
 		}
 		return
 	}
 	area := 3 * rows
-	for x, r := range cs[2:] {
+	for x, r := range cs[from+2:] {
 		inner[x] = uint8((l + m + uint32(r) + area/2) / area)
 		l, m = m, uint32(r)
 	}

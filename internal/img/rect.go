@@ -16,7 +16,7 @@ func RectWH(x, y, w, h float64) Rect {
 
 // RectCenter builds a rectangle from a center point and a size.
 func RectCenter(cx, cy, w, h float64) Rect {
-	return Rect{X0: cx - w/2, Y0: cy - h/2, X1: cx + w/2, Y1: cy + h/2}
+	return Rect{X0: cx - float64(w/2), Y0: cy - float64(h/2), X1: cx + float64(w/2), Y1: cy + float64(h/2)}
 }
 
 // W returns the rectangle width (0 when inverted).
@@ -36,14 +36,14 @@ func (r Rect) H() float64 {
 }
 
 // Area returns W*H.
-func (r Rect) Area() float64 { return r.W() * r.H() }
+func (r Rect) Area() float64 { return float64(r.W() * r.H()) }
 
 // Empty reports whether the rectangle has no area.
 func (r Rect) Empty() bool { return r.X1 <= r.X0 || r.Y1 <= r.Y0 }
 
 // Center returns the rectangle's center point.
 func (r Rect) Center() (float64, float64) {
-	return (r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2
+	return float64((r.X0 + r.X1) / 2), float64((r.Y0 + r.Y1) / 2)
 }
 
 // Translate returns the rectangle shifted by (dx,dy).

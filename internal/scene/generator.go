@@ -663,12 +663,16 @@ func (g *Generator) drawBackground(im *img.Gray) {
 	}
 	// Sky.
 	im.FillRect(img.RectWH(0, 0, float64(w), float64(horizon)), 200)
-	// Road: darker toward the camera.
-	for y := horizon; y < h; y++ {
-		shade := uint8(90 - 30*(y-horizon)/(h-horizon+1))
-		for x := 0; x < w; x++ {
-			im.Pix[y*w+x] = shade
+	// Road: darker toward the camera, one FillRect per run of rows that
+	// share a shade.
+	shade := func(y int) uint8 { return uint8(90 - 30*(y-horizon)/(h-horizon+1)) }
+	for y := horizon; y < h; {
+		v, next := shade(y), y+1
+		for next < h && shade(next) == v {
+			next++
 		}
+		im.FillRect(img.RectWH(0, float64(y), float64(w), float64(next-y)), v)
+		y = next
 	}
 	// Roadside façades: scattered bright blocks on a dark band. Isolated
 	// blocks present L-corners, which the FAST segment test responds to

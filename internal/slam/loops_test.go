@@ -12,9 +12,28 @@ import (
 	"adsim/internal/testutil"
 )
 
-// The references below are LOC's four hot loops as they were before their
+// The references below are LOC's five hot loops as they were before their
 // fast paths: plain per-tap Gray.At reads, a full-map NMS scan and the
 // branchy matcher. Each fast path must match its reference bit for bit.
+
+// boxBlur3Ref is the FE's radius-1 box blur as a plain sum over each
+// pixel's in-bounds 3×3 taps, rounding half up.
+func boxBlur3Ref(im *img.Gray) *img.Gray {
+	out := img.NewGray(im.W, im.H)
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			sum, area := 0, 0
+			for ty := max(y-1, 0); ty <= min(y+1, im.H-1); ty++ {
+				for tx := max(x-1, 0); tx <= min(x+1, im.W-1); tx++ {
+					sum += int(im.At(tx, ty))
+					area++
+				}
+			}
+			out.Pix[y*im.W+x] = uint8((sum + area/2) / area)
+		}
+	}
+	return out
+}
 
 // matchDescriptorsRef is the plain brute-force matcher.
 func matchDescriptorsRef(query, train []Descriptor, maxDist int, ratio float64) []Match {
@@ -210,8 +229,9 @@ func checkKeypoints(t *testing.T, what string, got, want []Keypoint) {
 	}
 }
 
-// On recorded scene frames, FAST, rBRIEF and the matcher (frame i against
-// frame i+1) equal their references, with one scratch reused throughout.
+// On recorded scene frames, the blur, FAST, rBRIEF and the matcher (frame
+// i against frame i+1) equal their references, with one scratch reused
+// throughout.
 func TestLOCLoopsMatchRefOnSceneFrames(t *testing.T) {
 	frames := sceneFrames(t, 10)
 	cfg := DefaultConfig()
@@ -219,6 +239,9 @@ func TestLOCLoopsMatchRefOnSceneFrames(t *testing.T) {
 	var ms []Match
 	var prev []Descriptor
 	for i, f := range frames {
+		if got, want := f.BoxBlurInto(&fe.smoothed, &fe.integral, 1), boxBlur3Ref(f); !reflect.DeepEqual(got.Pix, want.Pix) {
+			t.Fatalf("frame %d: blur differs from reference", i)
+		}
 		kps := detectFAST(f, cfg.FAST, &fe)
 		want := detectFASTRef(f, cfg.FAST)
 		checkKeypoints(t, fmt.Sprintf("frame %d", i), kps, want)
@@ -246,20 +269,30 @@ func equalMatches(a, b []Match) bool {
 func checkMatchNeed(t *testing.T, what string, ms *[]Match, query, train []Descriptor, maxDist int, ratio float64, want []Match) {
 	t.Helper()
 	for _, need := range []int{0, len(want) / 2, len(want), len(want) + 1, len(query) + 1} {
-		var ok bool
-		*ms, ok = matchInto(*ms, query, train, maxDist, ratio, need)
-		if msg := checkNeed(query, train, need, ok, *ms, want); msg != "" {
+		var scanned int
+		*ms, scanned = matchInto(*ms, query, train, maxDist, ratio, need)
+		if msg := checkNeed(query, train, need, scanned, *ms, want); msg != "" {
 			t.Fatalf("%s need=%d: %s", what, need, msg)
 		}
 	}
 }
 
-// checkNeed states matchInto's need contract: a complete result (ok) is
-// the reference's; giving up (!ok) is allowed only when the reference has
-// fewer than need matches, and is required when need exceeds the query
-// count (the bound's first test) and neither side is empty.
-func checkNeed(query, train []Descriptor, need int, ok bool, got, want []Match) string {
+// checkNeed states matchInto's need contract: a complete result (every
+// query scanned) is the reference's; giving up (fewer scanned) is allowed
+// only when the reference has fewer than need matches, is required when
+// need exceeds the query count (the bound's first test) and neither side is
+// empty, and leaves the reference's matches of the queries it scanned.
+func checkNeed(query, train []Descriptor, need, scanned int, got, want []Match) string {
+	ok := scanned == len(query)
+	scannedWant := want
+	for len(scannedWant) > 0 && scannedWant[len(scannedWant)-1].QueryIdx >= scanned {
+		scannedWant = scannedWant[:len(scannedWant)-1]
+	}
 	switch {
+	case scanned < 0 || scanned > len(query):
+		return fmt.Sprintf("scanned %d of %d queries", scanned, len(query))
+	case !ok && !equalMatches(got, scannedWant):
+		return fmt.Sprintf("gave up after %d queries with %v, reference %v", scanned, got, scannedWant)
 	case ok && !equalMatches(got, want):
 		return fmt.Sprintf("complete result %v, reference %v", got, want)
 	case !ok && len(want) >= need:
@@ -409,32 +442,49 @@ func TestMatchDescriptorsMatchesRefEdgeCases(t *testing.T) {
 	}
 }
 
-// The scorer's bound may only drop keyframes that cannot win. The query is
-// random descriptors (about 128 bits apart, so nothing matches by chance)
-// and each keyframe is the query's last m features at the same keypoints:
-// exactly m matches and m inliers, all at the end of the scan, where the
-// bound is tightest. A keyframe one inlier ahead of the best must still
-// replace it, and every rotation of the list must pick what exact,
-// unbounded scoring picks.
+// planted is a query of n random descriptors (about 128 bits apart, so
+// nothing matches by chance) at distinct keypoints. A keyframe built from
+// m of its features at the same keypoints has exactly m matches and m
+// inliers; a suffix puts them all at the end of the scan, where the need
+// bound is tightest, a prefix at its start.
+type planted struct {
+	kps   []Keypoint
+	descs []Descriptor
+}
+
+func newPlanted(rng *rand.Rand, n int) planted {
+	p := planted{kps: make([]Keypoint, n), descs: make([]Descriptor, n)}
+	for i := range p.descs {
+		p.kps[i] = Keypoint{X: 20 + 4*(i%40), Y: 20 + 4*(i/40)}
+		p.descs[i] = Descriptor{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	}
+	return p
+}
+
+func (p planted) keyframe(id, m int, suffix bool, z float64) Keyframe {
+	lo, hi := 0, m
+	if suffix {
+		lo, hi = len(p.descs)-m, len(p.descs)
+	}
+	return Keyframe{ID: id, Pose: scene.Pose{Z: z}, Keypoints: p.kps[lo:hi], Descriptors: p.descs[lo:hi]}
+}
+
+// The scorer's bound may only drop keyframes that cannot win. Each
+// keyframe is a planted suffix: exactly m matches and m inliers, all at
+// the end of the scan, where the bound is tightest. A keyframe one inlier
+// ahead of the best must still replace it, and every rotation of the list
+// must pick what exact, unbounded scoring picks.
 func TestScorerBoundKeepsArgmax(t *testing.T) {
 	e, err := NewEngine(DefaultConfig(), NewPriorMap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	const n = 200
-	kps := make([]Keypoint, n)
-	descs := make([]Descriptor, n)
-	for i := range descs {
-		kps[i] = Keypoint{X: 20 + 4*(i%40), Y: 20 + 4*(i/40)}
-		descs[i] = Descriptor{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
-	}
+	p := newPlanted(rand.New(rand.NewSource(5)), 200)
+	kps, descs := p.kps, p.descs
 	exact := func(kf Keyframe) int {
 		return e.match.inliers(kps, descs, kf.Keypoints, kf.Descriptors, &e.cfg, 0)
 	}
-	suffix := func(id, m int) Keyframe {
-		return Keyframe{ID: id, Keypoints: kps[n-m:], Descriptors: descs[n-m:]}
-	}
+	suffix := func(id, m int) Keyframe { return p.keyframe(id, m, true, 0) }
 	kfs := []Keyframe{suffix(1, 60), suffix(2, 61), suffix(3, 30), suffix(4, 120), suffix(5, 119)}
 	for _, kf := range kfs {
 		if got := exact(kf); got != len(kf.Descriptors) {
@@ -482,6 +532,166 @@ func TestScorerBoundKeepsArgmax(t *testing.T) {
 	}
 }
 
+// bestKeyframeRef is the tracking scorer as it was before its visit order:
+// candidates in cands order, each needing one inlier more than the best so
+// far, the first best winning ties.
+func bestKeyframeRef(e *Engine, kps []Keypoint, descs []Descriptor, cands []Keyframe) (Keyframe, int, bool) {
+	sc := scorer{e: e, kps: kps, descs: descs}
+	for _, kf := range cands {
+		sc.consider(kf)
+	}
+	return sc.result(e.cfg.MinMatches)
+}
+
+// trackRef is the tracking attempt as it was before its bounds: the
+// ascending scan, then odometry's exact inlier count.
+func trackRef(e *Engine, kps []Keypoint, descs []Descriptor, predicted scene.Pose) (Estimate, bool) {
+	cands := e.store.Candidates(predicted.Z, e.cfg.TrackWindow)
+	kf, kfInliers, kfOK := bestKeyframeRef(e, kps, descs, cands)
+	voInliers := 0
+	if len(e.prevDescs) > 0 {
+		voInliers = e.match.inliers(kps, descs, e.prevKps, e.prevDescs, &e.cfg, 0)
+	}
+	if kfOK && float64(kfInliers) >= 0.8*float64(voInliers) {
+		return Estimate{Pose: e.refinePose(kf, predicted), Tracked: true, Matches: kfInliers}, true
+	}
+	if voInliers >= e.cfg.MinMatches {
+		return Estimate{Pose: predicted, Tracked: true, Matches: voInliers}, true
+	}
+	return Estimate{}, false
+}
+
+// The nearest-first scan picks what the ascending scan picks, keyframe and
+// score, on random candidate sets drawn so that equal |ΔZ| (both sides of
+// the prediction, and repeats of one Z) and equal scores are common, and
+// scores straddle MinMatches.
+func TestBestKeyframeMatchesAscendingScan(t *testing.T) {
+	e, err := NewEngine(DefaultConfig(), NewPriorMap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	p := newPlanted(rng, 160)
+	scores := []int{0, 12, 39, 40, 41, 41, 60, 60, 61, 120}
+	offsets := []float64{-4, -2, 0, 2, 4}
+	const z = 100.0
+	for trial := 0; trial < 400; trial++ {
+		cands := make([]Keyframe, rng.Intn(9))
+		for i := range cands {
+			m := scores[rng.Intn(len(scores))]
+			cands[i] = p.keyframe(i+1, m, rng.Intn(2) == 0, z+offsets[rng.Intn(len(offsets))])
+		}
+		wantKF, wantScore, wantOK := bestKeyframeRef(e, p.kps, p.descs, cands)
+		gotKF, gotScore, gotOK := e.bestKeyframe(p.kps, p.descs, cands, z)
+		if gotKF.ID != wantKF.ID || gotScore != wantScore || gotOK != wantOK {
+			t.Fatalf("trial %d: keyframe %d, %d inliers, ok %v; ascending scan %d, %d, %v",
+				trial, gotKF.ID, gotScore, gotOK, wantKF.ID, wantScore, wantOK)
+		}
+	}
+}
+
+// voBound is exactly the decision boundary: the map anchor holds against
+// every odometry count below it and none from it on.
+func TestVOBoundIsTheDecisionBoundary(t *testing.T) {
+	for k := 0; k <= 1000; k++ {
+		b := voBound(k)
+		for v := 0; v <= 2*k+8; v++ {
+			if mapHolds(k, v) != (v < b) {
+				t.Fatalf("map %d, odometry %d: holds %v, but voBound = %d", k, v, mapHolds(k, v), b)
+			}
+		}
+	}
+}
+
+// Around the 0.8 boundary, with and without a qualifying map anchor,
+// tracking with the odometry bound decides what the exact count decides:
+// same anchor, pose and match count, or lost on both.
+func TestTrackVOBoundKeepsDecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	p := newPlanted(rng, 200)
+	minM := DefaultConfig().MinMatches
+	for _, k := range []int{0, minM - 1, minM, minM + 1, 44, 45, 80, 121} {
+		vos := []int{0, 1, minM - 1, minM, minM + 1, k - 1, k, k + 1, len(p.descs)}
+		if k >= minM {
+			b := voBound(k)
+			vos = append(vos, b-2, b-1, b, b+1)
+		}
+		for _, vo := range vos {
+			if vo < 0 || vo > len(p.descs) {
+				continue
+			}
+			m := NewPriorMap()
+			kf := p.keyframe(0, k, true, 10)
+			m.Add(kf.Pose, kf.Keypoints, kf.Descriptors)
+			e, err := NewEngine(DefaultConfig(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := p.keyframe(0, vo, true, 0)
+			e.havePose, e.lastPose, e.velocity = true, scene.Pose{Z: 9}, 1
+			e.prevKps, e.prevDescs = prev.Keypoints, prev.Descriptors
+			predicted := e.PredictPose()
+			want, wantOK := trackRef(e, p.kps, p.descs, predicted)
+			got, gotOK := e.track(p.kps, p.descs, predicted)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("map %d, odometry %d: %+v (ok %v), exact count %+v (ok %v)", k, vo, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+// On a recorded 60-frame highway drive over a surveyed map, every tracking
+// attempt returns the estimate the reference scan returns from the same
+// engine state, and the bounded scan compares strictly fewer descriptor
+// pairs in total. The count is the matcher's own, so no timing enters.
+func TestTrackingScanComparesFewerPairs(t *testing.T) {
+	cfg := scene.DefaultConfig(scene.Highway)
+	cfg.Width, cfg.Height = 512, 256
+	gen, err := scene.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(DefaultConfig(), NewPriorMap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 80; i++ {
+		f := gen.Step()
+		e.Survey(f.Image, f.EgoPose)
+	}
+	replay, err := scene.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refPairs, gotPairs, attempts int
+	for i := 0; i < 60; i++ {
+		frame := replay.Step().Image
+		if e.havePose && !e.lost {
+			kps, descs := ExtractFeatures(frame, e.cfg.FAST)
+			predicted := e.PredictPose()
+			before := e.match.pairs
+			want, wantOK := trackRef(e, kps, descs, predicted)
+			mid := e.match.pairs
+			got, gotOK := e.track(kps, descs, predicted)
+			refPairs += mid - before
+			gotPairs += e.match.pairs - mid
+			attempts++
+			if got != want || gotOK != wantOK {
+				t.Fatalf("frame %d: %+v (ok %v), reference %+v (ok %v)", i, got, gotOK, want, wantOK)
+			}
+		}
+		e.Localize(frame)
+	}
+	if attempts < 50 {
+		t.Fatalf("only %d of 60 frames attempted tracking", attempts)
+	}
+	t.Logf("%d tracking attempts: %d descriptor pairs, reference %d (%.1f%% fewer)",
+		attempts, gotPairs, refPairs, 100*(1-float64(gotPairs)/float64(refPairs)))
+	if gotPairs >= refPairs {
+		t.Fatalf("bounded tracking compared %d descriptor pairs, reference %d: want strictly fewer", gotPairs, refPairs)
+	}
+}
+
 // FuzzMatchDescriptors checks the matcher against matchDescriptorsRef on
 // random query/train sets drawn near a small pool (so ties, duplicates
 // and near-threshold distances are common) and random maxDist and ratio.
@@ -516,8 +726,8 @@ func FuzzMatchDescriptors(f *testing.F) {
 			t.Fatalf("maxDist=%d ratio=%v: %v, reference %v", maxDist, ratio, got, want)
 		}
 		need := rng.Intn(len(query) + 2)
-		got, ok := matchInto(nil, query, train, maxDist, ratio, need)
-		if msg := checkNeed(query, train, need, ok, got, want); msg != "" {
+		got, scanned := matchInto(nil, query, train, maxDist, ratio, need)
+		if msg := checkNeed(query, train, need, scanned, got, want); msg != "" {
 			t.Fatalf("maxDist=%d ratio=%v need=%d: %s", maxDist, ratio, need, msg)
 		}
 	})
@@ -586,7 +796,8 @@ func TestAllocLocalizeSteadyState(t *testing.T) {
 }
 
 // BenchmarkLOCLoops times each fast path beside its reference on one
-// recorded 512×256 scene frame (the matcher on frame 0 against frame 1).
+// recorded 512×256 scene frame (the matcher on frame 0 against frame 1;
+// the blur on frame 0 itself, whose cost does not depend on its pixels).
 func BenchmarkLOCLoops(b *testing.B) {
 	frames := sceneFrames(b, 2)
 	cfg := DefaultConfig()
@@ -595,10 +806,14 @@ func BenchmarkLOCLoops(b *testing.B) {
 	descs := ComputeAll(frames[0], kps)
 	_, other := ExtractFeatures(frames[1], cfg.FAST)
 	var ms []Match
+	var blurred img.Gray
+	var blurWork img.Integral
 	for _, bm := range []struct {
 		name string
 		fn   func()
 	}{
+		{"blur/fast", func() { frames[0].BoxBlurInto(&blurred, &blurWork, 1) }},
+		{"blur/ref", func() { boxBlur3Ref(frames[0]) }},
 		{"fast/fast", func() { detectFAST(frames[0], cfg.FAST, &fe) }},
 		{"fast/ref", func() { detectFASTRef(frames[0], cfg.FAST) }},
 		{"rbrief/fast", func() {

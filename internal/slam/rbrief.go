@@ -157,10 +157,13 @@ func GeometricInliers(qkps, tkps []Keypoint, ms []Match, tol int) int {
 }
 
 // matchScratch holds the matcher's reusable buffers: the match list and
-// GeometricInliers' displacement columns. Not safe for concurrent use.
+// GeometricInliers' displacement columns. pairs counts the query×train
+// descriptor pairs its matches have compared, the work the need bound
+// saves; tests read it. Not safe for concurrent use.
 type matchScratch struct {
 	ms       []Match
 	dxs, dys []int
+	pairs    int
 }
 
 // inliers matches descs against a keyframe's tdescs and returns the
@@ -170,9 +173,10 @@ type matchScratch struct {
 // scan stops and 0 is returned (need ≥ 1 whenever that happens). need ≤ 0
 // always gets the exact count.
 func (s *matchScratch) inliers(kps []Keypoint, descs []Descriptor, tkps []Keypoint, tdescs []Descriptor, cfg *Config, need int) int {
-	ms, ok := matchInto(s.ms, descs, tdescs, cfg.MatchMaxDist, cfg.MatchRatio, need)
+	ms, scanned := matchInto(s.ms, descs, tdescs, cfg.MatchMaxDist, cfg.MatchRatio, need)
 	s.ms = ms
-	if !ok {
+	s.pairs += scanned * len(tdescs)
+	if scanned < len(descs) {
 		return 0
 	}
 	return s.geometricInliers(kps, tkps, ms, cfg.InlierTol)
@@ -237,19 +241,20 @@ func MatchDescriptors(query, train []Descriptor, maxDist int, ratio float64) []M
 // such distance to the cap leaves the output unchanged, and the d < second
 // test that gates each update becomes almost never true.
 //
-// A caller that only needs to know whether the result holds at least need
-// matches gets ok = false, and a partial dst, as soon as the matches so far
+// scanned is the number of queries matched against train. A caller that
+// only needs to know whether the result holds at least need matches gets
+// scanned < len(query), and a partial dst, as soon as the matches so far
 // plus the queries not yet scanned fall below need; every complete result
-// has ok = true, whatever its length.
-func matchInto(dst []Match, query, train []Descriptor, maxDist int, ratio float64, need int) (ms []Match, ok bool) {
+// has scanned = len(query), whatever its length.
+func matchInto(dst []Match, query, train []Descriptor, maxDist int, ratio float64, need int) (ms []Match, scanned int) {
 	dst = dst[:0]
 	if len(train) == 0 {
-		return dst, true
+		return dst, len(query)
 	}
 	limit := matchCap(maxDist, ratio)
 	for qi := 0; qi < len(query); qi += 2 {
 		if len(dst)+len(query)-qi < need {
-			return dst, false
+			return dst, qi
 		}
 		qa, qb := &query[qi], &query[qi]
 		if qi+1 < len(query) {
@@ -269,7 +274,7 @@ func matchInto(dst []Match, query, train []Descriptor, maxDist int, ratio float6
 			dst = append(dst, Match{QueryIdx: qi + 1, TrainIdx: b.idx, Distance: b.best})
 		}
 	}
-	return dst, true
+	return dst, len(query)
 }
 
 // hamming is Descriptor.Hamming on pointers, so the matcher's inner loop

@@ -1,7 +1,9 @@
 package slam
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"adsim/internal/img"
@@ -106,6 +108,7 @@ type Engine struct {
 	// Reusable buffers (the engine is single-goroutine).
 	fe    FEScratch
 	match matchScratch
+	order []int // bestKeyframe's visit order
 }
 
 // NewEngine builds a localization engine over a monolithic in-memory prior
@@ -296,26 +299,9 @@ func (e *Engine) localizeFrom(kps []Keypoint, descs []Descriptor) Estimate {
 	// Tracking attempt: narrow window around the prediction (skipped when
 	// no pose is known yet — cold start relocalizes).
 	if e.havePose && !e.lost {
-		// Score both anchors: the prior map (absolute) and the previous
-		// frame (visual odometry, as ORB-SLAM's tracking thread uses).
-		cands := e.store.Candidates(predicted.Z, e.cfg.TrackWindow)
-		kf, kfInliers, kfOK := e.bestKeyframe(kps, descs, cands)
-		voInliers := 0
-		if len(e.prevDescs) > 0 {
-			voInliers = e.match.inliers(kps, descs, e.prevKps, e.prevDescs, &e.cfg, 0)
-		}
-		// Prefer the map anchor when its support is comparable (it is
-		// drift-free), but fall back to odometry when the frame clearly
-		// matches the live world better than any surveyed keyframe —
-		// the signature of unsurveyed or perceptually-aliased territory.
-		if kfOK && float64(kfInliers) >= 0.8*float64(voInliers) {
-			pose := e.refinePose(kf, predicted)
-			e.commitPose(pose)
-			return Estimate{Pose: pose, Tracked: true, Matches: kfInliers}
-		}
-		if voInliers >= e.cfg.MinMatches {
-			e.commitPose(predicted)
-			return Estimate{Pose: predicted, Tracked: true, Matches: voInliers}
+		if est, ok := e.track(kps, descs, predicted); ok {
+			e.commitPose(est.Pose)
+			return est
 		}
 		e.lost = true
 	}
@@ -374,15 +360,89 @@ func (s *scorer) result(minMatches int) (Keyframe, int, bool) {
 	return s.best, s.bestScore, true
 }
 
+// track is the tracking attempt. It scores both anchors, the prior map's
+// keyframes in the narrow window around predicted (absolute) and the
+// previous frame (visual odometry, as ORB-SLAM's tracking thread uses),
+// and returns the estimate, or ok = false when neither holds. It changes
+// no engine state but its scratch (the matcher's and the visit order).
+func (e *Engine) track(kps []Keypoint, descs []Descriptor, predicted scene.Pose) (est Estimate, ok bool) {
+	cands := e.store.Candidates(predicted.Z, e.cfg.TrackWindow)
+	kf, kfInliers, kfOK := e.bestKeyframe(kps, descs, cands, predicted.Z)
+	// Odometry's exact count is read only where it changes the decision:
+	// from voBound past a map anchor, from MinMatches without one. Below
+	// that the matcher may give up and report 0, which decides the same.
+	need := e.cfg.MinMatches
+	if kfOK {
+		need = voBound(kfInliers)
+	}
+	voInliers := 0
+	if len(e.prevDescs) > 0 {
+		voInliers = e.match.inliers(kps, descs, e.prevKps, e.prevDescs, &e.cfg, need)
+	}
+	// Prefer the map anchor when its support is comparable (it is
+	// drift-free), but fall back to odometry when the frame clearly
+	// matches the live world better than any surveyed keyframe — the
+	// signature of unsurveyed or perceptually-aliased territory.
+	if kfOK && mapHolds(kfInliers, voInliers) {
+		return Estimate{Pose: e.refinePose(kf, predicted), Tracked: true, Matches: kfInliers}, true
+	}
+	if voInliers >= e.cfg.MinMatches {
+		return Estimate{Pose: predicted, Tracked: true, Matches: voInliers}, true
+	}
+	return Estimate{}, false
+}
+
+// mapHolds reports whether a map anchor with kfInliers keeps the pose
+// against odometry with voInliers.
+func mapHolds(kfInliers, voInliers int) bool {
+	return float64(kfInliers) >= 0.8*float64(voInliers)
+}
+
+// voBound is the least odometry count v that overrules a map anchor with
+// kfInliers: mapHolds(kfInliers, v') for every v' < v, and for no v' ≥ v.
+// Starting from the real quotient, the two loops settle the rounding of
+// the float comparison itself.
+func voBound(kfInliers int) int {
+	v := int(float64(kfInliers) / 0.8)
+	for mapHolds(kfInliers, v) {
+		v++
+	}
+	for v > 0 && !mapHolds(kfInliers, v-1) {
+		v--
+	}
+	return v
+}
+
 // bestKeyframe scores candidate keyframes by geometrically-verified match
 // count and returns the best one (the first in cands on a tie) if it clears
-// MinMatches.
-func (e *Engine) bestKeyframe(kps []Keypoint, descs []Descriptor, cands []Keyframe) (Keyframe, int, bool) {
-	sc := scorer{e: e, kps: kps, descs: descs}
-	for _, kf := range cands {
-		sc.consider(kf)
+// MinMatches. It visits them nearest to z first, ties by index: the
+// nearest is the likeliest winner, and the best score so far bounds every
+// later scan. A candidate ahead of the best in cands wins a tie, so it
+// needs only bestScore inliers; every other one needs bestScore+1.
+func (e *Engine) bestKeyframe(kps []Keypoint, descs []Descriptor, cands []Keyframe, z float64) (Keyframe, int, bool) {
+	e.order = e.order[:0]
+	for i := range cands {
+		e.order = append(e.order, i)
 	}
-	return sc.result(e.cfg.MinMatches)
+	slices.SortStableFunc(e.order, func(i, j int) int {
+		return cmp.Compare(abs(cands[i].Pose.Z-z), abs(cands[j].Pose.Z-z))
+	})
+	best, bestScore := -1, 0
+	for _, i := range e.order {
+		need := bestScore + 1
+		if i < best {
+			need = bestScore
+		}
+		// need ≥ 1, so a 0 from a scan that gave up never takes the lead.
+		inl := e.match.inliers(kps, descs, cands[i].Keypoints, cands[i].Descriptors, &e.cfg, need)
+		if inl >= need {
+			best, bestScore = i, inl
+		}
+	}
+	if bestScore < e.cfg.MinMatches {
+		return Keyframe{}, bestScore, false
+	}
+	return cands[best], bestScore, true
 }
 
 // refinePose blends the matched keyframe's surveyed pose with the motion
