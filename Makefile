@@ -48,8 +48,8 @@ bench-check:
 
 # Zero-allocation gates on the warm inference hot path, each at 1, 2 and 4
 # kernel workers, plus LOC's gate (a steady-state frame allocates only the
-# slices it retains), DET's proposal pass, the radius-1 blur's and the
-# conformal planner's (a fixed count at any horizon) (testing.AllocsPerRun
+# slices it retains), DET's proposal pass, the radius-1 blur's, the
+# bilinear resize's and the conformal planner's (a fixed count at any horizon) (testing.AllocsPerRun
 # is unreliable under -race, so these run without it; `make race` still
 # executes the same tests for correctness). No output filter: the target's
 # status must be go test's.
@@ -59,20 +59,22 @@ alloc-gate:
 # The pure-Go kernels every non-amd64 host runs (gemm_other.go, the GEMM
 # tile; leaf_other.go, the pool, FC and activation leaves; sad_other.go, the
 # template-match window; blur_other.go, the 3×3 blur's three-row rows): the
-# kernel packages' tests as 386 binaries, which run on an amd64 host and do
-# float math in SSE2 too, so the bitwise tests hold; the pipeline's
+# kernel packages' tests, and DET's (its SWAR proposal scan), as 386
+# binaries, which run on an amd64 host and do float math in SSE2 too, so the
+# bitwise tests hold; the pipeline's
 # golden-trace and parity contract on the same fallbacks; plus arm64 vet,
-# and a scan of internal/tensor's and internal/img's arm64 code for fused
-# multiply-adds, which the Go spec lets the compiler form from x*y + z and
-# which round once where amd64 rounds twice (wrap the product in float32()
-# or float64()).
+# and a scan of internal/tensor's, internal/img's and internal/detect's arm64
+# code for fused multiply-adds, which the Go spec lets the compiler form from
+# x*y + z and which round once where amd64 rounds twice (wrap the product in
+# float32() or float64()).
 noasm-check:
-	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track ./internal/img
+	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track ./internal/img ./internal/detect
 	GOARCH=386 $(GO) test -count=1 -run 'Golden|Parity|Identical|TestFleetMatchesSoloRunners' ./internal/pipeline
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 	GOARCH=arm64 $(GO) vet ./internal/track
 	GOARCH=arm64 $(GO) vet ./internal/img
-	@for pkg in ./internal/tensor ./internal/img; do \
+	GOARCH=arm64 $(GO) vet ./internal/detect
+	@for pkg in ./internal/tensor ./internal/img ./internal/detect; do \
 		asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $$pkg 2>&1)" || { echo "$$asm"; exit 1; }; \
 		if echo "$$asm" | grep -E 'FN?M(ADD|SUB)[SD]'; then \
 			echo "$$pkg: fused multiply-add in the arm64 code"; exit 1; \
@@ -80,15 +82,17 @@ noasm-check:
 	done
 
 # Short fuzz smoke over the ADM1 prior-map decoder, the descriptor matcher,
-# the tracker's template match, the radius-1 blur, the GEMM's register tile
-# and the DNN leaves (each against its plain reference loop or Go form) and
-# the unified scenario program parser (go test -fuzz takes one target in one
-# package at a time; -run '^$' skips the unit tests it already ran).
+# the tracker's template match, the radius-1 blur, DET's proposal scan, the
+# GEMM's register tile and the DNN leaves (each against its plain reference
+# loop or Go form) and the unified scenario program parser (go test -fuzz
+# takes one target in one package at a time; -run '^$' skips the unit tests
+# it already ran).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadPriorMap -fuzztime=10s -run='^$$' ./internal/slam
 	$(GO) test -fuzz=FuzzMatchDescriptors -fuzztime=10s -run='^$$' ./internal/slam
 	$(GO) test -fuzz=FuzzMatchTemplate -fuzztime=10s -run='^$$' ./internal/track
 	$(GO) test -fuzz=FuzzBoxBlur3 -fuzztime=10s -run='^$$' ./internal/img
+	$(GO) test -fuzz=FuzzProposeOutlineBoxes -fuzztime=10s -run='^$$' ./internal/detect
 	$(GO) test -fuzz=FuzzGemmRange -fuzztime=10s -run='^$$' ./internal/tensor
 	$(GO) test -fuzz=FuzzDNNLeaves -fuzztime=10s -run='^$$' ./internal/tensor
 	$(GO) test -fuzz=FuzzParseScenarioProgram -fuzztime=10s -run='^$$' ./internal/scenario

@@ -21,7 +21,7 @@ package detect
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -302,7 +302,7 @@ func (d *Detector) DetectBudgeted(frame *img.Gray, opt BudgetOpts) ([]Detection,
 	}
 	dets = NMS(dets, d.cfg.NMSThreshold)
 	if info.EarlyExit {
-		info.Quality = AnytimeQualityFloor + (1-AnytimeQualityFloor)*progress
+		info.Quality = AnytimeQualityFloor + float64((1-AnytimeQualityFloor)*progress)
 		dets = coarsenAnytime(dets, info.Quality)
 	}
 	postDur := time.Since(startPost)
@@ -353,8 +353,14 @@ func coarsenAnytime(dets []Detection, quality float64) []Detection {
 func NMS(dets []Detection, thresh float64) []Detection {
 	sorted := make([]Detection, len(dets))
 	copy(sorted, dets)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Confidence > sorted[j].Confidence
+	slices.SortStableFunc(sorted, func(a, b Detection) int {
+		switch {
+		case a.Confidence > b.Confidence:
+			return -1
+		case a.Confidence < b.Confidence:
+			return 1
+		}
+		return 0
 	})
 	kept := sorted[:0]
 	for _, cand := range sorted {

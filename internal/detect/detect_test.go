@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"adsim/internal/dnn"
@@ -203,6 +204,27 @@ func TestNMSDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// NMS's sort is stable: detections of equal confidence keep their input
+// order, and proposals capped at confidence 1 tie often.
+func TestNMSStableOnTies(t *testing.T) {
+	var dets []Detection
+	for i := range 12 {
+		dets = append(dets, Detection{Box: img.RectWH(float64(20*i), 0, 10, 10), Confidence: []float64{1, 0.5, 1, 0.7}[i%4]})
+	}
+	out := NMS(dets, 0.45)
+	var want []Detection
+	for _, conf := range []float64{1, 0.7, 0.5} {
+		for _, d := range dets {
+			if d.Confidence == conf {
+				want = append(want, d)
+			}
+		}
+	}
+	if !slices.Equal(out, want) {
+		t.Errorf("NMS order %+v, want %+v", out, want)
+	}
+}
+
 func TestNMSEmpty(t *testing.T) {
 	if out := NMS(nil, 0.5); len(out) != 0 {
 		t.Error("NMS(nil) should be empty")
@@ -295,122 +317,6 @@ func allocDetectGate(t *testing.T, budget float64, run func(*Detector)) {
 					delta, withDNN, noDNN, budget)
 			}
 		})
-	}
-}
-
-// proposeOutlineBoxesRef is the proposal pass with fresh buffers on every
-// call, as it ran before the reused scratch: the differential reference.
-func proposeOutlineBoxesRef(frame *img.Gray, minArea float64) []Detection {
-	const outlineMin = 250
-	w, h := frame.W, frame.H
-	visited := make([]bool, w*h)
-	var out []Detection
-	queue := make([]int, 0, 256)
-	for start := 0; start < w*h; start++ {
-		if visited[start] || frame.Pix[start] < outlineMin {
-			continue
-		}
-		minX, minY := w, h
-		maxX, maxY := 0, 0
-		count := 0
-		queue = append(queue[:0], start)
-		visited[start] = true
-		for len(queue) > 0 {
-			idx := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			x, y := idx%w, idx/w
-			count++
-			minX, maxX = min(minX, x), max(maxX, x)
-			minY, maxY = min(minY, y), max(maxY, y)
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					nx, ny := x+dx, y+dy
-					if nx < 0 || ny < 0 || nx >= w || ny >= h {
-						continue
-					}
-					nidx := ny*w + nx
-					if !visited[nidx] && frame.Pix[nidx] >= outlineMin {
-						visited[nidx] = true
-						queue = append(queue, nidx)
-					}
-				}
-			}
-		}
-		box := img.Rect{X0: float64(minX), Y0: float64(minY),
-			X1: float64(maxX + 1), Y1: float64(maxY + 1)}
-		if box.Area() < minArea {
-			continue
-		}
-		conf := min(float64(count)/(2*(box.W()+box.H())), 1)
-		out = append(out, Detection{Box: box, Class: ClassifyBox(box), Confidence: conf})
-	}
-	return out
-}
-
-// sceneFrames renders n urban frames at w×h.
-func sceneFrames(t testing.TB, w, h, n int) []*img.Gray {
-	cfg := scene.DefaultConfig(scene.Urban)
-	cfg.Width, cfg.Height = w, h
-	gen, err := scene.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]*img.Gray, n)
-	for i := range out {
-		out[i] = gen.Step().Image
-	}
-	return out
-}
-
-// One proposal scratch carried across frames of alternating sizes — larger,
-// smaller, then larger again — must give exactly the fresh-buffer pass's
-// proposals on every call: no visited flag, stack entry or proposal may
-// leak from an earlier frame.
-func TestProposalsMatchFreshBuffers(t *testing.T) {
-	var frames []*img.Gray
-	for _, sz := range [][2]int{{512, 256}, {160, 120}, {640, 360}, {384, 192}} {
-		frames = append(frames, sceneFrames(t, sz[0], sz[1], 3)...)
-	}
-	frames = append(frames, frameWithBox(160, 120, img.RectWH(40, 30, 40, 33)), img.NewGray(512, 256))
-	var sc proposalScratch
-	for round := 0; round < 2; round++ {
-		for i := range frames {
-			f := frames[(i*5+round)%len(frames)]
-			for _, minArea := range []float64{0, 30} {
-				got := proposeOutlineBoxes(f, minArea, &sc)
-				want := proposeOutlineBoxesRef(f, minArea)
-				if len(got) != len(want) {
-					t.Fatalf("frame %dx%d minArea %v: %d proposals, fresh buffers give %d", f.W, f.H, minArea, len(got), len(want))
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("frame %dx%d minArea %v proposal %d: %+v, fresh buffers give %+v", f.W, f.H, minArea, j, got[j], want[j])
-					}
-				}
-			}
-		}
-	}
-}
-
-// Alloc gate (run by `make alloc-gate`): once warm on the largest frame, the
-// proposal pass allocates nothing — not its visited map, its flood-fill
-// stack or its proposal list — on frames of that size or smaller.
-func TestAllocProposalsSteadyState(t *testing.T) {
-	frames := append(sceneFrames(t, 512, 256, 4), sceneFrames(t, 384, 192, 2)...)
-	var sc proposalScratch
-	for _, f := range frames {
-		proposeOutlineBoxes(f, 30, &sc)
-	}
-	if testutil.RaceEnabled {
-		t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		proposeOutlineBoxes(frames[i%len(frames)], 30, &sc)
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("warm proposal pass allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

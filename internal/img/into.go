@@ -54,7 +54,23 @@ func (g *Gray) CropInto(dst *Gray, r Rect) *Gray {
 	return out
 }
 
-// ResizeInto is Resize writing into dst (nil allocates).
+// resizeChunk is how many output columns' taps ResizeInto keeps on the
+// stack at once (1.5 KB); wider outputs take the columns in chunks.
+const resizeChunk = 64
+
+// byteFloat[b] is float64(b): a load in place of a conversion.
+var byteFloat = func() (t [256]float64) {
+	for i := range t {
+		t[i] = float64(i)
+	}
+	return t
+}()
+
+// ResizeInto is Resize writing into dst (nil allocates). Each output column's
+// taps x0, x1 and weight fx depend only on x, so they are computed once per
+// call, a chunk of columns at a time, with the same expressions a per-pixel
+// loop uses, and a source byte's value comes from byteFloat, which holds it
+// exactly: every output byte equals that loop's on every GOARCH.
 func (g *Gray) ResizeInto(dst *Gray, w, h int) *Gray {
 	out := grayInto(dst, w, h)
 	if w == g.W && h == g.H {
@@ -63,35 +79,41 @@ func (g *Gray) ResizeInto(dst *Gray, w, h int) *Gray {
 	}
 	xRatio := float64(g.W) / float64(w)
 	yRatio := float64(g.H) / float64(h)
-	for y := 0; y < h; y++ {
-		sy := float64((float64(y) + 0.5) * yRatio)
-		y0 := int(sy - 0.5)
-		fy := sy - 0.5 - float64(y0)
-		if y0 < 0 {
-			y0, fy = 0, 0
-		}
-		y1 := y0 + 1
-		if y1 >= g.H {
-			y1 = g.H - 1
-		}
-		for x := 0; x < w; x++ {
-			sx := float64((float64(x) + 0.5) * xRatio)
+	var x0s, x1s [resizeChunk]int
+	var fxs [resizeChunk]float64
+	for cx := 0; cx < w; cx += resizeChunk {
+		cols := min(w-cx, resizeChunk)
+		for i := range cols {
+			sx := float64((float64(cx+i) + 0.5) * xRatio)
 			x0 := int(sx - 0.5)
 			fx := sx - 0.5 - float64(x0)
 			if x0 < 0 {
 				x0, fx = 0, 0
 			}
-			x1 := x0 + 1
-			if x1 >= g.W {
-				x1 = g.W - 1
+			x0s[i], x1s[i], fxs[i] = x0, min(x0+1, g.W-1), fx
+		}
+		for y := 0; y < h; y++ {
+			sy := float64((float64(y) + 0.5) * yRatio)
+			y0 := int(sy - 0.5)
+			fy := sy - 0.5 - float64(y0)
+			if y0 < 0 {
+				y0, fy = 0, 0
 			}
-			p00 := float64(g.Pix[y0*g.W+x0])
-			p01 := float64(g.Pix[y0*g.W+x1])
-			p10 := float64(g.Pix[y1*g.W+x0])
-			p11 := float64(g.Pix[y1*g.W+x1])
-			top := float64(p00*(1-fx)) + float64(p01*fx)
-			bot := float64(p10*(1-fx)) + float64(p11*fx)
-			out.Pix[y*w+x] = uint8(float64(top*(1-fy)) + float64(bot*fy) + 0.5)
+			y1 := min(y0+1, g.H-1)
+			row0 := g.Pix[y0*g.W : (y0+1)*g.W]
+			row1 := g.Pix[y1*g.W : (y1+1)*g.W]
+			dst := out.Pix[y*w+cx : y*w+cx+cols]
+			gy := 1 - fy
+			for i := range dst {
+				x0, x1, fx := x0s[i], x1s[i], fxs[i]
+				p00 := byteFloat[row0[x0]]
+				p01 := byteFloat[row0[x1]]
+				p10 := byteFloat[row1[x0]]
+				p11 := byteFloat[row1[x1]]
+				top := float64(p00*(1-fx)) + float64(p01*fx)
+				bot := float64(p10*(1-fx)) + float64(p11*fx)
+				dst[i] = uint8(float64(top*gy) + float64(bot*fy) + 0.5)
+			}
 		}
 	}
 	return out

@@ -166,12 +166,14 @@ func PaperWorkload() dnn.Cost {
 // exactly that), without frame N's boxes mutating retroactively.
 func (e *Engine) Tracks() []*Track { return e.snapshot() }
 
-// snapshot deep-copies the live table.
+// snapshot deep-copies the live table into one slab of tracks behind the
+// returned pointers: two allocations whatever the track count.
 func (e *Engine) snapshot() []*Track {
+	slab := make([]Track, len(e.tracks))
 	out := make([]*Track, len(e.tracks))
 	for i, tr := range e.tracks {
-		cp := *tr
-		out[i] = &cp
+		slab[i] = *tr
+		out[i] = &slab[i]
 	}
 	return out
 }

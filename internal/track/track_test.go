@@ -160,6 +160,28 @@ func TestTracksSnapshotImmuneToLaterSteps(t *testing.T) {
 	}
 }
 
+// A snapshot holds every live track at its own copy: with eight tracks,
+// the i-th pointer reads the i-th table entry, and no two share storage.
+func TestSnapshotCopiesEveryTrack(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RunDNN = false
+	e, _ := New(cfg)
+	f, boxes := squaresFrame(0)
+	e.Step(f, asDetections(boxes))
+	snap, _ := e.Step(f, asDetections(boxes))
+	if len(snap) != len(e.tracks) || len(snap) != 8 {
+		t.Fatalf("snapshot holds %d tracks, table %d, want 8", len(snap), len(e.tracks))
+	}
+	for i, tr := range snap {
+		if *tr != *e.tracks[i] {
+			t.Errorf("snapshot track %d = %+v, table holds %+v", i, *tr, *e.tracks[i])
+		}
+		if tr == e.tracks[i] || (i > 0 && tr == snap[i-1]) {
+			t.Errorf("snapshot track %d shares storage", i)
+		}
+	}
+}
+
 // movingSquareFrame renders a textured square at (x,y) for tracking tests.
 func movingSquareFrame(x, y int) *img.Gray {
 	f := img.NewGray(200, 100)
@@ -597,9 +619,9 @@ func TestStepBitwiseAcrossWorkers(t *testing.T) {
 // Alloc gate (run by `make alloc-gate`): the warm single-track DNN step
 // must stay within a small budget over the no-DNN floor (timing
 // bookkeeping; the measured delta is 0), not the per-layer tensor churn the
-// arena replaced; and a warm eight-track step allocates its snapshot (one
-// slice, one copy per track) plus two (the detection-used flags and the
-// fan-out's callback), whatever the track count. The executor's worker count is
+// arena replaced; and a warm eight-track step allocates its snapshot (the
+// pointer slice and the one slab of copies behind it) plus two (the
+// detection-used flags and the fan-out's callback), whatever the track count. The executor's worker count is
 // pinned per subtest, not read from the host, so the fan-out is gated on a
 // 1-CPU host too.
 func TestAllocTrackSteadyState(t *testing.T) {
@@ -645,9 +667,8 @@ func TestAllocTrackSteadyState(t *testing.T) {
 				t.Fatalf("%d live tracks, want 8", k)
 			}
 			allocs := testing.AllocsPerRun(10, func() { e.Step(f, dets) })
-			if allocs > float64(k+1+2) {
-				t.Errorf("an %d-track step allocates %.1f, want <= %d (the snapshot's %d plus 2)",
-					k, allocs, k+1+2, k+1)
+			if allocs > 2+2 {
+				t.Errorf("an %d-track step allocates %.1f, want <= 4 (the snapshot's 2 plus 2)", k, allocs)
 			}
 		})
 	}
