@@ -63,10 +63,10 @@ alloc-gate:
 # binaries, which run on an amd64 host and do float math in SSE2 too, so the
 # bitwise tests hold; the pipeline's
 # golden-trace and parity contract on the same fallbacks; plus arm64 vet,
-# and a scan of internal/tensor's, internal/img's and internal/detect's arm64
-# code for fused multiply-adds, which the Go spec lets the compiler form from
-# x*y + z and which round once where amd64 rounds twice (wrap the product in
-# float32() or float64()).
+# and a scan of internal/tensor's, internal/img's, internal/detect's and
+# internal/pipeline's arm64 code for fused multiply-adds, which the Go spec
+# lets the compiler form from x*y + z and which round once where amd64
+# rounds twice (wrap the product in float32() or float64()).
 noasm-check:
 	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track ./internal/img ./internal/detect
 	GOARCH=386 $(GO) test -count=1 -run 'Golden|Parity|Identical|TestFleetMatchesSoloRunners' ./internal/pipeline
@@ -74,7 +74,8 @@ noasm-check:
 	GOARCH=arm64 $(GO) vet ./internal/track
 	GOARCH=arm64 $(GO) vet ./internal/img
 	GOARCH=arm64 $(GO) vet ./internal/detect
-	@for pkg in ./internal/tensor ./internal/img ./internal/detect; do \
+	GOARCH=arm64 $(GO) vet ./internal/pipeline
+	@for pkg in ./internal/tensor ./internal/img ./internal/detect ./internal/pipeline; do \
 		asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $$pkg 2>&1)" || { echo "$$asm"; exit 1; }; \
 		if echo "$$asm" | grep -E 'FN?M(ADD|SUB)[SD]'; then \
 			echo "$$pkg: fused multiply-add in the arm64 code"; exit 1; \

@@ -27,8 +27,6 @@ type AblateNoiseResult struct {
 	ComponentTailSum  float64 // Fig 10b DET+TRA on CPU
 }
 
-func (AblateNoiseResult) ID() string { return "ablate-noise" }
-
 func (r AblateNoiseResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("ablate-noise", "Ablation: co-located interference correlation"))
@@ -87,8 +85,6 @@ type AblateRelocResult struct {
 	Rows []AblateRelocRow
 }
 
-func (AblateRelocResult) ID() string { return "ablate-reloc" }
-
 func (r AblateRelocResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("ablate-reloc", "Ablation: relocalization frequency vs LOC latency (CPU)"))
@@ -142,8 +138,6 @@ type AblateCoolingRow struct {
 type AblateCoolingResult struct {
 	Rows []AblateCoolingRow
 }
-
-func (AblateCoolingResult) ID() string { return "ablate-cooling" }
 
 func (r AblateCoolingResult) Render() string {
 	var b strings.Builder

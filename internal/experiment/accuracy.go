@@ -38,8 +38,6 @@ type AccuracyResult struct {
 	Rows []AccuracyRow
 }
 
-func (AccuracyResult) ID() string { return "accuracy" }
-
 func (r AccuracyResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("accuracy", "Detection quality vs. camera resolution (extension)"))

@@ -33,8 +33,6 @@ type AblateCamerasResult struct {
 	Rows []AblateCamerasRow
 }
 
-func (AblateCamerasResult) ID() string { return "ablate-cameras" }
-
 func (r AblateCamerasResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("ablate-cameras", "Vehicle-level tail vs. camera count (extension)"))

@@ -27,8 +27,6 @@ type EnergyResult struct {
 	Rows []EnergyRow
 }
 
-func (EnergyResult) ID() string { return "energy" }
-
 func (r EnergyResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("energy", "Energy per frame = power x latency (extension)"))

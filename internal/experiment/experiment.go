@@ -42,10 +42,9 @@ func (o *Options) normalize() {
 	}
 }
 
-// Result is a runnable experiment's rendered output.
+// Result is a runnable experiment's rendered output. Its identifier is the
+// registry key it was run under.
 type Result interface {
-	// ID returns the experiment identifier ("fig10", "table2", ...).
-	ID() string
 	// Render returns the human-readable reproduction of the table/figure.
 	Render() string
 }

@@ -25,8 +25,6 @@ type Fig10Result struct {
 	Cells []Fig10Cell
 }
 
-func (Fig10Result) ID() string { return "fig10" }
-
 func (r Fig10Result) Render() string {
 	var b strings.Builder
 	b.WriteString(header("fig10", "Acceleration results across platforms"))

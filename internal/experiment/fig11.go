@@ -28,8 +28,6 @@ type Fig11Result struct {
 	Rows []Fig11Row
 }
 
-func (Fig11Result) ID() string { return "fig11" }
-
 func (r Fig11Result) Render() string {
 	var b strings.Builder
 	b.WriteString(header("fig11", "End-to-end latency across configurations (ms)"))

@@ -30,8 +30,6 @@ type Fig12Result struct {
 	Rows []Fig12Row
 }
 
-func (Fig12Result) ID() string { return "fig12" }
-
 func (r Fig12Result) Render() string {
 	var b strings.Builder
 	b.WriteString(header("fig12", "End-to-end power and driving-range reduction"))

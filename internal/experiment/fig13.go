@@ -26,8 +26,6 @@ type Fig13Result struct {
 	Series      []Fig13Series
 }
 
-func (Fig13Result) ID() string { return "fig13" }
-
 func (r Fig13Result) Render() string {
 	var b strings.Builder
 	b.WriteString(header("fig13", "End-to-end tail latency vs. camera resolution (ms)"))

@@ -25,8 +25,6 @@ type Fig2Result struct {
 	Rows []Fig2Row
 }
 
-func (Fig2Result) ID() string { return "fig2" }
-
 func (r Fig2Result) Render() string {
 	var b strings.Builder
 	b.WriteString(header("fig2", "Driving range reduction vs. added power (Chevy Bolt)"))

@@ -24,8 +24,6 @@ type Fig6Result struct {
 	Rows []Fig6Row
 }
 
-func (Fig6Result) ID() string { return "fig6" }
-
 func (r Fig6Result) Render() string {
 	var b strings.Builder
 	b.WriteString(header("fig6", "Per-component latency on multicore CPUs (ms)"))

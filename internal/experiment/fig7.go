@@ -37,8 +37,6 @@ type Fig7Result struct {
 	Frames int
 }
 
-func (Fig7Result) ID() string { return "fig7" }
-
 func (r Fig7Result) Render() string {
 	var b strings.Builder
 	b.WriteString(header("fig7", "Cycle breakdown of DET, TRA, LOC (hot kernel share)"))

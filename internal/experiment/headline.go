@@ -28,8 +28,6 @@ type HeadlineResult struct {
 	BestMixedTail  float64 // DET=GPU, TRA=LOC=ASIC (the paper's 16.1 ms)
 }
 
-func (HeadlineResult) ID() string { return "headline" }
-
 func (r HeadlineResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("headline", "Tail-latency reduction vs. CPU baseline"))

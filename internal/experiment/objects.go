@@ -32,8 +32,6 @@ type AblateObjectsResult struct {
 	Rows []AblateObjectsRow
 }
 
-func (AblateObjectsResult) ID() string { return "ablate-objects" }
-
 func (r AblateObjectsResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("ablate-objects", "End-to-end tail vs. tracked-object count (extension)"))

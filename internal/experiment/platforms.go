@@ -28,8 +28,6 @@ type PlatformAnalysisResult struct {
 	Rows []PlatformAnalysisRow
 }
 
-func (PlatformAnalysisResult) ID() string { return "platform-analysis" }
-
 func (r PlatformAnalysisResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("platform-analysis", "Implied efficiency vs. Table 2 peaks (extension)"))

@@ -21,8 +21,6 @@ type RooflineResult struct {
 	GoturnFCRows []string
 }
 
-func (RooflineResult) ID() string { return "roofline" }
-
 func (r RooflineResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("roofline", "Layer-wise roofline classification (extension)"))

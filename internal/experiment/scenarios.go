@@ -47,8 +47,6 @@ type ScenariosResult struct {
 	Runs   []ScenarioOutcome
 }
 
-func (ScenariosResult) ID() string { return "scenarios" }
-
 // Pass is the sweep's acceptance bar: the whole library ran (≥ 6 programs),
 // every program delivered all its frames with zero errored frames, every
 // replay reproduced the deterministic fields, and at least one program

@@ -32,8 +32,6 @@ type SeedsResult struct {
 	Rows  []SeedsRow
 }
 
-func (SeedsResult) ID() string { return "seeds" }
-
 func (r SeedsResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("seeds", "Seed robustness of the key results (extension)"))

@@ -37,8 +37,6 @@ type StorageResult struct {
 	StoragePowerW   float64
 }
 
-func (StorageResult) ID() string { return "storage" }
-
 func (r StorageResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("storage", "Prior-map storage extrapolation (extension)"))

@@ -18,8 +18,6 @@ type Table1Result struct {
 	Rows []accel.IndustrySurveyRow
 }
 
-func (Table1Result) ID() string { return "table1" }
-
 func (r Table1Result) Render() string {
 	var b strings.Builder
 	b.WriteString(header("table1", "Autonomous driving vehicles under experimentation in industry"))
@@ -38,8 +36,6 @@ func runTable1(Options) (Result, error) {
 type Table2Result struct {
 	Specs []accel.Spec
 }
-
-func (Table2Result) ID() string { return "table2" }
 
 func (r Table2Result) Render() string {
 	var b strings.Builder
@@ -73,8 +69,6 @@ func runTable2(Options) (Result, error) {
 type Table3Result struct {
 	Spec accel.FEASICSpec
 }
-
-func (Table3Result) ID() string { return "table3" }
 
 func (r Table3Result) Render() string {
 	var b strings.Builder

@@ -88,8 +88,6 @@ type TailResult struct {
 	DNN       bool
 }
 
-func (TailResult) ID() string { return "tail" }
-
 // Pass is the study's acceptance bar: the scheduler must reduce the P99.99,
 // deliver zero hard deadline misses, and hold the accuracy proxy at or
 // above the static baseline.

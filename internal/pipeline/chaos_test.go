@@ -577,8 +577,8 @@ func TestVirtualMissLeavesPendingAttempt(t *testing.T) {
 			// A regression that runs the late body on the frame's own path
 			// would wait at the gate forever; fail on the assertions instead.
 			defer time.AfterFunc(30*time.Second, release).Stop()
-			body := p.g.stages[StageDet].Run
-			p.g.stages[StageDet].Run = func(fs *frameState, out *stageOut) error {
+			body := p.stages[StageDet].Run
+			p.stages[StageDet].Run = func(fs *frameState, out *stageOut) error {
 				if fs.frame() == stalled {
 					<-gate
 				}

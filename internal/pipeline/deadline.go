@@ -184,8 +184,10 @@ func (d DeadlinePolicy) resolve() [NumStages]time.Duration {
 // frame delivered a reduced detection set inside the budget.
 //
 // A stage whose miss bit is set reports its budget as its StageTiming
-// entry — the time the frame waited on it before falling back — so a
-// degraded frame's Timing.E2E is never below the budget it blew.
+// entry — the time the frame waited on it before falling back. Timing.E2E
+// is the longest path through the stage graph, so no shorter than any path
+// through the missed stage: a degraded frame's E2E is never below the
+// budget it blew.
 type DegradedMask uint16
 
 // anytimeBit is the mask bit position of the Anytime flag, just past the

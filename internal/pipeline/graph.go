@@ -17,13 +17,11 @@ import (
 )
 
 // This file is the single source of truth for the pipeline's topology: the
-// declarative stage graph encoding the paper's Figure 1 dependency law.
-// Both executors are constructed from it — the sequential Step loop walks
-// the graph's topological order one stage at a time on the caller's
-// goroutine, and the pipelined Runner turns each stage into a long-lived
-// goroutine with one channel per graph edge. Neither executor hard-codes an
-// ordering of its own, so the topology, the ordering guarantees, and the
-// determinism test live in exactly one place.
+// stageDeps table, encoding the paper's Figure 1 dependency law. Both
+// executors are built from it — the sequential Step loop walks the stages in
+// StageID order one at a time on the caller's goroutine, and the pipelined
+// Runner turns each stage into a long-lived goroutine with one channel per
+// table edge — and so is the frame's latency, criticalPath.
 //
 //	SRC ─┬─► DET ──► TRA ──┐
 //	     └─► LOC ──┬───────┴─► FUSION ──┐
@@ -39,8 +37,8 @@ import (
 // exactly one place, deliver.
 
 // StageID identifies one stage of the graph. The declaration order is a
-// valid topological order (validated at construction), which the executors
-// and error reporting rely on.
+// topological order of stageDeps, which the executors, criticalPath and
+// error reporting rely on.
 type StageID int
 
 const (
@@ -55,9 +53,22 @@ const (
 	NumStages
 )
 
-// stageNames are the canonical names. Graph validation cross-checks each
-// engine's telemetry.Stage adapter against this table, so a span's stage
-// label, the graph, and the engine can never disagree.
+// stageDeps is the Figure 1 topology: the stages whose output each stage
+// consumes. Every dependency has a lower StageID, SRC is the only root and
+// CONTROL the only sink (TestStageDepsIsFigure1DAG).
+var stageDeps = [NumStages][]StageID{
+	StageSrc:     nil,
+	StageDet:     {StageSrc},
+	StageLoc:     {StageSrc},
+	StageTra:     {StageDet},
+	StageFusion:  {StageTra, StageLoc},
+	StageMisplan: {StageLoc},
+	StageMotplan: {StageFusion, StageMisplan},
+	StageControl: {StageMotplan},
+}
+
+// stageNames are the canonical names: span labels, fault-injection targets
+// and metric suffixes.
 var stageNames = [NumStages]string{
 	"SRC", "DET", "LOC", "TRA", "FUSION", "MISPLAN", "MOTPLAN", "CONTROL",
 }
@@ -69,13 +80,25 @@ func (id StageID) String() string {
 	return stageNames[id]
 }
 
-// StageSpec declares one stage: the engine behind it (its telemetry.Stage
-// adapter supplies the canonical name), the stages it depends on, the
-// per-frame body, and its degraded mode.
+// criticalPath is the dependency law: a frame's latency when stage s takes
+// d[s] is its longest path through stageDeps (DET ∥ LOC, and the LOC →
+// MISPLAN branch beside FUSION). Finish times are computed in StageID
+// order, which is topological.
+func criticalPath[T time.Duration | float64](d [NumStages]T) T {
+	var finish [NumStages]T
+	for id := range finish {
+		var ready T
+		for _, dep := range stageDeps[id] {
+			ready = max(ready, finish[dep])
+		}
+		finish[id] = ready + d[id]
+	}
+	return finish[StageControl]
+}
+
+// StageSpec declares one stage's behaviour: the per-frame body and its
+// degraded mode. Its place in the topology is stageDeps.
 type StageSpec struct {
-	ID     StageID
-	Engine telemetry.Stage
-	Deps   []StageID
 	// Run is the stage body: a function from its dependencies' output slots
 	// (fs.out of every transitive dependency — final once that stage
 	// completed, so even a budget-blown late attempt may read them in place)
@@ -85,10 +108,10 @@ type StageSpec struct {
 	Run func(fs *frameState, out *stageOut) error
 	// Fallback returns the stage's degraded-mode output when its budget is
 	// blown: a motion-model pose (LOC), nothing (DET, whose degraded mode is
-	// the absence of detections), or — the default buildGraph fills in —
+	// the absence of detections), or — the default stageSpecs fills in —
 	// the stage's previous output, held. Called from the stage's own
-	// execution context with the engine quiescent. Required for every stage
-	// but SRC.
+	// execution context with the engine quiescent. Set for every stage but
+	// SRC.
 	Fallback func() stageOut
 	// Anytime marks a stage whose body supports an anytime early exit
 	// under DeadlinePolicy.Anytime (DET): when its budget is nearly spent
@@ -106,117 +129,6 @@ func (s StageSpec) run(fs *frameState, out *stageOut) error {
 	err := s.Run(fs, out)
 	out.dur = time.Since(start)
 	return err
-}
-
-// Graph is a validated declarative stage graph.
-type Graph struct {
-	stages [NumStages]StageSpec
-	topo   []StageID
-}
-
-// Stages returns the stage declarations indexed by StageID.
-func (g *Graph) Stages() [NumStages]StageSpec { return g.stages }
-
-// Topo returns a deterministic topological order (ascending StageID among
-// ready stages).
-func (g *Graph) Topo() []StageID { return g.topo }
-
-// Deps returns the declared dependencies of a stage.
-func (g *Graph) Deps(id StageID) []StageID { return g.stages[id].Deps }
-
-// successors inverts the dependency edges: successors()[s] lists every
-// stage that consumes s's output, in ascending StageID order.
-func (g *Graph) successors() [NumStages][]StageID {
-	var out [NumStages][]StageID
-	for id := StageID(0); id < NumStages; id++ {
-		for _, dep := range g.stages[id].Deps {
-			out[dep] = append(out[dep], id)
-		}
-	}
-	return out
-}
-
-// finalize validates the graph and computes its topological order:
-// every stage declared with a body and a name matching the canonical
-// table, dependencies in range without duplicates or self-loops, the
-// whole graph acyclic with SRC as the only root and CONTROL as the only
-// sink, and every stage reachable from SRC.
-func (g *Graph) finalize() error {
-	indeg := [NumStages]int{}
-	for id := StageID(0); id < NumStages; id++ {
-		s := g.stages[id]
-		if s.ID != id {
-			return fmt.Errorf("pipeline: stage %v declared with ID %v", id, s.ID)
-		}
-		if s.Run == nil {
-			return fmt.Errorf("pipeline: stage %v has no body", id)
-		}
-		if s.Engine == nil {
-			return fmt.Errorf("pipeline: stage %v has no engine", id)
-		}
-		if id != StageSrc && s.Fallback == nil {
-			return fmt.Errorf("pipeline: stage %v has no degraded-mode fallback", id)
-		}
-		if got, want := s.Engine.StageName(), id.String(); got != want {
-			return fmt.Errorf("pipeline: stage %v engine names itself %q", id, got)
-		}
-		seen := map[StageID]bool{}
-		for _, dep := range s.Deps {
-			if dep < 0 || dep >= NumStages {
-				return fmt.Errorf("pipeline: stage %v depends on unknown stage %d", id, int(dep))
-			}
-			if dep == id {
-				return fmt.Errorf("pipeline: stage %v depends on itself", id)
-			}
-			if seen[dep] {
-				return fmt.Errorf("pipeline: stage %v lists dependency %v twice", id, dep)
-			}
-			seen[dep] = true
-		}
-		indeg[id] = len(s.Deps)
-		if len(s.Deps) == 0 && id != StageSrc {
-			return fmt.Errorf("pipeline: stage %v has no dependencies; only %v may be a root", id, StageSrc)
-		}
-	}
-
-	succ := g.successors()
-	for id := StageID(0); id < NumStages; id++ {
-		if len(succ[id]) == 0 && id != StageControl {
-			return fmt.Errorf("pipeline: stage %v has no consumers; only %v may be the sink", id, StageControl)
-		}
-	}
-	if len(succ[StageControl]) != 0 {
-		return fmt.Errorf("pipeline: %v must be the terminal stage", StageControl)
-	}
-
-	// Kahn's algorithm with ascending-StageID tie-break: deterministic, and
-	// detects cycles (not all stages drained).
-	g.topo = g.topo[:0]
-	ready := []StageID{StageSrc}
-	deg := indeg
-	for len(ready) > 0 {
-		// Pop the smallest ready StageID.
-		min := 0
-		for i := range ready {
-			if ready[i] < ready[min] {
-				min = i
-			}
-		}
-		id := ready[min]
-		ready = append(ready[:min], ready[min+1:]...)
-		g.topo = append(g.topo, id)
-		for _, nxt := range succ[id] {
-			deg[nxt]--
-			if deg[nxt] == 0 {
-				ready = append(ready, nxt)
-			}
-		}
-	}
-	if len(g.topo) != int(NumStages) {
-		return fmt.Errorf("pipeline: stage graph is cyclic or disconnected (%d/%d stages ordered)",
-			len(g.topo), NumStages)
-	}
-	return nil
 }
 
 // stageOut is one stage's output slot: the values the stage produces for
@@ -298,10 +210,10 @@ func (fs *frameState) err() error {
 // and queue/exec span emission all live here. The caller must have ordered
 // every dependency's completion before this call, and the executor
 // guarantees each stage sees frames strictly in admission order.
-func (p *Pipeline) execStage(spec StageSpec, fs *frameState) {
+func (p *Pipeline) execStage(id StageID, fs *frameState) {
 	ready := fs.admitted
 	failed := false
-	for _, dep := range spec.Deps {
+	for _, dep := range stageDeps[id] {
 		if t := fs.doneAt[dep]; t.After(ready) {
 			ready = t
 		}
@@ -310,10 +222,10 @@ func (p *Pipeline) execStage(spec StageSpec, fs *frameState) {
 		}
 	}
 	if !failed {
-		failed = p.runStage(spec, fs, ready)
+		failed = p.runStage(id, fs, ready)
 	}
-	fs.failed[spec.ID] = failed
-	fs.doneAt[spec.ID] = time.Now()
+	fs.failed[id] = failed
+	fs.doneAt[id] = time.Now()
 }
 
 // runStage executes one stage body under the fault-injection and deadline
@@ -328,18 +240,19 @@ func (p *Pipeline) execStage(spec StageSpec, fs *frameState) {
 //
 // A missed stage's slot holds its fallback and the budget as its duration:
 // the time the frame actually waited on it.
-func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) bool {
+func (p *Pipeline) runStage(id StageID, fs *frameState, ready time.Time) bool {
+	spec := p.stages[id]
 	// A previous frame of this stage may have abandoned a late attempt;
 	// it must finish before the engine is touched again. Pending slots are
 	// only accessed from the stage's own execution context, so no lock.
-	p.drainStage(spec.ID)
+	p.drainStage(id)
 
 	start := time.Now()
-	out := &fs.out[spec.ID]
+	out := &fs.out[id]
 	var err error
 	charged := time.Duration(0) // extra virtual time charged to the stage
 
-	if spec.ID == StageSrc {
+	if id == StageSrc {
 		// SRC renders first so the injector's decision keys on the real
 		// frame index (the generator assigns it inside the body). SRC has
 		// no budget: an injected error is a dropped frame, an injected
@@ -347,15 +260,15 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 		err = spec.run(fs, out)
 		if err == nil && p.inject != nil {
 			var delay time.Duration
-			delay, err = p.inject(spec.ID.String(), fs.frame())
+			delay, err = p.inject(id.String(), fs.frame())
 			charged = p.clock.spend(delay)
 		}
 	} else {
 		var delay time.Duration
 		if p.inject != nil {
-			delay, err = p.inject(spec.ID.String(), fs.frame())
+			delay, err = p.inject(id.String(), fs.frame())
 		}
-		budget := p.budgets[spec.ID]
+		budget := p.budgets[id]
 		switch {
 		case err != nil:
 			// Injected hard fault: fail the stage outright.
@@ -383,13 +296,13 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 			if missed {
 				*out = fallback
 				out.missed, out.dur, out.kernel, out.other = true, budget, 0, 0
-				p.pending[spec.ID] = attDone
+				p.pending[id] = attDone
 				p.met.miss.Inc()
-				p.met.stageMiss[spec.ID].Inc()
+				p.met.stageMiss[id].Inc()
 			} else {
 				*out, err = *att, attErr
 				if err == nil {
-					p.held[spec.ID] = *out // what an unbudgeted stage never replays needn't be kept
+					p.held[id] = *out // what an unbudgeted stage never replays needn't be kept
 				}
 			}
 		}
@@ -401,13 +314,13 @@ func (p *Pipeline) runStage(spec StageSpec, fs *frameState, ready time.Time) boo
 		p.met.anytime.Inc()
 	}
 	if err != nil {
-		fs.errs[spec.ID] = err
+		fs.errs[id] = err
 	}
-	if p.deadline.Enforce && spec.ID != StageSrc {
-		p.met.stageMS[spec.ID].Observe(float64(time.Since(start)+charged) / 1e6)
+	if p.deadline.Enforce && id != StageSrc {
+		p.met.stageMS[id].Observe(float64(time.Since(start)+charged) / 1e6)
 	}
 	p.sink.Span(telemetry.Span{
-		Stage: spec.Engine.StageName(),
+		Stage: id.String(),
 		Frame: fs.frame(),
 		Queue: start.Sub(ready),
 		Exec:  time.Since(start) + charged,
@@ -472,10 +385,13 @@ func (p *Pipeline) deliver(fs *frameState) RunnerResult {
 		}
 	}
 	if !fs.failed[StageControl] {
-		// The dependency law: max(LOC, DET+TRA) + FUSION + MOTPLAN +
-		// CONTROL. A frame that errored short of CONTROL has no E2E.
+		// A frame that errored short of CONTROL has no E2E. SRC is untimed
+		// in StageTiming, so it counts zero here too.
 		tm := &res.Timing
-		tm.E2E = max(tm.Loc, tm.Det+tm.Tra) + tm.Fusion + tm.MotPlan + tm.Control
+		tm.E2E = criticalPath([NumStages]time.Duration{
+			StageDet: tm.Det, StageLoc: tm.Loc, StageTra: tm.Tra, StageFusion: tm.Fusion,
+			StageMisplan: tm.MisPlan, StageMotplan: tm.MotPlan, StageControl: tm.Control,
+		})
 	}
 	if res.Degraded.Any() {
 		p.met.degraded.Inc()

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,16 +12,12 @@ import (
 	"adsim/internal/telemetry"
 )
 
-// TestGraphEncodesFigure1 pins the declarative topology to the paper's
-// dependency law. This is THE topology test: both executors are built from
-// this graph, so no second copy of these assertions exists anywhere.
+// TestGraphEncodesFigure1 pins the stage table to the paper's dependency
+// law. This is THE topology test: both executors and criticalPath are
+// derived from stageDeps, so no second copy of these assertions exists
+// anywhere.
 func TestGraphEncodesFigure1(t *testing.T) {
-	p, err := NewNative(fastNativeConfig(scene.Urban))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := p.Graph()
-	wantDeps := map[StageID][]StageID{
+	want := [NumStages][]StageID{
 		StageSrc:     nil,
 		StageDet:     {StageSrc},
 		StageLoc:     {StageSrc},
@@ -30,38 +27,9 @@ func TestGraphEncodesFigure1(t *testing.T) {
 		StageMotplan: {StageFusion, StageMisplan},
 		StageControl: {StageMotplan},
 	}
-	for id, want := range wantDeps {
-		got := g.Deps(id)
-		if len(got) != len(want) {
-			t.Fatalf("%v deps = %v, want %v", id, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%v deps = %v, want %v", id, got, want)
-			}
-		}
-	}
-	topo := g.Topo()
-	if len(topo) != int(NumStages) {
-		t.Fatalf("topo covers %d stages, want %d", len(topo), NumStages)
-	}
-	pos := map[StageID]int{}
-	for i, id := range topo {
-		pos[id] = i
-	}
-	for id, deps := range wantDeps {
-		for _, dep := range deps {
-			if pos[dep] >= pos[id] {
-				t.Errorf("topo places %v (pos %d) before its dependency %v (pos %d)",
-					id, pos[id], dep, pos[dep])
-			}
-		}
-	}
-	// Stage names come from the engines' telemetry.Stage adapters and must
-	// match the canonical table (finalize enforces it; spot-check here).
-	for id := StageID(0); id < NumStages; id++ {
-		if got := g.Stages()[id].Engine.StageName(); got != id.String() {
-			t.Errorf("stage %v engine names itself %q", id, got)
+	for id := range NumStages {
+		if !slices.Equal(stageDeps[id], want[id]) {
+			t.Errorf("%v deps = %v, want %v", id, stageDeps[id], want[id])
 		}
 	}
 	if StageID(99).String() == "" {
@@ -69,39 +37,32 @@ func TestGraphEncodesFigure1(t *testing.T) {
 	}
 }
 
-// TestGraphValidationRejectsBadTopologies drives finalize directly with
-// corrupted graphs.
-func TestGraphValidationRejectsBadTopologies(t *testing.T) {
-	p, err := NewNative(fastNativeConfig(scene.Urban))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := func() Graph { return p.buildGraph() }
-
-	corruptions := map[string]func(*Graph){
-		"missing body":     func(g *Graph) { g.stages[StageTra].Run = nil },
-		"missing engine":   func(g *Graph) { g.stages[StageDet].Engine = nil },
-		"missing fallback": func(g *Graph) { g.stages[StageTra].Fallback = nil },
-		"self loop":        func(g *Graph) { g.stages[StageTra].Deps = []StageID{StageTra} },
-		"unknown dep":      func(g *Graph) { g.stages[StageTra].Deps = []StageID{NumStages + 3} },
-		"duplicate dep":    func(g *Graph) { g.stages[StageFusion].Deps = []StageID{StageTra, StageTra} },
-		"second root":      func(g *Graph) { g.stages[StageTra].Deps = nil },
-		"second sink":      func(g *Graph) { g.stages[StageFusion].Deps = []StageID{StageLoc} }, // orphans TRA
-		"cycle":            func(g *Graph) { g.stages[StageDet].Deps = []StageID{StageSrc, StageControl} },
-		"wrong ID":         func(g *Graph) { g.stages[StageTra].ID = StageDet },
-		"terminal output":  func(g *Graph) { g.stages[StageDet].Deps = []StageID{StageControl} },
-	}
-	for name, corrupt := range corruptions {
-		g := fresh()
-		corrupt(&g)
-		if err := g.finalize(); err == nil {
-			t.Errorf("%s: corrupted graph accepted", name)
+// TestStageDepsIsFigure1DAG checks the properties the executors and
+// criticalPath assume of the table: StageID order is topological (every
+// dependency has a lower ID), no stage lists a dependency twice, SRC is the
+// only root and CONTROL the only sink.
+func TestStageDepsIsFigure1DAG(t *testing.T) {
+	var consumers [NumStages]int
+	for id := range NumStages {
+		deps := stageDeps[id]
+		if (len(deps) == 0) != (id == StageSrc) {
+			t.Errorf("%v has %d dependencies; SRC must be the only root", id, len(deps))
+		}
+		for i, dep := range deps {
+			if dep < 0 || dep >= id {
+				t.Errorf("%v depends on %v, which is not an earlier stage", id, dep)
+				continue
+			}
+			if slices.Contains(deps[:i], dep) {
+				t.Errorf("%v lists %v twice", id, dep)
+			}
+			consumers[dep]++
 		}
 	}
-	// The pristine graph must finalize cleanly.
-	g := fresh()
-	if err := g.finalize(); err != nil {
-		t.Errorf("pristine graph rejected: %v", err)
+	for id := range NumStages {
+		if (consumers[id] == 0) != (id == StageControl) {
+			t.Errorf("%v has %d consumers; CONTROL must be the only sink", id, consumers[id])
+		}
 	}
 }
 

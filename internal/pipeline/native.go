@@ -13,11 +13,12 @@
 //     calibrated platform models in internal/accel at full paper scale,
 //     which is how the paper's latency figures are regenerated.
 //
-// The topology is declared exactly once, as the stage graph in graph.go;
-// the sequential Step loop and the pipelined Runner are both constructed
-// from it, and every stage execution is reported to the configured
-// telemetry.Sink as a span (queue wait vs. execute split), with engine hot
-// kernels emitting "STAGE/kernel" sub-spans.
+// The topology is declared exactly once, as the stageDeps table in
+// graph.go; the sequential Step loop, the pipelined Runner and the
+// end-to-end latency law are all derived from it, and every stage
+// execution is reported to the configured telemetry.Sink as a span (queue
+// wait vs. execute split), with engine hot kernels emitting "STAGE/kernel"
+// sub-spans.
 package pipeline
 
 import (
@@ -95,8 +96,9 @@ func DefaultConfig(kind scene.Kind) Config {
 // DNN/FE instrumentation the cycle-breakdown experiment consumes.
 type StageTiming struct {
 	Det, Tra, Loc, Fusion, MisPlan, MotPlan, Control time.Duration
-	// E2E follows the dependency structure: max(LOC, DET+TRA) + FUSION +
-	// MOTPLAN + CONTROL (DET and LOC run in parallel).
+	// E2E is the frame's critical path: the longest path through the stage
+	// graph over the durations above (DET ∥ LOC, and LOC → MISPLAN beside
+	// TRA → FUSION), SRC counting zero.
 	E2E time.Duration
 	// Breakdown instrumentation. TraDNN and TraOther sum per-tracker
 	// durations across the tracker pool — total pool work, not wall time,
@@ -145,8 +147,8 @@ type Pipeline struct {
 	ctl  *control.Controller
 	mis  *mission.Planner // optional
 
-	// g is the validated stage graph both executors are built from.
-	g Graph
+	// stages holds each stage's body and degraded mode; stageDeps wires them.
+	stages [NumStages]StageSpec
 
 	// inject is the fault-injection seam (Config.Inject): consulted in
 	// execStage before every stage body with the canonical stage name and
@@ -222,10 +224,7 @@ func NewNative(cfg Config) (*Pipeline, error) {
 		met:      newDeadlineMetrics(reg),
 	}
 	p.held[StageMisplan].speed = cfg.Plan.TargetSpeed
-	p.g = p.buildGraph()
-	if err := p.g.finalize(); err != nil {
-		return nil, err
-	}
+	p.stages = p.stageSpecs()
 
 	if cfg.SurveyFrames > 0 {
 		survey, err := scene.New(cfg.Scene)
@@ -240,57 +239,42 @@ func NewNative(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// buildGraph declares the Figure 1 stage graph over this pipeline's
-// engines. This is the only place the topology is written down. A stage
-// that declares no fallback of its own holds its previous output when its
-// budget is blown (the track table, fused frame, guidance, plan, command).
-func (p *Pipeline) buildGraph() Graph {
-	var g Graph
-	g.stages[StageSrc] = StageSpec{
-		ID: StageSrc, Engine: p.gen, Run: p.runSrc,
-	}
-	g.stages[StageDet] = StageSpec{
-		ID: StageDet, Engine: p.det, Deps: []StageID{StageSrc}, Run: p.runDet,
-		Anytime: true,
-		// DET miss ⇒ TRA-only frame: no fresh detections; the tracker
-		// moves every live track by template matching on the new frame.
-		// The empty slot says exactly that.
-		Fallback: func() stageOut { return stageOut{} },
-	}
-	g.stages[StageLoc] = StageSpec{
-		ID: StageLoc, Engine: p.loc, Deps: []StageID{StageSrc}, Run: p.runLoc,
-		// LOC miss ⇒ motion-model-only pose, flagged stale. PredictPose
-		// only reads engine state, which is quiescent when runStage asks:
-		// the previous LOC frame is complete and any late attempt drained.
-		Fallback: func() stageOut {
-			return stageOut{pose: slam.Estimate{Pose: p.loc.PredictPose(), Stale: true}}
+// stageSpecs declares each stage's body and degraded mode over this
+// pipeline's engines. A stage that declares no fallback of its own holds its
+// previous output when its budget is blown (the track table, fused frame,
+// guidance, plan, command).
+func (p *Pipeline) stageSpecs() [NumStages]StageSpec {
+	s := [NumStages]StageSpec{
+		StageSrc: {Run: p.runSrc},
+		StageDet: {
+			Run: p.runDet, Anytime: true,
+			// DET miss ⇒ TRA-only frame: no fresh detections; the tracker
+			// moves every live track by template matching on the new frame.
+			// The empty slot says exactly that.
+			Fallback: func() stageOut { return stageOut{} },
 		},
-	}
-	g.stages[StageTra] = StageSpec{
-		ID: StageTra, Engine: p.tra, Deps: []StageID{StageDet}, Run: p.runTra,
-	}
-	g.stages[StageFusion] = StageSpec{
-		ID: StageFusion, Engine: p.fuse, Deps: []StageID{StageTra, StageLoc}, Run: p.runFusion,
-	}
-	g.stages[StageMisplan] = StageSpec{
-		ID: StageMisplan, Engine: p.mis, Deps: []StageID{StageLoc}, Run: p.runMisplan,
-	}
-	g.stages[StageMotplan] = StageSpec{
-		ID: StageMotplan, Engine: p.mot, Deps: []StageID{StageFusion, StageMisplan}, Run: p.runMotplan,
-	}
-	g.stages[StageControl] = StageSpec{
-		ID: StageControl, Engine: p.ctl, Deps: []StageID{StageMotplan}, Run: p.runControl,
+		StageLoc: {
+			Run: p.runLoc,
+			// LOC miss ⇒ motion-model-only pose, flagged stale. PredictPose
+			// only reads engine state, which is quiescent when runStage asks:
+			// the previous LOC frame is complete and any late attempt drained.
+			Fallback: func() stageOut {
+				return stageOut{pose: slam.Estimate{Pose: p.loc.PredictPose(), Stale: true}}
+			},
+		},
+		StageTra:     {Run: p.runTra},
+		StageFusion:  {Run: p.runFusion},
+		StageMisplan: {Run: p.runMisplan},
+		StageMotplan: {Run: p.runMotplan},
+		StageControl: {Run: p.runControl},
 	}
 	for id := StageDet; id < NumStages; id++ {
-		if g.stages[id].Fallback == nil {
-			g.stages[id].Fallback = func() stageOut { return p.held[id] }
+		if s[id].Fallback == nil {
+			s[id].Fallback = func() stageOut { return p.held[id] }
 		}
 	}
-	return g
+	return s
 }
-
-// Graph exposes the validated stage graph (for inspection and tests).
-func (p *Pipeline) Graph() *Graph { return &p.g }
 
 // AttachMission wires a mission planner into the pipeline; its per-leg
 // speed limit then caps the motion planner's target speed.
@@ -302,15 +286,16 @@ func (p *Pipeline) Localizer() *slam.Engine { return p.loc }
 // Tracker exposes the TRA engine.
 func (p *Pipeline) Tracker() *track.Engine { return p.tra }
 
-// Step renders the next frame and walks it through the stage graph in
-// topological order on the caller's goroutine: the reference executor, with
-// no scheduler of its own. Timing.E2E is still the dependency law (DET ∥
-// LOC), but Step's own wall time is the sum of the stages; a Runner overlaps
-// the same graph within a frame (InFlight 1) and across frames.
+// Step renders the next frame and walks it through the stages in StageID
+// order, which is topological, on the caller's goroutine: the reference
+// executor, with no scheduler of its own. Timing.E2E is still the critical
+// path through the graph (DET ∥ LOC), but Step's own wall time is the sum
+// of the stages; a Runner overlaps the same graph within a frame (InFlight
+// 1) and across frames.
 func (p *Pipeline) Step() (FrameResult, error) {
 	fs := &frameState{admitted: time.Now()}
-	for _, id := range p.g.topo {
-		p.execStage(p.g.stages[id], fs)
+	for id := range NumStages {
+		p.execStage(id, fs)
 	}
 	res := p.deliver(fs)
 	return res.FrameResult, res.Err
@@ -440,7 +425,7 @@ func (p *Pipeline) runMotplan(fs *frameState, out *stageOut) error {
 	obstacles := make([]plan.Obstacle, 0, len(objects))
 	for _, o := range objects {
 		obstacles = append(obstacles, plan.Obstacle{
-			X: o.X, Z: o.Z, Radius: o.Width/2 + 0.5, VX: o.VX, VZ: o.VZ,
+			X: o.X, Z: o.Z, Radius: float64(o.Width/2) + 0.5, VX: o.VX, VZ: o.VZ,
 		})
 	}
 	pose := fs.out[StageLoc].pose.Pose

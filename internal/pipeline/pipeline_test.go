@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"adsim/internal/accel"
 	"adsim/internal/control"
@@ -85,22 +86,64 @@ func TestNativeLocalizesOnSurveyedRoute(t *testing.T) {
 	}
 }
 
-func TestNativeE2ETimingLaw(t *testing.T) {
+// TestCriticalPath drives the dependency law on hand-built stage
+// durations, one row per branch that can dominate, and checks that a
+// Step frame's E2E is the law applied to its Timing.
+func TestCriticalPath(t *testing.T) {
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	for _, c := range []struct {
+		name string
+		d    [NumStages]time.Duration
+		want time.Duration
+	}{
+		{"zero", [NumStages]time.Duration{}, 0},
+		{"DET+TRA dominates", [NumStages]time.Duration{
+			StageDet: ms(10), StageTra: ms(5), StageLoc: ms(8), StageFusion: ms(1),
+			StageMisplan: ms(0.5), StageMotplan: ms(2), StageControl: ms(1),
+		}, ms(19)},
+		{"LOC dominates", [NumStages]time.Duration{
+			StageDet: ms(3), StageTra: ms(2), StageLoc: ms(20), StageFusion: ms(1),
+			StageMisplan: ms(0.5), StageMotplan: ms(2), StageControl: ms(1),
+		}, ms(24)},
+		{"MISPLAN dominates", [NumStages]time.Duration{
+			StageDet: ms(3), StageTra: ms(2), StageLoc: ms(4), StageFusion: ms(1),
+			StageMisplan: ms(10), StageMotplan: ms(2), StageControl: ms(1),
+		}, ms(17)},
+		{"SRC precedes every path", [NumStages]time.Duration{
+			StageSrc: ms(5), StageDet: ms(10), StageTra: ms(5), StageLoc: ms(8),
+			StageFusion: ms(1), StageMotplan: ms(2), StageControl: ms(1),
+		}, ms(24)},
+	} {
+		if got := criticalPath(c.d); got != c.want {
+			t.Errorf("%s: criticalPath = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// The float64 instantiation Simulate uses: MISPLAN, SRC and CONTROL
+	// unmodeled, so E2E = max(DET+TRA, LOC) + FUSION + MOTPLAN.
+	f := [NumStages]float64{StageDet: 11.2, StageTra: 1.8, StageLoc: 10.1, StageFusion: 0.1, StageMotplan: 0.5}
+	if got, want := criticalPath(f), max(f[StageDet]+f[StageTra], f[StageLoc])+f[StageFusion]+f[StageMotplan]; got != want {
+		t.Errorf("float64 criticalPath = %v, want %v", got, want)
+	}
+	var sink time.Duration
+	if a := testing.AllocsPerRun(100, func() { sink += criticalPath([NumStages]time.Duration{StageDet: sink}) }); a != 0 {
+		t.Errorf("criticalPath allocates %v times per call", a)
+	}
+
 	p, err := NewNative(fastNativeConfig(scene.Highway))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.AttachMission(straightMission(t))
 	res, err := p.Step()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tm := res.Timing
-	critical := tm.Det + tm.Tra
-	if tm.Loc > critical {
-		critical = tm.Loc
-	}
-	if tm.E2E != critical+tm.Fusion+tm.MotPlan+tm.Control {
-		t.Error("E2E law violated")
+	if want := criticalPath([NumStages]time.Duration{
+		StageDet: tm.Det, StageLoc: tm.Loc, StageTra: tm.Tra, StageFusion: tm.Fusion,
+		StageMisplan: tm.MisPlan, StageMotplan: tm.MotPlan, StageControl: tm.Control,
+	}); tm.E2E != want || want <= 0 {
+		t.Errorf("Step E2E = %v, want criticalPath of its Timing %v", tm.E2E, want)
 	}
 }
 
@@ -310,6 +353,37 @@ func TestSimulateResolutionDefaults(t *testing.T) {
 	}
 	if res.Res != accel.ResKITTI {
 		t.Error("resolution should default to the KITTI base")
+	}
+}
+
+// TestSimulateE2EGolden pins Simulate's composed E2E distribution bitwise:
+// the mean, P99.99 and max of 4 000 frames at seed 1, for each uniform
+// assignment, the paper's best mixed one, and that one with independent
+// noise. The literals are %v-printed float64s, which round-trip exactly.
+func TestSimulateE2EGolden(t *testing.T) {
+	best := Assignment{Det: accel.GPU, Tra: accel.ASIC, Loc: accel.ASIC}
+	for _, c := range []struct {
+		name            string
+		cfg             SimConfig
+		mean, p9999, mx float64
+	}{
+		{"CPU", SimConfig{Assignment: Uniform(accel.CPU)}, 7959.516255616276, 9070.679169609335, 9096.890206494012},
+		{"GPU", SimConfig{Assignment: Uniform(accel.GPU)}, 20.947617383633357, 54.651934937617156, 54.66239689094228},
+		{"FPGA", SimConfig{Assignment: Uniform(accel.FPGA)}, 906.2012457122382, 906.4137621019081, 906.4186456520699},
+		{"ASIC", SimConfig{Assignment: Uniform(accel.ASIC)}, 98.30124571223826, 98.51376210190804, 98.51864565206984},
+		{"GPU/ASIC/ASIC", SimConfig{Assignment: best}, 13.614816958250213, 16.766621461004284, 17.031457466408888},
+		{"GPU/ASIC/ASIC independent", SimConfig{Assignment: best, IndependentNoise: true}, 13.60397794563427, 16.967101444129575, 17.334246049819175},
+	} {
+		c.cfg.Frames, c.cfg.Seed = 4000, 1
+		res, err := Simulate(accel.NewModel(), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := res.E2E
+		if e.Mean() != c.mean || e.P9999() != c.p9999 || e.Max() != c.mx {
+			t.Errorf("%s: E2E mean/P99.99/max = %v/%v/%v, want %v/%v/%v",
+				c.name, e.Mean(), e.P9999(), e.Max(), c.mean, c.p9999, c.mx)
+		}
 	}
 }
 

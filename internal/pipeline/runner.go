@@ -48,21 +48,21 @@ type RunnerResult struct {
 	// whether to Stop.
 	Err error
 	// Wall is the frame's admission-to-delivery wall-clock latency under
-	// pipelined execution. Unlike Timing.E2E (the dependency-law critical
-	// path), Wall includes time spent queued behind other in-flight
-	// frames, so it is the honest per-frame latency at a given throughput.
+	// pipelined execution. Unlike Timing.E2E (the longest path through the
+	// stage graph over the stages' execution times), Wall includes SRC, the
+	// stage queues and the time spent behind other in-flight frames, so it
+	// is the honest per-frame latency at a given throughput.
 	Wall time.Duration
 }
 
-// Runner pipelines frames through the pipeline's declarative stage graph
-// (graph.go): every stage of the graph runs on its own long-lived
-// goroutine, connected by one channel per graph edge, with a join at each
-// multi-dependency stage. The topology is not restated here — it is read
-// from the same Graph the sequential Step executor runs, so the two can
-// never diverge. Every stateful engine still sees frames strictly in order
-// on a single goroutine, so the results are bitwise-identical to a
-// sequential Step loop on the same seed — only the wall-clock schedule
-// changes.
+// Runner pipelines frames through the pipeline's stage graph (stageDeps in
+// graph.go): every stage runs on its own long-lived goroutine, connected by
+// one channel per table edge, with a join at each multi-dependency stage.
+// The topology is not restated here — it is read from the same table the
+// sequential Step executor walks, so the two can never diverge. Every
+// stateful engine still sees frames strictly in order on a single
+// goroutine, so the results are bitwise-identical to a sequential Step
+// loop on the same seed — only the wall-clock schedule changes.
 //
 // A frame whose stage errors (mission update, motion planning) skips its
 // downstream stages and is delivered with Err set; later frames are
@@ -177,14 +177,13 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 		return r.results
 	}
 	n := r.opts.InFlight
-	g := &r.p.g
 
-	// One channel per graph edge, buffered to the window size: at most
+	// One channel per stageDeps edge, buffered to the window size: at most
 	// InFlight frames exist at once, so sends below never block — only
 	// admission does. inputs[s][i] is the edge from s's i-th dependency.
 	var inputs, outputs [NumStages][]chan *frameState
-	for _, id := range g.Topo() {
-		for _, dep := range g.stages[id].Deps {
+	for id, deps := range stageDeps {
+		for _, dep := range deps {
 			ch := make(chan *frameState, n)
 			inputs[id] = append(inputs[id], ch)
 			outputs[dep] = append(outputs[dep], ch)
@@ -210,7 +209,6 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 	// admitted frame is stamped with the controller's current resolution
 	// rung under the same lock that decides rung transitions, so scale
 	// changes reach DET strictly in admission order.
-	srcSpec := g.stages[StageSrc]
 	srcOut := outputs[StageSrc]
 	gate := r.opts.gate
 	go func() {
@@ -227,7 +225,7 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 				return // Stop interrupted admission
 			}
 			fs := &frameState{admitted: time.Now(), detSize: detSize}
-			r.p.execStage(srcSpec, fs)
+			r.p.execStage(StageSrc, fs)
 			for _, ch := range srcOut {
 				ch <- fs
 			}
@@ -239,11 +237,7 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 	// receiving one item from each joins the frame; the receive also
 	// orders the dependency's writes (including its doneAt stamp) before
 	// execStage reads them.
-	for _, id := range g.Topo() {
-		if id == StageSrc {
-			continue
-		}
-		spec := g.stages[id]
+	for id := StageSrc + 1; id < NumStages; id++ {
 		ins, outs := inputs[id], outputs[id]
 		stages.Add(1)
 		go func() {
@@ -261,7 +255,7 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 			// closed the delivery channel).
 			defer stages.Done()
 			defer closeAll(outs)
-			defer r.p.drainStage(spec.ID)
+			defer r.p.drainStage(id)
 			for {
 				fs, ok := <-ins[0]
 				if !ok {
@@ -270,7 +264,7 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 				for _, ch := range ins[1:] {
 					<-ch // same frame: every stream preserves admission order
 				}
-				r.p.execStage(spec, fs)
+				r.p.execStage(id, fs)
 				for _, ch := range outs {
 					ch <- fs
 				}

@@ -63,8 +63,9 @@ type SimResult struct {
 }
 
 // Simulate runs the latency composition for cfg.Frames frames: per-frame
-// samples are drawn from the platform models and combined by the pipeline's
-// dependency law E2E = max(LOC, DET+TRA) + FUSION + MOTPLAN.
+// samples of DET, TRA, LOC, FUSION and MOTPLAN are drawn from the platform
+// models and combined by the pipeline's dependency law, criticalPath, with
+// SRC, MISPLAN and CONTROL unmodeled (zero).
 func Simulate(m *accel.Model, cfg SimConfig) (SimResult, error) {
 	if cfg.Frames <= 0 {
 		return SimResult{}, fmt.Errorf("pipeline: Frames %d must be positive", cfg.Frames)
@@ -108,11 +109,8 @@ func Simulate(m *accel.Model, cfg SimConfig) (SimResult, error) {
 		fuse := m.SampleFusion(rng)
 		mot := m.SampleMotPlan(rng)
 
-		critical := det + tra
-		if loc > critical {
-			critical = loc
-		}
-		e2e := critical + fuse + mot
+		d := [NumStages]float64{StageDet: det, StageTra: tra, StageLoc: loc, StageFusion: fuse, StageMotplan: mot}
+		e2e := criticalPath(d)
 		res.Det.Add(det)
 		res.Tra.Add(tra)
 		res.Loc.Add(loc)
@@ -122,14 +120,8 @@ func Simulate(m *accel.Model, cfg SimConfig) (SimResult, error) {
 
 		if _, nop := sink.(telemetry.Nop); !nop {
 			msDur := func(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
-			for _, s := range [...]struct {
-				stage string
-				ms    float64
-			}{
-				{StageDet.String(), det}, {StageTra.String(), tra}, {StageLoc.String(), loc},
-				{StageFusion.String(), fuse}, {StageMotplan.String(), mot},
-			} {
-				sink.Span(telemetry.Span{Stage: s.stage, Frame: i, Exec: msDur(s.ms)})
+			for _, id := range [...]StageID{StageDet, StageTra, StageLoc, StageFusion, StageMotplan} {
+				sink.Span(telemetry.Span{Stage: id.String(), Frame: i, Exec: msDur(d[id])})
 			}
 			clock = clock.Add(msDur(e2e))
 			sink.FrameDone(telemetry.FrameEnd{Frame: i, Wall: msDur(e2e), At: clock})

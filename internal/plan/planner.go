@@ -62,10 +62,6 @@ type Planner struct {
 // NewPlanner returns a MOTPLAN engine planning under cfg.
 func NewPlanner(cfg ConformalConfig) *Planner { return &Planner{cfg: cfg} }
 
-// StageName identifies the motion planner in the pipeline's declarative
-// stage graph and in telemetry spans (implements telemetry.Stage).
-func (p *Planner) StageName() string { return "MOTPLAN" }
-
 // Config returns the base configuration.
 func (p *Planner) Config() ConformalConfig { return p.cfg }
 

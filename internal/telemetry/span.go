@@ -108,12 +108,3 @@ func Multi(sinks ...Sink) Sink {
 	}
 	return out
 }
-
-// Stage is the common face every engine presents to the pipeline layer:
-// a canonical stage name for the declarative stage graph and for span
-// attribution. The engines (detect.Detector, slam.Engine, track.Engine,
-// fusion.Engine, mission.Planner, plan.Planner, control.Controller, and
-// the scene.Generator source) all implement it.
-type Stage interface {
-	StageName() string
-}
