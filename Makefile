@@ -6,7 +6,7 @@ TELEMETRY_COVER_FLOOR ?= 80
 # suite's determinism claims, so nearly every branch must be exercised.
 FAULTINJECT_COVER_FLOOR ?= 90
 
-.PHONY: build vet test race flake-gate bench-smoke bench-check alloc-gate noasm-check check cover fmt-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak soak-smoke deadcode
+.PHONY: build vet test race flake-gate bench-smoke bench-check alloc-gate noasm-check check cover fmt-check fuzz-smoke cli-smoke soak soak-smoke deadcode
 
 build:
 	$(GO) build ./...
@@ -63,10 +63,11 @@ alloc-gate:
 # binaries, which run on an amd64 host and do float math in SSE2 too, so the
 # bitwise tests hold; the pipeline's
 # golden-trace and parity contract on the same fallbacks; plus arm64 vet,
-# and a scan of internal/tensor's, internal/img's, internal/detect's and
-# internal/pipeline's arm64 code for fused multiply-adds, which the Go spec
-# lets the compiler form from x*y + z and which round once where amd64
-# rounds twice (wrap the product in float32() or float64()).
+# and a scan of internal/tensor's, internal/img's, internal/detect's,
+# internal/pipeline's, internal/fusion's and internal/mission's arm64 code
+# for fused multiply-adds, which the Go spec lets the compiler form from
+# x*y + z and which round once where amd64 rounds twice (wrap the product
+# in float32() or float64()).
 noasm-check:
 	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track ./internal/img ./internal/detect
 	GOARCH=386 $(GO) test -count=1 -run 'Golden|Parity|Identical|TestFleetMatchesSoloRunners' ./internal/pipeline
@@ -75,7 +76,9 @@ noasm-check:
 	GOARCH=arm64 $(GO) vet ./internal/img
 	GOARCH=arm64 $(GO) vet ./internal/detect
 	GOARCH=arm64 $(GO) vet ./internal/pipeline
-	@for pkg in ./internal/tensor ./internal/img ./internal/detect ./internal/pipeline; do \
+	GOARCH=arm64 $(GO) vet ./internal/fusion
+	GOARCH=arm64 $(GO) vet ./internal/mission
+	@for pkg in ./internal/tensor ./internal/img ./internal/detect ./internal/pipeline ./internal/fusion ./internal/mission; do \
 		asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $$pkg 2>&1)" || { echo "$$asm"; exit 1; }; \
 		if echo "$$asm" | grep -E 'FN?M(ADD|SUB)[SD]'; then \
 			echo "$$pkg: fused multiply-add in the arm64 code"; exit 1; \
@@ -98,43 +101,35 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDNNLeaves -fuzztime=10s -run='^$$' ./internal/tensor
 	$(GO) test -fuzz=FuzzParseScenarioProgram -fuzztime=10s -run='^$$' ./internal/scenario
 
-# Chaos smoke: the deterministic fault-injection suite under the race
-# detector (Step/Runner equivalence, golden trace, degraded-deadline,
-# pending-attempt and Stop-drain guarantees, the real-clock smoke per
-# executor), then a short seeded end-to-end chaos run through
-# the CLI with deadline enforcement on, and the negative: a rule naming no
-# pipeline stage (here the retired IO kind) must be rejected by the parser
-# (exit 2), not silently ignored.
-chaos-smoke:
-	$(GO) test -race -run 'TestChaos|TestGoldenChaosTrace|TestDegradedFrameMeetsFrameDeadline|TestVirtualMissLeavesPendingAttempt|TestWallDeadlineSmoke|TestRunnerStopDrainsDegradedInFlight' ./internal/pipeline
-	$(GO) test -race ./internal/faultinject
-	$(GO) run ./cmd/adpipe -frames 30 -dnn=false -width 384 -height 192 -survey 20 \
-		-deadline 100ms -fault 'DET:delay=60ms:every=5,LOC:delay=120ms:frames=10-12,SRC:drop:every=17'
-	! $(GO) run ./cmd/adpipe -frames 1 -dnn=false -survey 0 -fault 'IO:err:p=0.2'
-
-# Fleet smoke: the fleet/solo bitwise-parity and cross-stream isolation
-# suites under the race detector (small N), then a short end-to-end fleet
-# run through the CLI — shared executor and networks, shared map store, one
-# faulted vehicle — and the negatives: -fault-vehicle without -fault and
-# -remove-vehicle without -remove-at must be rejected (exit 2), not
-# silently ignored.
-fleet-smoke:
-	$(GO) test -race -run 'TestFleet|TestAdviseVehicle' ./internal/pipeline ./internal/slam
-	$(GO) run ./cmd/adfleet -vehicles 3 -frames 20 -dnn=false -width 384 -height 192 -survey 20 \
-		-deadline 100ms -fault 'DET:delay=60ms:every=5' -fault-vehicle 1
-	! $(GO) run ./cmd/adfleet -vehicles 2 -frames 1 -dnn=false -survey 0 -fault-vehicle 1
-	! $(GO) run ./cmd/adfleet -vehicles 2 -frames 1 -dnn=false -survey 0 -remove-vehicle 1
-
-# Tail smoke: the closed-loop tail-scheduler suite under the race detector
-# (controller law, pinned-window/Step equivalence, in-order shrink, anytime
-# drain and golden trace), then a short stall-injected end-to-end run
-# through the CLI with the scheduler and anytime DET on, and the negative:
-# a -ladder without -tail must be rejected (exit 2), not silently ignored.
-tail-smoke:
-	$(GO) test -race -run 'TestTail|TestAnytime|TestChaosAnytimeEquivalence|TestGoldenAnytimeTrace' ./internal/pipeline
-	$(GO) run ./cmd/adpipe -frames 40 -dnn=false -width 384 -height 192 -survey 20 \
-		-inflight 4 -deadline 100ms -anytime -tail 40ms -fault 'DET:delay=32ms:every=7:burst=3'
-	! $(GO) run ./cmd/adpipe -frames 1 -dnn=false -survey 0 -ladder 64,48
+# CLI smoke: build adpipe once and drive both of its paths end to end — a
+# seeded chaos run with deadline enforcement (a Runner), a faulted
+# three-vehicle fleet on shared engines and one shared map, a stall-injected
+# run under the tail scheduler with anytime DET, a library scenario program
+# with its constraint scorecard, and a fleet with one assigned program —
+# then the negatives, each of which must exit 2 rather than be silently
+# ignored: a fault rule naming no pipeline stage (the retired IO kind),
+# -fault-vehicle without -fault, -remove-vehicle without -remove-at,
+# -ladder without -tail, and -base with a built-in world. The packages
+# behind these runs are tested under the race detector by `make race`.
+cli-smoke:
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/adpipe" ./cmd/adpipe; \
+	run() { echo "+ adpipe $$*"; "$$dir/adpipe" "$$@"; }; \
+	reject() { echo "+ adpipe $$* (must exit 2)"; st=0; "$$dir/adpipe" "$$@" || st=$$?; \
+		[ "$$st" -eq 2 ] || { echo "cli-smoke: exit $$st, want 2"; exit 1; }; }; \
+	run -frames 30 -dnn=false -width 384 -height 192 -survey 20 \
+		-deadline 100ms -fault 'DET:delay=60ms:every=5,LOC:delay=120ms:frames=10-12,SRC:drop:every=17'; \
+	run -vehicles 3 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -inflight 3 \
+		-deadline 100ms -fault 'DET:delay=60ms:every=5' -fault-vehicle 1; \
+	run -frames 40 -dnn=false -width 384 -height 192 -survey 20 \
+		-inflight 4 -deadline 100ms -anytime -tail 40ms -fault 'DET:delay=32ms:every=7:burst=3'; \
+	run -scenario mixed-stress -frames 40 -dnn=false -width 384 -height 192 -survey 20 -deadline 100ms; \
+	run -vehicles 2 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -inflight 3 -assign '1=cut-in'; \
+	reject -frames 1 -dnn=false -survey 0 -fault 'IO:err:p=0.2'; \
+	reject -vehicles 2 -frames 1 -dnn=false -survey 0 -fault-vehicle 1; \
+	reject -vehicles 2 -frames 1 -dnn=false -survey 0 -remove-vehicle 1; \
+	reject -frames 1 -dnn=false -survey 0 -ladder 64,48; \
+	reject -frames 1 -dnn=false -survey 0 -scenario highway -base urban
 
 # Long-haul soak: thousands of virtual-deadline frames through a churning,
 # admission-controlled fleet under the mixed-stress scenario, with the
@@ -148,26 +143,14 @@ soak:
 soak-smoke:
 	$(GO) test -race -short -run 'TestFleetSoak|TestFleetChurnBitwiseParity' -count=1 ./internal/pipeline
 
-# Scenario smoke: the scenario-program layer under the race detector
-# (parser/validator/library, scene timeline determinism, program-driven
-# Step/Runner equivalence and per-vehicle fleet assignment), then one
-# library program replayed end to end through each CLI — adpipe prints its
-# constraint scorecard, adfleet assigns a program to one vehicle — and the
-# negative: -base with a built-in world must be rejected (exit 2).
-scenario-smoke:
-	$(GO) test -race ./internal/scenario ./internal/scene
-	$(GO) test -race -run 'TestScenarioProgram|TestFleetSceneAssignment|TestScenariosStudy' ./internal/pipeline ./internal/experiment
-	$(GO) run ./cmd/adpipe -scenario mixed-stress -frames 40 -dnn=false -width 384 -height 192 -survey 20 -deadline 100ms
-	$(GO) run ./cmd/adfleet -vehicles 2 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -assign '1=cut-in'
-	! $(GO) run ./cmd/adpipe -frames 1 -dnn=false -survey 0 -scenario highway -base urban
-
 # The tier the concurrency work is held to: check formatting, compile
 # everything, vet, run the full test suite under the race detector (which
-# includes the chaos suite), run every go test benchmark once, compile and
-# smoke the bench/ module against the APIs it imports, test the non-amd64
-# kernel, fuzz the map decoder, then drive the chaos, fleet, tail, scenario
-# and soak scenarios end to end through the CLIs.
-check: fmt-check build vet race bench-smoke bench-check alloc-gate noasm-check fuzz-smoke chaos-smoke fleet-smoke tail-smoke scenario-smoke soak-smoke
+# includes the chaos, fleet, tail and scenario suites), run every go test
+# benchmark once, compile and smoke the bench/ module against the APIs it
+# imports, test the non-amd64 kernel, run the fuzz smoke, drive the chaos,
+# fleet, tail and scenario runs end to end through the one CLI, then the
+# soak smoke.
+check: fmt-check build vet race bench-smoke bench-check alloc-gate noasm-check fuzz-smoke cli-smoke soak-smoke
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \

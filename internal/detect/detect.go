@@ -45,9 +45,6 @@ type Timing struct {
 	Other time.Duration
 }
 
-// Total returns the end-to-end duration of the call.
-func (t Timing) Total() time.Duration { return t.DNN + t.Other }
-
 // Config parameterizes the detector.
 type Config struct {
 	// InputSize is the square DNN input resolution (must be a multiple of

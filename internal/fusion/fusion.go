@@ -98,8 +98,8 @@ func (e *Engine) Fuse(pose scene.Pose, objects []TrackedObject) Frame {
 		relX := (cx - e.cam.Cx) * depth / e.cam.FocalPx
 		// Rotate into the world frame and translate by ego pose. Theta=0
 		// faces +Z; positive Theta yaws toward +X.
-		wx := pose.X + relX*cosT + depth*sinT
-		wz := pose.Z - relX*sinT + depth*cosT
+		wx := pose.X + float64(relX*cosT) + float64(depth*sinT)
+		wz := pose.Z - float64(relX*sinT) + float64(depth*cosT)
 
 		// Ground-velocity estimate from pixel velocity at the object's
 		// depth (lateral) and from box-scale change (longitudinal) is

@@ -138,18 +138,18 @@ func (p *Planner) nearestNode(x, z float64) NodeID {
 // (ax,az)-(bx,bz).
 func distToSegment(px, pz, ax, az, bx, bz float64) float64 {
 	dx, dz := bx-ax, bz-az
-	lenSq := dx*dx + dz*dz
+	lenSq := float64(dx*dx) + float64(dz*dz)
 	if lenSq == 0 {
 		return math.Hypot(px-ax, pz-az)
 	}
-	t := ((px-ax)*dx + (pz-az)*dz) / lenSq
+	t := (float64((px-ax)*dx) + float64((pz-az)*dz)) / lenSq
 	if t < 0 {
 		t = 0
 	}
 	if t > 1 {
 		t = 1
 	}
-	return math.Hypot(px-(ax+t*dx), pz-(az+t*dz))
+	return math.Hypot(px-(ax+float64(t*dx)), pz-(az+float64(t*dz)))
 }
 
 // GridGraph builds a rectangular road-grid test world: (cols+1)×(rows+1)

@@ -62,9 +62,6 @@ type Timing struct {
 	Other time.Duration
 }
 
-// Total returns FE + Other.
-func (t Timing) Total() time.Duration { return t.FE + t.Other }
-
 // Estimate is one localization result.
 type Estimate struct {
 	Pose scene.Pose

@@ -27,9 +27,6 @@ func (r *RNG) Float64() float64 { return r.src.Float64() }
 // Intn returns a uniform int in [0,n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
-
 // Uniform returns a uniform value in [lo,hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.src.Float64()

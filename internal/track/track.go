@@ -56,9 +56,6 @@ type Timing struct {
 	DNNDigest uint64
 }
 
-// Total returns DNN + Other.
-func (t Timing) Total() time.Duration { return t.DNN + t.Other }
-
 // Config parameterizes the tracking engine.
 type Config struct {
 	// PoolSize is the number of pre-launched trackers and hence the

@@ -257,9 +257,6 @@ func TestDNNTimingDominates(t *testing.T) {
 	if tm.DNN <= 0 {
 		t.Fatal("DNN time not recorded")
 	}
-	if tm.Total() != tm.DNN+tm.Other {
-		t.Error("Total inconsistent")
-	}
 }
 
 func TestPaperWorkloadProfile(t *testing.T) {
