@@ -13,19 +13,18 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 
 	"adsim"
 )
 
 func main() {
+	def := adsim.DefaultExperimentOptions()
 	var (
-		expID    = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
-		frames   = flag.Int("frames", 40000, "simulated frames per configuration")
-		seed     = flag.Int64("seed", 1, "random seed")
-		native   = flag.Int("native-frames", 12, "natively executed frames for instrumentation experiments")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		parallel = flag.Bool("parallel", false, "run experiments concurrently (output stays in id order)")
+		expID  = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
+		frames = flag.Int("frames", def.Frames, "simulated frames per configuration")
+		seed   = flag.Int64("seed", def.Seed, "random seed")
+		native = flag.Int("native-frames", def.NativeFrames, "natively executed frames for instrumentation experiments")
+		list   = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -43,30 +42,13 @@ func main() {
 	if *expID == "all" {
 		ids = adsim.ExperimentIDs()
 	}
-
-	outputs := make([]string, len(ids))
-	errs := make([]error, len(ids))
-	if *parallel {
-		var wg sync.WaitGroup
-		for i, id := range ids {
-			wg.Add(1)
-			go func(i int, id string) {
-				defer wg.Done()
-				outputs[i], errs[i] = adsim.RunExperiment(id, opts)
-			}(i, id)
-		}
-		wg.Wait()
-	} else {
-		for i, id := range ids {
-			outputs[i], errs[i] = adsim.RunExperiment(id, opts)
-		}
-	}
-	for i, id := range ids {
-		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "adbench: %s: %v\n", id, errs[i])
+	for _, id := range ids {
+		out, err := adsim.RunExperiment(id, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "adbench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		fmt.Println(strings.TrimRight(outputs[i], "\n"))
+		fmt.Println(strings.TrimRight(out, "\n"))
 		fmt.Println()
 	}
 }

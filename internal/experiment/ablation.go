@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"adsim/internal/accel"
 	"adsim/internal/pipeline"
@@ -10,100 +9,44 @@ import (
 	"adsim/internal/stats"
 )
 
-func init() {
-	register("ablate-noise", runAblateNoise)
-	register("ablate-reloc", runAblateReloc)
-	register("ablate-cooling", runAblateCooling)
-}
-
-// AblateNoiseResult quantifies the noise-correlation design choice: with
+// runAblateNoise quantifies the noise-correlation design choice: with
 // engines co-located on one platform sharing an interference draw, the
 // end-to-end tail composes as the sum of component tails (what the paper's
 // Fig 11 shows); with independent noise the excursions average out and the
 // composed tail shrinks.
-type AblateNoiseResult struct {
-	SharedTailMs      float64
-	IndependentTailMs float64
-	ComponentTailSum  float64 // Fig 10b DET+TRA on CPU
-}
-
-func (r AblateNoiseResult) Render() string {
-	var b strings.Builder
-	b.WriteString(header("ablate-noise", "Ablation: co-located interference correlation"))
-	fmt.Fprintf(&b, "CPU end-to-end P99.99, shared per-platform noise:   %8.0f ms\n", r.SharedTailMs)
-	fmt.Fprintf(&b, "CPU end-to-end P99.99, independent engine noise:    %8.0f ms\n", r.IndependentTailMs)
-	fmt.Fprintf(&b, "Sum of component tails (paper Fig 10b DET+TRA):     %8.0f ms\n", r.ComponentTailSum)
-	b.WriteString("\nShared interference is what makes the end-to-end tail equal the sum of\n")
-	b.WriteString("component tails, as in the paper's Fig 11; with independent noise the\n")
-	b.WriteString("composed tail under-shoots it.\n")
-	return b.String()
-}
-
 func runAblateNoise(opts Options) (Result, error) {
-	m := accel.NewModel()
-	run := func(independent bool) (float64, error) {
-		sim, err := pipeline.Simulate(m, pipeline.SimConfig{
-			Assignment:       pipeline.Uniform(accel.CPU),
-			Frames:           opts.Frames,
-			Seed:             opts.Seed,
-			IndependentNoise: independent,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return sim.E2E.P9999(), nil
+	tail := func(independent bool) float64 {
+		return simulate(pipeline.SimConfig{Assignment: pipeline.Uniform(accel.CPU), Frames: opts.Frames,
+			Seed: opts.Seed, IndependentNoise: independent}).E2E.P9999()
 	}
-	shared, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	indep, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return AblateNoiseResult{
-		SharedTailMs:      shared,
-		IndependentTailMs: indep,
-		ComponentTailSum: accel.PaperTail(accel.CPU, accel.DET) +
-			accel.PaperTail(accel.CPU, accel.TRA),
+	return &Table{
+		Sections: []Section{{
+			Cols: []Col{
+				{Name: "shared", Verb: "CPU end-to-end P99.99, shared per-platform noise:   %8.0f ms\n"},
+				{Name: "independent", Verb: "CPU end-to-end P99.99, independent engine noise:    %8.0f ms\n"},
+				{Name: "component sum", Verb: "Sum of component tails (paper Fig 10b DET+TRA):     %8.0f ms"},
+			},
+			Rows: [][]any{{tail(false), tail(true),
+				accel.PaperTail(accel.CPU, accel.DET) + accel.PaperTail(accel.CPU, accel.TRA)}},
+		}},
+		Note: `
+Shared interference is what makes the end-to-end tail equal the sum of
+component tails, as in the paper's Fig 11; with independent noise the
+composed tail under-shoots it.
+`,
 	}, nil
 }
 
-// AblateRelocRow is one relocalization-probability setting's LOC latency.
-type AblateRelocRow struct {
-	RelocEvery int // one relocalization per N frames (0 = never)
-	MeanMs     float64
-	TailMs     float64
-}
-
-// AblateRelocResult shows that LOC's tail — and essentially nothing else —
+// runAblateReloc shows that LOC's tail — and essentially nothing else —
 // is set by relocalization frequency: the mean barely moves while the
 // 99.99th percentile jumps to the wide-search cost as soon as spikes occur
 // more often than 1 in 10000 frames. This is the paper's predictability
 // argument made quantitative.
-type AblateRelocResult struct {
-	Rows []AblateRelocRow
-}
-
-func (r AblateRelocResult) Render() string {
-	var b strings.Builder
-	b.WriteString(header("ablate-reloc", "Ablation: relocalization frequency vs LOC latency (CPU)"))
-	fmt.Fprintf(&b, "%-18s %10s %10s\n", "reloc every", "mean ms", "P99.99 ms")
-	for _, row := range r.Rows {
-		label := "never"
-		if row.RelocEvery > 0 {
-			label = fmt.Sprintf("%d frames", row.RelocEvery)
-		}
-		fmt.Fprintf(&b, "%-18s %10.1f %10.1f\n", label, row.MeanMs, row.TailMs)
-	}
-	b.WriteString("\nThe mean is insensitive to relocalization; the tail is set by it —\n")
-	b.WriteString("why the paper evaluates at the 99.99th percentile.\n")
-	return b.String()
-}
-
 func runAblateReloc(opts Options) (Result, error) {
 	m := accel.NewModel()
-	var rows []AblateRelocRow
+	s := Section{Cols: []Col{
+		{"reloc every", "%-18s", "%-18s"}, {"mean ms", " %10s", " %10.1f"}, {"P99.99 ms", " %10s", " %10.1f"},
+	}}
 	for _, every := range []int{0, 2000, 500, 100} {
 		rng := stats.NewRNG(opts.Seed)
 		d := stats.NewDistribution(opts.Frames)
@@ -118,56 +61,36 @@ func runAblateReloc(opts Options) (Result, error) {
 			}
 			d.Add(m.LocTrackingLatency(accel.CPU, accel.ResKITTI, rng.Normal(0, 1)))
 		}
-		rows = append(rows, AblateRelocRow{RelocEvery: every, MeanMs: d.Mean(), TailMs: d.P9999()})
+		label := "never"
+		if every > 0 {
+			label = fmt.Sprintf("%d frames", every)
+		}
+		s.Rows = append(s.Rows, []any{label, d.Mean(), d.P9999()})
 	}
-	return AblateRelocResult{Rows: rows}, nil
+	return &Table{Sections: []Section{s}, Note: `
+The mean is insensitive to relocalization; the tail is set by it —
+why the paper evaluates at the 99.99th percentile.
+`}, nil
 }
 
-// AblateCoolingRow compares a configuration's range impact with and without
-// the thermal (cooling) model.
-type AblateCoolingRow struct {
-	Assignment     pipeline.Assignment
-	WithCoolingPct float64
-	NoCoolingPct   float64
-	Magnification  float64
-}
-
-// AblateCoolingResult isolates the paper's thermal-constraint finding: the
+// runAblateCooling isolates the paper's thermal-constraint finding: the
 // cabin-cooling overhead nearly doubles every configuration's driving-range
 // impact.
-type AblateCoolingResult struct {
-	Rows []AblateCoolingRow
-}
-
-func (r AblateCoolingResult) Render() string {
-	var b strings.Builder
-	b.WriteString(header("ablate-cooling", "Ablation: thermal (cooling) magnification of range impact"))
-	fmt.Fprintf(&b, "%-18s %14s %14s %8s\n", "DET/TRA/LOC", "range-% (full)", "range-% (no AC)", "x")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-18s %14.1f %14.1f %8.2f\n",
-			row.Assignment.Short(), row.WithCoolingPct, row.NoCoolingPct, row.Magnification)
-	}
-	b.WriteString("\nRemoving the cooling model (as a naive power analysis would) understates\n")
-	b.WriteString("the driving-range impact by nearly 2x — the paper's thermal finding.\n")
-	return b.String()
-}
-
 func runAblateCooling(Options) (Result, error) {
 	m := accel.NewModel()
-	var rows []AblateCoolingRow
+	s := Section{Cols: []Col{
+		{"DET/TRA/LOC", "%-18s", "%-18s"}, {"range-% (full)", " %14s", " %14.1f"},
+		{"range-% (no AC)", " %14s", " %14.1f"}, {"x", " %8s", " %8.2f"},
+	}}
 	for _, p := range accel.Platforms() {
 		a := pipeline.Uniform(p)
 		computeW := float64(NumCameras) * a.ComputePowerW(m)
-		full := power.System(computeW, power.USMapTB).Total()
-		noCooling := computeW + power.StoragePower(power.USMapTB)
-		withPct := 100 * power.RangeReduction(full)
-		noPct := 100 * power.RangeReduction(noCooling)
-		rows = append(rows, AblateCoolingRow{
-			Assignment:     a,
-			WithCoolingPct: withPct,
-			NoCoolingPct:   noPct,
-			Magnification:  withPct / noPct,
-		})
+		withPct := 100 * power.RangeReduction(power.System(computeW, power.USMapTB).Total())
+		noPct := 100 * power.RangeReduction(computeW+power.StoragePower(power.USMapTB))
+		s.Rows = append(s.Rows, []any{a.Short(), withPct, noPct, withPct / noPct})
 	}
-	return AblateCoolingResult{Rows: rows}, nil
+	return &Table{Sections: []Section{s}, Note: `
+Removing the cooling model (as a naive power analysis would) understates
+the driving-range impact by nearly 2x — the paper's thermal finding.
+`}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"adsim/internal/accel"
 	"adsim/internal/constraint"
 	"adsim/internal/pipeline"
+	"adsim/internal/testutil"
 )
 
 // fastOpts keeps unit-test runtime modest while still resolving tails.
@@ -30,6 +31,53 @@ func run(t *testing.T, id string) Result {
 	}
 	produced[id] = res
 	return res
+}
+
+// rows returns section s of res, a *Table, as one map per row from column
+// name to cell; where two columns share a name, the first wins.
+func rows(t *testing.T, res Result, s int) []map[string]any {
+	t.Helper()
+	tab, ok := res.(*Table)
+	if !ok || s >= len(tab.Sections) {
+		t.Fatalf("%T has no table section %d", res, s)
+	}
+	sec := tab.Sections[s]
+	out := make([]map[string]any, len(sec.Rows))
+	for i, cells := range sec.Rows {
+		out[i] = map[string]any{}
+		for j := len(sec.Cols) - 1; j >= 0; j-- {
+			out[i][sec.Cols[j].Name] = cells[j]
+		}
+	}
+	return out
+}
+
+// num reads a numeric cell: a float64, an int, or a percent cell's share.
+func num(cell any) float64 {
+	switch v := cell.(type) {
+	case percent:
+		return float64(v)
+	case int:
+		return float64(v)
+	}
+	return cell.(float64)
+}
+
+// find returns the row whose cells under the given columns equal want, in
+// order.
+func find(t *testing.T, rs []map[string]any, cols []string, want ...any) map[string]any {
+	t.Helper()
+next:
+	for _, r := range rs {
+		for i, c := range cols {
+			if r[c] != want[i] {
+				continue next
+			}
+		}
+		return r
+	}
+	t.Fatalf("no row with %v = %v", cols, want)
+	return nil
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -68,60 +116,66 @@ func TestTables(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	res := run(t, "fig2")
-	f := res.(Fig2Result)
-	if len(f.Rows) != 3 {
-		t.Fatalf("fig2 rows = %d", len(f.Rows))
+	f := run(t, "fig2").(*Table).Sections[0].Rows
+	if len(f) != 3 {
+		t.Fatalf("fig2 rows = %d", len(f))
 	}
-	threeGPU := f.Rows[2]
+	// The two range columns share the heading "Range-%", so this test reads
+	// the columns by position: compute range, system power, system range.
+	computePct := func(row []any) float64 { return row[2].(float64) }
+	systemW := func(row []any) float64 { return row[3].(float64) }
+	systemPct := func(row []any) float64 { return row[4].(float64) }
+	threeGPU := f[2]
 	// Paper: 1 kW compute alone → ~6%; aggregate → ~11.5% ("almost
 	// doubled").
-	if math.Abs(threeGPU.ComputeRangePct-6.25) > 1 {
-		t.Errorf("CPU+3GPUs compute range reduction = %.1f%%, want ~6", threeGPU.ComputeRangePct)
+	if math.Abs(computePct(threeGPU)-6.25) > 1 {
+		t.Errorf("CPU+3GPUs compute range reduction = %.1f%%, want ~6", computePct(threeGPU))
 	}
-	if math.Abs(threeGPU.SystemRangePct-11.5) > 1 {
-		t.Errorf("CPU+3GPUs system range reduction = %.1f%%, want ~11.5", threeGPU.SystemRangePct)
+	if math.Abs(systemPct(threeGPU)-11.5) > 1 {
+		t.Errorf("CPU+3GPUs system range reduction = %.1f%%, want ~11.5", systemPct(threeGPU))
 	}
-	for _, row := range f.Rows {
-		if row.SystemRangePct < 1.7*row.ComputeRangePct {
+	for _, row := range f {
+		if systemPct(row) < 1.7*computePct(row) {
 			t.Errorf("%s: aggregate %.1f%% should nearly double compute-alone %.1f%%",
-				row.Config, row.SystemRangePct, row.ComputeRangePct)
+				row[0], systemPct(row), computePct(row))
 		}
 	}
 	// Ordering: FPGA < GPU < 3GPUs.
-	if !(f.Rows[0].SystemW < f.Rows[1].SystemW && f.Rows[1].SystemW < f.Rows[2].SystemW) {
+	if !(systemW(f[0]) < systemW(f[1]) && systemW(f[1]) < systemW(f[2])) {
 		t.Error("fig2 power ordering broken")
 	}
 }
 
 func TestFig6Shape(t *testing.T) {
-	res := run(t, "fig6")
-	f := res.(Fig6Result)
-	if len(f.Rows) != 5 {
-		t.Fatalf("fig6 rows = %d", len(f.Rows))
+	f := rows(t, run(t, "fig6"), 0)
+	if len(f) != 5 {
+		t.Fatalf("fig6 rows = %d", len(f))
 	}
-	byName := map[string]Fig6Row{}
-	for _, row := range f.Rows {
-		byName[row.Component] = row
+	byName := map[string]map[string]any{}
+	for _, row := range f {
+		byName[row["Component"].(string)] = row
 	}
 	// The three bottlenecks each exceed 100 ms on CPU; fusion/motplan are
 	// sub-millisecond.
 	for _, name := range []string{"DET", "TRA", "LOC"} {
-		if byName[name].P9999 < constraint.MaxTailLatencyMs {
-			t.Errorf("%s tail %.1f should exceed 100 ms on CPU", name, byName[name].P9999)
+		if num(byName[name]["P99.99"]) < constraint.MaxTailLatencyMs {
+			t.Errorf("%s tail %.1f should exceed 100 ms on CPU", name, num(byName[name]["P99.99"]))
 		}
 	}
-	if byName["FUSION"].Mean > 1 || byName["MOTPLAN"].Mean > 2 {
+	if num(byName["FUSION"]["Mean"]) > 1 || num(byName["MOTPLAN"]["Mean"]) > 2 {
 		t.Error("fusion/motplan should be sub-millisecond-scale")
 	}
-	// Measured values track the paper's calibration points.
-	for _, name := range []string{"DET", "TRA", "LOC"} {
-		row := byName[name]
-		if math.Abs(row.Mean-row.PaperMean)/row.PaperMean > 0.08 {
-			t.Errorf("%s mean %.1f vs paper %.1f", name, row.Mean, row.PaperMean)
+	// Measured values track the paper's calibration points (the table
+	// prints them as text; this test reads them from the model).
+	for _, e := range accel.Engines() {
+		name, row := e.String(), byName[e.String()]
+		mean, tail := num(row["Mean"]), num(row["P99.99"])
+		paperMean, paperTail := accel.PaperMean(accel.CPU, e), accel.PaperTail(accel.CPU, e)
+		if math.Abs(mean-paperMean)/paperMean > 0.08 {
+			t.Errorf("%s mean %.1f vs paper %.1f", name, mean, paperMean)
 		}
-		if math.Abs(row.P9999-row.PaperTail)/row.PaperTail > 0.15 {
-			t.Errorf("%s tail %.1f vs paper %.1f", name, row.P9999, row.PaperTail)
+		if math.Abs(tail-paperTail)/paperTail > 0.15 {
+			t.Errorf("%s tail %.1f vs paper %.1f", name, tail, paperTail)
 		}
 	}
 }
@@ -133,31 +187,42 @@ func TestFig7Shape(t *testing.T) {
 	// of wall-clock sums, so it is judged over several runs in this process
 	// with the tolerance the runs themselves measure (their spread) — a
 	// neighbour package competing for the CPUs widens both together.
+	//
+	// Under -race the floor is not judged, only logged: the hot kernels are
+	// SSE2 assembly the race detector does not instrument, while the Go
+	// code around them is, so there the ratio measures the instrumentation
+	// (DET reads about 0.28 and LOC 0.47). The structural assertions hold
+	// under -race too, and the floor runs in plain tier-1 and in make
+	// flake-gate.
 	const runs = 5
+	frames := int64(fastOpts().NativeFrames)
 	shares := map[string][]float64{}
 	for r := 0; r < runs; r++ {
-		res := run(t, "fig7")
-		f := res.(Fig7Result)
-		if len(f.Rows) != 3 {
-			t.Fatalf("fig7 rows = %d", len(f.Rows))
+		f := rows(t, run(t, "fig7"), 0)
+		if len(f) != 3 {
+			t.Fatalf("fig7 rows = %d", len(f))
 		}
-		for _, row := range f.Rows {
-			if row.Spans == 0 || row.HotSpans != row.Spans {
-				t.Errorf("%s: %s reported on %d of %d frames", row.Engine, row.HotLabel, row.HotSpans, row.Spans)
+		for _, row := range f {
+			engine, hot, spans, share := row["Engine"], row["hot spans"].(int64), row["spans"].(int64), num(row["measured"])
+			if spans == 0 || hot != spans {
+				t.Errorf("%s: %s reported on %d of %d frames", engine, row["Kernel"], hot, spans)
 			}
-			if row.Engine != "TRA" && row.Spans != int64(f.Frames) {
-				t.Errorf("%s executed on %d of %d frames", row.Engine, row.Spans, f.Frames)
+			if engine != "TRA" && spans != frames {
+				t.Errorf("%s executed on %d of %d frames", engine, spans, frames)
 			}
-			if row.HotShare <= 0 || row.HotShare > 1 {
-				t.Errorf("%s %s share = %v, want in (0, 1]", row.Engine, row.HotLabel, row.HotShare)
+			if share <= 0 || share > 1 {
+				t.Errorf("%s %s share = %v, want in (0, 1]", engine, row["Kernel"], share)
 			}
-			shares[row.Engine] = append(shares[row.Engine], row.HotShare)
+			shares[engine.(string)] = append(shares[engine.(string)], share)
 		}
 	}
 	for engine, s := range shares {
 		sort.Float64s(s)
 		median, spread := s[runs/2], s[runs-1]-s[0]
 		t.Logf("%s hot-kernel share: median %.3f, spread %.3f", engine, median, spread)
+		if testutil.RaceEnabled {
+			continue
+		}
 		// The reproduced claim: the hot kernel dominates each engine.
 		if median+spread < 0.5 {
 			t.Errorf("%s hot-kernel share: median %.2f, spread %.2f over %d runs (%.2f); kernel should dominate",
@@ -168,101 +233,126 @@ func TestFig7Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	res := run(t, "fig10")
-	f := res.(Fig10Result)
-	if len(f.Cells) != 12 {
-		t.Fatalf("fig10 cells = %d", len(f.Cells))
+	// Sections (a) mean and (b) tail: a row per platform, keyed "", with a
+	// measured and a paper column per engine.
+	means, tails := rows(t, res, 0), rows(t, res, 1)
+	if cells := len(means) * (len(means[0]) - 1) / 2; cells != 12 {
+		t.Fatalf("fig10 cells = %d", cells)
 	}
-	for _, c := range f.Cells {
-		if math.Abs(c.Mean-c.PaperMean)/c.PaperMean > 0.08 {
-			t.Errorf("%v/%v mean %.1f vs paper %.1f", c.Platform, c.Engine, c.Mean, c.PaperMean)
-		}
-		if math.Abs(c.Tail-c.PaperTail)/c.PaperTail > 0.15 {
-			t.Errorf("%v/%v tail %.1f vs paper %.1f", c.Platform, c.Engine, c.Tail, c.PaperTail)
+	mean := func(p accel.Platform, e accel.Engine) float64 {
+		return num(find(t, means, []string{""}, p.String())[e.String()])
+	}
+	for _, p := range accel.Platforms() {
+		for _, e := range accel.Engines() {
+			name := e.String()
+			m, tl := find(t, means, []string{""}, p.String()), find(t, tails, []string{""}, p.String())
+			if got, paper := num(m[name]), num(m[name+" paper"]); math.Abs(got-paper)/paper > 0.08 {
+				t.Errorf("%v/%v mean %.1f vs paper %.1f", p, e, got, paper)
+			}
+			if got, paper := num(tl[name]), num(tl[name+" paper"]); math.Abs(got-paper)/paper > 0.15 {
+				t.Errorf("%v/%v tail %.1f vs paper %.1f", p, e, got, paper)
+			}
 		}
 	}
 	// Finding 1 shape: GPU beats CPU by orders of magnitude on DET/TRA;
 	// FPGA DET/TRA still miss the 100 ms constraint.
-	if f.cell(accel.GPU, accel.DET).Mean > f.cell(accel.CPU, accel.DET).Mean/100 {
+	if mean(accel.GPU, accel.DET) > mean(accel.CPU, accel.DET)/100 {
 		t.Error("GPU DET should be >100x faster than CPU")
 	}
-	if f.cell(accel.FPGA, accel.DET).Mean < 100 || f.cell(accel.FPGA, accel.TRA).Mean < 100 {
+	if mean(accel.FPGA, accel.DET) < 100 || mean(accel.FPGA, accel.TRA) < 100 {
 		t.Error("FPGA DET/TRA should exceed 100 ms (the paper's DSP-count finding)")
 	}
 }
 
 func TestFig11Shape(t *testing.T) {
-	res := run(t, "fig11")
-	f := res.(Fig11Result)
-	if len(f.Rows) != 17 {
-		t.Fatalf("fig11 rows = %d, want 17", len(f.Rows))
+	f := rows(t, run(t, "fig11"), 0)
+	if len(f) != 17 {
+		t.Fatalf("fig11 rows = %d, want 17", len(f))
 	}
 	// The paper's observation: some configs pass on mean yet fail on tail
 	// (e.g. DET/TRA on GPU with LOC on CPU).
-	if f.MeanPassTailFail() == 0 {
+	meanPassTailFail := 0
+	for _, row := range f {
+		if row["mean<=100"].(bool) && !row["tail<=100"].(bool) {
+			meanPassTailFail++
+		}
+	}
+	if meanPassTailFail == 0 {
 		t.Error("no mean-pass/tail-fail configurations; predictability finding lost")
 	}
 	// CPU-only is seconds; the best config is ~16 ms.
-	var cpuRow, bestRow Fig11Row
-	for _, row := range f.Rows {
-		if row.Assignment == pipeline.Uniform(accel.CPU) {
-			cpuRow = row
-		}
-		if row.Assignment == (pipeline.Assignment{Det: accel.GPU, Tra: accel.ASIC, Loc: accel.ASIC}) {
-			bestRow = row
-		}
+	cpuRow := find(t, f, []string{"DET/TRA/LOC"}, pipeline.Uniform(accel.CPU).Short())
+	bestRow := find(t, f, []string{"DET/TRA/LOC"}, pipeline.Assignment{Det: accel.GPU, Tra: accel.ASIC, Loc: accel.ASIC}.Short())
+	if math.Abs(num(cpuRow["Mean"])-7950) > 300 || math.Abs(num(cpuRow["P99.99"])-9100) > 500 {
+		t.Errorf("CPU row = %.0f/%.0f, want ~7950/~9100", num(cpuRow["Mean"]), num(cpuRow["P99.99"]))
 	}
-	if math.Abs(cpuRow.Mean-7950) > 300 || math.Abs(cpuRow.Tail-9100) > 500 {
-		t.Errorf("CPU row = %.0f/%.0f, want ~7950/~9100", cpuRow.Mean, cpuRow.Tail)
+	if math.Abs(num(bestRow["P99.99"])-16.1) > 2 {
+		t.Errorf("best config tail = %.1f, want ~16.1", num(bestRow["P99.99"]))
 	}
-	if math.Abs(bestRow.Tail-16.1) > 2 {
-		t.Errorf("best config tail = %.1f, want ~16.1", bestRow.Tail)
-	}
-	if !bestRow.MeetsTail {
+	if !bestRow["tail<=100"].(bool) {
 		t.Error("best config should meet the tail constraint")
 	}
 }
 
 func TestFig12Shape(t *testing.T) {
-	res := run(t, "fig12")
-	f := res.(Fig12Result)
-	allGPU := f.Row(pipeline.Uniform(accel.GPU))
-	allASIC := f.Row(pipeline.Uniform(accel.ASIC))
-	allFPGA := f.Row(pipeline.Uniform(accel.FPGA))
+	f := rows(t, run(t, "fig12"), 0)
+	rangePct := func(p accel.Platform) float64 {
+		return num(find(t, f, []string{"DET/TRA/LOC"}, pipeline.Uniform(p).Short())["Range-%"])
+	}
+	allGPU, allASIC, allFPGA := rangePct(accel.GPU), rangePct(accel.ASIC), rangePct(accel.FPGA)
+	allGPUSystemW := num(find(t, f, []string{"DET/TRA/LOC"}, pipeline.Uniform(accel.GPU).Short())["SystemW"])
 	// Paper: GPU-everything cuts range by up to ~12%; ASICs keep it low
 	// (~2%); GPUs draw >1 kW end-to-end.
-	if allGPU.RangePct < 10 || allGPU.RangePct > 16 {
-		t.Errorf("all-GPU range reduction = %.1f%%, want 10-16", allGPU.RangePct)
+	if allGPU < 10 || allGPU > 16 {
+		t.Errorf("all-GPU range reduction = %.1f%%, want 10-16", allGPU)
 	}
-	if allASIC.RangePct > 5 {
-		t.Errorf("all-ASIC range reduction = %.1f%%, want <5", allASIC.RangePct)
+	if allASIC > 5 {
+		t.Errorf("all-ASIC range reduction = %.1f%%, want <5", allASIC)
 	}
-	if allGPU.SystemW < 1000 {
-		t.Errorf("all-GPU system power = %.0f W, want >1000", allGPU.SystemW)
+	if allGPUSystemW < 1000 {
+		t.Errorf("all-GPU system power = %.0f W, want >1000", allGPUSystemW)
 	}
-	if !(allASIC.RangePct < allFPGA.RangePct && allFPGA.RangePct < allGPU.RangePct) {
+	if !(allASIC < allFPGA && allFPGA < allGPU) {
 		t.Error("range-reduction ordering ASIC < FPGA < GPU broken")
 	}
 }
 
 func TestFig13Shape(t *testing.T) {
-	res := run(t, "fig13")
-	f := res.(Fig13Result)
-	if len(f.Resolutions) != 5 {
-		t.Fatalf("fig13 resolutions = %d", len(f.Resolutions))
+	f := run(t, "fig13").(*Table).Sections[0]
+	// A configuration column, then a tail and a mark column per resolution.
+	resolutions := (len(f.Cols) - 1) / 2
+	if resolutions != 5 {
+		t.Fatalf("fig13 resolutions = %d", resolutions)
+	}
+	tails := func(row []any) []float64 {
+		var out []float64
+		for i := 1; i < len(row); i += 2 {
+			out = append(out, row[i].(float64))
+		}
+		return out
+	}
+	meetsAt := func(resIdx int) bool {
+		for _, row := range f.Rows {
+			if tails(row)[resIdx] <= constraint.MaxTailLatencyMs {
+				return true
+			}
+		}
+		return false
 	}
 	// Paper: some configurations meet the constraint at FHD; none at QHD.
 	fhdIdx, qhdIdx := 3, 4
-	if !f.MeetsAt(fhdIdx) {
+	if !meetsAt(fhdIdx) {
 		t.Error("no configuration meets 100 ms at FHD; paper says some do")
 	}
-	if f.MeetsAt(qhdIdx) {
+	if meetsAt(qhdIdx) {
 		t.Error("a configuration meets 100 ms at QHD; paper says none can")
 	}
 	// Latency is monotone in resolution for every series.
-	for _, s := range f.Series {
-		for i := 1; i < len(s.TailMs); i++ {
-			if s.TailMs[i] < s.TailMs[i-1]*0.95 {
-				t.Errorf("%s: tail not monotone across resolutions: %v", s.Assignment.Short(), s.TailMs)
+	for _, row := range f.Rows {
+		s := tails(row)
+		for i := 1; i < len(s); i++ {
+			if s[i] < s[i-1]*0.95 {
+				t.Errorf("%s: tail not monotone across resolutions: %v", row[0], s)
 			}
 		}
 	}
@@ -270,181 +360,159 @@ func TestFig13Shape(t *testing.T) {
 
 func TestHeadlineShape(t *testing.T) {
 	res := run(t, "headline")
-	h := res.(HeadlineResult)
-	for _, row := range h.Rows {
-		tol := 0.12 * row.Paper
-		if math.Abs(row.Reduction-row.Paper) > tol {
-			t.Errorf("%v reduction = %.1fx, paper %.0fx", row.Platform, row.Reduction, row.Paper)
+	for _, row := range rows(t, res, 0) {
+		reduction, paper := num(row["Reduction"]), num(row["Paper"])
+		tol := 0.12 * paper
+		if math.Abs(reduction-paper) > tol {
+			t.Errorf("%v reduction = %.1fx, paper %.0fx", row["Platform"], reduction, paper)
 		}
 	}
-	if math.Abs(h.BestMixedTail-16.1) > 2 {
-		t.Errorf("best mixed tail = %.1f, want ~16.1", h.BestMixedTail)
+	if best := num(rows(t, res, 1)[0]["best mixed"]); math.Abs(best-16.1) > 2 {
+		t.Errorf("best mixed tail = %.1f, want ~16.1", best)
 	}
 }
 
 func TestAblateNoiseShape(t *testing.T) {
-	res := run(t, "ablate-noise")
-	a := res.(AblateNoiseResult)
+	a := rows(t, run(t, "ablate-noise"), 0)[0]
+	shared, independent, sum := num(a["shared"]), num(a["independent"]), num(a["component sum"])
 	// Shared noise must land near the component-tail sum; independent
 	// noise must under-shoot it.
-	if math.Abs(a.SharedTailMs-a.ComponentTailSum)/a.ComponentTailSum > 0.05 {
-		t.Errorf("shared tail %.0f should approximate component sum %.0f",
-			a.SharedTailMs, a.ComponentTailSum)
+	if math.Abs(shared-sum)/sum > 0.05 {
+		t.Errorf("shared tail %.0f should approximate component sum %.0f", shared, sum)
 	}
-	if a.IndependentTailMs >= a.SharedTailMs {
-		t.Errorf("independent tail %.0f should undershoot shared %.0f",
-			a.IndependentTailMs, a.SharedTailMs)
+	if independent >= shared {
+		t.Errorf("independent tail %.0f should undershoot shared %.0f", independent, shared)
 	}
 }
 
 func TestAblateRelocShape(t *testing.T) {
-	res := run(t, "ablate-reloc")
-	a := res.(AblateRelocResult)
-	if len(a.Rows) != 4 {
-		t.Fatalf("rows = %d", len(a.Rows))
+	a := rows(t, run(t, "ablate-reloc"), 0)
+	if len(a) != 4 {
+		t.Fatalf("rows = %d", len(a))
 	}
-	never, frequent := a.Rows[0], a.Rows[3]
+	mean := func(i int) float64 { return num(a[i]["mean ms"]) }
+	tail := func(i int) float64 { return num(a[i]["P99.99 ms"]) }
+	never, frequent := 0, 3
 	// Means stay within a few ms of each other; tails diverge hugely.
-	if math.Abs(frequent.MeanMs-never.MeanMs) > 5 {
-		t.Errorf("means diverged: %.1f vs %.1f", never.MeanMs, frequent.MeanMs)
+	if math.Abs(mean(frequent)-mean(never)) > 5 {
+		t.Errorf("means diverged: %.1f vs %.1f", mean(never), mean(frequent))
 	}
-	if frequent.TailMs < 3*never.TailMs {
-		t.Errorf("reloc tail %.1f should dwarf no-reloc tail %.1f",
-			frequent.TailMs, never.TailMs)
+	if tail(frequent) < 3*tail(never) {
+		t.Errorf("reloc tail %.1f should dwarf no-reloc tail %.1f", tail(frequent), tail(never))
 	}
 	// Any reloc rate above 1/10000 pins the tail at the wide-search cost.
-	if math.Abs(a.Rows[1].TailMs-a.Rows[3].TailMs) > 1 {
+	if math.Abs(tail(1)-tail(3)) > 1 {
 		t.Error("tail should be rate-insensitive once spikes clear the quantile")
 	}
 }
 
 func TestAblateCoolingShape(t *testing.T) {
-	res := run(t, "ablate-cooling")
-	a := res.(AblateCoolingResult)
-	for _, row := range a.Rows {
-		if row.Magnification < 1.5 || row.Magnification > 2.0 {
-			t.Errorf("%s: cooling magnification %.2f outside [1.5,2.0]",
-				row.Assignment.Short(), row.Magnification)
+	for _, row := range rows(t, run(t, "ablate-cooling"), 0) {
+		if x := num(row["x"]); x < 1.5 || x > 2.0 {
+			t.Errorf("%s: cooling magnification %.2f outside [1.5,2.0]", row["DET/TRA/LOC"], x)
 		}
 	}
 }
 
 func TestStorageShape(t *testing.T) {
-	res := run(t, "storage")
-	st := res.(StorageResult)
-	if st.Keyframes == 0 || st.MapBytes == 0 {
+	st := rows(t, run(t, "storage"), 0)[0]
+	if st["keyframes"].(int) == 0 || num(st["map KB"]) == 0 {
 		t.Fatal("empty survey")
 	}
 	// The from-scratch extrapolation must land within an order of
 	// magnitude of the paper's 41 TB.
-	if st.USExtrapolation < st.PaperTB/10 || st.USExtrapolation > st.PaperTB*10 {
-		t.Errorf("US extrapolation %.1f TB not within 10x of the paper's %.0f TB",
-			st.USExtrapolation, st.PaperTB)
+	us, paper := num(st["US TB"]), num(st["paper TB"])
+	if us < paper/10 || us > paper*10 {
+		t.Errorf("US extrapolation %.1f TB not within 10x of the paper's %.0f TB", us, paper)
 	}
 }
 
 func TestPlatformAnalysisShape(t *testing.T) {
-	res := run(t, "platform-analysis")
-	pa := res.(PlatformAnalysisResult)
-	if len(pa.Rows) != 12 {
-		t.Fatalf("rows = %d", len(pa.Rows))
+	pa := rows(t, run(t, "platform-analysis"), 0)
+	if len(pa) != 12 {
+		t.Fatalf("rows = %d", len(pa))
 	}
-	get := func(p accel.Platform, e accel.Engine) PlatformAnalysisRow {
-		for _, r := range pa.Rows {
-			if r.Platform == p && r.Engine == e {
-				return r
-			}
-		}
-		t.Fatalf("missing row %v/%v", p, e)
-		return PlatformAnalysisRow{}
+	// The implied efficiency is effective / peak; the table prints it as
+	// text.
+	efficiency := func(p accel.Platform, e accel.Engine) float64 {
+		r := find(t, pa, []string{"Platform", "Engine"}, p, e)
+		return num(r["effective"]) / num(r["peak"])
 	}
 	// GPU DET efficiency in the plausible cuDNN band.
-	if eff := get(accel.GPU, accel.DET).Efficiency; eff < 0.1 || eff > 0.6 {
+	if eff := efficiency(accel.GPU, accel.DET); eff < 0.1 || eff > 0.6 {
 		t.Errorf("GPU DET implied efficiency %.2f outside [0.1,0.6]", eff)
 	}
 	// CPU efficiency is very low (the paper's framework overheads).
-	if eff := get(accel.CPU, accel.DET).Efficiency; eff > 0.05 {
+	if eff := efficiency(accel.CPU, accel.DET); eff > 0.05 {
 		t.Errorf("CPU DET implied efficiency %.3f too high", eff)
 	}
 	// FPGA DET is DSP-bound below peak.
-	if eff := get(accel.FPGA, accel.DET).Efficiency; eff >= 1 {
+	if eff := efficiency(accel.FPGA, accel.DET); eff >= 1 {
 		t.Errorf("FPGA DET efficiency %.2f should be <1", eff)
 	}
 	// The extrapolated TRA ASIC implies multiple EIE-grade units.
-	if eff := get(accel.ASIC, accel.TRA).Efficiency; eff <= 1 {
+	if eff := efficiency(accel.ASIC, accel.TRA); eff <= 1 {
 		t.Errorf("ASIC TRA implied units %.2f should exceed 1 (extrapolated design)", eff)
 	}
 }
 
 func TestRooflineShape(t *testing.T) {
-	res := run(t, "roofline")
-	r := res.(RooflineResult)
-	if len(r.Summaries) != 12 {
-		t.Fatalf("summaries = %d, want 3 networks x 4 platforms", len(r.Summaries))
+	r := rows(t, run(t, "roofline"), 0)
+	if len(r) != 12 {
+		t.Fatalf("summaries = %d, want 3 networks x 4 platforms", len(r))
 	}
-	find := func(net string, p accel.Platform) accel.NetworkSummary {
-		for _, s := range r.Summaries {
-			if s.Network == net && s.Platform == p {
-				return s
-			}
-		}
-		t.Fatalf("missing %s/%v", net, p)
-		return accel.NetworkSummary{}
+	memoryBoundShare := func(net string, p accel.Platform) float64 {
+		return num(find(t, r, []string{"Network", "Platform"}, net, p)["memory-bound MACs"])
 	}
 	// YOLOv2's conv stack is compute-dominated on the GPU.
-	if share := find("yolov2", accel.GPU).MemoryBoundShare(); share > 0.3 {
+	if share := memoryBoundShare("yolov2", accel.GPU); share > 0.3 {
 		t.Errorf("YOLOv2 on GPU %.0f%% memory-bound; conv should be compute-bound", 100*share)
 	}
 	// GOTURN's FC head is memory-bound everywhere general-purpose.
 	for _, p := range []accel.Platform{accel.CPU, accel.GPU, accel.FPGA} {
-		if share := find("goturn-head", p).MemoryBoundShare(); share < 0.9 {
+		if share := memoryBoundShare("goturn-head", p); share < 0.9 {
 			t.Errorf("GOTURN head on %v only %.0f%% memory-bound", p, 100*share)
 		}
 	}
 	// The FPGA, with its 6.4 GB/s link, is the most memory-bound platform
 	// for YOLOv2.
-	if find("yolov2", accel.FPGA).MemoryBoundShare() <= find("yolov2", accel.GPU).MemoryBoundShare() {
+	if memoryBoundShare("yolov2", accel.FPGA) <= memoryBoundShare("yolov2", accel.GPU) {
 		t.Error("FPGA should be more memory-bound than GPU on YOLOv2")
 	}
 }
 
 func TestAblateCamerasShape(t *testing.T) {
-	res := run(t, "ablate-cameras")
-	a := res.(AblateCamerasResult)
-	if len(a.Rows) != 16 {
-		t.Fatalf("rows = %d, want 4 configs x 4 camera counts", len(a.Rows))
+	a := rows(t, run(t, "ablate-cameras"), 0)
+	if len(a) != 16 {
+		t.Fatalf("rows = %d, want 4 configs x 4 camera counts", len(a))
 	}
-	find := func(asn pipeline.Assignment, cams int) AblateCamerasRow {
-		for _, r := range a.Rows {
-			if r.Assignment == asn && r.Cameras == cams {
-				return r
-			}
-		}
-		t.Fatalf("missing row %v/%d", asn.Short(), cams)
-		return AblateCamerasRow{}
+	get := func(asn pipeline.Assignment, cams int, col string) float64 {
+		return num(find(t, a, []string{"DET/TRA/LOC", "cameras"}, asn.Short(), cams)[col])
 	}
 	cpu := pipeline.Assignment{Det: accel.CPU, Tra: accel.CPU, Loc: accel.ASIC}
 	asic := pipeline.Uniform(accel.ASIC)
 	// CPU-jitter tail inflates with camera count; ASIC pays nothing.
-	if find(cpu, 8).InflationPct < 2 {
-		t.Errorf("CPU 8-camera inflation %.1f%% too small", find(cpu, 8).InflationPct)
+	if get(cpu, 8, "inflation") < 2 {
+		t.Errorf("CPU 8-camera inflation %.1f%% too small", get(cpu, 8, "inflation"))
 	}
-	if abs := find(asic, 8).InflationPct; abs > 0.5 || abs < -0.5 {
+	if abs := get(asic, 8, "inflation"); abs > 0.5 || abs < -0.5 {
 		t.Errorf("ASIC 8-camera inflation %.1f%% should be ~0", abs)
 	}
 	// Inflation grows with camera count on the jittery platform.
-	if find(cpu, 8).TailMs < find(cpu, 2).TailMs {
+	if get(cpu, 8, "P99.99 ms") < get(cpu, 2, "P99.99 ms") {
 		t.Error("CPU tail should grow with camera count")
 	}
 }
 
 func TestEnergyShape(t *testing.T) {
-	res := run(t, "energy")
-	en := res.(EnergyResult)
-	if len(en.Rows) != 12 {
-		t.Fatalf("rows = %d", len(en.Rows))
+	en := rows(t, run(t, "energy"), 0)
+	// A row per platform, keyed "", and a column per engine.
+	if cells := len(en) * (len(en[0]) - 1); cells != 12 {
+		t.Fatalf("rows = %d", cells)
 	}
-	j := func(p accel.Platform, e accel.Engine) float64 { return en.joules(p, e) }
+	j := func(p accel.Platform, e accel.Engine) float64 {
+		return num(find(t, en, []string{""}, p.String())[e.String()])
+	}
 	// The crossover the experiment exists to show: GPU beats the slow CNN
 	// ASIC on DET energy, while the TRA/LOC ASICs win by large factors.
 	if j(accel.GPU, accel.DET) >= j(accel.ASIC, accel.DET) {
@@ -465,92 +533,104 @@ func TestEnergyShape(t *testing.T) {
 }
 
 func TestAblateObjectsShape(t *testing.T) {
-	res := run(t, "ablate-objects")
-	a := res.(AblateObjectsResult)
-	if len(a.Rows) != 15 {
-		t.Fatalf("rows = %d, want 3 configs x 5 counts", len(a.Rows))
+	a := rows(t, run(t, "ablate-objects"), 0)
+	if len(a) != 15 {
+		t.Fatalf("rows = %d, want 3 configs x 5 counts", len(a))
 	}
 	gpuTra := pipeline.Assignment{Det: accel.GPU, Tra: accel.GPU, Loc: accel.ASIC}
 	asicTra := pipeline.Assignment{Det: accel.GPU, Tra: accel.ASIC, Loc: accel.ASIC}
+	// maxObjects is the largest object count in the sweep where the
+	// assignment still meets the tail constraint (0 if none).
+	maxObjects := func(asn pipeline.Assignment) int {
+		best := 0
+		for _, row := range a {
+			if row["DET/TRA/LOC"] == asn.Short() && row["<=100ms"].(bool) && row["objects"].(int) > best {
+				best = row["objects"].(int)
+			}
+		}
+		return best
+	}
 	// The FC ASIC sustains strictly more tracked objects under the
 	// deadline than the GPU tracker.
-	if a.MaxObjectsUnderDeadline(asicTra) <= a.MaxObjectsUnderDeadline(gpuTra) {
+	if maxObjects(asicTra) <= maxObjects(gpuTra) {
 		t.Errorf("ASIC TRA sustains %d objects, GPU TRA %d — ASIC should win",
-			a.MaxObjectsUnderDeadline(asicTra), a.MaxObjectsUnderDeadline(gpuTra))
+			maxObjects(asicTra), maxObjects(gpuTra))
 	}
 	// GPU tracking fails the deadline before 32 objects.
-	if a.MaxObjectsUnderDeadline(gpuTra) >= 32 {
+	if maxObjects(gpuTra) >= 32 {
 		t.Error("GPU TRA should blow the deadline within the sweep")
 	}
 	// Tails grow monotonically with object count.
 	for _, cfgA := range []pipeline.Assignment{gpuTra, asicTra} {
 		var prev float64
-		for _, row := range a.Rows {
-			if row.Assignment != cfgA {
+		for _, row := range a {
+			if row["DET/TRA/LOC"] != cfgA.Short() {
 				continue
 			}
-			if row.TailMs < prev*0.98 {
+			if num(row["P99.99 ms"]) < prev*0.98 {
 				t.Errorf("%s: tail not monotone in objects", cfgA.Short())
 			}
-			prev = row.TailMs
+			prev = num(row["P99.99 ms"])
 		}
 	}
 }
 
 func TestAccuracyShape(t *testing.T) {
-	res := run(t, "accuracy")
-	acc := res.(AccuracyResult)
-	if len(acc.Rows) != 5 {
-		t.Fatalf("rows = %d", len(acc.Rows))
+	acc := rows(t, run(t, "accuracy"), 0)
+	if len(acc) != 5 {
+		t.Fatalf("rows = %d", len(acc))
 	}
-	first, last := acc.Rows[0], acc.Rows[len(acc.Rows)-1]
+	recall := func(i int) float64 { return num(acc[i]["recall"]) }
+	maxRange := func(i int) float64 { return num(acc[i]["max range"]) }
+	first, last := 0, len(acc)-1
 	// Recall grows with resolution until the scenario saturates (the
 	// Fig 13 premise), and never regresses.
-	if last.Recall <= first.Recall {
-		t.Errorf("QHD recall %.2f should exceed HHD %.2f", last.Recall, first.Recall)
+	if recall(last) <= recall(first) {
+		t.Errorf("QHD recall %.2f should exceed HHD %.2f", recall(last), recall(first))
 	}
-	for i := 1; i < len(acc.Rows); i++ {
-		if acc.Rows[i].Recall < acc.Rows[i-1].Recall-1e-9 {
-			t.Errorf("recall regressed at %s", acc.Rows[i].Res.Name)
+	for i := 1; i < len(acc); i++ {
+		if recall(i) < recall(i-1)-1e-9 {
+			t.Errorf("recall regressed at %s", acc[i]["Resolution"])
 		}
 	}
-	if last.MaxRangeM < first.MaxRangeM {
-		t.Errorf("QHD range %.1f m should not trail HHD %.1f m", last.MaxRangeM, first.MaxRangeM)
+	if maxRange(last) < maxRange(first) {
+		t.Errorf("QHD range %.1f m should not trail HHD %.1f m", maxRange(last), maxRange(first))
 	}
-	for _, row := range acc.Rows {
-		if row.Truths == 0 {
-			t.Fatalf("%s: no ground truth evaluated", row.Res.Name)
+	for i, row := range acc {
+		if row["truths"].(int) == 0 {
+			t.Fatalf("%s: no ground truth evaluated", row["Resolution"])
 		}
-		if row.Recall < 0.4 {
-			t.Errorf("%s: recall %.2f implausibly low", row.Res.Name, row.Recall)
+		if recall(i) < 0.4 {
+			t.Errorf("%s: recall %.2f implausibly low", row["Resolution"], recall(i))
 		}
 	}
 }
 
 func TestSeedsShape(t *testing.T) {
 	res := run(t, "seeds")
-	sd := res.(SeedsResult)
-	if len(sd.Rows) != 4 || len(sd.Seeds) != 5 {
-		t.Fatalf("rows=%d seeds=%d", len(sd.Rows), len(sd.Seeds))
+	seeds, sd := rows(t, res, 0)[0]["seeds"].([]int64), rows(t, res, 1)
+	if len(sd) != 4 || len(seeds) != 5 {
+		t.Fatalf("rows=%d seeds=%d", len(sd), len(seeds))
 	}
-	for _, row := range sd.Rows {
-		if len(row.TailsMs) != 5 {
-			t.Fatalf("%s: %d tails", row.Assignment.Short(), len(row.TailsMs))
+	for _, row := range sd {
+		name, lo, hi, spread := row["DET/TRA/LOC"], num(row["min tail ms"]), num(row["max tail ms"]), num(row["spread"])
+		if tails := row["tails"].([]float64); len(tails) != 5 {
+			t.Fatalf("%s: %d tails", name, len(tails))
 		}
-		if row.MinMs <= 0 || row.MaxMs < row.MinMs {
-			t.Fatalf("%s: bad min/max %.1f/%.1f", row.Assignment.Short(), row.MinMs, row.MaxMs)
+		if lo <= 0 || hi < lo {
+			t.Fatalf("%s: bad min/max %.1f/%.1f", name, lo, hi)
 		}
 		// The conclusions must be seed-robust: spread stays in single
 		// digits of percent.
-		if row.SpreadPct > 10 {
-			t.Errorf("%s: seed spread %.1f%% too large", row.Assignment.Short(), row.SpreadPct)
+		if spread > 10 {
+			t.Errorf("%s: seed spread %.1f%% too large", name, spread)
 		}
 	}
 	// Fixed-latency ASIC tails are exactly seed-invariant... except for
 	// the sub-ms fusion/motplan jitter; allow a tiny spread.
-	for _, row := range sd.Rows {
-		if row.Assignment == pipeline.Uniform(accel.ASIC) && row.SpreadPct > 1 {
-			t.Errorf("ASIC seed spread %.2f%% should be ~0", row.SpreadPct)
+	for _, row := range sd {
+		if row["DET/TRA/LOC"] == pipeline.Uniform(accel.ASIC).Short() && num(row["spread"]) > 1 {
+			t.Errorf("ASIC seed spread %.2f%% should be ~0", num(row["spread"]))
 		}
 	}
 }
@@ -561,7 +641,7 @@ func TestTailStudy(t *testing.T) {
 	// so only what the configuration fixes is asserted here — whether the
 	// tail fell and nothing crossed the constraint is a host measurement,
 	// which bench/'s stall_deadline takes with host and spread recorded.
-	res := run(t, "tail").(TailResult)
+	res := run(t, "tail").(*TailResult)
 	if res.DNN {
 		t.Fatal("unit-test sizing ran the native DNNs")
 	}
@@ -597,7 +677,7 @@ func TestScenariosStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	produced["scenarios"] = res
+	produced["scenarios"] = &res
 	if len(res.Runs) < 6 {
 		t.Fatalf("swept %d programs, want the whole library (>= 6)", len(res.Runs))
 	}

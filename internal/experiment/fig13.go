@@ -2,98 +2,45 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"adsim/internal/accel"
 	"adsim/internal/constraint"
 	"adsim/internal/pipeline"
 )
 
-func init() { register("fig13", runFig13) }
-
-// Fig13Series is one configuration's end-to-end tail latency across the
-// resolution sweep.
-type Fig13Series struct {
-	Assignment pipeline.Assignment
-	TailMs     []float64 // aligned with Resolutions
-}
-
-// Fig13Result reproduces Figure 13: performance scalability with camera
-// resolution. Some ASIC/GPU configurations still meet the 100 ms constraint
-// at Full HD; none sustain Quad HD.
-type Fig13Result struct {
-	Resolutions []accel.Resolution
-	Series      []Fig13Series
-}
-
-func (r Fig13Result) Render() string {
-	var b strings.Builder
-	b.WriteString(header("fig13", "End-to-end tail latency vs. camera resolution (ms)"))
-	fmt.Fprintf(&b, "%-18s", "DET/TRA/LOC")
-	for _, res := range r.Resolutions {
-		fmt.Fprintf(&b, " %12s", res.Name)
-	}
-	b.WriteString("\n")
-	for _, s := range r.Series {
-		fmt.Fprintf(&b, "%-18s", s.Assignment.Short())
-		for _, v := range s.TailMs {
-			mark := " "
-			if v <= constraint.MaxTailLatencyMs {
-				mark = "*"
-			}
-			fmt.Fprintf(&b, " %11.1f%s", v, mark)
-		}
-		b.WriteString("\n")
-	}
-	fmt.Fprintf(&b, "\n(* = meets the %.0f ms constraint. CPU rows omitted: off-scale.)\n",
-		constraint.MaxTailLatencyMs)
-	return b.String()
-}
-
-// MeetsAt reports whether any configuration meets the constraint at the
-// given resolution index.
-func (r Fig13Result) MeetsAt(resIdx int) bool {
-	for _, s := range r.Series {
-		if s.TailMs[resIdx] <= constraint.MaxTailLatencyMs {
-			return true
-		}
-	}
-	return false
-}
-
+// runFig13 reproduces Figure 13: performance scalability with camera
+// resolution, as each configuration's end-to-end tail latency across the
+// resolution sweep, marked where it meets the constraint. Some ASIC/GPU
+// configurations still meet the 100 ms constraint at Full HD; none sustain
+// Quad HD.
 func runFig13(opts Options) (Result, error) {
-	m := accel.NewModel()
 	resolutions := accel.SweepResolutions()
+	s := Section{Cols: []Col{{"DET/TRA/LOC", "%-18s", "%-18s"}}}
+	for _, res := range resolutions {
+		s.Cols = append(s.Cols, Col{res.Name, " %12s", " %11.1f"}, Col{Verb: "%s"})
+	}
+	// Fewer frames per point: 5 resolutions x many configs; the tail here
+	// is jitter/spike driven and converges quickly.
+	frames := max(opts.Frames/2, 20000)
 	// Sweep the accelerated configurations (CPU anywhere is off-scale).
 	var configs []pipeline.Assignment
 	for _, a := range figureConfigs() {
-		if a.Det == accel.CPU || a.Tra == accel.CPU || a.Loc == accel.CPU {
-			continue
+		if a.Det != accel.CPU && a.Tra != accel.CPU && a.Loc != accel.CPU {
+			configs = append(configs, a)
 		}
-		configs = append(configs, a)
-	}
-	var series []Fig13Series
-	// Fewer frames per point: 5 resolutions x many configs; the tail here
-	// is jitter/spike driven and converges quickly.
-	frames := opts.Frames / 2
-	if frames < 20000 {
-		frames = 20000
 	}
 	for i, a := range configs {
-		s := Fig13Series{Assignment: a}
+		row := []any{a.Short()}
 		for _, res := range resolutions {
-			sim, err := pipeline.Simulate(m, pipeline.SimConfig{
-				Assignment: a,
-				Res:        res,
-				Frames:     frames,
-				Seed:       opts.Seed + int64(i),
-			})
-			if err != nil {
-				return nil, err
+			tail := simulate(pipeline.SimConfig{Assignment: a, Res: res, Frames: frames, Seed: opts.Seed + int64(i)}).E2E.P9999()
+			mark := " "
+			if tail <= constraint.MaxTailLatencyMs {
+				mark = "*"
 			}
-			s.TailMs = append(s.TailMs, sim.E2E.P9999())
+			row = append(row, tail, mark)
 		}
-		series = append(series, s)
+		s.Rows = append(s.Rows, row)
 	}
-	return Fig13Result{Resolutions: resolutions, Series: series}, nil
+	return &Table{Sections: []Section{s}, Note: fmt.Sprintf(
+		"\n(* = meets the %.0f ms constraint. CPU rows omitted: off-scale.)\n", constraint.MaxTailLatencyMs)}, nil
 }

@@ -2,76 +2,39 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"adsim/internal/accel"
 	"adsim/internal/pipeline"
 )
 
-func init() { register("headline", runHeadline) }
-
-// HeadlineRow is one accelerator's end-to-end tail-latency reduction over
-// the CPU baseline.
-type HeadlineRow struct {
-	Platform  accel.Platform
-	TailMs    float64
-	Reduction float64 // vs. the CPU baseline
-	Paper     float64 // the paper's abstract: 169x / 10x / 93x
-}
-
-// HeadlineResult reproduces the paper's abstract claim: GPU-, FPGA- and
+// runHeadline reproduces the paper's abstract claim: GPU-, FPGA- and
 // ASIC-accelerated systems reduce end-to-end tail latency by 169x, 10x and
-// 93x respectively.
-type HeadlineResult struct {
-	BaselineTailMs float64
-	Rows           []HeadlineRow
-	BestMixedTail  float64 // DET=GPU, TRA=LOC=ASIC (the paper's 16.1 ms)
-}
-
-func (r HeadlineResult) Render() string {
-	var b strings.Builder
-	b.WriteString(header("headline", "Tail-latency reduction vs. CPU baseline"))
-	fmt.Fprintf(&b, "CPU baseline end-to-end P99.99: %.0f ms (paper: ~9.1 s)\n\n", r.BaselineTailMs)
-	fmt.Fprintf(&b, "%-8s %12s %12s %10s\n", "Platform", "Tail (ms)", "Reduction", "Paper")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8s %12.1f %11.0fx %9.0fx\n",
-			row.Platform, row.TailMs, row.Reduction, row.Paper)
-	}
-	fmt.Fprintf(&b, "\nBest mixed configuration (DET=GPU, TRA=ASIC, LOC=ASIC): %.1f ms tail\n", r.BestMixedTail)
-	b.WriteString("(paper: 16.1 ms)\n")
-	return b.String()
-}
-
+// 93x respectively over the CPU baseline. A second section records the
+// best mixed configuration's tail (DET=GPU, TRA=LOC=ASIC; the paper's
+// 16.1 ms).
 func runHeadline(opts Options) (Result, error) {
-	m := accel.NewModel()
-	tail := func(a pipeline.Assignment, seed int64) (float64, error) {
-		sim, err := pipeline.Simulate(m, pipeline.SimConfig{
-			Assignment: a, Frames: opts.Frames, Seed: seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return sim.E2E.P9999(), nil
+	tail := func(a pipeline.Assignment, seed int64) float64 {
+		return simulate(pipeline.SimConfig{Assignment: a, Frames: opts.Frames, Seed: seed}).E2E.P9999()
 	}
-	base, err := tail(pipeline.Uniform(accel.CPU), opts.Seed)
-	if err != nil {
-		return nil, err
+	base := tail(pipeline.Uniform(accel.CPU), opts.Seed)
+	s := Section{
+		Title: fmt.Sprintf("CPU baseline end-to-end P99.99: %.0f ms (paper: ~9.1 s)\n\n", base),
+		Cols: []Col{
+			{"Platform", "%-8s", "%-8s"}, {"Tail (ms)", " %12s", " %12.1f"},
+			{"Reduction", " %12s", " %11.0fx"}, {"Paper", " %10s", " %9.0fx"},
+		},
 	}
-	res := HeadlineResult{BaselineTailMs: base}
-	paper := map[accel.Platform]float64{accel.GPU: 169, accel.FPGA: 10, accel.ASIC: 93}
-	for i, p := range []accel.Platform{accel.GPU, accel.FPGA, accel.ASIC} {
-		t, err := tail(pipeline.Uniform(p), opts.Seed+int64(i)+1)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, HeadlineRow{
-			Platform: p, TailMs: t, Reduction: base / t, Paper: paper[p],
-		})
+	for i, c := range []struct {
+		p     accel.Platform
+		paper float64
+	}{{accel.GPU, 169}, {accel.FPGA, 10}, {accel.ASIC, 93}} {
+		t := tail(pipeline.Uniform(c.p), opts.Seed+int64(i)+1)
+		s.Rows = append(s.Rows, []any{c.p, t, base / t, c.paper})
 	}
-	best, err := tail(pipeline.Assignment{Det: accel.GPU, Tra: accel.ASIC, Loc: accel.ASIC}, opts.Seed+9)
-	if err != nil {
-		return nil, err
+	best := Section{
+		Title: "\n",
+		Cols:  []Col{{Name: "best mixed", Verb: "Best mixed configuration (DET=GPU, TRA=ASIC, LOC=ASIC): %.1f ms tail"}},
+		Rows:  [][]any{{tail(pipeline.Assignment{Det: accel.GPU, Tra: accel.ASIC, Loc: accel.ASIC}, opts.Seed+9)}},
 	}
-	res.BestMixedTail = best
-	return res, nil
+	return &Table{Sections: []Section{s, best}, Note: "(paper: 16.1 ms)\n"}, nil
 }

@@ -2,52 +2,53 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"adsim/internal/accel"
 )
 
-func init() { register("platform-analysis", runPlatformAnalysis) }
-
-// PlatformAnalysisRow relates a platform's calibrated effective throughput
-// on one engine to its Table 2 peak, yielding the implied efficiency (or,
-// for the extrapolated ASICs, the implied number of processing units).
-type PlatformAnalysisRow struct {
-	Platform   accel.Platform
-	Engine     accel.Engine
-	EffGMACs   float64 // effective throughput from the calibration (GMAC/s)
-	PeakGMACs  float64 // single-device peak from Table 2 specs
-	Efficiency float64 // Eff/Peak; >1 means multiple units were assumed
-}
-
-// PlatformAnalysisResult is an extension experiment: it inverts the
-// latency calibration to show what hardware efficiency (or unit count) the
-// paper's measurements imply, connecting the reproduction's models back to
-// the Table 2 specifications.
-type PlatformAnalysisResult struct {
-	Rows []PlatformAnalysisRow
-}
-
-func (r PlatformAnalysisResult) Render() string {
-	var b strings.Builder
-	b.WriteString(header("platform-analysis", "Implied efficiency vs. Table 2 peaks (extension)"))
-	fmt.Fprintf(&b, "%-9s %-7s %14s %14s %12s\n",
-		"Platform", "Engine", "effective", "peak", "implied eff")
-	for _, row := range r.Rows {
-		eff := fmt.Sprintf("%.1f%%", 100*row.Efficiency)
-		if row.Efficiency > 1 {
-			eff = fmt.Sprintf("%.1fx units", row.Efficiency)
+// runPlatformAnalysis is an extension experiment: it inverts the latency
+// calibration to show what hardware efficiency (or, for the extrapolated
+// ASICs, what number of processing units) the paper's measurements imply:
+// each (platform, engine) row relates the calibrated effective throughput
+// to the Table 2 single-device peak, connecting the reproduction's models
+// back to the specifications.
+func runPlatformAnalysis(Options) (Result, error) {
+	m := accel.NewModel()
+	w := m.Workloads()
+	s := Section{Cols: []Col{
+		{"Platform", "%-9s", "%-9s"}, {"Engine", " %-7s", " %-7s"}, {"effective", " %14s", " %11.1f GMAC/s"},
+		{"peak", " %14s", " %8.1f GMAC/s"}, {"implied eff", " %12s", " %12s"},
+	}}
+	for _, p := range accel.Platforms() {
+		for _, e := range accel.Engines() {
+			var effGMACs float64
+			switch e {
+			case accel.DET:
+				effGMACs = w.DetMACsAt(accel.ResKITTI) / accel.PaperMean(p, e) / 1e6
+			case accel.TRA:
+				effGMACs = w.TraMACsAt(accel.ResKITTI) / accel.PaperMean(p, e) / 1e6
+			default:
+				// LOC throughput is over FE ops; comparable units.
+				effGMACs = w.LocFEOpsAt(accel.ResKITTI) / accel.PaperMean(p, e) / 1e6
+			}
+			peak := peakGMACs(p, e)
+			// Above 1, the efficiency reads as a unit count.
+			ratio := effGMACs / peak
+			eff := fmt.Sprintf("%.1f%%", 100*ratio)
+			if ratio > 1 {
+				eff = fmt.Sprintf("%.1fx units", ratio)
+			}
+			s.Rows = append(s.Rows, []any{p, e, effGMACs, peak, eff})
 		}
-		fmt.Fprintf(&b, "%-9s %-7s %11.1f GMAC/s %8.1f GMAC/s %12s\n",
-			row.Platform, row.Engine, row.EffGMACs, row.PeakGMACs, eff)
 	}
-	b.WriteString("\nReadings: the GPU sustains ~25% of peak on the conv-heavy DET (typical\n")
-	b.WriteString("for cuDNN-era kernels) and far less on the memory-bound FC-heavy TRA;\n")
-	b.WriteString("the CPU numbers imply <1% of peak (framework + memory overheads, as the\n")
-	b.WriteString("paper measured); FPGA DET is DSP-limited near 20% of fabric peak; the\n")
-	b.WriteString("ASIC rows above 1x reflect the paper extrapolating published designs\n")
-	b.WriteString("'based on the amount of processing units needed'.\n")
-	return b.String()
+	return &Table{Sections: []Section{s}, Note: `
+Readings: the GPU sustains ~25% of peak on the conv-heavy DET (typical
+for cuDNN-era kernels) and far less on the memory-bound FC-heavy TRA;
+the CPU numbers imply <1% of peak (framework + memory overheads, as the
+paper measured); FPGA DET is DSP-limited near 20% of fabric peak; the
+ASIC rows above 1x reflect the paper extrapolating published designs
+'based on the amount of processing units needed'.
+`}, nil
 }
 
 // peakGMACs returns the single-device peak MAC throughput implied by the
@@ -75,33 +76,4 @@ func peakGMACs(p accel.Platform, e accel.Engine) float64 {
 			return 4.0
 		}
 	}
-}
-
-func runPlatformAnalysis(Options) (Result, error) {
-	m := accel.NewModel()
-	w := m.Workloads()
-	var rows []PlatformAnalysisRow
-	for _, p := range accel.Platforms() {
-		for _, e := range accel.Engines() {
-			var effGMACs float64
-			switch e {
-			case accel.DET:
-				effGMACs = w.DetMACsAt(accel.ResKITTI) / accel.PaperMean(p, e) / 1e6
-			case accel.TRA:
-				effGMACs = w.TraMACsAt(accel.ResKITTI) / accel.PaperMean(p, e) / 1e6
-			default:
-				// LOC throughput is over FE ops; comparable units.
-				effGMACs = w.LocFEOpsAt(accel.ResKITTI) / accel.PaperMean(p, e) / 1e6
-			}
-			peak := peakGMACs(p, e)
-			rows = append(rows, PlatformAnalysisRow{
-				Platform:   p,
-				Engine:     e,
-				EffGMACs:   effGMACs,
-				PeakGMACs:  peak,
-				Efficiency: effGMACs / peak,
-			})
-		}
-	}
-	return PlatformAnalysisResult{Rows: rows}, nil
 }

@@ -12,8 +12,6 @@ import (
 	"adsim/internal/scene"
 )
 
-func init() { register("scenarios", runScenarios) }
-
 // The scenarios study sweeps the committed scenario-program library: every
 // program is compiled (timeline onto the scene, fault rules onto the
 // injector), driven through the native pipeline under virtual deadline
@@ -42,6 +40,7 @@ type ScenarioOutcome struct {
 
 // ScenariosResult is the rendered library sweep.
 type ScenariosResult struct {
+	banner
 	Frames int
 	Seed   int64
 	Runs   []ScenarioOutcome
@@ -68,7 +67,7 @@ func (r ScenariosResult) Pass() bool {
 
 func (r ScenariosResult) Render() string {
 	var b strings.Builder
-	b.WriteString(header("scenarios", "Scenario-program library sweep, one constraint scorecard per program"))
+	b.WriteString(string(r.banner))
 	fmt.Fprintf(&b, "%d frames per program, seed %d, virtual deadline enforcement (budget %v)\n\n",
 		r.Frames, r.Seed, pipeline.DefaultFrameBudget)
 	for _, run := range r.Runs {
@@ -95,7 +94,11 @@ func runScenarios(opts Options) (Result, error) {
 	if frames < 120 {
 		frames = 120
 	}
-	return runScenariosStudy(scenariosParams{Frames: frames, Seed: opts.Seed})
+	res, err := runScenariosStudy(scenariosParams{Frames: frames, Seed: opts.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 func runScenariosStudy(p scenariosParams) (ScenariosResult, error) {

@@ -2,21 +2,18 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"adsim/internal/power"
 	"adsim/internal/scene"
 	"adsim/internal/slam"
 )
 
-func init() { register("storage", runStorage) }
-
 // USPublicRoadKm is the length of the US public road network the paper's
 // storage constraint references (FHWA Highway Statistics 2015: ~4.15
 // million miles).
 const USPublicRoadKm = 6.68e6
 
-// StorageResult is an extension experiment (not a paper figure): it
+// runStorage is an extension experiment (not a paper figure): it
 // measures the byte density of the reproduction's own prior map — built by
 // the real SLAM engine from a surveyed synthetic route — and extrapolates
 // it to the US road network, cross-checking the paper's 41 TB storage
@@ -24,37 +21,9 @@ const USPublicRoadKm = 6.68e6
 //
 // The extrapolation basis is the serialized (ADM1 on-disk) density, the
 // same figure `admap -build` prints, so the two tools quote one "US TB"
-// number; MemBytes records the in-memory resident footprint for contrast
-// (it is what the shard cache budgets against, not a storage figure).
-type StorageResult struct {
-	SurveyMeters    float64
-	Keyframes       int
-	MapBytes        int64   // serialized size: the extrapolation basis
-	MemBytes        int64   // in-memory footprint (slam.PriorMap.StorageBytes)
-	BytesPerMeter   float64 // serialized density
-	USExtrapolation float64 // TB for the whole US road network
-	PaperTB         float64
-	StoragePowerW   float64
-}
-
-func (r StorageResult) Render() string {
-	var b strings.Builder
-	b.WriteString(header("storage", "Prior-map storage extrapolation (extension)"))
-	fmt.Fprintf(&b, "surveyed route        %8.0f m (%d keyframes)\n", r.SurveyMeters, r.Keyframes)
-	fmt.Fprintf(&b, "map size (serialized) %8.1f KB (%.1f KB per meter)\n",
-		float64(r.MapBytes)/1024, r.BytesPerMeter/1024)
-	fmt.Fprintf(&b, "resident footprint    %8.1f KB in memory\n", float64(r.MemBytes)/1024)
-	fmt.Fprintf(&b, "US road network       %8.2e km\n", USPublicRoadKm)
-	fmt.Fprintf(&b, "extrapolated US map   %8.1f TB\n", r.USExtrapolation)
-	fmt.Fprintf(&b, "paper's US map        %8.1f TB\n", r.PaperTB)
-	fmt.Fprintf(&b, "storage power (paper) %8.1f W\n", r.StoragePowerW)
-	b.WriteString("\nOur from-scratch ORB keyframe map lands within an order of magnitude of\n")
-	b.WriteString("the paper's 41 TB figure, independently supporting its storage constraint\n")
-	b.WriteString("(tens of TB must ride on the vehicle; see slam.ShardStore for how the\n")
-	b.WriteString("engine bounds the resident slice of such a map).\n")
-	return b.String()
-}
-
+// number; the resident footprint (slam.PriorMap.StorageBytes) is recorded
+// for contrast: it is what the shard cache budgets against, not a storage
+// figure.
 func runStorage(opts Options) (Result, error) {
 	cfg := scene.DefaultConfig(scene.Urban)
 	cfg.Width, cfg.Height = 640, 320
@@ -79,14 +48,28 @@ func runStorage(opts Options) (Result, error) {
 		return nil, fmt.Errorf("storage: survey produced no map")
 	}
 	bytesPerMeter := float64(m.SerializedBytes()) / meters
-	return StorageResult{
-		SurveyMeters:    meters,
-		Keyframes:       m.Len(),
-		MapBytes:        m.SerializedBytes(),
-		MemBytes:        m.StorageBytes(),
-		BytesPerMeter:   bytesPerMeter,
-		USExtrapolation: bytesPerMeter * USPublicRoadKm * 1000 / 1e12,
-		PaperTB:         power.USMapTB,
-		StoragePowerW:   power.StoragePower(power.USMapTB),
+	return &Table{
+		Sections: []Section{{
+			Cols: []Col{
+				{Name: "survey m", Verb: "surveyed route        %8.0f m"},
+				{Name: "keyframes", Verb: " (%d keyframes)\n"},
+				{Name: "map KB", Verb: "map size (serialized) %8.1f KB"},
+				{Name: "KB per m", Verb: " (%.1f KB per meter)\n"},
+				{Name: "resident KB", Verb: "resident footprint    %8.1f KB in memory\n"},
+				{Name: "US km", Verb: "US road network       %8.2e km\n"},
+				{Name: "US TB", Verb: "extrapolated US map   %8.1f TB\n"},
+				{Name: "paper TB", Verb: "paper's US map        %8.1f TB\n"},
+				{Name: "storage W", Verb: "storage power (paper) %8.1f W"},
+			},
+			Rows: [][]any{{meters, m.Len(), float64(m.SerializedBytes()) / 1024, bytesPerMeter / 1024,
+				float64(m.StorageBytes()) / 1024, USPublicRoadKm, bytesPerMeter * USPublicRoadKm * 1000 / 1e12,
+				power.USMapTB, power.StoragePower(power.USMapTB)}},
+		}},
+		Note: `
+Our from-scratch ORB keyframe map lands within an order of magnitude of
+the paper's 41 TB figure, independently supporting its storage constraint
+(tens of TB must ride on the vehicle; see slam.ShardStore for how the
+engine bounds the resident slice of such a map).
+`,
 	}, nil
 }

@@ -13,8 +13,6 @@ import (
 	"adsim/internal/scene"
 )
 
-func init() { register("tail", runTail) }
-
 // The tail study is the before/after evaluation of the closed-loop
 // tail-latency scheduler (pipeline.TailScheduler): the same seeded scenario
 // and injected DET stalls are driven through the pipelined executor twice —
@@ -82,6 +80,7 @@ type TailRun struct {
 
 // TailResult is the rendered before/after study.
 type TailResult struct {
+	banner
 	Baseline  TailRun
 	Scheduled TailRun
 	Frames    int
@@ -99,7 +98,7 @@ func (r TailResult) Pass() bool {
 
 func (r TailResult) Render() string {
 	var b strings.Builder
-	b.WriteString(header("tail", "Closed-loop tail-latency scheduling, static window vs adaptive"))
+	b.WriteString(string(r.banner))
 	fmt.Fprintf(&b, "scenario: urban, %d frames (first %d excluded as warmup), %s,\n%s stalls, DET budget 35ms of %v\n\n",
 		r.Frames, tailWarmup, map[bool]string{true: "native DNNs", false: "functional perception"}[r.DNN],
 		tailSpec, pipeline.DefaultFrameBudget)
@@ -136,7 +135,11 @@ func runTail(opts Options) (Result, error) {
 	if frames < 150 {
 		frames = 150
 	}
-	return runTailStudy(tailParams{Frames: frames, DNN: opts.NativeFrames >= 12, Seed: opts.Seed})
+	res, err := runTailStudy(tailParams{Frames: frames, DNN: opts.NativeFrames >= 12, Seed: opts.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 func runTailStudy(p tailParams) (TailResult, error) {

@@ -21,7 +21,7 @@ import (
 // executors are built from it — the sequential Step loop walks the stages in
 // StageID order one at a time on the caller's goroutine, and the pipelined
 // Runner turns each stage into a long-lived goroutine with one channel per
-// table edge — and so is the frame's latency, criticalPath.
+// table edge — and so is the frame's latency, CriticalPath.
 //
 //	SRC ─┬─► DET ──► TRA ──┐
 //	     └─► LOC ──┬───────┴─► FUSION ──┐
@@ -37,7 +37,7 @@ import (
 // exactly one place, deliver.
 
 // StageID identifies one stage of the graph. The declaration order is a
-// topological order of stageDeps, which the executors, criticalPath and
+// topological order of stageDeps, which the executors, CriticalPath and
 // error reporting rely on.
 type StageID int
 
@@ -80,11 +80,11 @@ func (id StageID) String() string {
 	return stageNames[id]
 }
 
-// criticalPath is the dependency law: a frame's latency when stage s takes
+// CriticalPath is the dependency law: a frame's latency when stage s takes
 // d[s] is its longest path through stageDeps (DET ∥ LOC, and the LOC →
 // MISPLAN branch beside FUSION). Finish times are computed in StageID
 // order, which is topological.
-func criticalPath[T time.Duration | float64](d [NumStages]T) T {
+func CriticalPath[T time.Duration | float64](d [NumStages]T) T {
 	var finish [NumStages]T
 	for id := range finish {
 		var ready T
@@ -388,7 +388,7 @@ func (p *Pipeline) deliver(fs *frameState) RunnerResult {
 		// A frame that errored short of CONTROL has no E2E. SRC is untimed
 		// in StageTiming, so it counts zero here too.
 		tm := &res.Timing
-		tm.E2E = criticalPath([NumStages]time.Duration{
+		tm.E2E = CriticalPath([NumStages]time.Duration{
 			StageDet: tm.Det, StageLoc: tm.Loc, StageTra: tm.Tra, StageFusion: tm.Fusion,
 			StageMisplan: tm.MisPlan, StageMotplan: tm.MotPlan, StageControl: tm.Control,
 		})

@@ -13,7 +13,7 @@ import (
 )
 
 // TestGraphEncodesFigure1 pins the stage table to the paper's dependency
-// law. This is THE topology test: both executors and criticalPath are
+// law. This is THE topology test: both executors and CriticalPath are
 // derived from stageDeps, so no second copy of these assertions exists
 // anywhere.
 func TestGraphEncodesFigure1(t *testing.T) {
@@ -38,7 +38,7 @@ func TestGraphEncodesFigure1(t *testing.T) {
 }
 
 // TestStageDepsIsFigure1DAG checks the properties the executors and
-// criticalPath assume of the table: StageID order is topological (every
+// CriticalPath assume of the table: StageID order is topological (every
 // dependency has a lower ID), no stage lists a dependency twice, SRC is the
 // only root and CONTROL the only sink.
 func TestStageDepsIsFigure1DAG(t *testing.T) {

@@ -114,19 +114,19 @@ func TestCriticalPath(t *testing.T) {
 			StageFusion: ms(1), StageMotplan: ms(2), StageControl: ms(1),
 		}, ms(24)},
 	} {
-		if got := criticalPath(c.d); got != c.want {
-			t.Errorf("%s: criticalPath = %v, want %v", c.name, got, c.want)
+		if got := CriticalPath(c.d); got != c.want {
+			t.Errorf("%s: CriticalPath = %v, want %v", c.name, got, c.want)
 		}
 	}
 	// The float64 instantiation Simulate uses: MISPLAN, SRC and CONTROL
 	// unmodeled, so E2E = max(DET+TRA, LOC) + FUSION + MOTPLAN.
 	f := [NumStages]float64{StageDet: 11.2, StageTra: 1.8, StageLoc: 10.1, StageFusion: 0.1, StageMotplan: 0.5}
-	if got, want := criticalPath(f), max(f[StageDet]+f[StageTra], f[StageLoc])+f[StageFusion]+f[StageMotplan]; got != want {
-		t.Errorf("float64 criticalPath = %v, want %v", got, want)
+	if got, want := CriticalPath(f), max(f[StageDet]+f[StageTra], f[StageLoc])+f[StageFusion]+f[StageMotplan]; got != want {
+		t.Errorf("float64 CriticalPath = %v, want %v", got, want)
 	}
 	var sink time.Duration
-	if a := testing.AllocsPerRun(100, func() { sink += criticalPath([NumStages]time.Duration{StageDet: sink}) }); a != 0 {
-		t.Errorf("criticalPath allocates %v times per call", a)
+	if a := testing.AllocsPerRun(100, func() { sink += CriticalPath([NumStages]time.Duration{StageDet: sink}) }); a != 0 {
+		t.Errorf("CriticalPath allocates %v times per call", a)
 	}
 
 	p, err := NewNative(fastNativeConfig(scene.Highway))
@@ -139,11 +139,11 @@ func TestCriticalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := res.Timing
-	if want := criticalPath([NumStages]time.Duration{
+	if want := CriticalPath([NumStages]time.Duration{
 		StageDet: tm.Det, StageLoc: tm.Loc, StageTra: tm.Tra, StageFusion: tm.Fusion,
 		StageMisplan: tm.MisPlan, StageMotplan: tm.MotPlan, StageControl: tm.Control,
 	}); tm.E2E != want || want <= 0 {
-		t.Errorf("Step E2E = %v, want criticalPath of its Timing %v", tm.E2E, want)
+		t.Errorf("Step E2E = %v, want CriticalPath of its Timing %v", tm.E2E, want)
 	}
 }
 

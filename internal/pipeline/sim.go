@@ -64,7 +64,7 @@ type SimResult struct {
 
 // Simulate runs the latency composition for cfg.Frames frames: per-frame
 // samples of DET, TRA, LOC, FUSION and MOTPLAN are drawn from the platform
-// models and combined by the pipeline's dependency law, criticalPath, with
+// models and combined by the pipeline's dependency law, CriticalPath, with
 // SRC, MISPLAN and CONTROL unmodeled (zero).
 func Simulate(m *accel.Model, cfg SimConfig) (SimResult, error) {
 	if cfg.Frames <= 0 {
@@ -110,7 +110,7 @@ func Simulate(m *accel.Model, cfg SimConfig) (SimResult, error) {
 		mot := m.SampleMotPlan(rng)
 
 		d := [NumStages]float64{StageDet: det, StageTra: tra, StageLoc: loc, StageFusion: fuse, StageMotplan: mot}
-		e2e := criticalPath(d)
+		e2e := CriticalPath(d)
 		res.Det.Add(det)
 		res.Tra.Add(tra)
 		res.Loc.Add(loc)
