@@ -101,35 +101,44 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDNNLeaves -fuzztime=10s -run='^$$' ./internal/tensor
 	$(GO) test -fuzz=FuzzParseScenarioProgram -fuzztime=10s -run='^$$' ./internal/scenario
 
-# CLI smoke: build adpipe once and drive both of its paths end to end — a
-# seeded chaos run with deadline enforcement (a Runner), a faulted
-# three-vehicle fleet on shared engines and one shared map, a stall-injected
-# run under the tail scheduler with anytime DET, a library scenario program
-# with its constraint scorecard, and a fleet with one assigned program —
-# then the negatives, each of which must exit 2 rather than be silently
+# CLI smoke: build adpipe and admap once each and drive every path end to
+# end. adpipe's two paths: a seeded chaos run with deadline enforcement (a
+# Runner), a faulted three-vehicle fleet on shared engines and one shared
+# map, a stall-injected run under the tail scheduler with anytime DET, a
+# library scenario program with its constraint scorecard, and a fleet with
+# one assigned program. admap's map-provider path: survey a small map into
+# 16 m shards, inspect them, and localize a replay through a two-tile
+# cache budget (it exits 1 when fewer than half the frames localize).
+# Then the negatives, each of which must exit 2 rather than be silently
 # ignored: a fault rule naming no pipeline stage (the retired IO kind),
 # -fault-vehicle without -fault, -remove-vehicle without -remove-at,
-# -ladder without -tail, and -base with a built-in world. The packages
-# behind these runs are tested under the race detector by `make race`.
+# -ladder without -tail, -base with a built-in world, and admap with no
+# mode. The packages behind these runs are tested under the race detector
+# by `make race`.
 cli-smoke:
 	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/adpipe" ./cmd/adpipe; \
-	run() { echo "+ adpipe $$*"; "$$dir/adpipe" "$$@"; }; \
-	reject() { echo "+ adpipe $$* (must exit 2)"; st=0; "$$dir/adpipe" "$$@" || st=$$?; \
+	$(GO) build -o "$$dir/admap" ./cmd/admap; \
+	run() { echo "+ $$*"; bin="$$1"; shift; "$$dir/$$bin" "$$@"; }; \
+	reject() { echo "+ $$* (must exit 2)"; bin="$$1"; shift; st=0; "$$dir/$$bin" "$$@" || st=$$?; \
 		[ "$$st" -eq 2 ] || { echo "cli-smoke: exit $$st, want 2"; exit 1; }; }; \
-	run -frames 30 -dnn=false -width 384 -height 192 -survey 20 \
+	run adpipe -frames 30 -dnn=false -width 384 -height 192 -survey 20 \
 		-deadline 100ms -fault 'DET:delay=60ms:every=5,LOC:delay=120ms:frames=10-12,SRC:drop:every=17'; \
-	run -vehicles 3 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -inflight 3 \
+	run adpipe -vehicles 3 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -inflight 3 \
 		-deadline 100ms -fault 'DET:delay=60ms:every=5' -fault-vehicle 1; \
-	run -frames 40 -dnn=false -width 384 -height 192 -survey 20 \
+	run adpipe -frames 40 -dnn=false -width 384 -height 192 -survey 20 \
 		-inflight 4 -deadline 100ms -anytime -tail 40ms -fault 'DET:delay=32ms:every=7:burst=3'; \
-	run -scenario mixed-stress -frames 40 -dnn=false -width 384 -height 192 -survey 20 -deadline 100ms; \
-	run -vehicles 2 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -inflight 3 -assign '1=cut-in'; \
-	reject -frames 1 -dnn=false -survey 0 -fault 'IO:err:p=0.2'; \
-	reject -vehicles 2 -frames 1 -dnn=false -survey 0 -fault-vehicle 1; \
-	reject -vehicles 2 -frames 1 -dnn=false -survey 0 -remove-vehicle 1; \
-	reject -frames 1 -dnn=false -survey 0 -ladder 64,48; \
-	reject -frames 1 -dnn=false -survey 0 -scenario highway -base urban
+	run adpipe -scenario mixed-stress -frames 40 -dnn=false -width 384 -height 192 -survey 20 -deadline 100ms; \
+	run adpipe -vehicles 2 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -inflight 3 -assign '1=cut-in'; \
+	run admap -shard "$$dir/map" -frames 40 -width 384 -height 192 -tile 16; \
+	run admap -shardinfo "$$dir/map"; \
+	run admap -verify "$$dir/map" -frames 40 -width 384 -height 192 -cache-budget 100000; \
+	reject adpipe -frames 1 -dnn=false -survey 0 -fault 'IO:err:p=0.2'; \
+	reject adpipe -vehicles 2 -frames 1 -dnn=false -survey 0 -fault-vehicle 1; \
+	reject adpipe -vehicles 2 -frames 1 -dnn=false -survey 0 -remove-vehicle 1; \
+	reject adpipe -frames 1 -dnn=false -survey 0 -ladder 64,48; \
+	reject adpipe -frames 1 -dnn=false -survey 0 -scenario highway -base urban; \
+	reject admap
 
 # Long-haul soak: thousands of virtual-deadline frames through a churning,
 # admission-controlled fleet under the mixed-stress scenario, with the

@@ -238,16 +238,17 @@ type PriorMap = slam.PriorMap
 func NewPriorMap() *PriorMap { return slam.NewPriorMap() }
 
 // MapStore is the prior-map database interface the LOC engine reads and
-// extends: monolithic in memory (PriorMap) or tiled on disk behind a
-// byte-budgeted LRU cache (ShardStore). The paper's storage constraint
-// (~41 TB of US prior maps) is why the map must be able to page.
+// extends: monolithic in memory (PriorMap) or tiled on disk, loaded on
+// demand through a byte-budgeted LRU cache (ShardStore). The paper's
+// storage constraint (~41 TB of US prior maps) is why the map must be able
+// to page.
 type MapStore = slam.MapStore
 
 // ShardStore is the tiled on-disk prior-map store with an LRU shard cache.
 type ShardStore = slam.ShardStore
 
-// ShardStoreOptions parameterizes OpenShardStore (cache budget, telemetry,
-// prefetch).
+// ShardStoreOptions parameterizes OpenShardStore (cache budget and
+// telemetry).
 type ShardStoreOptions = slam.ShardStoreOptions
 
 // ShardIndex is a shard directory's table of contents.

@@ -228,7 +228,7 @@ func openStore(path string, budget int64) (slam.MapStore, *slam.ShardStore, erro
 		return nil, nil, err
 	}
 	if fi.IsDir() {
-		s, err := slam.OpenShardStore(path, slam.ShardStoreOptions{CacheBudget: budget, Prefetch: true})
+		s, err := slam.OpenShardStore(path, slam.ShardStoreOptions{CacheBudget: budget})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -288,8 +288,8 @@ func runVerify(path, kind string, frames, w, h int, seed, budget int64) error {
 		tracked, frames, worst, reloc)
 	if shards != nil {
 		st := shards.CacheStats()
-		fmt.Printf("shard cache: %d hits, %d misses, %d prefetches, %d evictions, %d/%d tiles resident (%d B)\n",
-			st.Hits, st.Misses, st.Prefetches, st.Evictions,
+		fmt.Printf("shard cache: %d hits, %d misses, %d evictions, %d/%d tiles resident (%d B)\n",
+			st.Hits, st.Misses, st.Evictions,
 			st.ResidentTiles, len(shards.Index().Tiles), st.ResidentBytes)
 		if err := shards.Err(); err != nil {
 			return err

@@ -47,8 +47,9 @@ type FleetConfig struct {
 	Executor *dnn.Executor
 	// SharedMap, when non-nil, is the prior-map store all vehicles share;
 	// each vehicle localizes through a private slam.VehicleStore view, so
-	// runtime map updates never cross streams. nil gives each vehicle its
-	// own store per the template (Config.MapStore or a fresh PriorMap).
+	// runtime map updates never cross streams. A slam.ShardStore here is one
+	// demand-loaded LRU cache for the whole fleet. nil gives each vehicle
+	// its own store per the template (Config.MapStore or a fresh PriorMap).
 	SharedMap slam.MapStore
 	// Injects overrides the template fault injector for specific vehicles
 	// (key = vehicle ID). A faulted vehicle must not perturb the others.
@@ -223,9 +224,6 @@ func (f *Fleet) addVehicleLocked() (*fleetVehicle, error) {
 	return v, nil
 }
 
-// Admission returns the fleet's admission controller, nil without one.
-func (f *Fleet) Admission() *FleetAdmission { return f.adm }
-
 // Snapshot returns the live fleet-level constraint verdict over the rolling
 // monitor window — the same measurement the wall-mode admission controller
 // feeds on. Safe to call mid-run; use it to observe the delivered tail at a
@@ -248,7 +246,7 @@ func (f *Fleet) Vehicle(id int) *Pipeline {
 
 // Warm pre-pays every vehicle's one-time cold-start costs so a measured run
 // starts from steady state: one DET forward per vehicle primes each
-// detector's scratch for the fleet's input shape, and a shared-map advise
+// detector's scratch for the fleet's input shape, and a shared-map read
 // pages each vehicle's initial tile window into the shard cache. Call it
 // before Start, while no DET stage runs. Warm never touches a scenario
 // stream or a stateful engine, so a warmed run is bitwise a cold one.
@@ -262,7 +260,6 @@ func (f *Fleet) Warm() {
 			v.p.det.Detect(img.NewGray(w, h))
 		}
 		if v.store != nil {
-			v.store.Advise(0, 1)
 			v.store.Candidates(0, 20)
 		}
 	}
@@ -346,8 +343,7 @@ func (f *Fleet) AddVehicle() (int, error) {
 }
 
 // RemoveVehicle retires one vehicle stream mid-run: admission ceases, its
-// in-flight frames drain and are delivered, its engines drain, and its
-// footprint on the shared store (eviction protections) is released — all
+// in-flight frames drain and are delivered, and its engines drain — all
 // without perturbing surviving vehicles' results. The vehicle keeps its row
 // in the final FleetReport, marked Removed. Blocks until the stream is
 // fully down.
@@ -384,9 +380,6 @@ func (f *Fleet) RemoveVehicle(id int) error {
 	}
 	if f.adm != nil {
 		f.adm.Leave(id) // no-op when the gate already left
-	}
-	if v.store != nil {
-		v.store.Release()
 	}
 	return nil
 }

@@ -15,25 +15,24 @@ import (
 
 // ShardStoreOptions parameterizes OpenShardStore.
 type ShardStoreOptions struct {
-	// CacheBudget bounds the resident-footprint estimate (StorageBytes) of
-	// cached tiles, in bytes. The most recently used tile is never evicted,
-	// so the effective floor is one tile. ≤ 0 means unlimited.
+	// CacheBudget bounds the resident-footprint estimate of cached tiles
+	// (CacheStats.ResidentBytes), in bytes. The most recently used tile is
+	// never evicted, so the effective floor is one tile. ≤ 0 means unlimited.
 	CacheBudget int64
 	// Telemetry receives the cache metrics (mapstore/hits, misses,
-	// prefetches, evictions counters, the mapstore/resident_bytes gauge and
-	// the mapstore/load_ms load-latency distribution). nil uses a private
+	// evictions counters, the mapstore/resident_bytes gauge and the
+	// mapstore/load_ms load-latency distribution). nil uses a private
 	// registry, reachable via CacheStats.
 	Telemetry *telemetry.Registry
-	// Prefetch enables the motion-model-directed background prefetcher:
-	// Advise warms the next tile in the travel direction off the read path.
-	Prefetch bool
 }
 
 // ShardStore is the tiled on-disk prior-map store: a directory of ADM1
-// shard files (see WriteShards) paged through a byte-budgeted LRU cache,
-// plus an in-memory overlay that absorbs runtime map updates. It implements
-// MapStore; reads stitch across tile boundaries and merge the overlay so
-// results are bit-identical to the equivalent monolithic PriorMap.
+// shard files (see WriteShards) paged on demand through a byte-budgeted
+// LRU cache, plus an in-memory overlay that absorbs runtime map updates. It
+// implements MapStore; reads stitch across tile boundaries and merge the
+// overlay so results are bit-identical to the equivalent monolithic
+// PriorMap. Every tile load is a read's miss, so the cache counters are a
+// pure function of the read sequence.
 //
 // All methods are safe for concurrent use. Tile loads happen under the
 // store lock, so concurrent readers serialize on a cache miss — the load
@@ -49,22 +48,12 @@ type ShardStore struct {
 	lru           *list.List            // front = most recently used
 	residentBytes int64
 	err           error // first I/O error; kept as a sticky record for Err
-	closed        bool
 
 	overlay *PriorMap // runtime Adds; never written back to shards
 
-	// Fleet contention bookkeeping: each advised vehicle protects its
-	// {current, next} tiles from eviction, so one vehicle's relocalization
-	// Scan cannot thrash another vehicle's working set out of the cache.
-	protRef      map[int]int   // tile position → protecting-vehicle count
-	vehicleTiles map[int][]int // vehicle ID → protected tile positions
-
-	hits, misses, prefetches, evictions, ioErrors *telemetry.Counter
-	residentGauge                                 *telemetry.Gauge
-	loadMS                                        *telemetry.Dist
-
-	prefetchCh chan int
-	prefetchWG sync.WaitGroup
+	hits, misses, evictions, ioErrors *telemetry.Counter
+	residentGauge                     *telemetry.Gauge
+	loadMS                            *telemetry.Dist
 }
 
 type residentTile struct {
@@ -84,29 +73,20 @@ func OpenShardStore(dir string, opts ShardStoreOptions) (*ShardStore, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry(0)
 	}
-	s := &ShardStore{
+	return &ShardStore{
 		dir:           dir,
 		idx:           *idx,
 		budget:        opts.CacheBudget,
 		resident:      make(map[int]*residentTile),
 		lru:           list.New(),
 		overlay:       &PriorMap{nextID: idx.MaxID},
-		protRef:       make(map[int]int),
-		vehicleTiles:  make(map[int][]int),
 		hits:          reg.Counter("mapstore/hits"),
 		misses:        reg.Counter("mapstore/misses"),
-		prefetches:    reg.Counter("mapstore/prefetches"),
 		evictions:     reg.Counter("mapstore/evictions"),
 		ioErrors:      reg.Counter("mapstore/io_errors"),
 		residentGauge: reg.Gauge("mapstore/resident_bytes"),
 		loadMS:        reg.Dist("mapstore/load_ms"),
-	}
-	if opts.Prefetch {
-		s.prefetchCh = make(chan int, 4)
-		s.prefetchWG.Add(1)
-		go s.prefetchLoop()
-	}
-	return s, nil
+	}, nil
 }
 
 // Index returns a copy of the store's shard index.
@@ -123,32 +103,12 @@ func (s *ShardStore) Err() error {
 	return s.err
 }
 
-// Close stops the background prefetcher and returns Err. The store must
-// not be used after Close.
-func (s *ShardStore) Close() error {
-	s.mu.Lock()
-	alreadyClosed := s.closed
-	s.closed = true
-	s.mu.Unlock()
-	if !alreadyClosed && s.prefetchCh != nil {
-		close(s.prefetchCh)
-		s.prefetchWG.Wait()
-	}
-	return s.Err()
-}
+// Close returns Err. The store holds no open files or goroutines between
+// reads, so there is nothing else to release.
+func (s *ShardStore) Close() error { return s.Err() }
 
 // Len reports stored plus runtime-added keyframes.
 func (s *ShardStore) Len() int { return s.idx.Keyframes + s.overlay.Len() }
-
-// StorageBytes reports the resident footprint: cached tiles plus the
-// runtime overlay. This is the number the cache budget bounds (up to one
-// tile of slack), not the total map size — bounding it is the point.
-func (s *ShardStore) StorageBytes() int64 {
-	s.mu.Lock()
-	resident := s.residentBytes
-	s.mu.Unlock()
-	return resident + s.overlay.StorageBytes()
-}
 
 // Add inserts a runtime keyframe into the in-memory overlay (shard files
 // are immutable survey data). IDs continue past the largest stored ID, so
@@ -157,22 +117,15 @@ func (s *ShardStore) Add(pose scene.Pose, kps []Keypoint, descs []Descriptor) in
 	return s.overlay.Add(pose, kps, descs)
 }
 
-// getTileLocked returns tile pos's keyframes through the LRU cache; the
-// caller holds s.mu. prefetch marks cache-warming loads so they are counted
-// apart from demand misses.
-func (s *ShardStore) getTileLocked(pos int, prefetch bool) []Keyframe {
+// getTileLocked returns tile pos's keyframes through the LRU cache, loading
+// the tile on a miss; the caller holds s.mu.
+func (s *ShardStore) getTileLocked(pos int) []Keyframe {
 	if rt := s.resident[pos]; rt != nil {
-		if !prefetch {
-			s.hits.Inc()
-		}
+		s.hits.Inc()
 		s.lru.MoveToFront(rt.elem)
 		return rt.kfs
 	}
-	if prefetch {
-		s.prefetches.Inc()
-	} else {
-		s.misses.Inc()
-	}
+	s.misses.Inc()
 	start := time.Now()
 	kfs, err := s.loadTile(pos)
 	if err != nil {
@@ -192,7 +145,7 @@ func (s *ShardStore) getTileLocked(pos int, prefetch bool) []Keyframe {
 	s.resident[pos] = rt
 	s.residentBytes += rt.mem
 	for s.budget > 0 && s.residentBytes > s.budget && s.lru.Len() > 1 {
-		victim := s.evictionVictimLocked()
+		victim := s.lru.Back().Value.(*residentTile)
 		s.lru.Remove(victim.elem)
 		delete(s.resident, victim.pos)
 		s.residentBytes -= victim.mem
@@ -200,20 +153,6 @@ func (s *ShardStore) getTileLocked(pos int, prefetch bool) []Keyframe {
 	}
 	s.residentGauge.Set(float64(s.residentBytes))
 	return kfs
-}
-
-// evictionVictimLocked picks the least-recently-used resident tile not
-// protected by any vehicle's advised window. When every eviction candidate
-// is protected, the raw LRU tail is evicted anyway: the byte budget is a
-// hard bound, and contention awareness only reorders victims within it.
-func (s *ShardStore) evictionVictimLocked() *residentTile {
-	for e := s.lru.Back(); e != nil && e != s.lru.Front(); e = e.Prev() {
-		rt := e.Value.(*residentTile)
-		if s.protRef[rt.pos] == 0 {
-			return rt
-		}
-	}
-	return s.lru.Back().Value.(*residentTile)
 }
 
 func (s *ShardStore) loadTile(pos int) ([]Keyframe, error) {
@@ -245,7 +184,7 @@ func (s *ShardStore) Candidates(z, window float64) []Keyframe {
 		if t.ZMin > hi {
 			break
 		}
-		kfs := s.getTileLocked(pos, false)
+		kfs := s.getTileLocked(pos)
 		a := sort.Search(len(kfs), func(j int) bool { return kfs[j].Pose.Z >= lo })
 		b := sort.Search(len(kfs), func(j int) bool { return kfs[j].Pose.Z > hi })
 		stored = append(stored, kfs[a:b]...)
@@ -299,7 +238,7 @@ func (s *ShardStore) NearestZ(z float64) (Keyframe, bool) {
 		if pos < 0 || pos >= len(s.idx.Tiles) {
 			continue
 		}
-		kfs := s.getTileLocked(pos, false)
+		kfs := s.getTileLocked(pos)
 		k := sort.Search(len(kfs), func(j int) bool { return kfs[j].Pose.Z >= z })
 		for _, c := range []int{k - 1, k} {
 			if c >= 0 && c < len(kfs) {
@@ -334,7 +273,7 @@ func (s *ShardStore) Scan(fn func(Keyframe) bool) {
 	oi := 0
 	for pos := range s.idx.Tiles {
 		s.mu.Lock()
-		kfs := s.getTileLocked(pos, false)
+		kfs := s.getTileLocked(pos)
 		s.mu.Unlock()
 		for _, kf := range kfs {
 			for oi < len(ov) && ov[oi].Pose.Z <= kf.Pose.Z {
@@ -355,120 +294,9 @@ func (s *ShardStore) Scan(fn func(Keyframe) bool) {
 	}
 }
 
-// Advise hints the store with the motion model's position and velocity; the
-// background prefetcher (when enabled) warms the next tile in the travel
-// direction so crossing a tile boundary does not take a demand miss. Advise
-// never blocks: hints are dropped when the prefetcher is busy.
-func (s *ShardStore) Advise(z, velocity float64) {
-	if s.prefetchCh == nil {
-		return
-	}
-	ahead := tileOf(z, s.idx.TilePitch)
-	var pos int
-	if velocity >= 0 {
-		ahead++
-		pos = sort.Search(len(s.idx.Tiles), func(j int) bool { return s.idx.Tiles[j].Tile >= ahead })
-		if pos >= len(s.idx.Tiles) {
-			return
-		}
-	} else {
-		ahead--
-		pos = sort.Search(len(s.idx.Tiles), func(j int) bool { return s.idx.Tiles[j].Tile > ahead }) - 1
-		if pos < 0 {
-			return
-		}
-	}
-	s.mu.Lock()
-	if !s.closed {
-		if _, ok := s.resident[pos]; !ok {
-			select {
-			case s.prefetchCh <- pos:
-			default: // prefetcher busy; the hint will recur next frame
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// AdviseVehicle is Advise for one vehicle of a fleet sharing the store: in
-// addition to the prefetch hint, it marks the vehicle's current tile and the
-// next tile in its travel direction as protected, steering LRU eviction away
-// from every advised vehicle's working set (see evictionVictimLocked).
-// Vehicle IDs are caller-assigned; re-advising moves the protection window.
-func (s *ShardStore) AdviseVehicle(id int, z, velocity float64) {
-	tile := tileOf(z, s.idx.TilePitch)
-	ahead := tile + 1
-	if velocity < 0 {
-		ahead = tile - 1
-	}
-	cur := s.tilePos(tile)
-	next := s.tilePos(ahead)
-
-	s.mu.Lock()
-	if !s.closed {
-		for _, pos := range s.vehicleTiles[id] {
-			if s.protRef[pos]--; s.protRef[pos] <= 0 {
-				delete(s.protRef, pos)
-			}
-		}
-		prot := s.vehicleTiles[id][:0]
-		for _, pos := range [2]int{cur, next} {
-			if pos >= 0 {
-				prot = append(prot, pos)
-				s.protRef[pos]++
-			}
-		}
-		s.vehicleTiles[id] = prot
-
-		if s.prefetchCh != nil && next >= 0 {
-			if _, ok := s.resident[next]; !ok {
-				select {
-				case s.prefetchCh <- next:
-				default: // prefetcher busy; the hint will recur next frame
-				}
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// ReleaseVehicle drops vehicle id's eviction protections — the teardown half
-// of AdviseVehicle, called when a fleet vehicle leaves the shared store so
-// its last advised tiles stop pinning cache entries forever. Idempotent;
-// unknown IDs are a no-op.
-func (s *ShardStore) ReleaseVehicle(id int) {
-	s.mu.Lock()
-	for _, pos := range s.vehicleTiles[id] {
-		if s.protRef[pos]--; s.protRef[pos] <= 0 {
-			delete(s.protRef, pos)
-		}
-	}
-	delete(s.vehicleTiles, id)
-	s.mu.Unlock()
-}
-
-// tilePos maps a tile number to its position in idx.Tiles, -1 when the tile
-// does not exist (sparse surveys skip empty tiles).
-func (s *ShardStore) tilePos(tile int) int {
-	pos := sort.Search(len(s.idx.Tiles), func(j int) bool { return s.idx.Tiles[j].Tile >= tile })
-	if pos < len(s.idx.Tiles) && s.idx.Tiles[pos].Tile == tile {
-		return pos
-	}
-	return -1
-}
-
-func (s *ShardStore) prefetchLoop() {
-	defer s.prefetchWG.Done()
-	for pos := range s.prefetchCh {
-		s.mu.Lock()
-		s.getTileLocked(pos, true)
-		s.mu.Unlock()
-	}
-}
-
 // CacheStats is a point-in-time snapshot of the shard cache counters.
 type CacheStats struct {
-	Hits, Misses, Prefetches, Evictions int64
+	Hits, Misses, Evictions int64
 	// IOErrors counts failed tile loads (each one a degraded read that a
 	// later access retries).
 	IOErrors      int64
@@ -484,7 +312,6 @@ func (s *ShardStore) CacheStats() CacheStats {
 	return CacheStats{
 		Hits:          s.hits.Value(),
 		Misses:        s.misses.Value(),
-		Prefetches:    s.prefetches.Value(),
 		Evictions:     s.evictions.Value(),
 		IOErrors:      s.ioErrors.Value(),
 		ResidentBytes: s.residentBytes,

@@ -278,12 +278,6 @@ func (e *Engine) LocalizeTimed(frame *img.Gray) (Estimate, Timing) {
 		}
 	}
 
-	// Warm the tile ahead in the travel direction on stores that page; a
-	// pure cache hint, so it cannot change any result.
-	if p, ok := e.store.(Prefetcher); ok && est.Tracked {
-		p.Advise(est.Pose.Z, e.velocity)
-	}
-
 	return est, Timing{FE: feDur, Other: time.Since(otherStart)}
 }
 

@@ -29,21 +29,9 @@ type MapStore interface {
 	// sharded store streams tiles through its cache instead of
 	// materializing the whole map.
 	Scan(fn func(Keyframe) bool)
-	// StorageBytes estimates the in-memory footprint of the store's
-	// currently resident keyframes.
-	StorageBytes() int64
-}
-
-// Prefetcher is implemented by stores that can warm their cache from a
-// motion-model hint. The engine calls Advise after every tracked frame so
-// the tile ahead in the travel direction is (usually) already resident when
-// the vehicle crosses into it.
-type Prefetcher interface {
-	Advise(z, velocity float64)
 }
 
 var (
-	_ MapStore   = (*PriorMap)(nil)
-	_ MapStore   = (*ShardStore)(nil)
-	_ Prefetcher = (*ShardStore)(nil)
+	_ MapStore = (*PriorMap)(nil)
+	_ MapStore = (*ShardStore)(nil)
 )

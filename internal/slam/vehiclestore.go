@@ -17,14 +17,13 @@ import "adsim/internal/scene"
 // All methods are safe for concurrent use; the base must be too (PriorMap
 // and ShardStore both are).
 type VehicleStore struct {
-	id      int
 	base    MapStore
 	overlay *PriorMap
 }
 
-// NewVehicleStore wraps base as vehicle id's private view. The id keys
-// per-vehicle prefetch advice when the base is a ShardStore; any unique
-// small integer per vehicle works.
+// NewVehicleStore wraps base as a vehicle's private view. The id is unused;
+// the parameter stays only because the benchmark module (bench/workload.go)
+// calls this signature.
 func NewVehicleStore(id int, base MapStore) *VehicleStore {
 	maxID := 0
 	if ss, ok := base.(*ShardStore); ok {
@@ -37,21 +36,11 @@ func NewVehicleStore(id int, base MapStore) *VehicleStore {
 			return true
 		})
 	}
-	return &VehicleStore{id: id, base: base, overlay: &PriorMap{nextID: maxID}}
+	return &VehicleStore{base: base, overlay: &PriorMap{nextID: maxID}}
 }
-
-// Vehicle returns the vehicle ID this view was built for.
-func (vs *VehicleStore) Vehicle() int { return vs.id }
 
 // Len reports shared plus vehicle-private keyframes.
 func (vs *VehicleStore) Len() int { return vs.base.Len() + vs.overlay.Len() }
-
-// StorageBytes reports the base's resident footprint plus this vehicle's
-// overlay. When N vehicles share one base the base portion is shared memory,
-// counted once per view.
-func (vs *VehicleStore) StorageBytes() int64 {
-	return vs.base.StorageBytes() + vs.overlay.StorageBytes()
-}
 
 // Add inserts a runtime keyframe into this vehicle's private overlay; the
 // shared base is never written.
@@ -106,30 +95,4 @@ func (vs *VehicleStore) Scan(fn func(Keyframe) bool) {
 	}
 }
 
-// Advise forwards the motion-model hint to the base, tagged with this
-// vehicle's ID when the base tracks per-vehicle contention (ShardStore);
-// other prefetching bases get the plain hint.
-func (vs *VehicleStore) Advise(z, velocity float64) {
-	switch b := vs.base.(type) {
-	case *ShardStore:
-		b.AdviseVehicle(vs.id, z, velocity)
-	case Prefetcher:
-		b.Advise(z, velocity)
-	}
-}
-
-// Release tears down this vehicle's footprint on the shared base: any
-// eviction protections its Advise calls pinned are dropped so a removed
-// fleet vehicle cannot wedge the shared cache's working set. The view
-// itself stays readable (reads never required advice); Release is
-// idempotent and safe concurrently with other vehicles' traffic.
-func (vs *VehicleStore) Release() {
-	if ss, ok := vs.base.(*ShardStore); ok {
-		ss.ReleaseVehicle(vs.id)
-	}
-}
-
-var (
-	_ MapStore   = (*VehicleStore)(nil)
-	_ Prefetcher = (*VehicleStore)(nil)
-)
+var _ MapStore = (*VehicleStore)(nil)

@@ -28,7 +28,7 @@ func sameKeyframeSeq(got, want []Keyframe) error {
 
 // The fleet contract: K goroutine "vehicles" hammer one tightly-budgeted
 // shared ShardStore through per-vehicle views — concurrent Candidates,
-// NearestZ, Scan, Advise and private runtime Adds — and every read stays
+// NearestZ, Scan and private runtime Adds — and every read stays
 // bit-identical to the same vehicle's private monolithic map. Vehicles must
 // never observe each other's runtime keyframes, and the shared cache
 // thrashing underneath must never leak into results. Run under -race by
@@ -43,7 +43,6 @@ func TestFleetVehicleViewsBitIdentical(t *testing.T) {
 
 	store := openTestStore(t, mono, 8, ShardStoreOptions{
 		CacheBudget: mono.StorageBytes() / 8, // tight: constant eviction
-		Prefetch:    true,
 	})
 
 	const vehicles = 6
@@ -87,7 +86,6 @@ func TestFleetVehicleViewsBitIdentical(t *testing.T) {
 					fail("iter %d: NearestZ(%v) = %d/%v, want %d/%v", iter, z, gk.ID, gok, wk.ID, wok)
 					return
 				}
-				view.Advise(z, rng.Float64()*2-1)
 				if iter%13 == 0 {
 					var got, want []Keyframe
 					view.Scan(func(kf Keyframe) bool { got = append(got, kf); return true })
@@ -114,136 +112,4 @@ func TestFleetVehicleViewsBitIdentical(t *testing.T) {
 	if stats := store.CacheStats(); stats.Evictions == 0 {
 		t.Errorf("no evictions under an eighth-size budget: %+v", stats)
 	}
-}
-
-// Protected tiles (each advised vehicle's current and next) are skipped by
-// eviction while unprotected candidates remain, and the budget stays a hard
-// bound when everything is protected.
-func TestAdviseVehicleProtectsTiles(t *testing.T) {
-	mono, _ := buildWorld(t, 50)
-	store := openTestStore(t, mono, 8, ShardStoreOptions{CacheBudget: mono.StorageBytes()})
-	idx := store.Index()
-	if len(idx.Tiles) < 3 {
-		t.Skipf("survey produced only %d tiles", len(idx.Tiles))
-	}
-
-	// Make every tile resident (the budget is map-sized, nothing evicts),
-	// then protect vehicle 0's window at the far Z end.
-	for _, tile := range idx.Tiles {
-		store.Candidates((tile.ZMin+tile.ZMax)/2, 0.5)
-	}
-	last := idx.Tiles[len(idx.Tiles)-1]
-	store.AdviseVehicle(0, (last.ZMin+last.ZMax)/2, -1)
-
-	store.mu.Lock()
-	protPos := append([]int(nil), store.vehicleTiles[0]...)
-	if len(protPos) == 0 {
-		store.mu.Unlock()
-		t.Fatal("AdviseVehicle protected no tiles")
-	}
-	// Park the protected tiles at the LRU tail: the victim picker must
-	// skip them while an unprotected candidate exists.
-	for _, pos := range protPos {
-		if rt := store.resident[pos]; rt != nil {
-			store.lru.MoveToBack(rt.elem)
-		}
-	}
-	if victim := store.evictionVictimLocked(); store.protRef[victim.pos] > 0 {
-		t.Errorf("eviction picked protected tile %d over unprotected candidates", victim.pos)
-	}
-	// With every resident tile protected, the budget stays a hard bound:
-	// the picker falls back to the raw LRU tail.
-	for pos := range store.resident {
-		store.protRef[pos]++
-	}
-	if fallback := store.evictionVictimLocked(); fallback.elem != store.lru.Back() {
-		t.Error("all-protected fallback did not pick the raw LRU tail")
-	}
-	for pos := range store.resident {
-		if store.protRef[pos]--; store.protRef[pos] <= 0 {
-			delete(store.protRef, pos)
-		}
-	}
-	store.mu.Unlock()
-
-	// Re-advising the vehicle elsewhere must release the old protections.
-	first := idx.Tiles[0]
-	store.AdviseVehicle(0, (first.ZMin+first.ZMax)/2, 1)
-	store.mu.Lock()
-	for _, pos := range protPos {
-		stillHeld := false
-		for _, p := range store.vehicleTiles[0] {
-			if p == pos {
-				stillHeld = true
-			}
-		}
-		if !stillHeld && store.protRef[pos] > 0 {
-			t.Errorf("tile %d still refcounted after the vehicle moved away", pos)
-		}
-	}
-	store.mu.Unlock()
-}
-
-// TestAdviseVehicleReleaseTeardown covers the churn half of the protection
-// lifecycle: removing a vehicle (VehicleStore.Release → ReleaseVehicle)
-// must drop every protection it held — shared protections decrement, not
-// vanish — and be an idempotent no-op afterwards.
-func TestAdviseVehicleReleaseTeardown(t *testing.T) {
-	mono, _ := buildWorld(t, 50)
-	store := openTestStore(t, mono, 8, ShardStoreOptions{CacheBudget: mono.StorageBytes()})
-	idx := store.Index()
-	if len(idx.Tiles) < 2 {
-		t.Skipf("survey produced only %d tiles", len(idx.Tiles))
-	}
-	mid := idx.Tiles[len(idx.Tiles)/2]
-	z := (mid.ZMin + mid.ZMax) / 2
-
-	// Two vehicle views sharing one window: the refcount must survive one
-	// vehicle's teardown and clear on the second's.
-	v0 := NewVehicleStore(0, store)
-	v1 := NewVehicleStore(1, store)
-	v0.Advise(z, 1)
-	v1.Advise(z, 1)
-
-	store.mu.Lock()
-	shared := append([]int(nil), store.vehicleTiles[0]...)
-	if len(shared) == 0 {
-		store.mu.Unlock()
-		t.Fatal("AdviseVehicle protected no tiles")
-	}
-	for _, pos := range shared {
-		if store.protRef[pos] < 2 {
-			t.Errorf("tile %d refcount %d, want >= 2 with two advised vehicles", pos, store.protRef[pos])
-		}
-	}
-	store.mu.Unlock()
-
-	v0.Release()
-	store.mu.Lock()
-	if _, ok := store.vehicleTiles[0]; ok {
-		t.Error("vehicle 0 tiles still tracked after Release")
-	}
-	for _, pos := range shared {
-		if store.protRef[pos] != 1 {
-			t.Errorf("tile %d refcount %d after one release, want 1", pos, store.protRef[pos])
-		}
-	}
-	store.mu.Unlock()
-
-	v1.Release()
-	v1.Release() // idempotent
-	store.mu.Lock()
-	for _, pos := range shared {
-		if store.protRef[pos] != 0 {
-			t.Errorf("tile %d refcount %d after full teardown, want 0", pos, store.protRef[pos])
-		}
-	}
-	if len(store.vehicleTiles) != 0 {
-		t.Errorf("%d vehicle entries remain after full teardown", len(store.vehicleTiles))
-	}
-	store.mu.Unlock()
-
-	// A PriorMap-backed view has no protections to drop; Release must
-	// still be safe.
-	NewVehicleStore(3, mono).Release()
 }
