@@ -19,8 +19,8 @@ type MonitorConfig struct {
 }
 
 // DefaultMonitorWindow holds ~1.6x the samples the P99.99 tail needs to
-// resolve, at 8 bytes per sample — constant memory however long the vehicle
-// drives.
+// resolve. Memory grows with the frames seen, up to this cap, and stays
+// there however long the vehicle drives.
 const DefaultMonitorWindow = 1 << 15 // 32768
 
 // Monitor is the ONLINE half of the constraint story: where Check judges a
@@ -39,15 +39,14 @@ const DefaultMonitorWindow = 1 << 15 // 32768
 //
 // Safe for concurrent use.
 type Monitor struct {
-	mu    sync.Mutex
-	w     *stats.Window
-	at    []time.Time // delivery times, ring parallel to w's occupancy
-	deg   []bool      // degraded flags, same ring
-	hard  []bool      // hard deadline misses (wall > MaxTailLatencyMs), same ring
-	head  int
-	count int
-	// degInWindow counts true entries among the live ring slots; totalDeg
-	// is the lifetime degraded-frame count. hardInWindow/totalHard track
+	mu sync.Mutex
+	w  *stats.Window
+	// ring holds one record per frame in w, oldest at head once full; it
+	// grows like w's own ring (doubling, clipped to w.Cap()) while filling.
+	ring []frameRecord
+	head int
+	// degInWindow counts degraded records in the ring; totalDeg is the
+	// lifetime degraded-frame count. hardInWindow/totalHard track
 	// hard deadline misses the same way — frames whose wall latency
 	// exceeded the 100 ms constraint outright, the failures tail-latency
 	// scheduling exists to eliminate.
@@ -57,18 +56,20 @@ type Monitor struct {
 	totalHard    int64
 }
 
+// frameRecord is one delivered frame's ring entry beside its latency in w.
+type frameRecord struct {
+	at       time.Time // delivery time
+	degraded bool
+	hard     bool // wall latency > MaxTailLatencyMs
+}
+
 // NewMonitor returns a live monitor with the configured rolling window.
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	n := cfg.Window
 	if n <= 0 {
 		n = DefaultMonitorWindow
 	}
-	return &Monitor{
-		w:    stats.NewWindow(n),
-		at:   make([]time.Time, n),
-		deg:  make([]bool, n),
-		hard: make([]bool, n),
-	}
+	return &Monitor{w: stats.NewWindow(n)}
 }
 
 // Observe folds one delivered frame in: its wall latency (ms) and delivery
@@ -81,35 +82,39 @@ func (m *Monitor) Observe(wallMs float64, at time.Time) {
 // delivered in a deadline-degraded mode (any stage fell back after blowing
 // its budget). O(1) amortized.
 func (m *Monitor) ObserveDegraded(wallMs float64, at time.Time, degraded bool) {
-	hard := wallMs > MaxTailLatencyMs
+	rec := frameRecord{at: at, degraded: degraded, hard: wallMs > MaxTailLatencyMs}
 	m.mu.Lock()
 	m.w.Add(wallMs)
-	if m.count == len(m.at) {
-		// The slot being overwritten leaves the window.
-		if m.deg[m.head] {
+	n := m.w.Cap()
+	if len(m.ring) == n {
+		// The record being overwritten leaves the window.
+		old := m.ring[m.head]
+		if old.degraded {
 			m.degInWindow--
 		}
-		if m.hard[m.head] {
+		if old.hard {
 			m.hardInWindow--
 		}
+		m.ring[m.head] = rec
+	} else {
+		// Not yet wrapped: head == len(ring).
+		if len(m.ring) == cap(m.ring) {
+			grown := min(n, max(8, 2*cap(m.ring)))
+			m.ring = append(make([]frameRecord, 0, grown), m.ring...)
+		}
+		m.ring = append(m.ring, rec)
 	}
-	m.at[m.head] = at
-	m.deg[m.head] = degraded
-	m.hard[m.head] = hard
 	if degraded {
 		m.degInWindow++
 		m.totalDeg++
 	}
-	if hard {
+	if rec.hard {
 		m.hardInWindow++
 		m.totalHard++
 	}
 	m.head++
-	if m.head == len(m.at) {
+	if m.head == n {
 		m.head = 0
-	}
-	if m.count < len(m.at) {
-		m.count++
 	}
 	m.mu.Unlock()
 }
@@ -223,14 +228,16 @@ func (m *Monitor) FPS() float64 {
 // fpsLocked measures the delivery rate over the window: (frames-1) /
 // (newest - oldest delivery time). Needs at least two frames.
 func (m *Monitor) fpsLocked() float64 {
-	if m.count < 2 {
+	n := len(m.ring)
+	if n < 2 {
 		return 0
 	}
-	newest := m.at[(m.head-1+len(m.at))%len(m.at)]
-	oldest := m.at[(m.head-m.count+len(m.at))%len(m.at)]
+	// head is the oldest record once the ring is full and n (≡ 0) before.
+	newest := m.ring[(m.head-1+n)%n].at
+	oldest := m.ring[m.head%n].at
 	span := newest.Sub(oldest).Seconds()
 	if span <= 0 {
 		return 0
 	}
-	return float64(m.count-1) / span
+	return float64(n-1) / span
 }

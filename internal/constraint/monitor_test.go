@@ -338,3 +338,125 @@ func TestMonitorEmptyAndConcurrent(t *testing.T) {
 		t.Errorf("total = %d, want 2000", m.Snapshot().Total)
 	}
 }
+
+// threeRingMonitor is the monitor as first written: three parallel rings
+// allocated up front beside the latency window. It is the reference the
+// single growing ring of records must match.
+type threeRingMonitor struct {
+	w                         *stats.Window
+	at                        []time.Time
+	deg, hard                 []bool
+	head, count               int
+	degInWindow, hardInWindow int
+	totalDeg, totalHard       int64
+}
+
+func newThreeRingMonitor(n int) *threeRingMonitor {
+	return &threeRingMonitor{w: stats.NewWindow(n), at: make([]time.Time, n), deg: make([]bool, n), hard: make([]bool, n)}
+}
+
+func (m *threeRingMonitor) observe(wallMs float64, at time.Time, degraded bool) {
+	hard := wallMs > MaxTailLatencyMs
+	m.w.Add(wallMs)
+	if m.count == len(m.at) {
+		if m.deg[m.head] {
+			m.degInWindow--
+		}
+		if m.hard[m.head] {
+			m.hardInWindow--
+		}
+	}
+	m.at[m.head], m.deg[m.head], m.hard[m.head] = at, degraded, hard
+	if degraded {
+		m.degInWindow++
+		m.totalDeg++
+	}
+	if hard {
+		m.hardInWindow++
+		m.totalHard++
+	}
+	m.head = (m.head + 1) % len(m.at)
+	if m.count < len(m.at) {
+		m.count++
+	}
+}
+
+func (m *threeRingMonitor) fps() float64 {
+	if m.count < 2 {
+		return 0
+	}
+	newest := m.at[(m.head-1+len(m.at))%len(m.at)]
+	oldest := m.at[(m.head-m.count+len(m.at))%len(m.at)]
+	span := newest.Sub(oldest).Seconds()
+	if span <= 0 {
+		return 0
+	}
+	return float64(m.count-1) / span
+}
+
+func (m *threeRingMonitor) snapshot() LiveReport {
+	r := LiveReport{
+		TailMs: m.w.Quantile(TailQuantile), MeanMs: m.w.Mean(), N: m.w.N(), Total: m.w.TotalN(),
+		Degraded: m.degInWindow, TotalDegraded: m.totalDeg,
+		HardMisses: m.hardInWindow, TotalHardMisses: m.totalHard,
+	}
+	if r.N > 0 {
+		r.DegradedRate = float64(r.Degraded) / float64(r.N)
+	}
+	r.FPS = m.fps()
+	r.Performance = performanceVerdict(r.TailMs, r.FPS, r.N)
+	r.Predictability = predictabilityVerdict(r.TailMs, r.MeanMs, r.N)
+	return r
+}
+
+// TestMonitorMatchesThreeRings drives the monitor and the three-ring
+// reference with the same frames — every length from empty to three turns
+// of the ring, degraded and hard-miss flags mixed, delivery times that
+// stall and step back — and requires identical Snapshot and FPS after
+// every frame.
+func TestMonitorMatchesThreeRings(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 17} {
+		rng := stats.NewRNG(int64(capacity))
+		m := NewMonitor(MonitorConfig{Window: capacity})
+		ref := newThreeRingMonitor(capacity)
+		at := time.Unix(0, 0)
+		for i := 0; i <= 3*capacity; i++ {
+			if got, want := m.Snapshot(), ref.snapshot(); got != want {
+				t.Fatalf("cap %d after %d frames: snapshot\n%+v\nwant\n%+v", capacity, i, got, want)
+			}
+			if got, want := m.FPS(), ref.fps(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cap %d after %d frames: fps %v, want %v", capacity, i, got, want)
+			}
+			wall := rng.Uniform(10, 150)
+			degraded := rng.Float64() < 0.3
+			switch i % 5 {
+			case 0: // stalled clock: same delivery time as the last frame
+			case 1:
+				at = at.Add(-3 * time.Millisecond)
+			default:
+				at = at.Add(time.Duration(rng.Uniform(10, 60) * float64(time.Millisecond)))
+			}
+			m.ObserveDegraded(wall, at, degraded)
+			ref.observe(wall, at, degraded)
+		}
+	}
+}
+
+// Alloc gate (run by `make alloc-gate`): once the monitor's ring has
+// wrapped it holds exactly the window's capacity in records and a frame
+// allocates nothing.
+func TestAllocMonitorFull(t *testing.T) {
+	for _, capacity := range []int{1, 17, 1000} {
+		m := NewMonitor(MonitorConfig{Window: capacity})
+		at := time.Unix(0, 0)
+		for i := 0; i < 2*capacity; i++ {
+			m.ObserveDegraded(float64(i%120), at.Add(time.Duration(i)*time.Millisecond), i%3 == 0)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.ObserveDegraded(50, at, true) }); allocs != 0 {
+			t.Errorf("cap %d: a frame into a full monitor allocates %v, want 0", capacity, allocs)
+		}
+		if cap(m.ring) != capacity || m.w.Cap() != capacity {
+			t.Errorf("cap %d: ring holds %d records, window cap %d", capacity, cap(m.ring), m.w.Cap())
+		}
+	}
+}

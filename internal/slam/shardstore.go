@@ -118,11 +118,18 @@ func (s *ShardStore) Add(pose scene.Pose, kps []Keypoint, descs []Descriptor) in
 }
 
 // getTileLocked returns tile pos's keyframes through the LRU cache, loading
-// the tile on a miss; the caller holds s.mu.
-func (s *ShardStore) getTileLocked(pos int) []Keyframe {
+// the tile on a miss; the caller holds s.mu. A tracking read makes the tile
+// the most recently used, inserting a loaded one and evicting per the
+// budget. A scan read (Scan's) never reorders or evicts: it caches a loaded
+// tile at the cold end only if the budget has room and otherwise reads it
+// through. Either way every load counts as a miss and every failed load as
+// an I/O error.
+func (s *ShardStore) getTileLocked(pos int, scan bool) []Keyframe {
 	if rt := s.resident[pos]; rt != nil {
 		s.hits.Inc()
-		s.lru.MoveToFront(rt.elem)
+		if !scan {
+			s.lru.MoveToFront(rt.elem)
+		}
 		return rt.kfs
 	}
 	s.misses.Inc()
@@ -141,7 +148,14 @@ func (s *ShardStore) getTileLocked(pos int) []Keyframe {
 	}
 	s.loadMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 	rt := &residentTile{pos: pos, kfs: kfs, mem: storageBytes(kfs)}
-	rt.elem = s.lru.PushFront(rt)
+	switch {
+	case !scan:
+		rt.elem = s.lru.PushFront(rt)
+	case s.budget > 0 && s.residentBytes+rt.mem > s.budget:
+		return kfs
+	default:
+		rt.elem = s.lru.PushBack(rt)
+	}
 	s.resident[pos] = rt
 	s.residentBytes += rt.mem
 	for s.budget > 0 && s.residentBytes > s.budget && s.lru.Len() > 1 {
@@ -184,7 +198,7 @@ func (s *ShardStore) Candidates(z, window float64) []Keyframe {
 		if t.ZMin > hi {
 			break
 		}
-		kfs := s.getTileLocked(pos)
+		kfs := s.getTileLocked(pos, false)
 		a := sort.Search(len(kfs), func(j int) bool { return kfs[j].Pose.Z >= lo })
 		b := sort.Search(len(kfs), func(j int) bool { return kfs[j].Pose.Z > hi })
 		stored = append(stored, kfs[a:b]...)
@@ -221,7 +235,8 @@ func mergeByZ(a, b []Keyframe) []Keyframe {
 // NearestZ returns the keyframe closest to z across shards and overlay.
 // Only the (at most two) tiles that can contain the nearest stored
 // keyframe are consulted, so a NearestZ never faults in more than two
-// tiles. Ties prefer the lower-Z neighbor, as PriorMap.NearestZ does.
+// tiles, and the one above z only when it could hold a nearer keyframe.
+// Ties prefer the lower-Z neighbor, as PriorMap.NearestZ does.
 func (s *ShardStore) NearestZ(z float64) (Keyframe, bool) {
 	var best Keyframe
 	have := false
@@ -233,12 +248,17 @@ func (s *ShardStore) NearestZ(z float64) (Keyframe, bool) {
 	s.mu.Lock()
 	// Tiles are disjoint and ascending: the nearest stored keyframe lives
 	// in the last tile starting at-or-below z or the first one above it.
+	// Every keyframe of the one above is at least its ZMin-z away and has a
+	// higher Z than any below it, so it cannot win once best is that near.
 	i := sort.Search(len(s.idx.Tiles), func(j int) bool { return s.idx.Tiles[j].ZMin > z })
 	for _, pos := range []int{i - 1, i} {
 		if pos < 0 || pos >= len(s.idx.Tiles) {
 			continue
 		}
-		kfs := s.getTileLocked(pos)
+		if pos == i && have && abs(best.Pose.Z-z) <= s.idx.Tiles[i].ZMin-z {
+			break
+		}
+		kfs := s.getTileLocked(pos, false)
 		k := sort.Search(len(kfs), func(j int) bool { return kfs[j].Pose.Z >= z })
 		for _, c := range []int{k - 1, k} {
 			if c >= 0 && c < len(kfs) {
@@ -263,9 +283,11 @@ func nearerZ(a, b Keyframe, z float64) bool {
 	return a.Pose.Z < b.Pose.Z
 }
 
-// Scan streams every keyframe in ascending-Z order, paging tiles through
-// the cache one at a time (evicting per the budget as it goes) and merging
-// the overlay — the relocalization worst case now runs in bounded memory.
+// Scan streams every keyframe in ascending-Z order, one tile at a time,
+// merging the overlay — the relocalization worst case runs in bounded
+// memory. Scan never evicts a tile or reorders the LRU, so a loop-closing
+// sweep leaves the tracking working set resident: a tile it loads is cached
+// at the cold end when the budget has room, and read through otherwise.
 // fn runs without the store lock held, so concurrent reads proceed between
 // tiles; overlay keyframes added after Scan starts are not observed.
 func (s *ShardStore) Scan(fn func(Keyframe) bool) {
@@ -273,7 +295,7 @@ func (s *ShardStore) Scan(fn func(Keyframe) bool) {
 	oi := 0
 	for pos := range s.idx.Tiles {
 		s.mu.Lock()
-		kfs := s.getTileLocked(pos)
+		kfs := s.getTileLocked(pos, true)
 		s.mu.Unlock()
 		for _, kf := range kfs {
 			for oi < len(ov) && ov[oi].Pose.Z <= kf.Pose.Z {

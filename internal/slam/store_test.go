@@ -2,6 +2,8 @@ package slam
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -410,4 +412,128 @@ func BenchmarkShardedReloc(b *testing.B) {
 			reloc(b, store)
 		}
 	})
+}
+
+// NearestZ across every tile boundary — at each tile's end keyframes, one
+// ulp either side of them, and on exact ties between the keyframes either
+// side of a boundary — must answer exactly as the monolithic map does,
+// while paging in the tile above z only when it could hold the answer.
+func TestShardNearestZAtTileBoundaries(t *testing.T) {
+	// A synthetic map on half-meter Z values, so midpoints are exact ties,
+	// with tiles both wide and narrow (pitch 8).
+	synth := NewPriorMap()
+	for _, z := range []float64{0, 3, 6, 10, 13, 17, 24, 31, 33, 47.5, 48} {
+		synth.Add(scene.Pose{Z: z}, []Keypoint{{X: 1}}, make([]Descriptor, 1))
+	}
+	surveyed, _ := buildWorld(t, 40)
+	for _, tc := range []struct {
+		name string
+		mono *PriorMap
+	}{{"synthetic", synth}, {"surveyed", surveyed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := openTestStore(t, tc.mono, 8, ShardStoreOptions{CacheBudget: 1})
+			tiles := store.Index().Tiles
+			if len(tiles) < 3 {
+				t.Fatalf("want several tiles, got %d", len(tiles))
+			}
+			var zs []float64
+			for i, ti := range tiles {
+				for _, z := range []float64{ti.ZMin, ti.ZMax} {
+					zs = append(zs, math.Nextafter(z, math.Inf(-1)), z, math.Nextafter(z, math.Inf(1)))
+				}
+				if i > 0 {
+					mid := (tiles[i-1].ZMax + ti.ZMin) / 2
+					for _, d := range []float64{-1, 0, 1} {
+						zs = append(zs, mid+d*1e-9, math.Nextafter(mid, mid+d))
+					}
+				}
+			}
+			zs = append(zs, tiles[0].ZMin-5, tiles[len(tiles)-1].ZMax+5)
+			for z := tiles[0].ZMin - 1; z <= tiles[len(tiles)-1].ZMax+1; z += 0.5 {
+				zs = append(zs, z)
+			}
+			for _, z := range zs {
+				want, _ := tc.mono.NearestZ(z)
+				got, ok := store.NearestZ(z)
+				if !ok || got.ID != want.ID || got.Pose != want.Pose {
+					t.Fatalf("NearestZ(%v) = id %d z %v, monolithic id %d z %v", z, got.ID, got.Pose.Z, want.ID, want.Pose.Z)
+				}
+			}
+			// A query on a tile's last keyframe is answered from that tile
+			// alone: the next tile's keyframes are all farther away.
+			for i := range tiles[:len(tiles)-1] {
+				cold := openTestStore(t, tc.mono, 8, ShardStoreOptions{})
+				cold.NearestZ(tiles[i].ZMax)
+				if st := cold.CacheStats(); st.Misses != 1 {
+					t.Errorf("NearestZ on tile %d's last keyframe loaded %d tiles, want 1", i, st.Misses)
+				}
+			}
+		})
+	}
+}
+
+// A Scan (relocalization, loop closing) over a store whose budget holds two
+// tiles must leave the resident set and the LRU order as tracking left
+// them, while still streaming every keyframe and counting its loads; with
+// room in the budget it caches what it loads, evicting nothing.
+func TestScanLeavesCacheAlone(t *testing.T) {
+	mono, _ := buildWorld(t, 40)
+	probe := openTestStore(t, mono, 8, ShardStoreOptions{})
+	tiles := probe.Index().Tiles
+	if len(tiles) < 4 {
+		t.Fatalf("want at least 4 tiles, got %d", len(tiles))
+	}
+	a, b := 1, 2
+	reg := telemetry.NewRegistry(0)
+	store := openTestStore(t, mono, 8, ShardStoreOptions{
+		CacheBudget: tiles[a].MemBytes + tiles[b].MemBytes,
+		Telemetry:   reg,
+	})
+	store.Candidates(tiles[a].ZMin, 0)
+	store.Candidates(tiles[b].ZMin, 0)
+	store.Candidates(tiles[a].ZMin, 0) // LRU order now a, b
+	lruOrder := func() []int {
+		var pos []int
+		for e := store.lru.Front(); e != nil; e = e.Next() {
+			pos = append(pos, e.Value.(*residentTile).pos)
+		}
+		return pos
+	}
+	before, beforeStats := lruOrder(), store.CacheStats()
+	if len(before) != 2 || before[0] != a || before[1] != b {
+		t.Fatalf("setup: LRU order %v, want [%d %d]", before, a, b)
+	}
+
+	var got, want []int
+	mono.Scan(func(kf Keyframe) bool { want = append(want, kf.ID); return true })
+	store.Scan(func(kf Keyframe) bool { got = append(got, kf.ID); return true })
+	if !slices.Equal(got, want) {
+		t.Fatalf("Scan streamed %d keyframes, monolithic %d (or in another order)", len(got), len(want))
+	}
+	if after := lruOrder(); !slices.Equal(after, before) {
+		t.Errorf("Scan changed the LRU order: %v, was %v", after, before)
+	}
+	st := store.CacheStats()
+	if st.Evictions != beforeStats.Evictions || st.ResidentTiles != 2 || st.ResidentBytes != beforeStats.ResidentBytes {
+		t.Errorf("Scan disturbed the resident set: %+v, was %+v", st, beforeStats)
+	}
+	nonResident := int64(len(tiles) - 2)
+	if st.Misses-beforeStats.Misses != nonResident || st.Hits-beforeStats.Hits != 2 {
+		t.Errorf("Scan counted %d misses and %d hits, want %d and 2",
+			st.Misses-beforeStats.Misses, st.Hits-beforeStats.Hits, nonResident)
+	}
+	if loads := reg.Dist("mapstore/load_ms").Snapshot().N; loads != st.Misses {
+		t.Errorf("load-latency samples %d, want one per miss (%d)", loads, st.Misses)
+	}
+
+	roomy := openTestStore(t, mono, 8, ShardStoreOptions{})
+	roomy.Candidates(tiles[b].ZMin, 0)
+	roomy.Scan(func(Keyframe) bool { return true })
+	roomy.Scan(func(Keyframe) bool { return true })
+	if st := roomy.CacheStats(); st.ResidentTiles != len(tiles) || st.Misses != int64(len(tiles)) || st.Evictions != 0 {
+		t.Errorf("two Scans of an unbudgeted store: %+v, want every tile loaded once and resident", st)
+	}
+	if front := roomy.lru.Front().Value.(*residentTile).pos; front != b {
+		t.Errorf("most recently used tile after Scan is %d, want tracking's %d", front, b)
+	}
 }

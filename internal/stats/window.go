@@ -9,13 +9,17 @@ import (
 // DefaultWindowCap is the window capacity used when NewWindow is given a
 // non-positive capacity. It is sized so the paper's 99.99th-percentile tail
 // is resolvable from the window alone (≥ 2/(1-0.9999) samples beyond the
-// quantile) with headroom.
+// quantile) with headroom. It is a cap, not an up-front cost: a window
+// holds 8 bytes per sample seen, up to 256 KiB.
 const DefaultWindowCap = 1 << 15 // 32768
 
 // Window is a bounded streaming variant of Distribution: it retains only
 // the most recent capacity samples in a ring buffer, so folding a sample in
-// is O(1) and memory is constant no matter how long the stream runs. It is
-// the store behind the live constraint monitor, where Distribution's
+// is O(1) amortized and memory is proportional to the samples seen, up to
+// the capacity, no matter how long the stream runs. The ring's backing array
+// grows by doubling (clipped to the capacity) while the window fills, so a
+// short stream pays for what it observed, not for the full tail window. It
+// is the store behind the live constraint monitor, where Distribution's
 // retain-everything + re-sort-on-query behaviour is too expensive for a
 // per-frame hot path.
 //
@@ -30,9 +34,9 @@ const DefaultWindowCap = 1 << 15 // 32768
 // TotalMean) over every sample ever folded in, which windowed eviction does
 // not disturb. Not safe for concurrent use; wrap it (telemetry.Dist does).
 type Window struct {
-	buf      []float64 // ring storage, len == capacity
+	buf      []float64 // ring storage; len is the samples held (≤ capacity)
+	capacity int       // ring size once full
 	head     int       // next write position
-	count    int       // samples currently held (≤ capacity)
 	sum      kahanSum  // compensated sum of the samples currently held
 	totalN   int64     // lifetime samples observed
 	totalSum float64   // lifetime sum
@@ -68,14 +72,16 @@ func NewWindow(capacity int) *Window {
 	if capacity <= 0 {
 		capacity = DefaultWindowCap
 	}
-	return &Window{buf: make([]float64, capacity)}
+	return &Window{capacity: capacity}
 }
 
 // Cap reports the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
+func (w *Window) Cap() int { return w.capacity }
 
 // Add folds one sample into the window, evicting the oldest sample once the
-// window is full. Amortized O(1).
+// window is full. Amortized O(1): while the window fills, a full backing
+// array is replaced by one twice its size (never beyond the capacity);
+// once full, Add allocates nothing.
 //
 // The running sum is Neumaier-compensated and additionally recomputed from
 // the ring every time the write position wraps, so the add/subtract updates
@@ -83,15 +89,20 @@ func (w *Window) Cap() int { return len(w.buf) }
 // over long streams (each wrap resets accumulated error; compensation
 // bounds it in between).
 func (w *Window) Add(v float64) {
-	if w.count == len(w.buf) {
+	if len(w.buf) == w.capacity {
 		w.sum.fold(-w.buf[w.head])
+		w.buf[w.head] = v
 	} else {
-		w.count++
+		// Not yet wrapped: head == len(buf).
+		if len(w.buf) == cap(w.buf) {
+			grown := min(w.capacity, max(8, 2*cap(w.buf)))
+			w.buf = append(make([]float64, 0, grown), w.buf...)
+		}
+		w.buf = append(w.buf, v)
 	}
-	w.buf[w.head] = v
 	w.head++
 	w.sum.fold(v)
-	if w.head == len(w.buf) {
+	if w.head == w.capacity {
 		w.head = 0
 		w.recompute()
 	}
@@ -103,13 +114,13 @@ func (w *Window) Add(v float64) {
 // recompute re-derives the compensated sum from the ring contents alone.
 func (w *Window) recompute() {
 	w.sum = kahanSum{}
-	for _, v := range w.buf[:w.count] {
+	for _, v := range w.buf {
 		w.sum.fold(v)
 	}
 }
 
 // N reports the number of samples currently in the window.
-func (w *Window) N() int { return w.count }
+func (w *Window) N() int { return len(w.buf) }
 
 // TotalN reports the lifetime number of samples folded in.
 func (w *Window) TotalN() int64 { return w.totalN }
@@ -120,10 +131,10 @@ func (w *Window) TotalSum() float64 { return w.totalSum }
 // Mean returns the mean of the samples currently in the window, or 0 when
 // empty.
 func (w *Window) Mean() float64 {
-	if w.count == 0 {
+	if len(w.buf) == 0 {
 		return 0
 	}
-	return w.sum.value() / float64(w.count)
+	return w.sum.value() / float64(len(w.buf))
 }
 
 // TotalMean returns the lifetime mean over every sample ever folded in.
@@ -136,7 +147,7 @@ func (w *Window) TotalMean() float64 {
 
 // Min returns the smallest sample in the window, or 0 when empty.
 func (w *Window) Min() float64 {
-	if w.count == 0 {
+	if len(w.buf) == 0 {
 		return 0
 	}
 	return w.ordered()[0]
@@ -144,7 +155,7 @@ func (w *Window) Min() float64 {
 
 // Max returns the largest sample in the window, or 0 when empty.
 func (w *Window) Max() float64 {
-	if w.count == 0 {
+	if len(w.buf) == 0 {
 		return 0
 	}
 	s := w.ordered()
@@ -155,7 +166,7 @@ func (w *Window) Max() float64 {
 // in the window, using the same linear interpolation between order
 // statistics as Distribution.Quantile. Returns 0 when empty.
 func (w *Window) Quantile(q float64) float64 {
-	if w.count == 0 {
+	if len(w.buf) == 0 {
 		return 0
 	}
 	s := w.ordered()
@@ -191,19 +202,10 @@ func (w *Window) Summary() string {
 // ordered returns the window's samples sorted ascending, re-sorting the
 // scratch buffer only when samples were folded in since the last query.
 func (w *Window) ordered() []float64 {
-	if !w.dirty && len(w.scratch) == w.count {
+	if !w.dirty && len(w.scratch) == len(w.buf) {
 		return w.scratch
 	}
-	if cap(w.scratch) < w.count {
-		w.scratch = make([]float64, w.count)
-	}
-	w.scratch = w.scratch[:w.count]
-	if w.count == len(w.buf) {
-		copy(w.scratch, w.buf)
-	} else {
-		// Not yet wrapped: samples occupy buf[0:count].
-		copy(w.scratch, w.buf[:w.count])
-	}
+	w.scratch = append(w.scratch[:0], w.buf...)
 	sort.Float64s(w.scratch)
 	w.dirty = false
 	return w.scratch

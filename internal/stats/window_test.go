@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -180,5 +181,135 @@ func TestWindowLongStreamNoDrift(t *testing.T) {
 	got := w.Mean()
 	if math.Abs(got-want) > math.Abs(want)*1e-12 {
 		t.Fatalf("windowed mean drifted: %v, oracle %v", got, want)
+	}
+}
+
+// eagerWindow is the window as first written: the whole ring allocated up
+// front, with a separate occupancy count. It is the reference the growing
+// ring must match bit for bit.
+type eagerWindow struct {
+	buf      []float64
+	head     int
+	count    int
+	sum      kahanSum
+	totalN   int64
+	totalSum float64
+}
+
+func (w *eagerWindow) Add(v float64) {
+	if w.count == len(w.buf) {
+		w.sum.fold(-w.buf[w.head])
+	} else {
+		w.count++
+	}
+	w.buf[w.head] = v
+	w.head++
+	w.sum.fold(v)
+	if w.head == len(w.buf) {
+		w.head = 0
+		w.sum = kahanSum{}
+		for _, v := range w.buf[:w.count] {
+			w.sum.fold(v)
+		}
+	}
+	w.totalN++
+	w.totalSum += v
+}
+
+func (w *eagerWindow) Mean() float64 {
+	if w.count == 0 {
+		return 0
+	}
+	return w.sum.value() / float64(w.count)
+}
+
+// ordered sorts a fresh copy of the held samples, as the eager window's
+// scratch did.
+func (w *eagerWindow) ordered() []float64 {
+	s := make([]float64, w.count)
+	copy(s, w.buf[:w.count])
+	sort.Float64s(s)
+	return s
+}
+
+func (w *eagerWindow) Quantile(q float64) float64 {
+	if w.count == 0 {
+		return 0
+	}
+	s := w.ordered()
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 1 {
+		return s[len(s)-1]
+	}
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// TestWindowMatchesEagerRing feeds the growing window and the eager
+// reference the same streams — every length from empty to three turns of
+// the ring, with ±Inf and NaN mixed in — and compares every query bitwise
+// after every sample.
+func TestWindowMatchesEagerRing(t *testing.T) {
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, capacity := range []int{1, 2, 3, 17} {
+		for _, withSpecial := range []bool{false, true} {
+			rng := NewRNG(int64(capacity))
+			w := NewWindow(capacity)
+			ref := &eagerWindow{buf: make([]float64, capacity)}
+			for i := 0; i <= 3*capacity; i++ {
+				if w.N() != ref.count || w.Cap() != capacity {
+					t.Fatalf("cap %d after %d: n=%d cap=%d, want n=%d", capacity, i, w.N(), w.Cap(), ref.count)
+				}
+				wantMin, wantMax := 0.0, 0.0
+				if ref.count > 0 {
+					s := ref.ordered()
+					wantMin, wantMax = s[0], s[len(s)-1]
+				}
+				if !same(w.Mean(), ref.Mean()) || !same(w.Min(), wantMin) || !same(w.Max(), wantMax) ||
+					w.TotalN() != ref.totalN || !same(w.TotalSum(), ref.totalSum) {
+					t.Fatalf("cap %d special %v after %d: mean/min/max/totals (%v %v %v %d %v), want (%v %v %v %d %v)",
+						capacity, withSpecial, i, w.Mean(), w.Min(), w.Max(), w.TotalN(), w.TotalSum(),
+						ref.Mean(), wantMin, wantMax, ref.totalN, ref.totalSum)
+				}
+				for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.9999, 1} {
+					if got, want := w.Quantile(q), ref.Quantile(q); !same(got, want) {
+						t.Fatalf("cap %d special %v after %d: quantile(%v) = %v, want %v", capacity, withSpecial, i, q, got, want)
+					}
+				}
+				v := rng.Normal(50, 20)
+				if withSpecial && i%4 == 1 {
+					v = special[(i/4)%len(special)]
+				}
+				w.Add(v)
+				ref.Add(v)
+			}
+		}
+	}
+}
+
+// Alloc gate (run by `make alloc-gate`): once the window has wrapped, its
+// backing array is exactly the capacity and a fold allocates nothing — a
+// growth path that kept appending past the capacity would fail both.
+func TestAllocWindowFull(t *testing.T) {
+	for _, capacity := range []int{1, 17, 1000} {
+		w := NewWindow(capacity)
+		for i := 0; i < 2*capacity; i++ {
+			w.Add(float64(i))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { w.Add(1) }); allocs != 0 {
+			t.Errorf("cap %d: Add on a full window allocates %v, want 0", capacity, allocs)
+		}
+		if cap(w.buf) != capacity {
+			t.Errorf("cap %d: backing array holds %d samples", capacity, cap(w.buf))
+		}
 	}
 }
