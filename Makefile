@@ -48,14 +48,17 @@ bench-check:
 
 # Zero-allocation gates on the warm inference hot path, each at 1, 2 and 4
 # kernel workers, plus LOC's gate (a steady-state frame allocates only the
-# slices it retains), DET's proposal pass, the radius-1 blur's, the
-# bilinear resize's, the conformal planner's (a fixed count at any horizon),
-# and the full rolling window's and constraint monitor's (testing.AllocsPerRun
-# is unreliable under -race, so these run without it; `make race` still
-# executes the same tests for correctness). No output filter: the target's
-# status must be go test's.
+# slices it retains, with its matcher at 1, 2 and 4 workers), DET's proposal
+# pass, the radius-1 blur's, the bilinear resize's, the conformal planner's
+# (a fixed count at any horizon), and the full rolling window's and
+# constraint monitor's (testing.AllocsPerRun is unreliable under -race, so
+# these run without it; `make race` still executes the same tests for
+# correctness). TRA's and LOC's gates, whose fan-outs start goroutines, also
+# run at GOMAXPROCS 1, 2 and 4. No output filter: the target's status must
+# be go test's.
 alloc-gate:
-	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/track ./internal/slam ./internal/img ./internal/plan ./internal/stats ./internal/constraint
+	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/img ./internal/plan ./internal/stats ./internal/constraint
+	$(GO) test -run 'TestAlloc' -count=1 -cpu 1,2,4 ./internal/slam ./internal/track
 
 # The pure-Go kernels every non-amd64 host runs (gemm_other.go, the GEMM
 # tile; leaf_other.go, the pool, FC and activation leaves; sad_other.go, the

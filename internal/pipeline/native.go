@@ -27,6 +27,7 @@ import (
 
 	"adsim/internal/control"
 	"adsim/internal/detect"
+	"adsim/internal/dnn"
 	"adsim/internal/fusion"
 	"adsim/internal/mission"
 	"adsim/internal/plan"
@@ -185,7 +186,13 @@ func NewNative(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	tra, err := track.New(cfg.Track)
+	// TRA's executor also sets LOC's matcher width: one vehicle's cores,
+	// shared by the two branches that run side by side.
+	tcfg := cfg.Track
+	if tcfg.Executor == nil {
+		tcfg.Executor = dnn.NewExecutor(0)
+	}
+	tra, err := track.New(tcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +204,7 @@ func NewNative(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	loc.SetExecutor(tcfg.Executor)
 	fuse, err := fusion.New(gen.Camera(), cfg.Scene.FPS)
 	if err != nil {
 		return nil, err

@@ -733,66 +733,153 @@ func FuzzMatchDescriptors(f *testing.F) {
 	})
 }
 
+// inliersRef is inliers as one sequential scan with the exact count: the
+// plain matcher, then geometric verification.
+func inliersRef(kps []Keypoint, descs []Descriptor, tkps []Keypoint, tdescs []Descriptor, cfg *Config) ([]Match, int) {
+	ms := matchDescriptorsRef(descs, tdescs, cfg.MatchMaxDist, cfg.MatchRatio)
+	return ms, GeometricInliers(kps, tkps, ms, cfg.InlierTol)
+}
+
+// The fanned-out matcher against one sequential scan, at widths 1 to 4, on
+// random sets drawn near a small pool (so ties, duplicates and
+// near-threshold distances are common) with keypoints on a small grid (so
+// the consensus keeps some matches and drops others). Query counts include
+// odd ones, counts below two per worker and zero, and one train set is
+// empty. At need 0, and whenever the scan has need matches, the count and
+// the match list are the sequential ones and every pair was compared;
+// otherwise the count stays below need.
+func TestFannedOutInliersMatchSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cfg := DefaultConfig()
+	var scratch [5]matchScratch // one per width, reused across trials
+	for trial := 0; trial < 300; trial++ {
+		pool := make([]Descriptor, 1+rng.Intn(6))
+		for i := range pool {
+			pool[i] = Descriptor{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+		}
+		flips := 1 + rng.Intn(48)
+		draw := func(n int) ([]Keypoint, []Descriptor) {
+			kps, ds := make([]Keypoint, n), make([]Descriptor, n)
+			for i := range ds {
+				d := pool[rng.Intn(len(pool))]
+				for k := rng.Intn(flips); k > 0; k-- {
+					b := rng.Intn(DescriptorBits)
+					d[b/64] ^= 1 << uint(b%64)
+				}
+				kps[i], ds[i] = Keypoint{X: rng.Intn(12), Y: rng.Intn(12)}, d
+			}
+			return kps, ds
+		}
+		nq := []int{0, 1, 2, 3, 5, 7, 8, 31, 64, 101}[rng.Intn(10)]
+		nt := rng.Intn(80)
+		if trial%25 == 0 {
+			nt = 0
+		}
+		kps, descs := draw(nq)
+		tkps, tdescs := draw(nt)
+		wantMs, exact := inliersRef(kps, descs, tkps, tdescs, &cfg)
+		for width := 1; width <= 4; width++ {
+			s := &scratch[width]
+			s.width = width
+			for need := 0; need <= len(wantMs)+2; need++ {
+				before := s.pairs
+				got := s.inliers(kps, descs, tkps, tdescs, &cfg, need)
+				what := fmt.Sprintf("trial %d (%d queries, %d train) width %d need %d", trial, nq, nt, width, need)
+				if need > 0 && len(wantMs) < need {
+					if got >= need {
+						t.Fatalf("%s: %d inliers from %d matches", what, got, len(wantMs))
+					}
+					continue
+				}
+				if got != exact || !equalMatches(s.ms, wantMs) {
+					t.Fatalf("%s: %d inliers from %v, sequential %d from %v", what, got, s.ms, exact, wantMs)
+				}
+				if pairs := s.pairs - before; pairs != nq*nt {
+					t.Fatalf("%s: compared %d pairs of a complete %d×%d scan", what, pairs, nq, nt)
+				}
+			}
+		}
+	}
+}
+
 // locRetainedAllocs is what a steady-state tracked frame may allocate: the
 // keypoint and descriptor slices the engine keeps (prevKps/prevDescs, and
 // the map on a runtime update), and the store's candidate snapshot, which
 // the MapStore contract makes the caller's to own.
 const locRetainedAllocs = 3
 
+// fixedWidth is an executor of a fixed worker count.
+type fixedWidth int
+
+func (w fixedWidth) Workers() int { return int(w) }
+
 // TestAllocLocalizeSteadyState bounds LOC's per-frame allocations on a
-// surveyed route to the slices it retains. The FE runs at one scale, the
-// only one it has, so the case is levels=1.
+// surveyed route to the slices it retains, with the matcher fanned out over
+// 1, 2 and 4 workers. The FE runs at one scale, the only one it has, so the
+// case is levels=1.
 func TestAllocLocalizeSteadyState(t *testing.T) {
 	t.Run("levels=1", func(t *testing.T) {
-		cfg := scene.DefaultConfig(scene.Urban)
-		cfg.Width, cfg.Height = 512, 256
-		gen, err := scene.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := NewEngine(DefaultConfig(), NewPriorMap())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 80; i++ {
-			f := gen.Step()
-			eng.Survey(f.Image, f.EgoPose)
-		}
-		replay, err := scene.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Frames 1..5 warm the engine (cold-start relocalization, then
-		// tracking); the measured frames stay inside the surveyed
-		// route and short of the first loop-closing scan.
-		frames := make([]*img.Gray, 30)
-		for i := range frames {
-			frames[i] = replay.Step().Image
-		}
-		for _, f := range frames[:5] {
-			eng.Localize(f)
-		}
-		next := 5
-		var lost bool
-		allocs := testing.AllocsPerRun(20, func() {
-			est := eng.Localize(frames[next])
-			lost = lost || !est.Tracked || est.Relocalized
-			next++
-		})
-		if lost {
-			t.Fatal("a measured frame lost track; the gate needs steady-state tracking")
-		}
-		if eng.MapUpdates() != 0 {
-			t.Fatalf("%d runtime map updates inside the surveyed route", eng.MapUpdates())
-		}
-		if testutil.RaceEnabled {
-			t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
-		}
-		if allocs > locRetainedAllocs {
-			t.Errorf("Localize: %.1f allocs/frame on a %d-keyframe map, want <= %d (the retained kps, descs and candidate snapshot)",
-				allocs, eng.Store().Len(), locRetainedAllocs)
+		for _, width := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+				allocLocalizeSteadyState(t, width)
+			})
 		}
 	})
+}
+
+func allocLocalizeSteadyState(t *testing.T, width int) {
+	cfg := scene.DefaultConfig(scene.Urban)
+	cfg.Width, cfg.Height = 512, 256
+	gen, err := scene.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(DefaultConfig(), NewPriorMap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetExecutor(fixedWidth(width))
+	for i := 0; i < 80; i++ {
+		f := gen.Step()
+		eng.Survey(f.Image, f.EgoPose)
+	}
+	replay, err := scene.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frames 1..5 warm the engine (cold-start relocalization, then
+	// tracking); the measured frames stay inside the surveyed route and
+	// short of the first loop-closing scan.
+	frames := make([]*img.Gray, 30)
+	for i := range frames {
+		frames[i] = replay.Step().Image
+	}
+	for _, f := range frames[:5] {
+		eng.Localize(f)
+	}
+	next := 5
+	var lost bool
+	allocs := testing.AllocsPerRun(20, func() {
+		est := eng.Localize(frames[next])
+		lost = lost || !est.Tracked || est.Relocalized
+		next++
+	})
+	if lost {
+		t.Fatal("a measured frame lost track; the gate needs steady-state tracking")
+	}
+	if eng.MapUpdates() != 0 {
+		t.Fatalf("%d runtime map updates inside the surveyed route", eng.MapUpdates())
+	}
+	if width > 1 && len(eng.match.parts) == 0 {
+		t.Fatal("the matcher never fanned out")
+	}
+	if testutil.RaceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
+	}
+	if allocs > locRetainedAllocs {
+		t.Errorf("Localize: %.1f allocs/frame on a %d-keyframe map, want <= %d (the retained kps, descs and candidate snapshot)",
+			allocs, eng.Store().Len(), locRetainedAllocs)
+	}
 }
 
 // BenchmarkLOCLoops times each fast path beside its reference on one

@@ -46,28 +46,34 @@ func (m *PriorMap) Len() int {
 }
 
 // Add inserts a keyframe observed at pose, keeping the database sorted by
-// longitudinal position, and returns its assigned ID.
+// longitudinal position, and returns its assigned ID. It goes before any
+// keyframe already at the same Z.
 func (m *PriorMap) Add(pose scene.Pose, kps []Keypoint, descs []Descriptor) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID++
 	id := m.nextID
-	m.insertLocked(Keyframe{ID: id, Pose: pose, Keypoints: kps, Descriptors: descs})
+	idx := sort.Search(len(m.keyframes), func(i int) bool {
+		return m.keyframes[i].Pose.Z >= pose.Z
+	})
+	m.insertLocked(idx, Keyframe{ID: id, Pose: pose, Keypoints: kps, Descriptors: descs})
 	return id
 }
 
-// insert places a fully-formed keyframe at its sorted position (used by Add
-// and by deserialization, which preserves stored IDs).
+// insert places a deserialized keyframe, its stored ID kept, after every
+// keyframe at or below its Z, so a map read in file order keeps the order
+// its equal-Z keyframes were written in.
 func (m *PriorMap) insert(kf Keyframe) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.insertLocked(kf)
+	idx := sort.Search(len(m.keyframes), func(i int) bool {
+		return m.keyframes[i].Pose.Z > kf.Pose.Z
+	})
+	m.insertLocked(idx, kf)
 }
 
-func (m *PriorMap) insertLocked(kf Keyframe) {
-	idx := sort.Search(len(m.keyframes), func(i int) bool {
-		return m.keyframes[i].Pose.Z >= kf.Pose.Z
-	})
+// insertLocked places kf at index idx of the sorted keyframes.
+func (m *PriorMap) insertLocked(idx int, kf Keyframe) {
 	m.keyframes = append(m.keyframes, Keyframe{})
 	copy(m.keyframes[idx+1:], m.keyframes[idx:])
 	m.keyframes[idx] = kf

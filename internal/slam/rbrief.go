@@ -4,9 +4,11 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"adsim/internal/img"
 	"adsim/internal/stats"
+	"adsim/internal/tensor"
 )
 
 // DescriptorBits is the rBRIEF descriptor length in binary tests.
@@ -156,14 +158,42 @@ func GeometricInliers(qkps, tkps []Keypoint, ms []Match, tol int) int {
 	return s.geometricInliers(qkps, tkps, ms, tol)
 }
 
-// matchScratch holds the matcher's reusable buffers: the match list and
-// GeometricInliers' displacement columns. pairs counts the query×train
-// descriptor pairs its matches have compared, the work the need bound
-// saves; tests read it. Not safe for concurrent use.
+// matchScratch holds the matcher's reusable buffers: the match list,
+// GeometricInliers' displacement columns, and the per-range counts of a
+// fanned-out match. pairs counts the query×train descriptor pairs its
+// matches have compared, the work the need bound saves; tests read it. Above
+// width 1 a scan that gives up stops each range wherever the shared bound
+// finds it, so the count then depends on scheduling; the outcome does not.
+// Not safe for concurrent use.
 type matchScratch struct {
 	ms       []Match
 	dxs, dys []int
 	pairs    int
+
+	width int            // workers a match fans out over; ≤ 1 matches on the caller alone
+	parts []matchPart    // one per range, grown on demand
+	run   func(w, i int) // s.runRange as a method value, built once
+	call  matchCall      // the fanned-out match's inputs, read by every range
+}
+
+// matchRangesPerWorker is how many query ranges a fanned-out match makes
+// per worker. Ranges are claimed as workers come free, so when the other
+// branch of the frame (DET+TRA) holds a core for part of a match, finer
+// ranges let that core take its share once it is released (DESIGN.md §6,
+// "Matcher fan-out", has the measurement).
+const matchRangesPerWorker = 4
+
+// matchPart counts one query range's matches and the queries it scanned.
+type matchPart struct{ matched, scanned int }
+
+// matchCall is one fanned-out match: the sets, the acceptance gate, the
+// even range length span, and matchRange's shared bound and rejection count.
+type matchCall struct {
+	query, train []Descriptor
+	maxDist      int
+	ratio        float64
+	span, bound  int
+	rejected     atomic.Int64
 }
 
 // inliers matches descs against a keyframe's tdescs and returns the
@@ -173,13 +203,73 @@ type matchScratch struct {
 // scan stops and 0 is returned (need ≥ 1 whenever that happens). need ≤ 0
 // always gets the exact count.
 func (s *matchScratch) inliers(kps []Keypoint, descs []Descriptor, tkps []Keypoint, tdescs []Descriptor, cfg *Config, need int) int {
-	ms, scanned := matchInto(s.ms, descs, tdescs, cfg.MatchMaxDist, cfg.MatchRatio, need)
-	s.ms = ms
+	scanned := s.match(descs, tdescs, cfg.MatchMaxDist, cfg.MatchRatio, need)
 	s.pairs += scanned * len(tdescs)
 	if scanned < len(descs) {
 		return 0
 	}
-	return s.geometricInliers(kps, tkps, ms, cfg.InlierTol)
+	return s.geometricInliers(kps, tkps, s.ms, cfg.InlierTol)
+}
+
+// match is matchInto(s.ms, …) over s.width workers: the queries split into
+// contiguous ranges of even length, matchRangesPerWorker per worker, which
+// tensor.Each's workers claim one at a time. A range yields at most one
+// match per query, so range [lo,hi) appends into s.ms[lo:hi], and the
+// ranges' matches are then closed up in query order. A query's nearest
+// pair depends on the query and train alone, and an even range start keeps
+// every query in the pair it has in one scan, so a complete result is the
+// one-range result at any width. The ranges share one count of queries
+// left unmatched and each gives up once it exceeds len(query) − need: the
+// count only ever holds part of what a full scan leaves unmatched, so a set
+// with need matches is always scanned whole, and one that gives up has
+// fewer, as in one range. It returns the queries scanned over all ranges.
+func (s *matchScratch) match(query, train []Descriptor, maxDist int, ratio float64, need int) int {
+	workers := max(s.width, 1)
+	ranges := workers
+	if workers > 1 {
+		ranges *= matchRangesPerWorker
+	}
+	span := (len(query) + ranges - 1) / ranges
+	span += span & 1
+	n := 0
+	if span > 0 {
+		n = (len(query) + span - 1) / span
+	}
+	if n <= 1 || len(train) == 0 {
+		var scanned int
+		s.ms, scanned = matchInto(s.ms, query, train, maxDist, ratio, need)
+		return scanned
+	}
+	for len(s.parts) < n {
+		s.parts = append(s.parts, matchPart{})
+	}
+	if s.run == nil {
+		s.run = s.runRange
+	}
+	s.ms = slices.Grow(s.ms[:0], len(query))[:len(query)]
+	c := &s.call
+	c.query, c.train, c.maxDist, c.ratio = query, train, maxDist, ratio
+	c.span, c.bound = span, len(query)-need
+	c.rejected.Store(0)
+	tensor.Each(n, workers, s.run)
+	c.query, c.train = nil, nil
+	matched, scanned := 0, 0
+	for i, p := range s.parts[:n] {
+		matched += copy(s.ms[matched:], s.ms[i*span:i*span+p.matched])
+		scanned += p.scanned
+	}
+	s.ms = s.ms[:matched]
+	return scanned
+}
+
+// runRange matches query range i of the current call into its slots of
+// s.ms.
+func (s *matchScratch) runRange(_, i int) {
+	c := &s.call
+	lo := i * c.span
+	hi := min(lo+c.span, len(c.query))
+	ms, scanned := matchRange(s.ms[lo:lo:hi], c.query, c.train, lo, hi, c.maxDist, c.ratio, &c.rejected, c.bound)
+	s.parts[i] = matchPart{matched: len(ms), scanned: scanned}
 }
 
 // geometricInliers is GeometricInliers with its displacement columns in s.
@@ -227,13 +317,27 @@ func MatchDescriptors(query, train []Descriptor, maxDist int, ratio float64) []M
 	return ms
 }
 
-// matchInto is MatchDescriptors appending to dst[:0]. Queries are taken two
-// at a time against each train descriptor, read in place: every train load
-// then serves eight popcounts instead of four, and the loop's bookkeeping
-// (which the popcount fallback calls force through the stack) is paid once
-// per two distances. Each query keeps its own nearest pair, updated in the
-// plain loop's train order, so the first-wins tie on bestIdx is unchanged;
-// an odd last query is paired with itself and its twin discarded.
+// matchInto is MatchDescriptors appending to dst[:0], with need's early
+// exit: scanned is the number of queries matched against train. A caller
+// that only needs to know whether the result holds at least need matches
+// gets scanned < len(query), and a partial dst, as soon as the matches so
+// far plus the queries not yet scanned fall below need, i.e. once more than
+// len(query) − need queries went unmatched; every complete result has
+// scanned = len(query), whatever its length.
+func matchInto(dst []Match, query, train []Descriptor, maxDist int, ratio float64, need int) (ms []Match, scanned int) {
+	var rejected atomic.Int64
+	return matchRange(dst[:0], query, train, 0, len(query), maxDist, ratio, &rejected, len(query)-need)
+}
+
+// matchRange matches queries [lo,hi) against train, appending to dst with
+// QueryIdx indexing query, and returns the queries it scanned. Queries are
+// taken two at a time against each train descriptor, read in place: every
+// train load then serves eight popcounts instead of four, and the loop's
+// bookkeeping (which the popcount fallback calls force through the stack)
+// is paid once per two distances. Each query keeps its own nearest pair,
+// updated in the plain loop's train order, so the first-wins tie on bestIdx
+// is unchanged; an odd last query is paired with itself and its twin
+// discarded.
 //
 // best and second start at matchCap(maxDist, ratio) instead of
 // DescriptorBits+1: a distance at or above the cap can neither be accepted
@@ -241,23 +345,20 @@ func MatchDescriptors(query, train []Descriptor, maxDist int, ratio float64) []M
 // such distance to the cap leaves the output unchanged, and the d < second
 // test that gates each update becomes almost never true.
 //
-// scanned is the number of queries matched against train. A caller that
-// only needs to know whether the result holds at least need matches gets
-// scanned < len(query), and a partial dst, as soon as the matches so far
-// plus the queries not yet scanned fall below need; every complete result
-// has scanned = len(query), whatever its length.
-func matchInto(dst []Match, query, train []Descriptor, maxDist int, ratio float64, need int) (ms []Match, scanned int) {
-	dst = dst[:0]
+// Every query left unmatched is added to rejected, which other ranges of
+// the same query set may share, and the scan gives up before the next pair
+// once rejected exceeds bound.
+func matchRange(dst []Match, query, train []Descriptor, lo, hi, maxDist int, ratio float64, rejected *atomic.Int64, bound int) (ms []Match, scanned int) {
 	if len(train) == 0 {
-		return dst, len(query)
+		return dst, hi - lo
 	}
 	limit := matchCap(maxDist, ratio)
-	for qi := 0; qi < len(query); qi += 2 {
-		if len(dst)+len(query)-qi < need {
-			return dst, qi
+	for qi := lo; qi < hi; qi += 2 {
+		if rejected.Load() > int64(bound) {
+			return dst, qi - lo
 		}
 		qa, qb := &query[qi], &query[qi]
-		if qi+1 < len(query) {
+		if qi+1 < hi {
 			qb = &query[qi+1]
 		}
 		a := nearestPair{best: limit, second: limit, idx: -1}
@@ -267,14 +368,24 @@ func matchInto(dst []Match, query, train []Descriptor, maxDist int, ratio float6
 			a.add(hamming(qa, t), ti)
 			b.add(hamming(qb, t), ti)
 		}
+		missed := int64(0)
 		if a.accepted(maxDist, ratio) {
 			dst = append(dst, Match{QueryIdx: qi, TrainIdx: a.idx, Distance: a.best})
+		} else {
+			missed++
 		}
-		if qi+1 < len(query) && b.accepted(maxDist, ratio) {
-			dst = append(dst, Match{QueryIdx: qi + 1, TrainIdx: b.idx, Distance: b.best})
+		if qi+1 < hi {
+			if b.accepted(maxDist, ratio) {
+				dst = append(dst, Match{QueryIdx: qi + 1, TrainIdx: b.idx, Distance: b.best})
+			} else {
+				missed++
+			}
+		}
+		if missed > 0 {
+			rejected.Add(missed)
 		}
 	}
-	return dst, len(query)
+	return dst, hi - lo
 }
 
 // hamming is Descriptor.Hamming on pointers, so the matcher's inner loop

@@ -102,7 +102,11 @@ type Engine struct {
 	loopClosures    int
 	mapUpdates      int
 
-	// Reusable buffers (the engine is single-goroutine).
+	// exec sets the matcher's fan-out width (SetExecutor); nil is width 1.
+	exec interface{ Workers() int }
+
+	// Reusable buffers (the engine is single-goroutine; the matcher's
+	// query ranges each write their own slots).
 	fe    FEScratch
 	match matchScratch
 	order []int // bestKeyframe's visit order
@@ -145,6 +149,13 @@ func (e *Engine) Map() *PriorMap {
 
 // Store returns the engine's prior-map store.
 func (e *Engine) Store() MapStore { return e.store }
+
+// SetExecutor fans every descriptor match the engine makes (tracking,
+// odometry, relocalization and loop closing) out over exec's Workers()
+// workers, read once per frame; a nil exec, the default, matches on the
+// caller's goroutine. Estimates are bitwise the same at any width. Call it
+// while no Localize is in flight.
+func (e *Engine) SetExecutor(exec interface{ Workers() int }) { e.exec = exec }
 
 // PredictPose extrapolates the current pose one frame ahead with the
 // constant-motion model, without touching engine state — the same
@@ -237,6 +248,10 @@ func (e *Engine) Localize(frame *img.Gray) Estimate {
 // breakdown frame N is about to read.
 func (e *Engine) LocalizeTimed(frame *img.Gray) (Estimate, Timing) {
 	e.frame++
+	e.match.width = 1
+	if e.exec != nil {
+		e.match.width = e.exec.Workers()
+	}
 
 	// --- FE stage (dominates LOC compute; Fig 7: 85.9%). ---
 	feStart := time.Now()

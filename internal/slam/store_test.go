@@ -472,6 +472,56 @@ func TestShardNearestZAtTileBoundaries(t *testing.T) {
 	}
 }
 
+// Equal-Z keyframes keep their order through ADM1. Add puts a keyframe
+// before its equal-Z peers, so the source map holds id 6 before id 5 at
+// Z=13; ReadPriorMap round trips keep that order, and so does a shard
+// store built from the map, which then answers NearestZ just below 13, and
+// streams its keyframes, as the map does.
+func TestEqualZOrderSurvivesADM1(t *testing.T) {
+	synth := NewPriorMap()
+	for _, z := range []float64{0, 3, 6, 10, 13, 13, 17, 24, 31} {
+		synth.Add(scene.Pose{Z: z}, []Keypoint{{X: 1}}, make([]Descriptor, 1))
+	}
+	ids := func(kfs []Keyframe) []int {
+		out := make([]int, len(kfs))
+		for i, kf := range kfs {
+			out[i] = kf.ID
+		}
+		return out
+	}
+	want := ids(synth.All())
+	if !slices.Equal(want, []int{1, 2, 3, 4, 6, 5, 7, 8, 9}) {
+		t.Fatalf("source order %v: Add no longer puts a keyframe before its equal-Z peers", want)
+	}
+	m := synth
+	for trip := 1; trip <= 2; trip++ {
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if m, err = ReadPriorMap(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := ids(m.All()); !slices.Equal(got, want) {
+			t.Fatalf("round trip %d: order %v, written %v", trip, got, want)
+		}
+	}
+	store := openTestStore(t, synth, 8, ShardStoreOptions{CacheBudget: 1})
+	z := math.Nextafter(13, math.Inf(-1))
+	if kf, _ := synth.NearestZ(z); kf.ID != 6 {
+		t.Fatalf("source map: NearestZ(%v) = id %d, want 6", z, kf.ID)
+	}
+	if kf, ok := store.NearestZ(z); !ok || kf.ID != 6 {
+		t.Fatalf("shard store: NearestZ(%v) = id %d, source map id 6", z, kf.ID)
+	}
+	var scanned []Keyframe
+	store.Scan(func(kf Keyframe) bool { scanned = append(scanned, kf); return true })
+	if got := ids(scanned); !slices.Equal(got, want) {
+		t.Fatalf("shard store scans %v, source map %v", got, want)
+	}
+}
+
 // A Scan (relocalization, loop closing) over a store whose budget holds two
 // tiles must leave the resident set and the LRU order as tracking left
 // them, while still streaming every keyframe and counting its loads; with
