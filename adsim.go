@@ -167,10 +167,10 @@ type FleetConfig = pipeline.FleetConfig
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return pipeline.NewFleet(cfg) }
 
 // AdmissionConfig parameterizes the fleet's frame-budget admission
-// controller (FleetConfig.Admission): when the fleet-wide delivered tail
-// overruns the per-frame budget, whole vehicle streams are shed
-// (unhealthiest first, ties toward the highest vehicle ID) and readmitted
-// with hysteresis once pressure subsides.
+// controller (FleetConfig.Admission): when an epoch's worst delivered
+// latency nears the per-frame budget, whole vehicle streams are shed
+// (worst first, ties toward the highest vehicle ID) and readmitted with
+// hysteresis once pressure subsides.
 type AdmissionConfig = pipeline.AdmissionConfig
 
 // Distribution accumulates latency samples and answers quantile queries.

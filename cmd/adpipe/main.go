@@ -68,7 +68,7 @@ var (
 	// Fleet path only.
 	vehicles = flag.Int("vehicles", 1, "multiplex this many vehicle streams onto shared engines; giving it (even 1) selects the fleet path")
 	assign   = flag.String("assign", "", "per-vehicle scenario programs as comma-separated INDEX=PROGRAM pairs (library name or .adsc path), e.g. '1=cut-in,3=blackout'; assigned vehicles keep their derived seed and the program's fault rules")
-	admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (unhealthiest first, ties toward the highest vehicle ID) when the fleet P99.99 nears the budget, readmit with hysteresis when it subsides")
+	admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (worst first, ties toward the highest vehicle ID) when an epoch's worst frame latency nears the budget, readmit with hysteresis when it subsides")
 	admitTgt = flag.Duration("admission-target", 0, "admission frame budget the controller steers the fleet tail under (0 = the paper's 100ms; implies -admission)")
 	maxVeh   = flag.Int("max-vehicles", 0, "cap on concurrently admitted vehicle streams, enforced at registration and respected by readmits (0 = uncapped; implies -admission)")
 	phase    = flag.Bool("phase", false, "phase-lock co-resident vehicles' frame admission: pace every stream on one fleet beat so none runs ahead of the others")

@@ -636,15 +636,12 @@ func TestSeedsShape(t *testing.T) {
 }
 
 func TestTailStudy(t *testing.T) {
-	// The unit-test sizing is DNN-free: the injected stalls alone create the
-	// queueing the scheduler must defeat. The study runs on the wall clock,
-	// so only what the configuration fixes is asserted here — whether the
-	// tail fell and nothing crossed the constraint is a host measurement,
-	// which bench/'s stall_deadline takes with host and spread recorded.
+	// The study runs on the virtual frame clock, so its latencies are a pure
+	// function of seed and sizing (TestGolden pins the render). Stage service
+	// time is not on that clock yet: the resolution ladder and the anytime
+	// exit move no virtual time, so the tail asserted here is the window
+	// lever's alone, and neither knob's effect on it is asserted.
 	res := run(t, "tail").(*TailResult)
-	if res.DNN {
-		t.Fatal("unit-test sizing ran the native DNNs")
-	}
 	base, sched := res.Baseline, res.Scheduled
 	if base.MinWindow != tailCeiling || base.MaxRung != 0 || base.Anytime != 0 {
 		t.Errorf("static run touched scheduler state: %+v", base)
@@ -655,15 +652,16 @@ func TestTailStudy(t *testing.T) {
 	if sched.MaxRung == 0 {
 		t.Errorf("controller never descended the resolution ladder under sustained stalls")
 	}
+	if base.HardMisses == 0 {
+		t.Errorf("static window never queued past the constraint: %+v", base)
+	}
+	if sched.TailMs >= base.TailMs || sched.HardMisses != 0 {
+		t.Errorf("scheduler did not cut the tail: p99.99 %.1f -> %.1f ms, hard misses %d -> %d",
+			base.TailMs, sched.TailMs, base.HardMisses, sched.HardMisses)
+	}
 	if base.MeanDets <= 0 || sched.MeanDets <= 0 {
 		t.Errorf("degenerate detection rates: %.3f vs %.3f dets/frame",
 			base.MeanDets, sched.MeanDets)
-	}
-	out := res.Render()
-	for _, want := range []string{"static", "adaptive", "tail-study", "p99.99-ms", "hard-miss"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"adsim/internal/constraint"
 )
 
 // This file is the fleet capacity layer's control plane: a frame-budget
@@ -17,10 +15,11 @@ import (
 // one fleet beat, so no stream runs ahead and crowds the others off the
 // cores.
 //
-// Determinism contract: under DeadlinePolicy.Virtual the controller's entire
+// Determinism contract: the controller reads each delivered frame's latency
+// on the pipeline's clock, so under DeadlinePolicy.Virtual its entire
 // shed/readmit sequence is a pure function of (configs, seeds). The trick is
-// that decisions are made over per-vehicle EPOCH BUCKETS — statistics over
-// each vehicle's own delivered-frame stream, chunked every Epoch frames —
+// that decisions are made over per-vehicle EPOCH BUCKETS — the worst latency
+// in each vehicle's own delivered-frame stream, chunked every Epoch frames —
 // and a decision fires only when every admitted stream has an unconsumed
 // bucket. Which real moment a decision happens at varies with scheduling;
 // which frames feed it cannot: a vehicle's stream is the same ordered,
@@ -39,17 +38,12 @@ type AdmissionConfig struct {
 	// decision is taken when every admitted vehicle has completed an
 	// epoch. 0 selects DefaultAdmissionEpoch.
 	Epoch int
-	// High and Low are the shed/readmit watermarks on the pressure signal
-	// (see Pressure in AdmissionEvent): shed at pressure >= High, count a
-	// calm epoch at pressure <= Low. The signal follows the fleet's deadline
-	// clock, so the two can never be mismatched. On the wall clock pressure
-	// is the fleet rolling P99.99 divided by Target, and zero watermarks
-	// default to 0.7/0.45 — shedding begins BEFORE the tail crosses the
-	// deadline, so the controller has authority while frames still meet it.
-	// Under DeadlinePolicy.Virtual pressure is the epoch's deadline-miss
-	// fraction from the DegradedMask stream — a pure function of scenario
-	// and seed, so the shed/readmit sequence is seed-deterministic — and the
-	// defaults are 0.25/0.05.
+	// High and Low are the shed/readmit watermarks on the pressure signal,
+	// the largest latency in the epoch buckets a decision consumes divided
+	// by Target: shed at pressure >= High, count a calm epoch at pressure
+	// <= Low. Zero watermarks default to 0.7/0.45 — shedding begins BEFORE
+	// a frame crosses the deadline, so the controller has authority while
+	// frames still meet it.
 	High, Low float64
 	// MaxAdmitted caps concurrently admitted vehicles (0 = uncapped). The
 	// cap is enforced immediately at registration time — the static
@@ -63,12 +57,9 @@ const (
 	// admissionHysteresis is how many consecutive calm epochs must pass
 	// before one shed vehicle is readmitted.
 	admissionHysteresis = 2
-	// Wall-mode watermark defaults (fraction of Target).
+	// Watermark defaults (fraction of Target).
 	DefaultAdmissionHigh = 0.7
 	DefaultAdmissionLow  = 0.45
-	// Virtual-mode watermark defaults (epoch miss fraction).
-	DefaultVirtualAdmissionHigh = 0.25
-	DefaultVirtualAdmissionLow  = 0.05
 )
 
 // AdmissionEvent is one shed or readmit in the controller's history.
@@ -79,8 +70,8 @@ type AdmissionEvent struct {
 	Vehicle  int
 	// Shed is true for a shed, false for a readmit.
 	Shed bool
-	// Pressure is the signal value the decision saw: fleet tail / target
-	// in wall mode, epoch miss fraction in Virtual mode.
+	// Pressure is the signal value the decision saw: the worst latency in
+	// its buckets divided by the target.
 	Pressure float64
 }
 
@@ -101,13 +92,8 @@ type FleetAdmission struct {
 	epoch     int
 	high, low float64
 	maxAdm    int
-	virtual   bool
 	shedding  bool // false: pure phase-locker, no decisions
 	phase     bool
-
-	// tailSource supplies wall-mode pressure (the fleet monitor); nil in
-	// Virtual mode or when detached.
-	tailSource *constraint.Monitor
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -137,24 +123,17 @@ type admVehicle struct {
 	ended     bool // told to end: Admit returns false
 	sheds     int  // lifetime shed count
 
-	// Current epoch accumulation and the completed, not-yet-consumed
-	// buckets behind it. Bucket boundaries are positions in the vehicle's
-	// own delivered stream, so bucket contents are schedule-independent.
-	n, bad  int
+	// Current epoch accumulation (frames, worst latency in ms) and the
+	// completed, not-yet-consumed buckets behind it, each an epoch's worst
+	// latency. Bucket boundaries are positions in the vehicle's own
+	// delivered stream, so bucket contents are schedule-independent.
+	n       int
 	wallMax float64
-	buckets []admBucket
+	buckets []float64
 }
 
-// admBucket is one completed per-vehicle epoch: frames, deadline misses,
-// and the worst wall latency seen.
-type admBucket struct {
-	n, bad  int
-	wallMax float64
-}
-
-// newFleetAdmission builds a controller; virtual is the fleet's deadline
-// clock (DeadlinePolicy.Virtual), which selects the pressure signal.
-func newFleetAdmission(cfg AdmissionConfig, virtual, shedding, phase bool) (*FleetAdmission, error) {
+// newFleetAdmission builds a controller.
+func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmission, error) {
 	target := cfg.Target
 	if target == 0 {
 		target = DefaultFrameBudget
@@ -172,15 +151,9 @@ func newFleetAdmission(cfg AdmissionConfig, virtual, shedding, phase bool) (*Fle
 	high, low := cfg.High, cfg.Low
 	if high == 0 {
 		high = DefaultAdmissionHigh
-		if virtual {
-			high = DefaultVirtualAdmissionHigh
-		}
 	}
 	if low == 0 {
 		low = DefaultAdmissionLow
-		if virtual {
-			low = DefaultVirtualAdmissionLow
-		}
 	}
 	if high <= low {
 		return nil, fmt.Errorf("pipeline: admission watermarks high %v <= low %v", high, low)
@@ -194,7 +167,6 @@ func newFleetAdmission(cfg AdmissionConfig, virtual, shedding, phase bool) (*Fle
 		high:     high,
 		low:      low,
 		maxAdm:   cfg.MaxAdmitted,
-		virtual:  virtual,
 		shedding: shedding,
 		phase:    phase,
 		veh:      make(map[int]*admVehicle),
@@ -287,11 +259,10 @@ func (a *FleetAdmission) History() []AdmissionEvent {
 	return append([]AdmissionEvent(nil), a.history...)
 }
 
-// Observe folds one delivered frame into the vehicle's current epoch
-// bucket: its wall latency (ms) and whether it missed a deadline budget
-// (DegradedMask.AnyMiss — under Virtual enforcement a deterministic bit).
-// Completing a bucket may trigger a decision.
-func (a *FleetAdmission) Observe(vehicle int, wallMs float64, missed bool) {
+// Observe folds one delivered frame's latency (ms, RunnerResult.Wall) into
+// the vehicle's current epoch bucket. Completing a bucket may trigger a
+// decision.
+func (a *FleetAdmission) Observe(vehicle int, wallMs float64) {
 	if !a.shedding {
 		return // pure phase-locker: nothing to decide, keep no state
 	}
@@ -302,15 +273,10 @@ func (a *FleetAdmission) Observe(vehicle int, wallMs float64, missed bool) {
 		return
 	}
 	st.n++
-	if missed {
-		st.bad++
-	}
-	if wallMs > st.wallMax {
-		st.wallMax = wallMs
-	}
+	st.wallMax = max(st.wallMax, wallMs)
 	if st.n >= a.epoch {
-		st.buckets = append(st.buckets, admBucket{n: st.n, bad: st.bad, wallMax: st.wallMax})
-		st.n, st.bad, st.wallMax = 0, 0, 0
+		st.buckets = append(st.buckets, st.wallMax)
+		st.n, st.wallMax = 0, 0
 		a.decideLocked()
 	}
 }
@@ -428,28 +394,25 @@ func (a *FleetAdmission) decideLocked() {
 			}
 		}
 		a.decisions++
-		totN, totBad := 0, 0
-		consumed := make([]admBucket, len(admitted))
+		// The worst bucket names both the pressure and the victim; ties go
+		// to the highest ID, so vehicle 0 is the most senior.
+		worst := 0
 		for i, st := range admitted {
-			consumed[i] = st.buckets[0]
-			st.buckets = st.buckets[1:]
-			totN += consumed[i].n
-			totBad += consumed[i].bad
-		}
-		pressure := 0.0
-		if a.virtual {
-			if totN > 0 {
-				pressure = float64(totBad) / float64(totN)
+			if st.buckets[0] >= admitted[worst].buckets[0] {
+				worst = i
 			}
-		} else if a.tailSource != nil && a.target > 0 {
-			pressure = a.tailSource.TailMs() / a.target
+		}
+		victim := admitted[worst]
+		pressure := victim.buckets[0] / a.target
+		for _, st := range admitted {
+			st.buckets = st.buckets[1:]
 		}
 
 		switch {
 		case pressure >= a.high:
 			a.calm = 0
 			if len(admitted) > 1 { // never shed the last stream
-				a.shedLocked(a.shedVictimLocked(admitted, consumed), pressure)
+				a.shedLocked(victim, pressure)
 			}
 		case pressure <= a.low:
 			a.calm++
@@ -460,29 +423,6 @@ func (a *FleetAdmission) decideLocked() {
 			a.calm = 0
 		}
 	}
-}
-
-// shedVictimLocked picks the stream to shed: worst epoch badness first
-// (miss fraction in Virtual mode, worst wall latency otherwise), then
-// highest ID (so vehicle 0 is the most senior).
-func (a *FleetAdmission) shedVictimLocked(admitted []*admVehicle, consumed []admBucket) *admVehicle {
-	badness := func(i int) float64 {
-		b := consumed[i]
-		if a.virtual {
-			if b.n == 0 {
-				return 0
-			}
-			return float64(b.bad) / float64(b.n)
-		}
-		return b.wallMax
-	}
-	best := 0
-	for i := 1; i < len(admitted); i++ {
-		if badness(i) >= badness(best) { // ID order: ties go to the highest ID
-			best = i
-		}
-	}
-	return admitted[best]
 }
 
 // shedLocked parks one stream and records the event.

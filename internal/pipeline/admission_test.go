@@ -12,20 +12,19 @@ import (
 	"adsim/internal/testutil"
 )
 
-// feedEpoch folds one clean-or-missed epoch of frames into the controller
-// for one vehicle.
-func feedEpoch(a *FleetAdmission, vehicle, epoch, misses int) {
+// feedEpoch folds epoch frames of the given latency (ms) into the
+// controller for one vehicle.
+func feedEpoch(a *FleetAdmission, vehicle, epoch int, ms float64) {
 	for i := 0; i < epoch; i++ {
-		a.Observe(vehicle, 0, i < misses)
+		a.Observe(vehicle, ms)
 	}
 }
 
-// newAdm builds a standalone shedding controller (no phase barrier) on the
-// virtual clock's miss-fraction signal — the form the controller-law and
-// determinism tests drive directly.
+// newAdm builds a standalone shedding controller (no phase barrier) — the
+// form the controller-law and determinism tests drive directly.
 func newAdm(t *testing.T, cfg AdmissionConfig) *FleetAdmission {
 	t.Helper()
-	a, err := newFleetAdmission(cfg, true, true, false)
+	a, err := newFleetAdmission(cfg, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,33 +39,33 @@ func TestAdmissionControllerLaw(t *testing.T) {
 	const epoch = 4
 
 	t.Run("shed-readmit-cycle", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{Epoch: epoch, High: 0.15, Low: 0.05})
+		a := newAdm(t, AdmissionConfig{Epoch: epoch}) // watermarks 0.7/0.45
 		for v := 0; v < 3; v++ {
 			a.Register(v)
 		}
-		// Epoch 1: vehicle 2 misses half its frames; fleet pressure 2/12 ≥
-		// 0.15 sheds the unhealthiest stream.
-		feedEpoch(a, 0, epoch, 0)
-		feedEpoch(a, 1, epoch, 0)
-		feedEpoch(a, 2, epoch, 2)
+		// Epoch 1: vehicle 2's frames take 80 ms; fleet pressure 0.8 ≥ 0.7
+		// sheds the unhealthiest stream.
+		feedEpoch(a, 0, epoch, 10)
+		feedEpoch(a, 1, epoch, 10)
+		feedEpoch(a, 2, epoch, 80)
 		if a.Admitted(2) {
-			t.Fatal("vehicle 2 still admitted after a 50% miss epoch")
+			t.Fatal("vehicle 2 still admitted after an 80 ms epoch")
 		}
 		if a.Admitted(0) != true || a.Admitted(1) != true {
 			t.Fatal("healthy vehicles were shed")
 		}
 		// A shed stream's residual frames accumulate but neither join the
 		// decision barrier nor fire decisions.
-		feedEpoch(a, 2, epoch, 4)
+		feedEpoch(a, 2, epoch, 200)
 		// Epoch 2: calm, but the two-epoch hysteresis holds readmission back.
-		feedEpoch(a, 0, epoch, 0)
-		feedEpoch(a, 1, epoch, 0)
+		feedEpoch(a, 0, epoch, 10)
+		feedEpoch(a, 1, epoch, 10)
 		if a.Admitted(2) {
 			t.Fatal("readmitted after a single calm epoch despite the two-epoch hysteresis")
 		}
 		// Epoch 3: second calm epoch readmits.
-		feedEpoch(a, 0, epoch, 0)
-		feedEpoch(a, 1, epoch, 0)
+		feedEpoch(a, 0, epoch, 10)
+		feedEpoch(a, 1, epoch, 10)
 		if !a.Admitted(2) {
 			t.Fatal("not readmitted after two calm epochs")
 		}
@@ -74,8 +73,8 @@ func TestAdmissionControllerLaw(t *testing.T) {
 			t.Errorf("vehicle 2 shed count = %d, want 1", a.Sheds(2))
 		}
 		want := []AdmissionEvent{
-			{Decision: 1, Vehicle: 2, Shed: true, Pressure: 2.0 / 12.0},
-			{Decision: 3, Vehicle: 2, Shed: false, Pressure: 0},
+			{Decision: 1, Vehicle: 2, Shed: true, Pressure: 0.8},
+			{Decision: 3, Vehicle: 2, Shed: false, Pressure: 0.1},
 		}
 		if got := a.History(); !reflect.DeepEqual(got, want) {
 			t.Errorf("history = %+v, want %+v", got, want)
@@ -83,10 +82,10 @@ func TestAdmissionControllerLaw(t *testing.T) {
 	})
 
 	t.Run("never-shed-last", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{Epoch: epoch, High: 0.15, Low: 0.05})
+		a := newAdm(t, AdmissionConfig{Epoch: epoch})
 		a.Register(0)
 		for i := 0; i < 5; i++ {
-			feedEpoch(a, 0, epoch, epoch) // 100% misses
+			feedEpoch(a, 0, epoch, 150) // every frame past the deadline
 		}
 		if !a.Admitted(0) {
 			t.Fatal("the only stream was shed")
@@ -123,7 +122,7 @@ func TestAdmissionControllerLaw(t *testing.T) {
 			{Target: -time.Second},
 		}
 		for i, cfg := range bad {
-			if _, err := newFleetAdmission(cfg, false, true, false); err == nil {
+			if _, err := newFleetAdmission(cfg, true, false); err == nil {
 				t.Errorf("config %d (%+v) accepted", i, cfg)
 			}
 		}
@@ -132,7 +131,8 @@ func TestAdmissionControllerLaw(t *testing.T) {
 
 // admissionFleetConfig is the shared scenario for the determinism property
 // tests: three vehicles under virtual deadline enforcement, vehicle 1
-// missing its DET budget every other frame via an injected stall.
+// missing its DET budget every other frame via an injected stall — 40 ms
+// frames once its window of 4 fills, where its neighbors' take 0.
 func admissionFleetConfig(t *testing.T) FleetConfig {
 	t.Helper()
 	cfg := fastNativeConfig(scene.Urban)
@@ -156,24 +156,24 @@ func admissionFleetConfig(t *testing.T) FleetConfig {
 }
 
 // emulateAdmission is the lock-step reference schedule: a fresh controller
-// fed each vehicle's per-frame miss sequence one frame at a time,
+// fed each vehicle's per-frame latency sequence (ms) one frame at a time,
 // round-robin, skipping shed streams and leaving at end of stream — no
 // goroutines, no runners.
-func emulateAdmission(t *testing.T, cfg AdmissionConfig, miss [][]bool) []AdmissionEvent {
+func emulateAdmission(t *testing.T, cfg AdmissionConfig, lat [][]float64) []AdmissionEvent {
 	t.Helper()
 	emu := newAdm(t, cfg)
-	for v := range miss {
+	for v := range lat {
 		emu.Register(v)
 	}
-	pos := make([]int, len(miss))
-	left := make([]bool, len(miss))
+	pos := make([]int, len(lat))
+	left := make([]bool, len(lat))
 	for progress := true; progress; {
 		progress = false
-		for v := range miss {
+		for v := range lat {
 			if left[v] {
 				continue
 			}
-			if pos[v] >= len(miss[v]) {
+			if pos[v] >= len(lat[v]) {
 				left[v] = true
 				emu.Leave(v)
 				continue
@@ -181,7 +181,7 @@ func emulateAdmission(t *testing.T, cfg AdmissionConfig, miss [][]bool) []Admiss
 			if !emu.Admitted(v) {
 				continue
 			}
-			emu.Observe(v, 0, miss[v][pos[v]])
+			emu.Observe(v, lat[v][pos[v]])
 			pos[v]++
 			progress = true
 		}
@@ -194,30 +194,32 @@ func emulateAdmission(t *testing.T, cfg AdmissionConfig, miss [][]bool) []Admiss
 // completion and Leave BEFORE the stalled stream's first bucket arrives.
 // Their queued buckets must keep their seats, so every decision averages
 // over the same streams — and produces the same history — as lock-step
-// feeding. Without the seats decision 1 would see one stream (pressure
-// 2/4, last stream never shed) instead of three (2/12, shed).
+// feeding. Without the seats decision 1 would see one stream (the last,
+// never shed) instead of three (shed).
 func TestAdmissionLeaveKeepsQueuedBuckets(t *testing.T) {
 	const epoch, frames = 4, 24
-	cfg := AdmissionConfig{Epoch: epoch, High: 0.15, Low: 0.05}
-	miss := make([][]bool, 3)
-	for v := range miss {
-		miss[v] = make([]bool, frames)
+	cfg := AdmissionConfig{Epoch: epoch}
+	lat := make([][]float64, 3)
+	for v := range lat {
+		lat[v] = make([]float64, frames)
 	}
-	for i := range miss[1] {
-		miss[1][i] = i%epoch < 2 // the stalled stream: half of every epoch
+	for i := range lat[1] {
+		if i%epoch < 2 { // the stalled stream: half of every epoch
+			lat[1][i] = 80
+		}
 	}
 	want := []AdmissionEvent{
-		{Decision: 1, Vehicle: 1, Shed: true, Pressure: 2.0 / 12.0},
+		{Decision: 1, Vehicle: 1, Shed: true, Pressure: 0.8},
 		{Decision: 3, Vehicle: 1, Shed: false, Pressure: 0},
-		{Decision: 4, Vehicle: 1, Shed: true, Pressure: 2.0 / 12.0},
+		{Decision: 4, Vehicle: 1, Shed: true, Pressure: 0.8},
 		{Decision: 6, Vehicle: 1, Shed: false, Pressure: 0},
 	}
-	if got := emulateAdmission(t, cfg, miss); !reflect.DeepEqual(got, want) {
+	if got := emulateAdmission(t, cfg, lat); !reflect.DeepEqual(got, want) {
 		t.Fatalf("lock-step history = %+v, want %+v", got, want)
 	}
 
 	a := newAdm(t, cfg)
-	for v := range miss {
+	for v := range lat {
 		a.Register(v)
 	}
 	for _, v := range []int{0, 2} {
@@ -228,7 +230,7 @@ func TestAdmissionLeaveKeepsQueuedBuckets(t *testing.T) {
 		if !a.Admitted(1) {
 			t.Fatalf("stalled stream parked at frame %d with the healthy streams' buckets still queued", i)
 		}
-		a.Observe(1, 0, miss[1][i])
+		a.Observe(1, lat[1][i])
 	}
 	a.Leave(1)
 	if got := a.History(); !reflect.DeepEqual(got, want) {
@@ -236,37 +238,68 @@ func TestAdmissionLeaveKeepsQueuedBuckets(t *testing.T) {
 	}
 }
 
+// TestAdmissionForgetsOneSpike pins that pressure is the decision's own
+// buckets: one 90 ms frame among 1 ms frames sheds its stream once, in the
+// decision that consumes the spike's epoch, and admissionHysteresis calm
+// epochs later the stream is back. (A rolling P99.99 over a long window
+// would hold such a spike for thousands of frames, shedding stream after
+// stream.)
+func TestAdmissionForgetsOneSpike(t *testing.T) {
+	const epoch, frames, spike = DefaultAdmissionEpoch, 6000, 100
+	lat := make([][]float64, 3)
+	for v := range lat {
+		lat[v] = make([]float64, frames)
+		for i := range lat[v] {
+			lat[v][i] = 1
+		}
+	}
+	lat[1][spike] = 90
+	decision := spike/epoch + 1
+	want := []AdmissionEvent{
+		{Decision: decision, Vehicle: 1, Shed: true, Pressure: 0.9},
+		{Decision: decision + admissionHysteresis, Vehicle: 1, Shed: false, Pressure: 0.01},
+	}
+	if got := emulateAdmission(t, AdmissionConfig{}, lat); !reflect.DeepEqual(got, want) {
+		t.Errorf("history = %v, want %v", got, want)
+	}
+}
+
 // TestAdmissionDeterministicAcrossExecutors is the admission determinism
-// property: with virtual deadlines and the virtual pressure signal, the
-// shed/readmit event history is a pure function of (configs, seeds) —
-// identical across reruns of the concurrent fleet at every GOMAXPROCS, and
-// identical to a sequential emulation that feeds the controller each
-// vehicle's Step-executor degrade sequence round-robin with pause-on-shed
-// semantics. The DET-stalled vehicle must go first, before any healthy
-// neighbor (the chaos-shed contract).
+// property: on the virtual frame clock the shed/readmit event history is a
+// pure function of (configs, seeds) — identical across reruns of the
+// concurrent fleet at every GOMAXPROCS, and identical to a sequential
+// emulation that feeds the controller each vehicle's solo-Runner latency
+// sequence round-robin with pause-on-shed semantics. The DET-stalled
+// vehicle must go first, before any healthy neighbor (the chaos-shed
+// contract).
 func TestAdmissionDeterministicAcrossExecutors(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const frames = 96
 
-	// Solo Step-executor reference per vehicle: the deterministic per-frame
-	// miss sequence, and the bitwise baseline for delivered results.
+	// Solo references per vehicle: a Step run, the bitwise baseline for
+	// delivered results, and a Runner at the fleet's window, the
+	// deterministic per-frame latency sequence (a pause while shed moves
+	// no virtual time).
 	tmpl := admissionFleetConfig(t)
 	solo := make([]chaosRun, tmpl.Vehicles)
-	miss := make([][]bool, tmpl.Vehicles)
+	lat := make([][]float64, tmpl.Vehicles)
 	for v := range solo {
-		cfg := admissionFleetConfig(t) // fresh injector per run
-		vcfg := cfg.Config
-		vcfg.Scene.Seed = cfg.Config.Scene.Seed + int64(v)
-		if inj, ok := cfg.Injects[v]; ok {
-			vcfg.Inject = inj
+		vcfg := func() Config {
+			cfg := admissionFleetConfig(t) // fresh injector per run
+			vcfg := cfg.Config
+			vcfg.Scene.Seed = cfg.Config.Scene.Seed + int64(v)
+			if inj, ok := cfg.Injects[v]; ok {
+				vcfg.Inject = inj
+			}
+			return vcfg
 		}
-		solo[v] = runChaosStep(t, vcfg, frames)
-		for _, m := range solo[v].masks {
-			miss[v] = append(miss[v], m.AnyMiss())
+		solo[v] = runChaosStep(t, vcfg(), frames)
+		for _, w := range runnerWalls(t, vcfg(), frames, tmpl.InFlight) {
+			lat[v] = append(lat[v], float64(w)/1e6)
 		}
 	}
 	// Same law fed in lock-step, so same history.
-	want := emulateAdmission(t, *tmpl.Admission, miss)
+	want := emulateAdmission(t, *tmpl.Admission, lat)
 	if len(want) == 0 {
 		t.Fatal("scenario produced no admission events; the property test is vacuous")
 	}

@@ -44,6 +44,16 @@ import (
 // charged, not slept, and the wait is arithmetic, so the miss sequence is a
 // pure function of (scenario, seed) while the abandon, pending and drain
 // machinery that runs is the one that ships.
+//
+// Under Virtual the frame's latency is virtual too: the frame clock. A stage
+// charges the injected delay, or its budget on a miss (service time is 0),
+// and starts at the latest of its dependencies' virtual done times, its own
+// previous frame's and the frame's virtual admission (execStage). A frame is
+// admitted at the virtual delivery of the frame whose delivery opened its
+// window slot (window.opened; Step admits at the previous frame's), and
+// RunnerResult.Wall is its virtual delivery minus that admission. So the
+// latencies the tail scheduler and fleet admission read are a pure function
+// of (scenario, seed, window) on every executor.
 
 // DefaultFrameBudget is the paper's end-to-end latency constraint: frames
 // must complete within 100 ms.
@@ -92,12 +102,14 @@ type DeadlinePolicy struct {
 	// from DefaultStageBudgets(FrameBudget); a negative entry disables
 	// enforcement for that stage. SRC is never budgeted.
 	Budgets [NumStages]time.Duration
-	// Virtual selects the deterministic clock for the deadline race: only
-	// injected delays (Config.Inject) are charged against budgets, nothing
-	// sleeps and no timer runs, so which stages miss is bitwise-reproducible
-	// across executors and machines. Everything else is the wall-clock path:
-	// a virtual miss leaves the stage's attempt running in the background
-	// as a pending late attempt, so call Drain before inspecting engines.
+	// Virtual selects the deterministic clock for the deadline race and the
+	// frame's latency: only injected delays (Config.Inject) are charged
+	// against budgets, nothing sleeps and no timer runs, and Wall reports
+	// the frame clock above, so which stages miss and every latency are
+	// bitwise-reproducible across executors and machines. Everything else
+	// is the wall-clock path: a virtual miss leaves the stage's attempt
+	// running in the background as a pending late attempt, so call Drain
+	// before inspecting engines.
 	Virtual bool
 	// Anytime lets anytime-capable stages (DET) exit early at a layer
 	// boundary when their budget is nearly spent, committing a coarser

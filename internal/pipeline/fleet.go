@@ -142,13 +142,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if shedding {
 			acfg = *cfg.Admission
 		}
-		virtual := cfg.Config.Deadline.Virtual
-		adm, err := newFleetAdmission(acfg, virtual, shedding, cfg.PhaseLock)
+		adm, err := newFleetAdmission(acfg, shedding, cfg.PhaseLock)
 		if err != nil {
 			return nil, err
-		}
-		if shedding && !virtual {
-			adm.tailSource = f.fleetMon
 		}
 		f.adm = adm
 	}
@@ -225,9 +221,8 @@ func (f *Fleet) addVehicleLocked() (*fleetVehicle, error) {
 }
 
 // Snapshot returns the live fleet-level constraint verdict over the rolling
-// monitor window — the same measurement the wall-mode admission controller
-// feeds on. Safe to call mid-run; use it to observe the delivered tail at a
-// chosen instant (e.g. steady state) rather than wherever Wait lands.
+// monitor window. Safe to call mid-run; use it to observe the delivered tail
+// at a chosen instant (e.g. steady state) rather than wherever Wait lands.
 func (f *Fleet) Snapshot() constraint.LiveReport { return f.fleetMon.Snapshot() }
 
 // Vehicle returns vehicle id's pipeline (for inspection after the run;
@@ -309,7 +304,7 @@ func (f *Fleet) startVehicle(v *fleetVehicle) {
 				v.errs++
 			}
 			if f.adm != nil {
-				f.adm.Observe(v.id, float64(res.Wall)/1e6, res.Degraded.AnyMiss())
+				f.adm.Observe(v.id, float64(res.Wall)/1e6)
 			}
 			if f.onResult != nil {
 				f.onResult(v.id, res)

@@ -189,6 +189,10 @@ type frameState struct {
 	// the deterministic remaining-budget fraction on the virtual one.
 	detDeadline time.Time
 	anytimeFrac float64
+	// vadmit is the frame's virtual admission and vdone each stage's virtual
+	// done time, on the frame clock of deadline.go (zero on the wall clock).
+	vadmit time.Duration
+	vdone  [NumStages]time.Duration
 }
 
 // frame is the frame's scenario index (valid once SRC has run).
@@ -221,11 +225,22 @@ func (p *Pipeline) execStage(id StageID, fs *frameState) {
 			failed = true
 		}
 	}
+	var charged time.Duration
 	if !failed {
-		failed = p.runStage(id, fs, ready)
+		failed, charged = p.runStage(id, fs, ready)
 	}
 	fs.failed[id] = failed
 	fs.doneAt[id] = time.Now()
+	if p.clock.virtual {
+		// The frame clock (deadline.go): start at the latest of the frame's
+		// admission, this stage's previous frame and the dependencies.
+		start := max(fs.vadmit, p.vdone[id])
+		for _, dep := range stageDeps[id] {
+			start = max(start, fs.vdone[dep])
+		}
+		fs.vdone[id] = start + charged
+		p.vdone[id] = fs.vdone[id]
+	}
 }
 
 // runStage executes one stage body under the fault-injection and deadline
@@ -239,8 +254,9 @@ func (p *Pipeline) execStage(id StageID, fs *frameState) {
 //     slot. The clock decides only how the wait ends.
 //
 // A missed stage's slot holds its fallback and the budget as its duration:
-// the time the frame actually waited on it.
-func (p *Pipeline) runStage(id StageID, fs *frameState, ready time.Time) bool {
+// the time the frame actually waited on it. charged is the stage's time on
+// the virtual clock (0 on the wall clock).
+func (p *Pipeline) runStage(id StageID, fs *frameState, ready time.Time) (failed bool, charged time.Duration) {
 	spec := p.stages[id]
 	// A previous frame of this stage may have abandoned a late attempt;
 	// it must finish before the engine is touched again. Pending slots are
@@ -250,7 +266,6 @@ func (p *Pipeline) runStage(id StageID, fs *frameState, ready time.Time) bool {
 	start := time.Now()
 	out := &fs.out[id]
 	var err error
-	charged := time.Duration(0) // extra virtual time charged to the stage
 
 	if id == StageSrc {
 		// SRC renders first so the injector's decision keys on the real
@@ -325,7 +340,7 @@ func (p *Pipeline) runStage(id StageID, fs *frameState, ready time.Time) bool {
 		Queue: start.Sub(ready),
 		Exec:  time.Since(start) + charged,
 	})
-	return err != nil
+	return err != nil, charged
 }
 
 // armAnytime hands an anytime stage's body its exit signal before the
@@ -398,6 +413,9 @@ func (p *Pipeline) deliver(fs *frameState) RunnerResult {
 	}
 	err := fs.err()
 	wall := time.Since(fs.admitted)
+	if p.clock.virtual {
+		wall = fs.vdone[StageControl] - fs.vadmit
+	}
 	p.sink.FrameDone(telemetry.FrameEnd{
 		Frame:    res.Frame.Index,
 		Wall:     wall,

@@ -173,6 +173,11 @@ type Pipeline struct {
 	// hold-previous fallback. Each slot is written only from its own stage's
 	// execution context.
 	held [NumStages]stageOut
+
+	// vdone is each stage's virtual done time on its latest frame under
+	// DeadlinePolicy.Virtual, touched only from that stage's execution
+	// context; vdone[StageControl] is the latest frame's virtual delivery.
+	vdone [NumStages]time.Duration
 }
 
 // NewNative constructs the native pipeline, surveying the prior map first
@@ -299,9 +304,10 @@ func (p *Pipeline) Tracker() *track.Engine { return p.tra }
 // executor, with no scheduler of its own. Timing.E2E is still the critical
 // path through the graph (DET ∥ LOC), but Step's own wall time is the sum
 // of the stages; a Runner overlaps the same graph within a frame (InFlight
-// 1) and across frames.
+// 1) and across frames. On the virtual clock Step admits each frame at the
+// previous frame's delivery, as a Runner at InFlight 1 does.
 func (p *Pipeline) Step() (FrameResult, error) {
-	fs := &frameState{admitted: time.Now()}
+	fs := &frameState{admitted: time.Now(), vadmit: p.vdone[StageControl]}
 	for id := range NumStages {
 		p.execStage(id, fs)
 	}

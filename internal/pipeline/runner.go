@@ -47,11 +47,12 @@ type RunnerResult struct {
 	// planning), if any. Later frames still flow; the consumer decides
 	// whether to Stop.
 	Err error
-	// Wall is the frame's admission-to-delivery wall-clock latency under
-	// pipelined execution. Unlike Timing.E2E (the longest path through the
-	// stage graph over the stages' execution times), Wall includes SRC, the
-	// stage queues and the time spent behind other in-flight frames, so it
-	// is the honest per-frame latency at a given throughput.
+	// Wall is the frame's admission-to-delivery latency on the pipeline's
+	// clock: wall time, or virtual time under DeadlinePolicy.Virtual.
+	// Unlike Timing.E2E (the longest path through the stage graph over the
+	// stages' execution times), Wall includes SRC, the stage queues and the
+	// time spent behind other in-flight frames, so it is the honest
+	// per-frame latency at a given throughput.
 	Wall time.Duration
 }
 
@@ -90,9 +91,15 @@ type window struct {
 	closed   bool
 	// size is the DET input size stamped on admitted frames (0 = the
 	// detector's configured size); delivered, when set, is called under mu
-	// with each delivered frame's wall latency.
+	// with each delivered frame's latency.
 	size      int
 	delivered func(wallMs float64)
+	// opened holds, under DeadlinePolicy.Virtual, the virtual delivery time
+	// that opened each free slot, in delivery order; the frame that claims
+	// a slot is admitted at its time. Slots free since the window opened
+	// precede them, at time 0: limit-inflight-len(opened) of them.
+	virtual bool
+	opened  []time.Duration
 }
 
 func newWindow(limit int) *window {
@@ -107,26 +114,48 @@ func newWindow(limit int) *window {
 // observe resolution changes strictly in admission order. ok=false after
 // interrupt.
 func (w *window) admit() (size int, ok bool) {
+	size, _, ok = w.admitAt()
+	return size, ok
+}
+
+// admitAt is admit that also returns the frame's virtual admission: the
+// time of the slot it claims (0 on the wall clock).
+func (w *window) admitAt() (size int, at time.Duration, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for !w.closed && w.inflight >= w.limit {
 		w.cond.Wait()
 	}
 	if w.closed {
-		return 0, false
+		return 0, 0, false
+	}
+	if w.virtual && w.limit-w.inflight == len(w.opened) {
+		at = w.opened[0]
+		w.opened = w.opened[:copy(w.opened, w.opened[1:])]
 	}
 	w.inflight++
-	return w.size, true
+	return w.size, at, true
 }
 
 // frameDone frees the delivered frame's slot.
-func (w *window) frameDone(wallMs float64) {
+func (w *window) frameDone(wallMs float64) { w.deliveredAt(wallMs, 0) }
+
+// deliveredAt is frameDone for a frame delivered at virtual time at: each
+// slot the delivery opens (one, none after a shrink, two after a grow) is
+// stamped with it.
+func (w *window) deliveredAt(wallMs float64, at time.Duration) {
 	w.mu.Lock()
+	free := w.limit - w.inflight
 	if w.inflight > 0 {
 		w.inflight--
 	}
 	if w.delivered != nil {
 		w.delivered(wallMs)
+	}
+	if w.virtual {
+		for n := w.limit - w.inflight - free; n > 0; n-- {
+			w.opened = append(w.opened, at)
+		}
 	}
 	w.mu.Unlock()
 	w.cond.Signal()
@@ -162,6 +191,7 @@ func NewRunner(p *Pipeline, opts RunnerOptions) (*Runner, error) {
 	} else {
 		win = newWindow(opts.InFlight)
 	}
+	win.virtual = p.clock.virtual
 	return &Runner{p: p, opts: opts, win: win, results: make(chan RunnerResult)}, nil
 }
 
@@ -220,11 +250,11 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 			if gate != nil && !gate.Admit() {
 				return // shed stream ended, or Stop
 			}
-			detSize, ok := r.win.admit()
+			detSize, vadmit, ok := r.win.admitAt()
 			if !ok {
 				return // Stop interrupted admission
 			}
-			fs := &frameState{admitted: time.Now(), detSize: detSize}
+			fs := &frameState{admitted: time.Now(), vadmit: vadmit, detSize: detSize}
 			r.p.execStage(StageSrc, fs)
 			for _, ch := range srcOut {
 				ch <- fs
@@ -279,7 +309,7 @@ func (r *Runner) Run(frames int) <-chan RunnerResult {
 			res := r.p.deliver(fs)
 			r.results <- res
 			// Frees the slot (and feeds a tail scheduler its signal).
-			r.win.frameDone(float64(res.Wall) / 1e6)
+			r.win.deliveredAt(float64(res.Wall)/1e6, fs.vdone[StageControl])
 		}
 		// All frames are delivered, but stages off the terminal
 		// close-propagation chain may still be draining abandoned late

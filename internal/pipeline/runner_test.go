@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"adsim/internal/scene"
+	"adsim/internal/telemetry"
 	"adsim/internal/testutil"
 )
 
@@ -161,4 +162,114 @@ func TestRunnerRunIdempotent(t *testing.T) {
 			t.Fatal("runner did not finish")
 		}
 	}
+}
+
+// wallSink records each delivered frame's FrameEnd.Wall: Step's latency,
+// which its FrameResult does not carry.
+type wallSink struct{ walls []time.Duration }
+
+func (s *wallSink) Span(telemetry.Span) {}
+
+func (s *wallSink) FrameDone(f telemetry.FrameEnd) { s.walls = append(s.walls, f.Wall) }
+
+// runnerWalls drives a Runner at window w and returns each delivered
+// frame's Wall.
+func runnerWalls(t *testing.T, cfg Config, frames, w int) []time.Duration {
+	t.Helper()
+	p, err := NewNative(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, RunnerOptions{InFlight: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walls []time.Duration
+	for res := range r.Run(frames) {
+		walls = append(walls, res.Wall)
+	}
+	p.Drain()
+	return walls
+}
+
+// TestVirtualFrameClock pins the frame clock of deadline.go. At InFlight 1
+// a frame's virtual latency is the critical path of its stages' charged
+// times (the injected delay, or the budget on a miss). At W > 1 a frame is
+// admitted at the virtual delivery of the frame W places ahead and queues
+// behind the stage's previous frame, and the latencies under a DET stall
+// burst are the hand-computed tables below. Step, the Runner and a fleet
+// vehicle deliver the same sequence at the same window.
+func TestVirtualFrameClock(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	step := func(cfg Config, frames int) []time.Duration {
+		sink := &wallSink{}
+		cfg.Telemetry = sink
+		runChaosStep(t, cfg, frames)
+		return sink.walls
+	}
+	fleet := func(cfg Config, frames, w int) []time.Duration {
+		f, err := NewFleet(FleetConfig{Vehicles: 1, Config: cfg, InFlight: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var walls []time.Duration
+		f.Run(frames, func(_ int, res RunnerResult) { walls = append(walls, res.Wall) })
+		return walls
+	}
+
+	t.Run("critical-path", func(t *testing.T) {
+		// Stalls on both branches, a DET miss (50 ms against 35) and an
+		// unbudgeted camera stall.
+		const spec, frames = "SRC:delay=5ms:every=6,DET:delay=50ms:every=5:burst=2,LOC:delay=20ms:every=3,MOTPLAN:delay=10ms:every=4", 12
+		cfg := chaosConfig(t, scene.Urban, spec, 3)
+		budgets := cfg.Deadline.resolve()
+		var want []time.Duration
+		for i := 0; i < frames; i++ {
+			var charged [NumStages]time.Duration
+			for id := range NumStages {
+				delay, _ := cfg.Inject(id.String(), i)
+				if b := budgets[id]; b > 0 && delay > b {
+					delay = b
+				}
+				charged[id] = delay
+			}
+			want = append(want, CriticalPath(charged))
+		}
+		if got := step(cfg, frames); !reflect.DeepEqual(got, want) {
+			t.Errorf("Step latencies %v, want the critical paths %v", got, want)
+		}
+		if got := runnerWalls(t, cfg, frames, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("Runner latencies %v, want the critical paths %v", got, want)
+		}
+	})
+
+	t.Run("queueing", func(t *testing.T) {
+		// 30 ms DET stalls (inside the 35 ms budget) on frames 0-2 and 8-10.
+		const spec, frames = "DET:delay=30ms:every=8:burst=3", 14
+		want := map[int][]time.Duration{
+			1: ms(30, 30, 30, 0, 0, 0, 0, 0, 30, 30, 30, 0, 0, 0),
+			2: ms(30, 60, 60, 30, 0, 0, 0, 0, 30, 60, 60, 30, 0, 0),
+			3: ms(30, 60, 90, 60, 30, 0, 0, 0, 30, 60, 90, 60, 30, 0),
+			4: ms(30, 60, 90, 90, 60, 30, 0, 0, 30, 60, 90, 90, 60, 30),
+		}
+		cfg := func() Config { return chaosConfig(t, scene.Urban, spec, 3) }
+		if got := step(cfg(), frames); !reflect.DeepEqual(got, want[1]) {
+			t.Errorf("Step: latencies %v, want %v", got, want[1])
+		}
+		for w := 1; w <= 4; w++ {
+			if got := runnerWalls(t, cfg(), frames, w); !reflect.DeepEqual(got, want[w]) {
+				t.Errorf("Runner W=%d: latencies %v, want %v", w, got, want[w])
+			}
+			if got := fleet(cfg(), frames, w); !reflect.DeepEqual(got, want[w]) {
+				t.Errorf("fleet vehicle W=%d: latencies %v, want %v", w, got, want[w])
+			}
+		}
+	})
 }

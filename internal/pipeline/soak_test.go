@@ -54,8 +54,7 @@ func TestFleetSoak(t *testing.T) {
 
 	// Every vehicle (including the one churned in later, id 4) runs the
 	// program's fault rules with a per-vehicle seed: deterministic injected
-	// LOC/TRA stalls supply the deadline misses the virtual admission
-	// signal feeds on.
+	// LOC/TRA stalls supply the virtual latency the admission signal reads.
 	injects := make(map[int]func(string, int) (time.Duration, error))
 	for v := 0; v <= vehicles; v++ {
 		inj, err := faultinject.New(faultinject.FromProgram(prog, 100+int64(v)))

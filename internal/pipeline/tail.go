@@ -49,8 +49,8 @@ const (
 
 // TailConfig parameterizes a TailScheduler.
 type TailConfig struct {
-	// Target is the wall-latency deadline the controller steers the
-	// rolling P99.99 toward; 0 selects DefaultFrameBudget.
+	// Target is the latency deadline the controller steers the rolling
+	// P99.99 toward; 0 selects DefaultFrameBudget.
 	Target time.Duration
 	// Window is the rolling window (delivered frames) of the tail signal;
 	// 0 selects DefaultTailWindow.
@@ -87,8 +87,8 @@ type tailMetrics struct {
 // RunnerOptions.Tail (adaptive admission window + ladder; InFlight 1 pins
 // the window at 1, the sequential schedule, leaving only the ladder). The
 // rolling P99.99 signal is a constraint.Monitor fed every delivered
-// frame's wall latency, so the controller and the live constraint verdict
-// read the exact same tail.
+// frame's latency on the pipeline's clock (RunnerResult.Wall), so the
+// controller and the live constraint verdict read the exact same tail.
 //
 // All methods are safe for concurrent use.
 type TailScheduler struct {
@@ -239,7 +239,7 @@ func (t *TailScheduler) attach(ceiling int) error {
 	return nil
 }
 
-// observeLocked is the window's per-delivery hook: fold the frame's wall
+// observeLocked is the window's per-delivery hook: fold the frame's
 // latency into the tail signal, and every period frames run the controller.
 func (t *TailScheduler) observeLocked(wallMs float64) {
 	t.mon.Observe(wallMs, time.Now())

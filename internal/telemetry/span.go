@@ -42,9 +42,10 @@ type Span struct {
 type FrameEnd struct {
 	// Frame is the delivered frame's index.
 	Frame int
-	// Wall is the frame's admission-to-delivery wall-clock latency: the
-	// honest per-frame latency at the executor's operating throughput,
-	// including any time queued behind other in-flight frames.
+	// Wall is the frame's admission-to-delivery latency on the pipeline's
+	// clock (wall time, or the virtual frame clock under a virtual deadline
+	// policy): the honest per-frame latency at the executor's operating
+	// throughput, including any time queued behind other in-flight frames.
 	Wall time.Duration
 	// At is when the frame was delivered. The zero time means "now"
 	// (sinks substitute time.Now); simulated executors set it to a

@@ -118,7 +118,7 @@ func TestGemm4x8StaysInsideGuardPages(t *testing.T) {
 								continue
 							}
 							c := newConvCase(inC, h, w, 4, k, stride, pad, true, draw)
-							j := jobs.Get().(*job)
+							j := getJob()
 							j.lower(New(4, oh, ow), c.in, c.w, c.bias, 4, k, stride, pad, oh, ow, &Scratch{})
 							// gemmRange's tile calls: a row's full tiles (out
 							// stride rows·width), then its edge tile (out

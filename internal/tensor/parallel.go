@@ -40,7 +40,8 @@ const (
 // its arguments, and how [0,n) splits into chunk-sized ranges. Workers
 // claim ranges from the cursor, so starting one takes no per-range closure;
 // worker is the method value j.work, built once per descriptor. Descriptors
-// are pooled: a warm kernel call allocates nothing at any worker count.
+// are reused through jobs: a warm kernel call allocates nothing at any
+// worker count.
 type job struct {
 	op                       op
 	dst, in                  *T
@@ -56,16 +57,33 @@ type job struct {
 	worker   func()
 }
 
-var jobs = sync.Pool{New: func() any {
-	j := new(job)
-	j.worker = j.work
-	return j
-}}
+// jobs is the descriptors' free list. Unlike a sync.Pool it keeps them
+// across garbage collections, so overlapping fan-outs (LOC's matcher beside
+// TRA's kernels) allocate none after warm-up. It holds at most as many as
+// were ever in flight at once. The capacity covers a fleet of 20 vehicles'
+// fan-outs in flight together (DET, TRA and LOC each); a descriptor
+// released into a full list is left to the collector.
+var jobs = make(chan *job, 64)
 
-// release drops the call's references and returns j to the pool.
+// getJob takes a descriptor from the free list, or builds one.
+func getJob() *job {
+	select {
+	case j := <-jobs:
+		return j
+	default:
+		j := new(job)
+		j.worker = j.work
+		return j
+	}
+}
+
+// release drops the call's references and returns j to the free list.
 func (j *job) release() {
 	j.dst, j.in, j.padded, j.w, j.bias, j.off, j.each = nil, nil, nil, nil, nil, nil, nil
-	jobs.Put(j)
+	select {
+	case jobs <- j:
+	default:
+	}
 }
 
 // fanOut runs o over [0,n) on at most workers workers and returns when every
@@ -134,7 +152,7 @@ func (j *job) run(w, lo, hi int) {
 // fn may use scratch it indexes by w without locking. Which worker gets
 // which i varies from call to call.
 func Each(n, workers int, fn func(w, i int)) {
-	j := jobs.Get().(*job)
+	j := getJob()
 	j.each = fn
 	j.fanOut(opEach, n, workers)
 	j.release()
@@ -200,7 +218,7 @@ func Conv2DIm2ColParInto(dst *T, in *T, w []float32, bias []float32, outC, k, st
 	if s == nil {
 		s = &Scratch{}
 	}
-	j := jobs.Get().(*job)
+	j := getJob()
 	j.lower(dst, in, w, bias, outC, k, stride, pad, oh, ow, s)
 	j.fanOut(opGemm, (outC+3)/4, workers)
 	j.release()
@@ -405,7 +423,7 @@ func FullyConnectedParInto(dst *T, in *T, w []float32, bias []float32, outN, wor
 	if int64(outN)*int64(inN) < parMinMACs {
 		workers = 1
 	}
-	j := jobs.Get().(*job)
+	j := getJob()
 	j.dst, j.in, j.w, j.bias = dst, in, w, bias
 	j.fanOut(opFC, outN, workers)
 	j.release()

@@ -240,7 +240,7 @@ func (c convCase) check(t *testing.T, name string, workers, split int, s *Scratc
 	convIm2ColRef(want, c.in, c.w, c.bias, c.outC, c.k, c.stride, c.pad)
 	Conv2DIm2ColParInto(got, c.in, c.w, c.bias, c.outC, c.k, c.stride, c.pad, workers, s)
 
-	j := jobs.Get().(*job)
+	j := getJob()
 	j.lower(split2, c.in, c.w, c.bias, c.outC, c.k, c.stride, c.pad, oh, ow, s)
 	blocks := (c.outC + 3) / 4
 	mid := min(split, blocks)
@@ -374,7 +374,7 @@ func BenchmarkConvShapes(b *testing.B) {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/macs=%d/w=%d", sh.name, macs, workers), func(b *testing.B) {
 				// Conv2DIm2ColParInto minus the floor, so both widths really run.
-				j := jobs.Get().(*job)
+				j := getJob()
 				defer j.release()
 				for i := 0; i < b.N; i++ {
 					j.lower(dst, in, w, nil, sh.outC, sh.k, sh.stride, sh.pad, oh, ow, s)

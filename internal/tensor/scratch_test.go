@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -231,6 +232,23 @@ func TestAllocConvInto(t *testing.T) {
 	allocGate(t, outC*in.C*k*k*in.H*in.W, func(workers int) {
 		Conv2DIm2ColParInto(dst, in, w, bias, outC, k, 1, 1, workers, s)
 	})
+}
+
+// TestAllocFanOutAcrossGC pins that the descriptor free list outlives a
+// garbage collection: a warm call allocates nothing even with a GC before
+// every call (a sync.Pool would be emptied by the second).
+func TestAllocFanOutAcrossGC(t *testing.T) {
+	fn := func(w, i int) {}
+	Each(4, 1, fn)
+	if testutil.RaceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race; make alloc-gate runs this uninstrumented")
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		Each(4, 1, fn)
+	}); allocs != 0 {
+		t.Errorf("warm call after a GC allocates %.1f/op, want 0", allocs)
+	}
 }
 
 func TestAllocFCAndPoolInto(t *testing.T) {

@@ -575,7 +575,7 @@ func TestFanOutCoversRangeOnce(t *testing.T) {
 		for i := range ones {
 			ones[i] = 1
 		}
-		j := jobs.Get().(*job)
+		j := getJob()
 		j.dst, j.in, j.w, j.bias = hits, one, ones, hits.Data
 		j.fanOut(opFC, tc.n, tc.workers)
 		j.release()
