@@ -27,16 +27,17 @@ race:
 # The recipe starts the loops and reaps them on any exit; its status is go
 # test's. Run it at GOMAXPROCS 1, 2 and 4 (CI's matrix does). The second
 # line reruns the virtual-clock tests (the frame clock, fleet admission, the
-# tail study and its golden) at -cpu 1,2,4 in one go: they assert exact
-# latencies and shed/readmit histories, which must not move with the
-# worker count any more than with host load.
+# tail study and its golden) and the tail scheduler's control-law tests at
+# -cpu 1,2,4 in one go: they assert exact latencies, shed/readmit histories
+# and decision sequences, which must not move with the worker count any
+# more than with host load.
 flake-gate:
 	@pids=""; trap 'kill $$pids 2>/dev/null; wait' EXIT; \
 	for i in $$(seq $$(getconf _NPROCESSORS_ONLN)); do \
 		sh -c 'while :; do :; done' & pids="$$pids $$!"; \
 	done; \
 	$(GO) test -count=5 -timeout 30m ./internal/pipeline ./internal/experiment && \
-	$(GO) test -count=3 -cpu 1,2,4 -timeout 30m -run 'TestVirtualFrameClock|TestAdmission|TestTailStudy|TestGolden' ./internal/pipeline ./internal/experiment
+	$(GO) test -count=3 -cpu 1,2,4 -timeout 30m -run 'TestVirtualFrameClock|TestAdmission|TestTailStudy|TestGolden|TestTailControllerLaw|TestTailForgetsOneSpike' ./internal/pipeline ./internal/experiment
 
 # One-iteration sweep over every `go test -bench` micro/regression
 # benchmark: catches bit-rotted benchmarks without the cost of real

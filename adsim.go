@@ -138,8 +138,9 @@ func NewRunner(p *Pipeline, opts RunnerOptions) (*Runner, error) {
 
 // TailScheduler is the closed-loop tail-latency controller: it adapts the
 // pipelined executor's admission window and steps DET's input resolution
-// down a committed ladder when the rolling delivered-latency tail
-// approaches its target, recovering both once the tail subsides. Wire one
+// down a committed ladder when a 16-frame period's worst delivered latency
+// nears its target, recovering both once periods run calm — the law fleet
+// admission runs too (AdmissionConfig). Wire one
 // into RunnerOptions.Tail — the only seat; InFlight 1 is the sequential
 // schedule (window pinned at 1, ladder only). One scheduler serves exactly
 // one Runner.
@@ -167,10 +168,10 @@ type FleetConfig = pipeline.FleetConfig
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return pipeline.NewFleet(cfg) }
 
 // AdmissionConfig parameterizes the fleet's frame-budget admission
-// controller (FleetConfig.Admission): when an epoch's worst delivered
-// latency nears the per-frame budget, whole vehicle streams are shed
-// (worst first, ties toward the highest vehicle ID) and readmitted with
-// hysteresis once pressure subsides.
+// controller (FleetConfig.Admission): when a 16-frame period's worst
+// delivered latency nears the target, whole vehicle streams are shed (worst
+// first, ties toward the highest vehicle ID) and readmitted with hysteresis
+// once pressure subsides — the TailScheduler's law, one stream at a step.
 type AdmissionConfig = pipeline.AdmissionConfig
 
 // Distribution accumulates latency samples and answers quantile queries.
@@ -239,12 +240,13 @@ func NewPriorMap() *PriorMap { return slam.NewPriorMap() }
 
 // MapStore is the prior-map database interface the LOC engine reads and
 // extends: monolithic in memory (PriorMap) or tiled on disk, loaded on
-// demand through a byte-budgeted LRU cache (ShardStore). The paper's
-// storage constraint (~41 TB of US prior maps) is why the map must be able
-// to page.
+// demand through a byte-budgeted LRU cache (a read-only ShardStore under a
+// slam.VehicleStore overlay). The paper's storage constraint (~41 TB of US
+// prior maps) is why the map must be able to page.
 type MapStore = slam.MapStore
 
 // ShardStore is the tiled on-disk prior-map store with an LRU shard cache.
+// It is read-only; runtime map updates go to an overlay over it.
 type ShardStore = slam.ShardStore
 
 // ShardStoreOptions parameterizes OpenShardStore (cache budget and

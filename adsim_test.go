@@ -3,6 +3,8 @@ package adsim
 import (
 	"strings"
 	"testing"
+
+	"adsim/internal/slam"
 )
 
 func TestFacadePipeline(t *testing.T) {
@@ -96,7 +98,8 @@ func TestFacadeShardedMapStore(t *testing.T) {
 	if store.Len() != m.Len() {
 		t.Fatalf("store holds %d keyframes, want %d", store.Len(), m.Len())
 	}
-	if _, err := NewLOCEngine(DefaultLOCConfig(), store); err != nil {
+	// A shard store is read-only: the engine's map updates go to an overlay.
+	if _, err := NewLOCEngine(DefaultLOCConfig(), slam.NewVehicleStore(0, store)); err != nil {
 		t.Fatal(err)
 	}
 	n := 0

@@ -61,15 +61,15 @@ var (
 	hist    = flag.Bool("hist", false, "print an end-to-end latency histogram")
 	trace   = flag.String("trace", "", "write a JSON-lines trace of every frame to this file")
 	telem   = flag.String("telemetry", "off", "telemetry summary format: json, csv or off; also enables the live constraint verdict")
-	tailTgt = flag.Duration("tail", 0, "steer the rolling P99.99 toward this target with the closed-loop tail scheduler: adapts the -inflight admission window and steps DET resolution down -ladder under pressure (0 disables)")
+	tailTgt = flag.Duration("tail", 0, "closed-loop tail scheduler target: when a 16-frame period's worst frame latency nears it, shrink the -inflight admission window and then step DET resolution down -ladder; recover on calm periods (0 disables)")
 	anytime = flag.Bool("anytime", false, "let a budget-blown DET commit a coarser on-time detection set (anytime early exit) instead of shedding it; requires -deadline")
 	ladder  = flag.String("ladder", "", "comma-separated strictly-descending DET input sizes for -tail's resolution ladder (default: derived from the detector's input size)")
 
 	// Fleet path only.
 	vehicles = flag.Int("vehicles", 1, "multiplex this many vehicle streams onto shared engines; giving it (even 1) selects the fleet path")
 	assign   = flag.String("assign", "", "per-vehicle scenario programs as comma-separated INDEX=PROGRAM pairs (library name or .adsc path), e.g. '1=cut-in,3=blackout'; assigned vehicles keep their derived seed and the program's fault rules")
-	admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (worst first, ties toward the highest vehicle ID) when an epoch's worst frame latency nears the budget, readmit with hysteresis when it subsides")
-	admitTgt = flag.Duration("admission-target", 0, "admission frame budget the controller steers the fleet tail under (0 = the paper's 100ms; implies -admission)")
+	admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (worst first, ties toward the highest vehicle ID) when a 16-frame period's worst frame latency nears the budget, readmit with hysteresis when it subsides")
+	admitTgt = flag.Duration("admission-target", 0, "admission frame budget each period's worst frame is judged against (0 = the paper's 100ms; implies -admission)")
 	maxVeh   = flag.Int("max-vehicles", 0, "cap on concurrently admitted vehicle streams, enforced at registration and respected by readmits (0 = uncapped; implies -admission)")
 	phase    = flag.Bool("phase", false, "phase-lock co-resident vehicles' frame admission: pace every stream on one fleet beat so none runs ahead of the others")
 	addAt    = flag.Int("add-at", 0, "add one vehicle at runtime once this many total frames are delivered (0 disables)")
@@ -426,10 +426,6 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 			ts.WindowLimit(), ts.MinWindowLimit(), *inflight)
 		fmt.Printf("  resolution  now %d, deepest rung %d of ladder %v\n",
 			ts.InputSize(), ts.MaxRungDepth(), rungs)
-		fmt.Printf("  rolling tail monitor:\n")
-		for _, line := range strings.Split(strings.TrimRight(ts.Monitor().Snapshot().String(), "\n"), "\n") {
-			fmt.Printf("    %s\n", line)
-		}
 	}
 
 	if col != nil {

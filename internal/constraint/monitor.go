@@ -72,12 +72,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	return &Monitor{w: stats.NewWindow(n)}
 }
 
-// Observe folds one delivered frame in: its wall latency (ms) and delivery
-// time. O(1) amortized. Equivalent to ObserveDegraded with degraded=false.
-func (m *Monitor) Observe(wallMs float64, at time.Time) {
-	m.ObserveDegraded(wallMs, at, false)
-}
-
 // ObserveDegraded folds one delivered frame in, recording whether it was
 // delivered in a deadline-degraded mode (any stage fell back after blowing
 // its budget). O(1) amortized.
@@ -207,15 +201,6 @@ func (m *Monitor) Snapshot() LiveReport {
 	r.Performance = performanceVerdict(r.TailMs, r.FPS, r.N)
 	r.Predictability = predictabilityVerdict(r.TailMs, r.MeanMs, r.N)
 	return r
-}
-
-// TailMs reports the windowed P99.99 frame latency without computing the
-// full verdict set — the hot-path query the fleet admission controller polls
-// every decision epoch.
-func (m *Monitor) TailMs() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.w.Quantile(TailQuantile)
 }
 
 // FPS reports the windowed delivery rate (frames per second).

@@ -20,7 +20,7 @@ func feed(t *testing.T, samples []float64, fps float64) (*Monitor, *stats.Distri
 	base := time.Unix(0, 0)
 	dt := time.Duration(float64(time.Second) / fps)
 	for i, v := range samples {
-		m.Observe(v, base.Add(time.Duration(i)*dt))
+		m.ObserveDegraded(v, base.Add(time.Duration(i)*dt), false)
 		d.Add(v)
 	}
 	return m, d
@@ -94,13 +94,13 @@ func TestMonitorRollingWindowForgets(t *testing.T) {
 	base := time.Unix(0, 0)
 	at := func(i int) time.Time { return base.Add(time.Duration(i) * 20 * time.Millisecond) }
 	for i := 0; i < 100; i++ {
-		m.Observe(10, at(i))
+		m.ObserveDegraded(10, at(i), false)
 	}
 	if tail := m.Snapshot().TailMs; tail != 10 {
 		t.Fatalf("healthy tail = %v", tail)
 	}
 	for i := 100; i < 200; i++ {
-		m.Observe(500, at(i))
+		m.ObserveDegraded(500, at(i), false)
 	}
 	snap := m.Snapshot()
 	if snap.TailMs != 500 {
@@ -198,7 +198,7 @@ func TestMonitorDegenerateWindows(t *testing.T) {
 		m := NewMonitor(MonitorConfig{Window: 64})
 		base := time.Unix(0, 0)
 		for i := 0; i < 64; i++ {
-			m.Observe(0, base.Add(time.Duration(i)*10*time.Millisecond))
+			m.ObserveDegraded(0, base.Add(time.Duration(i)*10*time.Millisecond), false)
 		}
 		r := m.Snapshot()
 		noNaN(t, r)
@@ -281,8 +281,8 @@ func TestMonitorHardMissTracking(t *testing.T) {
 	// Frames at exactly the 100ms limit are NOT hard misses (the constraint
 	// is <=); only strictly-over frames count, degraded or not.
 	m.ObserveDegraded(MaxTailLatencyMs, at(0), true)
-	m.Observe(50, at(1))
-	m.Observe(130, at(2))
+	m.ObserveDegraded(50, at(1), false)
+	m.ObserveDegraded(130, at(2), false)
 	m.ObserveDegraded(250, at(3), true)
 	r := m.Snapshot()
 	if r.HardMisses != 2 || r.TotalHardMisses != 2 {
@@ -294,7 +294,7 @@ func TestMonitorHardMissTracking(t *testing.T) {
 	// Evicting the misses out of the ring drops the windowed count but the
 	// lifetime count sticks.
 	for i := 4; i < 12; i++ {
-		m.Observe(20, at(i))
+		m.ObserveDegraded(20, at(i), false)
 	}
 	r = m.Snapshot()
 	if r.HardMisses != 0 || r.TotalHardMisses != 2 {
@@ -305,7 +305,7 @@ func TestMonitorHardMissTracking(t *testing.T) {
 	}
 	// Wrapping misses over misses keeps the windowed count exact.
 	for i := 12; i < 28; i++ {
-		m.Observe(float64(50+100*(i%2)), at(i)) // alternate 50 / 150
+		m.ObserveDegraded(float64(50+100*(i%2)), at(i), false) // alternate 50 / 150
 	}
 	r = m.Snapshot()
 	if r.HardMisses != 4 || r.TotalHardMisses != 10 {
@@ -328,7 +328,7 @@ func TestMonitorEmptyAndConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				m.Observe(10, time.Now())
+				m.ObserveDegraded(10, time.Now(), false)
 				_ = m.Snapshot()
 			}
 		}()

@@ -34,11 +34,9 @@ const (
 	// a frame admitted behind the other two waits out all three, 102 ms,
 	// while a window of one holds every frame to its own 34 ms.
 	tailSpec = "DET:delay=34ms:every=7:burst=3"
-	// tailPeriod is the controller decision interval for the study.
-	tailPeriod = 8
-	// tailTarget steers the controller's rolling P99.99 toward deep margin
-	// under the 100ms constraint — a setpoint at the constraint itself
-	// would leave the controller content with frames that barely scrape in.
+	// tailTarget steers the controller toward deep margin under the 100ms
+	// constraint — a setpoint at the constraint itself would leave the
+	// controller content with frames that barely scrape in.
 	tailTarget = 40 * time.Millisecond
 )
 
@@ -100,8 +98,8 @@ func (r TailResult) Render() string {
 
 func runTail(opts Options) (Result, error) {
 	// NativeFrames is the sizing knob shared with the other native-execution
-	// experiments, scaled up: the study needs a dozen controller decisions
-	// and a dozen stall bursts.
+	// experiments, scaled up: the study needs half a dozen controller
+	// decisions and a dozen stall bursts.
 	frames := max(96, 12*opts.NativeFrames)
 	base, err := runTailCase(frames, opts.Seed, false)
 	if err != nil {
@@ -140,8 +138,6 @@ func runTailCase(frames int, seed int64, scheduled bool) (TailRun, error) {
 	if scheduled {
 		ts, err = pipeline.NewTailScheduler(pipeline.TailConfig{
 			Target: tailTarget,
-			Window: frames,
-			Period: tailPeriod,
 			// Start admission at 1: the first stall burst arrives before any
 			// feedback exists, and queueing stacked behind it cannot be
 			// un-admitted. Sustained calm earns the window back.
@@ -159,8 +155,8 @@ func runTailCase(frames int, seed int64, scheduled bool) (TailRun, error) {
 	}
 
 	// Both runs are judged by an identically-configured constraint.Monitor
-	// fed every delivered frame; the scheduler's internal monitor is its
-	// control signal, this one is the study's referee.
+	// fed every delivered frame: the study's referee, apart from the
+	// scheduler's own signal.
 	mon := constraint.NewMonitor(constraint.MonitorConfig{Window: frames})
 	run := TailRun{Name: "static", MinWindow: tailCeiling}
 	if scheduled {

@@ -19,48 +19,29 @@ import (
 // on the pipeline's clock, so under DeadlinePolicy.Virtual its entire
 // shed/readmit sequence is a pure function of (configs, seeds). The trick is
 // that decisions are made over per-vehicle EPOCH BUCKETS — the worst latency
-// in each vehicle's own delivered-frame stream, chunked every Epoch frames —
-// and a decision fires only when every admitted stream has an unconsumed
-// bucket. Which real moment a decision happens at varies with scheduling;
-// which frames feed it cannot: a vehicle's stream is the same ordered,
-// deterministic sequence in every run (shedding pauses a stream, it never
-// drops frames from it), so bucket k of vehicle v holds the same frames in
-// every run, and by induction every decision sees identical inputs and the
-// event history is bitwise-reproducible. TestAdmissionDeterministicAcross-
+// of each closed period (control.go) of the vehicle's own delivered-frame
+// stream — and a decision fires only when every admitted stream has an
+// unconsumed bucket. Which real moment a decision happens at varies with
+// scheduling; which frames feed it cannot: a vehicle's stream is the same
+// ordered, deterministic sequence in every run (shedding pauses a stream,
+// it never drops frames from it), so bucket k of vehicle v holds the same
+// frames in every run, and by induction every decision sees identical
+// inputs and the event history is bitwise-reproducible. TestAdmissionDeterministicAcross-
 // Executors pins this across the Step and Runner executors.
 
 // AdmissionConfig parameterizes the fleet admission controller.
 type AdmissionConfig struct {
-	// Target is the frame deadline the controller steers the fleet tail
-	// under; 0 selects DefaultFrameBudget (the paper's 100 ms).
+	// Target is the frame deadline the control law judges the worst
+	// bucket of each decision against; 0 selects DefaultFrameBudget (the
+	// paper's 100 ms). Shedding begins at 0.7 of it, BEFORE a frame crosses
+	// the deadline, so the controller has authority while frames still
+	// meet it.
 	Target time.Duration
-	// Epoch is the decision interval, in delivered frames per vehicle; a
-	// decision is taken when every admitted vehicle has completed an
-	// epoch. 0 selects DefaultAdmissionEpoch.
-	Epoch int
-	// High and Low are the shed/readmit watermarks on the pressure signal,
-	// the largest latency in the epoch buckets a decision consumes divided
-	// by Target: shed at pressure >= High, count a calm epoch at pressure
-	// <= Low. Zero watermarks default to 0.7/0.45 — shedding begins BEFORE
-	// a frame crosses the deadline, so the controller has authority while
-	// frames still meet it.
-	High, Low float64
 	// MaxAdmitted caps concurrently admitted vehicles (0 = uncapped). The
 	// cap is enforced immediately at registration time — the static
 	// -max-vehicles form of admission control — and respected by readmits.
 	MaxAdmitted int
 }
-
-// Default admission parameters.
-const (
-	DefaultAdmissionEpoch = 16
-	// admissionHysteresis is how many consecutive calm epochs must pass
-	// before one shed vehicle is readmitted.
-	admissionHysteresis = 2
-	// Watermark defaults (fraction of Target).
-	DefaultAdmissionHigh = 0.7
-	DefaultAdmissionLow  = 0.45
-)
 
 // AdmissionEvent is one shed or readmit in the controller's history.
 type AdmissionEvent struct {
@@ -88,12 +69,9 @@ func (e AdmissionEvent) String() string {
 // frame (through their vehicleGate), and every delivered frame is folded in
 // through Observe. All methods are safe for concurrent use.
 type FleetAdmission struct {
-	target    float64 // ms
-	epoch     int
-	high, low float64
-	maxAdm    int
-	shedding  bool // false: pure phase-locker, no decisions
-	phase     bool
+	maxAdm   int
+	shedding bool // false: pure phase-locker, no decisions
+	phase    bool
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -102,7 +80,7 @@ type FleetAdmission struct {
 	waiting   int   // streams parked at the phase barrier
 	gen       uint64
 	decisions int
-	calm      int
+	law       controlLaw
 	history   []AdmissionEvent
 }
 
@@ -123,49 +101,23 @@ type admVehicle struct {
 	ended     bool // told to end: Admit returns false
 	sheds     int  // lifetime shed count
 
-	// Current epoch accumulation (frames, worst latency in ms) and the
-	// completed, not-yet-consumed buckets behind it, each an epoch's worst
-	// latency. Bucket boundaries are positions in the vehicle's own
-	// delivered stream, so bucket contents are schedule-independent.
-	n       int
-	wallMax float64
+	// The open period and the closed, not-yet-consumed buckets behind it,
+	// each a period's worst latency (ms).
+	period  periodWorst
 	buckets []float64
 }
 
 // newFleetAdmission builds a controller.
 func newFleetAdmission(cfg AdmissionConfig, shedding, phase bool) (*FleetAdmission, error) {
-	target := cfg.Target
-	if target == 0 {
-		target = DefaultFrameBudget
-	}
-	if target < 0 {
-		return nil, fmt.Errorf("pipeline: admission target %v must be positive", cfg.Target)
-	}
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = DefaultAdmissionEpoch
-	}
-	if epoch < 1 {
-		return nil, fmt.Errorf("pipeline: admission epoch %d must be positive", cfg.Epoch)
-	}
-	high, low := cfg.High, cfg.Low
-	if high == 0 {
-		high = DefaultAdmissionHigh
-	}
-	if low == 0 {
-		low = DefaultAdmissionLow
-	}
-	if high <= low {
-		return nil, fmt.Errorf("pipeline: admission watermarks high %v <= low %v", high, low)
+	law, err := newControlLaw("admission", cfg.Target)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MaxAdmitted < 0 {
 		return nil, fmt.Errorf("pipeline: MaxAdmitted %d must be >= 0", cfg.MaxAdmitted)
 	}
 	a := &FleetAdmission{
-		target:   float64(target) / 1e6,
-		epoch:    epoch,
-		high:     high,
-		low:      low,
+		law:      law,
 		maxAdm:   cfg.MaxAdmitted,
 		shedding: shedding,
 		phase:    phase,
@@ -260,8 +212,8 @@ func (a *FleetAdmission) History() []AdmissionEvent {
 }
 
 // Observe folds one delivered frame's latency (ms, RunnerResult.Wall) into
-// the vehicle's current epoch bucket. Completing a bucket may trigger a
-// decision.
+// the vehicle's open period. Closing it queues a bucket, which may trigger
+// a decision.
 func (a *FleetAdmission) Observe(vehicle int, wallMs float64) {
 	if !a.shedding {
 		return // pure phase-locker: nothing to decide, keep no state
@@ -272,11 +224,8 @@ func (a *FleetAdmission) Observe(vehicle int, wallMs float64) {
 	if st == nil || !st.observing {
 		return
 	}
-	st.n++
-	st.wallMax = max(st.wallMax, wallMs)
-	if st.n >= a.epoch {
-		st.buckets = append(st.buckets, st.wallMax)
-		st.n, st.wallMax = 0, 0
+	if worst, closed := st.period.fold(wallMs); closed {
+		st.buckets = append(st.buckets, worst)
 		a.decideLocked()
 	}
 }
@@ -403,24 +352,16 @@ func (a *FleetAdmission) decideLocked() {
 			}
 		}
 		victim := admitted[worst]
-		pressure := victim.buckets[0] / a.target
+		pressure, m := a.law.judge(victim.buckets[0])
 		for _, st := range admitted {
 			st.buckets = st.buckets[1:]
 		}
 
 		switch {
-		case pressure >= a.high:
-			a.calm = 0
-			if len(admitted) > 1 { // never shed the last stream
-				a.shedLocked(victim, pressure)
-			}
-		case pressure <= a.low:
-			a.calm++
-			if a.calm >= admissionHysteresis && a.readmitLocked(len(admitted), pressure) {
-				a.calm = 0
-			}
-		default:
-			a.calm = 0
+		case m == moveBackOff && len(admitted) > 1: // never shed the last stream
+			a.shedLocked(victim, pressure)
+		case m == moveRecover && a.readmitLocked(len(admitted), pressure):
+			a.law.recovered()
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 	"adsim/internal/testutil"
 )
 
-// feedEpoch folds epoch frames of the given latency (ms) into the
-// controller for one vehicle.
-func feedEpoch(a *FleetAdmission, vehicle, epoch int, ms float64) {
-	for i := 0; i < epoch; i++ {
+// feedEpoch folds n frames of the given latency (ms) into the controller
+// for one vehicle.
+func feedEpoch(a *FleetAdmission, vehicle, n int, ms float64) {
+	for i := 0; i < n; i++ {
 		a.Observe(vehicle, ms)
 	}
 }
@@ -36,10 +36,10 @@ func newAdm(t *testing.T, cfg AdmissionConfig) *FleetAdmission {
 // stream, hysteresis gates readmission, the last stream is never shed, and
 // the registration-time cap sheds the highest IDs.
 func TestAdmissionControllerLaw(t *testing.T) {
-	const epoch = 4
+	const epoch = controlPeriod
 
 	t.Run("shed-readmit-cycle", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{Epoch: epoch}) // watermarks 0.7/0.45
+		a := newAdm(t, AdmissionConfig{}) // watermarks 0.7/0.45 of 100 ms
 		for v := 0; v < 3; v++ {
 			a.Register(v)
 		}
@@ -82,7 +82,7 @@ func TestAdmissionControllerLaw(t *testing.T) {
 	})
 
 	t.Run("never-shed-last", func(t *testing.T) {
-		a := newAdm(t, AdmissionConfig{Epoch: epoch})
+		a := newAdm(t, AdmissionConfig{})
 		a.Register(0)
 		for i := 0; i < 5; i++ {
 			feedEpoch(a, 0, epoch, 150) // every frame past the deadline
@@ -116,8 +116,6 @@ func TestAdmissionControllerLaw(t *testing.T) {
 
 	t.Run("config-validation", func(t *testing.T) {
 		bad := []AdmissionConfig{
-			{High: 0.3, Low: 0.5},
-			{Epoch: -1},
 			{MaxAdmitted: -1},
 			{Target: -time.Second},
 		}
@@ -132,7 +130,9 @@ func TestAdmissionControllerLaw(t *testing.T) {
 // admissionFleetConfig is the shared scenario for the determinism property
 // tests: three vehicles under virtual deadline enforcement, vehicle 1
 // missing its DET budget every other frame via an injected stall — 40 ms
-// frames once its window of 4 fills, where its neighbors' take 0.
+// frames once its window of 4 fills, where its neighbors' take 0. Against
+// a 50 ms target that is pressure 0.8: vehicle 1 is shed, and readmitted
+// two calm periods later.
 func admissionFleetConfig(t *testing.T) FleetConfig {
 	t.Helper()
 	cfg := fastNativeConfig(scene.Urban)
@@ -149,9 +149,7 @@ func admissionFleetConfig(t *testing.T) FleetConfig {
 		Injects: map[int]func(string, int) (time.Duration, error){
 			1: inj.Stage,
 		},
-		Admission: &AdmissionConfig{
-			Epoch: 8, High: 0.15, Low: 0.05,
-		},
+		Admission: &AdmissionConfig{Target: 50 * time.Millisecond},
 	}
 }
 
@@ -197,14 +195,14 @@ func emulateAdmission(t *testing.T, cfg AdmissionConfig, lat [][]float64) []Admi
 // feeding. Without the seats decision 1 would see one stream (the last,
 // never shed) instead of three (shed).
 func TestAdmissionLeaveKeepsQueuedBuckets(t *testing.T) {
-	const epoch, frames = 4, 24
-	cfg := AdmissionConfig{Epoch: epoch}
+	const epoch, frames = controlPeriod, 6 * controlPeriod
+	cfg := AdmissionConfig{}
 	lat := make([][]float64, 3)
 	for v := range lat {
 		lat[v] = make([]float64, frames)
 	}
 	for i := range lat[1] {
-		if i%epoch < 2 { // the stalled stream: half of every epoch
+		if i%epoch < epoch/2 { // the stalled stream: half of every epoch
 			lat[1][i] = 80
 		}
 	}
@@ -240,12 +238,12 @@ func TestAdmissionLeaveKeepsQueuedBuckets(t *testing.T) {
 
 // TestAdmissionForgetsOneSpike pins that pressure is the decision's own
 // buckets: one 90 ms frame among 1 ms frames sheds its stream once, in the
-// decision that consumes the spike's epoch, and admissionHysteresis calm
+// decision that consumes the spike's epoch, and recoverPeriods calm
 // epochs later the stream is back. (A rolling P99.99 over a long window
 // would hold such a spike for thousands of frames, shedding stream after
 // stream.)
 func TestAdmissionForgetsOneSpike(t *testing.T) {
-	const epoch, frames, spike = DefaultAdmissionEpoch, 6000, 100
+	const epoch, frames, spike = controlPeriod, 6000, 100
 	lat := make([][]float64, 3)
 	for v := range lat {
 		lat[v] = make([]float64, frames)
@@ -257,7 +255,7 @@ func TestAdmissionForgetsOneSpike(t *testing.T) {
 	decision := spike/epoch + 1
 	want := []AdmissionEvent{
 		{Decision: decision, Vehicle: 1, Shed: true, Pressure: 0.9},
-		{Decision: decision + admissionHysteresis, Vehicle: 1, Shed: false, Pressure: 0.01},
+		{Decision: decision + recoverPeriods, Vehicle: 1, Shed: false, Pressure: 0.01},
 	}
 	if got := emulateAdmission(t, AdmissionConfig{}, lat); !reflect.DeepEqual(got, want) {
 		t.Errorf("history = %v, want %v", got, want)

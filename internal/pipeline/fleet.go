@@ -47,9 +47,8 @@ type FleetConfig struct {
 	Executor *dnn.Executor
 	// SharedMap, when non-nil, is the prior-map store all vehicles share;
 	// each vehicle localizes through a private slam.VehicleStore view, so
-	// runtime map updates never cross streams. A slam.ShardStore here is one
-	// demand-loaded LRU cache for the whole fleet. nil gives each vehicle
-	// its own store per the template (Config.MapStore or a fresh PriorMap).
+	// runtime map updates never cross streams. nil gives each vehicle its
+	// own store per the template (Config.MapStore or a fresh PriorMap).
 	SharedMap slam.MapStore
 	// Injects overrides the template fault injector for specific vehicles
 	// (key = vehicle ID). A faulted vehicle must not perturb the others.
@@ -57,9 +56,6 @@ type FleetConfig struct {
 	// MonitorWindow sizes the per-vehicle and fleet-level constraint
 	// monitors; 0 selects constraint.DefaultMonitorWindow.
 	MonitorWindow int
-	// Metrics, when non-nil, receives the fleet gauges
-	// (fleet/vehicles_per_sec, fleet/frames_per_sec) after a run.
-	Metrics *telemetry.Registry
 	// Admission, when non-nil, puts the fleet under the frame-budget
 	// admission controller (admission.go): when the fleet cannot hold the
 	// frame deadline for everyone, whole vehicle streams are shed —
@@ -435,10 +431,6 @@ func (f *Fleet) Wait() FleetReport {
 	}
 	if fps := f.cfg.Config.Scene.FPS; fps > 0 {
 		rep.VehiclesPerSec = rep.FramesPerSec / fps
-	}
-	if f.cfg.Metrics != nil {
-		f.cfg.Metrics.Gauge("fleet/vehicles_per_sec").Set(rep.VehiclesPerSec)
-		f.cfg.Metrics.Gauge("fleet/frames_per_sec").Set(rep.FramesPerSec)
 	}
 	return rep
 }

@@ -20,9 +20,9 @@ type RunnerOptions struct {
 	InFlight int
 	// Tail, when non-nil, puts admission under the closed-loop
 	// tail-latency controller (see tail.go): the in-flight window adapts
-	// to the rolling P99.99 and each admitted frame is stamped with the
-	// controller's current DET resolution rung. A scheduler serves exactly
-	// one executor; NewRunner claims it.
+	// to each period's worst delivered latency and each admitted frame is
+	// stamped with the controller's current DET resolution rung. A
+	// scheduler serves exactly one executor; NewRunner claims it.
 	Tail *TailScheduler
 	// gate, when non-nil, is the fleet's view of this stream in its
 	// admission controller, consulted before every frame admission — BEFORE
@@ -108,18 +108,12 @@ func newWindow(limit int) *window {
 	return w
 }
 
-// admit blocks until a slot is free and claims it, returning the DET input
-// size committed for the admitted frame — read under the same lock that
-// decides rung transitions, by the single admitting goroutine, so frames
-// observe resolution changes strictly in admission order. ok=false after
-// interrupt.
-func (w *window) admit() (size int, ok bool) {
-	size, _, ok = w.admitAt()
-	return size, ok
-}
-
-// admitAt is admit that also returns the frame's virtual admission: the
-// time of the slot it claims (0 on the wall clock).
+// admitAt blocks until a slot is free and claims it, returning the DET
+// input size committed for the admitted frame — read under the same lock
+// that decides rung transitions, by the single admitting goroutine, so
+// frames observe resolution changes strictly in admission order — and the
+// frame's virtual admission: the time of the slot it claims (0 on the wall
+// clock). ok=false after interrupt.
 func (w *window) admitAt() (size int, at time.Duration, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -137,10 +131,7 @@ func (w *window) admitAt() (size int, at time.Duration, ok bool) {
 	return w.size, at, true
 }
 
-// frameDone frees the delivered frame's slot.
-func (w *window) frameDone(wallMs float64) { w.deliveredAt(wallMs, 0) }
-
-// deliveredAt is frameDone for a frame delivered at virtual time at: each
+// deliveredAt frees the slot of a frame delivered at virtual time at: each
 // slot the delivery opens (one, none after a shrink, two after a grow) is
 // stamped with it.
 func (w *window) deliveredAt(wallMs float64, at time.Duration) {

@@ -31,13 +31,19 @@ func soakFrames() int {
 	return 1000
 }
 
+// soakTarget is the soak's admission target: the law sheds on a period
+// whose worst frame reaches 42 ms, and readmits after two periods at or
+// under 27 ms.
+const soakTarget = 60 * time.Millisecond
+
 // TestFleetSoak drives a 4-vehicle admission-controlled fleet through the
 // mixed-stress scenario program for thousands of virtual-deadline frames,
 // churning membership mid-run (one vehicle added, one removed, both while
 // streams are live), and then audits the wreckage: every goroutine gone,
 // heap growth bounded (no monotonic per-frame leak), every monitor's frame
 // count equal to its stream's delivered count, the fleet monitor equal to
-// their sum, and the admission history per-vehicle alternating shed/readmit.
+// their sum, and the admission history holding at least one shed and one
+// readmit, per vehicle alternating shed/readmit.
 func TestFleetSoak(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	frames := soakFrames()
@@ -52,11 +58,16 @@ func TestFleetSoak(t *testing.T) {
 	cfg.SurveyFrames = 10
 	cfg.Deadline = DeadlinePolicy{Enforce: true, Virtual: true}
 
-	// Every vehicle (including the one churned in later, id 4) runs the
-	// program's fault rules with a per-vehicle seed: deterministic injected
-	// LOC/TRA stalls supply the virtual latency the admission signal reads.
+	// The odd-ID vehicles run the program's fault rules with a per-vehicle
+	// seed: deterministic injected LOC/TRA stalls supply the virtual latency
+	// the admission signal reads. Every 16-frame period of a faulted stream
+	// holds a 40 or (mostly) 50 ms frame, pressure 0.83 against soakTarget
+	// at 50, so the faulted streams are shed; the even-ID streams (the
+	// churned-in id 4 too) run clean at 0 ms, so two periods later one is
+	// readmitted, to be shed again. With faults on every stream no period
+	// is ever calm, and no one target both sheds and readmits.
 	injects := make(map[int]func(string, int) (time.Duration, error))
-	for v := 0; v <= vehicles; v++ {
+	for v := 1; v <= vehicles; v += 2 {
 		inj, err := faultinject.New(faultinject.FromProgram(prog, 100+int64(v)))
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +80,7 @@ func TestFleetSoak(t *testing.T) {
 		Config:    cfg,
 		InFlight:  3,
 		Injects:   injects,
-		Admission: &AdmissionConfig{Epoch: 16},
+		Admission: &AdmissionConfig{Target: soakTarget},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,10 +171,17 @@ func TestFleetSoak(t *testing.T) {
 	}
 
 	// Admission history validity: decisions nondecreasing, and per vehicle
-	// strictly alternating shed → readmit → shed …, starting with a shed.
+	// strictly alternating shed → readmit → shed …, starting with a shed,
+	// through both churn boundaries.
 	lastDecision := 0
 	shedNow := map[int]bool{}
+	sheds, readmits := 0, 0
 	for _, e := range rep.Admission {
+		if e.Shed {
+			sheds++
+		} else {
+			readmits++
+		}
 		if e.Decision < lastDecision {
 			t.Errorf("admission history decisions out of order: %v", rep.Admission)
 			break
@@ -177,6 +195,10 @@ func TestFleetSoak(t *testing.T) {
 		if e.Pressure < 0 || e.Pressure > 1 {
 			t.Errorf("virtual admission pressure %v out of [0,1]", e.Pressure)
 		}
+	}
+	if sheds == 0 || readmits == 0 {
+		t.Errorf("admission history has %d sheds and %d readmits, want at least one of each: %v",
+			sheds, readmits, rep.Admission)
 	}
 
 	// Heap growth bound: after a full GC the soak must not have accreted

@@ -5,22 +5,23 @@ import (
 	"sync"
 	"time"
 
-	"adsim/internal/constraint"
 	"adsim/internal/telemetry"
 )
 
 // This file is the tail-latency controller (DESIGN.md §12): where the
 // deadline layer (deadline.go) reacts to a blown budget after the fact, the
 // TailScheduler works to keep budgets from blowing at all. It closes the
-// loop from the delivered-frame latency tail back onto two knobs, in a
+// loop from delivered-frame latency back onto two knobs through the one
+// control law (control.go), one step per back-off or recovery, in a
 // committed escalation order:
 //
 //  1. the admission window — under congestion each extra in-flight frame
 //     is queueing delay on every frame behind it, so the first response to
-//     a rising P99.99 is to shrink the window (never below 1: the
-//     sequential floor, which cannot deadlock the graph's joins because
-//     stage edges stay buffered to the configured ceiling);
-//  2. the DET resolution ladder — if the tail stays high at window 1 the
+//     a period's worst frame nearing the target is to shrink the window
+//     (never below 1: the sequential floor, which cannot deadlock the
+//     graph's joins because stage edges stay buffered to the configured
+//     ceiling);
+//  2. the DET resolution ladder — if pressure stays high at window 1 the
 //     work itself doesn't fit, so the scheduler steps detect input
 //     resolution down a committed ladder (the paper's Fig 13 knob, closed
 //     loop), trading modeled accuracy for compute;
@@ -28,36 +29,11 @@ import (
 // and symmetrically back up on sustained recovery: resolution first (win
 // back accuracy), window last (win back throughput).
 
-// Tail-controller defaults.
-const (
-	// DefaultTailWindow is the rolling latency window (frames) the tail
-	// signal is computed over. Small enough to react within a burst, large
-	// enough that one outlier doesn't whipsaw the knobs.
-	DefaultTailWindow = 256
-	// DefaultTailPeriod is how many delivered frames pass between
-	// controller decisions — the hysteresis that keeps one decision's
-	// effect observable before the next.
-	DefaultTailPeriod = 16
-	// tailHighFrac and tailLowFrac are the congestion watermarks as
-	// fractions of the target: above high·target the controller backs off,
-	// below low·target for tailRecover consecutive periods it steps back
-	// up, and between them it holds.
-	tailHighFrac = 0.75
-	tailLowFrac  = 0.45
-	tailRecover  = 2
-)
-
 // TailConfig parameterizes a TailScheduler.
 type TailConfig struct {
-	// Target is the latency deadline the controller steers the rolling
-	// P99.99 toward; 0 selects DefaultFrameBudget.
+	// Target is the latency deadline the control law judges each period's
+	// worst frame against; 0 selects DefaultFrameBudget.
 	Target time.Duration
-	// Window is the rolling window (delivered frames) of the tail signal;
-	// 0 selects DefaultTailWindow.
-	Window int
-	// Period is the decision interval in delivered frames; 0 selects
-	// DefaultTailPeriod.
-	Period int
 	// InitialWindow is the admission window at attach, clamped to the
 	// executor's ceiling; 0 selects the ceiling itself. Hard-deadline
 	// deployments start at 1 — a reactive controller cannot undo the
@@ -85,20 +61,15 @@ type tailMetrics struct {
 // TailScheduler is the closed-loop tail-latency controller. One scheduler
 // serves one executor, and there is one place to hand it over:
 // RunnerOptions.Tail (adaptive admission window + ladder; InFlight 1 pins
-// the window at 1, the sequential schedule, leaving only the ladder). The
-// rolling P99.99 signal is a constraint.Monitor fed every delivered
-// frame's latency on the pipeline's clock (RunnerResult.Wall), so the
-// controller and the live constraint verdict read the exact same tail.
+// the window at 1, the sequential schedule, leaving only the ladder). Its
+// signal is every delivered frame's latency on the pipeline's clock
+// (RunnerResult.Wall), judged by the law fleet admission runs too.
 //
 // All methods are safe for concurrent use.
 type TailScheduler struct {
-	targetMs float64
-	period   int
-	initial  int
-	ladder   []int
-
-	mon *constraint.Monitor
-	met tailMetrics
+	initial int
+	ladder  []int
+	met     tailMetrics
 
 	// window is the admission window the controller adapts: its limit moves
 	// in [1, ceiling], and its mutex guards every field below.
@@ -107,32 +78,15 @@ type TailScheduler struct {
 	minLimit int // smallest window the controller reached (observability)
 	rung     int // current ladder index; maxRung tracks the deepest visited
 	maxRung  int
-	since    int // delivered frames since the last decision
-	calm     int // consecutive calm periods
+	period   periodWorst // delivered frames since the last decision
+	law      controlLaw
 }
 
 // NewTailScheduler validates the configuration and builds a controller.
 func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
-	target := cfg.Target
-	if target == 0 {
-		target = DefaultFrameBudget
-	}
-	if target < 0 {
-		return nil, fmt.Errorf("pipeline: tail target %v must be positive", target)
-	}
-	window := cfg.Window
-	if window == 0 {
-		window = DefaultTailWindow
-	}
-	if window < 1 {
-		return nil, fmt.Errorf("pipeline: tail window %d must be positive", window)
-	}
-	period := cfg.Period
-	if period == 0 {
-		period = DefaultTailPeriod
-	}
-	if period < 1 {
-		return nil, fmt.Errorf("pipeline: tail period %d must be positive", period)
+	law, err := newControlLaw("tail", cfg.Target)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.InitialWindow < 0 {
 		return nil, fmt.Errorf("pipeline: tail initial window %d must be non-negative", cfg.InitialWindow)
@@ -151,11 +105,9 @@ func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
 		reg = telemetry.NewRegistry(0)
 	}
 	t := &TailScheduler{
-		targetMs: float64(target) / 1e6,
-		period:   period,
-		initial:  cfg.InitialWindow,
-		ladder:   append([]int(nil), cfg.Ladder...),
-		mon:      constraint.NewMonitor(constraint.MonitorConfig{Window: window}),
+		initial: cfg.InitialWindow,
+		ladder:  append([]int(nil), cfg.Ladder...),
+		law:     law,
 		met: tailMetrics{
 			shrink:    reg.Counter("tail/shrink"),
 			grow:      reg.Counter("tail/grow"),
@@ -170,11 +122,6 @@ func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
 	t.publishLocked() // InputSize reads the base rung before attach, too
 	return t, nil
 }
-
-// Monitor exposes the controller's rolling-tail monitor: the same
-// constraint.Monitor semantics (live Performance/Predictability verdicts)
-// over exactly the frames the controller has seen.
-func (t *TailScheduler) Monitor() *constraint.Monitor { return t.mon }
 
 // WindowLimit reports the current admission window.
 func (t *TailScheduler) WindowLimit() int {
@@ -219,7 +166,7 @@ func (t *TailScheduler) publishLocked() {
 
 // attach binds the scheduler to an executor with the given admission
 // ceiling. A scheduler serves exactly one executor for its lifetime — its
-// monitor window and knob state are that run's trajectory.
+// open period and knob state are that run's trajectory.
 func (t *TailScheduler) attach(ceiling int) error {
 	if ceiling < 1 {
 		return fmt.Errorf("pipeline: tail ceiling %d must be positive", ceiling)
@@ -240,56 +187,38 @@ func (t *TailScheduler) attach(ceiling int) error {
 }
 
 // observeLocked is the window's per-delivery hook: fold the frame's
-// latency into the tail signal, and every period frames run the controller.
+// latency into the open period, and when it closes, take the law's move.
+// The escalation order is fixed: congestion shrinks the window to 1 before
+// the ladder gives up any resolution; recovery climbs the ladder back to
+// base before the window regrows.
 func (t *TailScheduler) observeLocked(wallMs float64) {
-	t.mon.Observe(wallMs, time.Now())
-	t.since++
-	if t.since >= t.period {
-		t.since = 0
-		t.decideLocked()
+	worst, closed := t.period.fold(wallMs)
+	if !closed {
+		return
 	}
-}
-
-// decideLocked is the controller law, run every period under t.mu. The
-// escalation order is fixed: congestion shrinks the window to 1 before the
-// ladder gives up any resolution; recovery climbs the ladder back to base
-// before the window regrows. One step per period, so every move's effect
-// is measured before the next.
-func (t *TailScheduler) decideLocked() {
-	tail := t.mon.Snapshot().TailMs
-	switch {
-	case tail > tailHighFrac*t.targetMs:
-		t.calm = 0
+	switch _, m := t.law.judge(worst); m {
+	case moveBackOff:
 		switch {
 		case t.limit > 1:
 			t.limit--
-			if t.limit < t.minLimit {
-				t.minLimit = t.limit
-			}
+			t.minLimit = min(t.minLimit, t.limit)
 			t.met.shrink.Inc()
 		case t.rung+1 < len(t.ladder):
 			t.rung++
-			if t.rung > t.maxRung {
-				t.maxRung = t.rung
-			}
+			t.maxRung = max(t.maxRung, t.rung)
 			t.met.scaleDown.Inc()
 		}
-	case tail < tailLowFrac*t.targetMs:
-		t.calm++
-		if t.calm >= tailRecover {
-			t.calm = 0
-			switch {
-			case t.rung > 0:
-				t.rung--
-				t.met.scaleUp.Inc()
-			case t.limit < t.ceiling:
-				t.limit++
-				t.met.grow.Inc()
-			}
+	case moveRecover:
+		switch {
+		case t.rung > 0:
+			t.rung--
+			t.met.scaleUp.Inc()
+			t.law.recovered()
+		case t.limit < t.ceiling:
+			t.limit++
+			t.met.grow.Inc()
+			t.law.recovered()
 		}
-	default:
-		// Between the watermarks: hold, and restart the calm streak.
-		t.calm = 0
 	}
 	t.publishLocked()
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,8 +20,7 @@ import (
 func TestTailSchedulerValidation(t *testing.T) {
 	bad := []TailConfig{
 		{Target: -time.Millisecond},
-		{Window: -1},
-		{Period: -1},
+		{InitialWindow: -1},
 		{Ladder: []int{100}},       // not a multiple of 16
 		{Ladder: []int{64, 64}},    // not strictly descending
 		{Ladder: []int{48, 64}},    // ascending
@@ -55,15 +55,57 @@ func TestTailSchedulerValidation(t *testing.T) {
 	}
 }
 
+// tailStep is one knob move of a TailScheduler: the delivered frame whose
+// period closed with it, and the window and DET size it left.
+type tailStep struct{ frame, window, size int }
+
+// feedTail delivers one frame per latency (ms) through the scheduler's
+// window and returns every knob move, checking the escalation order after
+// each frame: the ladder only ever leaves base resolution while the window
+// sits at its floor.
+func feedTail(t *testing.T, ts *TailScheduler, lat []float64) []tailStep {
+	t.Helper()
+	base := ts.InputSize()
+	var steps []tailStep
+	window, size := ts.WindowLimit(), base
+	for i, ms := range lat {
+		if _, _, ok := ts.admitAt(); !ok {
+			t.Fatal("admit interrupted")
+		}
+		ts.deliveredAt(ms, 0)
+		w, sz := ts.WindowLimit(), ts.InputSize()
+		if sz < base && w != 1 {
+			t.Fatalf("frame %d: rung below base at window %d: escalation order violated", i, w)
+		}
+		if w != window || sz != size {
+			steps = append(steps, tailStep{i + 1, w, sz})
+			window, size = w, sz
+		}
+	}
+	return steps
+}
+
+// periods is n control periods of frames at ms each.
+func periods(n int, ms float64) []float64 {
+	lat := make([]float64, n*controlPeriod)
+	for i := range lat {
+		lat[i] = ms
+	}
+	return lat
+}
+
 // TestTailControllerLaw drives the controller with synthetic delivered
-// latencies and checks the committed escalation order: congestion shrinks
-// the window all the way to 1 BEFORE the ladder gives up resolution, and
-// recovery climbs the ladder back to base BEFORE the window regrows.
+// latencies and checks the exact decision sequence of the one law: every
+// period whose worst frame reaches 0.7 of the target backs off one step,
+// the window all the way to 1 BEFORE the ladder gives up resolution; two
+// calm periods (worst at most 0.45 of the target) recover one step, the
+// ladder back to base BEFORE the window regrows; a period between the
+// watermarks holds and restarts the calm streak; and at the ceiling the
+// streak runs on, so after the next back-off two calm periods still
+// recover.
 func TestTailControllerLaw(t *testing.T) {
 	ts, err := NewTailScheduler(TailConfig{
-		Target: 100 * time.Millisecond, // watermarks: high 75ms, low 45ms
-		Window: 8,
-		Period: 4,
+		Target: 100 * time.Millisecond, // watermarks: back off at 70 ms, calm at 45 ms
 		Ladder: []int{64, 48, 32},
 	})
 	if err != nil {
@@ -75,68 +117,75 @@ func TestTailControllerLaw(t *testing.T) {
 	if got := ts.InputSize(); got != 64 {
 		t.Fatalf("base InputSize = %d, want 64", got)
 	}
-
-	feed := func(n int, wallMs float64) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, ok := ts.admit(); !ok {
-				t.Fatal("admit interrupted")
-			}
-			ts.frameDone(wallMs)
-			// Escalation-order invariant, both directions: the ladder only
-			// ever leaves base resolution while the window sits at its floor.
-			if ts.InputSize() < 64 && ts.WindowLimit() != 1 {
-				t.Fatalf("rung below base at window %d: escalation order violated", ts.WindowLimit())
-			}
-		}
+	const p = controlPeriod
+	spike := periods(1, 1)
+	spike[0] = 70 // a period is its worst frame: one frame at the watermark backs off
+	lat := slices.Concat(
+		periods(5, 70), // at the back-off watermark: window 3 -> 1, ladder 64 -> 32, then both floors hold
+		periods(1, 45), // at the calm watermark: calm 1
+		periods(1, 60), // between the watermarks: hold, the streak restarts
+		periods(8, 10), // calm: ladder back to base, then window back to 3, one step per 2 periods
+		periods(3, 10), // at the ceiling: nothing to step, the streak runs on
+		spike,          // one back-off: window 2
+		periods(2, 1),  // two calm periods: window 3
+	)
+	want := []tailStep{
+		{1 * p, 2, 64},
+		{2 * p, 1, 64},
+		{3 * p, 1, 48},
+		{4 * p, 1, 32},
+		{9 * p, 1, 48},
+		{11 * p, 1, 64},
+		{13 * p, 2, 64},
+		{15 * p, 3, 64},
+		{19 * p, 2, 64},
+		{21 * p, 3, 64},
 	}
-
-	// Congestion: 90ms tail, decision every 4 frames. Two decisions take the
-	// window 3 -> 1; the ladder must still be at base.
-	feed(8, 90)
-	if got := ts.WindowLimit(); got != 1 {
-		t.Fatalf("after 2 congested periods WindowLimit = %d, want 1", got)
-	}
-	if got := ts.InputSize(); got != 64 {
-		t.Fatalf("ladder moved before the window floor: InputSize = %d", got)
-	}
-	// Two more decisions descend the ladder 64 -> 48 -> 32.
-	feed(8, 90)
-	if got := ts.InputSize(); got != 32 {
-		t.Fatalf("after 4 congested periods InputSize = %d, want 32", got)
-	}
-	// Both knobs at their floor: further congestion holds.
-	feed(4, 90)
-	if ts.WindowLimit() != 1 || ts.InputSize() != 32 {
-		t.Fatalf("floors moved: window %d, size %d", ts.WindowLimit(), ts.InputSize())
+	if got := feedTail(t, ts, lat); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decisions = %v, want %v", got, want)
 	}
 	if ts.MinWindowLimit() != 1 || ts.MaxRungDepth() != 2 {
 		t.Fatalf("trajectory: minLimit %d (want 1), maxRung %d (want 2)",
 			ts.MinWindowLimit(), ts.MaxRungDepth())
 	}
+}
 
-	// Recovery: 10ms frames. The rolling window (8) must first flush the
-	// 90ms samples, then every two calm periods step one knob:
-	// ladder back to base first, window regrowth last.
-	feed(20, 10)
-	if got := ts.InputSize(); got != 64 {
-		t.Fatalf("after calm recovery InputSize = %d, want base 64", got)
+// TestTailForgetsOneSpike is the one-spike guard: one 90 ms frame among
+// 1 ms frames (target 100 ms) backs the window off one step, in the period
+// that holds the spike, and two calm periods later it is back at its
+// ceiling. (A rolling P99.99 over 256 frames would hold such a spike for
+// hundreds of frames, stepping the window to 1 and the ladder down behind
+// it.)
+func TestTailForgetsOneSpike(t *testing.T) {
+	const frames, spike = 6000, 100 // 375 periods
+	ts, err := NewTailScheduler(TailConfig{
+		Target: 100 * time.Millisecond,
+		Ladder: []int{64, 48, 32},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := ts.WindowLimit(); got != 1 {
-		t.Fatalf("window regrew before the ladder reached base: limit = %d", got)
+	if err := ts.attach(6); err != nil {
+		t.Fatal(err)
 	}
-	feed(20, 10)
-	if got := ts.WindowLimit(); got != 3 {
-		t.Fatalf("after sustained calm WindowLimit = %d, want ceiling 3", got)
+	lat := periods(frames/controlPeriod, 1)
+	lat[spike] = 90
+	closes := (spike/controlPeriod + 1) * controlPeriod
+	want := []tailStep{
+		{closes, 5, 64},
+		{closes + recoverPeriods*controlPeriod, 6, 64},
 	}
-	if got := ts.Monitor().Snapshot().Total; got != 60 {
-		t.Fatalf("monitor folded %d frames, want 60", got)
+	if got := feedTail(t, ts, lat); !reflect.DeepEqual(got, want) {
+		t.Errorf("decisions = %v, want %v", got, want)
+	}
+	if ts.MinWindowLimit() != 5 || ts.MaxRungDepth() != 0 {
+		t.Errorf("trajectory: minLimit %d (want 5), maxRung %d (want 0)", ts.MinWindowLimit(), ts.MaxRungDepth())
 	}
 }
 
-// TestTailAdmitBlocksAndInterrupts pins the admission contract: admit
-// blocks once in-flight reaches the live limit, frameDone frees a slot, and
-// interrupt permanently unblocks waiters with ok=false.
+// TestTailAdmitBlocksAndInterrupts pins the admission contract: admission
+// blocks once in-flight reaches the live limit, a delivery frees a slot,
+// and interrupt permanently unblocks waiters with ok=false.
 func TestTailAdmitBlocksAndInterrupts(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	ts, err := NewTailScheduler(TailConfig{})
@@ -146,12 +195,12 @@ func TestTailAdmitBlocksAndInterrupts(t *testing.T) {
 	if err := ts.attach(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ts.admit(); !ok {
+	if _, _, ok := ts.admitAt(); !ok {
 		t.Fatal("first admit refused")
 	}
 	admitted := make(chan bool, 2)
 	go func() {
-		_, ok := ts.admit()
+		_, _, ok := ts.admitAt()
 		admitted <- ok
 	}()
 	select {
@@ -159,17 +208,17 @@ func TestTailAdmitBlocksAndInterrupts(t *testing.T) {
 		t.Fatal("second admit did not block at limit 1")
 	case <-time.After(20 * time.Millisecond):
 	}
-	ts.frameDone(1)
+	ts.deliveredAt(1, 0)
 	select {
 	case ok := <-admitted:
 		if !ok {
 			t.Fatal("unblocked admit reported not-ok")
 		}
 	case <-time.After(time.Second):
-		t.Fatal("frameDone did not unblock admission")
+		t.Fatal("a delivery did not unblock admission")
 	}
 	go func() {
-		_, ok := ts.admit()
+		_, _, ok := ts.admitAt()
 		admitted <- ok
 	}()
 	ts.interrupt()
@@ -243,11 +292,11 @@ func TestTailPinnedWindowMatchesStep(t *testing.T) {
 // TestTailRunnerShrinkKeepsOrder forces the controller to shrink on every
 // decision (an unreachable nanosecond target) while frames are in flight:
 // the window must collapse 6 -> 1 and the ladder descend to its floor
-// mid-run, yet delivery stays in admission order and results stay
-// bitwise-identical to a static sequential run — in-order scale transitions
-// preserve the executors' equivalence.
+// mid-run (seven periods), yet delivery stays in admission order and
+// results stay bitwise-identical to a static sequential run — in-order
+// scale transitions preserve the executors' equivalence.
 func TestTailRunnerShrinkKeepsOrder(t *testing.T) {
-	const frames = 40
+	const frames = 8 * controlPeriod
 	cfg := fastNativeConfig(scene.Urban)
 
 	seq, err := NewNative(cfg)
@@ -265,8 +314,6 @@ func TestTailRunnerShrinkKeepsOrder(t *testing.T) {
 
 	ts, err := NewTailScheduler(TailConfig{
 		Target: time.Nanosecond, // every observed latency reads as congestion
-		Window: 16,
-		Period: 2,
 		Ladder: []int{64, 48, 32},
 	})
 	if err != nil {
@@ -302,9 +349,6 @@ func TestTailRunnerShrinkKeepsOrder(t *testing.T) {
 	if got := ts.MaxRungDepth(); got != 2 {
 		t.Errorf("ladder depth %d, want 2 (floor)", got)
 	}
-	if got := ts.Monitor().Snapshot().Total; got != frames {
-		t.Errorf("monitor folded %d frames, want %d", got, frames)
-	}
 }
 
 // TestTailSequentialAttach drives the ladder through the SEQUENTIAL
@@ -313,7 +357,7 @@ func TestTailRunnerShrinkKeepsOrder(t *testing.T) {
 // unreachable target, and results stay identical to an unscheduled Step
 // loop.
 func TestTailSequentialAttach(t *testing.T) {
-	const frames = 20
+	const frames = 3 * controlPeriod
 	cfg := fastNativeConfig(scene.Urban)
 
 	plain, err := NewNative(cfg)
@@ -331,8 +375,6 @@ func TestTailSequentialAttach(t *testing.T) {
 
 	ts, err := NewTailScheduler(TailConfig{
 		Target: time.Nanosecond,
-		Window: 16,
-		Period: 2,
 		Ladder: []int{64, 48, 32},
 	})
 	if err != nil {
@@ -494,8 +536,6 @@ func TestTailRunnerAnytimeStopDrain(t *testing.T) {
 	}
 	ts, err := NewTailScheduler(TailConfig{
 		Target: time.Nanosecond,
-		Window: 8,
-		Period: 2,
 		Ladder: []int{64, 48},
 	})
 	if err != nil {
@@ -505,6 +545,8 @@ func TestTailRunnerAnytimeStopDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Stop after two periods: the window has collapsed 4 -> 2 mid-run.
+	const stopAt = 2*controlPeriod + 1
 	delivered := 0
 	sawMiss := false
 	for res := range r.Run(0) {
@@ -518,15 +560,18 @@ func TestTailRunnerAnytimeStopDrain(t *testing.T) {
 			sawMiss = true
 		}
 		delivered++
-		if delivered == 5 {
+		if delivered == stopAt {
 			r.Stop()
 		}
 	}
 	if !sawMiss {
 		t.Fatal("scenario produced no DET misses before Stop")
 	}
-	if delivered < 5 {
+	if delivered < stopAt {
 		t.Fatalf("only %d frames delivered", delivered)
+	}
+	if got := ts.MinWindowLimit(); got != 2 {
+		t.Errorf("window reached %d before Stop, want 4 -> 2 over two periods", got)
 	}
 	// Channel closed => every stage drained. Re-entering must be race-free.
 	if _, err := p.Step(); err != nil {

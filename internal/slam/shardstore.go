@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"adsim/internal/scene"
 	"adsim/internal/telemetry"
 )
 
@@ -28,11 +27,11 @@ type ShardStoreOptions struct {
 
 // ShardStore is the tiled on-disk prior-map store: a directory of ADM1
 // shard files (see WriteShards) paged on demand through a byte-budgeted
-// LRU cache, plus an in-memory overlay that absorbs runtime map updates. It
-// implements MapStore; reads stitch across tile boundaries and merge the
-// overlay so results are bit-identical to the equivalent monolithic
-// PriorMap. Every tile load is a read's miss, so the cache counters are a
-// pure function of the read sequence.
+// LRU cache. It is read-only survey data: reads stitch across tile
+// boundaries so results are bit-identical to the equivalent monolithic
+// PriorMap, and a writer (a LOC engine's runtime map updates) wraps it in
+// a VehicleStore, whose overlay takes the Adds. Every tile load is a read's
+// miss, so the cache counters are a pure function of the read sequence.
 //
 // All methods are safe for concurrent use. Tile loads happen under the
 // store lock, so concurrent readers serialize on a cache miss — the load
@@ -48,8 +47,6 @@ type ShardStore struct {
 	lru           *list.List            // front = most recently used
 	residentBytes int64
 	err           error // first I/O error; kept as a sticky record for Err
-
-	overlay *PriorMap // runtime Adds; never written back to shards
 
 	hits, misses, evictions, ioErrors *telemetry.Counter
 	residentGauge                     *telemetry.Gauge
@@ -79,7 +76,6 @@ func OpenShardStore(dir string, opts ShardStoreOptions) (*ShardStore, error) {
 		budget:        opts.CacheBudget,
 		resident:      make(map[int]*residentTile),
 		lru:           list.New(),
-		overlay:       &PriorMap{nextID: idx.MaxID},
 		hits:          reg.Counter("mapstore/hits"),
 		misses:        reg.Counter("mapstore/misses"),
 		evictions:     reg.Counter("mapstore/evictions"),
@@ -94,9 +90,9 @@ func (s *ShardStore) Index() ShardIndex { return s.idx }
 
 // Err returns the first I/O error the store has hit — a sticky record, not
 // a gate: load failures are transient (the read that hit the error
-// degrades to whatever is resident plus the overlay, and later accesses
-// retry the tile). Callers that need hard guarantees should check Err
-// after a replay; the mapstore/io_errors counter tallies every failure.
+// degrades to whatever is resident, and later accesses retry the tile).
+// Callers that need hard guarantees should check Err after a replay; the
+// mapstore/io_errors counter tallies every failure.
 func (s *ShardStore) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -107,15 +103,8 @@ func (s *ShardStore) Err() error {
 // reads, so there is nothing else to release.
 func (s *ShardStore) Close() error { return s.Err() }
 
-// Len reports stored plus runtime-added keyframes.
-func (s *ShardStore) Len() int { return s.idx.Keyframes + s.overlay.Len() }
-
-// Add inserts a runtime keyframe into the in-memory overlay (shard files
-// are immutable survey data). IDs continue past the largest stored ID, so
-// they match what the monolithic map would have assigned.
-func (s *ShardStore) Add(pose scene.Pose, kps []Keypoint, descs []Descriptor) int {
-	return s.overlay.Add(pose, kps, descs)
-}
+// Len reports the stored keyframes.
+func (s *ShardStore) Len() int { return s.idx.Keyframes }
 
 // getTileLocked returns tile pos's keyframes through the LRU cache, loading
 // the tile on a miss; the caller holds s.mu. A tracking read makes the tile
@@ -184,8 +173,8 @@ func (s *ShardStore) loadTile(pos int) ([]Keyframe, error) {
 }
 
 // Candidates returns the keyframes within ±window meters of z in
-// ascending-Z order, stitched across every overlapping tile and merged with
-// the runtime overlay. The result is a snapshot the caller owns.
+// ascending-Z order, stitched across every overlapping tile. The result is
+// a snapshot the caller owns.
 func (s *ShardStore) Candidates(z, window float64) []Keyframe {
 	lo, hi := z-window, z+window
 	var stored []Keyframe
@@ -204,35 +193,10 @@ func (s *ShardStore) Candidates(z, window float64) []Keyframe {
 		stored = append(stored, kfs[a:b]...)
 	}
 	s.mu.Unlock()
-	return mergeByZ(s.overlay.Candidates(z, window), stored)
+	return stored
 }
 
-// mergeByZ merges two ascending-Z snapshots; on equal Z, entries from a
-// precede entries from b — matching PriorMap.insert, which places newer
-// keyframes before equal-Z existing ones.
-func mergeByZ(a, b []Keyframe) []Keyframe {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Keyframe, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Pose.Z <= b[j].Pose.Z {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// NearestZ returns the keyframe closest to z across shards and overlay.
+// NearestZ returns the keyframe closest to z across the shards.
 // Only the (at most two) tiles that can contain the nearest stored
 // keyframe are consulted, so a NearestZ never faults in more than two
 // tiles, and the one above z only when it could hold a nearer keyframe.
@@ -267,9 +231,6 @@ func (s *ShardStore) NearestZ(z float64) (Keyframe, bool) {
 		}
 	}
 	s.mu.Unlock()
-	if kf, ok := s.overlay.NearestZ(z); ok {
-		consider(kf)
-	}
 	return best, have
 }
 
@@ -283,35 +244,22 @@ func nearerZ(a, b Keyframe, z float64) bool {
 	return a.Pose.Z < b.Pose.Z
 }
 
-// Scan streams every keyframe in ascending-Z order, one tile at a time,
-// merging the overlay — the relocalization worst case runs in bounded
-// memory. Scan never evicts a tile or reorders the LRU, so a loop-closing
-// sweep leaves the tracking working set resident: a tile it loads is cached
-// at the cold end when the budget has room, and read through otherwise.
+// Scan streams every keyframe in ascending-Z order, one tile at a time —
+// the relocalization worst case runs in bounded memory. Scan never evicts a
+// tile or reorders the LRU, so a loop-closing sweep leaves the tracking
+// working set resident: a tile it loads is cached at the cold end when the
+// budget has room, and read through otherwise.
 // fn runs without the store lock held, so concurrent reads proceed between
-// tiles; overlay keyframes added after Scan starts are not observed.
+// tiles.
 func (s *ShardStore) Scan(fn func(Keyframe) bool) {
-	ov := s.overlay.All()
-	oi := 0
 	for pos := range s.idx.Tiles {
 		s.mu.Lock()
 		kfs := s.getTileLocked(pos, true)
 		s.mu.Unlock()
 		for _, kf := range kfs {
-			for oi < len(ov) && ov[oi].Pose.Z <= kf.Pose.Z {
-				if !fn(ov[oi]) {
-					return
-				}
-				oi++
-			}
 			if !fn(kf) {
 				return
 			}
-		}
-	}
-	for ; oi < len(ov); oi++ {
-		if !fn(ov[oi]) {
-			return
 		}
 	}
 }

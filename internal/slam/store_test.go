@@ -45,7 +45,21 @@ func buildWorld(t testing.TB, frames int) (*PriorMap, scene.Config) {
 	return mono, cfg
 }
 
-func openTestStore(t testing.TB, mono *PriorMap, pitch float64, opts ShardStoreOptions) *ShardStore {
+// shardView is a shard store as its writers hold it: reads and Adds go
+// through a VehicleStore over the tile cache, while the cache's own methods
+// and fields (Err, CacheStats, Index, lru) stay at hand.
+type shardView struct {
+	*ShardStore
+	*VehicleStore
+}
+
+func (v shardView) Len() int                            { return v.VehicleStore.Len() }
+func (v shardView) Candidates(z, w float64) []Keyframe  { return v.VehicleStore.Candidates(z, w) }
+func (v shardView) NearestZ(z float64) (Keyframe, bool) { return v.VehicleStore.NearestZ(z) }
+func (v shardView) Scan(fn func(Keyframe) bool)         { v.VehicleStore.Scan(fn) }
+
+// openTestStore tiles mono into a fresh shard directory and opens it.
+func openTestStore(t testing.TB, mono *PriorMap, pitch float64, opts ShardStoreOptions) shardView {
 	t.Helper()
 	dir := t.TempDir()
 	if _, err := WriteShards(mono, dir, pitch); err != nil {
@@ -60,7 +74,7 @@ func openTestStore(t testing.TB, mono *PriorMap, pitch float64, opts ShardStoreO
 			t.Errorf("store error after test: %v", err)
 		}
 	})
-	return store
+	return shardView{store, NewVehicleStore(0, store)}
 }
 
 // The acceptance bar: with a cache budget well below the map size, a
@@ -178,7 +192,7 @@ func TestShardCacheDeterministic(t *testing.T) {
 
 // Every read of the sharded store must agree with the monolithic map —
 // including windows straddling tile boundaries and queries after runtime
-// Adds land in the overlay.
+// Adds land in the VehicleStore overlay over it.
 func TestShardStoreMatchesMonolithicQueries(t *testing.T) {
 	mono, _ := buildWorld(t, 50)
 	store := openTestStore(t, mono, 8, ShardStoreOptions{CacheBudget: 1}) // thrash: one tile resident
@@ -395,10 +409,10 @@ func BenchmarkShardedReloc(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer store.Close()
-		reloc(b, store) // fault everything in before timing
+		reloc(b, NewVehicleStore(0, store)) // fault everything in before timing
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			reloc(b, store)
+			reloc(b, NewVehicleStore(0, store))
 		}
 	})
 	b.Run("sharded-tight-budget", func(b *testing.B) {
@@ -409,7 +423,7 @@ func BenchmarkShardedReloc(b *testing.B) {
 		defer store.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			reloc(b, store)
+			reloc(b, NewVehicleStore(0, store))
 		}
 	})
 }

@@ -2,29 +2,31 @@ package slam
 
 import "adsim/internal/scene"
 
-// VehicleStore is one fleet vehicle's view of a prior-map store shared by N
-// vehicles: reads stitch the shared base (which this vehicle never mutates)
-// with a private overlay that absorbs the vehicle's own runtime map updates.
-// Vehicles therefore localize against identical survey data without ever
-// observing each other's keyframes — the property that makes a fleet run
-// bit-identical to the same vehicle running alone against its own store.
+// VehicleStore is a writable view of a prior-map store it never mutates:
+// reads stitch the base with a private overlay that absorbs the writer's
+// runtime map updates. It is the one overlay in the package. A fleet gives
+// each vehicle one over the shared map, so vehicles localize against
+// identical survey data without ever observing each other's keyframes —
+// the property that makes a fleet run bit-identical to the same vehicle
+// running alone against its own store. A ShardStore is read-only, so
+// whoever writes to one holds a VehicleStore over it.
 //
 // The merge semantics (overlay-before-stored on equal Z, nearest-Z ties to
-// the lower neighbor, ascending-Z interleave on Scan) replicate ShardStore's
-// overlay exactly, and overlay IDs continue past the base's largest stored
-// ID, so assigned IDs match a solo run too.
+// the lower neighbor, ascending-Z interleave on Scan) match a monolithic
+// PriorMap's insert order, and overlay IDs continue past the base's largest
+// stored ID, so assigned IDs match a PriorMap holding the same keyframes.
 //
 // All methods are safe for concurrent use; the base must be too (PriorMap
 // and ShardStore both are).
 type VehicleStore struct {
-	base    MapStore
+	base    mapReader
 	overlay *PriorMap
 }
 
-// NewVehicleStore wraps base as a vehicle's private view. The id is unused;
-// the parameter stays only because the benchmark module (bench/workload.go)
-// calls this signature.
-func NewVehicleStore(id int, base MapStore) *VehicleStore {
+// NewVehicleStore wraps base — a MapStore or a ShardStore — as a private
+// writable view. The id is unused; the parameter stays only because the
+// benchmark module (bench/workload.go) calls this signature.
+func NewVehicleStore(id int, base mapReader) *VehicleStore {
 	maxID := 0
 	if ss, ok := base.(*ShardStore); ok {
 		maxID = ss.idx.MaxID // avoid paging every tile just to find the max
@@ -49,13 +51,13 @@ func (vs *VehicleStore) Add(pose scene.Pose, kps []Keypoint, descs []Descriptor)
 }
 
 // Candidates merges the base's window with this vehicle's overlay, private
-// keyframes preceding shared ones on equal Z (the ShardStore overlay rule).
+// keyframes preceding shared ones on equal Z.
 func (vs *VehicleStore) Candidates(z, window float64) []Keyframe {
 	return mergeByZ(vs.overlay.Candidates(z, window), vs.base.Candidates(z, window))
 }
 
 // NearestZ returns the closest keyframe across base and overlay; the base's
-// answer wins ties exactly as ShardStore's stored-before-overlay order does.
+// answer wins ties (stored before overlay).
 func (vs *VehicleStore) NearestZ(z float64) (Keyframe, bool) {
 	best, have := vs.base.NearestZ(z)
 	if kf, ok := vs.overlay.NearestZ(z); ok && (!have || nearerZ(kf, best, z)) {
@@ -93,6 +95,31 @@ func (vs *VehicleStore) Scan(fn func(Keyframe) bool) {
 			return
 		}
 	}
+}
+
+// mergeByZ merges two ascending-Z snapshots; on equal Z, entries from a
+// precede entries from b — matching PriorMap.insert, which places newer
+// keyframes before equal-Z existing ones.
+func mergeByZ(a, b []Keyframe) []Keyframe {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]Keyframe, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].Pose.Z <= b[j].Pose.Z {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 var _ MapStore = (*VehicleStore)(nil)

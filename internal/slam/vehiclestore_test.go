@@ -62,7 +62,7 @@ func TestFleetVehicleViewsBitIdentical(t *testing.T) {
 				fail("decoding reference: %v", err)
 				return
 			}
-			view := NewVehicleStore(v, store)
+			view := NewVehicleStore(v, store.ShardStore)
 			rng := rand.New(rand.NewSource(int64(100 + v)))
 			for iter := 0; iter < 40; iter++ {
 				z := rng.Float64()*80 - 10
