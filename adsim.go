@@ -238,15 +238,16 @@ type PriorMap = slam.PriorMap
 // NewPriorMap returns an empty prior map.
 func NewPriorMap() *PriorMap { return slam.NewPriorMap() }
 
-// MapStore is the prior-map database interface the LOC engine reads and
-// extends: monolithic in memory (PriorMap) or tiled on disk, loaded on
-// demand through a byte-budgeted LRU cache (a read-only ShardStore under a
-// slam.VehicleStore overlay). The paper's storage constraint (~41 TB of US
-// prior maps) is why the map must be able to page.
+// MapStore is the prior-map database interface the LOC engine reads:
+// monolithic in memory (PriorMap) or tiled on disk, loaded on demand
+// through a byte-budgeted LRU cache (ShardStore). The paper's storage
+// constraint (~41 TB of US prior maps) is why the map must be able to
+// page.
 type MapStore = slam.MapStore
 
 // ShardStore is the tiled on-disk prior-map store with an LRU shard cache.
-// It is read-only; runtime map updates go to an overlay over it.
+// It is read-only: an engine over it keeps its runtime map updates in a
+// private overlay.
 type ShardStore = slam.ShardStore
 
 // ShardStoreOptions parameterizes OpenShardStore (cache budget and
@@ -278,7 +279,9 @@ func DefaultLOCConfig() LOCConfig { return slam.DefaultConfig() }
 // one; build your own over a MapStore to replay against sharded maps).
 type LOCEngine = slam.Engine
 
-// NewLOCEngine builds a localization engine over any prior-map store.
+// NewLOCEngine builds a localization engine over any prior-map store; a
+// read-only one (ShardStore) gets a private overlay for the engine's map
+// updates.
 func NewLOCEngine(cfg LOCConfig, store MapStore) (*LOCEngine, error) {
 	return slam.NewEngineStore(cfg, store)
 }

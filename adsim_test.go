@@ -3,8 +3,6 @@ package adsim
 import (
 	"strings"
 	"testing"
-
-	"adsim/internal/slam"
 )
 
 func TestFacadePipeline(t *testing.T) {
@@ -99,7 +97,7 @@ func TestFacadeShardedMapStore(t *testing.T) {
 		t.Fatalf("store holds %d keyframes, want %d", store.Len(), m.Len())
 	}
 	// A shard store is read-only: the engine's map updates go to an overlay.
-	if _, err := NewLOCEngine(DefaultLOCConfig(), slam.NewVehicleStore(0, store)); err != nil {
+	if _, err := NewLOCEngine(DefaultLOCConfig(), store); err != nil {
 		t.Fatal(err)
 	}
 	n := 0

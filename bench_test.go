@@ -286,13 +286,11 @@ func BenchmarkFleetCapacity(b *testing.B) {
 		run(b, FleetConfig{
 			PhaseLock: true,
 			Admission: &AdmissionConfig{
-				// The margin is the target: the law sheds at 0.7 of it,
-				// here 90 ms of the 100 ms budget, so a stream goes only
-				// when the tail is genuinely near budget and the cascade
-				// stops at the largest admitted set the budget covers.
-				// Readmission (at 0.45 of it, ~58 ms) and its dynamics
-				// are pinned by the admission unit tests and the soak.
-				Target: 900 * time.Millisecond / 7,
+				// The target is the budget: the law sheds at 0.7 of it
+				// (70 ms) and readmits after two periods at or under
+				// 0.45 of it (45 ms). Its decision sequences are pinned
+				// by the admission unit tests.
+				Target: 100 * time.Millisecond,
 			},
 		})
 	})

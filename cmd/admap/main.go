@@ -222,7 +222,7 @@ func printIndex(dir string, idx *slam.ShardIndex) {
 
 // openStore opens path as either a monolithic .adm file or a shard
 // directory (served through the byte-budgeted LRU cache, the replay's map
-// updates landing in a VehicleStore overlay over it).
+// updates landing in the engine's overlay over it).
 func openStore(path string, budget int64) (slam.MapStore, *slam.ShardStore, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -233,7 +233,7 @@ func openStore(path string, budget int64) (slam.MapStore, *slam.ShardStore, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		return slam.NewVehicleStore(0, s), s, nil
+		return s, s, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -291,7 +291,7 @@ func TestChaosFlakyShardStoreIO(t *testing.T) {
 		stores = append(stores, store)
 		cfg := chaosConfig(t, scene.Urban, spec, 11)
 		cfg.SurveyFrames = 0
-		cfg.MapStore = slam.NewVehicleStore(0, store)
+		cfg.MapStore = store
 		return cfg
 	}
 

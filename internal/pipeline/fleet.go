@@ -47,8 +47,9 @@ type FleetConfig struct {
 	Executor *dnn.Executor
 	// SharedMap, when non-nil, is the prior-map store all vehicles share;
 	// each vehicle localizes through a private slam.VehicleStore view, so
-	// runtime map updates never cross streams. nil gives each vehicle its
-	// own store per the template (Config.MapStore or a fresh PriorMap).
+	// runtime map updates never cross streams. A slam.ShardStore here is one
+	// demand-loaded LRU cache for the whole fleet. nil gives each vehicle
+	// its own store per the template (Config.MapStore or a fresh PriorMap).
 	SharedMap slam.MapStore
 	// Injects overrides the template fault injector for specific vehicles
 	// (key = vehicle ID). A faulted vehicle must not perturb the others.

@@ -87,7 +87,7 @@ type Estimate struct {
 // store.
 type Engine struct {
 	cfg   Config
-	store MapStore
+	store mapWriter
 
 	havePose  bool
 	lastPose  scene.Pose
@@ -123,10 +123,15 @@ func NewEngine(cfg Config, m *PriorMap) (*Engine, error) {
 
 // NewEngineStore builds a localization engine over any prior-map store —
 // in particular a ShardStore, whose tiles page in lazily so the map's
-// resident set stays bounded.
+// resident set stays bounded. A read-only store gets a private
+// VehicleStore overlay for the engine's runtime map updates.
 func NewEngineStore(cfg Config, store MapStore) (*Engine, error) {
 	if store == nil {
 		return nil, fmt.Errorf("slam: nil map store")
+	}
+	w, ok := store.(mapWriter)
+	if !ok {
+		w = NewVehicleStore(0, store)
 	}
 	if cfg.KeyframeSpacing <= 0 {
 		return nil, fmt.Errorf("slam: KeyframeSpacing %v must be positive", cfg.KeyframeSpacing)
@@ -137,7 +142,7 @@ func NewEngineStore(cfg Config, store MapStore) (*Engine, error) {
 	if cfg.TrackWindow <= 0 || cfg.RelocWindow < cfg.TrackWindow {
 		return nil, fmt.Errorf("slam: windows invalid (track %v, reloc %v)", cfg.TrackWindow, cfg.RelocWindow)
 	}
-	return &Engine{cfg: cfg, store: store}, nil
+	return &Engine{cfg: cfg, store: w}, nil
 }
 
 // Map returns the engine's prior map when its store is a monolithic

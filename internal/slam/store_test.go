@@ -284,7 +284,7 @@ func TestCandidatesSnapshotStable(t *testing.T) {
 
 // hammerStore drives concurrent reads (Candidates, NearestZ, Scan) against
 // a writer calling Add. Run under -race via `make check`.
-func hammerStore(t *testing.T, store MapStore) {
+func hammerStore(t *testing.T, store mapWriter) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -409,10 +409,10 @@ func BenchmarkShardedReloc(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer store.Close()
-		reloc(b, NewVehicleStore(0, store)) // fault everything in before timing
+		reloc(b, store) // fault everything in before timing
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			reloc(b, NewVehicleStore(0, store))
+			reloc(b, store)
 		}
 	})
 	b.Run("sharded-tight-budget", func(b *testing.B) {
@@ -423,7 +423,7 @@ func BenchmarkShardedReloc(b *testing.B) {
 		defer store.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			reloc(b, NewVehicleStore(0, store))
+			reloc(b, store)
 		}
 	})
 }

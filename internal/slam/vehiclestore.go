@@ -9,7 +9,8 @@ import "adsim/internal/scene"
 // identical survey data without ever observing each other's keyframes —
 // the property that makes a fleet run bit-identical to the same vehicle
 // running alone against its own store. A ShardStore is read-only, so
-// whoever writes to one holds a VehicleStore over it.
+// whoever writes to one holds a VehicleStore over it (an Engine builds its
+// own).
 //
 // The merge semantics (overlay-before-stored on equal Z, nearest-Z ties to
 // the lower neighbor, ascending-Z interleave on Scan) match a monolithic
@@ -19,14 +20,13 @@ import "adsim/internal/scene"
 // All methods are safe for concurrent use; the base must be too (PriorMap
 // and ShardStore both are).
 type VehicleStore struct {
-	base    mapReader
+	base    MapStore
 	overlay *PriorMap
 }
 
-// NewVehicleStore wraps base — a MapStore or a ShardStore — as a private
-// writable view. The id is unused; the parameter stays only because the
+// NewVehicleStore wraps base as a private writable view. The id is unused; the parameter stays only because the
 // benchmark module (bench/workload.go) calls this signature.
-func NewVehicleStore(id int, base mapReader) *VehicleStore {
+func NewVehicleStore(id int, base MapStore) *VehicleStore {
 	maxID := 0
 	if ss, ok := base.(*ShardStore); ok {
 		maxID = ss.idx.MaxID // avoid paging every tile just to find the max
@@ -122,4 +122,4 @@ func mergeByZ(a, b []Keyframe) []Keyframe {
 	return append(out, b[j:]...)
 }
 
-var _ MapStore = (*VehicleStore)(nil)
+var _ mapWriter = (*VehicleStore)(nil)
