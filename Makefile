@@ -115,7 +115,8 @@ fuzz-smoke:
 # end. adpipe's two paths: a seeded chaos run with deadline enforcement (a
 # Runner), a faulted three-vehicle fleet on shared engines and one shared
 # map, a stall-injected run under the tail scheduler with anytime DET, a
-# library scenario program with its constraint scorecard, and a fleet with
+# library scenario program, which must print the Monitor's performance
+# verdict line, and a fleet with
 # one assigned program. admap's map-provider path: survey a small map into
 # 16 m shards, inspect them, and localize a replay through a two-tile
 # cache budget (it exits 1 when fewer than half the frames localize).
@@ -138,7 +139,10 @@ cli-smoke:
 		-deadline 100ms -fault 'DET:delay=60ms:every=5' -fault-vehicle 1; \
 	run adpipe -frames 40 -dnn=false -width 384 -height 192 -survey 20 \
 		-inflight 4 -deadline 100ms -anytime -tail 40ms -fault 'DET:delay=32ms:every=7:burst=3'; \
-	run adpipe -scenario mixed-stress -frames 40 -dnn=false -width 384 -height 192 -survey 20 -deadline 100ms; \
+	run adpipe -scenario mixed-stress -frames 40 -dnn=false -width 384 -height 192 -survey 20 -deadline 100ms \
+		>"$$dir/program.out"; \
+	cat "$$dir/program.out"; \
+	grep -q '^performance ' "$$dir/program.out" || { echo "cli-smoke: program run printed no performance verdict"; exit 1; }; \
 	run adpipe -vehicles 2 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -inflight 3 -assign '1=cut-in'; \
 	run admap -shard "$$dir/map" -frames 40 -width 384 -height 192 -tile 16; \
 	run admap -shardinfo "$$dir/map"; \

@@ -339,17 +339,6 @@ func FaultScenarioFromProgram(prog *ScenarioProgram, seed int64) FaultScenario {
 	return faultinject.FromProgram(prog, seed)
 }
 
-// ConstraintScorecard folds one whole scenario run — every delivered
-// frame's wall and per-stage latencies — into a per-scenario constraint
-// verdict. Replaying the same program and seed folds identical samples.
-type ConstraintScorecard = constraint.Scorecard
-
-// NewConstraintScorecard starts an empty scorecard for one (scenario,
-// seed) run driven at the configured source frame rate.
-func NewConstraintScorecard(scenarioName string, seed int64, fps float64) *ConstraintScorecard {
-	return constraint.NewScorecard(scenarioName, seed, fps)
-}
-
 // ExperimentOptions tune experiment execution.
 type ExperimentOptions = experiment.Options
 

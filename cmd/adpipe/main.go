@@ -13,7 +13,7 @@
 //	GOMAXPROCS=8 adpipe -scenario highway -frames 200 -inflight 4
 //	adpipe -scenario urban -frames 100 -inflight 3 -telemetry json
 //	adpipe -frames 200 -deadline 100ms -fault 'DET:delay=30ms:every=5,SRC:drop:every=50'
-//	adpipe -scenario rush-hour -frames 300 -deadline 100ms     # library program + scorecard
+//	adpipe -scenario rush-hour -frames 300 -deadline 100ms     # library program + constraint verdict
 //	adpipe -scenario ./my.adsc -base highway -seed 7 -frames 200
 //	adpipe -list-scenarios
 //
@@ -68,7 +68,7 @@ var (
 	// Fleet path only.
 	vehicles = flag.Int("vehicles", 1, "multiplex this many vehicle streams onto shared engines; giving it (even 1) selects the fleet path")
 	assign   = flag.String("assign", "", "per-vehicle scenario programs as comma-separated INDEX=PROGRAM pairs (library name or .adsc path), e.g. '1=cut-in,3=blackout'; assigned vehicles keep their derived seed and the program's fault rules")
-	admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (worst first, ties toward the highest vehicle ID) when a 16-frame period's worst frame latency nears the budget, readmit with hysteresis when it subsides")
+	admit    = flag.Bool("admission", false, "frame-budget admission control: shed whole vehicle streams (worst first, ties toward the highest vehicle ID) when a 16-frame period's worst frame latency nears the budget, readmit the longest-shed stream with hysteresis when it subsides")
 	admitTgt = flag.Duration("admission-target", 0, "admission frame budget each period's worst frame is judged against (0 = the paper's 100ms; implies -admission)")
 	maxVeh   = flag.Int("max-vehicles", 0, "cap on concurrently admitted vehicle streams, enforced at registration and respected by readmits (0 = uncapped; implies -admission)")
 	phase    = flag.Bool("phase", false, "phase-lock co-resident vehicles' frame admission: pace every stream on one fleet beat so none runs ahead of the others")
@@ -280,15 +280,22 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 	}
 
 	var col *adsim.TelemetryCollector
-	var mon *adsim.ConstraintMonitor
 	switch *telem {
 	case "json", "csv":
 		col = adsim.NewTelemetryCollector(*frames)
-		mon = adsim.NewConstraintMonitor(adsim.ConstraintMonitorConfig{})
-		cfg.Telemetry = adsim.MultiSink(col, mon)
 	case "off":
 	default:
 		fail(2, "unknown -telemetry format %q (want json, csv or off)", *telem)
+	}
+	// A scenario program, or -telemetry, gets the live constraint verdict:
+	// a Monitor on the pipeline's sink folds every delivered frame.
+	var mon *adsim.ConstraintMonitor
+	if col != nil || prog != nil {
+		mon = adsim.NewConstraintMonitor(adsim.ConstraintMonitorConfig{})
+		cfg.Telemetry = mon
+		if col != nil {
+			cfg.Telemetry = adsim.MultiSink(col, mon)
+		}
 	}
 
 	p := must(adsim.NewPipelineFromConfig(cfg))
@@ -326,12 +333,7 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 	tracked, degraded, faulted := 0, 0, 0
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 
-	// A scenario program gets a per-scenario constraint scorecard: every
-	// delivered frame's end-to-end and per-stage latencies fold into one
-	// replayable verdict.
-	var card *adsim.ConstraintScorecard
 	if prog != nil {
-		card = adsim.NewConstraintScorecard(prog.Name, cfg.Scene.Seed, cfg.Scene.FPS)
 		fmt.Printf("scenario program %q (seed %d), base world %s\n",
 			prog.Name, cfg.Scene.Seed, scene.Kind(kind))
 	}
@@ -347,9 +349,6 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 			if !faulting {
 				fail(1, "frame %d: %v", i, res.Err)
 			}
-			if card != nil {
-				card.ObserveError()
-			}
 			faulted++
 			if *verbose {
 				fmt.Printf("frame %3d: FAULT %v\n", i, res.Err)
@@ -357,11 +356,6 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 			continue
 		}
 		wall.Add(ms(res.Wall))
-		if card != nil {
-			card.Observe(ms(res.Timing.E2E), map[string]float64{
-				"DET": ms(res.Timing.Det), "TRA": ms(res.Timing.Tra), "LOC": ms(res.Timing.Loc),
-			}, res.Degraded.Any())
-		}
 		e2e.Add(ms(res.Timing.E2E))
 		e2eSamples = append(e2eSamples, ms(res.Timing.E2E))
 		det.Add(ms(res.Timing.Det))
@@ -398,8 +392,8 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 		tracked, *frames, p.Localizer().Relocalizations(),
 		p.Localizer().LoopClosures(), p.Localizer().Map())
 
-	if card != nil {
-		fmt.Printf("\nscenario scorecard:\n%s", card.Report())
+	if mon != nil {
+		fmt.Printf("\nlive constraint verdict (rolling window):\n%s", mon.Snapshot())
 	}
 
 	if *deadline > 0 {
@@ -437,7 +431,6 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 		if err := write(os.Stdout); err != nil {
 			fail(1, "%v", err)
 		}
-		fmt.Printf("\nlive constraint verdict (rolling window):\n%s", mon.Snapshot())
 	}
 
 	if tw != nil {

@@ -14,7 +14,7 @@ import (
 // end-to-end tail composes as the sum of component tails (what the paper's
 // Fig 11 shows); with independent noise the excursions average out and the
 // composed tail shrinks.
-func runAblateNoise(opts Options) (Result, error) {
+func runAblateNoise(opts Options) (*Table, error) {
 	tail := func(independent bool) float64 {
 		return simulate(pipeline.SimConfig{Assignment: pipeline.Uniform(accel.CPU), Frames: opts.Frames,
 			Seed: opts.Seed, IndependentNoise: independent}).E2E.P9999()
@@ -42,7 +42,7 @@ composed tail under-shoots it.
 // 99.99th percentile jumps to the wide-search cost as soon as spikes occur
 // more often than 1 in 10000 frames. This is the paper's predictability
 // argument made quantitative.
-func runAblateReloc(opts Options) (Result, error) {
+func runAblateReloc(opts Options) (*Table, error) {
 	m := accel.NewModel()
 	s := Section{Cols: []Col{
 		{"reloc every", "%-18s", "%-18s"}, {"mean ms", " %10s", " %10.1f"}, {"P99.99 ms", " %10s", " %10.1f"},
@@ -76,7 +76,7 @@ why the paper evaluates at the 99.99th percentile.
 // runAblateCooling isolates the paper's thermal-constraint finding: the
 // cabin-cooling overhead nearly doubles every configuration's driving-range
 // impact.
-func runAblateCooling(Options) (Result, error) {
+func runAblateCooling(Options) (*Table, error) {
 	m := accel.NewModel()
 	s := Section{Cols: []Col{
 		{"DET/TRA/LOC", "%-18s", "%-18s"}, {"range-% (full)", " %14s", " %14.1f"},

@@ -19,7 +19,7 @@ import (
 // (IoU ≥ 0.5 against a detection; the truth set is identical across
 // resolutions, the same world, so recall is directly comparable), the
 // depth of the farthest object detected, and the number of truths scored.
-func runAccuracy(opts Options) (Result, error) {
+func runAccuracy(opts Options) (*Table, error) {
 	s := Section{Cols: []Col{
 		{"Resolution", "%-14s", "%-14s"}, {"recall", " %10s", " %9.1f%%"},
 		{"max range", " %12s", " %10.1f m"}, {"truths", " %10s", " %10d"},

@@ -15,7 +15,7 @@ import (
 // such penalty, which further strengthens the paper's case for
 // deterministic accelerators in multi-sensor systems. Inflation is the
 // tail's increase over the same configuration's single-camera tail.
-func runAblateCameras(opts Options) (Result, error) {
+func runAblateCameras(opts Options) (*Table, error) {
 	m := accel.NewModel()
 	s := Section{Cols: []Col{
 		{"DET/TRA/LOC", "%-18s", "%-18s"}, {"cameras", " %8s", " %8d"},

@@ -9,7 +9,7 @@ import "adsim/internal/accel"
 // 7x power advantage does NOT translate into an energy win on DET, while
 // the TRA and LOC ASICs win energy by one to three orders of magnitude.
 // Rows are platforms, columns engines, cells joules.
-func runEnergy(Options) (Result, error) {
+func runEnergy(Options) (*Table, error) {
 	m := accel.NewModel()
 	s := Section{Cols: []Col{{"", "%-9s", "%-9s"}}}
 	for _, e := range accel.Engines() {

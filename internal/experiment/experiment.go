@@ -5,8 +5,7 @@
 // single result and `-experiment all` regenerates the full evaluation.
 //
 // The registry, experiments, is one table of (id, title, run function).
-// Every experiment but the two studies (tail, scenarios) returns a *Table,
-// which one function renders.
+// Every experiment returns a *Table, which one function renders.
 //
 // EXPERIMENTS.md records paper-vs-measured values for every driver.
 package experiment
@@ -16,7 +15,10 @@ import (
 	"strings"
 
 	"adsim/internal/accel"
+	"adsim/internal/constraint"
+	"adsim/internal/faultinject"
 	"adsim/internal/pipeline"
+	"adsim/internal/scene"
 )
 
 // Options tune experiment execution.
@@ -46,27 +48,10 @@ func (o *Options) normalize() {
 	}
 }
 
-// Result is an experiment's output.
-type Result interface {
-	// Render returns the human-readable reproduction of the table/figure,
-	// under the banner Run titled it with.
-	Render() string
-	setBanner(id, title string)
-}
-
-// banner is the "ID — title" heading a Result renders first. Run sets it
-// from the registry, so no experiment restates its own title.
-type banner string
-
-func (b *banner) setBanner(id, title string) {
-	line := strings.Repeat("=", 72)
-	*b = banner(fmt.Sprintf("%s\n%s — %s\n%s\n", line, strings.ToUpper(id), title, line))
-}
-
 // experiments is the registry, in IDs order.
 var experiments = []struct {
 	id, title string
-	run       func(Options) (Result, error)
+	run       func(Options) (*Table, error)
 }{
 	{"ablate-cameras", "Vehicle-level tail vs. camera count (extension)", runAblateCameras},
 	{"ablate-cooling", "Ablation: thermal (cooling) magnification of range impact", runAblateCooling},
@@ -85,7 +70,7 @@ var experiments = []struct {
 	{"headline", "Tail-latency reduction vs. CPU baseline", runHeadline},
 	{"platform-analysis", "Implied efficiency vs. Table 2 peaks (extension)", runPlatformAnalysis},
 	{"roofline", "Layer-wise roofline classification (extension)", runRoofline},
-	{"scenarios", "Scenario-program library sweep, one constraint scorecard per program", runScenarios},
+	{"scenarios", "Scenario-program library sweep, one constraint verdict per program", runScenarios},
 	{"seeds", "Seed robustness of the key results (extension)", runSeeds},
 	{"storage", "Prior-map storage extrapolation (extension)", runStorage},
 	{"table1", "Autonomous driving vehicles under experimentation in industry", runTable1},
@@ -104,7 +89,7 @@ func IDs() []string {
 }
 
 // Run executes the experiment with the given ID.
-func Run(id string, opts Options) (Result, error) {
+func Run(id string, opts Options) (*Table, error) {
 	for _, e := range experiments {
 		if e.id != id {
 			continue
@@ -114,17 +99,20 @@ func Run(id string, opts Options) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.setBanner(e.id, e.title)
+		line := strings.Repeat("=", 72)
+		res.banner = fmt.Sprintf("%s\n%s — %s\n%s\n", line, strings.ToUpper(e.id), e.title, line)
 		return res, nil
 	}
 	return nil, fmt.Errorf("experiment: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
-// Table is a tabular experiment's result: sections of rows under column
-// headings, then a closing note. Cells keep their types (float64, int,
-// bool, string, …), so tests read numbers, not text.
+// Table is an experiment's result: sections of rows under column headings,
+// then a closing note. Cells keep their types (float64, int, bool, string,
+// …), so tests read numbers, not text.
 type Table struct {
-	banner
+	// banner is the "ID — title" heading Render prints first. Run sets it
+	// from the registry, so no experiment restates its own title.
+	banner   string
 	Sections []Section
 	Note     string
 }
@@ -146,9 +134,10 @@ type Col struct {
 	Name, Head, Verb string
 }
 
+// Render returns the human-readable reproduction of the table or figure.
 func (t *Table) Render() string {
 	var b strings.Builder
-	b.WriteString(string(t.banner))
+	b.WriteString(t.banner)
 	for _, s := range t.Sections {
 		b.WriteString(s.Title)
 		headed := false
@@ -182,6 +171,17 @@ func (p percent) Format(f fmt.State, verb rune) {
 	fmt.Fprintf(f, fmt.FormatString(f, verb), 100*float64(p))
 }
 
+// passFail is a verdict cell printed PASS or FAIL.
+type passFail bool
+
+func (p passFail) Format(f fmt.State, verb rune) {
+	s := "FAIL"
+	if p {
+		s = "PASS"
+	}
+	fmt.Fprintf(f, fmt.FormatString(f, verb), s)
+}
+
 // figureConfigs is the platform-assignment set plotted in Figures 11–13:
 // DET and TRA share a platform (they are the paper's paired DNN engines)
 // crossed with every LOC platform, plus the best mixed configuration the
@@ -207,4 +207,25 @@ func simulate(cfg pipeline.SimConfig) pipeline.SimResult {
 		panic(err)
 	}
 	return sim
+}
+
+// studyConfig is the native pipeline both fault studies (tail, scenarios)
+// drive: urban at 384×192 over a 20-frame survey, functional perception,
+// virtual deadline enforcement, sc's faults injected, and mon on the sink,
+// so every verdict reads the frame clock (DESIGN.md §8).
+func studyConfig(sc faultinject.Scenario, mon *constraint.Monitor) (pipeline.Config, error) {
+	cfg := pipeline.DefaultConfig(scene.Urban)
+	cfg.Scene.Width, cfg.Scene.Height = 384, 192
+	cfg.Scene.Seed = sc.Seed
+	cfg.SurveyFrames = 20
+	cfg.Detect.RunDNN = false
+	cfg.Track.RunDNN = false
+	cfg.Deadline = pipeline.DeadlinePolicy{Enforce: true, Virtual: true}
+	cfg.Telemetry = mon
+	inj, err := faultinject.New(sc)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Inject = inj.Stage
+	return cfg, nil
 }

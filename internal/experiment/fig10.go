@@ -9,7 +9,7 @@ import (
 // 99.99th-percentile latency (b) and power (c) across the four platforms,
 // one section each, with a row per platform and a measured and a paper
 // column per engine.
-func runFig10(opts Options) (Result, error) {
+func runFig10(opts Options) (*Table, error) {
 	m := accel.NewModel()
 	rng := stats.NewRNG(opts.Seed)
 	t := &Table{}

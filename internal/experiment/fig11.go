@@ -11,7 +11,7 @@ import (
 // on tail latency, and (b) acceleration reduces the CPU baseline's 9.1 s
 // tail to 16.1 ms. The two pass columns judge the mean (the misleading
 // metric) and the tail against the 100 ms constraint.
-func runFig11(opts Options) (Result, error) {
+func runFig11(opts Options) (*Table, error) {
 	s := Section{Cols: []Col{
 		{"DET/TRA/LOC", "%-18s", "%-18s"}, {"Mean", " %12s", " %12.1f"}, {"P99.99", " %12s", " %12.1f"},
 		{"mean<=100", " %8s", " %8v"}, {"tail<=100", " %8s", " %8v"},

@@ -15,7 +15,7 @@ const NumCameras = 8
 // compute, then with storage and cooling added) and driving-range
 // reduction per configuration (8 cameras, 41 TB map storage, COP-1.3
 // cooling).
-func runFig12(Options) (Result, error) {
+func runFig12(Options) (*Table, error) {
 	m := accel.NewModel()
 	s := Section{Cols: []Col{
 		{"DET/TRA/LOC", "%-18s", "%-18s"}, {"ComputeW", " %12s", " %12.0f"},

@@ -13,7 +13,7 @@ import (
 // resolution sweep, marked where it meets the constraint. Some ASIC/GPU
 // configurations still meet the 100 ms constraint at Full HD; none sustain
 // Quad HD.
-func runFig13(opts Options) (Result, error) {
+func runFig13(opts Options) (*Table, error) {
 	resolutions := accel.SweepResolutions()
 	s := Section{Cols: []Col{{"DET/TRA/LOC", "%-18s", "%-18s"}}}
 	for _, res := range resolutions {

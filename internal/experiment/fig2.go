@@ -7,7 +7,7 @@ import "adsim/internal/power"
 // for the computing engine alone and for the entire system (storage +
 // cooling) in aggregate. The presets are the paper's: a host CPU (250 W
 // server) plus accelerator boards.
-func runFig2(Options) (Result, error) {
+func runFig2(Options) (*Table, error) {
 	s := Section{Cols: []Col{
 		{"Config", "%-12s", "%-12s"}, {"ComputeW", " %12s", " %12.0f"}, {"Range-%", " %12s", " %12.1f"},
 		{"SystemW", " %12s", " %12.0f"}, {"Range-%", " %12s", " %12.1f"},

@@ -11,7 +11,7 @@ import (
 // runFig6 reproduces Figure 6: per-component latency of the end-to-end
 // system on conventional multicore CPUs, demonstrating that DET, TRA and
 // LOC each individually exceed the 100 ms constraint.
-func runFig6(opts Options) (Result, error) {
+func runFig6(opts Options) (*Table, error) {
 	sim := simulate(pipeline.SimConfig{Assignment: pipeline.Uniform(accel.CPU), Frames: opts.Frames, Seed: opts.Seed})
 	s := Section{Cols: []Col{
 		{"Component", "%-9s", "%-9s"}, {"Mean", " %10s", " %10.1f"}, {"P99", " %10s", " %10.1f"},

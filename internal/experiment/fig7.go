@@ -19,7 +19,7 @@ import (
 // which the hot kernel reported its sub-span, and the frames behind the
 // share's denominator. They are equal when every executed frame was
 // attributed — the timing-free half of the figure's structure.
-func runFig7(opts Options) (Result, error) {
+func runFig7(opts Options) (*Table, error) {
 	cfg := pipeline.DefaultConfig(scene.Urban)
 	cfg.Scene.Width, cfg.Scene.Height = 512, 256
 	cfg.SurveyFrames = 20

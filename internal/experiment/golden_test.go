@@ -12,7 +12,7 @@ var update = flag.Bool("update", false, "rewrite testdata/<id>.golden from this 
 
 // wallClock lists the experiments whose output depends on measured time.
 // Every other experiment renders the same bytes on every run at one sizing.
-var wallClock = map[string]bool{"fig7": true, "scenarios": true}
+var wallClock = map[string]bool{"fig7": true}
 
 // TestGolden pins, byte for byte, the rendered output of every experiment
 // that does not run on the wall clock, at the unit-test sizing. It renders

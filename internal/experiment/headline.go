@@ -12,7 +12,7 @@ import (
 // 93x respectively over the CPU baseline. A second section records the
 // best mixed configuration's tail (DET=GPU, TRA=LOC=ASIC; the paper's
 // 16.1 ms).
-func runHeadline(opts Options) (Result, error) {
+func runHeadline(opts Options) (*Table, error) {
 	tail := func(a pipeline.Assignment, seed int64) float64 {
 		return simulate(pipeline.SimConfig{Assignment: a, Frames: opts.Frames, Seed: seed}).E2E.P9999()
 	}

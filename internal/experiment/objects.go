@@ -15,7 +15,7 @@ import (
 // TRA blows the 100 ms budget somewhere around a dozen objects, while the
 // EIE-style FC ASIC (1.8 ms per inference) sustains dense scenes — a
 // sizing insight implicit in the paper's accelerator choice.
-func runAblateObjects(opts Options) (Result, error) {
+func runAblateObjects(opts Options) (*Table, error) {
 	m := accel.NewModel()
 	s := Section{Cols: []Col{
 		{"DET/TRA/LOC", "%-18s", "%-18s"}, {"objects", " %8s", " %8d"},

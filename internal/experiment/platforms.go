@@ -12,7 +12,7 @@ import (
 // each (platform, engine) row relates the calibrated effective throughput
 // to the Table 2 single-device peak, connecting the reproduction's models
 // back to the specifications.
-func runPlatformAnalysis(Options) (Result, error) {
+func runPlatformAnalysis(Options) (*Table, error) {
 	m := accel.NewModel()
 	w := m.Workloads()
 	s := Section{Cols: []Col{

@@ -11,7 +11,7 @@ import (
 // interface, GOTURN's memory-bound FC head, Eyeriss's on-chip reuse). The
 // first section gives each network's memory-bound share of MACs per
 // platform; the second, the GOTURN FC head's layers on the FPGA.
-func runRoofline(Options) (Result, error) {
+func runRoofline(Options) (*Table, error) {
 	yolo := dnn.YOLOv2(416)
 	tower := dnn.GOTURNTower(227)
 	head := dnn.GOTURNHead(tower.OutShape())

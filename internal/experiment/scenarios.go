@@ -2,174 +2,122 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
-	"time"
+	"slices"
 
 	"adsim/internal/constraint"
 	"adsim/internal/faultinject"
 	"adsim/internal/pipeline"
 	"adsim/internal/scenario"
-	"adsim/internal/scene"
 )
 
 // The scenarios study sweeps the committed scenario-program library: every
 // program is compiled (timeline onto the scene, fault rules onto the
 // injector), driven through the native pipeline under virtual deadline
-// enforcement, and folded into a per-scenario constraint.Scorecard. Each
-// program then replays under the same seed; the deterministic scorecard
-// fields (frames, errors, degraded count) must come back identical — the
-// executable form of the replayability contract the scenario layer makes.
+// enforcement and judged by a constraint.Monitor on the frame clock. Each
+// program then replays under the same seed, and its whole row must come
+// back identical — the executable form of the replayability contract the
+// scenario layer makes.
 
-// scenariosParams sizes one sweep execution.
-type scenariosParams struct {
-	// Frames per program run. Programs phase over tens of seconds at the
-	// scene rate, so more frames reach deeper into each timeline.
-	Frames int
-	Seed   int64
-}
-
-// ScenarioOutcome is one library program's measured scorecard plus the
-// outcome of its replay check.
-type ScenarioOutcome struct {
-	Report constraint.ScorecardReport
-	// ReplayOK reports that a second run of the same program and seed
-	// reproduced the deterministic scorecard fields (frames delivered,
-	// errors, degraded count).
-	ReplayOK bool
-}
-
-// ScenariosResult is the rendered library sweep.
-type ScenariosResult struct {
-	banner
-	Frames int
-	Seed   int64
-	Runs   []ScenarioOutcome
-}
-
-// Pass is the sweep's acceptance bar: the whole library ran (≥ 6 programs),
-// every program delivered all its frames with zero errored frames, every
-// replay reproduced the deterministic fields, and at least one program
-// exercised the degraded path (the library includes fault-bearing
-// programs precisely so the sweep is not a fair-weather test).
-func (r ScenariosResult) Pass() bool {
-	if len(r.Runs) < 6 {
-		return false
+// runScenarios renders one verdict row and one per-stage miss row per
+// program. NativeFrames is the shared native-execution sizing knob; pass a
+// larger -native-frames to reach deeper into each program's timeline.
+func runScenarios(opts Options) (*Table, error) {
+	frames := 3 * opts.NativeFrames
+	verdicts := Section{
+		Title: fmt.Sprintf("%d frames per program, seed %d, virtual frame clock, deadline budget %v\n\n",
+			frames, opts.Seed, pipeline.DefaultFrameBudget),
+		Cols: []Col{
+			{"program", "%-16s", "%-16s"}, {"frames", " %6s", " %6d"}, {"errors", " %6s", " %6d"},
+			{"degraded", " %8s", " %8d"}, {"hard-miss", " %9s", " %9d"}, {"p99.99-ms", " %9s", " %9.1f"},
+			{"mean-ms", " %7s", " %7.1f"}, {"fps", " %5s", " %5.1f"},
+			{"perform", " %7s", " %7v"}, {"predict", " %7s", " %7v"},
+		},
 	}
+	misses := Section{
+		Title: "\ndeadline misses per stage (frames)\n",
+		Cols:  []Col{{"program", "%-16s", "%-16s"}},
+	}
+	for id := pipeline.StageDet; id < pipeline.NumStages; id++ {
+		misses.Cols = append(misses.Cols, Col{id.String(), " %7s", " %7d"})
+	}
+	misses.Cols = append(misses.Cols, Col{"replay", " %6s", " %6v"})
+
+	pass := true
 	degraded := 0
-	for _, run := range r.Runs {
-		if !run.ReplayOK || run.Report.Errors > 0 || run.Report.Frames != r.Frames {
-			return false
-		}
-		degraded += run.Report.Degraded
-	}
-	return degraded > 0
-}
-
-func (r ScenariosResult) Render() string {
-	var b strings.Builder
-	b.WriteString(string(r.banner))
-	fmt.Fprintf(&b, "%d frames per program, seed %d, virtual deadline enforcement (budget %v)\n\n",
-		r.Frames, r.Seed, pipeline.DefaultFrameBudget)
-	for _, run := range r.Runs {
-		b.WriteString(run.Report.String())
-		replay := "replay IDENTICAL"
-		if !run.ReplayOK {
-			replay = "replay DIVERGED"
-		}
-		fmt.Fprintf(&b, "  %s\n\n", replay)
-	}
-	verdict := "FAIL"
-	if r.Pass() {
-		verdict = "PASS"
-	}
-	fmt.Fprintf(&b, "scenario-sweep %s: %d programs, %d frames each, all replays identical\n",
-		verdict, len(r.Runs), r.Frames)
-	return b.String()
-}
-
-func runScenarios(opts Options) (Result, error) {
-	// NativeFrames is the shared native-execution sizing knob; the sweep
-	// scales it up so the runs reach past each program's first phase.
-	frames := 20 * opts.NativeFrames
-	if frames < 120 {
-		frames = 120
-	}
-	res, err := runScenariosStudy(scenariosParams{Frames: frames, Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-func runScenariosStudy(p scenariosParams) (ScenariosResult, error) {
-	res := ScenariosResult{Frames: p.Frames, Seed: p.Seed}
 	for _, name := range scenario.Library() {
-		first, err := runScenarioCase(name, p)
+		first, err := runScenarioCase(name, frames, opts.Seed)
 		if err != nil {
-			return res, fmt.Errorf("scenario %s: %w", name, err)
+			return nil, fmt.Errorf("scenario %s: %w", name, err)
 		}
-		second, err := runScenarioCase(name, p)
+		second, err := runScenarioCase(name, frames, opts.Seed)
 		if err != nil {
-			return res, fmt.Errorf("scenario %s (replay): %w", name, err)
+			return nil, fmt.Errorf("scenario %s (replay): %w", name, err)
 		}
-		res.Runs = append(res.Runs, ScenarioOutcome{
-			Report: first,
-			// Wall latencies differ run to run; the frame, error and
-			// degraded counts are pure functions of (program, seed) under
-			// virtual enforcement and must not.
-			ReplayOK: first.Frames == second.Frames &&
-				first.Errors == second.Errors &&
-				first.Degraded == second.Degraded,
-		})
+		replay := slices.Equal(first[0], second[0]) && slices.Equal(first[1], second[1])
+		verdicts.Rows = append(verdicts.Rows, first[0])
+		misses.Rows = append(misses.Rows, append(first[1], passFail(replay)))
+		// Cells: 1 frames, 2 errors, 3 degraded.
+		pass = pass && replay && first[0][1] == frames && first[0][2] == 0
+		degraded += first[0][3].(int)
 	}
-	return res, nil
+	// The sweep's acceptance bar: the whole library ran (≥ 6 programs),
+	// every program delivered all its frames with zero errored frames,
+	// every replay reproduced its rows, and at least one program exercised
+	// the degraded path (the library includes fault-bearing programs
+	// precisely so the sweep is not a fair-weather test).
+	pass = pass && len(verdicts.Rows) >= 6 && degraded > 0
+	return &Table{
+		Sections: []Section{verdicts, misses},
+		Note: fmt.Sprintf("\nscenario-sweep %v: %d programs, %d frames each, each run twice\n",
+			passFail(pass), len(verdicts.Rows), frames),
+	}, nil
 }
 
-// runScenarioCase compiles one library program and drives it through a
-// sequential Step loop, folding every delivered frame into a scorecard.
-func runScenarioCase(name string, p scenariosParams) (constraint.ScorecardReport, error) {
+// runScenarioCase compiles one library program, drives it through a
+// sequential Step loop with a Monitor on the pipeline's sink, and returns
+// its verdict row and its per-stage miss row. The Monitor folds every
+// delivered frame, an errored one too.
+func runScenarioCase(name string, frames int, seed int64) ([2][]any, error) {
 	prog, err := scenario.Load(name)
 	if err != nil {
-		return constraint.ScorecardReport{}, err
+		return [2][]any{}, err
 	}
-	cfg := pipeline.DefaultConfig(scene.Urban)
-	cfg.Scene.Width, cfg.Scene.Height = 384, 192
-	cfg.Scene.Seed = p.Seed
-	cfg.SurveyFrames = 20
-	cfg.Detect.RunDNN = false
-	cfg.Track.RunDNN = false
-	cfg.Scene = prog.Configure(cfg.Scene)
-	cfg.Deadline = pipeline.DeadlinePolicy{Enforce: true, Virtual: true}
-	inj, err := faultinject.New(faultinject.FromProgram(prog, p.Seed))
+	mon := constraint.NewMonitor(constraint.MonitorConfig{Window: frames})
+	cfg, err := studyConfig(faultinject.FromProgram(prog, seed), mon)
 	if err != nil {
-		return constraint.ScorecardReport{}, err
+		return [2][]any{}, err
 	}
-	cfg.Inject = inj.Stage
-
+	cfg.Scene = prog.Configure(cfg.Scene)
 	pl, err := pipeline.NewNative(cfg)
 	if err != nil {
-		return constraint.ScorecardReport{}, err
+		return [2][]any{}, err
 	}
-	card := constraint.NewScorecard(name, p.Seed, cfg.Scene.FPS)
-	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
-	for i := 0; i < p.Frames; i++ {
+	delivered, errs := 0, 0
+	var misses [pipeline.NumStages]int
+	for range frames {
 		res, err := pl.Step()
 		if err != nil {
-			// Injected hard faults are part of the scenario: score them,
+			// Injected hard faults are part of the scenario: count them,
 			// keep driving.
-			card.ObserveError()
-			continue
+			errs++
+		} else {
+			delivered++
 		}
-		card.Observe(ms(res.Timing.E2E), map[string]float64{
-			"DET":     ms(res.Timing.Det),
-			"TRA":     ms(res.Timing.Tra),
-			"LOC":     ms(res.Timing.Loc),
-			"FUSION":  ms(res.Timing.Fusion),
-			"MISPLAN": ms(res.Timing.MisPlan),
-			"MOTPLAN": ms(res.Timing.MotPlan),
-			"CONTROL": ms(res.Timing.Control),
-		}, res.Degraded.Any())
+		for id := range pipeline.NumStages {
+			if res.Degraded.Has(id) {
+				misses[id]++
+			}
+		}
 	}
 	pl.Drain()
-	return card.Report(), nil
+	snap := mon.Snapshot()
+	missRow := []any{name}
+	for id := pipeline.StageDet; id < pipeline.NumStages; id++ {
+		missRow = append(missRow, misses[id])
+	}
+	return [2][]any{
+		{name, delivered, errs, int(snap.TotalDegraded), int(snap.TotalHardMisses), snap.TailMs, snap.MeanMs, snap.FPS,
+			passFail(snap.Performance.Passed), passFail(snap.Predictability.Passed)},
+		missRow,
+	}, nil
 }

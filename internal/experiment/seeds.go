@@ -14,7 +14,7 @@ import (
 // bars. Tails driven by fixed-latency designs or constant relocalization
 // costs have near-zero spread; jitter-driven tails vary by a few percent.
 // Each row keeps its per-seed tails in a hidden column.
-func runSeeds(opts Options) (Result, error) {
+func runSeeds(opts Options) (*Table, error) {
 	seeds := []int64{opts.Seed, opts.Seed + 101, opts.Seed + 202, opts.Seed + 303, opts.Seed + 404}
 	s := Section{Title: "\n", Cols: []Col{
 		{"DET/TRA/LOC", "%-18s", "%-18s"}, {"min tail ms", " %12s", " %12.1f"},

@@ -24,7 +24,7 @@ const USPublicRoadKm = 6.68e6
 // number; the resident footprint (slam.PriorMap.StorageBytes) is recorded
 // for contrast: it is what the shard cache budgets against, not a storage
 // figure.
-func runStorage(opts Options) (Result, error) {
+func runStorage(opts Options) (*Table, error) {
 	cfg := scene.DefaultConfig(scene.Urban)
 	cfg.Width, cfg.Height = 640, 320
 	cfg.Seed = opts.Seed

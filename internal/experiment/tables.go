@@ -7,7 +7,7 @@ import (
 )
 
 // runTable1 reproduces the paper's industry survey.
-func runTable1(Options) (Result, error) {
+func runTable1(Options) (*Table, error) {
 	s := Section{Cols: []Col{
 		{"Manufacturer", "%-14s", "%-14s"}, {"Automation", " %-12s", " %-12s"},
 		{"Platform", " %-14s", " %-14s"}, {"Sensors", " %s", " %s"},
@@ -19,7 +19,7 @@ func runTable1(Options) (Result, error) {
 }
 
 // runTable2 reproduces the platform specification table.
-func runTable2(Options) (Result, error) {
+func runTable2(Options) (*Table, error) {
 	s := Section{Cols: []Col{
 		{"Platform", "%-9s", "%-9s"}, {"Model", " %-36s", " %-36s"}, {"Freq", " %9s", " %6.2f GHz"},
 		{"Cores", " %8s", " %8s"}, {"Memory", " %10s", " %10s"}, {"MemBW", " %10s", " %10s"},
@@ -41,7 +41,7 @@ func runTable2(Options) (Result, error) {
 }
 
 // runTable3 reproduces the FE ASIC specification, as one record.
-func runTable3(Options) (Result, error) {
+func runTable3(Options) (*Table, error) {
 	spec := accel.Table3()
 	return &Table{Sections: []Section{{
 		Cols: []Col{

@@ -100,6 +100,7 @@ type admVehicle struct {
 	shed      bool
 	ended     bool // told to end: Admit returns false
 	sheds     int  // lifetime shed count
+	shedAt    int  // history index of the latest shed: readmission goes oldest first
 
 	// The open period and the closed, not-yet-consumed buckets behind it,
 	// each a period's worst latency (ms).
@@ -370,26 +371,31 @@ func (a *FleetAdmission) decideLocked() {
 func (a *FleetAdmission) shedLocked(st *admVehicle, pressure float64) {
 	st.shed = true
 	st.sheds++
+	st.shedAt = len(a.history)
 	a.history = append(a.history, AdmissionEvent{Decision: a.decisions, Vehicle: st.id, Shed: true, Pressure: pressure})
 	a.membershipChangedLocked()
 }
 
-// readmitLocked resumes the lowest-ID shed stream unless the admitted
-// streams already fill the MaxAdmitted cap. Reports whether one was
-// readmitted.
+// readmitLocked resumes the stream shed longest ago, unless the admitted
+// streams already fill the MaxAdmitted cap, so a stream that keeps cycling
+// cannot starve one shed before it. Reports whether one was readmitted.
 func (a *FleetAdmission) readmitLocked(admitted int, pressure float64) bool {
 	if a.maxAdm > 0 && admitted >= a.maxAdm {
 		return false
 	}
+	var next *admVehicle
 	for _, id := range a.order {
-		if st := a.veh[id]; st.live() && st.shed {
-			st.shed = false
-			a.history = append(a.history, AdmissionEvent{Decision: a.decisions, Vehicle: id, Shed: false, Pressure: pressure})
-			a.membershipChangedLocked()
-			return true
+		if st := a.veh[id]; st.live() && st.shed && (next == nil || st.shedAt < next.shedAt) {
+			next = st
 		}
 	}
-	return false
+	if next == nil {
+		return false
+	}
+	next.shed = false
+	a.history = append(a.history, AdmissionEvent{Decision: a.decisions, Vehicle: next.id, Shed: false, Pressure: pressure})
+	a.membershipChangedLocked()
+	return true
 }
 
 // vehicleGate is one vehicle's view of the controller, handed to its runner

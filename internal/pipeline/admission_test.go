@@ -127,6 +127,51 @@ func TestAdmissionControllerLaw(t *testing.T) {
 	})
 }
 
+// TestAdmissionReadmitsLongestShed: readmission resumes the stream shed
+// longest ago, so a low-ID stream that keeps cycling cannot starve a
+// higher-ID one shed before it.
+func TestAdmissionReadmitsLongestShed(t *testing.T) {
+	const epoch = controlPeriod
+	a := newAdm(t, AdmissionConfig{})
+	for v := 0; v < 3; v++ {
+		a.Register(v)
+	}
+	// period feeds one decision: 80 ms frames for the hot vehicle (pressure
+	// 0.8 sheds it), 10 ms for every other vehicle admitted before it.
+	period := func(hot int) {
+		var admitted []int
+		for v := 0; v < 3; v++ {
+			if a.Admitted(v) {
+				admitted = append(admitted, v)
+			}
+		}
+		for _, v := range admitted {
+			ms := 10.0
+			if v == hot {
+				ms = 80
+			}
+			feedEpoch(a, v, epoch, ms)
+		}
+	}
+	period(1) // decision 1: shed 1
+	period(2) // decision 2: shed 2
+	period(-1)
+	period(-1) // decision 4: readmit 1, shed first
+	period(1)  // decision 5: shed 1 again
+	period(-1)
+	period(-1) // decision 7: 2 has waited longest
+	want := []AdmissionEvent{
+		{Decision: 1, Vehicle: 1, Shed: true, Pressure: 0.8},
+		{Decision: 2, Vehicle: 2, Shed: true, Pressure: 0.8},
+		{Decision: 4, Vehicle: 1, Shed: false, Pressure: 0.1},
+		{Decision: 5, Vehicle: 1, Shed: true, Pressure: 0.8},
+		{Decision: 7, Vehicle: 2, Shed: false, Pressure: 0.1},
+	}
+	if got := a.History(); !reflect.DeepEqual(got, want) {
+		t.Errorf("history = %+v, want %+v", got, want)
+	}
+}
+
 // admissionFleetConfig is the shared scenario for the determinism property
 // tests: three vehicles under virtual deadline enforcement, vehicle 1
 // missing its DET budget every other frame via an injected stall — 40 ms

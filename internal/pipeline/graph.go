@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"adsim/internal/control"
@@ -413,12 +414,17 @@ func (p *Pipeline) deliver(fs *frameState) RunnerResult {
 	}
 	err := fs.err()
 	wall := time.Since(fs.admitted)
+	var at time.Time // zero: the sink stamps its own wall clock
 	if p.clock.virtual {
+		// On the frame clock a frame is delivered its latency after its
+		// capture, so sinks measure the scene's frame rate, not the host's.
 		wall = fs.vdone[StageControl] - fs.vadmit
+		at = time.Unix(0, 0).Add(time.Duration(math.Round(res.Frame.Time*float64(time.Second))) + wall)
 	}
 	p.sink.FrameDone(telemetry.FrameEnd{
 		Frame:    res.Frame.Index,
 		Wall:     wall,
+		At:       at,
 		Err:      err != nil,
 		Degraded: res.Degraded.Any(),
 	})

@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"adsim/internal/constraint"
 	"adsim/internal/scene"
 	"adsim/internal/telemetry"
 	"adsim/internal/testutil"
@@ -272,4 +274,30 @@ func TestVirtualFrameClock(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestVirtualFrameRate: on the frame clock a frame is delivered its virtual
+// latency after its capture time, so a Monitor on the pipeline measures the
+// scene's frame rate, not the host's, and a faulted run's live report is a
+// pure function of (scenario, seed).
+func TestVirtualFrameRate(t *testing.T) {
+	monitor := func(cfg Config) constraint.LiveReport {
+		mon := constraint.NewMonitor(constraint.MonitorConfig{})
+		cfg.Telemetry = mon
+		runChaosStep(t, cfg, 12)
+		return mon.Snapshot()
+	}
+	clean := fastNativeConfig(scene.Urban)
+	clean.Deadline = DeadlinePolicy{Enforce: true, Virtual: true}
+	if rep := monitor(clean); math.Abs(rep.FPS-clean.Scene.FPS) > 1e-9*clean.Scene.FPS {
+		t.Errorf("clean run measures %v fps, want the scene's %v", rep.FPS, clean.Scene.FPS)
+	}
+	faulted := chaosConfig(t, scene.Urban, "LOC:delay=40ms:every=4:burst=2,DET:delay=20ms:every=3", 5)
+	a, b := monitor(faulted), monitor(faulted)
+	if a.TotalDegraded == 0 {
+		t.Fatalf("faulted run degraded no frame: %+v", a)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("faulted run's live report differs between two runs:\n%+v\n%+v", a, b)
+	}
 }

@@ -48,9 +48,9 @@ type FrameEnd struct {
 	// throughput, including any time queued behind other in-flight frames.
 	Wall time.Duration
 	// At is when the frame was delivered. The zero time means "now"
-	// (sinks substitute time.Now); simulated executors set it to a
-	// synthetic timeline instead so rate calculations reflect simulated —
-	// not host — time.
+	// (sinks substitute time.Now); the simulator and the virtual frame
+	// clock set it on their own timelines instead, so rate calculations
+	// reflect simulated or scene time, not host time.
 	At time.Time
 	// Err reports whether the frame was delivered with a pipeline error.
 	Err bool
