@@ -56,14 +56,15 @@ bench-check:
 # kernel workers, plus LOC's gate (a steady-state frame allocates only the
 # slices it retains, with its matcher at 1, 2 and 4 workers), DET's proposal
 # pass, the radius-1 blur's, the bilinear resize's, the conformal planner's
-# (a fixed count at any horizon), and the full rolling window's and
-# constraint monitor's (testing.AllocsPerRun is unreliable under -race, so
+# (a fixed count at any horizon), the full rolling window's, the
+# constraint monitor's and the telemetry collector's warm span fold
+# (testing.AllocsPerRun is unreliable under -race, so
 # these run without it; `make race` still executes the same tests for
 # correctness). TRA's and LOC's gates, whose fan-outs start goroutines, also
 # run at GOMAXPROCS 1, 2 and 4. No output filter: the target's status must
 # be go test's.
 alloc-gate:
-	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/img ./internal/plan ./internal/stats ./internal/constraint
+	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/img ./internal/plan ./internal/stats ./internal/constraint ./internal/telemetry
 	$(GO) test -run 'TestAlloc' -count=1 -cpu 1,2,4 ./internal/slam ./internal/track
 
 # The pure-Go kernels every non-amd64 host runs (gemm_other.go, the GEMM
@@ -113,8 +114,9 @@ fuzz-smoke:
 
 # CLI smoke: build adpipe and admap once each and drive every path end to
 # end. adpipe's two paths: a seeded chaos run with deadline enforcement (a
-# Runner), a faulted three-vehicle fleet on shared engines and one shared
-# map, a stall-injected run under the tail scheduler with anytime DET, a
+# Runner), which must list a DET budget miss tallied from the delivered
+# frames' degraded masks, a faulted three-vehicle fleet on shared engines
+# and one shared map, a stall-injected run under the tail scheduler with anytime DET, a
 # library scenario program, which must print the Monitor's performance
 # verdict line, and a fleet with
 # one assigned program. admap's map-provider path: survey a small map into
@@ -134,7 +136,10 @@ cli-smoke:
 	reject() { echo "+ $$* (must exit 2)"; bin="$$1"; shift; st=0; "$$dir/$$bin" "$$@" || st=$$?; \
 		[ "$$st" -eq 2 ] || { echo "cli-smoke: exit $$st, want 2"; exit 1; }; }; \
 	run adpipe -frames 30 -dnn=false -width 384 -height 192 -survey 20 \
-		-deadline 100ms -fault 'DET:delay=60ms:every=5,LOC:delay=120ms:frames=10-12,SRC:drop:every=17'; \
+		-deadline 100ms -fault 'DET:delay=60ms:every=5,LOC:delay=120ms:frames=10-12,SRC:drop:every=17' \
+		>"$$dir/chaos.out"; \
+	cat "$$dir/chaos.out"; \
+	grep -Eq '^ +DET +[1-9][0-9]*$$' "$$dir/chaos.out" || { echo "cli-smoke: chaos run listed no DET budget miss"; exit 1; }; \
 	run adpipe -vehicles 3 -frames 20 -dnn=false -width 384 -height 192 -survey 20 -inflight 3 \
 		-deadline 100ms -fault 'DET:delay=60ms:every=5' -fault-vehicle 1; \
 	run adpipe -frames 40 -dnn=false -width 384 -height 192 -survey 20 \

@@ -250,8 +250,8 @@ type MapStore = slam.MapStore
 // private overlay.
 type ShardStore = slam.ShardStore
 
-// ShardStoreOptions parameterizes OpenShardStore (cache budget and
-// telemetry).
+// ShardStoreOptions parameterizes OpenShardStore (its cache budget); the
+// store's CacheStats reports the cache's hits, misses and evictions.
 type ShardStoreOptions = slam.ShardStoreOptions
 
 // ShardIndex is a shard directory's table of contents.
@@ -285,14 +285,6 @@ type LOCEngine = slam.Engine
 func NewLOCEngine(cfg LOCConfig, store MapStore) (*LOCEngine, error) {
 	return slam.NewEngineStore(cfg, store)
 }
-
-// TelemetryRegistry is the named counter/gauge/distribution registry;
-// pass one in ShardStoreOptions.Telemetry to observe the map cache.
-type TelemetryRegistry = telemetry.Registry
-
-// NewTelemetryRegistry returns a registry whose streaming distributions
-// keep the most recent distCap samples (0 selects the default).
-func NewTelemetryRegistry(distCap int) *TelemetryRegistry { return telemetry.NewRegistry(distCap) }
 
 // DeadlinePolicy configures per-stage deadline budgets and degraded-mode
 // enforcement on the native pipeline (PipelineConfig.Deadline).

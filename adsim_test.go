@@ -87,8 +87,7 @@ func TestFacadeShardedMapStore(t *testing.T) {
 	if len(idx.Tiles) < 3 {
 		t.Fatalf("expected several tiles, got %d", len(idx.Tiles))
 	}
-	reg := NewTelemetryRegistry(0)
-	store, err := OpenShardStore(dir, ShardStoreOptions{CacheBudget: 1, Telemetry: reg})
+	store, err := OpenShardStore(dir, ShardStoreOptions{CacheBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestFacadeShardedMapStore(t *testing.T) {
 	if n != m.Len() {
 		t.Fatalf("Scan visited %d keyframes, want %d", n, m.Len())
 	}
-	if reg.Counter("mapstore/misses").Value() == 0 {
+	if store.CacheStats().Misses == 0 {
 		t.Error("scan through a cold cache recorded no misses")
 	}
 }

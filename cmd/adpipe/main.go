@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -273,11 +274,6 @@ func resolveProgram(ref string) *adsim.ScenarioProgram {
 // runSolo drives one Runner and prints its per-stage report.
 func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.ScenarioProgram) {
 	faulting := cfg.Inject != nil
-	var reg *adsim.TelemetryRegistry
-	if *deadline > 0 {
-		reg = adsim.NewTelemetryRegistry(*frames)
-		cfg.Metrics = reg
-	}
 
 	var col *adsim.TelemetryCollector
 	switch *telem {
@@ -307,9 +303,8 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 		rungs, err = tailLadder(*ladder, cfg.Detect.InputSize)
 		if err == nil {
 			ts, err = adsim.NewTailScheduler(adsim.TailConfig{
-				Target:  *tailTgt,
-				Ladder:  rungs,
-				Metrics: reg,
+				Target: *tailTgt,
+				Ladder: rungs,
 			})
 		}
 		if err != nil {
@@ -331,6 +326,7 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 	loc := adsim.NewDistribution(*frames)
 	wall := adsim.NewDistribution(*frames)
 	tracked, degraded, faulted := 0, 0, 0
+	misses := map[string]int{} // budget misses per stage, folded from the delivered masks
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 
 	if prog != nil {
@@ -343,6 +339,11 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 	r := must(adsim.NewRunner(p, adsim.RunnerOptions{InFlight: *inflight, Tail: ts}))
 	for res := range r.Run(*frames) {
 		i := res.Frame.Index
+		for id := range pipeline.NumStages {
+			if res.Degraded.Has(id) {
+				misses[id.String()]++
+			}
+		}
 		if res.Err != nil {
 			// Under fault injection, dropped frames and hard stage faults
 			// are part of the scenario: count them and keep driving.
@@ -402,13 +403,15 @@ func runSolo(cfg adsim.PipelineConfig, kind adsim.ScenarioKind, prog *adsim.Scen
 		if faulting {
 			fmt.Printf("  faulted frames   %d/%d (dropped or hard stage faults)\n", faulted, *frames)
 		}
-		fmt.Printf("  budget misses    %d total\n", reg.Counter("deadline/miss").Value())
-		for _, name := range reg.CounterNames() {
-			if strings.HasPrefix(name, "deadline/miss/") {
-				if v := reg.Counter(name).Value(); v > 0 {
-					fmt.Printf("    %-14s %d\n", strings.TrimPrefix(name, "deadline/miss/"), v)
-				}
-			}
+		total, names := 0, make([]string, 0, len(misses))
+		for name, n := range misses {
+			total += n
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		fmt.Printf("  budget misses    %d total\n", total)
+		for _, name := range names {
+			fmt.Printf("    %-14s %d\n", name, misses[name])
 		}
 	} else if faulting {
 		fmt.Printf("faulted frames %d/%d (dropped or hard stage faults)\n", faulted, *frames)

@@ -3,8 +3,6 @@ package pipeline
 import (
 	"strings"
 	"time"
-
-	"adsim/internal/telemetry"
 )
 
 // This file is the deadline-enforcement layer: per-stage time budgets
@@ -23,9 +21,8 @@ import (
 //	            (fused frame / guidance / plan / command).
 //
 // Which stages degraded is surfaced per frame as FrameResult.Degraded (a
-// DegradedMask) and counted in telemetry: deadline/miss, deadline/degraded,
-// deadline/miss/<stage>, and a deadline/stage_ms/<stage> distribution of
-// charged stage times.
+// DegradedMask), one bit per stage: a run's miss counts are a fold over the
+// delivered masks, and a missed stage's StageTiming entry is its budget.
 //
 // Enforcement is one race on either clock (runStage in graph.go): take the
 // stage's fallback while its engine is quiescent, run the attempt — injected
@@ -238,33 +235,4 @@ func (m DegradedMask) String() string {
 		parts = append(parts, StageDet.String()+"~")
 	}
 	return strings.Join(parts, "|")
-}
-
-// deadlineMetrics are the pre-resolved telemetry handles the enforcement
-// path increments; resolving them once at construction keeps execStage off
-// the registry's name-lookup path.
-type deadlineMetrics struct {
-	miss      *telemetry.Counter
-	degraded  *telemetry.Counter
-	anytime   *telemetry.Counter
-	stageMiss [NumStages]*telemetry.Counter
-	stageMS   [NumStages]*telemetry.Dist
-}
-
-// newDeadlineMetrics resolves the deadline metric handles against a
-// registry: deadline/miss (stage budget misses), deadline/degraded
-// (frames delivered with a non-empty mask), deadline/anytime (frames whose
-// DET committed an early-exited result), deadline/miss/<stage>, and
-// the deadline/stage_ms/<stage> charged-time distributions.
-func newDeadlineMetrics(reg *telemetry.Registry) deadlineMetrics {
-	m := deadlineMetrics{
-		miss:     reg.Counter("deadline/miss"),
-		degraded: reg.Counter("deadline/degraded"),
-		anytime:  reg.Counter("deadline/anytime"),
-	}
-	for id := StageID(0); id < NumStages; id++ {
-		m.stageMiss[id] = reg.Counter("deadline/miss/" + id.String())
-		m.stageMS[id] = reg.Dist("deadline/stage_ms/" + id.String())
-	}
-	return m
 }

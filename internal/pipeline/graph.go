@@ -313,8 +313,6 @@ func (p *Pipeline) runStage(id StageID, fs *frameState, ready time.Time) (failed
 				*out = fallback
 				out.missed, out.dur, out.kernel, out.other = true, budget, 0, 0
 				p.pending[id] = attDone
-				p.met.miss.Inc()
-				p.met.stageMiss[id].Inc()
 			} else {
 				*out, err = *att, attErr
 				if err == nil {
@@ -324,16 +322,8 @@ func (p *Pipeline) runStage(id StageID, fs *frameState, ready time.Time) (failed
 		}
 	}
 
-	if out.anytime {
-		// The body exited early and its raced attempt committed in time: a
-		// coarser on-time frame, not a miss.
-		p.met.anytime.Inc()
-	}
 	if err != nil {
 		fs.errs[id] = err
-	}
-	if p.deadline.Enforce && id != StageSrc {
-		p.met.stageMS[id].Observe(float64(time.Since(start)+charged) / 1e6)
 	}
 	p.sink.Span(telemetry.Span{
 		Stage: id.String(),
@@ -409,17 +399,15 @@ func (p *Pipeline) deliver(fs *frameState) RunnerResult {
 			StageMisplan: tm.MisPlan, StageMotplan: tm.MotPlan, StageControl: tm.Control,
 		})
 	}
-	if res.Degraded.Any() {
-		p.met.degraded.Inc()
-	}
 	err := fs.err()
 	wall := time.Since(fs.admitted)
 	var at time.Time // zero: the sink stamps its own wall clock
 	if p.clock.virtual {
-		// On the frame clock a frame is delivered its latency after its
-		// capture, so sinks measure the scene's frame rate, not the host's.
+		// The frame clock has no service time: a frame is stamped at its
+		// capture, so sinks measure the scene's frame rate, not the host's,
+		// whatever the latency of the first and last frames.
 		wall = fs.vdone[StageControl] - fs.vadmit
-		at = time.Unix(0, 0).Add(time.Duration(math.Round(res.Frame.Time*float64(time.Second))) + wall)
+		at = time.Unix(0, 0).Add(time.Duration(math.Round(res.Frame.Time * float64(time.Second))))
 	}
 	p.sink.FrameDone(telemetry.FrameEnd{
 		Frame:    res.Frame.Index,

@@ -60,10 +60,6 @@ type Config struct {
 	// Deadline configures per-stage budget enforcement with degraded
 	// modes (see deadline.go). The zero value disables enforcement.
 	Deadline DeadlinePolicy
-	// Metrics receives the deadline counters and distributions
-	// (deadline/miss, deadline/degraded, deadline/miss/<stage>,
-	// deadline/stage_ms/<stage>). nil keeps them on a private registry.
-	Metrics *telemetry.Registry
 	// Inject, when non-nil, is consulted before every stage body with the
 	// canonical stage name and frame index; the returned delay is charged
 	// against the stage's budget (slept under wall-clock enforcement,
@@ -157,12 +153,10 @@ type Pipeline struct {
 	inject func(stage string, frame int) (time.Duration, error)
 
 	// deadline is the enforcement policy, clock the clock its race runs on,
-	// budgets its resolved per-stage budgets (0 = unenforced), and met the
-	// pre-resolved metric handles.
+	// and budgets its resolved per-stage budgets (0 = unenforced).
 	deadline DeadlinePolicy
 	clock    deadlineClock
 	budgets  [NumStages]time.Duration
-	met      deadlineMetrics
 
 	// pending[s] is stage s's abandoned late attempt, if any: closed when
 	// the attempt finishes. Only the stage's own execution context (or a
@@ -222,10 +216,6 @@ func NewNative(cfg Config) (*Pipeline, error) {
 	if sink == nil {
 		sink = telemetry.Nop{}
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry(0)
-	}
 	p := &Pipeline{
 		cfg: cfg, gen: gen, sink: sink,
 		det: det, tra: tra, loc: loc, fuse: fuse,
@@ -234,7 +224,6 @@ func NewNative(cfg Config) (*Pipeline, error) {
 		deadline: cfg.Deadline,
 		clock:    deadlineClock{virtual: cfg.Deadline.Virtual},
 		budgets:  cfg.Deadline.resolve(),
-		met:      newDeadlineMetrics(reg),
 	}
 	p.held[StageMisplan].speed = cfg.Plan.TargetSpeed
 	p.stages = p.stageSpecs()

@@ -301,3 +301,24 @@ func TestVirtualFrameRate(t *testing.T) {
 		t.Errorf("faulted run's live report differs between two runs:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestVirtualFrameRateIgnoresEndLatency: the frame clock has no service
+// time, so a run's rate is the scene's whatever the latency of its first
+// and last frames. Here only the last frame carries an in-budget LOC stall.
+func TestVirtualFrameRateIgnoresEndLatency(t *testing.T) {
+	const frames = 24
+	cfg := chaosConfig(t, scene.Urban, "LOC:delay=25ms:frames=23", 1)
+	mon := constraint.NewMonitor(constraint.MonitorConfig{})
+	cfg.Telemetry = mon
+	run := runChaosStep(t, cfg, frames)
+	if run.masks[frames-1] != 0 {
+		t.Fatalf("the 25 ms stall blew LOC's budget: mask %v", run.masks[frames-1])
+	}
+	rep := mon.Snapshot()
+	if rep.MeanMs == 0 {
+		t.Fatal("the last frame's stall left no latency on the frame clock")
+	}
+	if math.Abs(rep.FPS-cfg.Scene.FPS) > 1e-9*cfg.Scene.FPS || !rep.Performance.Passed {
+		t.Errorf("measures %v fps (performance %v), want the scene's %v", rep.FPS, rep.Performance, cfg.Scene.FPS)
+	}
+}

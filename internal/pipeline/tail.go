@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"adsim/internal/telemetry"
 )
 
 // This file is the tail-latency controller (DESIGN.md §12): where the
@@ -45,17 +43,6 @@ type TailConfig struct {
 	// be positive multiples of 16 in strictly descending order. nil or
 	// single-entry disables resolution scaling.
 	Ladder []int
-	// Metrics receives the tail/* counters (shrink, grow, scale_down,
-	// scale_up) and gauges (window, input_size). nil keeps them on a
-	// private registry.
-	Metrics *telemetry.Registry
-}
-
-// tailMetrics are the pre-resolved telemetry handles the controller writes.
-type tailMetrics struct {
-	shrink, grow       *telemetry.Counter
-	scaleDown, scaleUp *telemetry.Counter
-	window, inputSize  *telemetry.Gauge
 }
 
 // TailScheduler is the closed-loop tail-latency controller. One scheduler
@@ -63,13 +50,14 @@ type tailMetrics struct {
 // RunnerOptions.Tail (adaptive admission window + ladder; InFlight 1 pins
 // the window at 1, the sequential schedule, leaving only the ladder). Its
 // signal is every delivered frame's latency on the pipeline's clock
-// (RunnerResult.Wall), judged by the law fleet admission runs too.
+// (RunnerResult.Wall), judged by the law fleet admission runs too. Its
+// accessors (WindowLimit, MinWindowLimit, InputSize, MaxRungDepth) are the
+// record of what it did.
 //
 // All methods are safe for concurrent use.
 type TailScheduler struct {
 	initial int
 	ladder  []int
-	met     tailMetrics
 
 	// window is the admission window the controller adapts: its limit moves
 	// in [1, ceiling], and its mutex guards every field below.
@@ -100,26 +88,14 @@ func NewTailScheduler(cfg TailConfig) (*TailScheduler, error) {
 				i, size, i-1, cfg.Ladder[i-1])
 		}
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry(0)
-	}
 	t := &TailScheduler{
 		initial: cfg.InitialWindow,
 		ladder:  append([]int(nil), cfg.Ladder...),
 		law:     law,
-		met: tailMetrics{
-			shrink:    reg.Counter("tail/shrink"),
-			grow:      reg.Counter("tail/grow"),
-			scaleDown: reg.Counter("tail/scale_down"),
-			scaleUp:   reg.Counter("tail/scale_up"),
-			window:    reg.Gauge("tail/window"),
-			inputSize: reg.Gauge("tail/input_size"),
-		},
 	}
 	t.cond = sync.NewCond(&t.mu)
 	t.delivered = t.observeLocked
-	t.publishLocked() // InputSize reads the base rung before attach, too
+	t.publishLocked() // InputSize reads the base rung before attach
 	return t, nil
 }
 
@@ -154,14 +130,11 @@ func (t *TailScheduler) MaxRungDepth() int {
 	return t.maxRung
 }
 
-// publishLocked commits the knob state: the current rung's size for the
-// next admission, and both gauges.
+// publishLocked commits the current rung's size for the next admission.
 func (t *TailScheduler) publishLocked() {
 	if len(t.ladder) > 0 {
 		t.size = t.ladder[t.rung]
 	}
-	t.met.window.Set(float64(t.limit))
-	t.met.inputSize.Set(float64(t.size))
 }
 
 // attach binds the scheduler to an executor with the given admission
@@ -182,7 +155,6 @@ func (t *TailScheduler) attach(ceiling int) error {
 		t.limit = t.initial
 	}
 	t.minLimit = t.limit
-	t.publishLocked()
 	return nil
 }
 
@@ -202,21 +174,17 @@ func (t *TailScheduler) observeLocked(wallMs float64) {
 		case t.limit > 1:
 			t.limit--
 			t.minLimit = min(t.minLimit, t.limit)
-			t.met.shrink.Inc()
 		case t.rung+1 < len(t.ladder):
 			t.rung++
 			t.maxRung = max(t.maxRung, t.rung)
-			t.met.scaleDown.Inc()
 		}
 	case moveRecover:
 		switch {
 		case t.rung > 0:
 			t.rung--
-			t.met.scaleUp.Inc()
 			t.law.recovered()
 		case t.limit < t.ceiling:
 			t.limit++
-			t.met.grow.Inc()
 			t.law.recovered()
 		}
 	}

@@ -7,9 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
-
-	"adsim/internal/telemetry"
 )
 
 // ShardStoreOptions parameterizes OpenShardStore.
@@ -18,11 +15,6 @@ type ShardStoreOptions struct {
 	// (CacheStats.ResidentBytes), in bytes. The most recently used tile is
 	// never evicted, so the effective floor is one tile. ≤ 0 means unlimited.
 	CacheBudget int64
-	// Telemetry receives the cache metrics (mapstore/hits, misses,
-	// evictions counters, the mapstore/resident_bytes gauge and the
-	// mapstore/load_ms load-latency distribution). nil uses a private
-	// registry, reachable via CacheStats.
-	Telemetry *telemetry.Registry
 }
 
 // ShardStore is the tiled on-disk prior-map store: a directory of ADM1
@@ -31,12 +23,11 @@ type ShardStoreOptions struct {
 // boundaries so results are bit-identical to the equivalent monolithic
 // PriorMap, and a writer (a LOC engine's runtime map updates) wraps it in
 // a VehicleStore, whose overlay takes the Adds. Every tile load is a read's
-// miss, so the cache counters are a pure function of the read sequence.
+// miss, so the cache counters (CacheStats) are a pure function of the read
+// sequence.
 //
 // All methods are safe for concurrent use. Tile loads happen under the
-// store lock, so concurrent readers serialize on a cache miss — the load
-// latency they observe is exactly what the mapstore/load_ms distribution
-// records.
+// store lock, so concurrent readers serialize on a cache miss.
 type ShardStore struct {
 	dir    string
 	idx    ShardIndex
@@ -48,9 +39,7 @@ type ShardStore struct {
 	residentBytes int64
 	err           error // first I/O error; kept as a sticky record for Err
 
-	hits, misses, evictions, ioErrors *telemetry.Counter
-	residentGauge                     *telemetry.Gauge
-	loadMS                            *telemetry.Dist
+	hits, misses, evictions, ioErrors int64
 }
 
 type residentTile struct {
@@ -66,22 +55,12 @@ func OpenShardStore(dir string, opts ShardStoreOptions) (*ShardStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := opts.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry(0)
-	}
 	return &ShardStore{
-		dir:           dir,
-		idx:           *idx,
-		budget:        opts.CacheBudget,
-		resident:      make(map[int]*residentTile),
-		lru:           list.New(),
-		hits:          reg.Counter("mapstore/hits"),
-		misses:        reg.Counter("mapstore/misses"),
-		evictions:     reg.Counter("mapstore/evictions"),
-		ioErrors:      reg.Counter("mapstore/io_errors"),
-		residentGauge: reg.Gauge("mapstore/resident_bytes"),
-		loadMS:        reg.Dist("mapstore/load_ms"),
+		dir:      dir,
+		idx:      *idx,
+		budget:   opts.CacheBudget,
+		resident: make(map[int]*residentTile),
+		lru:      list.New(),
 	}, nil
 }
 
@@ -91,8 +70,8 @@ func (s *ShardStore) Index() ShardIndex { return s.idx }
 // Err returns the first I/O error the store has hit — a sticky record, not
 // a gate: load failures are transient (the read that hit the error
 // degrades to whatever is resident, and later accesses retry the tile).
-// Callers that need hard guarantees should check Err after a replay; the
-// mapstore/io_errors counter tallies every failure.
+// Callers that need hard guarantees should check Err after a replay;
+// CacheStats.IOErrors tallies every failure.
 func (s *ShardStore) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -115,14 +94,13 @@ func (s *ShardStore) Len() int { return s.idx.Keyframes }
 // an I/O error.
 func (s *ShardStore) getTileLocked(pos int, scan bool) []Keyframe {
 	if rt := s.resident[pos]; rt != nil {
-		s.hits.Inc()
+		s.hits++
 		if !scan {
 			s.lru.MoveToFront(rt.elem)
 		}
 		return rt.kfs
 	}
-	s.misses.Inc()
-	start := time.Now()
+	s.misses++
 	kfs, err := s.loadTile(pos)
 	if err != nil {
 		// Transient degradation, not a brick: record the first error (Err
@@ -132,10 +110,9 @@ func (s *ShardStore) getTileLocked(pos int, scan bool) []Keyframe {
 		if s.err == nil {
 			s.err = err
 		}
-		s.ioErrors.Inc()
+		s.ioErrors++
 		return nil
 	}
-	s.loadMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 	rt := &residentTile{pos: pos, kfs: kfs, mem: storageBytes(kfs)}
 	switch {
 	case !scan:
@@ -152,9 +129,8 @@ func (s *ShardStore) getTileLocked(pos int, scan bool) []Keyframe {
 		s.lru.Remove(victim.elem)
 		delete(s.resident, victim.pos)
 		s.residentBytes -= victim.mem
-		s.evictions.Inc()
+		s.evictions++
 	}
-	s.residentGauge.Set(float64(s.residentBytes))
 	return kfs
 }
 
@@ -274,16 +250,15 @@ type CacheStats struct {
 	ResidentTiles int
 }
 
-// CacheStats snapshots the cache counters (also exported via the telemetry
-// registry passed at open).
+// CacheStats snapshots the cache counters.
 func (s *ShardStore) CacheStats() CacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return CacheStats{
-		Hits:          s.hits.Value(),
-		Misses:        s.misses.Value(),
-		Evictions:     s.evictions.Value(),
-		IOErrors:      s.ioErrors.Value(),
+		Hits:          s.hits,
+		Misses:        s.misses,
+		Evictions:     s.evictions,
+		IOErrors:      s.ioErrors,
 		ResidentBytes: s.residentBytes,
 		ResidentTiles: s.lru.Len(),
 	}

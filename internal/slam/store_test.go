@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"adsim/internal/scene"
-	"adsim/internal/telemetry"
 )
 
 // buildWorld surveys an urban scenario into a prior map and round-trips it
@@ -81,13 +80,11 @@ func openTestStore(t testing.TB, mono *PriorMap, pitch float64, opts ShardStoreO
 // sharded-store replay must deliver bit-identical estimates to the
 // monolithic map — across tile boundaries, through cold-start
 // relocalization, runtime map updates and loop-close scans — while the
-// telemetry shows the cache actually churning.
+// cache counters show the cache actually churning.
 func TestShardedReplayBitIdentical(t *testing.T) {
 	mono, cfg := buildWorld(t, 60)
-	reg := telemetry.NewRegistry(0)
 	store := openTestStore(t, mono, 8, ShardStoreOptions{
 		CacheBudget: mono.StorageBytes() / 4,
-		Telemetry:   reg,
 	})
 	if store.Len() != mono.Len() {
 		t.Fatalf("store has %d keyframes, monolithic %d", store.Len(), mono.Len())
@@ -139,25 +136,17 @@ func TestShardedReplayBitIdentical(t *testing.T) {
 	if stats.Misses == 0 || stats.Hits == 0 {
 		t.Errorf("cache never exercised: %+v", stats)
 	}
-	if reg.Counter("mapstore/evictions").Value() != stats.Evictions {
-		t.Error("CacheStats disagrees with the telemetry registry")
-	}
-	if got := reg.Dist("mapstore/load_ms").Snapshot(); got.N != stats.Misses {
-		t.Errorf("load-latency samples %d, want %d loads", got.N, stats.Misses)
-	}
 }
 
 // Tiles load only on a read's miss, so the cache counters are a pure
 // function of the read sequence: the same drive replayed through two fresh
 // stores under a tight budget counts the same hits, misses, evictions and
-// resident tiles, and times exactly one load per miss.
+// resident tiles.
 func TestShardCacheDeterministic(t *testing.T) {
 	mono, cfg := buildWorld(t, 40)
-	replay := func() (CacheStats, int64) {
-		reg := telemetry.NewRegistry(0)
+	replay := func() CacheStats {
 		store := openTestStore(t, mono, 8, ShardStoreOptions{
 			CacheBudget: mono.StorageBytes() / 3, // two tiles: eviction picks among residents
-			Telemetry:   reg,
 		})
 		eng, err := NewEngineStore(DefaultConfig(), store)
 		if err != nil {
@@ -170,23 +159,14 @@ func TestShardCacheDeterministic(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			eng.Localize(gen.Step().Image)
 		}
-		return store.CacheStats(), reg.Dist("mapstore/load_ms").Snapshot().N
+		return store.CacheStats()
 	}
-	first, firstLoads := replay()
-	second, secondLoads := replay()
+	first, second := replay(), replay()
 	if first != second {
 		t.Errorf("cache counters differ across identical replays:\n%+v\n%+v", first, second)
 	}
 	if first.Evictions == 0 || first.Hits == 0 {
 		t.Errorf("cache never churned under a third-size budget: %+v", first)
-	}
-	for _, run := range []struct {
-		stats CacheStats
-		loads int64
-	}{{first, firstLoads}, {second, secondLoads}} {
-		if run.loads != run.stats.Misses {
-			t.Errorf("load-latency samples %d, want one per miss (%d)", run.loads, run.stats.Misses)
-		}
 	}
 }
 
@@ -548,10 +528,8 @@ func TestScanLeavesCacheAlone(t *testing.T) {
 		t.Fatalf("want at least 4 tiles, got %d", len(tiles))
 	}
 	a, b := 1, 2
-	reg := telemetry.NewRegistry(0)
 	store := openTestStore(t, mono, 8, ShardStoreOptions{
 		CacheBudget: tiles[a].MemBytes + tiles[b].MemBytes,
-		Telemetry:   reg,
 	})
 	store.Candidates(tiles[a].ZMin, 0)
 	store.Candidates(tiles[b].ZMin, 0)
@@ -585,9 +563,6 @@ func TestScanLeavesCacheAlone(t *testing.T) {
 	if st.Misses-beforeStats.Misses != nonResident || st.Hits-beforeStats.Hits != 2 {
 		t.Errorf("Scan counted %d misses and %d hits, want %d and 2",
 			st.Misses-beforeStats.Misses, st.Hits-beforeStats.Hits, nonResident)
-	}
-	if loads := reg.Dist("mapstore/load_ms").Snapshot().N; loads != st.Misses {
-		t.Errorf("load-latency samples %d, want one per miss (%d)", loads, st.Misses)
 	}
 
 	roomy := openTestStore(t, mono, 8, ShardStoreOptions{})

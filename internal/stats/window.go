@@ -32,7 +32,8 @@ const DefaultWindowCap = 1 << 15 // 32768
 //
 // Window additionally tracks lifetime aggregates (TotalN, TotalSum,
 // TotalMean) over every sample ever folded in, which windowed eviction does
-// not disturb. Not safe for concurrent use; wrap it (telemetry.Dist does).
+// not disturb. Not safe for concurrent use; wrap it (telemetry.Collector
+// does).
 type Window struct {
 	buf      []float64 // ring storage; len is the samples held (≤ capacity)
 	capacity int       // ring size once full

@@ -6,28 +6,41 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"adsim/internal/stats"
 )
 
 // Collector is the standard aggregating Sink: it folds every span into
-// per-stage queue/exec distributions (via the lock-cheap Registry) and every
-// delivered frame into a wall-latency distribution, and renders the result
-// as a table, JSON or CSV. Stages are reported in first-seen order, which
-// under both executors is the stage-graph order.
+// per-stage queue/exec distributions and every delivered frame into a
+// wall-latency distribution, and renders the result as a table, JSON or
+// CSV. Stages are reported in first-seen order, which under both executors
+// is the stage-graph order. One mutex guards every aggregate; a warm Span
+// allocates nothing.
 type Collector struct {
-	reg *Registry
+	windowCap int
 
 	mu       sync.Mutex
-	order    []string        // stage names in first-seen order
-	seen     map[string]bool // guards order
-	frames   int64
+	stages   map[string]*stageAgg // keyed by Span.Stage
+	order    []string             // stage names in first-seen order
+	wall     *stats.Window        // delivered-frame wall latency (ms); TotalN counts frames
 	errs     int64
 	degraded int64
+}
+
+// stageAgg is one stage's span aggregate: its rolling queue-wait and
+// execution windows (ms). exec's lifetime count is the stage's span count.
+type stageAgg struct {
+	queue, exec *stats.Window
 }
 
 // NewCollector returns a collector whose streaming distributions keep the
 // most recent windowCap samples (0 selects the default window).
 func NewCollector(windowCap int) *Collector {
-	return &Collector{reg: NewRegistry(windowCap), seen: make(map[string]bool)}
+	return &Collector{
+		windowCap: windowCap,
+		stages:    make(map[string]*stageAgg),
+		wall:      stats.NewWindow(windowCap),
+	}
 }
 
 const msPerNs = 1e-6
@@ -35,39 +48,35 @@ const msPerNs = 1e-6
 // Span folds one stage execution into the per-stage aggregates.
 func (c *Collector) Span(s Span) {
 	c.mu.Lock()
-	if !c.seen[s.Stage] {
-		c.seen[s.Stage] = true
+	a := c.stages[s.Stage]
+	if a == nil {
+		a = &stageAgg{queue: stats.NewWindow(c.windowCap), exec: stats.NewWindow(c.windowCap)}
+		c.stages[s.Stage] = a
 		c.order = append(c.order, s.Stage)
 	}
+	a.exec.Add(float64(s.Exec) * msPerNs)
+	a.queue.Add(float64(s.Queue) * msPerNs)
 	c.mu.Unlock()
-	c.reg.Counter("stage." + s.Stage + ".frames").Inc()
-	c.reg.Dist("stage." + s.Stage + ".exec_ms").Observe(float64(s.Exec) * msPerNs)
-	c.reg.Dist("stage." + s.Stage + ".queue_ms").Observe(float64(s.Queue) * msPerNs)
 }
 
 // FrameDone folds one delivered frame's wall latency in.
 func (c *Collector) FrameDone(f FrameEnd) {
 	c.mu.Lock()
-	c.frames++
 	if f.Err {
 		c.errs++
 	}
 	if f.Degraded {
 		c.degraded++
 	}
+	c.wall.Add(float64(f.Wall) * msPerNs)
 	c.mu.Unlock()
-	c.reg.Dist("frame.wall_ms").Observe(float64(f.Wall) * msPerNs)
 }
-
-// Registry exposes the collector's underlying metrics registry, for callers
-// that want to co-locate their own counters/gauges with the span metrics.
-func (c *Collector) Registry() *Registry { return c.reg }
 
 // Frames reports how many frames have been delivered into the collector.
 func (c *Collector) Frames() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.frames
+	return c.wall.TotalN()
 }
 
 // FrameErrs reports how many delivered frames carried an error.
@@ -81,12 +90,22 @@ func (c *Collector) FrameErrs() int64 {
 // every span recorded for it — the aggregate the Figure 7 cycle breakdowns
 // divide. Returns 0 for a stage that never ran.
 func (c *Collector) ExecSumMs(stage string) float64 {
-	return c.reg.Dist("stage." + stage + ".exec_ms").Snapshot().Sum
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if a := c.stages[stage]; a != nil {
+		return a.exec.TotalSum()
+	}
+	return 0
 }
 
 // SpanCount reports how many spans were recorded for a stage.
 func (c *Collector) SpanCount(stage string) int64 {
-	return c.reg.Counter("stage." + stage + ".frames").Value()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if a := c.stages[stage]; a != nil {
+		return a.exec.TotalN()
+	}
+	return 0
 }
 
 // StageSummary is one stage's aggregated span statistics. All latencies are
@@ -124,35 +143,30 @@ type Summary struct {
 // distribution.
 func (c *Collector) Summarize() Summary {
 	c.mu.Lock()
-	order := append([]string(nil), c.order...)
-	frames, errs, degraded := c.frames, c.errs, c.degraded
-	c.mu.Unlock()
-
+	defer c.mu.Unlock()
 	var out Summary
-	for _, stage := range order {
-		q := c.reg.Dist("stage." + stage + ".queue_ms").Snapshot()
-		e := c.reg.Dist("stage." + stage + ".exec_ms").Snapshot()
+	for _, stage := range c.order {
+		q, e := c.stages[stage].queue, c.stages[stage].exec
 		out.Stages = append(out.Stages, StageSummary{
 			Stage:       stage,
-			Frames:      c.reg.Counter("stage." + stage + ".frames").Value(),
-			QueueMeanMs: q.Mean,
-			QueueP99Ms:  q.P99,
-			QueueMaxMs:  q.Max,
-			ExecMeanMs:  e.Mean,
-			ExecP99Ms:   e.P99,
-			ExecP9999Ms: e.P9999,
-			ExecSumMs:   e.Sum,
+			Frames:      e.TotalN(),
+			QueueMeanMs: q.Mean(),
+			QueueP99Ms:  q.P99(),
+			QueueMaxMs:  q.Max(),
+			ExecMeanMs:  e.Mean(),
+			ExecP99Ms:   e.P99(),
+			ExecP9999Ms: e.P9999(),
+			ExecSumMs:   e.TotalSum(),
 		})
 	}
-	w := c.reg.Dist("frame.wall_ms").Snapshot()
 	out.Frame = FrameSummary{
-		Frames:     frames,
-		Errs:       errs,
-		Degraded:   degraded,
-		WallMeanMs: w.Mean,
-		WallP99Ms:  w.P99,
-		WallP99p99: w.P9999,
-		WallMaxMs:  w.Max,
+		Frames:     c.wall.TotalN(),
+		Errs:       c.errs,
+		Degraded:   c.degraded,
+		WallMeanMs: c.wall.Mean(),
+		WallP99Ms:  c.wall.P99(),
+		WallP99p99: c.wall.P9999(),
+		WallMaxMs:  c.wall.Max(),
 	}
 	return out
 }

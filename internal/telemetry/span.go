@@ -1,8 +1,11 @@
 // Package telemetry is the unified instrumentation layer of the pipeline:
-// per-frame stage spans with a queue-wait vs. execute split, a lock-cheap
-// metrics registry (counters, gauges, streaming latency distributions), and
-// aggregating sinks the experiments and the live constraint monitor read
-// from.
+// per-frame stage spans with a queue-wait vs. execute split, delivered-frame
+// records, and the Sink interface the experiments, the Collector and the
+// live constraint monitor consume them through. Counts that belong to one
+// component live in that component's typed record (a frame's
+// DegradedMask, the tail scheduler's accessors, a shard store's
+// CacheStats), not here; aggregates over a run are folds of the per-frame
+// record.
 //
 // The paper's methodology judges an autonomous driving system by per-engine
 // latency breakdowns and 99.99th-percentile tails, which only works if the
@@ -48,9 +51,9 @@ type FrameEnd struct {
 	// throughput, including any time queued behind other in-flight frames.
 	Wall time.Duration
 	// At is when the frame was delivered. The zero time means "now"
-	// (sinks substitute time.Now); the simulator and the virtual frame
-	// clock set it on their own timelines instead, so rate calculations
-	// reflect simulated or scene time, not host time.
+	// (sinks substitute time.Now); the simulator sets it on its own
+	// timeline and the virtual frame clock to the frame's capture time, so
+	// rate calculations reflect simulated or scene time, not host time.
 	At time.Time
 	// Err reports whether the frame was delivered with a pipeline error.
 	Err bool

@@ -9,70 +9,60 @@ import (
 	"time"
 )
 
-func TestRegistryCountersGaugesDists(t *testing.T) {
-	r := NewRegistry(0)
-	c := r.Counter("frames")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("counter = %d, want 5", c.Value())
-	}
-	if r.Counter("frames") != c {
-		t.Error("counter handle not stable across lookups")
-	}
-	g := r.Gauge("fps")
-	if g.Value() != 0 {
-		t.Error("gauge should start at 0")
-	}
-	g.Set(12.5)
-	if g.Value() != 12.5 {
-		t.Errorf("gauge = %v, want 12.5", g.Value())
-	}
-	d := r.Dist("lat_ms")
-	for i := 1; i <= 4; i++ {
-		d.Observe(float64(i))
-	}
-	snap := d.Snapshot()
-	if snap.N != 4 || snap.Sum != 10 || snap.Mean != 2.5 {
-		t.Errorf("dist snapshot = %+v", snap)
-	}
-	if d.Quantile(1) != 4 {
-		t.Errorf("dist max quantile = %v", d.Quantile(1))
-	}
-	if got := r.CounterNames(); len(got) != 1 || got[0] != "frames" {
-		t.Errorf("counter names = %v", got)
-	}
-	if got := r.DistNames(); len(got) != 1 || got[0] != "lat_ms" {
-		t.Errorf("dist names = %v", got)
-	}
-	if got := r.GaugeNames(); len(got) != 1 || got[0] != "fps" {
-		t.Errorf("gauge names = %v", got)
-	}
-}
-
-// TestRegistryConcurrent hammers one registry from many goroutines; run
-// under -race this is the lock-cheapness contract's safety half.
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry(256)
-	var wg sync.WaitGroup
+// TestCollectorConcurrent folds spans and frames from several goroutines
+// at once, as a pipelined executor's stage goroutines do; the totals must
+// be exact, and under -race this is the Sink contract's safety half.
+func TestCollectorConcurrent(t *testing.T) {
+	c := NewCollector(256)
+	stages := []string{"DET", "LOC", "TRA"}
 	const workers, perWorker = 8, 1000
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r.Counter("n").Inc()
-				r.Gauge("g").Set(float64(i))
-				r.Dist("d").Observe(float64(i))
+				c.Span(Span{Stage: stages[i%len(stages)], Frame: i, Queue: time.Millisecond, Exec: 2 * time.Millisecond})
+				c.FrameDone(FrameEnd{Frame: i, Wall: time.Millisecond, Err: i%10 == 0, Degraded: i%4 == 0})
 			}
 		}()
 	}
-	wg.Wait()
-	if got := r.Counter("n").Value(); got != workers*perWorker {
-		t.Errorf("counter = %d, want %d", got, workers*perWorker)
+	// Read while the writers run.
+	for i := 0; i < 10; i++ {
+		_ = c.Summarize()
+		_ = c.SpanCount("DET")
 	}
-	if got := r.Dist("d").Snapshot().N; got != workers*perWorker {
-		t.Errorf("dist lifetime n = %d, want %d", got, workers*perWorker)
+	wg.Wait()
+	var spans int64
+	for _, stage := range stages {
+		spans += c.SpanCount(stage)
+	}
+	if spans != workers*perWorker {
+		t.Errorf("span count = %d, want %d", spans, workers*perWorker)
+	}
+	if got, want := c.ExecSumMs("DET"), 2*float64(c.SpanCount("DET")); got != want {
+		t.Errorf("DET exec sum = %v ms, want %v", got, want)
+	}
+	s := c.Summarize()
+	if s.Frame.Frames != workers*perWorker || s.Frame.Errs != workers*perWorker/10 || s.Frame.Degraded != workers*perWorker/4 {
+		t.Errorf("frame summary = %+v", s.Frame)
+	}
+	if len(s.Stages) != len(stages) {
+		t.Errorf("%d stages summarized, want %d", len(s.Stages), len(stages))
+	}
+}
+
+// TestAllocCollectorSpan: once a stage's windows are full, folding a span
+// allocates nothing.
+func TestAllocCollectorSpan(t *testing.T) {
+	const capacity = 64
+	c := NewCollector(capacity)
+	span := Span{Stage: "DET", Queue: time.Millisecond, Exec: 4 * time.Millisecond}
+	for i := 0; i < 2*capacity; i++ {
+		c.Span(span)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { c.Span(span) }); allocs != 0 {
+		t.Errorf("a warm Span allocates %v times, want 0", allocs)
 	}
 }
 
