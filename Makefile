@@ -52,17 +52,19 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# Zero-allocation gates on the warm inference hot path, each at 1, 2 and 4
-# kernel workers, plus LOC's gate (a steady-state frame allocates only the
-# slices it retains, with its matcher at 1, 2 and 4 workers), DET's proposal
-# pass, the radius-1 blur's, the bilinear resize's, the conformal planner's
-# (a fixed count at any horizon), the full rolling window's, the
-# constraint monitor's and the telemetry collector's warm span fold
-# (testing.AllocsPerRun is unreliable under -race, so
-# these run without it; `make race` still executes the same tests for
-# correctness). TRA's and LOC's gates, whose fan-outs start goroutines, also
-# run at GOMAXPROCS 1, 2 and 4. No output filter: the target's status must
-# be go test's.
+# Zero-allocation gates on the warm inference hot path: the conv/FC
+# kernels, the DNN forward pass and DET, run once (the kernels run on
+# their caller, so there is no kernel worker count to sweep), the
+# tensor.Each fan-out across a GC, plus LOC's gate (a steady-state frame
+# allocates only the slices it retains, with its matcher at 1, 2 and 4
+# workers), DET's proposal pass, the radius-1 blur's, the bilinear
+# resize's, the conformal planner's (a fixed count at any horizon), the
+# full rolling window's, the constraint monitor's and the telemetry
+# collector's warm span fold (testing.AllocsPerRun is unreliable under
+# -race, so these run without it; `make race` still executes the same
+# tests for correctness). TRA's and LOC's gates, whose fan-outs start
+# goroutines, also run at GOMAXPROCS 1, 2 and 4. No output filter: the
+# target's status must be go test's.
 alloc-gate:
 	$(GO) test -run 'TestAlloc' -count=1 ./internal/tensor ./internal/dnn ./internal/detect ./internal/img ./internal/plan ./internal/stats ./internal/constraint ./internal/telemetry
 	$(GO) test -run 'TestAlloc' -count=1 -cpu 1,2,4 ./internal/slam ./internal/track
@@ -74,22 +76,23 @@ alloc-gate:
 # binaries, which run on an amd64 host and do float math in SSE2 too, so the
 # bitwise tests hold; the pipeline's
 # golden-trace and parity contract on the same fallbacks; plus arm64 vet,
-# and a scan of internal/tensor's, internal/img's, internal/detect's,
-# internal/pipeline's, internal/fusion's and internal/mission's arm64 code
-# for fused multiply-adds, which the Go spec lets the compiler form from
-# x*y + z and which round once where amd64 rounds twice (wrap the product
-# in float32() or float64()).
+# and a scan of internal/tensor's, internal/dnn's, internal/track's,
+# internal/img's, internal/detect's, internal/pipeline's, internal/fusion's
+# and internal/mission's arm64 code for fused multiply-adds, which the Go
+# spec lets the compiler form from x*y + z and which round once where amd64
+# rounds twice (wrap the product in float32() or float64()).
 noasm-check:
 	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/dnn ./internal/track ./internal/img ./internal/detect
 	GOARCH=386 $(GO) test -count=1 -run 'Golden|Parity|Identical|TestFleetMatchesSoloRunners' ./internal/pipeline
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOARCH=arm64 $(GO) vet ./internal/dnn
 	GOARCH=arm64 $(GO) vet ./internal/track
 	GOARCH=arm64 $(GO) vet ./internal/img
 	GOARCH=arm64 $(GO) vet ./internal/detect
 	GOARCH=arm64 $(GO) vet ./internal/pipeline
 	GOARCH=arm64 $(GO) vet ./internal/fusion
 	GOARCH=arm64 $(GO) vet ./internal/mission
-	@for pkg in ./internal/tensor ./internal/img ./internal/detect ./internal/pipeline ./internal/fusion ./internal/mission; do \
+	@for pkg in ./internal/tensor ./internal/dnn ./internal/track ./internal/img ./internal/detect ./internal/pipeline ./internal/fusion ./internal/mission; do \
 		asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $$pkg 2>&1)" || { echo "$$asm"; exit 1; }; \
 		if echo "$$asm" | grep -E 'FN?M(ADD|SUB)[SD]'; then \
 			echo "$$pkg: fused multiply-add in the arm64 code"; exit 1; \

@@ -181,7 +181,7 @@ type Distribution = stats.Distribution
 func NewDistribution(n int) *Distribution { return stats.NewDistribution(n) }
 
 // TelemetrySink receives per-stage spans and per-frame completions from
-// the pipeline's executors and the simulator.
+// the pipeline's executors.
 type TelemetrySink = telemetry.Sink
 
 // TelemetrySpan is one stage execution of one frame (queue wait + execute).

@@ -21,9 +21,8 @@ import (
 )
 
 // BenchmarkRunner measures the pipelined executor with four frames in
-// flight, so DET/LOC of frame N+1 overlap the back half of frame N and the
-// conv/FC kernels shard across cores. It reports throughput and the P99.99
-// admission-to-delivery latency.
+// flight, so DET/LOC of frame N+1 overlap the back half of frame N. It
+// reports throughput and the P99.99 admission-to-delivery latency.
 func BenchmarkRunner(b *testing.B) {
 	cfg := DefaultPipelineConfig(Highway)
 	cfg.Scene.Width, cfg.Scene.Height = 512, 256
@@ -252,13 +251,20 @@ func BenchmarkFleetCapacity(b *testing.B) {
 	})
 }
 
-// BenchmarkTelemetryOverhead quantifies the cost of full instrumentation:
-// the same pipelined Runner workload once with the no-op sink and once with
-// a Collector plus live constraint Monitor attached. The issue's acceptance
-// bar is the instrumented run staying within 5% frames/s of the no-op run;
-// compare the sub-benchmarks' frames/s to verify.
+// BenchmarkTelemetryOverhead measures what full instrumentation costs: the
+// frames/s of a pipelined Runner whose pipeline feeds a Collector and a
+// live constraint Monitor, over the frames/s of the same workload on the
+// no-op sink. Both pipelines are built once. Each of telemetryRounds
+// rounds runs b.N frames through each on a fresh Runner, and the side that
+// goes first flips every round, so neither owns the host's quiet or busy
+// turns. It reports the median instrumented/nop ratio ("instr/nop") and
+// its interquartile spread ("instr/nop-iqr"). The bar: a median ratio of at
+// least 0.95, i.e. instrumentation costs at most 5 % of frames/s, judged
+// only when the spread is narrower than the distance to 0.95. Give each
+// round enough frames to span host noise, e.g. -benchtime 40x.
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	run := func(b *testing.B, sink TelemetrySink) {
+	const telemetryRounds, warm = 8, 4
+	build := func(sink TelemetrySink) *Pipeline {
 		cfg := DefaultPipelineConfig(Highway)
 		cfg.Scene.Width, cfg.Scene.Height = 512, 256
 		cfg.SurveyFrames = 20
@@ -267,27 +273,45 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		return p
+	}
+	// fps runs frames frames through p on a fresh Runner and returns their
+	// frames/s; the result channel's close hands p back.
+	fps := func(p *Pipeline, frames int) float64 {
 		r, err := NewRunner(p, RunnerOptions{InFlight: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for res := range r.Run(b.N) {
+		start := time.Now()
+		for res := range r.Run(frames) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
 		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		return float64(frames) / time.Since(start).Seconds()
 	}
-	b.Run("nop", func(b *testing.B) { run(b, nil) })
-	b.Run("instrumented", func(b *testing.B) {
-		col := NewTelemetryCollector(0)
-		mon := NewConstraintMonitor(ConstraintMonitorConfig{})
-		run(b, MultiSink(col, mon))
-		if col.Frames() != int64(b.N) {
-			b.Fatalf("collector saw %d frames, want %d", col.Frames(), b.N)
+	col := NewTelemetryCollector(0)
+	nop := build(nil)
+	instr := build(MultiSink(col, NewConstraintMonitor(ConstraintMonitorConfig{})))
+	fps(nop, warm)
+	fps(instr, warm)
+	b.ResetTimer()
+	ratios := NewDistribution(telemetryRounds)
+	for round := range telemetryRounds {
+		var nopFPS, instrFPS float64
+		if round%2 == 0 {
+			nopFPS, instrFPS = fps(nop, b.N), fps(instr, b.N)
+		} else {
+			instrFPS, nopFPS = fps(instr, b.N), fps(nop, b.N)
 		}
-	})
+		ratios.Add(instrFPS / nopFPS)
+	}
+	b.StopTimer()
+	if want := int64(warm + telemetryRounds*b.N); col.Frames() != want {
+		b.Fatalf("collector saw %d frames, want %d", col.Frames(), want)
+	}
+	b.ReportMetric(ratios.Quantile(0.5), "instr/nop")
+	b.ReportMetric(ratios.Quantile(0.75)-ratios.Quantile(0.25), "instr/nop-iqr")
 }
 
 // BenchmarkSimulatedFrame measures the analytical model's cost per

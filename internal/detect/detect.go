@@ -60,8 +60,8 @@ type Config struct {
 	// RunDNN controls whether the native network is executed. Experiments
 	// that only need functional boxes (e.g. planner tests) can disable it.
 	RunDNN bool
-	// Executor runs the network's forward passes on the calling goroutine
-	// and sets their kernel worker count. nil builds a private
+	// Executor runs the network's forward passes on the calling goroutine;
+	// its width changes nothing in DET. nil builds a private
 	// dnn.NewExecutor(0); a fleet hands every detector the same one.
 	Executor *dnn.Executor
 	// Nets, when non-nil, is a shared network cache: detectors drawing from

@@ -262,9 +262,9 @@ func TestPaperWorkload(t *testing.T) {
 // Alloc gate (run by `make alloc-gate`): the detector's scratch keeps the
 // warm DNN path's per-frame allocation overhead near the no-DNN floor. The
 // proposal/NMS path allocates its result slices either way, so gate the
-// delta rather than the absolute count. The executor's worker count is
-// pinned per subtest, not read from the host, so the kernel fan-out is
-// gated on a 1-CPU host too.
+// delta rather than the absolute count. The executor's width is pinned per
+// subtest, not read from the host, so a width that reached the kernels
+// would show on a 1-CPU host too.
 func TestAllocDetectSteadyState(t *testing.T) {
 	f := frameWithBox(160, 120, img.RectWH(40, 30, 40, 33))
 	allocDetectGate(t, 2, func(d *Detector) { d.Detect(f) })
@@ -284,7 +284,7 @@ func TestAllocDetectRungAlternation(t *testing.T) {
 }
 
 // allocDetectGate asserts that warm calls of run on a DNN detector allocate
-// at most budget more than on a no-DNN one, at 1, 2 and 4 kernel workers.
+// at most budget more than on a no-DNN one, at executor widths 1, 2 and 4.
 // Budget: two per call of slack for timing bookkeeping (the measured delta
 // is 0) — not the dozens of per-layer tensor allocations the scratch arena
 // replaced.

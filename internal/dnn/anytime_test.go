@@ -6,8 +6,8 @@ import (
 )
 
 // A checkpoint that never fires must leave the anytime pass bitwise equal
-// to the plain forward, whether keep is nil or always true, at any worker
-// count.
+// to the plain forward, whether keep is nil or always true, at any executor
+// width.
 func TestForwardAnytimeFullRunBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	net := TinyYOLO(32)
@@ -57,7 +57,7 @@ func TestForwardAnytimeEarlyExit(t *testing.T) {
 		ref.begin()
 		want := in
 		for i := 0; i < cut; i++ {
-			want = net.Layers[i].Forward(want, &ref, 1)
+			want = net.Layers[i].Forward(want, &ref)
 		}
 
 		var asked []int

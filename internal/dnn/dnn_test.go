@@ -158,8 +158,8 @@ func TestForwardDeterministic(t *testing.T) {
 func TestDifferentSeedsDifferentWeights(t *testing.T) {
 	in := tensor.New(1, 8, 8)
 	in.Fill(1)
-	a := NewConv(4, 3, 1, 1, Linear, 1).Forward(in, &Scratch{}, 1)
-	b := NewConv(4, 3, 1, 1, Linear, 2).Forward(in, &Scratch{}, 1)
+	a := NewConv(4, 3, 1, 1, Linear, 1).Forward(in, &Scratch{})
+	b := NewConv(4, 3, 1, 1, Linear, 2).Forward(in, &Scratch{})
 	same := true
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
@@ -311,9 +311,8 @@ func TestShapeString(t *testing.T) {
 // parallel tracker pool, the pipelined runner and a fleet's vehicles sharing
 // one network rely on: concurrent Forward calls through one shared network
 // are safe (lazy weight init is guarded), and the result is
-// bitwise-identical for any kernel worker count. Worker counts are
-// instance-scoped executors — no global mutation, no test-order
-// sensitivity.
+// bitwise-identical for any executor width. Widths are instance-scoped
+// executors — no global mutation, no test-order sensitivity.
 func TestForwardConcurrentAndWorkerInvariant(t *testing.T) {
 	build := func() *Network {
 		return MustNetwork("t", Shape{C: 1, H: 16, W: 16},

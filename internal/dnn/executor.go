@@ -6,24 +6,23 @@ import (
 	"adsim/internal/tensor"
 )
 
-// Executor is an instance-scoped inference executor: it owns the kernel
-// worker count. Every call runs on its caller's goroutine. A fleet reads the
+// Executor is an instance-scoped inference executor. Forward runs every
+// layer on its caller's goroutine; the executor's width sizes only Each,
+// the fan-out of TRA's per-track work and LOC's matcher. A fleet reads the
 // executor it is given as its core budget and hands its vehicles one
 // executor holding each one's share, Workers()/vehicles and at least 1.
 //
 // There is no process-wide executor: every engine holds its own or one it
 // was handed, so independent pipelines sharing a process cannot perturb
-// each other's kernel configuration. Results are bitwise-identical for any
-// worker count (see the header of internal/tensor/parallel.go for the
-// kernel-level contract).
+// each other's width. Results are bitwise-identical for any width.
 //
 // All methods are safe for concurrent use.
 type Executor struct {
-	// workers is the kernel fan-out; 0 means runtime.GOMAXPROCS(0).
+	// workers is Each's width; 0 means runtime.GOMAXPROCS(0).
 	workers int
 }
 
-// NewExecutor builds an executor whose kernels fan out across workers
+// NewExecutor builds an executor whose Each fans out across workers
 // goroutines (<= 0 means runtime.GOMAXPROCS(0), read at each call).
 func NewExecutor(workers int) *Executor {
 	return &Executor{workers: workers}
@@ -33,9 +32,9 @@ func NewExecutor(workers int) *Executor {
 // only; it goes once bench/ stops calling it.
 func NewBatchExecutor(workers int) *Executor { return NewExecutor(workers) }
 
-// Workers reports the kernel worker count. The default follows GOMAXPROCS,
-// not NumCPU: fanning out more goroutines than the scheduler will run at
-// once only adds switches. Sharding never changes results.
+// Workers reports Each's width. The default follows GOMAXPROCS, not
+// NumCPU: fanning out more goroutines than the scheduler will run at once
+// only adds switches. The width never changes results.
 func (e *Executor) Workers() int {
 	if e.workers > 0 {
 		return e.workers
@@ -52,7 +51,7 @@ func (e *Executor) GatherStats() (batches, calls int64) { return 0, 0 }
 // every buffer from s; the output aliases scratch memory (see Scratch
 // ownership rules).
 func (e *Executor) Forward(n *Network, in *tensor.T, s *Scratch) *tensor.T {
-	out, _ := n.run(in, s, e.Workers(), nil)
+	out, _ := n.run(in, s, nil)
 	return out
 }
 
@@ -67,7 +66,7 @@ func (e *Executor) Each(n, slots int, fn func(w, i int)) {
 // layer and the number of layers executed. A pass whose checkpoint never
 // fires is bitwise-identical to Forward.
 func (e *Executor) ForwardAnytime(n *Network, in *tensor.T, s *Scratch, keep Checkpoint) (*tensor.T, int) {
-	return n.run(in, s, e.Workers(), keep)
+	return n.run(in, s, keep)
 }
 
 // ForwardBatch runs Forward(n, ins[i], scs[i]) for each i and returns the

@@ -99,10 +99,11 @@ func TestForwardBatchBitwiseEqualSolo(t *testing.T) {
 }
 
 // Alloc gate (run by `make alloc-gate`): a warm ForwardBatch with a reused
-// output buffer allocates nothing for the whole batch, at any worker count.
+// output buffer allocates nothing for the whole batch, at any executor
+// width.
 func TestAllocForwardBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	net := TinyYOLO(64) // its two middle convs clear the kernels' fan-out floor
+	net := TinyYOLO(64)
 	const batch = 3
 	ins := make([]*tensor.T, batch)
 	scs := make([]*Scratch, batch)

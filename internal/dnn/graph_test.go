@@ -25,7 +25,7 @@ func TestBatchNormForward(t *testing.T) {
 	bn := NewBatchNorm(1)
 	in := tensor.New(2, 2, 2)
 	in.Fill(1)
-	out := bn.Forward(in, &Scratch{}, 1)
+	out := bn.Forward(in, &Scratch{})
 	if in.Data[0] != 1 {
 		t.Error("batchnorm must not mutate its input")
 	}
@@ -38,7 +38,7 @@ func TestBatchNormForward(t *testing.T) {
 	// Per-channel params: all elements of one channel transform equally.
 	in2 := tensor.New(2, 2, 2)
 	in2.Data = []float32{1, 2, 3, 4, 1, 2, 3, 4}
-	out2 := bn.Forward(in2, &Scratch{}, 1)
+	out2 := bn.Forward(in2, &Scratch{})
 	r0 := out2.Data[1] - out2.Data[0]
 	r1 := out2.Data[2] - out2.Data[1]
 	if r0 != r1 {
@@ -75,7 +75,7 @@ func TestReorgForwardPreservesValues(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i)
 	}
-	out := r.Forward(in, &Scratch{}, 1)
+	out := r.Forward(in, &Scratch{})
 	if out.C != 4 || out.H != 2 || out.W != 2 {
 		t.Fatalf("reorg out %v", out)
 	}

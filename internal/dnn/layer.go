@@ -97,12 +97,11 @@ type Layer interface {
 	OutShape(in Shape) Shape
 	// CostAt computes the layer cost for a given input shape.
 	CostAt(in Shape) Cost
-	// Forward runs inference, drawing the output (and any intermediates)
-	// from s and sharding the conv/FC kernels over up to workers
-	// goroutines; a warm call allocates nothing. The input tensor is not
-	// modified; the result aliases scratch memory. Results are bitwise
-	// identical for any scratch state and any worker count.
-	Forward(in *tensor.T, s *Scratch, workers int) *tensor.T
+	// Forward runs inference on the caller's goroutine, drawing the output
+	// (and any intermediates) from s; a warm call allocates nothing. The
+	// input tensor is not modified; the result aliases scratch memory.
+	// Results are bitwise identical for any scratch state.
+	Forward(in *tensor.T, s *Scratch) *tensor.T
 }
 
 // convParams holds one input-size instantiation of a conv or FC layer's
@@ -189,12 +188,12 @@ func (c *Conv) params(inC int) *convParams {
 	return p
 }
 
-func (c *Conv) Forward(in *tensor.T, s *Scratch, workers int) *tensor.T {
+func (c *Conv) Forward(in *tensor.T, s *Scratch) *tensor.T {
 	p := c.params(in.C)
 	dst := s.next(c.OutShape(Shape{C: in.C, H: in.H, W: in.W}))
 	// The GEMM form is ~4x faster than the direct loop at these shapes
 	// (property-tested equivalent in internal/tensor).
-	out := tensor.Conv2DIm2ColParInto(dst, in, p.w, p.b, c.OutC, c.K, c.Stride, c.Pad, workers, &s.arena)
+	out := tensor.Conv2DIm2ColParInto(dst, in, p.w, p.b, c.OutC, c.K, c.Stride, c.Pad, 1, &s.arena)
 	return c.Act.apply(out)
 }
 
@@ -230,7 +229,7 @@ func (p *MaxPool) CostAt(in Shape) Cost {
 	}
 }
 
-func (p *MaxPool) Forward(in *tensor.T, s *Scratch, _ int) *tensor.T {
+func (p *MaxPool) Forward(in *tensor.T, s *Scratch) *tensor.T {
 	dst := s.next(p.OutShape(Shape{C: in.C, H: in.H, W: in.W}))
 	return tensor.MaxPool2DInto(dst, in, p.K, p.Stride)
 }
@@ -277,7 +276,7 @@ func (bn *BatchNorm) params(c int) (a, b []float32) {
 	return bn.a, bn.b
 }
 
-func (bn *BatchNorm) Forward(in *tensor.T, s *Scratch, _ int) *tensor.T {
+func (bn *BatchNorm) Forward(in *tensor.T, s *Scratch) *tensor.T {
 	out := s.next(Shape{C: in.C, H: in.H, W: in.W})
 	as, bs := bn.params(in.C)
 	hw := in.H * in.W
@@ -286,7 +285,7 @@ func (bn *BatchNorm) Forward(in *tensor.T, s *Scratch, _ int) *tensor.T {
 		src := in.Data[c*hw : (c+1)*hw]
 		seg := out.Data[c*hw : (c+1)*hw]
 		for i, v := range src {
-			seg[i] = a*v + b
+			seg[i] = float32(a*v) + b
 		}
 	}
 	return out
@@ -324,7 +323,7 @@ func (r *Reorg) CostAt(in Shape) Cost {
 // Forward writes the space-to-depth permutation. Every input element maps
 // to exactly one output element (a bijection), so the output slot is fully
 // written and needs no pre-clearing.
-func (r *Reorg) Forward(in *tensor.T, sc *Scratch, _ int) *tensor.T {
+func (r *Reorg) Forward(in *tensor.T, sc *Scratch) *tensor.T {
 	out := sc.next(r.OutShape(Shape{C: in.C, H: in.H, W: in.W}))
 	s := r.Stride
 	for c := 0; c < in.C; c++ {
@@ -399,9 +398,9 @@ func (f *FC) params(inN int) *convParams {
 	return p
 }
 
-func (f *FC) Forward(in *tensor.T, s *Scratch, workers int) *tensor.T {
+func (f *FC) Forward(in *tensor.T, s *Scratch) *tensor.T {
 	p := f.params(in.Len())
 	dst := s.next(Shape{C: f.OutN, H: 1, W: 1})
-	out := tensor.FullyConnectedParInto(dst, in, p.w, p.b, f.OutN, workers)
+	out := tensor.FullyConnectedParInto(dst, in, p.w, p.b, f.OutN, 1)
 	return f.Act.apply(out)
 }

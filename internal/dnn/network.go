@@ -82,32 +82,31 @@ func (n *Network) LayerCosts() []Cost {
 // goroutine only.
 type Checkpoint func(next int) bool
 
-// run is the one layer loop: it feeds in through the layers, drawing
-// every intermediate and output buffer from s (a warm network/scratch pair
-// allocates nothing) with the conv/FC kernels sharded over workers
-// goroutines. The pass stops before the first layer whose checkpoint
+// run is the one layer loop: it feeds in through the layers on the
+// caller's goroutine, drawing every intermediate and output buffer from s
+// (a warm network/scratch pair allocates nothing). The pass stops before the first layer whose checkpoint
 // reports false and returns the output of the last executed layer (in
 // itself when no layer ran) with the number of layers executed; a nil keep
 // runs every layer. This is the anytime-inference seam: a budget-pressed
 // DET frame commits the deepest features computed so far instead of
 // blowing its deadline (internal/pipeline/deadline.go, DESIGN.md §12). The
 // returned tensor aliases scratch memory — see Scratch ownership rules.
-func (n *Network) run(in *tensor.T, s *Scratch, workers int, keep Checkpoint) (*tensor.T, int) {
+func (n *Network) run(in *tensor.T, s *Scratch, keep Checkpoint) (*tensor.T, int) {
 	s.begin()
 	out := in
 	for i, l := range n.Layers {
 		if keep != nil && !keep(i) {
 			return out, i
 		}
-		out = l.Forward(out, s, workers)
+		out = l.Forward(out, s)
 	}
 	return out, len(n.Layers)
 }
 
-// Forward runs one single-threaded inference on a throwaway scratch and
+// Forward runs one inference on a throwaway scratch and
 // returns a caller-owned output. It is a convenience for cost studies and
 // tests; the engines go through an Executor, which reuses arenas.
 func (n *Network) Forward(in *tensor.T) *tensor.T {
-	out, _ := n.run(in, &Scratch{}, 1, nil)
+	out, _ := n.run(in, &Scratch{}, nil)
 	return out
 }

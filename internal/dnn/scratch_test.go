@@ -19,10 +19,10 @@ func randInput(rng *rand.Rand, c, h, w int) *tensor.T {
 }
 
 // The one solo loop must give the same bits whatever state its scratch is
-// in and however many workers shard the kernels: a fresh throwaway arena
-// (Network.Forward) against a reused, warm one at workers 1, 2 and 4. Any
-// divergence means a buffer was reused while still live, or that sharding
-// changed arithmetic.
+// in and whatever its executor's width: a fresh throwaway arena
+// (Network.Forward) against a reused, warm one at widths 1, 2 and 4. Any
+// divergence means a buffer was reused while still live, or that the width
+// reached the arithmetic.
 func TestForwardScratchBitwiseEqualForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	nets := map[string]*Network{
@@ -162,13 +162,13 @@ func TestHoldSurvivesForwardPass(t *testing.T) {
 }
 
 // Alloc gate (run by `make alloc-gate`): a warm forward pass allocates
-// nothing per frame, whether its kernels run one range or fan out. The
-// worker count is pinned per subtest, not read from the host, so the gate
-// covers the fan-out on a 1-CPU host too (testing.AllocsPerRun itself
-// measures under GOMAXPROCS=1).
+// nothing per frame at executor widths 1, 2 and 4. The width is pinned per
+// subtest, not read from the host (testing.AllocsPerRun itself measures
+// under GOMAXPROCS=1), so a width that reached the kernels would show on a
+// 1-CPU host too.
 func TestAllocForwardScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	net := TinyYOLO(64) // its two middle convs clear the kernels' fan-out floor
+	net := TinyYOLO(64)
 	in := randInput(rng, net.Input.C, net.Input.H, net.Input.W)
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

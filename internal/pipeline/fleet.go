@@ -38,12 +38,12 @@ type FleetConfig struct {
 	InFlight int
 	// Executor is the fleet's core budget: its Workers() count is split
 	// evenly across the initial Vehicles, and every vehicle's DET and TRA
-	// engines (vehicles added later included) share one executor of
-	// max(1, Workers()/Vehicles) kernel workers. The same width caps TRA's
-	// per-track fan-out, so a fleet whose vehicles fill the cores runs each
-	// vehicle's kernels and tracks on its own stage goroutines, one worker
-	// each. nil is a budget of the machine (dnn.NewExecutor(0)). The share
-	// replaces any executor the template's engine configs name.
+	// engines (vehicles added later included) share one executor of width
+	// max(1, Workers()/Vehicles). The width sizes only Each, TRA's
+	// per-track fan-out and LOC's matcher; the DNN kernels run on their
+	// stage goroutines. nil is a budget of the machine
+	// (dnn.NewExecutor(0)). The share replaces any executor the template's
+	// engine configs name.
 	Executor *dnn.Executor
 	// SharedMap, when non-nil, is the prior-map store all vehicles share;
 	// each vehicle localizes through a private slam.VehicleStore view, so

@@ -175,7 +175,9 @@ type Pipeline struct {
 }
 
 // NewNative constructs the native pipeline, surveying the prior map first
-// when configured.
+// when configured. TRA's executor (dnn.NewExecutor(0) when nil) runs the
+// DNNs on their stage goroutines; its width sizes only Each, TRA's
+// per-track fan-out and LOC's matcher.
 func NewNative(cfg Config) (*Pipeline, error) {
 	gen, err := scene.New(cfg.Scene)
 	if err != nil {

@@ -2,11 +2,9 @@ package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"adsim/internal/accel"
 	"adsim/internal/stats"
-	"adsim/internal/telemetry"
 )
 
 // Assignment maps each computational bottleneck to a platform — one
@@ -44,13 +42,6 @@ type SimConfig struct {
 	// noise-correlation ablation; the default (false) matches the paper's
 	// tail composition.
 	IndependentNoise bool
-	// Telemetry receives one span per modeled stage per frame (Exec set to
-	// the sampled latency; the analytic model has no queueing, so Queue is
-	// zero) and one FrameDone per frame on a synthetic back-to-back
-	// timeline: frame i's timestamp is the cumulative E2E latency of frames
-	// 0..i, so a live constraint.Monitor measures the assignment's
-	// latency-bound throughput. nil disables emission.
-	Telemetry telemetry.Sink
 }
 
 // SimResult holds the latency distributions of a simulated run (all in ms).
@@ -74,11 +65,6 @@ func Simulate(m *accel.Model, cfg SimConfig) (SimResult, error) {
 		cfg.Res = accel.ResKITTI
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	sink := cfg.Telemetry
-	if sink == nil {
-		sink = telemetry.Nop{}
-	}
-	clock := time.Unix(0, 0)
 	res := SimResult{
 		Det:        stats.NewDistribution(cfg.Frames),
 		Tra:        stats.NewDistribution(cfg.Frames),
@@ -89,7 +75,7 @@ func Simulate(m *accel.Model, cfg SimConfig) (SimResult, error) {
 		Assignment: cfg.Assignment,
 		Res:        cfg.Res,
 	}
-	for i := 0; i < cfg.Frames; i++ {
+	for range cfg.Frames {
 		// One execution-noise draw per platform per frame: engines
 		// co-located on a platform see common interference, so their
 		// latency excursions correlate (see accel.SampleShared).
@@ -117,15 +103,6 @@ func Simulate(m *accel.Model, cfg SimConfig) (SimResult, error) {
 		res.Fusion.Add(fuse)
 		res.MotPlan.Add(mot)
 		res.E2E.Add(e2e)
-
-		if _, nop := sink.(telemetry.Nop); !nop {
-			msDur := func(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
-			for _, id := range [...]StageID{StageDet, StageTra, StageLoc, StageFusion, StageMotplan} {
-				sink.Span(telemetry.Span{Stage: id.String(), Frame: i, Exec: msDur(d[id])})
-			}
-			clock = clock.Add(msDur(e2e))
-			sink.FrameDone(telemetry.FrameEnd{Frame: i, Wall: msDur(e2e), At: clock})
-		}
 	}
 	return res, nil
 }

@@ -118,22 +118,20 @@ func TestGemm4x8StaysInsideGuardPages(t *testing.T) {
 								continue
 							}
 							c := newConvCase(inC, h, w, 4, k, stride, pad, true, draw)
-							j := getJob()
-							j.lower(New(4, oh, ow), c.in, c.w, c.bias, 4, k, stride, pad, oh, ow, &Scratch{})
+							l := lower(c.in, k, stride, pad, oh, ow, &Scratch{})
 							// gemmRange's tile calls: a row's full tiles (out
 							// stride rows·width), then its edge tile (out
 							// stride 8).
-							for y, n8 := 0, j.width/8; y < j.rows; y++ {
+							for y, n8 := 0, l.width/8; y < l.rows; y++ {
 								name := fmt.Sprintf("k=%d inC=%d stride=%d pad=%d %dx%d row %d", k, inC, stride, pad, h, w, y)
 								bias := (*[4]float32)(c.bias)
 								if n8 > 0 {
-									calls = append(calls, newTileCall(name, j.padded[y*j.pitch:], j.off, c.w, bias, j.rows*j.width, n8))
+									calls = append(calls, newTileCall(name, l.x[y*l.pitch:], l.off, c.w, bias, l.rows*l.width, n8))
 								}
-								if j.width%8 != 0 {
-									calls = append(calls, newTileCall(name+" edge", j.padded[y*j.pitch+8*n8:], j.off, c.w, bias, 8, 1))
+								if l.width%8 != 0 {
+									calls = append(calls, newTileCall(name+" edge", l.x[y*l.pitch+8*n8:], l.off, c.w, bias, 8, 1))
 								}
 							}
-							j.release()
 						}
 					}
 				}

@@ -7,108 +7,69 @@ import (
 	"sync/atomic"
 )
 
-// The conv and FC kernels take one input per call: a conv is one padded
-// copy of the input and one GEMM over blocks of four output channels, an
-// FC layer one loop over output neurons. A kernel call splits its work
-// units into contiguous ranges: a single range runs on the caller, several
-// run on transient goroutines while the caller waits, so no goroutine
-// outlives the call. Each is the same fan-out one unit at a time.
+// The conv and FC kernels run on their caller: a conv is one padded copy of
+// the input and one GEMM over blocks of four output channels, an FC layer
+// one loop over output neurons. The engines get their parallelism between
+// stages and frames, and TRA and LOC fan their own work out through Each,
+// which runs its units on transient goroutines while the caller waits, so
+// no goroutine outlives the call.
 //
-// Determinism contract: every output element is written by exactly one
-// goroutine, running the same fixed-order loop body. Ranges are disjoint
-// and only decide which goroutine writes an element, never how it is
-// computed, so each result is bitwise-identical for any worker count and
-// any (dst, scratch) reuse.
+// Determinism contract: every output element is computed by one fixed-order
+// loop body, so each result is bitwise-identical for any (dst, scratch)
+// reuse. The range functions take a [lo,hi) range of channel blocks or
+// neurons, and computing a split range gives the same bits as one range.
 
-// parMinMACs is the work floor below which a kernel call is one range on
-// the caller's goroutine: tiny convolutions and FC heads lose more to
-// goroutine fan-out and cache ping-pong than they gain from extra cores.
-// With the register tile reading its input in place, a second range loses
-// or ties up to ~6·10⁵ MACs (DESIGN.md §9 has the measurement).
-const parMinMACs = 1 << 20
-
-// op selects the range function a job fans out.
-type op uint8
-
-const (
-	opGemm op = iota
-	opFC
-	opEach
-)
-
-// job describes one call's fan-out as data: which range function to run,
-// its arguments, and how [0,n) splits into chunk-sized ranges. Workers
-// claim ranges from the cursor, so starting one takes no per-range closure;
-// worker is the method value j.work, built once per descriptor. Descriptors
-// are reused through jobs: a warm kernel call allocates nothing at any
-// worker count.
+// job describes one Each call's fan-out as data: the per-unit callback and
+// the cursor that hands out units. Workers claim units from the cursor, so
+// starting one takes no per-unit closure; worker is the method value
+// j.work, built once per descriptor. Descriptors are reused through jobs: a
+// warm call allocates nothing at any worker count.
 type job struct {
-	op                       op
-	dst, in                  *T
-	padded, w, bias          []float32
-	off                      []int32        // patch-row offset table (opGemm)
-	outC, rows, width, pitch int            // GEMM dims (opGemm)
-	each                     func(w, i int) // the per-unit callback (opEach)
-
-	n, chunk int
-	next     atomic.Int64 // ranges claimed so far
-	ids      atomic.Int64 // worker indices handed out so far
-	wg       sync.WaitGroup
-	worker   func()
+	each   func(w, i int)
+	n      int
+	next   atomic.Int64 // units claimed so far
+	ids    atomic.Int64 // worker indices handed out so far
+	wg     sync.WaitGroup
+	worker func()
 }
 
-// jobs is the descriptors' free list. Unlike a sync.Pool it keeps them
-// across garbage collections, so overlapping fan-outs (LOC's matcher beside
-// TRA's kernels) allocate none after warm-up. It holds at most as many as
-// were ever in flight at once. The capacity covers a fleet of 20 vehicles'
-// fan-outs in flight together (DET, TRA and LOC each); a descriptor
-// released into a full list is left to the collector.
+// jobs is the descriptors' free list. TRA's per-track fan-out and LOC's
+// matcher are the only callers of Each, so this is all the fan-out state
+// there is. Unlike a sync.Pool it keeps descriptors across garbage
+// collections, so overlapping fan-outs (LOC's matcher beside TRA's tracks)
+// allocate none after warm-up. It holds at most as many as were ever in
+// flight at once. The capacity covers a fleet of 20 vehicles' fan-outs in
+// flight together (TRA and LOC each); a descriptor released into a full
+// list is left to the collector.
 var jobs = make(chan *job, 64)
 
-// getJob takes a descriptor from the free list, or builds one.
-func getJob() *job {
-	select {
-	case j := <-jobs:
-		return j
-	default:
-		j := new(job)
-		j.worker = j.work
-		return j
-	}
-}
-
-// release drops the call's references and returns j to the free list.
-func (j *job) release() {
-	j.dst, j.in, j.padded, j.w, j.bias, j.off, j.each = nil, nil, nil, nil, nil, nil, nil
-	select {
-	case jobs <- j:
-	default:
-	}
-}
-
-// fanOut runs o over [0,n) on at most workers workers and returns when every
-// unit is done. The range ops split [0,n) into at most workers contiguous
-// ranges; opEach hands units out one at a time. One worker runs on the
-// caller. Otherwise every worker is a transient goroutine that claims from
-// the cursor until it runs dry, and the caller waits: were the caller to
+// Each calls fn(w, i) once for every i in [0,n) on at most workers workers,
+// each claiming the next unclaimed i, and returns when every call is done.
+// w is the calling worker's index, below min(n, workers), so fn may use
+// scratch it indexes by w without locking. Which worker gets which i
+// varies from call to call. One worker runs on the caller. Otherwise every
+// worker is a transient goroutine and the caller waits: were the caller to
 // work too, a lone helper would sit in its P's runnext slot, which an idle
-// P steals only as a last resort and after a timed back-off — at two
-// workers that delay is a third of a small layer's whole conv.
-func (j *job) fanOut(o op, n, workers int) {
+// P steals only as a last resort and after a timed back-off.
+func Each(n, workers int, fn func(w, i int)) {
 	if n <= 0 {
 		return
 	}
 	workers = max(1, min(workers, n))
-	j.op, j.n, j.chunk = o, n, (n+workers-1)/workers
-	if o == opEach {
-		j.chunk = 1
-	} else {
-		workers = (n + j.chunk - 1) / j.chunk // one per range
-	}
 	if workers == 1 {
-		j.run(0, 0, n)
+		for i := range n {
+			fn(0, i)
+		}
 		return
 	}
+	var j *job
+	select {
+	case j = <-jobs:
+	default:
+		j = new(job)
+		j.worker = j.work
+	}
+	j.each, j.n = fn, n
 	j.next.Store(0)
 	j.ids.Store(0)
 	j.wg.Add(workers)
@@ -116,46 +77,25 @@ func (j *job) fanOut(o op, n, workers int) {
 		go j.worker()
 	}
 	j.wg.Wait()
+	j.each = nil
+	select {
+	case jobs <- j:
+	default:
+	}
 }
 
-// work takes the next worker index, then claims and computes ranges until
-// none is left.
+// work takes the next worker index, then claims and runs units until none
+// is left.
 func (j *job) work() {
 	w := int(j.ids.Add(1) - 1)
 	for {
-		lo := int(j.next.Add(1)-1) * j.chunk
-		if lo >= j.n {
+		i := int(j.next.Add(1) - 1)
+		if i >= j.n {
 			break
 		}
-		j.run(w, lo, min(lo+j.chunk, j.n))
+		j.each(w, i)
 	}
 	j.wg.Done()
-}
-
-// run computes units [lo,hi) on worker w with the job's range function.
-func (j *job) run(w, lo, hi int) {
-	switch j.op {
-	case opGemm:
-		gemmRange(j.dst.Data, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, lo, hi)
-	case opFC:
-		fcRange(j.dst, j.in, j.w, j.bias, j.in.Len(), lo, hi)
-	case opEach:
-		for i := lo; i < hi; i++ {
-			j.each(w, i)
-		}
-	}
-}
-
-// Each calls fn(w, i) once for every i in [0,n), spread over at most
-// workers workers as fanOut spreads ranges, each worker claiming the next
-// unclaimed i. w is the calling worker's index, below min(n, workers), so
-// fn may use scratch it indexes by w without locking. Which worker gets
-// which i varies from call to call.
-func Each(n, workers int, fn func(w, i int)) {
-	j := getJob()
-	j.each = fn
-	j.fanOut(opEach, n, workers)
-	j.release()
 }
 
 // convShape validates conv arguments and returns the output spatial dims.
@@ -197,8 +137,8 @@ func intoShape(dst *T, c, h, w int) *T {
 // nil. dst is nil (the output is allocated) or holds outC·oh·ow elements
 // (scratch Buf slots qualify) and does not alias in; it is returned. The
 // padded copy and the offset table come from s (nil uses a throwaway
-// arena), so a warm call allocates nothing. The result obeys the
-// determinism contract above.
+// arena), so a warm call allocates nothing. The call runs on its caller;
+// workers is ignored, and kept for the benchmark harness in bench/ only.
 //
 // The GEMM sums four patch rows at a time and adds each group to the
 // output: four output channels × eight columns of one output row per
@@ -212,16 +152,11 @@ func intoShape(dst *T, c, h, w int) *T {
 func Conv2DIm2ColParInto(dst *T, in *T, w []float32, bias []float32, outC, k, stride, pad, workers int, s *Scratch) *T {
 	oh, ow := convShape(in, len(w), outC, k, stride, pad)
 	dst = intoShape(dst, outC, oh, ow)
-	if int64(len(w))*int64(oh*ow) < parMinMACs {
-		workers = 1
-	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	j := getJob()
-	j.lower(dst, in, w, bias, outC, k, stride, pad, oh, ow, s)
-	j.fanOut(opGemm, (outC+3)/4, workers)
-	j.release()
+	l := lower(in, k, stride, pad, oh, ow, s)
+	gemmRange(dst.Data, l.x, l.off, w, bias, outC, l.rows, l.width, l.pitch, 0, (outC+3)/4)
 	return dst
 }
 
@@ -234,9 +169,18 @@ func Conv2DIm2ColBatchInto(dsts, ins []*T, w []float32, bias []float32, outC, k,
 	}
 }
 
-// lower stages a convolution's GEMM in s and in j's GEMM fields. The input
-// becomes stride² phase planes per channel, each ph × pw with
-// ph = oh + (k−1)/stride and pw = ow + (k−1)/stride: phase (a, b) holds
+// lowering is a convolution staged for gemmRange: the padded, phase-split
+// input x, the offset table off, and the output's geometry as rows rows of
+// width columns, read pitch floats apart in x.
+type lowering struct {
+	x                  []float32
+	off                []int32
+	rows, width, pitch int
+}
+
+// lower stages a convolution's GEMM in s. The input becomes stride² phase
+// planes per channel, each ph × pw with ph = oh + (k−1)/stride and
+// pw = ow + (k−1)/stride: phase (a, b) holds
 // padded[qy·stride+a][qx·stride+b], where padded is the channel
 // zero-padded by pad. Then tap (ic, ky, kx) of output (oy, ox) is
 // padded[oy·stride+ky][ox·stride+kx], which is row oy + ky/stride, column
@@ -246,7 +190,7 @@ func Conv2DIm2ColBatchInto(dsts, ins []*T, w []float32, bias []float32, outC, k,
 // reads it from oy·pw further on. Stride 1 is the one-phase case. The copy
 // holds each input value about once, where an im2col matrix holds it k²
 // times.
-func (j *job) lower(dst, in *T, w, bias []float32, outC, k, stride, pad, oh, ow int, s *Scratch) {
+func lower(in *T, k, stride, pad, oh, ow int, s *Scratch) lowering {
 	halo := (k - 1) / stride
 	ph, pw := oh+halo, ow+halo
 	n := in.C * stride * stride * ph * pw
@@ -265,13 +209,12 @@ func (j *job) lower(dst, in *T, w, bias []float32, outC, k, stride, pad, oh, ow 
 	for r := taps; r < len(off); r++ {
 		off[r] = off[r-taps] + int32(stride*stride*plane)
 	}
-	j.dst, j.w, j.bias, j.padded, j.off = dst, w, bias, padded, off
-	j.outC, j.rows, j.width, j.pitch = outC, oh, ow, pw
 	if pw == ow {
 		// No halo (k ≤ stride): output rows lie end to end in the planes
 		// as in the output, so the GEMM sees one row of oh·ow columns.
-		j.rows, j.width = 1, oh*ow
+		return lowering{padded, off, 1, oh * ow, pw}
 	}
+	return lowering{padded, off, oh, ow, pw}
 }
 
 // padPhases writes the input's phase planes (see lower) into dst, which
@@ -412,21 +355,16 @@ func axpy4(acc, s0, s1, s2, s3 []float32, w0, w1, w2, w3 float32) {
 
 // FullyConnectedParInto computes dst = W·flatten(in) + bias, where w is
 // row-major [outN][inN] and bias may be nil. dst is nil (the output is
-// allocated) or holds outN elements; it is returned. A warm call
-// allocates nothing, and the result obeys the determinism contract above.
+// allocated) or holds outN elements; it is returned. A warm call allocates
+// nothing. The call runs on its caller; workers is ignored, and kept for
+// the benchmark harness in bench/ only.
 func FullyConnectedParInto(dst *T, in *T, w []float32, bias []float32, outN, workers int) *T {
 	inN := in.Len()
 	if len(w) != outN*inN {
 		panic(fmt.Sprintf("tensor: fc weights len %d, want %d", len(w), outN*inN))
 	}
 	dst = intoShape(dst, outN, 1, 1)
-	if int64(outN)*int64(inN) < parMinMACs {
-		workers = 1
-	}
-	j := getJob()
-	j.dst, j.in, j.w, j.bias = dst, in, w, bias
-	j.fanOut(opFC, outN, workers)
-	j.release()
+	fcRange(dst, in, w, bias, inN, 0, outN)
 	return dst
 }
 

@@ -153,7 +153,7 @@ func patchTable(patchRows, cols int) []int32 {
 // write exactly the replaced loop's outputs over output channel counts
 // that fill and leave partial blocks, patch depths across the four-row
 // step, column counts below, at and past the tile width, with and without
-// bias, and a channel-block range split as a fan-out would split it. The
+// bias, and a channel-block range split in two. The
 // slack past the matrix is NaN, which an edge tile's dropped lanes may read
 // and no output may show.
 func TestGemmRangeMatchesReference(t *testing.T) {
@@ -224,11 +224,11 @@ func newConvCase(inC, h, w, outC, k, stride, pad int, withBias bool, draw func()
 	return c
 }
 
-// check runs c through Conv2DIm2ColParInto at the given worker count and
-// through the lowering plus two gemmRange calls over a channel-block range
-// split at split (clamped), each into a NaN-poisoned output and on the
-// shared arena s, and fails unless both match convIm2ColRef bit for bit.
-func (c convCase) check(t *testing.T, name string, workers, split int, s *Scratch) {
+// check runs c through Conv2DIm2ColParInto and through the lowering plus
+// two gemmRange calls over a channel-block range split at split (clamped),
+// each into a NaN-poisoned output and on the shared arena s, and fails
+// unless both match convIm2ColRef bit for bit.
+func (c convCase) check(t *testing.T, name string, split int, s *Scratch) {
 	t.Helper()
 	oh, ow := convShape(c.in, len(c.w), c.outC, c.k, c.stride, c.pad)
 	out := func() *T {
@@ -238,15 +238,13 @@ func (c convCase) check(t *testing.T, name string, workers, split int, s *Scratc
 	}
 	want, got, split2 := out(), out(), out()
 	convIm2ColRef(want, c.in, c.w, c.bias, c.outC, c.k, c.stride, c.pad)
-	Conv2DIm2ColParInto(got, c.in, c.w, c.bias, c.outC, c.k, c.stride, c.pad, workers, s)
+	Conv2DIm2ColParInto(got, c.in, c.w, c.bias, c.outC, c.k, c.stride, c.pad, 1, s)
 
-	j := getJob()
-	j.lower(split2, c.in, c.w, c.bias, c.outC, c.k, c.stride, c.pad, oh, ow, s)
+	l := lower(c.in, c.k, c.stride, c.pad, oh, ow, s)
 	blocks := (c.outC + 3) / 4
 	mid := min(split, blocks)
-	gemmRange(split2.Data, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, 0, mid)
-	gemmRange(split2.Data, j.padded, j.off, j.w, j.bias, j.outC, j.rows, j.width, j.pitch, mid, blocks)
-	j.release()
+	gemmRange(split2.Data, l.x, l.off, c.w, c.bias, c.outC, l.rows, l.width, l.pitch, 0, mid)
+	gemmRange(split2.Data, l.x, l.off, c.w, c.bias, c.outC, l.rows, l.width, l.pitch, mid, blocks)
 
 	for e := range want.Data {
 		for kind, out := range map[string]*T{"conv": got, "split": split2} {
@@ -262,9 +260,9 @@ func (c convCase) check(t *testing.T, name string, workers, split int, s *Scratc
 // exactly the im2col kernels' outputs for kernel sizes 1, 3 and 5, strides
 // 1–3 and pads 0–2, output widths with every remainder mod 8 (so tiles,
 // edge columns and rows merged end to end all occur), partial channel
-// blocks, bias or none, a channel-block range split in two, at one to
-// three workers, through one arena reused across shapes, and on
-// ordinary values and on ±0, ±Inf, NaN and subnormals.
+// blocks, bias or none, a channel-block range split in two, through one
+// arena reused across shapes, and on ordinary values and on ±0, ±Inf, NaN
+// and subnormals.
 func TestConvMatchesIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	s := &Scratch{}
@@ -293,7 +291,7 @@ func TestConvMatchesIm2Col(t *testing.T) {
 					_, ow = convShape(c.in, len(c.w), c.outC, k, stride, pad)
 					rems[ow%8]++
 					name := fmt.Sprintf("k=%d/stride=%d/pad=%d/%dx%d/outC=%d", k, stride, pad, h, w, c.outC)
-					c.check(t, name, 1+cases%3, rng.Intn((c.outC+3)/4+1), s)
+					c.check(t, name, rng.Intn((c.outC+3)/4+1), s)
 					cases++
 				}
 			}
@@ -337,52 +335,8 @@ func FuzzGemmRange(f *testing.F) {
 		}
 		c := newConvCase(inC, h, w, outC, k, stride, pad, geomSel&0x80 == 0, word)
 		name := fmt.Sprintf("inC=%d %dx%d outC=%d k=%d stride=%d pad=%d", inC, h, w, outC, k, stride, pad)
-		c.check(t, name, 1, int(outCSel/12), &Scratch{})
+		c.check(t, name, int(outCSel/12), &Scratch{})
 	})
-}
-
-// BenchmarkConvShapes sizes parMinMACs: the seven distinct conv shapes of
-// TinyYOLO(64) and TinyTrackerTower(32) at one range and at two ranges
-// forced past the floor (run with -cpu 2); the padded copy runs on the
-// caller either way, as in a real call. Below the break-even MAC count the
-// second range loses to its fan-out cost. DESIGN.md §9 records a run.
-func BenchmarkConvShapes(b *testing.B) {
-	for _, sh := range []struct {
-		name                          string
-		inC, hw, outC, k, stride, pad int
-	}{
-		{"yolo1", 1, 64, 8, 3, 1, 1},
-		{"yolo2", 8, 32, 16, 3, 1, 1},
-		{"yolo3", 16, 16, 32, 3, 1, 1},
-		{"yolo4+tower3", 32, 8, 32, 3, 1, 1},
-		{"yolo5", 32, 4, 14, 1, 1, 0}, // 1×1 head, dnn.DetCellDepth channels
-		{"tower1", 1, 32, 16, 5, 2, 2},
-		{"tower2", 16, 8, 32, 3, 1, 1},
-	} {
-		rng := rand.New(rand.NewSource(5))
-		in := New(sh.inC, sh.hw, sh.hw)
-		for i := range in.Data {
-			in.Data[i] = float32(rng.NormFloat64())
-		}
-		w := make([]float32, sh.outC*sh.inC*sh.k*sh.k)
-		for i := range w {
-			w[i] = float32(rng.NormFloat64())
-		}
-		oh, ow := convShape(in, len(w), sh.outC, sh.k, sh.stride, sh.pad)
-		dst, s := New(sh.outC, oh, ow), &Scratch{}
-		macs := len(w) * oh * ow
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/macs=%d/w=%d", sh.name, macs, workers), func(b *testing.B) {
-				// Conv2DIm2ColParInto minus the floor, so both widths really run.
-				j := getJob()
-				defer j.release()
-				for i := 0; i < b.N; i++ {
-					j.lower(dst, in, w, nil, sh.outC, sh.k, sh.stride, sh.pad, oh, ow, s)
-					j.fanOut(opGemm, (sh.outC+3)/4, workers)
-				}
-			})
-		}
-	}
 }
 
 // lowerRangeRef is the per-element im2col loop: it writes the input's

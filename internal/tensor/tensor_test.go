@@ -501,93 +501,14 @@ func BenchmarkConv2DIm2Col(b *testing.B) {
 	}
 }
 
-// Property: the sharded kernels are bitwise-identical to the serial ones
-// for any worker count — every output element is computed by exactly one
-// goroutine in the serial arithmetic order. Shapes are sized above the
-// parMinMACs floor so the parallel path actually engages.
-func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
-	state := uint32(12345)
-	next := func() float32 {
-		state = state*1664525 + 1013904223
-		return float32(int32(state>>16)%100) / 25
-	}
-	in := New(8, 32, 32)
-	for i := range in.Data {
-		in.Data[i] = next()
-	}
-	const outC, k = 16, 3
-	w := make([]float32, outC*in.C*k*k)
-	for i := range w {
-		w[i] = next()
-	}
-	bias := make([]float32, outC)
-	for i := range bias {
-		bias[i] = next()
-	}
-	ref := Conv2DIm2ColParInto(nil, in, w, bias, outC, k, 1, 1, 1, nil)
-	for _, workers := range []int{2, 3, 7, 64} {
-		got := Conv2DIm2ColParInto(nil, in, w, bias, outC, k, 1, 1, workers, nil)
-		if !got.SameShape(ref) {
-			t.Fatalf("workers=%d: shape %v != %v", workers, got, ref)
-		}
-		for i := range got.Data {
-			if got.Data[i] != ref.Data[i] {
-				t.Fatalf("workers=%d: conv elem %d = %v, serial %v", workers, i, got.Data[i], ref.Data[i])
-			}
-		}
-	}
-
-	const outN = 1024
-	vec := NewVec(1024)
-	for i := range vec.Data {
-		vec.Data[i] = next()
-	}
-	fw := make([]float32, outN*vec.Len())
-	for i := range fw {
-		fw[i] = next()
-	}
-	fref := FullyConnectedParInto(nil, vec, fw, nil, outN, 1)
-	for _, workers := range []int{2, 5, 33} {
-		got := FullyConnectedParInto(nil, vec, fw, nil, outN, workers)
-		for i := range got.Data {
-			if got.Data[i] != fref.Data[i] {
-				t.Fatalf("workers=%d: fc elem %d = %v, serial %v", workers, i, got.Data[i], fref.Data[i])
-			}
-		}
-	}
-}
-
-// fanOut must hand every unit to exactly one range: n = 0 is a no-op and
-// workers > n clamps to one unit per range. The FC range function counts
-// visits when bias aliases the output: with x = [1] and unit weights,
-// neuron o computes out[o] = 1 + out[o], touching no other element. Each
-// must likewise call fn once per unit, on a worker index below
+// Each must call fn once per unit, on a worker index below
 // min(n, workers), and never run two calls of one index at once: that is
-// what lets a caller hand each index its own scratch.
+// what lets a caller hand each index its own scratch. n = 0 is a no-op and
+// workers > n clamps to one unit per worker.
 func TestFanOutCoversRangeOnce(t *testing.T) {
-	one := NewVec(1)
-	one.Data[0] = 1
 	for _, tc := range []struct{ n, workers int }{
 		{0, 4}, {1, 1}, {1, 8}, {5, 2}, {7, 7}, {100, 3}, {8, 64},
 	} {
-		hits := NewVec(tc.n + 1) // one guard element past the range
-		ones := make([]float32, tc.n)
-		for i := range ones {
-			ones[i] = 1
-		}
-		j := getJob()
-		j.dst, j.in, j.w, j.bias = hits, one, ones, hits.Data
-		j.fanOut(opFC, tc.n, tc.workers)
-		j.release()
-		for i, h := range hits.Data[:tc.n] {
-			if h != 1 {
-				t.Fatalf("n=%d workers=%d: index %d covered %v times", tc.n, tc.workers, i, h)
-			}
-		}
-		if hits.Data[tc.n] != 0 {
-			t.Fatalf("n=%d workers=%d: a range ran past n", tc.n, tc.workers)
-		}
-
 		calls := make([]int, tc.n)
 		var busy [64]atomic.Bool
 		var bad atomic.Int64
@@ -610,29 +531,29 @@ func TestFanOutCoversRangeOnce(t *testing.T) {
 	}
 }
 
-// Descriptor reuse across concurrent kernel calls is the fan-out's one
-// shared-state hazard (the tracker pool and a fleet's vehicles both call
-// kernels concurrently): 8 goroutines run conv and FC at workers 1/2/4 on
-// three distinct inputs through the pooled descriptors, and every result
-// must be bitwise-equal to its serial run. Shapes sit above parMinMACs so
-// the calls really fan out; run under -race this is the descriptor-sharing
-// gate.
+// Descriptor reuse across concurrent Each calls is the fan-out's one
+// shared-state hazard (a fleet's vehicles run TRA's and LOC's fan-outs at
+// once): 8 goroutines each fan out at 1, 2 or 4 workers over three inputs,
+// every unit a conv and an FC pass on its worker's own arena, and every
+// result must be bitwise-equal to its serial run. Run under -race this is
+// the descriptor-sharing gate.
 func TestFanOutConcurrentCallers(t *testing.T) {
 	in0, cw, cb, outC, k := randConvCase(21)
 	in1, _, _, _, _ := randConvCase(22)
 	in2, _, _, _, _ := randConvCase(23)
 	ins := []*T{in0, in1, in2}
-	convWant := make([]*T, len(ins))
-	for i, in := range ins {
-		convWant[i] = Conv2DIm2ColParInto(nil, in, cw, cb, outC, k, 1, 1, 1, nil)
-	}
 	const outN = 256
 	rng := rand.New(rand.NewSource(22))
 	fw := make([]float32, outN*ins[0].Len())
 	for i := range fw {
 		fw[i] = float32(rng.NormFloat64())
 	}
-	fcWant := FullyConnectedParInto(nil, ins[0], fw, nil, outN, 1)
+	convWant := make([]*T, len(ins))
+	fcWant := make([]*T, len(ins))
+	for i, in := range ins {
+		convWant[i] = Conv2DIm2ColParInto(nil, in, cw, cb, outC, k, 1, 1, 1, nil)
+		fcWant[i] = FullyConnectedParInto(nil, in, fw, nil, outN, 1)
+	}
 
 	equal := func(got, want *T) bool {
 		for i := range want.Data {
@@ -647,21 +568,22 @@ func TestFanOutConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := &Scratch{}
-			dsts := make([]*T, len(ins))
-			for i := range dsts {
-				dsts[i] = New(outC, ins[i].H, ins[i].W)
+			const slots = 4
+			var scratch [slots]Scratch
+			var dsts, fdsts [slots]*T
+			for w := range dsts {
+				dsts[w], fdsts[w] = New(outC, in0.H, in0.W), NewVec(outN)
 			}
-			fdst := NewVec(outN)
 			for r := 0; r < 6; r++ {
 				workers := []int{1, 2, 4}[(g+r)%3] // goroutines start out of phase
-				i := (g + r) % len(ins)
-				if !equal(Conv2DIm2ColParInto(dsts[i], ins[i], cw, cb, outC, k, 1, 1, workers, s), convWant[i]) {
-					t.Errorf("goroutine %d workers %d: conv of input %d diverged from serial", g, workers, i)
-				}
-				if !equal(FullyConnectedParInto(fdst, ins[0], fw, nil, outN, workers), fcWant) {
-					t.Errorf("goroutine %d workers %d: fc diverged from serial", g, workers)
-				}
+				Each(len(ins), workers, func(w, i int) {
+					if !equal(Conv2DIm2ColParInto(dsts[w], ins[i], cw, cb, outC, k, 1, 1, 1, &scratch[w]), convWant[i]) {
+						t.Errorf("goroutine %d workers %d: conv of input %d diverged from serial", g, workers, i)
+					}
+					if !equal(FullyConnectedParInto(fdsts[w], ins[i], fw, nil, outN, 1), fcWant[i]) {
+						t.Errorf("goroutine %d workers %d: fc of input %d diverged from serial", g, workers, i)
+					}
+				})
 			}
 		}(g)
 	}

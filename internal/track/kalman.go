@@ -52,12 +52,12 @@ func (k *kalman2) update(z float64) {
 	gP := k.pPP / s
 	gV := k.pPV / s
 	innov := z - k.pos
-	k.pos += gP * innov
-	k.vel += gV * innov
+	k.pos += float64(gP * innov)
+	k.vel += float64(gV * innov)
 	// Joseph-free covariance update (standard form).
 	pPP := (1 - gP) * k.pPP
 	pPV := (1 - gP) * k.pPV
-	pVV := k.pVV - gV*k.pPV
+	pVV := k.pVV - float64(gV*k.pPV)
 	k.pPP, k.pPV, k.pVV = pPP, pPV, pVV
 }
 

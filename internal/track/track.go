@@ -72,8 +72,8 @@ type Config struct {
 	// RunDNN controls whether the native network executes per tracked
 	// object.
 	RunDNN bool
-	// Executor runs the network's forward passes on the calling goroutine
-	// and sets their kernel worker count. nil builds a private
+	// Executor runs the network's forward passes on the calling goroutine,
+	// and its width sizes the per-track fan-out. nil builds a private
 	// dnn.NewExecutor(0); a fleet hands every engine the same one.
 	Executor *dnn.Executor
 	// Nets, when non-nil, is a shared network cache: engines drawing from
@@ -361,8 +361,8 @@ func (e *Engine) propagate(tr *Track, frame *img.Gray, sc *trackScratch) (tm Tim
 	if !region.Empty() {
 		scaleX := region.W() / float64(ss)
 		scaleY := region.H() / float64(ss)
-		newX0 := region.X0 + float64(bestDx)*scaleX
-		newY0 := region.Y0 + float64(bestDy)*scaleY
+		newX0 := region.X0 + float64(float64(bestDx)*scaleX)
+		newY0 := region.Y0 + float64(float64(bestDy)*scaleY)
 		newW := tr.Box.W() * float64(bestTs) / float64(ts)
 		newH := tr.Box.H() * float64(bestTs) / float64(ts)
 		tr.Box = img.RectWH(newX0, newY0, newW, newH)
